@@ -1,26 +1,26 @@
-//! Script-VM microbenchmarks: tree-walking reference vs the PR 4 stack
-//! VM vs the register VM, plus `par_foreach_trial` sweep scaling.
+//! Script-VM microbenchmarks: tree-walking reference vs the register
+//! VM, plus `par_foreach_trial` sweep scaling.
 //!
-//! Four program shapes:
+//! Program shapes:
 //!
 //! * `fib_15` — recursion-heavy; exercises call frames.
-//! * `loop_sum_10k` — arithmetic-heavy loop; the ISSUE's ≥2x
-//!   register-vs-stack acceptance point.
+//! * `loop_sum_10k` — arithmetic-heavy loop; exercises the counted-loop
+//!   superinstruction and in-place numeric stores.
 //! * `call_heavy` — a tight loop through a three-argument user
 //!   function; exercises argument passing and register windows.
 //! * `sweep_64` — one `par_foreach_trial` over 64 items, each body a
 //!   compute loop, run inline (no executor installed — the sequential
 //!   path) and on the rayon pool (the executor the analysis layer and
 //!   service install). The same script runs in both modes, so the pair
-//!   isolates sweep scheduling; near-linear speedup over ≥64 trials is
-//!   the ISSUE's acceptance number.
+//!   isolates sweep scheduling; with N workers, near-linear speedup
+//!   over ≥64 trials is the expected outcome.
 //! * `repo_sweep_64` — end to end: the same sweep shape through
 //!   [`PerfExplorerScript`] over a real 64-trial repository
 //!   (`list_trials` + `load_trial` + `elapsed` per body).
 //!
 //! The differential proptests in `crates/script/tests/differential.rs`
-//! pin all three engines to identical values/output/steps, so these
-//! pairs measure dispatch cost only. Besides the Criterion harness
+//! pin the VM to the reference's values/output/steps, so these pairs
+//! measure dispatch cost only. Besides the Criterion harness
 //! (which honours `--test` for the CI smoke), `BENCH_JSON=<path>`
 //! switches to a self-timed single-pass mode that writes the
 //! machine-readable `BENCH_script.json` summary.
@@ -29,7 +29,7 @@ use criterion::{criterion_group, Criterion};
 use perfdmf::{Measurement, Repository, TrialBuilder};
 use perfexplorer::scripting::PerfExplorerScript;
 use rayon::prelude::*;
-use script::{Engine, Interpreter, Value};
+use script::{Interpreter, Value};
 use serde_json::Value as Json;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -63,8 +63,8 @@ const PROGRAMS: [(&str, &str); 3] = [
 
 /// A fresh VM interpreter; `parallel` installs the rayon executor the
 /// analysis layer uses, absent means sweeps run inline on one thread.
-fn vm(engine: Engine, parallel: bool) -> Interpreter {
-    let mut interp = Interpreter::new().with_engine(engine);
+fn vm(parallel: bool) -> Interpreter {
+    let mut interp = Interpreter::new();
     if parallel {
         interp.set_parallel_executor(Arc::new(|runner: &script::ParRunner, items: Vec<Value>| {
             items
@@ -109,13 +109,11 @@ fn bench_engines(c: &mut Criterion) {
                 black_box(interp.run(src).unwrap())
             })
         });
-        for (engine, label) in [(Engine::Stack, "stack"), (Engine::Register, "register")] {
-            g.bench_function(&format!("{label}/{name}"), |b| {
-                let mut interp = vm(engine, false);
-                let program = interp.compile(src).unwrap();
-                b.iter(|| black_box(interp.run_compiled(&program).unwrap()))
-            });
-        }
+        g.bench_function(&format!("register/{name}"), |b| {
+            let mut interp = vm(false);
+            let program = interp.compile(src).unwrap();
+            b.iter(|| black_box(interp.run_compiled(&program).unwrap()))
+        });
     }
     g.finish();
 }
@@ -124,7 +122,7 @@ fn bench_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("script_vm");
     for (label, parallel) in [("sweep_64/inline", false), ("sweep_64/parallel", true)] {
         g.bench_function(label, |b| {
-            let mut interp = vm(Engine::Register, parallel);
+            let mut interp = vm(parallel);
             let program = interp.compile(SWEEP).unwrap();
             b.iter(|| black_box(interp.run_compiled(&program).unwrap()))
         });
@@ -160,8 +158,8 @@ fn median_nanos(warmup: usize, iters: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn measure_engine(engine: Engine, src: &str) -> f64 {
-    let mut interp = vm(engine, false);
+fn measure_register(src: &str) -> f64 {
+    let mut interp = vm(false);
     let program = interp.compile(src).unwrap();
     median_nanos(3, 15, || {
         black_box(interp.run_compiled(&program).unwrap());
@@ -176,7 +174,7 @@ fn measure_reference(src: &str) -> f64 {
 }
 
 fn measure_sweep(parallel: bool) -> f64 {
-    let mut interp = vm(Engine::Register, parallel);
+    let mut interp = vm(parallel);
     let program = interp.compile(SWEEP).unwrap();
     median_nanos(2, 9, || {
         black_box(interp.run_compiled(&program).unwrap());
@@ -197,19 +195,16 @@ fn emit_json(path: &str) {
     let mut programs = Vec::new();
     for (name, src) in PROGRAMS {
         let reference = measure_reference(src);
-        let stack = measure_engine(Engine::Stack, src);
-        let register = measure_engine(Engine::Register, src);
+        let register = measure_register(src);
         eprintln!(
-            "script_vm: {name:<14} reference {reference:>12.0} ns  stack {stack:>10.0} ns  \
-             register {register:>10.0} ns  register/stack {:.2}x",
-            stack / register
+            "script_vm: {name:<14} reference {reference:>12.0} ns  \
+             register {register:>10.0} ns  register/reference {:.2}x",
+            reference / register
         );
         programs.push(obj(vec![
             ("program", Json::Str(name.into())),
             ("reference_ns", round1(reference)),
-            ("stack_ns", round1(stack)),
             ("register_ns", round1(register)),
-            ("register_vs_stack", round1(stack / register)),
             ("register_vs_reference", round1(reference / register)),
         ]));
     }
@@ -230,7 +225,7 @@ fn emit_json(path: &str) {
             "_note",
             Json::Str(
                 "Medians of self-timed single-pass runs on precompiled programs; the \
-                 differential suite pins all engines to identical semantics."
+                 differential suite pins the register VM to the reference's semantics."
                     .into(),
             ),
         ),
@@ -254,20 +249,18 @@ fn emit_json(path: &str) {
     eprintln!("script_vm: wrote {path}");
 }
 
-/// One run of every engine per program, asserting value agreement — the
+/// One run of each engine per program, asserting value agreement — the
 /// CI smoke mode (`-- --test`).
 fn smoke() {
     for (name, src) in PROGRAMS {
         let mut reference = script::reference::Interpreter::new();
         let expected = reference.run(src).unwrap();
-        for engine in [Engine::Stack, Engine::Register] {
-            let got = vm(engine, false).run(src).unwrap();
-            assert_eq!(got, expected, "{name} diverged on {engine:?}");
-        }
+        let got = vm(false).run(src).unwrap();
+        assert_eq!(got, expected, "{name} diverged from the reference");
         println!("script_vm/smoke/{name}: ok");
     }
-    let inline = vm(Engine::Register, false).run(SWEEP).unwrap();
-    let parallel = vm(Engine::Register, true).run(SWEEP).unwrap();
+    let inline = vm(false).run(SWEEP).unwrap();
+    let parallel = vm(true).run(SWEEP).unwrap();
     assert_eq!(inline, parallel, "sweep outcomes diverged across modes");
     let mut session = PerfExplorerScript::new(sweep_repo());
     assert_eq!(session.run(REPO_SWEEP).unwrap(), Value::Num(64.0));

@@ -1,5 +1,5 @@
 //! The script interpreter: compile-and-execute pipeline over the
-//! bytecode VMs, with a host-function registry and compilation caching.
+//! register VM, with a host-function registry and compilation caching.
 //!
 //! [`Interpreter::run`] lexes/parses/compiles on first sight of a
 //! source string and caches the compiled program (keyed by a content
@@ -12,19 +12,15 @@
 //! identically-initialized interpreters (the service layer shares one
 //! compile cache across its worker pool this way).
 //!
-//! Two bytecode engines implement the language: the PR 4 stack VM
-//! (`vm.rs`) and the register VM (`rcompile.rs`/`rvm.rs`), selected by
-//! [`Engine`] with the register engine as the default. The original
-//! tree-walking implementation lives on in [`crate::reference`] as the
-//! executable specification; differential tests pin both engines
-//! against it.
+//! Scripts compile to register bytecode (`rcompile.rs`) and run on the
+//! register VM (`rvm.rs`). The original tree-walking implementation
+//! lives on in [`crate::reference`] as the executable specification;
+//! differential tests pin the VM against it.
 
-use crate::compile::{compile, Proto};
 use crate::parser::parse;
 use crate::rcompile::{rcompile, RProto};
-use crate::rvm::ParallelExecutor;
+use crate::rvm::{FnTable, Globals, ParallelExecutor};
 use crate::value::{Interner, Symbol, Value};
-use crate::vm::{FnTable, Globals};
 use crate::{Result, ScriptError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,28 +40,6 @@ static NEXT_INTERP_ID: AtomicU64 = AtomicU64::new(1);
 /// cache; beyond it, the least-recently-used entry is evicted.
 const CACHE_CAP: usize = 128;
 
-/// Which bytecode engine executes scripts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The PR 4 stack VM: push/pop evaluation over an operand stack.
-    Stack,
-    /// The register VM: three-address instructions over per-frame
-    /// register windows. Roughly 2x faster on arithmetic-heavy loops
-    /// and the only engine that can hand sweep bodies to a parallel
-    /// executor.
-    #[default]
-    Register,
-}
-
-/// A compiled program for whichever engine produced it.
-#[derive(Clone)]
-pub(crate) enum Unit {
-    /// Stack-VM bytecode.
-    Stack(Arc<Proto>),
-    /// Register-VM bytecode.
-    Register(Arc<RProto>),
-}
-
 /// A compiled script, reusable across [`Interpreter::run_compiled`]
 /// calls on the interpreter that produced it.
 ///
@@ -76,11 +50,11 @@ pub(crate) enum Unit {
 /// [`PortableScript`].
 #[derive(Clone)]
 pub struct Compiled {
-    unit: Unit,
+    main: Arc<RProto>,
     owner: u64,
 }
 
-/// A register-VM program plus a snapshot of the name/slot tables it was
+/// A compiled program plus a snapshot of the name/slot tables it was
 /// compiled against, replayable on any interpreter whose tables are a
 /// prefix-compatible match (in practice: interpreters initialized by
 /// the same registration sequence, as the service's per-worker sessions
@@ -117,9 +91,9 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// One cached compilation: the unit plus its last-use stamp.
+/// One cached compilation: the program plus its last-use stamp.
 struct CacheEntry {
-    unit: Unit,
+    main: Arc<RProto>,
     stamp: u64,
 }
 
@@ -140,8 +114,9 @@ fn content_hash(src: &str) -> u128 {
 
 /// Wraps one sweep-body outcome as the map `par_foreach_trial` yields
 /// per item: `{ok: true, value}` on success, `{ok: false, error, line}`
-/// on failure. Shared by all three engines so a corrupt trial degrades
-/// to an identical record everywhere.
+/// on failure. Shared by the VM's inline and parallel sweep paths and by
+/// the reference, so a corrupt trial degrades to an identical record
+/// everywhere.
 pub(crate) fn sweep_outcome_value(result: Result<Value>) -> Value {
     let mut m = std::collections::BTreeMap::new();
     match result {
@@ -174,22 +149,15 @@ pub struct Interpreter {
     /// exceeded" (guards unbounded recursion, which the step budget
     /// alone would let exhaust the native stack first).
     pub(crate) call_depth_limit: usize,
-    /// VM operand stack, reused across runs (stack engine).
-    pub(crate) stack: Vec<Value>,
-    /// VM local slots of all live frames, reused across runs (stack
-    /// engine).
-    pub(crate) locals: Vec<Value>,
-    /// Register file of all live frames, reused across runs (register
-    /// engine).
+    /// Register file of all live frames, reused across runs.
     pub(crate) regs: Vec<Value>,
     /// Open `for` iterators: (items, next index).
     pub(crate) iters: Vec<(Vec<Value>, usize)>,
     /// Reusable host-call argument buffer.
     pub(crate) argbuf: Vec<Value>,
-    /// When set, register-VM `par_foreach_trial` sweeps hand their
-    /// bodies to this executor instead of running them inline.
+    /// When set, `par_foreach_trial` sweeps hand their bodies to this
+    /// executor instead of running them inline.
     pub(crate) par_exec: Option<Arc<ParallelExecutor>>,
-    engine: Engine,
     cache: HashMap<u128, CacheEntry>,
     cache_tick: u64,
     cache_hits: u64,
@@ -205,7 +173,7 @@ impl Default for Interpreter {
 }
 
 impl Interpreter {
-    /// Creates an interpreter with the default step budget and engine.
+    /// Creates an interpreter with the default step budget.
     pub fn new() -> Self {
         Interpreter {
             interner: Interner::new(),
@@ -215,13 +183,10 @@ impl Interpreter {
             steps: 0,
             step_limit: 50_000_000,
             call_depth_limit: 1000,
-            stack: Vec::new(),
-            locals: Vec::new(),
             regs: Vec::new(),
             iters: Vec::new(),
             argbuf: Vec::new(),
             par_exec: None,
-            engine: Engine::default(),
             cache: HashMap::new(),
             cache_tick: 0,
             cache_hits: 0,
@@ -244,21 +209,10 @@ impl Interpreter {
         self
     }
 
-    /// Selects the bytecode engine (default [`Engine::Register`]).
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The engine this interpreter executes scripts with.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
-    /// Installs the executor that register-VM `par_foreach_trial`
-    /// sweeps dispatch their bodies through (e.g. a thread pool). Pass
-    /// bodies still observe sequential semantics: outcomes and output
-    /// come back in item order and bodies cannot write shared state.
+    /// Installs the executor that `par_foreach_trial` sweeps dispatch
+    /// their bodies through (e.g. a thread pool). Bodies still observe
+    /// sequential semantics: outcomes and output come back in item
+    /// order and bodies cannot write shared state.
     pub fn set_parallel_executor(&mut self, exec: Arc<ParallelExecutor>) {
         self.par_exec = Some(exec);
     }
@@ -314,9 +268,9 @@ impl Interpreter {
     /// tables, so the handle stays valid across later `register` /
     /// `set_global` / `run` calls on the same interpreter.
     pub fn compile(&mut self, src: &str) -> Result<Compiled> {
-        let unit = self.compile_cached(src)?;
+        let main = self.compile_cached(src)?;
         Ok(Compiled {
-            unit,
+            main,
             owner: self.id,
         })
     }
@@ -330,19 +284,17 @@ impl Interpreter {
                 "compiled script belongs to a different interpreter",
             ));
         }
-        let unit = program.unit.clone();
-        self.run_unit(&unit)
+        self.run_unit(&program.main)
     }
 
     /// Parses, compiles (with caching), and executes a script, returning
     /// the value of its final expression statement (or [`Value::Null`]).
     pub fn run(&mut self, src: &str) -> Result<Value> {
-        let unit = self.compile_cached(src)?;
-        self.run_unit(&unit)
+        let main = self.compile_cached(src)?;
+        self.run_unit(&main)
     }
 
-    /// Compiles a script with the register pipeline (regardless of this
-    /// interpreter's engine) into a handle that can run on *other*
+    /// Compiles a script into a handle that can run on *other*
     /// identically-initialized interpreters. Used by the service layer
     /// to share one compilation across its worker pool. Bypasses the
     /// run cache: callers that want reuse cache the handle themselves.
@@ -389,43 +341,31 @@ impl Interpreter {
                 return Err(mismatch());
             }
         }
-        self.steps = 0;
-        self.execute_register(&program.main)
+        self.run_unit(&program.main)
     }
 
-    fn run_unit(&mut self, unit: &Unit) -> Result<Value> {
+    fn run_unit(&mut self, main: &Arc<RProto>) -> Result<Value> {
         self.steps = 0;
-        match unit {
-            Unit::Stack(main) => self.execute(main),
-            Unit::Register(main) => self.execute_register(main),
-        }
+        self.execute_register(main)
     }
 
-    fn compile_cached(&mut self, src: &str) -> Result<Unit> {
+    fn compile_cached(&mut self, src: &str) -> Result<Arc<RProto>> {
         let key = content_hash(src);
         self.cache_tick += 1;
         let tick = self.cache_tick;
         if let Some(entry) = self.cache.get_mut(&key) {
             entry.stamp = tick;
             self.cache_hits += 1;
-            return Ok(entry.unit.clone());
+            return Ok(Arc::clone(&entry.main));
         }
         self.cache_misses += 1;
         let program = parse(src)?;
-        let unit = match self.engine {
-            Engine::Stack => Unit::Stack(compile(
-                &program,
-                &mut self.interner,
-                &mut self.globals,
-                &mut self.fns,
-            )),
-            Engine::Register => Unit::Register(rcompile(
-                &program,
-                &mut self.interner,
-                &mut self.globals,
-                &mut self.fns,
-            )),
-        };
+        let main = rcompile(
+            &program,
+            &mut self.interner,
+            &mut self.globals,
+            &mut self.fns,
+        );
         if self.cache.len() >= CACHE_CAP {
             if let Some(&oldest) = self
                 .cache
@@ -440,11 +380,11 @@ impl Interpreter {
         self.cache.insert(
             key,
             CacheEntry {
-                unit: unit.clone(),
+                main: Arc::clone(&main),
                 stamp: tick,
             },
         );
-        Ok(unit)
+        Ok(main)
     }
 }
 
@@ -742,29 +682,14 @@ r";
     }
 
     #[test]
-    fn both_engines_run_the_same_program() {
-        for engine in [Engine::Stack, Engine::Register] {
-            let mut interp = Interpreter::new().with_engine(engine);
-            let v = interp
-                .run("fn f(n) { return n * 2; } let t = 0; for x in [1, 2, 3] { t = t + f(x); } t")
-                .unwrap();
-            assert_eq!(v, Value::Num(12.0), "engine {engine:?}");
-        }
-    }
-
-    #[test]
     fn call_depth_limit_stops_runaway_recursion() {
-        for engine in [Engine::Stack, Engine::Register] {
-            let mut interp = Interpreter::new()
-                .with_engine(engine)
-                .with_call_depth_limit(64);
-            let err = interp.run("fn f(n) { return f(n); } f(1)").unwrap_err();
-            assert!(
-                err.message.contains("call depth limit exceeded"),
-                "engine {engine:?}: {}",
-                err.message
-            );
-        }
+        let mut interp = Interpreter::new().with_call_depth_limit(64);
+        let err = interp.run("fn f(n) { return f(n); } f(1)").unwrap_err();
+        assert!(
+            err.message.contains("call depth limit exceeded"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

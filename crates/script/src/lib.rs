@@ -5,13 +5,11 @@
 //! perform analysis, and automate the processing of performance data"
 //! (the paper's Figure 1 shows a Jython workflow). This crate provides
 //! the equivalent capability for the Rust stack: a small, dynamically
-//! typed language compiled to bytecode and executed by one of two VMs —
-//! a stack machine and a register machine (the default, roughly twice
-//! as fast on arithmetic-heavy loops) — with a host-function registry
-//! through which the analysis layer exposes its operations. The
-//! original tree-walking interpreter survives as [`mod@reference`],
-//! the executable specification both VMs are differentially tested
-//! against. `par_foreach_trial` runs a script block once per trial of
+//! typed language compiled to register bytecode and executed by a
+//! register VM, with a host-function registry through which the
+//! analysis layer exposes its operations. The original tree-walking
+//! interpreter survives as [`mod@reference`], the executable
+//! specification the VM is differentially tested against. `par_foreach_trial` runs a script block once per trial of
 //! a list, each body isolated (own step budget, captured output,
 //! per-body error outcomes) so a host can fan the bodies out across a
 //! thread pool via [`Interpreter::set_parallel_executor`].
@@ -49,7 +47,6 @@
 
 pub mod ast;
 mod builtins;
-mod compile;
 pub mod error;
 pub mod interp;
 pub mod lexer;
@@ -58,10 +55,9 @@ mod rcompile;
 pub mod reference;
 mod rvm;
 pub mod value;
-mod vm;
 
 pub use error::ScriptError;
-pub use interp::{CacheStats, Compiled, Engine, HostFn, Interpreter, PortableScript};
+pub use interp::{CacheStats, Compiled, HostFn, Interpreter, PortableScript};
 pub use rvm::{BodyOutcome, HostDispatch, ParRunner, ParallelExecutor};
 pub use value::Value;
 

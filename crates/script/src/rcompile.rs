@@ -1,15 +1,57 @@
 //! AST → register bytecode compiler.
 //!
-//! The register encoding replaces the stack VM's push/pop traffic with
-//! three-address instructions over a per-frame register window: every
-//! named local gets a register (reusing the stack compiler's slot
-//! resolution), expression temporaries are registers above the named
-//! ones (block-scoped, so they recycle), and instructions name their
-//! inputs and outputs directly as packed operands (register,
-//! compiler-proven-defined global, or constant — the same 2-bit-tag
-//! scheme as the stack VM's fused ops, see [`crate::compile`]).
+//! A single pass over the AST that (a) interns every identifier, (b)
+//! resolves each variable reference to either a frame-relative register
+//! or a persistent global slot, (c) resolves each call to a dense
+//! builtin/function id, (d) dedups literals (and folds constant
+//! arithmetic) into a per-function constant pool, and (e) emits
+//! three-address [`ROp`] instructions for the register VM in `rvm.rs`.
+//! Every named local gets a register, expression temporaries are
+//! registers above the named ones (block-scoped, so they recycle), and
+//! instructions name their inputs and outputs directly as packed
+//! operands: register, compiler-proven-defined global, or constant,
+//! tagged in the top two bits of a `u32`.
 //!
-//! Three structural differences against the stack compiler:
+//! # Step accounting
+//!
+//! The reference tree-walker charges one step per statement and per
+//! expression node, in pre-order, and one extra step per loop
+//! iteration. The VM must exhaust a step budget after the *same* number
+//! of steps with the *same* error line, so the compiler records every
+//! would-be bump as a pending line and flushes consecutive runs into a
+//! single charge of `n` steps, where `meta` indexes a side table
+//! (`RProto::step_lines`) holding the line of each individual bump. The
+//! VM can then charge `n` steps in one add and still recover the exact
+//! line of the bump that crossed the limit. Merging is sound because no
+//! observable effect (value, output, error) occurs between the bumps of
+//! one run. Constant folding keeps parity for the same reason: folding
+//! `1 + 2 * 3` to a pooled `7` still charges the five bumps the
+//! tree-walker would have charged.
+//!
+//! Runs merge across *pure* ops too: an op that cannot fail and touches
+//! only transient state (registers and the statement-value register,
+//! all discarded when a run errors) may execute before the charge the
+//! tree-walker would have made first. A step-limit abort between the
+//! two orders is indistinguishable: same error, same line, same step
+//! count, and no persistent state (globals, output, function bindings)
+//! has diverged, because every fallible or persistent-effect op flushes
+//! pending bumps before it executes.
+//!
+//! # Scope rules
+//!
+//! The tree-walker's scoping is dynamic in mechanism but lexical in
+//! effect: a name resolves through the enclosing block scopes of the
+//! current frame and then falls back to the global scope, and function
+//! bodies execute in a fresh frame seeing only their parameters (plus
+//! body-level `let`s, which share the parameter scope) and globals. The
+//! compiler mirrors this with a compile-time scope stack: names bound
+//! by `let` (in a block), parameters, and `for` variables become
+//! registers with block-bounded lifetimes (reused after block exit);
+//! everything else — including `let` at the top level of the program —
+//! resolves to a named global slot that persists across runs of one
+//! interpreter, which is what keeps cached [`RProto`]s valid.
+//!
+//! # Encoding choices
 //!
 //! - **Embedded step charges.** The hot ops ([`ROp::Bin`],
 //!   [`ROp::CmpSet`], [`ROp::CmpJump`]) carry their pending step bumps
@@ -43,13 +85,64 @@
 
 use crate::ast::*;
 use crate::builtins::Builtin;
-use crate::compile::{
-    fold, pack_operand, Arith, Cmp, OPERAND_CONST, OPERAND_GLOBAL, OPERAND_LOCAL,
-};
+use crate::rvm::{FnTable, Globals};
 use crate::value::{Interner, Symbol, Value};
-use crate::vm::{FnTable, Globals};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+
+/// Comparison selector of [`ROp::CmpSet`], [`ROp::CmpJump`] and
+/// [`ROp::IncCmpJump`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Cmp {
+    /// `==`
+    Eq,
+    /// `!=`
+    Ne,
+    /// `<`
+    Lt,
+    /// `<=`
+    Le,
+    /// `>`
+    Gt,
+    /// `>=`
+    Ge,
+}
+
+/// Arithmetic selector of [`ROp::Bin`] and [`ROp::IncCmpJump`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Arith {
+    /// `+` (numeric add, list concat, or string concat)
+    Add,
+    /// `-`
+    Sub,
+    /// `*`
+    Mul,
+    /// `/` (errors on zero divisor)
+    Div,
+    /// `%` (errors on zero divisor)
+    Rem,
+}
+
+/// Packed operand: tag in the top two bits ([`OPERAND_LOCAL`],
+/// [`OPERAND_GLOBAL`] — always compiler-proven defined — or
+/// [`OPERAND_CONST`]), index in the low 30.
+pub(crate) const OPERAND_LOCAL: u32 = 0;
+/// Tag: proven-defined global slot.
+pub(crate) const OPERAND_GLOBAL: u32 = 1;
+/// Tag: constant-pool index.
+pub(crate) const OPERAND_CONST: u32 = 2;
+
+/// Splits a packed operand into (tag, index).
+#[inline]
+pub(crate) fn operand_parts(packed: u32) -> (u32, u32) {
+    (packed >> 30, packed & 0x3FFF_FFFF)
+}
+
+/// Packs an operand tag and index into one `u32`.
+fn pack_operand(tag: u32, idx: u32) -> u32 {
+    debug_assert!(idx < (1 << 30));
+    (tag << 30) | idx
+}
 
 /// One register-VM instruction. Jump targets are absolute instruction
 /// indices; `dst`/`slot`/`base` fields are frame-relative register
@@ -399,8 +492,10 @@ pub(crate) struct RProto {
 
 /// Compiles a parsed program to register bytecode against an
 /// interpreter's persistent interner / global-slot / function tables.
-/// Infallible, like the stack compiler: statically-doomed code lowers
-/// to ops that raise the identical runtime error when reached.
+/// Infallible: all language errors are runtime errors by the reference
+/// semantics, so the compiler lowers even statically-doomed code (e.g.
+/// `break` outside a loop) to ops that raise the identical error when
+/// reached.
 pub(crate) fn rcompile(
     program: &Program,
     interner: &mut Interner,
@@ -528,10 +623,15 @@ struct RCompiler<'a, 'b> {
     max_slots: u32,
     is_main: bool,
     loops: Vec<LoopCtx>,
+    /// Line of the top-level statement currently being compiled; the
+    /// tree-walker reports `break`/`continue`-outside-loop there.
     toplevel_line: u32,
-    /// Global slots proven defined here (targets of earlier top-level
-    /// `DefineGlobal`s of this program) — same dominance argument as
-    /// the stack compiler's.
+    /// Global slots proven defined at this point: targets of earlier
+    /// top-level `DefineGlobal`s of *this* program. Top-level
+    /// statements run in order and globals are never undefined, so any
+    /// later access in the program (including inside loops, `if`s and
+    /// later statements — but not function bodies, which compile as
+    /// separate protos) can skip the defined check.
     defined: HashSet<u32>,
     /// True when the statement-value register is statically known to be
     /// null (start of a proto, or straight-line code after a
@@ -580,6 +680,38 @@ fn rcompile_proto(sh: &mut Shared, params: &[String], body: &[Stmt], is_main: bo
         consts: c.consts.into_boxed_slice(),
         defs: c.defs.into_boxed_slice(),
     })
+}
+
+/// Folds a constant-only expression to its value, or `None` when the
+/// expression could have effects, errors, or non-constant inputs.
+/// Division/modulo fold only with a nonzero divisor so `1 / 0` still
+/// raises its runtime error at the right line and step count.
+fn fold(e: &Expr) -> Option<Value> {
+    match &e.kind {
+        ExprKind::Null => Some(Value::Null),
+        ExprKind::Bool(b) => Some(Value::Bool(*b)),
+        ExprKind::Num(n) => Some(Value::Num(*n)),
+        ExprKind::Str(s) => Some(Value::Str(s.clone())),
+        ExprKind::Unary(UnOp::Neg, inner) => match fold(inner)? {
+            Value::Num(n) => Some(Value::Num(-n)),
+            _ => None,
+        },
+        ExprKind::Unary(UnOp::Not, inner) => Some(Value::Bool(!fold(inner)?.truthy())),
+        ExprKind::Binary(op, lhs, rhs) => {
+            let (Value::Num(a), Value::Num(b)) = (fold(lhs)?, fold(rhs)?) else {
+                return None;
+            };
+            match op {
+                BinOp::Add => Some(Value::Num(a + b)),
+                BinOp::Sub => Some(Value::Num(a - b)),
+                BinOp::Mul => Some(Value::Num(a * b)),
+                BinOp::Div if b != 0.0 => Some(Value::Num(a / b)),
+                BinOp::Rem if b != 0.0 => Some(Value::Num(a % b)),
+                _ => None,
+            }
+        }
+        _ => None,
+    }
 }
 
 impl RCompiler<'_, '_> {

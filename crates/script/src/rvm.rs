@@ -1,13 +1,23 @@
 //! The register virtual machine.
 //!
-//! Executes [`RProto`] programs compiled by [`crate::rcompile`].
-//! Register windows replace the stack VM's operand stack: each frame
-//! owns a contiguous slice `regs[base .. base + proto.regs]`, calls
-//! open the callee's window directly above the caller's (arguments are
-//! moved into its first registers), and returns truncate it away. The
-//! dispatch loop is a free function, like the stack VM's, so
-//! `par_foreach_trial` bodies can recurse with a swapped step counter,
-//! budget, and output buffer.
+//! Executes [`RProto`] programs compiled by [`crate::rcompile`]. The
+//! dispatch loop works exclusively with dense indices — registers are
+//! frame-relative offsets into one shared register file, globals are
+//! offsets into a persistent slot table, and calls go through a dense
+//! function table — so steady-state execution performs no string
+//! comparison, no per-block scope allocation, and no hashing.
+//!
+//! Each frame owns a contiguous register window
+//! `regs[base .. base + proto.regs]`; calls open the callee's window
+//! directly above the caller's (arguments are moved into its first
+//! registers), and returns truncate it away. The dispatch loop is a
+//! free function so `par_foreach_trial` bodies can recurse with a
+//! swapped step counter, budget, and output buffer.
+//!
+//! Observable behaviour (result values, `print` output, error
+//! line/phase/message, and step accounting) is pinned against the
+//! tree-walker in [`crate::reference`] by the differential tests in
+//! `tests/differential.rs`.
 //!
 //! The same loop also serves **snapshot mode**: [`ParRunner`] captures
 //! an immutable, `Send + Sync` view of the interpreter (the sweep body,
@@ -22,13 +32,124 @@
 //! mode dispatch inside the hot loop.
 
 use crate::builtins;
-use crate::compile::{operand_parts, Arith, Cmp, OPERAND_CONST, OPERAND_GLOBAL, OPERAND_LOCAL};
-use crate::interp::{sweep_outcome_value, Interpreter};
-use crate::rcompile::{ROp, RProto};
-use crate::value::{Interner, Value};
-use crate::vm::{index_set, type_err, FnTable, Globals};
+use crate::interp::{sweep_outcome_value, HostFn, Interpreter};
+use crate::rcompile::{
+    operand_parts, Arith, Cmp, ROp, RProto, OPERAND_CONST, OPERAND_GLOBAL, OPERAND_LOCAL,
+};
+use crate::value::{Interner, Symbol, Value};
 use crate::{Result, ScriptError};
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Persistent global variable slots.
+///
+/// Slots are created (holding `None` = not-yet-defined) the first time
+/// the compiler sees a name that doesn't resolve locally, and never
+/// move afterwards, so slot indices baked into cached bytecode stay
+/// valid for the lifetime of the interpreter.
+#[derive(Default)]
+pub(crate) struct Globals {
+    /// Slot values; `None` means referenced but never defined.
+    pub slots: Vec<Option<Value>>,
+    /// Symbol of each slot (for error messages).
+    pub names: Vec<Symbol>,
+    by_sym: HashMap<Symbol, u32>,
+}
+
+impl Globals {
+    /// Returns the slot for `sym`, creating an undefined one if new.
+    pub fn ensure(&mut self, sym: Symbol) -> u32 {
+        if let Some(&g) = self.by_sym.get(&sym) {
+            return g;
+        }
+        let g = self.slots.len() as u32;
+        self.slots.push(None);
+        self.names.push(sym);
+        self.by_sym.insert(sym, g);
+        g
+    }
+
+    /// Looks up the slot for `sym` without creating one.
+    pub fn lookup(&self, sym: Symbol) -> Option<u32> {
+        self.by_sym.get(&sym).copied()
+    }
+}
+
+/// One callable: a user-defined function body, a host closure, or both
+/// (user definitions shadow host functions, as in the tree-walker).
+pub(crate) struct FnEntry {
+    /// The function's name (for error messages).
+    pub name: Symbol,
+    /// Script-defined body, bound when its `fn` statement executes.
+    pub user: Option<Arc<RProto>>,
+    /// Host closure, bound by [`Interpreter::register`].
+    pub host: Option<HostFn>,
+}
+
+/// Dense function table: call sites compile to an index into `entries`.
+#[derive(Default)]
+pub(crate) struct FnTable {
+    /// All known callables, in id order.
+    pub entries: Vec<FnEntry>,
+    by_sym: HashMap<Symbol, u32>,
+}
+
+impl FnTable {
+    /// Returns the function id for `sym`, creating an empty entry
+    /// (which raises "unknown function" if called) if new.
+    pub fn ensure(&mut self, sym: Symbol) -> u32 {
+        if let Some(&id) = self.by_sym.get(&sym) {
+            return id;
+        }
+        let id = self.entries.len() as u32;
+        self.entries.push(FnEntry {
+            name: sym,
+            user: None,
+            host: None,
+        });
+        self.by_sym.insert(sym, id);
+        id
+    }
+}
+
+fn type_err(line: usize, op: &str, l: &Value, r: &Value) -> ScriptError {
+    ScriptError::runtime(
+        line,
+        format!(
+            "cannot apply {op} to {} and {}",
+            l.type_name(),
+            r.type_name()
+        ),
+    )
+}
+
+/// In-place `container[idx] = value`, replicating the tree-walker's
+/// checks exactly (including its lack of a negative-index check on list
+/// assignment: the cast saturates, so `a[-1] = v` writes `a[0]`).
+fn index_set(container: &mut Value, idx: Value, value: Value, line: usize) -> Result<()> {
+    match (container, idx) {
+        (Value::List(items), Value::Num(n)) => {
+            let i = n as usize;
+            if n.fract() != 0.0 || i >= items.len() {
+                return Err(ScriptError::runtime(
+                    line,
+                    format!("list index {n} out of range (len {})", items.len()),
+                ));
+            }
+            items[i] = value;
+        }
+        (Value::Map(m), Value::Str(k)) => {
+            m.insert(k, value);
+        }
+        (c, i) => {
+            return Err(ScriptError::runtime(
+                line,
+                format!("cannot index {} with {}", c.type_name(), i.type_name()),
+            ))
+        }
+    }
+    Ok(())
+}
 
 /// Signature of a sweep executor: given a snapshot runner and the trial
 /// list, return one [`BodyOutcome`] per trial, in trial order. The
@@ -56,7 +177,7 @@ pub struct BodyOutcome {
 /// functions directly and to route host calls by name.
 struct SnapFn {
     name: String,
-    ruser: Option<Arc<RProto>>,
+    user: Option<Arc<RProto>>,
     has_host: bool,
 }
 
@@ -185,7 +306,7 @@ impl Env for LiveEnv<'_> {
 
     #[inline(always)]
     fn fn_user(&self, fn_id: u32) -> Option<Arc<RProto>> {
-        self.fns.entries[fn_id as usize].ruser.clone()
+        self.fns.entries[fn_id as usize].user.clone()
     }
 
     fn fn_name(&self, fn_id: u32) -> &str {
@@ -209,7 +330,7 @@ impl Env for LiveEnv<'_> {
     }
 
     fn define_fn(&mut self, fn_id: u32, proto: Arc<RProto>) {
-        self.fns.entries[fn_id as usize].ruser = Some(proto);
+        self.fns.entries[fn_id as usize].user = Some(proto);
     }
 
     fn par_executor(&self) -> Option<Arc<ParallelExecutor>> {
@@ -234,7 +355,7 @@ impl Env for LiveEnv<'_> {
                         .iter()
                         .map(|e| SnapFn {
                             name: self.interner.resolve(e.name).to_string(),
-                            ruser: e.ruser.clone(),
+                            user: e.user.clone(),
                             has_host: e.host.is_some(),
                         })
                         .collect(),
@@ -278,7 +399,7 @@ impl Env for SnapEnv<'_, '_> {
 
     #[inline(always)]
     fn fn_user(&self, fn_id: u32) -> Option<Arc<RProto>> {
-        self.tables.fns[fn_id as usize].ruser.clone()
+        self.tables.fns[fn_id as usize].user.clone()
     }
 
     fn fn_name(&self, fn_id: u32) -> &str {
@@ -379,8 +500,8 @@ impl Interpreter {
 }
 
 /// Charges an embedded or standalone step bump run, recovering the
-/// exact line of the bump that crossed the limit (see the stack VM's
-/// `Op::Step` for the scheme).
+/// exact line of the bump that crossed the limit (see the `rcompile`
+/// module docs for the scheme).
 #[inline(always)]
 fn charge(steps: &mut u64, limit: u64, n: u32, meta: u32, step_lines: &[u32]) -> Result<()> {
     let next = steps.saturating_add(n as u64);
@@ -406,8 +527,8 @@ fn charge_exceeded(steps: &mut u64, limit: u64, meta: u32, step_lines: &[u32]) -
 }
 
 /// Reads a packed operand. The global case is compiler-proven defined;
-/// the error arm is defensive (mirrors `LoadGlobal`'s) rather than a
-/// panic so no script input can abort the process.
+/// the error arm is defensive (it raises `LoadGlobal`'s error) rather
+/// than a panic so no script input can abort the process.
 #[inline(always)]
 fn rread<'v, E: Env>(
     packed: u32,
@@ -434,8 +555,8 @@ fn undefined_global<E: Env>(env: &E, g: u32, line: usize) -> ScriptError {
     ScriptError::runtime(line, format!("undefined variable {:?}", env.global_name(g)))
 }
 
-/// Applies one arithmetic selector with the language's type rules
-/// (identical to the stack VM's `FusedBin`). The all-numeric case — the
+/// Applies one arithmetic selector with the type rules of the
+/// tree-walker's binary operators. The all-numeric case — the
 /// overwhelming majority in analysis scripts — stays inline; everything
 /// else (string/list concatenation, type errors) is outlined.
 #[inline(always)]
@@ -493,7 +614,7 @@ fn arith_eval_slow(op: Arith, l: &Value, r: &Value, line: usize) -> Result<Value
 }
 
 /// Applies one comparison selector with the comparison ops' exact type
-/// rules (identical to the stack VM's). Numeric compares stay inline.
+/// rules (those of the tree-walker). Numeric compares stay inline.
 #[inline(always)]
 fn cmp_eval(cmp: Cmp, l: &Value, r: &Value, line: usize) -> Result<bool> {
     if let (Value::Num(a), Value::Num(b)) = (l, r) {
@@ -680,7 +801,8 @@ fn rdispatch<E: Env>(
                 let line = proto.lines[ip] as usize;
                 if par {
                     // Unreachable from compiled sweep bodies (they are
-                    // never `is_main`), but defensive like the stack VM.
+                    // never `is_main`), but a called function must not
+                    // smuggle a definition through either.
                     return Err(ScriptError::runtime(
                         line,
                         format!(

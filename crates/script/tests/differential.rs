@@ -1,23 +1,22 @@
-//! Differential tests: both bytecode VMs against the tree-walking
+//! Differential tests: the register VM against the tree-walking
 //! reference interpreter.
 //!
-//! The stack VM and the register VM (`script::Interpreter` with either
-//! [`script::Engine`]) must be observably identical to
-//! `script::reference::Interpreter` — same result values (compared
-//! bitwise, so a `NaN` produced by every engine counts as agreement),
+//! `script::Interpreter` (the register VM) must be observably identical
+//! to `script::reference::Interpreter` — same result values (compared
+//! bitwise, so a `NaN` produced by both engines counts as agreement),
 //! same printed output, same error line/phase/message, and same step
 //! counts (including the exact step at which a budget is exhausted).
 //! These tests generate random programs over the whole statement
 //! surface (arithmetic, nested functions, recursion, loops with
 //! `break`/`continue`, host calls, `par_foreach_trial` sweeps, runtime
-//! errors) and assert the three engines agree; fixed cases pin the
+//! errors) and assert the two engines agree; fixed cases pin the
 //! known semantic corners.
 
 use proptest::prelude::*;
 use proptest::test_runner::{Rng, SeedableRng, StdRng, TestCaseError};
-use script::{reference, Engine, Interpreter, Value};
+use script::{reference, Interpreter, Value};
 
-/// Registers the same host functions on every engine: an identity
+/// Registers the same host functions on both engines: an identity
 /// function, a summing function that rejects non-numbers, one that
 /// always fails, and a handle constructor.
 macro_rules! register_hosts {
@@ -55,24 +54,18 @@ fn results_match(a: &script::Result<Value>, b: &script::Result<Value>) -> bool {
     }
 }
 
-/// Runs `sources` in order on all three engines (one persistent
-/// interpreter per engine, so globals/functions survive across the
-/// runs) and asserts every observable agrees after each run.
+/// Runs `sources` in order on both engines (one persistent interpreter
+/// per engine, so globals/functions survive across the runs) and
+/// asserts every observable agrees after each run.
 fn assert_engines_agree_depth(
     sources: &[&str],
     limit: u64,
     depth: usize,
 ) -> Result<(), TestCaseError> {
-    let mut stack = Interpreter::new()
-        .with_engine(Engine::Stack)
+    let mut vm = Interpreter::new()
         .with_step_limit(limit)
         .with_call_depth_limit(depth);
-    register_hosts!(stack);
-    let mut register = Interpreter::new()
-        .with_engine(Engine::Register)
-        .with_step_limit(limit)
-        .with_call_depth_limit(depth);
-    register_hosts!(register);
+    register_hosts!(vm);
     let mut tree = reference::Interpreter::new()
         .with_step_limit(limit)
         .with_call_depth_limit(depth);
@@ -80,24 +73,22 @@ fn assert_engines_agree_depth(
     for (i, src) in sources.iter().enumerate() {
         let tree_result = tree.run(src);
         let tree_out = tree.take_output();
-        for (name, vm) in [("stack", &mut stack), ("register", &mut register)] {
-            let vm_result = vm.run(src);
-            prop_assert!(
-                results_match(&vm_result, &tree_result),
-                "result mismatch ({name} vm) on run {i} (limit {limit}) of:\n{src}\n  vm:   {vm_result:?}\n  tree: {tree_result:?}"
-            );
-            let vm_out = vm.take_output();
-            prop_assert!(
-                vm_out == tree_out,
-                "output mismatch ({name} vm) on run {i} (limit {limit}) of:\n{src}\n  vm:   {vm_out:?}\n  tree: {tree_out:?}"
-            );
-            prop_assert!(
-                vm.steps() == tree.steps(),
-                "step-count mismatch ({name} vm) on run {i} (limit {limit}) of:\n{src}\n  vm:   {}\n  tree: {}",
-                vm.steps(),
-                tree.steps()
-            );
-        }
+        let vm_result = vm.run(src);
+        prop_assert!(
+            results_match(&vm_result, &tree_result),
+            "result mismatch on run {i} (limit {limit}) of:\n{src}\n  vm:   {vm_result:?}\n  tree: {tree_result:?}"
+        );
+        let vm_out = vm.take_output();
+        prop_assert!(
+            vm_out == tree_out,
+            "output mismatch on run {i} (limit {limit}) of:\n{src}\n  vm:   {vm_out:?}\n  tree: {tree_out:?}"
+        );
+        prop_assert!(
+            vm.steps() == tree.steps(),
+            "step-count mismatch on run {i} (limit {limit}) of:\n{src}\n  vm:   {}\n  tree: {}",
+            vm.steps(),
+            tree.steps()
+        );
     }
     Ok(())
 }
@@ -265,7 +256,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// The core differential property: for arbitrary generated
-    /// programs, both VMs and the reference agree on result, output,
+    /// programs, the VM and the reference agree on result, output,
     /// and step count (including error cases).
     #[test]
     fn vms_match_reference(seed in 0u64..u64::MAX) {
@@ -276,8 +267,8 @@ proptest! {
 
     /// Persistent-state parity: programs run back-to-back on the same
     /// interpreter set, sharing globals and function definitions. The
-    /// third run repeats the first source, exercising the VMs'
-    /// compilation caches against re-walking the tree.
+    /// third run repeats the first source, exercising the VM's
+    /// compilation cache against re-walking the tree.
     #[test]
     fn vms_match_reference_across_runs(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -286,9 +277,9 @@ proptest! {
         assert_engines_agree(&[first.as_str(), second.as_str(), first.as_str()], 2_000)?;
     }
 
-    /// Step-limit parity: with tight budgets, all engines exhaust the
+    /// Step-limit parity: with tight budgets, both engines exhaust the
     /// budget after the same number of steps and report the same error
-    /// (line included). This covers the VMs' merged step accounting.
+    /// (line included). This covers the VM's merged step accounting.
     #[test]
     fn step_exhaustion_parity(seed in 0u64..u64::MAX, limit in 1u64..300) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -316,7 +307,7 @@ proptest! {
     }
 
     /// Call-depth parity at a limit small enough for the reference
-    /// engine's native stack: all engines stop the same recursion at
+    /// engine's native stack: both engines stop the same recursion at
     /// the same depth with the same error.
     #[test]
     fn depth_exhaustion_parity(depth in 1usize..48) {
@@ -468,7 +459,7 @@ fn differential_sweep_semantics() {
 #[test]
 fn differential_sweep_budget_isolation() {
     // A runaway body exhausts only its own outcome; siblings proceed
-    // with the same per-body budget. All engines agree on the counts.
+    // with the same per-body budget. Both engines agree on the counts.
     let src =
         "let r = par_foreach_trial t in range(3) {\n if t == 1 { while true { } }\n t\n};\nlen(r)";
     for limit in [50, 100, 1000] {
@@ -489,28 +480,39 @@ fn differential_depth_limit_fixed() {
     }
 }
 
-/// Deep recursion that would overflow the reference engine's native
-/// stack is fine on both VMs, whose frames live on the heap: pin the
-/// default limit's behaviour VM-vs-VM only.
+/// Recursion at the default call-depth limit. The VM's frames live on
+/// the heap, but the reference recurses on the native stack, so it runs
+/// on a thread with a stack large enough for 1000 frames.
 #[test]
-fn vms_handle_deep_recursion_at_default_limit() {
-    let src = "fn f(n) { if n < 1 { return 0; } return f(n - 1) + 1; } f(900)";
-    let mut stack = Interpreter::new()
-        .with_engine(Engine::Stack)
-        .with_step_limit(1_000_000);
-    let mut register = Interpreter::new().with_step_limit(1_000_000);
-    let a = stack.run(src).unwrap();
-    let b = register.run(src).unwrap();
-    assert!(a.bitwise_eq(&Value::Num(900.0)));
-    assert!(a.bitwise_eq(&b));
-    assert_eq!(stack.steps(), register.steps());
+fn vm_matches_reference_on_deep_recursion_at_default_limit() {
+    const UNDER: &str = "fn f(n) { if n < 1 { return 0; } return f(n - 1) + 1; } f(900)";
+    // One past the default limit of 1000 frames.
+    const OVER: &str = "fn f(n) { if n < 1 { return 0; } return f(n - 1) + 1; } f(1001)";
+    let run_reference = || {
+        let mut tree = reference::Interpreter::new().with_step_limit(1_000_000);
+        [UNDER, OVER].map(|src| (tree.run(src), tree.steps()))
+    };
+    let [(tree_under, tree_under_steps), (tree_over, tree_over_steps)] =
+        std::thread::Builder::new()
+            .stack_size(256 << 20)
+            .spawn(run_reference)
+            .unwrap()
+            .join()
+            .unwrap();
 
-    // One past the default limit of 1000 frames errs identically.
-    let over = "fn f(n) { if n < 1 { return 0; } return f(n - 1) + 1; } f(1001)";
-    let ea = stack.run(over).unwrap_err();
-    let eb = register.run(over).unwrap_err();
-    assert_eq!(ea, eb);
-    assert!(ea.to_string().contains("call depth limit exceeded"), "{ea}");
+    let mut vm = Interpreter::new().with_step_limit(1_000_000);
+    let under = vm.run(UNDER).unwrap();
+    assert!(under.bitwise_eq(&Value::Num(900.0)));
+    assert!(under.bitwise_eq(&tree_under.unwrap()));
+    assert_eq!(vm.steps(), tree_under_steps);
+
+    let err = vm.run(OVER).unwrap_err();
+    assert_eq!(err, tree_over.unwrap_err());
+    assert_eq!(vm.steps(), tree_over_steps);
+    assert!(
+        err.to_string().contains("call depth limit exceeded"),
+        "{err}"
+    );
 }
 
 /// NaN never equals itself in the language (IEEE 754), while the
