@@ -39,7 +39,7 @@ use crate::cluster::{cluster_threads_warm, ThreadClustering, WarmClusterState};
 use crate::loadbalance::{BalanceObservation, LoadBalanceAnalysis, NestedCorrelation};
 use crate::result::TrialResult;
 use crate::rulebase::{engine_with, LOAD_BALANCE_RULES};
-use crate::workflow::CaseStudyReport;
+use crate::workflow::{load_balance, CaseStudyReport, Policy};
 use crate::{AnalysisError, Result};
 use perfdmf::{AppliedChunk, Event, EventId, MetricId, Profile, Trial, MAIN_EVENT};
 use rules::{Fact, FactHandle};
@@ -292,13 +292,7 @@ impl AnalysisState {
     /// [`AnalysisState::analysis`], byte-identical to
     /// [`crate::workflow::analyze_load_balance`] on the same trial.
     pub fn report(&self) -> Result<CaseStudyReport> {
-        let analysis = self.analysis();
-        let mut engine = engine_with(LOAD_BALANCE_RULES)?;
-        for fact in analysis.facts() {
-            engine.assert_fact(fact);
-        }
-        let report = engine.run()?;
-        Ok(crate::workflow::finish(report))
+        load_balance(Policy::Strict, || Ok(self.analysis().facts()))
     }
 
     /// Runs the persistent engine over whatever facts changed since the

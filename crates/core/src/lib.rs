@@ -25,11 +25,11 @@
 //!   language, plus loaders.
 //! * [`recommend`] — rendering diagnoses into user recommendations and
 //!   compiler feedback (via `openuh::feedback`).
-//! * [`workflow`] — the three case studies as canned, reusable analysis
-//!   workflows, each with a supervised graceful-degradation variant.
-//! * [`supervise`] — the stage supervisor behind the `*_supervised`
-//!   workflows: panic isolation, wall/firing budgets, degradation
-//!   records.
+//! * [`workflow`] — the three case studies, one stage pipeline each, run
+//!   under a strict (fail-fast) or supervised (degrading) policy.
+//! * [`supervise`] — the stage supervisor behind the supervised policy
+//!   and script runners: panic isolation, wall/firing budgets,
+//!   deadlines, degradation records.
 //! * [`scripting`] — the whole API exposed to the embedded scripting
 //!   language, so workflows can be written as scripts (paper Fig. 1).
 //! * [`cluster`] — thread-behaviour clustering (PerfExplorer's k-means

@@ -56,6 +56,7 @@ use crate::metrics::{
 };
 use crate::result::TrialResult;
 use crate::rulebase;
+use crate::supervise::isolate;
 use crate::{loadbalance, Result};
 use perfdmf::{Repository, Trial};
 use rayon::prelude::*;
@@ -242,33 +243,7 @@ impl PerfExplorerScript {
         &mut self,
         program: &script::PortableScript,
     ) -> SupervisedScript {
-        use crate::supervise::{panic_message, DegradeCause, DegradedStage};
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-
-        let mut degraded = Vec::new();
-        let value = match catch_unwind(AssertUnwindSafe(|| self.interp.run_portable(program))) {
-            Ok(Ok(v)) => Some(v),
-            Ok(Err(e)) => {
-                degraded.push(DegradedStage {
-                    stage: "script".into(),
-                    cause: DegradeCause::Failed(e.to_string()),
-                });
-                None
-            }
-            Err(payload) => {
-                degraded.push(DegradedStage {
-                    stage: "script".into(),
-                    cause: DegradeCause::Panicked(panic_message(payload)),
-                });
-                None
-            }
-        };
-        SupervisedScript {
-            value,
-            report: self.last_report(),
-            printed: self.output(),
-            degraded,
-        }
+        self.supervise(|interp| interp.run_portable(program))
     }
 
     /// Observes every completed `par_foreach_trial` sweep on this
@@ -316,26 +291,18 @@ impl PerfExplorerScript {
     /// inconsistent; callers that continue should start a fresh
     /// session.
     pub fn run_supervised(&mut self, source: &str) -> SupervisedScript {
-        use crate::supervise::{panic_message, DegradeCause, DegradedStage};
-        use std::panic::{catch_unwind, AssertUnwindSafe};
+        self.supervise(|interp| interp.run(source))
+    }
 
-        let mut degraded = Vec::new();
-        let value = match catch_unwind(AssertUnwindSafe(|| self.interp.run(source))) {
-            Ok(Ok(v)) => Some(v),
-            Ok(Err(e)) => {
-                degraded.push(DegradedStage {
-                    stage: "script".into(),
-                    cause: DegradeCause::Failed(e.to_string()),
-                });
-                None
-            }
-            Err(payload) => {
-                degraded.push(DegradedStage {
-                    stage: "script".into(),
-                    cause: DegradeCause::Panicked(panic_message(payload)),
-                });
-                None
-            }
+    /// The body both supervised runners share: one isolated `"script"`
+    /// stage, then whatever partial results the session holds.
+    fn supervise(
+        &mut self,
+        run: impl FnOnce(&mut Interpreter) -> std::result::Result<Value, script::ScriptError>,
+    ) -> SupervisedScript {
+        let (value, degraded) = match isolate("script", || run(&mut self.interp)) {
+            Ok(v) => (Some(v), Vec::new()),
+            Err(entry) => (None, vec![entry]),
         };
         SupervisedScript {
             value,

@@ -2,10 +2,11 @@
 //!
 //! The paper's value proposition is *unattended* analysis — the expert's
 //! knowledge runs without the expert present. That only holds if one
-//! corrupt trial cannot take the whole pipeline down. This module
-//! provides the supervision primitive the `*_supervised` workflows are
-//! built on: every stage (fact derivation, metric chain, rule engine
-//! run) executes under a [`Supervisor`] that
+//! corrupt trial cannot take the whole pipeline down. Each §III
+//! workflow is one stage pipeline run under one of two policies:
+//! strict fails fast on the first stage error, supervised hands every
+//! stage (fact derivation, metric chain, rule engine run) to a
+//! [`Supervisor`] that
 //!
 //! * catches panics ([`std::panic::catch_unwind`]) and converts them
 //!   into a [`DegradedStage`] record instead of unwinding the caller,
@@ -13,16 +14,18 @@
 //!   pass degrades the report instead of aborting it,
 //! * checks a per-stage wall-clock budget *post hoc* (stages are never
 //!   pre-empted — a stage that overruns completes, keeps its result,
-//!   and is flagged), and
+//!   and is flagged),
+//! * skips the stages reached after the run's deadline, and
 //! * carries the rule-firing budget handed to the engine's cycle limit,
 //!   so a runaway rulebase surfaces as a partial report plus a
 //!   [`DegradeCause::RuleLimit`] entry.
 //!
-//! A workflow built on this never returns `Err` for data problems: it
+//! A supervised workflow never returns `Err` for data problems: it
 //! returns a [`crate::workflow::CaseStudyReport`] whose `degraded` list
 //! says exactly which conclusions are missing and why. On clean inputs
 //! the list is empty and the report is byte-identical to the strict
-//! workflow's.
+//! workflow's. The supervised script runners share the same isolation
+//! body.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -140,6 +143,21 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Runs `f` under panic isolation: its value, or the [`DegradedStage`]
+/// recording `stage`'s error (its display text, unprefixed) or panic.
+pub(crate) fn isolate<T, E: std::fmt::Display>(
+    stage: &str,
+    f: impl FnOnce() -> Result<T, E>,
+) -> Result<T, DegradedStage> {
+    let cause = match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(Ok(v)) => return Ok(v),
+        Ok(Err(e)) => DegradeCause::Failed(e.to_string()),
+        Err(payload) => DegradeCause::Panicked(panic_message(payload)),
+    };
+    let stage = stage.to_string();
+    Err(DegradedStage { stage, cause })
+}
+
 /// Runs workflow stages under panic isolation and budgets, collecting
 /// the degradation record.
 #[derive(Debug)]
@@ -148,12 +166,6 @@ pub struct Supervisor {
     degraded: Vec<DegradedStage>,
     /// When the run started; the deadline is measured from here.
     started: Instant,
-}
-
-impl Default for Supervisor {
-    fn default() -> Self {
-        Supervisor::new(SupervisorConfig::default())
-    }
 }
 
 impl Supervisor {
@@ -172,20 +184,6 @@ impl Supervisor {
         &self.config
     }
 
-    /// Whether the run's deadline (if any) has passed.
-    pub fn deadline_expired(&self) -> bool {
-        self.config
-            .deadline
-            .is_some_and(|d| self.started.elapsed() > d)
-    }
-
-    /// Whether any recorded degradation is a deadline skip.
-    pub fn deadline_hit(&self) -> bool {
-        self.degraded
-            .iter()
-            .any(|d| matches!(d.cause, DegradeCause::DeadlineExceeded { .. }))
-    }
-
     /// Runs one stage. Returns its value on success; on panic, error,
     /// or budget overrun the outcome is recorded in the degradation
     /// list (an overrunning stage still returns its value). A stage
@@ -193,56 +191,29 @@ impl Supervisor {
     /// [`DegradeCause::DeadlineExceeded`] entry marks the report as a
     /// deadline-partial.
     pub fn run_stage<T>(&mut self, stage: &str, f: impl FnOnce() -> crate::Result<T>) -> Option<T> {
-        if let Some(deadline) = self.config.deadline {
-            let elapsed = self.started.elapsed();
-            if elapsed > deadline {
-                self.degraded.push(DegradedStage {
-                    stage: stage.to_string(),
-                    cause: DegradeCause::DeadlineExceeded { elapsed, deadline },
-                });
-                return None;
-            }
+        let elapsed = self.started.elapsed();
+        if let Some(deadline) = self.config.deadline.filter(|&d| elapsed > d) {
+            self.record(stage, DegradeCause::DeadlineExceeded { elapsed, deadline });
+            return None;
         }
         let start = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(f));
-        let elapsed = start.elapsed();
-        let value = match outcome {
-            Ok(Ok(v)) => Some(v),
-            Ok(Err(e)) => {
-                self.degraded.push(DegradedStage {
-                    stage: stage.to_string(),
-                    cause: DegradeCause::Failed(e.to_string()),
-                });
-                None
-            }
-            Err(payload) => {
-                self.degraded.push(DegradedStage {
-                    stage: stage.to_string(),
-                    cause: DegradeCause::Panicked(panic_message(payload)),
-                });
-                None
-            }
-        };
-        if value.is_some() && elapsed > self.config.stage_wall_budget {
-            self.degraded.push(DegradedStage {
-                stage: stage.to_string(),
-                cause: DegradeCause::BudgetExceeded {
-                    elapsed,
-                    budget: self.config.stage_wall_budget,
-                },
-            });
+        let value = isolate(stage, f).map_err(|e| self.degraded.push(e)).ok()?;
+        let (elapsed, budget) = (start.elapsed(), self.config.stage_wall_budget);
+        if elapsed > budget {
+            self.record(stage, DegradeCause::BudgetExceeded { elapsed, budget });
         }
-        value
+        Some(value)
     }
 
     /// Records that `stage` was skipped because `dependency` degraded.
     pub fn skip_stage(&mut self, stage: &str, dependency: &str) {
-        self.degraded.push(DegradedStage {
-            stage: stage.to_string(),
-            cause: DegradeCause::SkippedUpstream {
-                dependency: dependency.to_string(),
-            },
-        });
+        let dependency = dependency.to_string();
+        self.record(stage, DegradeCause::SkippedUpstream { dependency });
+    }
+
+    fn record(&mut self, stage: &str, cause: DegradeCause) {
+        let stage = stage.to_string();
+        self.degraded.push(DegradedStage { stage, cause });
     }
 
     /// Records an externally observed degradation (e.g. a rule-limit
@@ -269,23 +240,18 @@ pub(crate) fn run_engine_budgeted(
     engine: &mut rules::Engine,
     stage: &str,
 ) -> (rules::RunReport, Option<DegradedStage>) {
-    match engine.run() {
-        Ok(report) => (report, None),
-        Err(rules::RuleError::CycleLimit { limit, report }) => (
-            *report,
-            Some(DegradedStage {
-                stage: stage.to_string(),
-                cause: DegradeCause::RuleLimit { limit },
-            }),
-        ),
+    let (report, cause) = match engine.run() {
+        Ok(report) => return (report, None),
+        Err(rules::RuleError::CycleLimit { limit, report }) => {
+            (*report, DegradeCause::RuleLimit { limit })
+        }
         Err(e) => (
             rules::RunReport::default(),
-            Some(DegradedStage {
-                stage: stage.to_string(),
-                cause: DegradeCause::Failed(e.to_string()),
-            }),
+            DegradeCause::Failed(e.to_string()),
         ),
-    }
+    };
+    let stage = stage.to_string();
+    (report, Some(DegradedStage { stage, cause }))
 }
 
 #[cfg(test)]
@@ -352,7 +318,6 @@ mod tests {
             ..SupervisorConfig::default()
         });
         std::thread::sleep(Duration::from_millis(2));
-        assert!(sup.deadline_expired());
         let ran = std::cell::Cell::new(false);
         let v = sup.run_stage("late", || {
             ran.set(true);
@@ -360,7 +325,6 @@ mod tests {
         });
         assert_eq!(v, None, "stage past the deadline must not run");
         assert!(!ran.get(), "closure never invoked");
-        assert!(sup.deadline_hit());
         assert!(matches!(
             sup.degraded()[0].cause,
             DegradeCause::DeadlineExceeded { .. }
@@ -374,16 +338,13 @@ mod tests {
             deadline: Some(Duration::from_secs(3600)),
             ..SupervisorConfig::default()
         });
-        assert!(!sup.deadline_expired());
         assert_eq!(sup.run_stage("fine", || Ok(1)), Some(1));
         assert!(sup.degraded().is_empty());
-        assert!(!sup.deadline_hit());
     }
 
     #[test]
     fn no_deadline_means_no_skipping() {
         let mut sup = Supervisor::new(SupervisorConfig::default());
-        assert!(!sup.deadline_expired());
         assert_eq!(sup.run_stage("fine", || Ok(2)), Some(2));
         assert!(sup.degraded().is_empty());
     }

@@ -4,17 +4,23 @@
 //! scripts: load a trial (or series), derive metrics, build facts, run
 //! the relevant rulebase, and return the diagnoses plus the compiler
 //! feedback they imply.
+//!
+//! Each workflow is one pipeline over a `Policy`: strict fails fast,
+//! supervised records a failing stage and carries on. The public entry
+//! points only pick the policy, so the two modes cannot drift apart.
 
 use crate::metrics::{
     derive_inefficiency, memory_analysis, memory_facts, stall_decomposition, stall_facts,
 };
-use crate::powerenergy::{power_facts, relative_table, trial_power, RelativeRow, TrialPower};
-use crate::recommend::{compiler_feedback, render_report, render_report_degraded};
+use crate::powerenergy::{power_facts, relative_table, trial_power, RelativeRow};
+use crate::recommend::{compiler_feedback, render_report_degraded};
 use crate::rulebase::{
-    engine_with, engine_with_all, LOAD_BALANCE_RULES, LOCALITY_RULES, POWER_RULES, STALL_RULES,
+    engine_with_all, LOAD_BALANCE_RULES, LOCALITY_RULES, POWER_RULES, STALL_RULES,
 };
-use crate::scalability::{per_event_total, scaling_facts, ScalingSeries};
-use crate::supervise::{run_engine_budgeted, DegradedStage, Supervisor, SupervisorConfig};
+use crate::scalability::{per_event_total, scaling_facts};
+use crate::supervise::{
+    run_engine_budgeted, DegradeCause, DegradedStage, Supervisor, SupervisorConfig,
+};
 use crate::{facts::MeanEventFact, loadbalance, Result};
 use openuh::cost::CostModel;
 use openuh::feedback::FeedbackPlan;
@@ -32,9 +38,9 @@ pub struct CaseStudyReport {
     pub feedback: FeedbackPlan,
     /// The cost model after feedback weighting.
     pub cost_model: CostModel,
-    /// Stages that degraded (supervised workflows only; always empty
-    /// for the strict workflows). When non-empty, the report is
-    /// partial: the listed stages' conclusions are missing or suspect.
+    /// Stages that degraded; only a supervised run records any (a strict
+    /// run returns the first failure instead). When non-empty, the report
+    /// is partial: the listed stages' conclusions are missing or suspect.
     pub degraded: Vec<DegradedStage>,
 }
 
@@ -103,31 +109,205 @@ fn derivation_scratch(target: &Trial) -> Result<Trial> {
     })
 }
 
-pub(crate) fn finish(report: rules::RunReport) -> CaseStudyReport {
-    let mut cost_model = CostModel::default();
-    let feedback = compiler_feedback(&report, &mut cost_model);
-    CaseStudyReport {
-        rendered: render_report(&report),
-        feedback,
-        cost_model,
-        report,
-        degraded: Vec::new(),
+/// How a pipeline treats a failing stage.
+pub(crate) enum Policy {
+    /// Fail fast: the first stage error is the workflow's error. No
+    /// panic isolation, and the engine keeps its default cycle limit.
+    Strict,
+    /// Degrade: each stage runs under the supervisor, a failure is
+    /// recorded, and the pipeline carries on with what survived.
+    Supervised(Supervisor),
+}
+
+impl Policy {
+    /// Runs one named stage; `Ok(None)` means it degraded.
+    fn stage<T>(&mut self, name: &str, f: impl FnOnce() -> Result<T>) -> Result<Option<T>> {
+        match self {
+            Policy::Strict => f().map(Some),
+            Policy::Supervised(sup) => Ok(sup.run_stage(name, f)),
+        }
+    }
+
+    /// Builds the engine; supervised, with the firing budget as limit.
+    fn rulebase(&mut self, sources: &[&str]) -> Result<Option<rules::Engine>> {
+        match self {
+            Policy::Strict => engine_with_all(sources).map(Some),
+            Policy::Supervised(sup) => {
+                let limit = sup.config().rule_firing_budget;
+                Ok(sup.run_stage("rulebase", || {
+                    Ok(engine_with_all(sources)?.with_cycle_limit(limit))
+                }))
+            }
+        }
+    }
+
+    /// Runs the engine; supervised, a spent budget keeps the partial run.
+    fn run(&mut self, engine: &mut rules::Engine) -> Result<rules::RunReport> {
+        match self {
+            Policy::Strict => Ok(engine.run()?),
+            Policy::Supervised(sup) => {
+                let (report, over_budget) = run_engine_budgeted(engine, "rule engine");
+                over_budget.into_iter().for_each(|entry| sup.note(entry));
+                Ok(report)
+            }
+        }
+    }
+
+    /// Records that `stage` could not run because `dependency` degraded.
+    fn skip(&mut self, stage: &str, dependency: &str) {
+        if let Policy::Supervised(sup) = self {
+            sup.skip_stage(stage, dependency);
+        }
+    }
+
+    /// Renders the report plus any degraded-stages section.
+    fn finish(self, report: rules::RunReport) -> CaseStudyReport {
+        let degraded = match self {
+            Policy::Strict => Vec::new(),
+            Policy::Supervised(sup) => sup.into_degraded(),
+        };
+        let mut cost_model = CostModel::default();
+        let feedback = compiler_feedback(&report, &mut cost_model);
+        CaseStudyReport {
+            rendered: render_report_degraded(&report, &degraded),
+            feedback,
+            cost_model,
+            report,
+            degraded,
+        }
     }
 }
 
-/// Like [`finish`], but renders the degraded-stages section when the
-/// supervision record is non-empty. With an empty record the output is
-/// byte-identical to [`finish`].
-fn finish_supervised(report: rules::RunReport, degraded: Vec<DegradedStage>) -> CaseStudyReport {
-    let mut cost_model = CostModel::default();
-    let feedback = compiler_feedback(&report, &mut cost_model);
-    CaseStudyReport {
-        rendered: render_report_degraded(&report, &degraded),
-        feedback,
-        cost_model,
-        report,
-        degraded,
+/// Runs `pipeline` under a fresh supervisor, which records every
+/// stage failure instead of returning it.
+fn supervised<T>(config: &SupervisorConfig, pipeline: impl FnOnce(Policy) -> Result<T>) -> T {
+    let policy = Policy::Supervised(Supervisor::new(config.clone()));
+    pipeline(policy).unwrap_or_else(|e| unreachable!("supervised pipeline failed: {e}"))
+}
+
+/// The §III-A pipeline over the balance facts `facts` computes.
+pub(crate) fn load_balance(
+    mut policy: Policy,
+    facts: impl FnOnce() -> Result<Vec<rules::Fact>>,
+) -> Result<CaseStudyReport> {
+    const FACTS: &str = "load-balance facts";
+    let facts = policy.stage(FACTS, facts)?;
+    let Some(mut engine) = policy.rulebase(&[LOAD_BALANCE_RULES])? else {
+        return Ok(policy.finish(rules::RunReport::default()));
+    };
+    if facts.is_none() {
+        policy.skip("fact assertion", FACTS);
     }
+    for fact in facts.into_iter().flatten() {
+        engine.assert_fact(fact);
+    }
+    let report = policy.run(&mut engine)?;
+    Ok(policy.finish(report))
+}
+
+/// The §III-B pipeline; see [`analyze_locality`].
+fn locality(
+    mut policy: Policy,
+    series: &[(usize, &Trial)],
+    machine: &MachineConfig,
+) -> Result<CaseStudyReport> {
+    let Some((_, target)) = series.last() else {
+        // Recorded as-is: routing it through `stage` would prefix the
+        // `AnalysisError` display text.
+        const EMPTY: &str = "empty trial series";
+        return match policy {
+            Policy::Strict => Err(crate::AnalysisError::Invalid(EMPTY.into())),
+            Policy::Supervised(mut sup) => {
+                sup.note(DegradedStage {
+                    stage: "input".into(),
+                    cause: DegradeCause::Failed(EMPTY.into()),
+                });
+                Ok(Policy::Supervised(sup).finish(rules::RunReport::default()))
+            }
+        };
+    };
+    // Derived metrics happen on a private scratch trial, as a script
+    // would write its derivations back to its own analysis result. The
+    // scratch copies only the columns the derivation chain touches;
+    // every fact pass that reads measured counters stays on `target`.
+    const DERIVATION: &str = "derivation";
+    const STALL_RATES: &str = "stall-rate facts";
+    let scratch = policy.stage(DERIVATION, || {
+        let mut scratch = derivation_scratch(target)?;
+        derive_inefficiency(&mut scratch)?;
+        Ok(scratch)
+    })?;
+    let Some(mut engine) = policy.rulebase(&[STALL_RULES, LOCALITY_RULES, LOAD_BALANCE_RULES])?
+    else {
+        return Ok(policy.finish(rules::RunReport::default()));
+    };
+
+    // Performance context: rules join on metadata to justify conclusions.
+    let mut facts = vec![crate::facts::context_fact(target)];
+    // Pass 1: stall/cycle rate of every event vs main (needs the
+    // derived ratio, so it reads the scratch).
+    match &scratch {
+        Some(scratch) => facts.extend(
+            policy
+                .stage(STALL_RATES, || {
+                    let ratio = "(BACK_END_BUBBLE_ALL / CPU_CYCLES)";
+                    MeanEventFact::compare_all_events(scratch, ratio, "TIME")
+                })?
+                .unwrap_or_default(),
+        ),
+        None => policy.skip(STALL_RATES, DERIVATION),
+    }
+    // Passes 2-5 read measured counters only, so each degrades alone.
+    // Balance facts supply the runtime-fraction condition.
+    let passes: [(&str, &dyn Fn() -> Result<_>); 4] = [
+        ("stall decomposition facts", &|| {
+            Ok(stall_facts(&stall_decomposition(target, machine)?))
+        }),
+        ("memory facts", &|| {
+            Ok(memory_facts(&memory_analysis(target, machine)?))
+        }),
+        ("scaling facts", &|| {
+            let events = target.profile.events().iter();
+            let totals = events.filter_map(|e| per_event_total(series, "TIME", &e.name).ok());
+            Ok(scaling_facts(&totals.collect::<Vec<_>>()))
+        }),
+        ("balance facts", &|| {
+            loadbalance::analyze(target, "TIME").map(|a| a.facts())
+        }),
+    ];
+    for (name, pass) in passes {
+        facts.extend(policy.stage(name, pass)?.unwrap_or_default());
+    }
+    for fact in facts {
+        engine.assert_fact(fact);
+    }
+    let report = policy.run(&mut engine)?;
+    Ok(policy.finish(report))
+}
+
+/// The §III-C pipeline; see [`analyze_power`].
+fn power(
+    mut policy: Policy,
+    trials: &[&Trial],
+    machine: &MachineConfig,
+) -> Result<(Vec<RelativeRow>, CaseStudyReport)> {
+    let mut readings = Vec::with_capacity(trials.len());
+    for trial in trials {
+        readings.extend(policy.stage(&format!("power model ({})", trial.name), || {
+            trial_power(trial, machine)
+        })?);
+    }
+    let table = policy
+        .stage("relative table", || relative_table(&readings))?
+        .unwrap_or_default();
+    let Some(mut engine) = policy.rulebase(&[POWER_RULES])? else {
+        return Ok((table, policy.finish(rules::RunReport::default())));
+    };
+    for fact in power_facts(&table) {
+        engine.assert_fact(fact);
+    }
+    let report = policy.run(&mut engine)?;
+    Ok((table, policy.finish(report)))
 }
 
 /// §III-A: the load-balance workflow over one trial.
@@ -135,31 +315,9 @@ fn finish_supervised(report: rules::RunReport, degraded: Vec<DegradedStage>) -> 
 /// Computes per-event balance facts and nested correlations over
 /// `metric` (usually `TIME`) and runs the load-balance rulebase.
 pub fn analyze_load_balance(trial: &Trial, metric: &str) -> Result<CaseStudyReport> {
-    let analysis = loadbalance::analyze(trial, metric)?;
-    let mut engine = engine_with(LOAD_BALANCE_RULES)?;
-    for fact in analysis.facts() {
-        engine.assert_fact(fact);
-    }
-    let report = engine.run()?;
-    Ok(finish(report))
-}
-
-/// §III-A over a memory-mapped trial view.
-///
-/// Same workflow as [`analyze_load_balance`], but the balance facts are
-/// computed zero-copy from the mapped column page — nothing is
-/// materialized into an owned [`Trial`] first.
-pub fn analyze_load_balance_view(
-    view: &perfdmf::TrialView<'_>,
-    metric: &str,
-) -> Result<CaseStudyReport> {
-    let analysis = loadbalance::analyze_view(view, metric)?;
-    let mut engine = engine_with(LOAD_BALANCE_RULES)?;
-    for fact in analysis.facts() {
-        engine.assert_fact(fact);
-    }
-    let report = engine.run()?;
-    Ok(finish(report))
+    load_balance(Policy::Strict, || {
+        loadbalance::analyze(trial, metric).map(|a| a.facts())
+    })
 }
 
 /// §III-B: the locality workflow over a scaling series.
@@ -172,59 +330,7 @@ pub fn analyze_locality(
     series: &[(usize, &Trial)],
     machine: &MachineConfig,
 ) -> Result<CaseStudyReport> {
-    let (_, target) = series
-        .last()
-        .ok_or_else(|| crate::AnalysisError::Invalid("empty trial series".into()))?;
-    // Derived metrics happen on a private scratch trial, as a script
-    // would write its derivations back to its own analysis result. The
-    // scratch copies only the columns the derivation chain touches;
-    // every fact pass that reads measured counters stays on `target`.
-    #[cfg(debug_assertions)]
-    let before = (*target).clone();
-    let mut scratch = derivation_scratch(target)?;
-    derive_inefficiency(&mut scratch)?;
-    #[cfg(debug_assertions)]
-    debug_assert!(
-        **target == before,
-        "analyze_locality must not modify the source trial"
-    );
-
-    let mut engine = engine_with_all(&[STALL_RULES, LOCALITY_RULES, LOAD_BALANCE_RULES])?;
-
-    // Performance context: rules join on metadata to justify conclusions.
-    engine.assert_fact(crate::facts::context_fact(target));
-
-    // Pass 1 facts: stall/cycle rate of every event vs main (needs the
-    // derived ratio, so it reads the scratch).
-    for fact in
-        MeanEventFact::compare_all_events(&scratch, "(BACK_END_BUBBLE_ALL / CPU_CYCLES)", "TIME")?
-    {
-        engine.assert_fact(fact);
-    }
-    // Pass 2 facts: stall decomposition.
-    for fact in stall_facts(&stall_decomposition(target, machine)?) {
-        engine.assert_fact(fact);
-    }
-    // Pass 3 facts: memory behaviour and scaling.
-    for fact in memory_facts(&memory_analysis(target, machine)?) {
-        engine.assert_fact(fact);
-    }
-    let mut scaling: Vec<ScalingSeries> = Vec::new();
-    for event in target.profile.events() {
-        if let Ok(s) = per_event_total(series, "TIME", &event.name) {
-            scaling.push(s);
-        }
-    }
-    for fact in scaling_facts(&scaling) {
-        engine.assert_fact(fact);
-    }
-    // Balance facts supply the runtime-fraction condition.
-    for fact in loadbalance::analyze(target, "TIME")?.facts() {
-        engine.assert_fact(fact);
-    }
-
-    let report = engine.run()?;
-    Ok(finish(report))
+    locality(Policy::Strict, series, machine)
 }
 
 /// §III-C: the power workflow over an optimisation-level series (first
@@ -235,17 +341,7 @@ pub fn analyze_power(
     trials: &[&Trial],
     machine: &MachineConfig,
 ) -> Result<(Vec<RelativeRow>, CaseStudyReport)> {
-    let readings: Vec<TrialPower> = trials
-        .iter()
-        .map(|t| trial_power(t, machine))
-        .collect::<Result<_>>()?;
-    let table = relative_table(&readings)?;
-    let mut engine = engine_with(POWER_RULES)?;
-    for fact in power_facts(&table) {
-        engine.assert_fact(fact);
-    }
-    let report = engine.run()?;
-    Ok((table, finish(report)))
+    power(Policy::Strict, trials, machine)
 }
 
 /// Supervised variant of [`analyze_load_balance`]: never returns an
@@ -258,29 +354,11 @@ pub fn analyze_load_balance_supervised(
     metric: &str,
     config: &SupervisorConfig,
 ) -> CaseStudyReport {
-    let mut sup = Supervisor::new(config.clone());
-    let facts = sup.run_stage("load-balance facts", || {
-        loadbalance::analyze(trial, metric).map(|a| a.facts())
-    });
-    let engine = sup.run_stage("rulebase", || {
-        Ok(engine_with(LOAD_BALANCE_RULES)?.with_cycle_limit(config.rule_firing_budget))
-    });
-    let Some(mut engine) = engine else {
-        return finish_supervised(rules::RunReport::default(), sup.into_degraded());
-    };
-    match facts {
-        Some(facts) => {
-            for fact in facts {
-                engine.assert_fact(fact);
-            }
-        }
-        None => sup.skip_stage("fact assertion", "load-balance facts"),
-    }
-    let (report, over_budget) = run_engine_budgeted(&mut engine, "rule engine");
-    if let Some(entry) = over_budget {
-        sup.note(entry);
-    }
-    finish_supervised(report, sup.into_degraded())
+    supervised(config, |policy| {
+        load_balance(policy, || {
+            loadbalance::analyze(trial, metric).map(|a| a.facts())
+        })
+    })
 }
 
 /// Supervised variant of [`analyze_locality`]: never returns an error.
@@ -292,89 +370,7 @@ pub fn analyze_locality_supervised(
     machine: &MachineConfig,
     config: &SupervisorConfig,
 ) -> CaseStudyReport {
-    let mut sup = Supervisor::new(config.clone());
-    let Some((_, target)) = series.last() else {
-        sup.note(DegradedStage {
-            stage: "input".into(),
-            cause: crate::supervise::DegradeCause::Failed("empty trial series".into()),
-        });
-        return finish_supervised(rules::RunReport::default(), sup.into_degraded());
-    };
-
-    let scratch = sup.run_stage("derivation", || {
-        let mut scratch = derivation_scratch(target)?;
-        derive_inefficiency(&mut scratch)?;
-        Ok(scratch)
-    });
-
-    let engine = sup.run_stage("rulebase", || {
-        Ok(
-            engine_with_all(&[STALL_RULES, LOCALITY_RULES, LOAD_BALANCE_RULES])?
-                .with_cycle_limit(config.rule_firing_budget),
-        )
-    });
-    let Some(mut engine) = engine else {
-        return finish_supervised(rules::RunReport::default(), sup.into_degraded());
-    };
-
-    engine.assert_fact(crate::facts::context_fact(target));
-
-    match &scratch {
-        Some(scratch) => {
-            if let Some(facts) = sup.run_stage("stall-rate facts", || {
-                MeanEventFact::compare_all_events(
-                    scratch,
-                    "(BACK_END_BUBBLE_ALL / CPU_CYCLES)",
-                    "TIME",
-                )
-            }) {
-                for fact in facts {
-                    engine.assert_fact(fact);
-                }
-            }
-        }
-        None => sup.skip_stage("stall-rate facts", "derivation"),
-    }
-    if let Some(facts) = sup.run_stage("stall decomposition facts", || {
-        Ok(stall_facts(&stall_decomposition(target, machine)?))
-    }) {
-        for fact in facts {
-            engine.assert_fact(fact);
-        }
-    }
-    if let Some(facts) = sup.run_stage("memory facts", || {
-        Ok(memory_facts(&memory_analysis(target, machine)?))
-    }) {
-        for fact in facts {
-            engine.assert_fact(fact);
-        }
-    }
-    if let Some(facts) = sup.run_stage("scaling facts", || {
-        let mut scaling: Vec<ScalingSeries> = Vec::new();
-        for event in target.profile.events() {
-            if let Ok(s) = per_event_total(series, "TIME", &event.name) {
-                scaling.push(s);
-            }
-        }
-        Ok(scaling_facts(&scaling))
-    }) {
-        for fact in facts {
-            engine.assert_fact(fact);
-        }
-    }
-    if let Some(facts) = sup.run_stage("balance facts", || {
-        loadbalance::analyze(target, "TIME").map(|a| a.facts())
-    }) {
-        for fact in facts {
-            engine.assert_fact(fact);
-        }
-    }
-
-    let (report, over_budget) = run_engine_budgeted(&mut engine, "rule engine");
-    if let Some(entry) = over_budget {
-        sup.note(entry);
-    }
-    finish_supervised(report, sup.into_degraded())
+    supervised(config, |policy| locality(policy, series, machine))
 }
 
 /// Supervised variant of [`analyze_power`]: never returns an error.
@@ -386,35 +382,7 @@ pub fn analyze_power_supervised(
     machine: &MachineConfig,
     config: &SupervisorConfig,
 ) -> (Vec<RelativeRow>, CaseStudyReport) {
-    let mut sup = Supervisor::new(config.clone());
-    let mut readings: Vec<TrialPower> = Vec::new();
-    for trial in trials {
-        if let Some(r) = sup.run_stage(&format!("power model ({})", trial.name), || {
-            trial_power(trial, machine)
-        }) {
-            readings.push(r);
-        }
-    }
-    let table = sup
-        .run_stage("relative table", || relative_table(&readings))
-        .unwrap_or_default();
-    let engine = sup.run_stage("rulebase", || {
-        Ok(engine_with(POWER_RULES)?.with_cycle_limit(config.rule_firing_budget))
-    });
-    let Some(mut engine) = engine else {
-        return (
-            table,
-            finish_supervised(rules::RunReport::default(), sup.into_degraded()),
-        );
-    };
-    for fact in power_facts(&table) {
-        engine.assert_fact(fact);
-    }
-    let (report, over_budget) = run_engine_budgeted(&mut engine, "rule engine");
-    if let Some(entry) = over_budget {
-        sup.note(entry);
-    }
-    (table, finish_supervised(report, sup.into_degraded()))
+    supervised(config, |policy| power(policy, trials, machine))
 }
 
 #[cfg(test)]
@@ -425,11 +393,56 @@ mod tests {
     use apps::power_study::{self, PowerStudyConfig};
     use simulator::openmp::Schedule;
 
+    /// GenIDLEST 90-rib runs, one per entry of `procs`.
+    fn genidlest_runs(
+        paradigm: Paradigm,
+        version: CodeVersion,
+        procs: &[usize],
+        timesteps: usize,
+    ) -> Vec<(usize, Trial)> {
+        let run = |p| {
+            let mut c = GenIdlestConfig::new(Problem::Rib90, paradigm, version, p);
+            c.timesteps = timesteps;
+            (p, genidlest::run(&c))
+        };
+        procs.iter().map(|&p| run(p)).collect()
+    }
+
+    /// One timestep of unoptimized GenIDLEST OpenMP on `procs` threads.
+    fn genidlest_openmp(procs: usize) -> Trial {
+        let mut runs = genidlest_runs(Paradigm::OpenMp, CodeVersion::Unoptimized, &[procs], 1);
+        runs.remove(0).1
+    }
+
+    /// MSA on 8 threads, cut to 96 sequences to keep the tests fast.
+    fn msa_trial(schedule: Schedule) -> Trial {
+        let mut config = MsaConfig::paper_400(8, schedule);
+        config.sequences = 96;
+        msa::run(&config)
+    }
+
+    /// The power study's four optimisation levels on four ranks.
+    fn power_runs() -> Vec<Trial> {
+        let config = PowerStudyConfig {
+            ranks: 4,
+            timesteps: 1,
+            machine: MachineConfig::altix300(),
+        };
+        power_study::run_all(&config)
+            .into_iter()
+            .map(|(_, t)| t)
+            .collect()
+    }
+
+    /// A trial with none of the power-model metrics.
+    fn empty_trial(name: &str) -> Trial {
+        let threads = vec![perfdmf::ThreadId::flat(0)];
+        Trial::new(name, Profile::with_capacity(threads, 0, 0))
+    }
+
     #[test]
     fn msa_static_schedule_triggers_load_imbalance_diagnosis() {
-        let mut config = MsaConfig::paper_400(8, Schedule::Static);
-        config.sequences = 96; // keep the test fast
-        let trial = msa::run(&config);
+        let trial = msa_trial(Schedule::Static);
         let result = analyze_load_balance(&trial, "TIME").unwrap();
         let diags = result.report.diagnoses_in("load-imbalance");
         assert!(!diags.is_empty(), "report: {}", result.rendered);
@@ -446,9 +459,7 @@ mod tests {
 
     #[test]
     fn msa_dynamic_schedule_is_clean() {
-        let mut config = MsaConfig::paper_400(8, Schedule::Dynamic(1));
-        config.sequences = 96;
-        let trial = msa::run(&config);
+        let trial = msa_trial(Schedule::Dynamic(1));
         let result = analyze_load_balance(&trial, "TIME").unwrap();
         assert!(
             result.report.diagnoses_in("load-imbalance").is_empty(),
@@ -460,19 +471,7 @@ mod tests {
     #[test]
     fn genidlest_unoptimized_openmp_triggers_locality_chain() {
         let machine = MachineConfig::altix300();
-        let trials: Vec<(usize, Trial)> = [1usize, 4, 16]
-            .iter()
-            .map(|&p| {
-                let mut c = GenIdlestConfig::new(
-                    Problem::Rib90,
-                    Paradigm::OpenMp,
-                    CodeVersion::Unoptimized,
-                    p,
-                );
-                c.timesteps = 2;
-                (p, genidlest::run(&c))
-            })
-            .collect();
+        let trials = genidlest_runs(Paradigm::OpenMp, CodeVersion::Unoptimized, &[1, 4, 16], 2);
         let series: Vec<(usize, &Trial)> = trials.iter().map(|(p, t)| (*p, t)).collect();
         let result = analyze_locality(&series, &machine).unwrap();
         assert!(
@@ -497,19 +496,7 @@ mod tests {
     #[test]
     fn analyze_locality_leaves_source_trials_unmodified() {
         let machine = MachineConfig::altix300();
-        let trials: Vec<(usize, Trial)> = [1usize, 4]
-            .iter()
-            .map(|&p| {
-                let mut c = GenIdlestConfig::new(
-                    Problem::Rib90,
-                    Paradigm::OpenMp,
-                    CodeVersion::Unoptimized,
-                    p,
-                );
-                c.timesteps = 1;
-                (p, genidlest::run(&c))
-            })
-            .collect();
+        let trials = genidlest_runs(Paradigm::OpenMp, CodeVersion::Unoptimized, &[1, 4], 1);
         let before = trials.clone();
         let series: Vec<(usize, &Trial)> = trials.iter().map(|(p, t)| (*p, t)).collect();
         analyze_locality(&series, &machine).unwrap();
@@ -528,15 +515,7 @@ mod tests {
     #[test]
     fn genidlest_mpi_is_mostly_clean() {
         let machine = MachineConfig::altix300();
-        let trials: Vec<(usize, Trial)> = [1usize, 16]
-            .iter()
-            .map(|&p| {
-                let mut c =
-                    GenIdlestConfig::new(Problem::Rib90, Paradigm::Mpi, CodeVersion::Optimized, p);
-                c.timesteps = 2;
-                (p, genidlest::run(&c))
-            })
-            .collect();
+        let trials = genidlest_runs(Paradigm::Mpi, CodeVersion::Optimized, &[1, 16], 2);
         let series: Vec<(usize, &Trial)> = trials.iter().map(|(p, t)| (*p, t)).collect();
         let result = analyze_locality(&series, &machine).unwrap();
         assert!(
@@ -553,14 +532,7 @@ mod tests {
         // `derivation_scratch` via `expect("source metrics are
         // unique")`. It must surface as a typed error instead.
         let machine = MachineConfig::altix300();
-        let mut c = GenIdlestConfig::new(
-            Problem::Rib90,
-            Paradigm::OpenMp,
-            CodeVersion::Unoptimized,
-            4,
-        );
-        c.timesteps = 1;
-        let mut trial = genidlest::run(&c);
+        let mut trial = genidlest_openmp(4);
         let fp = trial.profile.metric_id("FP_OPS").unwrap();
         trial.profile.corrupt_metric_name(fp, "TIME");
 
@@ -639,18 +611,9 @@ mod tests {
     #[test]
     fn supervised_power_drops_bad_trials_and_continues() {
         let machine = MachineConfig::altix300();
-        let power_config = PowerStudyConfig {
-            ranks: 4,
-            timesteps: 1,
-            machine: machine.clone(),
-        };
-        let runs = power_study::run_all(&power_config);
-        // An empty trial has none of the power-model metrics.
-        let broken = Trial::new(
-            "broken",
-            Profile::with_capacity(vec![perfdmf::ThreadId::flat(0)], 0, 0),
-        );
-        let mut trials: Vec<&Trial> = runs.iter().map(|(_, t)| t).collect();
+        let runs = power_runs();
+        let broken = empty_trial("broken");
+        let mut trials: Vec<&Trial> = runs.iter().collect();
         trials.insert(1, &broken);
         let (table, report) =
             analyze_power_supervised(&trials, &machine, &SupervisorConfig::default());
@@ -674,15 +637,70 @@ mod tests {
     }
 
     #[test]
+    fn nan_counter_does_not_trip_strict_locality() {
+        // Regression: strict mode compared the target against a clone
+        // taken before derivation, and `Trial` equality compares `f64`s,
+        // so one NaN counter made that debug assertion panic.
+        let machine = MachineConfig::altix300();
+        let mut trial = genidlest_openmp(4);
+        let fp = trial.profile.metric_id("FP_OPS").unwrap();
+        trial.profile.get_mut(EventId(0), fp, 0).unwrap().exclusive = f64::NAN;
+        let series = [(4, &trial)];
+        let strict = analyze_locality(&series, &machine).unwrap();
+        let supervised =
+            analyze_locality_supervised(&series, &machine, &SupervisorConfig::default());
+        assert!(supervised.is_complete(), "{:?}", supervised.degraded);
+        assert_eq!(strict.rendered, supervised.rendered);
+    }
+
+    #[test]
+    fn strict_error_is_the_supervised_failure_record() {
+        let machine = MachineConfig::altix300();
+        let config = SupervisorConfig::default();
+        let trial = msa_trial(Schedule::Static);
+        let mut duplicate = genidlest_openmp(4);
+        let fp = duplicate.profile.metric_id("FP_OPS").unwrap();
+        duplicate.profile.corrupt_metric_name(fp, "TIME");
+        let series = [(4, &duplicate)];
+        let (runs, empty) = (power_runs(), empty_trial("empty"));
+        let mut power: Vec<&Trial> = runs.iter().collect();
+        power.insert(1, &empty);
+
+        let cases = [
+            (
+                "load-balance facts",
+                analyze_load_balance(&trial, "NOPE"),
+                analyze_load_balance_supervised(&trial, "NOPE", &config),
+            ),
+            (
+                "derivation",
+                analyze_locality(&series, &machine),
+                analyze_locality_supervised(&series, &machine, &config),
+            ),
+            (
+                "power model (empty)",
+                analyze_power(&power, &machine).map(|(_, report)| report),
+                analyze_power_supervised(&power, &machine, &config).1,
+            ),
+        ];
+        for (stage, strict, supervised) in cases {
+            let failed = DegradeCause::Failed(strict.expect_err(stage).to_string());
+            assert!(
+                supervised
+                    .degraded
+                    .iter()
+                    .any(|d| d.stage == stage && d.cause == failed),
+                "{stage}: {:?}",
+                supervised.degraded
+            );
+        }
+    }
+
+    #[test]
     fn power_workflow_recommends_levels_like_the_paper() {
         let machine = MachineConfig::altix300();
-        let config = PowerStudyConfig {
-            ranks: 4,
-            timesteps: 1,
-            machine: machine.clone(),
-        };
-        let runs = power_study::run_all(&config);
-        let trials: Vec<&Trial> = runs.iter().map(|(_, t)| t).collect();
+        let runs = power_runs();
+        let trials: Vec<&Trial> = runs.iter().collect();
         let (table, result) = analyze_power(&trials, &machine).unwrap();
         assert_eq!(table.len(), 4);
         assert!((table[0].time - 1.0).abs() < 1e-9);
