@@ -2,22 +2,24 @@
 //! chunks.
 //!
 //! A batch [`crate::loadbalance::analyze`] rescans the whole
-//! `events × threads` exclusive-time matrix and the O(E²) nested-pair
-//! sweep on every request. When a trial grows by streamed
-//! [`perfdmf::ChunkBatch`]es, only the touched rows can change, so
-//! [`AnalysisState`] keeps per-event state and refreshes exactly those
-//! rows — `O(touched events × threads + affected pairs)` per chunk.
+//! `events × threads` exclusive-time matrix and recomputes every
+//! nested-pair correlation on every request. When a trial grows by
+//! streamed [`perfdmf::ChunkBatch`]es, only the touched rows can
+//! change, so [`AnalysisState`] keeps per-event state and refreshes
+//! exactly those rows — `O(touched events × threads + affected pairs)`
+//! per chunk.
 //!
 //! ## Equality contract
 //!
 //! The incremental path does **not** maintain results with running
 //! float arithmetic (which re-associates additions and drifts from the
 //! batch kernels). Instead it recomputes each *dirty row* with the very
-//! kernels the batch path uses ([`Summary::of`], [`pearson`], the same
-//! ratio/clamp expressions), while untouched rows keep their previous —
-//! bitwise identical — values. [`AnalysisState::analysis`] is therefore
-//! bitwise equal to a fresh [`crate::loadbalance::analyze`] after every
-//! chunk, NaN cells included; the differential tests in
+//! kernels the batch path calls (`loadbalance::row_observation`,
+//! `loadbalance::fraction`, [`pearson`]), while untouched rows keep
+//! their previous — bitwise identical — values.
+//! [`AnalysisState::analysis`] is therefore bitwise equal to a fresh
+//! [`crate::loadbalance::analyze`] after every chunk, NaN cells
+//! included; the differential tests in
 //! `tests/streaming_differential.rs` pin this with `f64::to_bits`
 //! comparisons. The [`RunningPlane`] accumulators ride along as the
 //! O(1) monitor substrate (mean/stddev/extrema without touching the
@@ -36,14 +38,16 @@
 //!   previous poll, without rebuilding the agenda.
 
 use crate::cluster::{cluster_threads_warm, ThreadClustering, WarmClusterState};
-use crate::loadbalance::{BalanceObservation, LoadBalanceAnalysis, NestedCorrelation};
+use crate::loadbalance::{
+    fraction, row_observation, BalanceObservation, LoadBalanceAnalysis, NestedCorrelation,
+};
 use crate::result::TrialResult;
 use crate::rulebase::{engine_with, LOAD_BALANCE_RULES};
 use crate::workflow::{load_balance, CaseStudyReport, Policy};
 use crate::{AnalysisError, Result};
 use perfdmf::{AppliedChunk, Event, EventId, MetricId, Profile, Trial, MAIN_EVENT};
 use rules::{Fact, FactHandle};
-use statistics::{pearson, RunningPlane, Summary};
+use statistics::{pearson, RunningPlane};
 use std::collections::BTreeSet;
 
 /// Bitwise float equality: the incremental path's change detector.
@@ -51,44 +55,6 @@ use std::collections::BTreeSet;
 /// spurious fact churn respectively.)
 fn feq(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits()
-}
-
-/// The batch path's runtime-fraction expression, verbatim.
-fn fraction(mean: f64, total: f64) -> f64 {
-    if total > 0.0 {
-        (mean / total).clamp(0.0, 1.0)
-    } else {
-        0.0
-    }
-}
-
-/// The batch path's per-row observation kernel, verbatim: same skip
-/// rules ([`MAIN_EVENT`], all-zero rows), same [`Summary::of`], same
-/// ratio and fraction expressions — so a recomputed dirty row is
-/// bitwise identical to what [`crate::loadbalance::analyze`] produces.
-fn row_observation(
-    event: &Event,
-    values: &[f64],
-    total: f64,
-) -> Result<Option<BalanceObservation>> {
-    if event.name == MAIN_EVENT {
-        return Ok(None);
-    }
-    if values.iter().all(|&v| v == 0.0) {
-        return Ok(None);
-    }
-    let summary = Summary::of(values)?;
-    let ratio = if summary.mean != 0.0 {
-        summary.stddev / summary.mean
-    } else {
-        0.0
-    };
-    Ok(Some(BalanceObservation {
-        event: event.name.clone(),
-        stddev_mean_ratio: ratio,
-        runtime_fraction: fraction(summary.mean, total),
-        mean: summary.mean,
-    }))
 }
 
 fn obs_eq(a: &BalanceObservation, b: &BalanceObservation) -> bool {
@@ -185,7 +151,7 @@ impl AnalysisState {
             touched_threads: BTreeSet::new(),
             cluster_state: None,
         };
-        state.sync_events(&trial.profile, m)?;
+        state.sync_events(&trial.profile, m);
         Ok(state)
     }
 
@@ -209,7 +175,7 @@ impl AnalysisState {
             .metric_id(&self.metric)
             .ok_or_else(|| AnalysisError::MissingMetric(self.metric.clone()))?;
         let synced_from = self.events.len();
-        self.sync_events(profile, m)?;
+        self.sync_events(profile, m);
 
         // Total runtime: any chunk can move main's inclusive column, so
         // re-read it (O(threads)) and refresh the stored fractions from
@@ -257,7 +223,7 @@ impl AnalysisState {
 
         let mut recomputed_pairs = 0;
         for &ei in &dirty {
-            recomputed_pairs += self.refresh_row(profile, m, ei)?;
+            recomputed_pairs += self.refresh_row(profile, m, ei);
         }
         Ok(UpdateStats {
             dirty_events: dirty.len(),
@@ -333,7 +299,7 @@ impl AnalysisState {
     /// event in both directions — chunks may intern a descendant before
     /// its ancestor, so a *new* event can become the outer of an
     /// existing inner.
-    fn sync_events(&mut self, profile: &Profile, m: MetricId) -> Result<()> {
+    fn sync_events(&mut self, profile: &Profile, m: MetricId) {
         while self.events.len() < profile.event_count() {
             let ei = self.events.len();
             let event = profile.event(EventId(ei as u32)).clone();
@@ -350,7 +316,7 @@ impl AnalysisState {
             self.observations.push(None);
             self.balance_handles.push(None);
 
-            let obs = row_observation(&self.events[ei], &self.excl[ei], self.total)?;
+            let obs = row_observation(&self.events[ei], &self.excl[ei], self.total);
             self.set_observation(ei, obs);
 
             // Existing outers gaining this event as inner. The new
@@ -388,14 +354,13 @@ impl AnalysisState {
                 }
             }
         }
-        Ok(())
     }
 
     /// Recomputes one dirty row with the batch kernels: refresh the
     /// mirrored values (feeding the running plane cell by cell), the
     /// observation, and every pair the row participates in. Returns the
     /// number of pairs recomputed.
-    fn refresh_row(&mut self, profile: &Profile, m: MetricId, ei: usize) -> Result<usize> {
+    fn refresh_row(&mut self, profile: &Profile, m: MetricId, ei: usize) -> usize {
         let row: Vec<f64> = profile
             .column(EventId(ei as u32), m)
             .iter()
@@ -408,7 +373,7 @@ impl AnalysisState {
         }
         self.excl[ei] = row;
 
-        let obs = row_observation(&self.events[ei], &self.excl[ei], self.total)?;
+        let obs = row_observation(&self.events[ei], &self.excl[ei], self.total);
         self.set_observation(ei, obs);
 
         let mut recomputed = 0;
@@ -428,7 +393,7 @@ impl AnalysisState {
             self.set_pair(oi, pi, corr);
             recomputed += 1;
         }
-        Ok(recomputed)
+        recomputed
     }
 
     /// Installs a (possibly unchanged) observation, mirroring any

@@ -14,11 +14,12 @@
 use crate::incremental::{AnalysisState, UpdateStats};
 use crate::result::TrialResult;
 use crate::{AnalysisError, Result};
+use perfdmf::model::CALLPATH_SEPARATOR;
 use perfdmf::{AppliedChunk, EventId, Field, Trial, TrialView, MAIN_EVENT};
-use rayon::prelude::*;
 use rules::Fact;
 use serde::{Deserialize, Serialize};
-use statistics::{pearson, DenseMatrix, MatrixView, Summary};
+use statistics::{pearson, DenseMatrix, MatrixView, Welford};
+use std::collections::HashMap;
 
 /// Per-event balance observation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -102,9 +103,9 @@ pub fn analyze(trial: &Trial, metric: &str) -> Result<LoadBalanceAnalysis> {
         .ok_or_else(|| AnalysisError::MissingMetric(metric.to_string()))?;
 
     // One gather: an events × threads matrix of exclusive times. Every
-    // pass below (summaries, the O(E²) nested correlation sweep) reads
-    // contiguous row slices out of it instead of re-collecting a Vec
-    // per event per pair.
+    // pass below (summaries, nested-pair correlations) reads contiguous
+    // row slices out of it instead of re-collecting a Vec per event per
+    // pair.
     let mut excl = DenseMatrix::zeros(profile.event_count(), profile.thread_count());
     for ei in 0..profile.event_count() {
         for (dst, c) in excl
@@ -134,9 +135,9 @@ pub fn analyze_view(view: &TrialView<'_>, metric: &str) -> Result<LoadBalanceAna
 }
 
 /// The shared analysis core: per-event balance summaries plus the
-/// nested-pair correlation sweep, over any row-major
-/// `events × threads` exclusive-time matrix (owned gather or mapped
-/// page — the kernels cannot tell the difference).
+/// nested-pair correlations, over any row-major `events × threads`
+/// exclusive-time matrix (owned gather or mapped page — the kernels
+/// cannot tell the difference).
 pub fn analyze_matrix(
     events: &[perfdmf::Event],
     excl: MatrixView<'_>,
@@ -150,74 +151,104 @@ pub fn analyze_matrix(
         )));
     }
 
-    // Per-event summaries are independent: one rayon task per event,
-    // each reading its contiguous row.
-    let observations: Vec<BalanceObservation> = (0..events.len())
-        .into_par_iter()
-        .map(|ei| -> Result<Option<BalanceObservation>> {
-            let event = &events[ei];
-            if event.name == MAIN_EVENT {
-                return Ok(None);
-            }
-            let values = excl.row(ei);
-            if values.iter().all(|&v| v == 0.0) {
-                return Ok(None);
-            }
-            let summary = Summary::of(values)?;
-            let ratio = if summary.mean != 0.0 {
-                summary.stddev / summary.mean
-            } else {
-                0.0
-            };
-            Ok(Some(BalanceObservation {
-                event: event.name.clone(),
-                stddev_mean_ratio: ratio,
-                runtime_fraction: if total > 0.0 {
-                    (summary.mean / total).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                },
-                mean: summary.mean,
-            }))
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?
-        .into_iter()
-        .flatten()
+    let observations = events
+        .iter()
+        .enumerate()
+        .filter_map(|(ei, event)| row_observation(event, excl.row(ei), total))
         .collect();
 
-    // Nested pairs: outer is a callpath ancestor of inner. The O(E²)
-    // ancestor sweep parallelises over the outer event.
-    let nested: Vec<NestedCorrelation> = (0..events.len())
-        .into_par_iter()
-        .map(|oi| {
-            let outer = &events[oi];
-            if outer.name == MAIN_EVENT {
-                return Vec::new();
-            }
-            let vo = excl.row(oi);
-            events
-                .iter()
-                .enumerate()
-                .filter(|(_, inner)| outer.is_ancestor_of(inner))
-                .filter_map(|(ii, inner)| {
-                    pearson(vo, excl.row(ii)).ok().map(|c| NestedCorrelation {
-                        outer: outer.name.clone(),
-                        inner: inner.name.clone(),
-                        correlation: c,
-                    })
-                })
-                .collect()
-        })
-        .collect::<Vec<Vec<_>>>()
+    let nested = nested_pairs(events)
         .into_iter()
-        .flatten()
+        .filter_map(|(oi, ii)| {
+            pearson(excl.row(oi), excl.row(ii))
+                .ok()
+                .map(|c| NestedCorrelation {
+                    outer: events[oi].name.clone(),
+                    inner: events[ii].name.clone(),
+                    correlation: c,
+                })
+        })
         .collect();
 
     Ok(LoadBalanceAnalysis {
         observations,
         nested,
+    })
+}
+
+/// Every `(outer, inner)` index pair where `outer` is a callpath
+/// ancestor of `inner` ([`perfdmf::Event::is_ancestor_of`]) and is not
+/// [`MAIN_EVENT`], sorted by `(outer, inner)`.
+///
+/// An event's ancestors are the prefixes of its name that end where a
+/// [`CALLPATH_SEPARATOR`] begins, so one `name → indices` map answers
+/// each inner event in one pass over its name instead of a scan of
+/// every other event. Every byte offset is tried because separators
+/// can overlap (`" => => "` has ancestors `""` and `" =>"`).
+fn nested_pairs(events: &[perfdmf::Event]) -> Vec<(usize, usize)> {
+    let mut by_name: HashMap<&str, Vec<usize>> = HashMap::with_capacity(events.len());
+    for (i, e) in events.iter().enumerate() {
+        if e.name != MAIN_EVENT {
+            by_name.entry(e.name.as_str()).or_default().push(i);
+        }
+    }
+    let sep = CALLPATH_SEPARATOR.as_bytes();
+    let mut pairs = Vec::new();
+    for (ii, inner) in events.iter().enumerate() {
+        let bytes = inner.name.as_bytes();
+        for end in 0..bytes.len() {
+            // The separator starts with an ASCII byte, so `end` is a
+            // char boundary whenever it matches.
+            if bytes[end..].starts_with(sep) {
+                if let Some(outers) = by_name.get(&inner.name[..end]) {
+                    pairs.extend(outers.iter().map(|&oi| (oi, ii)));
+                }
+            }
+        }
+    }
+    pairs.sort_unstable();
+    pairs
+}
+
+/// The runtime-fraction expression: an event's mean over the total
+/// runtime, clamped to `[0, 1]`.
+pub(crate) fn fraction(mean: f64, total: f64) -> f64 {
+    if total > 0.0 {
+        (mean / total).clamp(0.0, 1.0)
+    } else {
+        0.0
+    }
+}
+
+/// The per-row observation kernel: `None` for [`MAIN_EVENT`] and
+/// all-zero rows, otherwise the row's stddev/mean ratio, runtime
+/// fraction and mean. [`analyze_matrix`] and the incremental path both
+/// call it, so a recomputed dirty row is bitwise identical to a batch
+/// recompute by construction.
+///
+/// The moments come from the [`Welford`] pass [`Summary::of`] makes,
+/// without the median sort this analysis never reads.
+///
+/// [`Summary::of`]: statistics::Summary::of
+pub(crate) fn row_observation(
+    event: &perfdmf::Event,
+    values: &[f64],
+    total: f64,
+) -> Option<BalanceObservation> {
+    // Also skips an empty row, the one input `Summary::of` rejects.
+    if event.name == MAIN_EVENT || values.iter().all(|&v| v == 0.0) {
+        return None;
+    }
+    let mut moments = Welford::new();
+    for &v in values {
+        moments.push(v);
+    }
+    let (mean, stddev) = (moments.mean(), moments.stddev());
+    Some(BalanceObservation {
+        event: event.name.clone(),
+        stddev_mean_ratio: if mean != 0.0 { stddev / mean } else { 0.0 },
+        runtime_fraction: fraction(mean, total),
+        mean,
     })
 }
 
@@ -237,7 +268,8 @@ pub fn update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfdmf::{Measurement, TrialBuilder};
+    use perfdmf::{Event, Measurement, TrialBuilder};
+    use proptest::prelude::*;
 
     /// An imbalanced nested-loop trial: threads with more inner work
     /// wait less in the outer loop.
@@ -411,5 +443,231 @@ mod tests {
             .observations
             .iter()
             .all(|o| o.event != "main => ghost"));
+    }
+
+    /// The reference analysis: per-row observations from a full
+    /// [`statistics::Summary`], nested pairs from an O(E²)
+    /// `is_ancestor_of` sweep over every `(outer, inner)` pair in index
+    /// order.
+    fn reference_matrix(
+        events: &[Event],
+        excl: MatrixView<'_>,
+        total: f64,
+    ) -> Result<LoadBalanceAnalysis> {
+        let mut observations = Vec::new();
+        for (ei, event) in events.iter().enumerate() {
+            let values = excl.row(ei);
+            if event.name == MAIN_EVENT || values.iter().all(|&v| v == 0.0) {
+                continue;
+            }
+            let summary = statistics::Summary::of(values)?;
+            observations.push(BalanceObservation {
+                event: event.name.clone(),
+                stddev_mean_ratio: if summary.mean != 0.0 {
+                    summary.stddev / summary.mean
+                } else {
+                    0.0
+                },
+                runtime_fraction: if total > 0.0 {
+                    (summary.mean / total).clamp(0.0, 1.0)
+                } else {
+                    0.0
+                },
+                mean: summary.mean,
+            });
+        }
+        let mut nested = Vec::new();
+        for (oi, outer) in events.iter().enumerate() {
+            if outer.name == MAIN_EVENT {
+                continue;
+            }
+            for (ii, inner) in events.iter().enumerate() {
+                if outer.is_ancestor_of(inner) {
+                    if let Ok(c) = pearson(excl.row(oi), excl.row(ii)) {
+                        nested.push(NestedCorrelation {
+                            outer: outer.name.clone(),
+                            inner: inner.name.clone(),
+                            correlation: c,
+                        });
+                    }
+                }
+            }
+        }
+        Ok(LoadBalanceAnalysis {
+            observations,
+            nested,
+        })
+    }
+
+    /// The trial's `events × threads` exclusive-time matrix.
+    fn exclusive_matrix(trial: &Trial) -> DenseMatrix {
+        let p = &trial.profile;
+        let m = p.metric_id("TIME").unwrap();
+        let mut excl = DenseMatrix::zeros(p.event_count(), p.thread_count());
+        for ei in 0..p.event_count() {
+            for (dst, c) in excl
+                .row_mut(ei)
+                .iter_mut()
+                .zip(p.column(EventId(ei as u32), m))
+            {
+                *dst = c.exclusive;
+            }
+        }
+        excl
+    }
+
+    /// `f64::to_bits` equality on every field, names and order included.
+    fn bitwise_eq(a: &LoadBalanceAnalysis, b: &LoadBalanceAnalysis) -> bool {
+        let obs = |o: &BalanceObservation| {
+            (
+                o.event.clone(),
+                o.stddev_mean_ratio.to_bits(),
+                o.runtime_fraction.to_bits(),
+                o.mean.to_bits(),
+            )
+        };
+        let pair =
+            |n: &NestedCorrelation| (n.outer.clone(), n.inner.clone(), n.correlation.to_bits());
+        a.observations
+            .iter()
+            .map(obs)
+            .eq(b.observations.iter().map(obs))
+            && a.nested.iter().map(pair).eq(b.nested.iter().map(pair))
+    }
+
+    fn same(got: &Result<LoadBalanceAnalysis>, want: &Result<LoadBalanceAnalysis>) -> bool {
+        match (got, want) {
+            (Ok(g), Ok(w)) => bitwise_eq(g, w),
+            (Err(g), Err(w)) => g.to_string() == w.to_string(),
+            _ => false,
+        }
+    }
+
+    /// Callpath components; `a` next to `ab` catches a prefix match that
+    /// ignores the separator.
+    const LABELS: &[&str] = &["a", "ab", "b", "solve", "x y", "=>"];
+
+    /// Names that stress the prefix scan: empty, bare and overlapping
+    /// separators, and a separator at either end.
+    const ADVERSARIAL: &[&str] = &[
+        "",
+        " => ",
+        " =>",
+        " => => ",
+        " => => x",
+        "main => a",
+        "main => ab",
+        "main =>",
+        "main => a => ",
+        "main => => a",
+    ];
+
+    /// Builds a trial from a random callpath tree plus adversarial names,
+    /// interned in a random order (so children often precede parents).
+    fn callpath_trial(
+        tree: &[(usize, usize)],
+        adversarial: &[usize],
+        order: &[u64],
+        threads: usize,
+        cells: &[(u32, f64)],
+    ) -> Trial {
+        let mut names = vec!["main".to_string()];
+        for &(parent, label) in tree {
+            let parent = &names[parent % names.len()];
+            names.push(format!("{parent}{CALLPATH_SEPARATOR}{}", LABELS[label]));
+        }
+        names.extend(adversarial.iter().map(|&i| ADVERSARIAL[i].to_string()));
+        names.sort();
+        names.dedup();
+        let mut keyed: Vec<(u64, String)> = order.iter().copied().zip(names).collect();
+        keyed.sort();
+
+        let mut b = TrialBuilder::with_flat_threads("t", threads);
+        let time = b.metric("TIME");
+        let mut cells = cells.iter().cycle();
+        for (_, name) in &keyed {
+            let e = b.event(name);
+            // One row in five is all zero; the rest mix zeros and NaN in.
+            let zero_row = cells.next().unwrap().0 < 20;
+            for t in 0..threads {
+                let &(kind, v) = cells.next().unwrap();
+                let v = match kind {
+                    _ if zero_row => 0.0,
+                    0..=14 => 0.0,
+                    15..=16 => f64::NAN,
+                    _ => v,
+                };
+                let inclusive = if name == MAIN_EVENT { 100.0 + v } else { v };
+                b.set(
+                    e,
+                    time,
+                    t,
+                    Measurement {
+                        inclusive,
+                        exclusive: v,
+                        calls: 1.0,
+                        subcalls: 0.0,
+                    },
+                );
+            }
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn nested_pairs_match_the_quadratic_reference(
+            tree in prop::collection::vec((0usize..64, 0usize..LABELS.len()), 0..24),
+            adversarial in prop::collection::vec(0usize..ADVERSARIAL.len(), 0..8),
+            order in prop::collection::vec(0u64..1_000_000, 40),
+            threads in 1usize..6,
+            cells in prop::collection::vec((0u32..100, -2.0f64..10.0), 64),
+            dups in prop::collection::vec(0usize..40, 0..4),
+        ) {
+            let trial = callpath_trial(&tree, &adversarial, &order, threads, &cells);
+            let excl = exclusive_matrix(&trial);
+            let events = trial.profile.events();
+            let total = TrialResult::new(&trial).elapsed("TIME").unwrap();
+            let want = reference_matrix(events, excl.view(), total);
+
+            let owned = analyze(&trial, "TIME");
+            prop_assert!(same(&owned, &want), "owned {owned:?}\nreference {want:?}");
+
+            let mut repo = perfdmf::Repository::new();
+            repo.add_trial("app", "exp", trial.clone()).unwrap();
+            let mapped = perfdmf::MappedRepository::from_bytes(&repo.to_pdb1()).unwrap();
+            let view = mapped.view("app", "exp", "t").unwrap();
+            let zero_copy = analyze_view(&view, "TIME");
+            prop_assert!(same(&zero_copy, &want), "mapped {zero_copy:?}\nreference {want:?}");
+
+            // `analyze_matrix` takes any event slice: repeated names must
+            // pair exactly as the sweep pairs them.
+            let mut events = events.to_vec();
+            let mut rows = excl.to_nested();
+            for &d in &dups {
+                let d = d % events.len();
+                events.push(events[d].clone());
+                rows.push(rows[d].clone());
+            }
+            let excl = DenseMatrix::from_rows(&rows).unwrap();
+            let got = analyze_matrix(&events, excl.view(), total);
+            let want = reference_matrix(&events, excl.view(), total);
+            prop_assert!(same(&got, &want), "duplicated {got:?}\nreference {want:?}");
+        }
+    }
+
+    #[test]
+    fn overlapping_separators_yield_every_ancestor() {
+        let events: Vec<Event> = ["", " =>", " => => ", "main => a", "main => ab", "main"]
+            .into_iter()
+            .map(Event::new)
+            .collect();
+        let pairs: Vec<(&str, &str)> = nested_pairs(&events)
+            .into_iter()
+            .map(|(o, i)| (events[o].name.as_str(), events[i].name.as_str()))
+            .collect();
+        assert_eq!(pairs, [("", " => => "), (" =>", " => => ")]);
     }
 }

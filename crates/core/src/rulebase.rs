@@ -12,7 +12,8 @@
 //! * [`POWER_RULES`] — the §III-C optimisation-level recommendations.
 
 use crate::Result;
-use rules::{drl, Engine};
+use rules::{drl, Engine, Rule};
+use std::sync::OnceLock;
 
 /// §III-A: load imbalance.
 pub const LOAD_BALANCE_RULES: &str = r#"
@@ -179,19 +180,17 @@ then
 end
 "#;
 
-/// Parses one rulebase into an engine.
+/// Builds an engine over one rulebase.
 pub fn engine_with(source: &str) -> Result<Engine> {
-    let mut engine = Engine::new();
-    engine.add_rules(drl::parse(source)?)?;
-    Ok(engine)
+    engine_with_all(&[source])
 }
 
-/// Parses several rulebases into one engine (rule names must be unique
+/// Builds one engine over several rulebases (rule names must be unique
 /// across them).
 pub fn engine_with_all(sources: &[&str]) -> Result<Engine> {
     let mut engine = Engine::new();
     for s in sources {
-        engine.add_rules(drl::parse(s)?)?;
+        engine.add_rules(parsed_rules(s)?)?;
     }
     Ok(engine)
 }
@@ -199,6 +198,22 @@ pub fn engine_with_all(sources: &[&str]) -> Result<Engine> {
 /// Every shipped rulebase.
 pub fn all_rulebases() -> [&'static str; 4] {
     [LOAD_BALANCE_RULES, STALL_RULES, LOCALITY_RULES, POWER_RULES]
+}
+
+/// The rules of `source`. A shipped rulebase is parsed once per process
+/// and cloned out of a memo after that; any other text is parsed on
+/// every call, so the memo holds at most the four shipped texts. A
+/// parse error is returned, never memoized.
+pub(crate) fn parsed_rules(source: &str) -> Result<Vec<Rule>> {
+    static PARSED: [OnceLock<Vec<Rule>>; 4] = [const { OnceLock::new() }; 4];
+    let Some(i) = all_rulebases().iter().position(|s| *s == source) else {
+        return Ok(drl::parse(source)?);
+    };
+    if let Some(rules) = PARSED[i].get() {
+        return Ok(rules.clone());
+    }
+    let rules = drl::parse(source)?;
+    Ok(PARSED[i].get_or_init(|| rules).clone())
 }
 
 #[cfg(test)]
@@ -280,34 +295,68 @@ mod tests {
         }
     }
 
-    #[test]
-    fn load_balance_rule_fires_on_synthetic_facts() {
-        let mut engine = engine_with(LOAD_BALANCE_RULES).unwrap();
-        engine.assert_fact(
+    /// Two unbalanced nested regions with anti-correlated thread times.
+    fn imbalance_facts() -> Vec<rules::Fact> {
+        vec![
             rules::Fact::new("RegionBalance")
                 .with("eventName", "outer")
                 .with("stddevMeanRatio", 0.4)
                 .with("runtimeFraction", 0.3)
                 .with("mean", 1.0),
-        );
-        engine.assert_fact(
             rules::Fact::new("RegionBalance")
                 .with("eventName", "inner")
                 .with("stddevMeanRatio", 0.5)
                 .with("runtimeFraction", 0.6)
                 .with("mean", 2.0),
-        );
-        engine.assert_fact(
             rules::Fact::new("NestedCorrelation")
                 .with("outer", "outer")
                 .with("inner", "inner")
                 .with("correlation", -0.95),
-        );
+        ]
+    }
+
+    #[test]
+    fn load_balance_rule_fires_on_synthetic_facts() {
+        let mut engine = engine_with(LOAD_BALANCE_RULES).unwrap();
+        for f in imbalance_facts() {
+            engine.assert_fact(f);
+        }
         let report = engine.run().unwrap();
         assert!(report.fired("Load imbalance in nested loops"));
         let d = report.diagnoses_in("load-imbalance");
         assert!(!d.is_empty());
         assert!(d[0].recommendation.as_ref().unwrap().contains("dynamic"));
+    }
+
+    #[test]
+    fn engines_built_from_one_rulebase_are_independent() {
+        // A zero cycle limit on one engine must not reach the next.
+        let mut limited = engine_with(LOAD_BALANCE_RULES).unwrap().with_cycle_limit(0);
+        for f in imbalance_facts() {
+            limited.assert_fact(f);
+        }
+        assert!(matches!(
+            limited.run(),
+            Err(rules::RuleError::CycleLimit { limit: 0, .. })
+        ));
+
+        // Neither may its facts.
+        let mut first = engine_with(LOAD_BALANCE_RULES).unwrap();
+        assert_eq!(first.fact_count(), 0);
+        for f in imbalance_facts() {
+            first.assert_fact(f);
+        }
+        let report = first.run().unwrap();
+        assert!(report.fired("Load imbalance in nested loops"));
+        assert!(first.run().unwrap().firings.is_empty(), "refraction");
+
+        // Nor its fired set: a third engine fires the same activations.
+        let mut second = engine_with(LOAD_BALANCE_RULES).unwrap();
+        assert_eq!(second.fact_count(), 0);
+        for f in imbalance_facts() {
+            second.assert_fact(f);
+        }
+        assert_eq!(second.run().unwrap().firings, report.firings);
     }
 
     #[test]

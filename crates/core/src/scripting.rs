@@ -719,7 +719,7 @@ fn call_host(
                 "power" => rulebase::POWER_RULES,
                 other => return Err(host_err(format!("unknown rulebase {other:?}"))),
             };
-            let parsed = rules::drl::parse(source).map_err(|e| host_err(e.to_string()))?;
+            let parsed = rulebase::parsed_rules(source).map_err(|e| host_err(e.to_string()))?;
             let n = parsed.len();
             state
                 .borrow_mut()
@@ -938,6 +938,14 @@ mod tests {
 
         let err3 = session.run("elapsed(5, \"TIME\")").unwrap_err();
         assert!(err3.to_string().contains("trial handle"));
+    }
+
+    #[test]
+    fn loading_a_rulebase_twice_is_a_duplicate_rule_error() {
+        let mut session = PerfExplorerScript::new(Repository::new());
+        session.run("load_rules(\"load_balance\")").unwrap();
+        let err = session.run("load_rules(\"load_balance\")").unwrap_err();
+        assert!(err.to_string().contains("duplicate rule name"), "{err}");
     }
 
     #[test]
