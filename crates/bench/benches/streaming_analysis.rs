@@ -6,7 +6,8 @@
 //! * `update/{E}` — apply one [`ChunkBatch`] touching a single event to a
 //!   [`StreamingTrial`] and fold it into a live
 //!   [`AnalysisState`](perfexplorer::AnalysisState) with
-//!   `loadbalance::update` (dirty-row recompute + fact retract/assert).
+//!   `AnalysisState::update` (dirty-row recompute with the batch
+//!   kernels).
 //! * `recompute/{E}` — apply the same chunk shape and rerun the batch
 //!   `loadbalance::analyze` over the whole trial, the pre-streaming
 //!   serving path.
@@ -14,8 +15,8 @@
 //! The differential proptests in
 //! `crates/core/tests/streaming_differential.rs` pin both sides to
 //! bitwise-identical analyses, so these pairs measure maintenance cost
-//! only. The speedup at 1 000 events is the ISSUE's ≥5x acceptance
-//! number, recorded in EXPERIMENTS.md and `BENCH_streaming.json`.
+//! only. The speedup at 1 000 events is recorded in EXPERIMENTS.md and
+//! `BENCH_streaming.json`.
 //!
 //! Besides the normal Criterion harness (which honours `--test` for the
 //! CI single-pass smoke), setting `BENCH_JSON=<path>` switches the
@@ -123,7 +124,8 @@ fn bench_streaming(c: &mut Criterion) {
                 let chunk = delta_chunk(events, seq);
                 let applied = stream.apply_chunk(&chunk).expect("chunk applies");
                 black_box(
-                    loadbalance::update(&mut state, stream.trial(), &applied)
+                    state
+                        .update(stream.trial(), &applied)
                         .expect("update succeeds"),
                 );
             })
@@ -177,7 +179,9 @@ fn measure_pair(events: usize) -> (f64, f64) {
             .apply_chunk(&delta_chunk(events, seq))
             .expect("chunk applies");
         black_box(
-            loadbalance::update(&mut state, stream.trial(), &applied).expect("update succeeds"),
+            state
+                .update(stream.trial(), &applied)
+                .expect("update succeeds"),
         );
     });
     let mut stream = seeded_stream(events);
@@ -329,8 +333,9 @@ fn smoke() {
         let applied = stream
             .apply_chunk(&delta_chunk(events, 1))
             .expect("chunk applies");
-        let stats =
-            loadbalance::update(&mut state, stream.trial(), &applied).expect("update succeeds");
+        let stats = state
+            .update(stream.trial(), &applied)
+            .expect("update succeeds");
         assert_eq!(stats.dirty_events, 1, "one-column delta dirties one row");
         black_box(loadbalance::analyze(stream.trial(), METRIC).expect("analyze succeeds"));
         println!("streaming_analysis/smoke/{events}: ok");

@@ -12,17 +12,10 @@ use perfdmf::{EventId, Field, Trial, TrialView, MAIN_EVENT};
 use rayon::prelude::*;
 use rules::Fact;
 use serde::{Deserialize, Serialize};
-use statistics::cluster::{
-    kmeans_flat, kmeans_warm_flat, silhouette_flat, FlatKMeans, KMeansConfig,
-};
+use statistics::cluster::{kmeans_flat, silhouette_flat, FlatKMeans, KMeansConfig};
 use statistics::matrix::{sq_dist, DenseMatrix, MatrixView};
 
-/// Warm inertia past this multiple of the previous inertia abandons the
-/// warm start for a full k-means++ seeded run.
-const INERTIA_DRIFT: f64 = 4.0;
-
-/// Silhouette floor below which a clustering collapses to one group
-/// (shared by the cold candidate scan and the warm refinement check).
+/// Silhouette floor below which a clustering collapses to one group.
 const MIN_SILHOUETTE: f64 = 0.25;
 
 /// One discovered thread group.
@@ -80,7 +73,7 @@ impl ThreadClustering {
 pub fn cluster_threads(trial: &Trial, metric: &str, max_k: usize) -> Result<ThreadClustering> {
     let (events, columns, threads) = gather_feature_columns(trial, metric)?;
     let refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-    cluster_columns(events, &refs, threads, max_k).map(|c| c.clustering)
+    cluster_columns(events, &refs, threads, max_k)
 }
 
 /// Extracts the clustering dimensions from an owned trial: every
@@ -146,16 +139,7 @@ pub fn cluster_view(view: &TrialView<'_>, metric: &str, max_k: usize) -> Result<
             columns.push(v);
         }
     }
-    cluster_columns(events, &columns, threads, max_k).map(|c| c.clustering)
-}
-
-/// A [`cluster_columns`] result carrying enough to warm-start the next
-/// run: the chosen flat clustering (None for single-group outcomes) and
-/// the normalisation factor its centroids live under.
-struct ColumnClustering {
-    clustering: ThreadClustering,
-    best: Option<FlatKMeans>,
-    global_max: f64,
+    cluster_columns(events, &columns, threads, max_k)
 }
 
 /// The shared clustering core over per-event feature columns (one
@@ -166,7 +150,7 @@ fn cluster_columns(
     columns: &[&[f64]],
     threads: usize,
     max_k: usize,
-) -> Result<ColumnClustering> {
+) -> Result<ThreadClustering> {
     if events.is_empty() {
         return Err(AnalysisError::Invalid(
             "no nonzero events to cluster on".into(),
@@ -190,14 +174,8 @@ fn cluster_columns(
     }
     let view = points.view();
 
-    let single = |events: Vec<String>, points: MatrixView<'_>| ColumnClustering {
-        clustering: single_group(events, points),
-        best: None,
-        global_max,
-    };
-
     if threads < 4 || max_k < 2 {
-        return Ok(single(events, view));
+        return Ok(single_group(events, view));
     }
 
     // Absolute spread guard: if no pair of threads differs by a
@@ -216,7 +194,7 @@ fn cluster_columns(
         }
     }
     if !has_spread {
-        return Ok(single(events, view));
+        return Ok(single_group(events, view));
     }
 
     // (silhouette, k, flat clustering). Each candidate k is an
@@ -244,12 +222,8 @@ fn cluster_columns(
     }
 
     match best {
-        Some((s, _, res)) if s >= MIN_SILHOUETTE => Ok(ColumnClustering {
-            clustering: clustering_from(events, s, &res),
-            best: Some(res),
-            global_max,
-        }),
-        _ => Ok(single(events, view)),
+        Some((s, _, res)) if s >= MIN_SILHOUETTE => Ok(clustering_from(events, s, &res)),
+        _ => Ok(single_group(events, view)),
     }
 }
 
@@ -293,135 +267,6 @@ fn clustering_from(events: Vec<String>, silhouette: f64, res: &FlatKMeans) -> Th
         k: groups.len(),
         silhouette,
         groups,
-    }
-}
-
-/// Clustering state carried across streaming updates so the next run
-/// can warm-start from the previous centroids instead of re-seeding.
-///
-/// Centroids are stored in *raw* (unnormalised exclusive-time) space:
-/// the per-run normalisation factor changes as the trial grows, so the
-/// captured centroids are rescaled into the new normalised space before
-/// refinement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmClusterState {
-    events: Vec<String>,
-    centroids: DenseMatrix,
-    inertia_raw: f64,
-    k: usize,
-}
-
-/// Outcome of [`cluster_threads_warm`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmClusterOutcome {
-    /// The clustering, same shape as a cold [`cluster_threads`] result.
-    pub clustering: ThreadClustering,
-    /// State to pass to the next warm run (None for single-group
-    /// outcomes, which have nothing worth warm-starting from).
-    pub state: Option<WarmClusterState>,
-    /// True when the result came from warm refinement of the previous
-    /// centroids; false when it required a cold candidate scan.
-    pub warmed: bool,
-}
-
-/// Like [`cluster_threads`], but warm-starts from the previous run's
-/// centroids when possible: the previous `k` is refined with a
-/// mini-batch pass over `delta_threads` (threads touched since the last
-/// clustering) followed by warm Lloyd iterations. The warm result is
-/// kept only while it still separates well (silhouette ≥ 0.25) and its
-/// inertia has not drifted past the fallback threshold; otherwise the
-/// full silhouette-guided candidate scan runs cold.
-pub fn cluster_threads_warm(
-    trial: &Trial,
-    metric: &str,
-    max_k: usize,
-    prev: Option<&WarmClusterState>,
-    delta_threads: &[usize],
-) -> Result<WarmClusterOutcome> {
-    let (events, columns, threads) = gather_feature_columns(trial, metric)?;
-    let refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-
-    // Warm attempt: only when the dimension set is unchanged and the
-    // previous k still fits the candidate range the cold scan would use.
-    if let Some(prev) = prev {
-        if prev.events == events
-            && threads >= 4
-            && max_k >= 2
-            && prev.k >= 2
-            && prev.k <= max_k.min(threads - 1)
-        {
-            let global_max = refs
-                .iter()
-                .flat_map(|c| c.iter().copied())
-                .fold(0.0, f64::max)
-                .max(1e-300);
-            let mut points = DenseMatrix::zeros(threads, events.len());
-            for (j, col) in refs.iter().enumerate() {
-                for (t, &v) in col.iter().enumerate() {
-                    points.row_mut(t)[j] = v / global_max;
-                }
-            }
-            // Rescale the captured raw-space centroids (and inertia,
-            // which is squared in the coordinates) into this run's
-            // normalised space.
-            let mut centroids = prev.centroids.clone();
-            for c in 0..centroids.rows() {
-                for v in centroids.row_mut(c) {
-                    *v /= global_max;
-                }
-            }
-            let prev_inertia = prev.inertia_raw / (global_max * global_max);
-            let cfg = KMeansConfig {
-                k: prev.k,
-                ..Default::default()
-            };
-            if let Ok(warm) = kmeans_warm_flat(
-                points.view(),
-                &centroids,
-                prev_inertia,
-                delta_threads,
-                &cfg,
-                INERTIA_DRIFT,
-            ) {
-                if let Ok(s) = silhouette_flat(points.view(), &warm.result.assignments) {
-                    if s >= MIN_SILHOUETTE {
-                        let state = capture_state(&events, &warm.result, global_max);
-                        return Ok(WarmClusterOutcome {
-                            clustering: clustering_from(events, s, &warm.result),
-                            state: Some(state),
-                            warmed: !warm.fell_back,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // Cold path: the full candidate scan.
-    let cold = cluster_columns(events, &refs, threads, max_k)?;
-    let state = cold
-        .best
-        .as_ref()
-        .map(|res| capture_state(&cold.clustering.events, res, cold.global_max));
-    Ok(WarmClusterOutcome {
-        clustering: cold.clustering,
-        state,
-        warmed: false,
-    })
-}
-
-fn capture_state(events: &[String], res: &FlatKMeans, global_max: f64) -> WarmClusterState {
-    let mut centroids = res.centroids.clone();
-    for c in 0..centroids.rows() {
-        for v in centroids.row_mut(c) {
-            *v *= global_max;
-        }
-    }
-    WarmClusterState {
-        events: events.to_vec(),
-        centroids,
-        inertia_raw: res.inertia * global_max * global_max,
-        k: res.centroids.rows(),
     }
 }
 

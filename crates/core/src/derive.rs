@@ -8,7 +8,6 @@
 
 use crate::{AnalysisError, Result};
 use perfdmf::{EventId, Field, Measurement, Metric, Trial, TrialView};
-use perfdmf::{MetricId, TouchedColumn};
 use rayon::prelude::*;
 use statistics::DenseMatrix;
 
@@ -98,67 +97,6 @@ pub fn derive_metric(trial: &mut Trial, lhs: &str, op: DeriveOp, rhs: &str) -> R
             .profile
             .column_mut(EventId(ei as u32), out)
             .copy_from_slice(&cells);
-    }
-    Ok(name)
-}
-
-/// Incrementally refreshes `({lhs} {op} {rhs})` after a streamed chunk:
-/// only the `(event, thread)` cells named by `touched` columns whose
-/// source metric is `lhs` or `rhs` are recomputed, with the same
-/// cell-wise kernel as [`derive_metric`], so the derived plane stays
-/// bitwise identical to a full re-derivation. When the derived metric
-/// does not exist yet this falls back to one full [`derive_metric`]
-/// pass. O(touched cells) instead of O(events × threads).
-pub fn derive_update(
-    trial: &mut Trial,
-    lhs: &str,
-    op: DeriveOp,
-    rhs: &str,
-    touched: &[TouchedColumn],
-) -> Result<String> {
-    let name = derived_name(lhs, op, rhs);
-    let Some(out) = trial.profile.metric_id(&name) else {
-        return derive_metric(trial, lhs, op, rhs);
-    };
-    let ml = trial
-        .profile
-        .metric_id(lhs)
-        .ok_or_else(|| AnalysisError::MissingMetric(lhs.to_string()))?;
-    let mr = trial
-        .profile
-        .metric_id(rhs)
-        .ok_or_else(|| AnalysisError::MissingMetric(rhs.to_string()))?;
-    let threads = trial.profile.thread_count();
-    for tc in touched {
-        if tc.metric != ml && tc.metric != mr {
-            continue;
-        }
-        if tc.event.0 as usize >= trial.profile.event_count() {
-            return Err(AnalysisError::Invalid(format!(
-                "touched column references event {} beyond the trial's {} events",
-                tc.event.0,
-                trial.profile.event_count()
-            )));
-        }
-        for &t in &tc.threads {
-            let t = t as usize;
-            if t >= threads {
-                continue;
-            }
-            let cell = |m: MetricId| *trial.profile.get(tc.event, m, t).expect("bounds checked");
-            let a = cell(ml);
-            let b = cell(mr);
-            let derived = Measurement {
-                inclusive: op.apply(a.inclusive, b.inclusive),
-                exclusive: op.apply(a.exclusive, b.exclusive),
-                calls: a.calls,
-                subcalls: a.subcalls,
-            };
-            *trial
-                .profile
-                .get_mut(tc.event, out, t)
-                .expect("bounds checked") = derived;
-        }
     }
     Ok(name)
 }

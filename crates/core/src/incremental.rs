@@ -7,7 +7,9 @@
 //! streamed [`perfdmf::ChunkBatch`]es, only the touched rows can
 //! change, so [`AnalysisState`] keeps per-event state and refreshes
 //! exactly those rows — `O(touched events × threads + affected pairs)`
-//! per chunk.
+//! per chunk. The state is what a request reads and nothing more: the
+//! per-event exclusive rows, the balance observations and the nested
+//! pairs.
 //!
 //! ## Equality contract
 //!
@@ -15,79 +17,48 @@
 //! float arithmetic (which re-associates additions and drifts from the
 //! batch kernels). Instead it recomputes each *dirty row* with the very
 //! kernels the batch path calls (`loadbalance::row_observation`,
-//! `loadbalance::fraction`, [`pearson`]), while untouched rows keep
-//! their previous — bitwise identical — values.
+//! `loadbalance::fraction`, [`pearson`]), and pairs events through the
+//! batch path's `loadbalance::ancestor_prefixes`, while untouched rows
+//! keep their previous — bitwise identical — values.
 //! [`AnalysisState::analysis`] is therefore bitwise equal to a fresh
 //! [`crate::loadbalance::analyze`] after every chunk, NaN cells
 //! included; the differential tests in
 //! `tests/streaming_differential.rs` pin this with `f64::to_bits`
-//! comparisons. The [`RunningPlane`] accumulators ride along as the
-//! O(1) monitor substrate (mean/stddev/extrema without touching the
-//! kernels) and are held to numeric, not bitwise, agreement.
+//! comparisons.
 //!
-//! ## Diagnoses
+//! ## Diagnosis
 //!
-//! Two consumers with different freshness needs share the state:
-//!
-//! * [`AnalysisState::report`] builds a fresh rule engine over the
-//!   maintained facts — byte-identical output to
-//!   [`crate::workflow::analyze_load_balance`] on the same trial.
-//! * A persistent engine receives every fact change as retract/assert
-//!   pairs as updates arrive; [`AnalysisState::poll_diagnoses`] runs it
-//!   and — thanks to refraction — reports only firings *new* since the
-//!   previous poll, without rebuilding the agenda.
+//! The state holds no rule engine. [`AnalysisState::report`] runs the
+//! load-balance workflow's rule stage once over the maintained facts,
+//! as the paper's pipeline does for a finished trial, so its output is
+//! byte-identical to [`crate::workflow::analyze_load_balance`] on the
+//! same trial.
 
-use crate::cluster::{cluster_threads_warm, ThreadClustering, WarmClusterState};
 use crate::loadbalance::{
-    fraction, row_observation, BalanceObservation, LoadBalanceAnalysis, NestedCorrelation,
+    ancestor_prefixes, fraction, row_observation, BalanceObservation, LoadBalanceAnalysis,
+    NestedCorrelation,
 };
 use crate::result::TrialResult;
-use crate::rulebase::{engine_with, LOAD_BALANCE_RULES};
 use crate::workflow::{load_balance, CaseStudyReport, Policy};
 use crate::{AnalysisError, Result};
 use perfdmf::{AppliedChunk, Event, EventId, MetricId, Profile, Trial, MAIN_EVENT};
-use rules::{Fact, FactHandle};
-use statistics::{pearson, RunningPlane};
-use std::collections::BTreeSet;
+use statistics::pearson;
+use std::collections::{BTreeSet, HashMap};
 
-/// Bitwise float equality: the incremental path's change detector.
-/// (`==` would treat `-0.0 == 0.0` and `NaN != NaN`, causing missed and
-/// spurious fact churn respectively.)
+/// Bitwise float equality: detects a moved total runtime. (`==` would
+/// treat `-0.0 == 0.0` and `NaN != NaN`, missing and inventing changes
+/// respectively.)
 fn feq(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits()
 }
 
-fn obs_eq(a: &BalanceObservation, b: &BalanceObservation) -> bool {
-    a.event == b.event
-        && feq(a.stddev_mean_ratio, b.stddev_mean_ratio)
-        && feq(a.runtime_fraction, b.runtime_fraction)
-        && feq(a.mean, b.mean)
-}
-
-fn balance_fact(o: &BalanceObservation) -> Fact {
-    Fact::new("RegionBalance")
-        .with("eventName", o.event.as_str())
-        .with("stddevMeanRatio", o.stddev_mean_ratio)
-        .with("runtimeFraction", o.runtime_fraction)
-        .with("mean", o.mean)
-}
-
-fn pair_fact(outer: &str, inner: &str, correlation: f64) -> Fact {
-    Fact::new("NestedCorrelation")
-        .with("outer", outer)
-        .with("inner", inner)
-        .with("correlation", correlation)
-}
-
 /// One maintained nested pair under its outer event: the inner event's
-/// index, the current correlation (None while [`pearson`] rejects the
-/// rows — too few threads or zero variance), and the fact handle live
-/// in the persistent engine.
+/// index and the current correlation (None while [`pearson`] rejects
+/// the rows — too few threads or zero variance).
 #[derive(Debug)]
 struct NestedPair {
     inner: usize,
     correlation: Option<f64>,
-    handle: Option<FactHandle>,
 }
 
 /// What one [`AnalysisState::update`] call actually did — the
@@ -105,26 +76,69 @@ pub struct UpdateStats {
 
 /// Incrementally maintained load-balance analysis over one growing
 /// trial (see the module docs for the equality contract).
+///
+/// # Examples
+///
+/// Stream chunks into a trial, keep the state current after each one,
+/// and render the diagnosis on demand:
+///
+/// ```
+/// use perfdmf::{ChunkBatch, ColumnDelta, Measurement, StreamingTrial};
+/// use perfexplorer::{workflow, AnalysisState};
+///
+/// // One chunk setting `event`'s TIME on threads 0 and 1.
+/// fn chunk(seq: u64, event: &str, times: [f64; 2]) -> ChunkBatch {
+///     let cells = (0..2).map(|t| (t, Measurement::leaf(times[t as usize])));
+///     ChunkBatch {
+///         seq,
+///         threads: 2,
+///         deltas: vec![ColumnDelta {
+///             metric: "TIME".into(),
+///             event: event.into(),
+///             event_kind: None,
+///             cells: cells.collect(),
+///         }],
+///     }
+/// }
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let first_chunk = chunk(0, "main", [40.0, 40.0]);
+/// let chunk_feed = [
+///     chunk(1, "main => solve", [30.0, 6.0]),
+///     chunk(2, "main => solve => sweep", [4.0, 30.0]),
+/// ];
+///
+/// let (mut stream, _) = StreamingTrial::from_batch("live-run", &first_chunk)?;
+/// let mut state = AnalysisState::new(stream.trial(), "TIME")?;
+/// for chunk in &chunk_feed {
+///     let applied = stream.apply_chunk(chunk)?; // O(cells touched)
+///     state.update(stream.trial(), &applied)?; // O(Δ)
+/// }
+/// let report = state.report()?; // byte-identical to the batch workflow
+/// let batch = workflow::analyze_load_balance(stream.trial(), "TIME")?;
+/// assert_eq!(report.rendered, batch.rendered);
+/// assert!(!report.report.diagnoses.is_empty()); // the loops are imbalanced
+/// # Ok(())
+/// # }
+/// ```
 pub struct AnalysisState {
     metric: String,
     total: f64,
     events: Vec<Event>,
     /// Per-event exclusive-time rows, mirroring the profile.
     excl: Vec<Vec<f64>>,
-    /// Per-event O(1) running moments (monitor substrate).
-    planes: Vec<RunningPlane>,
     observations: Vec<Option<BalanceObservation>>,
-    balance_handles: Vec<Option<FactHandle>>,
     /// Pairs indexed by outer event, inner indices ascending — the
     /// batch sweep's emission order.
     nested: Vec<Vec<NestedPair>>,
     /// Reverse index: for each event, the outers it appears under.
     inner_of: Vec<Vec<usize>>,
-    /// Persistent engine fed retract/assert pairs on every change.
-    live: rules::Engine,
-    /// Threads touched since the last clustering (warm-start deltas).
-    touched_threads: BTreeSet<usize>,
-    cluster_state: Option<WarmClusterState>,
+    /// Non-main events by name: the outers a new event's ancestor
+    /// prefixes look up.
+    by_name: HashMap<String, Vec<usize>>,
+    /// Every event by each of its ancestor prefixes, ascending: the
+    /// inners an ancestor interned after its descendants adopts.
+    by_prefix: HashMap<String, Vec<usize>>,
 }
 
 impl AnalysisState {
@@ -142,14 +156,11 @@ impl AnalysisState {
             total,
             events: Vec::new(),
             excl: Vec::new(),
-            planes: Vec::new(),
             observations: Vec::new(),
-            balance_handles: Vec::new(),
             nested: Vec::new(),
             inner_of: Vec::new(),
-            live: engine_with(LOAD_BALANCE_RULES)?,
-            touched_threads: BTreeSet::new(),
-            cluster_state: None,
+            by_name: HashMap::new(),
+            by_prefix: HashMap::new(),
         };
         state.sync_events(&trial.profile, m);
         Ok(state)
@@ -166,9 +177,8 @@ impl AnalysisState {
     }
 
     /// Absorbs one applied chunk: recomputes exactly the rows the chunk
-    /// touched (plus an O(E) runtime-fraction refresh when the total
-    /// runtime moved) and feeds every fact change to the persistent
-    /// engine as a retract/assert pair.
+    /// touched, plus an O(E) runtime-fraction refresh when the total
+    /// runtime moved.
     pub fn update(&mut self, trial: &Trial, chunk: &AppliedChunk) -> Result<UpdateStats> {
         let profile = &trial.profile;
         let m = profile
@@ -186,15 +196,8 @@ impl AnalysisState {
         let total_changed = !feq(new_total, self.total);
         if total_changed {
             self.total = new_total;
-            for ei in 0..self.events.len() {
-                if let Some(o) = self.observations[ei].clone() {
-                    let f = fraction(o.mean, self.total);
-                    if !feq(f, o.runtime_fraction) {
-                        let mut refreshed = o;
-                        refreshed.runtime_fraction = f;
-                        self.set_observation(ei, Some(refreshed));
-                    }
-                }
+            for o in self.observations.iter_mut().flatten() {
+                o.runtime_fraction = fraction(o.mean, new_total);
             }
         }
 
@@ -210,9 +213,6 @@ impl AnalysisState {
                     ei,
                     self.events.len()
                 )));
-            }
-            for &t in &tc.threads {
-                self.touched_threads.insert(t as usize);
             }
             // Rows synced above were read from the post-chunk profile
             // already.
@@ -261,44 +261,12 @@ impl AnalysisState {
         load_balance(Policy::Strict, || Ok(self.analysis().facts()))
     }
 
-    /// Runs the persistent engine over whatever facts changed since the
-    /// last poll. Refraction means the returned report carries only
-    /// *new* firings — the monitor-style "what just happened" view.
-    pub fn poll_diagnoses(&mut self) -> Result<rules::RunReport> {
-        Ok(self.live.run()?)
-    }
-
-    /// Warm-started thread clustering: refines the previous centroids
-    /// with the threads touched since the last call (falling back to a
-    /// cold scan per [`cluster_threads_warm`]'s policy) and re-arms the
-    /// delta tracking.
-    pub fn cluster(&mut self, trial: &Trial, max_k: usize) -> Result<ThreadClustering> {
-        let deltas: Vec<usize> = self.touched_threads.iter().copied().collect();
-        let out = cluster_threads_warm(
-            trial,
-            &self.metric,
-            max_k,
-            self.cluster_state.as_ref(),
-            &deltas,
-        )?;
-        self.cluster_state = out.state;
-        self.touched_threads.clear();
-        Ok(out.clustering)
-    }
-
-    /// O(1) running moments of one event's exclusive row (monitor
-    /// substrate; numeric, not bitwise, agreement with the kernels).
-    pub fn running_plane(&mut self, event: &str) -> Option<&mut RunningPlane> {
-        let ei = self.events.iter().position(|e| e.name == event)?;
-        Some(&mut self.planes[ei])
-    }
-
     /// Grows the state to cover events interned since the last sync.
     /// New events are read whole from the profile (their rows were just
-    /// created, so this IS the delta) and paired against every existing
-    /// event in both directions — chunks may intern a descendant before
-    /// its ancestor, so a *new* event can become the outer of an
-    /// existing inner.
+    /// created, so this IS the delta) and paired in both directions
+    /// through name lookups — chunks may intern a descendant before its
+    /// ancestor, so a *new* event can become the outer of existing
+    /// inners.
     fn sync_events(&mut self, profile: &Profile, m: MetricId) {
         while self.events.len() < profile.event_count() {
             let ei = self.events.len();
@@ -308,137 +276,76 @@ impl AnalysisState {
                 .iter()
                 .map(|c| c.exclusive)
                 .collect();
-            self.planes.push(RunningPlane::from_values(&row));
+            self.observations
+                .push(row_observation(&event, &row, self.total));
             self.excl.push(row);
-            self.events.push(event);
             self.nested.push(Vec::new());
             self.inner_of.push(Vec::new());
-            self.observations.push(None);
-            self.balance_handles.push(None);
 
-            let obs = row_observation(&self.events[ei], &self.excl[ei], self.total);
-            self.set_observation(ei, obs);
-
+            // This event as outer over the existing events that named
+            // it as an ancestor, ascending.
+            if event.name != MAIN_EVENT {
+                let inners = self.by_prefix.get(&event.name).cloned().unwrap_or_default();
+                for ii in inners {
+                    self.add_pair(ei, ii);
+                }
+                self.by_name.entry(event.name.clone()).or_default().push(ei);
+            }
             // Existing outers gaining this event as inner. The new
             // index is the largest, so appending keeps each outer's
             // inner list ascending — the batch emission order.
-            for oi in 0..ei {
-                if self.events[oi].name != MAIN_EVENT
-                    && self.events[oi].is_ancestor_of(&self.events[ei])
-                {
-                    let corr = pearson(&self.excl[oi], &self.excl[ei]).ok();
-                    self.nested[oi].push(NestedPair {
-                        inner: ei,
-                        correlation: None,
-                        handle: None,
-                    });
-                    let pi = self.nested[oi].len() - 1;
-                    self.inner_of[ei].push(oi);
-                    self.set_pair(oi, pi, corr);
-                }
-            }
-            // This event as outer over every existing event, ascending.
-            if self.events[ei].name != MAIN_EVENT {
-                for ii in 0..ei {
-                    if self.events[ei].is_ancestor_of(&self.events[ii]) {
-                        let corr = pearson(&self.excl[ei], &self.excl[ii]).ok();
-                        self.nested[ei].push(NestedPair {
-                            inner: ii,
-                            correlation: None,
-                            handle: None,
-                        });
-                        let pi = self.nested[ei].len() - 1;
-                        self.inner_of[ii].push(ei);
-                        self.set_pair(ei, pi, corr);
+            for prefix in ancestor_prefixes(&event.name) {
+                if let Some(outers) = self.by_name.get(prefix).cloned() {
+                    for oi in outers {
+                        self.add_pair(oi, ei);
                     }
                 }
+                self.by_prefix
+                    .entry(prefix.to_string())
+                    .or_default()
+                    .push(ei);
             }
+            self.events.push(event);
         }
     }
 
+    /// Records `outer → inner` as a nested pair with its correlation
+    /// over the current rows.
+    fn add_pair(&mut self, oi: usize, ii: usize) {
+        let correlation = pearson(&self.excl[oi], &self.excl[ii]).ok();
+        self.nested[oi].push(NestedPair {
+            inner: ii,
+            correlation,
+        });
+        self.inner_of[ii].push(oi);
+    }
+
     /// Recomputes one dirty row with the batch kernels: refresh the
-    /// mirrored values (feeding the running plane cell by cell), the
-    /// observation, and every pair the row participates in. Returns the
-    /// number of pairs recomputed.
+    /// mirrored values, the observation, and every pair the row
+    /// participates in. Returns the number of pairs recomputed.
     fn refresh_row(&mut self, profile: &Profile, m: MetricId, ei: usize) -> usize {
-        let row: Vec<f64> = profile
+        self.excl[ei] = profile
             .column(EventId(ei as u32), m)
             .iter()
             .map(|c| c.exclusive)
             .collect();
-        for (t, &v) in row.iter().enumerate() {
-            if !feq(self.excl[ei][t], v) {
-                self.planes[ei].update(t, v);
-            }
-        }
-        self.excl[ei] = row;
-
-        let obs = row_observation(&self.events[ei], &self.excl[ei], self.total);
-        self.set_observation(ei, obs);
+        self.observations[ei] = row_observation(&self.events[ei], &self.excl[ei], self.total);
 
         let mut recomputed = 0;
         for pi in 0..self.nested[ei].len() {
             let inner = self.nested[ei][pi].inner;
-            let corr = pearson(&self.excl[ei], &self.excl[inner]).ok();
-            self.set_pair(ei, pi, corr);
+            self.nested[ei][pi].correlation = pearson(&self.excl[ei], &self.excl[inner]).ok();
             recomputed += 1;
         }
-        let outers = self.inner_of[ei].clone();
-        for oi in outers {
-            let pi = self.nested[oi]
-                .iter()
-                .position(|p| p.inner == ei)
+        for &oi in &self.inner_of[ei] {
+            let pair = self.nested[oi]
+                .iter_mut()
+                .find(|p| p.inner == ei)
                 .expect("inner_of entry without matching pair");
-            let corr = pearson(&self.excl[oi], &self.excl[ei]).ok();
-            self.set_pair(oi, pi, corr);
+            pair.correlation = pearson(&self.excl[oi], &self.excl[ei]).ok();
             recomputed += 1;
         }
         recomputed
-    }
-
-    /// Installs a (possibly unchanged) observation, mirroring any
-    /// change into the persistent engine as a retract/assert pair.
-    fn set_observation(&mut self, ei: usize, new: Option<BalanceObservation>) {
-        let changed = match (&self.observations[ei], &new) {
-            (None, None) => false,
-            (Some(a), Some(b)) => !obs_eq(a, b),
-            _ => true,
-        };
-        if !changed {
-            return;
-        }
-        if let Some(handle) = self.balance_handles[ei].take() {
-            self.live.retract(handle);
-        }
-        if let Some(o) = &new {
-            self.balance_handles[ei] = Some(self.live.assert_fact(balance_fact(o)));
-        }
-        self.observations[ei] = new;
-    }
-
-    /// Installs a (possibly unchanged) pair correlation, mirroring any
-    /// change into the persistent engine as a retract/assert pair.
-    fn set_pair(&mut self, oi: usize, pi: usize, new: Option<f64>) {
-        let changed = match (self.nested[oi][pi].correlation, new) {
-            (None, None) => false,
-            (Some(a), Some(b)) => !feq(a, b),
-            _ => true,
-        };
-        if !changed {
-            return;
-        }
-        if let Some(handle) = self.nested[oi][pi].handle.take() {
-            self.live.retract(handle);
-        }
-        if let Some(c) = new {
-            let fact = pair_fact(
-                &self.events[oi].name,
-                &self.events[self.nested[oi][pi].inner].name,
-                c,
-            );
-            self.nested[oi][pi].handle = Some(self.live.assert_fact(fact));
-        }
-        self.nested[oi][pi].correlation = new;
     }
 }
 
@@ -617,65 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_diagnoses_reports_only_new_firings() {
-        // Balanced start: no diagnosis. A chunk that skews the inner
-        // loop must surface the imbalance on the next poll, and a
-        // further no-op poll must stay quiet.
-        let first = chunk(
-            0,
-            4,
-            vec![
-                delta(
-                    "TIME",
-                    "main",
-                    vec![(0, 62.0), (1, 62.0), (2, 62.0), (3, 62.0)],
-                ),
-                delta(
-                    "TIME",
-                    "main => outer",
-                    vec![(0, 30.0), (1, 30.0), (2, 30.0), (3, 30.0)],
-                ),
-                delta(
-                    "TIME",
-                    "main => outer => inner",
-                    vec![(0, 30.0), (1, 30.0), (2, 30.0), (3, 30.0)],
-                ),
-            ],
-        );
-        let (mut st, _) = StreamingTrial::from_batch("t", &first).unwrap();
-        let mut state = AnalysisState::new(st.trial(), "TIME").unwrap();
-        let quiet = state.poll_diagnoses().unwrap();
-        assert!(quiet.diagnoses.is_empty(), "balanced trial diagnosed");
-
-        // Skew: drain outer wait on threads doing more inner work.
-        let skew = chunk(
-            1,
-            4,
-            vec![
-                delta(
-                    "TIME",
-                    "main => outer",
-                    vec![(0, 22.0), (1, 12.0), (2, 2.0), (3, -28.0)],
-                ),
-                delta(
-                    "TIME",
-                    "main => outer => inner",
-                    vec![(0, -20.0), (1, -10.0), (2, 0.0), (3, 30.0)],
-                ),
-            ],
-        );
-        let applied = st.apply_chunk(&skew).unwrap();
-        state.update(st.trial(), &applied).unwrap();
-        let loud = state.poll_diagnoses().unwrap();
-        assert!(
-            !loud.diagnoses.is_empty(),
-            "skewed trial produced no new diagnosis"
-        );
-        let again = state.poll_diagnoses().unwrap();
-        assert!(again.diagnoses.is_empty(), "refraction failed: re-fired");
-    }
-
-    #[test]
     fn new_ancestor_after_descendant_still_pairs() {
         // The descendant is interned first; when the ancestor arrives
         // later it must still become the pair's outer.
@@ -752,6 +600,5 @@ mod tests {
             .cloned()
             .unwrap();
         assert!(obs.mean.is_nan());
-        assert!(state.running_plane("main => k").unwrap().poisoned());
     }
 }

@@ -11,11 +11,10 @@
 //! `RegionBalance` fact per event plus one `NestedCorrelation` fact per
 //! nested pair, ready for the load-imbalance rulebase.
 
-use crate::incremental::{AnalysisState, UpdateStats};
 use crate::result::TrialResult;
 use crate::{AnalysisError, Result};
 use perfdmf::model::CALLPATH_SEPARATOR;
-use perfdmf::{AppliedChunk, EventId, Field, Trial, TrialView, MAIN_EVENT};
+use perfdmf::{EventId, Field, Trial, TrialView, MAIN_EVENT};
 use rules::Fact;
 use serde::{Deserialize, Serialize};
 use statistics::{pearson, DenseMatrix, MatrixView, Welford};
@@ -180,11 +179,9 @@ pub fn analyze_matrix(
 /// ancestor of `inner` ([`perfdmf::Event::is_ancestor_of`]) and is not
 /// [`MAIN_EVENT`], sorted by `(outer, inner)`.
 ///
-/// An event's ancestors are the prefixes of its name that end where a
-/// [`CALLPATH_SEPARATOR`] begins, so one `name → indices` map answers
-/// each inner event in one pass over its name instead of a scan of
-/// every other event. Every byte offset is tried because separators
-/// can overlap (`" => => "` has ancestors `""` and `" =>"`).
+/// One `name → indices` map answers each inner event with one
+/// [`ancestor_prefixes`] pass over its name instead of a scan of every
+/// other event.
 fn nested_pairs(events: &[perfdmf::Event]) -> Vec<(usize, usize)> {
     let mut by_name: HashMap<&str, Vec<usize>> = HashMap::with_capacity(events.len());
     for (i, e) in events.iter().enumerate() {
@@ -192,22 +189,31 @@ fn nested_pairs(events: &[perfdmf::Event]) -> Vec<(usize, usize)> {
             by_name.entry(e.name.as_str()).or_default().push(i);
         }
     }
-    let sep = CALLPATH_SEPARATOR.as_bytes();
     let mut pairs = Vec::new();
     for (ii, inner) in events.iter().enumerate() {
-        let bytes = inner.name.as_bytes();
-        for end in 0..bytes.len() {
-            // The separator starts with an ASCII byte, so `end` is a
-            // char boundary whenever it matches.
-            if bytes[end..].starts_with(sep) {
-                if let Some(outers) = by_name.get(&inner.name[..end]) {
-                    pairs.extend(outers.iter().map(|&oi| (oi, ii)));
-                }
+        for prefix in ancestor_prefixes(&inner.name) {
+            if let Some(outers) = by_name.get(prefix) {
+                pairs.extend(outers.iter().map(|&oi| (oi, ii)));
             }
         }
     }
     pairs.sort_unstable();
     pairs
+}
+
+/// The names of `name`'s callpath ancestors, shortest first: every
+/// prefix that ends where a [`CALLPATH_SEPARATOR`] begins. Every byte
+/// offset is tried because separators can overlap (`" => => "` has
+/// ancestors `""` and `" =>"`). [`nested_pairs`] and the incremental
+/// path both pair events through it, so they agree on what "nested"
+/// means by construction.
+pub(crate) fn ancestor_prefixes(name: &str) -> impl Iterator<Item = &str> {
+    let sep = CALLPATH_SEPARATOR.as_bytes();
+    // The separator starts with an ASCII byte, so `end` is a char
+    // boundary whenever it matches.
+    (0..name.len())
+        .filter(move |&end| name.as_bytes()[end..].starts_with(sep))
+        .map(move |end| &name[..end])
 }
 
 /// The runtime-fraction expression: an event's mean over the total
@@ -250,19 +256,6 @@ pub(crate) fn row_observation(
         runtime_fraction: fraction(mean, total),
         mean,
     })
-}
-
-/// O(Δ) companion to [`analyze`]: refreshes a maintained
-/// [`AnalysisState`] from one applied chunk instead of rescanning the
-/// `events × threads` matrix. `state.analysis()` stays bitwise equal to
-/// what [`analyze`] would recompute — see [`crate::incremental`] for
-/// the contract.
-pub fn update(
-    state: &mut AnalysisState,
-    trial: &Trial,
-    chunk: &AppliedChunk,
-) -> Result<UpdateStats> {
-    state.update(trial, chunk)
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
 //! Differential tests pinning the streaming pipeline to the batch
 //! reference: random chunk interleavings (duplicates, out-of-order
-//! sequence numbers, NaN cells, out-of-range threads included) must
-//! leave the incrementally maintained analysis bitwise equal to a full
-//! batch recompute after EVERY chunk, derived metrics bitwise equal to
-//! a fresh derivation, and warm-started clustering in agreement with
-//! the cold path.
+//! sequence numbers, NaN cells, out-of-range threads included) and
+//! adversarial callpath names arriving descendants-first must leave the
+//! incrementally maintained analysis bitwise equal to a full batch
+//! recompute after EVERY chunk, and the rendered report independent of
+//! arrival order.
 
 use perfexplorer::incremental::AnalysisState;
+use perfexplorer::loadbalance;
 use perfexplorer::workflow::analyze_load_balance;
-use perfexplorer::{cluster_threads, derive_metric, derive_update, loadbalance, DeriveOp};
 
 use perfdmf::{ChunkBatch, ColumnDelta, Measurement, StreamingTrial};
 
@@ -287,171 +287,103 @@ fn rendered_report_is_arrival_order_independent() {
     );
 }
 
-#[test]
-fn derive_update_matches_batch_derive_bitwise() {
-    let mut rng = XorShift64::new(0xdeadbeef);
-    // Both metrics and every event present up front: the derive test
-    // mirrors touched cells into its own trial, so the universe must
-    // not grow mid-stream.
-    let mut first = seed_chunk(&["TIME", "FLOPS"]);
-    for ev in &EVENTS[1..] {
-        for m in ["TIME", "FLOPS"] {
-            first.deltas.push(delta(
-                m,
-                ev,
-                (0..THREADS)
-                    .map(|t| (t, cell(rng.next_f64() * 5.0)))
-                    .collect(),
-            ));
-        }
+/// Callpath names that stress the ancestor lookup: `a` beside `ab`
+/// (a prefix that is not an ancestor), overlapping separators, the
+/// empty name, a trailing separator and a deep chain.
+fn adversarial_names() -> Vec<String> {
+    let mut names: Vec<String> = [
+        "main => a",
+        "main => ab",
+        "main => a => x",
+        "main => ab => x",
+        "main => a => ",
+        "main => => a",
+        "",
+        " =>",
+        " => ",
+        " => => ",
+        " => => x",
+    ]
+    .iter()
+    .map(|n| n.to_string())
+    .collect();
+    let mut chain = "main".to_string();
+    for depth in 0..10 {
+        chain = format!("{chain} => d{depth}");
+        names.push(chain.clone());
     }
-    let (mut st, _) = StreamingTrial::from_batch("stream", &first).expect("seed chunk");
-
-    let mut working = st.trial().clone();
-    let name = derive_metric(&mut working, "TIME", DeriveOp::Divide, "FLOPS").expect("derive");
-
-    for step in 0..40 {
-        let chunk = random_chunk(&mut rng, 1 + step as u64, &["TIME", "FLOPS"]);
-        let applied = st.apply_chunk(&chunk).expect("apply");
-
-        // Mirror the touched base cells into the working trial, then
-        // refresh only the derived cells the chunk touched.
-        for tc in &applied.touched {
-            for &t in &tc.threads {
-                let v = *st
-                    .trial()
-                    .profile
-                    .get(tc.event, tc.metric, t as usize)
-                    .expect("source cell");
-                *working
-                    .profile
-                    .get_mut(tc.event, tc.metric, t as usize)
-                    .expect("mirror cell") = v;
-            }
-        }
-        let updated = derive_update(
-            &mut working,
-            "TIME",
-            DeriveOp::Divide,
-            "FLOPS",
-            &applied.touched,
-        )
-        .expect("derive_update");
-        assert_eq!(updated, name);
-
-        // Batch reference: derive from scratch on the current stream
-        // contents.
-        let mut fresh = st.trial().clone();
-        derive_metric(&mut fresh, "TIME", DeriveOp::Divide, "FLOPS").expect("fresh derive");
-        let out = fresh.profile.metric_id(&name).expect("derived metric");
-        let out_w = working.profile.metric_id(&name).expect("derived metric");
-        for e in 0..fresh.profile.event_count() {
-            let ev = perfdmf::EventId(e as u32);
-            for t in 0..fresh.profile.thread_count() {
-                let a = fresh.profile.get(ev, out, t).expect("fresh cell");
-                let b = working.profile.get(ev, out_w, t).expect("working cell");
-                assert!(
-                    feq(a.inclusive, b.inclusive) && feq(a.exclusive, b.exclusive),
-                    "derived cell ({e},{t}) diverged at step {step}: {a:?} vs {b:?}"
-                );
-            }
-        }
-    }
+    names
 }
 
 #[test]
-fn warm_clustering_agrees_with_cold_on_stable_structure() {
-    const CT: u32 = 12;
-    // Two clear thread populations over the solver events.
-    let mut deltas = vec![delta(
-        "TIME",
-        "main",
-        (0..CT).map(|t| (t, cell(100.0))).collect(),
-    )];
-    for ev in ["main => solve", "main => solve => halo"] {
-        deltas.push(delta(
-            "TIME",
-            ev,
-            (0..CT)
-                .map(|t| (t, cell(if t < CT / 2 { 10.0 } else { 60.0 })))
-                .collect(),
-        ));
+fn adversarial_names_stream_bitwise_equal_to_batch() {
+    const T: u32 = 4;
+    for seed in [0xa1u64, 0xa2, 0xa3, 0xa4, 0xa5, 0xa6] {
+        let mut rng = XorShift64::new(seed);
+        let mut order = adversarial_names();
+        if seed == 0xa1 {
+            // Every descendant strictly before each of its ancestors.
+            order.sort_by_key(|n| std::cmp::Reverse(n.len()));
+        } else {
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.pick(i + 1));
+            }
+        }
+
+        let first = ChunkBatch {
+            seq: 0,
+            threads: T,
+            deltas: vec![delta(
+                "TIME",
+                "main",
+                (0..T).map(|t| (t, cell(500.0 + t as f64))).collect(),
+            )],
+        };
+        let (mut st, _) = StreamingTrial::from_batch("adversarial", &first).expect("seed chunk");
+        let mut state = AnalysisState::new(st.trial(), "TIME").expect("initial state");
+        let mut seen: Vec<String> = Vec::new();
+        let mut pending = order.into_iter();
+        let mut seq = 0;
+        loop {
+            // One to three new names per chunk, plus now and then a
+            // rewrite of a name already streamed.
+            let mut events: Vec<String> = pending.by_ref().take(1 + rng.pick(3)).collect();
+            if events.is_empty() {
+                break;
+            }
+            seen.extend(events.iter().cloned());
+            if rng.chance(40) {
+                events.push(seen[rng.pick(seen.len())].clone());
+            }
+            seq += 1;
+            let deltas = events
+                .iter()
+                .map(|e| {
+                    let cells = (0..T).map(|t| (t, cell(rng.next_f64() * 20.0))).collect();
+                    delta("TIME", e, cells)
+                })
+                .collect();
+            let chunk = ChunkBatch {
+                seq,
+                threads: T,
+                deltas,
+            };
+            let applied = st.apply_chunk(&chunk).expect("apply");
+            state.update(st.trial(), &applied).expect("update");
+
+            let batch = loadbalance::analyze(st.trial(), "TIME").expect("batch analyze");
+            assert_analysis_bitwise(&state.analysis(), &batch, seq as usize);
+        }
+        // The stream paired every overlapping ancestor.
+        let nested = state.analysis().nested;
+        assert!(nested
+            .iter()
+            .any(|n| n.outer == " =>" && n.inner == " => => "));
+        assert!(nested
+            .iter()
+            .any(|n| n.outer.is_empty() && n.inner == " => => x"));
+        assert!(!nested
+            .iter()
+            .any(|n| n.outer == "main => a" && n.inner == "main => ab => x"));
     }
-    let first = ChunkBatch {
-        seq: 0,
-        threads: CT,
-        deltas,
-    };
-    let (mut st, _) = StreamingTrial::from_batch("stream", &first).expect("seed chunk");
-    let mut state = AnalysisState::new(st.trial(), "TIME").expect("state");
-
-    // First call is cold and must match the plain batch clustering.
-    let c0 = state.cluster(st.trial(), 4).expect("cold cluster");
-    let cold = cluster_threads(st.trial(), "TIME", 4).expect("batch cluster");
-    assert_eq!(c0.k, cold.k);
-    assert_eq!(partition(&c0), partition(&cold));
-
-    // A re-cluster with no intervening updates warm-starts from the
-    // converged centroids and must keep the partition.
-    let c1 = state.cluster(st.trial(), 4).expect("warm recluster");
-    assert_eq!(partition(&c1), partition(&c0));
-
-    // Small perturbation: warm refinement must still agree with a cold
-    // run on the same data.
-    let nudge = ChunkBatch {
-        seq: 1,
-        threads: CT,
-        deltas: vec![delta(
-            "TIME",
-            "main => solve",
-            vec![(0, cell(11.0)), (7, cell(58.0))],
-        )],
-    };
-    let applied = st.apply_chunk(&nudge).expect("apply");
-    state.update(st.trial(), &applied).expect("update");
-    let c2 = state.cluster(st.trial(), 4).expect("warm cluster");
-    let cold2 = cluster_threads(st.trial(), "TIME", 4).expect("batch cluster");
-    assert_eq!(partition(&c2), partition(&cold2));
-    assert!(
-        (c2.silhouette - cold2.silhouette).abs() < 0.1,
-        "warm silhouette {} strayed from cold {}",
-        c2.silhouette,
-        cold2.silhouette
-    );
-
-    // Structural upheaval: every thread moves. The warm path must
-    // detect the drift, fall back, and still produce a sane partition.
-    let upheaval = ChunkBatch {
-        seq: 2,
-        threads: CT,
-        deltas: vec![delta(
-            "TIME",
-            "main => solve",
-            (0..CT)
-                .map(|t| (t, cell(if t % 3 == 0 { 90.0 } else { 5.0 })))
-                .collect(),
-        )],
-    };
-    let applied = st.apply_chunk(&upheaval).expect("apply");
-    state.update(st.trial(), &applied).expect("update");
-    let c3 = state.cluster(st.trial(), 4).expect("post-drift cluster");
-    let mut covered: Vec<usize> = c3.groups.iter().flat_map(|g| g.threads.clone()).collect();
-    covered.sort_unstable();
-    assert_eq!(covered, (0..CT as usize).collect::<Vec<_>>());
-    assert!(c3.silhouette.is_finite());
-}
-
-/// Canonical partition: sorted thread sets, sorted by first member.
-fn partition(c: &perfexplorer::ThreadClustering) -> Vec<Vec<usize>> {
-    let mut groups: Vec<Vec<usize>> = c
-        .groups
-        .iter()
-        .map(|g| {
-            let mut t = g.threads.clone();
-            t.sort_unstable();
-            t
-        })
-        .collect();
-    groups.sort();
-    groups
 }

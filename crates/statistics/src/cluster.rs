@@ -157,10 +157,8 @@ pub fn kmeans_flat(points: MatrixView<'_>, config: &KMeansConfig) -> Result<Flat
     lloyd(points, centroids, config)
 }
 
-/// Lloyd iterations from a given set of starting centroids. Shared by
-/// the cold path ([`kmeans_flat`], after k-means++ seeding) and the
-/// warm path ([`kmeans_warm_flat`], starting from refined previous
-/// centroids).
+/// Lloyd iterations from the k-means++ seeded centroids: the loop
+/// [`kmeans_flat`] runs after seeding.
 fn lloyd(
     points: MatrixView<'_>,
     mut centroids: DenseMatrix,
@@ -264,95 +262,6 @@ fn lloyd(
         inertia,
         iterations,
     })
-}
-
-/// Outcome of a warm-started k-means run ([`kmeans_warm_flat`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmKMeans {
-    /// The clustering, same shape as a cold [`kmeans_flat`] result.
-    pub result: FlatKMeans,
-    /// True when the warm path was abandoned and the result comes from
-    /// a full k-means++ seeded run (dimension mismatch, non-convergence
-    /// from the warm start, or inertia drift past the threshold).
-    pub fell_back: bool,
-}
-
-/// Warm-started k-means: seeds Lloyd from `prev_centroids` instead of
-/// k-means++, after a mini-batch refinement pass over `delta_rows`
-/// (the point rows touched since the previous clustering).
-///
-/// Each delta row nudges its nearest centroid by a decaying per-cluster
-/// learning rate (`c += (x − c) / n_c`, the standard mini-batch k-means
-/// update), so centroids track drifting workloads before the full Lloyd
-/// passes run. The warm path is abandoned — falling back to a cold
-/// [`kmeans_flat`] run — when the previous centroids do not match the
-/// data's shape, when Lloyd fails to converge from them, or when the
-/// warm inertia exceeds `drift_threshold ×` `prev_inertia` (the
-/// previous optimum is no longer a good basin).
-pub fn kmeans_warm_flat(
-    points: MatrixView<'_>,
-    prev_centroids: &DenseMatrix,
-    prev_inertia: f64,
-    delta_rows: &[usize],
-    config: &KMeansConfig,
-    drift_threshold: f64,
-) -> Result<WarmKMeans> {
-    let n = points.rows();
-    let dim = points.cols();
-    validate(n, dim, config)?;
-    let cold = |_: ()| -> Result<WarmKMeans> {
-        Ok(WarmKMeans {
-            result: kmeans_flat(points, config)?,
-            fell_back: true,
-        })
-    };
-    if prev_centroids.rows() != config.k || prev_centroids.cols() != dim {
-        return cold(());
-    }
-    let mut centroids = prev_centroids.clone();
-
-    // Mini-batch refinement over the touched rows. Counts start at 1 so
-    // the first delta moves a centroid halfway rather than teleporting
-    // it onto the point.
-    let mut counts = vec![1usize; config.k];
-    for &i in delta_rows {
-        if i >= n {
-            continue;
-        }
-        let x = points.row(i);
-        let mut best = 0;
-        let mut best_d = f64::INFINITY;
-        for c in 0..config.k {
-            let d = sq_dist(x, centroids.row(c));
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        counts[best] += 1;
-        let eta = 1.0 / counts[best] as f64;
-        for (cv, &xv) in centroids.row_mut(best).iter_mut().zip(x) {
-            *cv += eta * (xv - *cv);
-        }
-    }
-
-    match lloyd(points, centroids, config) {
-        Ok(result) => {
-            let drifted = prev_inertia.is_finite()
-                && prev_inertia > 0.0
-                && result.inertia > drift_threshold * prev_inertia;
-            if drifted {
-                cold(())
-            } else {
-                Ok(WarmKMeans {
-                    result,
-                    fell_back: false,
-                })
-            }
-        }
-        Err(StatError::NoConvergence { .. }) => cold(()),
-        Err(e) => Err(e),
-    }
 }
 
 /// Clusters nested `points` (rows) into `config.k` groups.
@@ -648,79 +557,6 @@ mod tests {
         let rb = kmeans(&big, &cfg).unwrap();
         assert_eq!(ru.iterations, rb.iterations);
         assert_eq!(ru.assignments, rb.assignments);
-    }
-
-    #[test]
-    fn warm_start_from_converged_centroids_keeps_assignments() {
-        let pts = two_blobs();
-        let m = DenseMatrix::from_rows(&pts).unwrap();
-        let cfg = KMeansConfig::default();
-        let cold = kmeans_flat(m.view(), &cfg).unwrap();
-        let warm =
-            kmeans_warm_flat(m.view(), &cold.centroids, cold.inertia, &[], &cfg, 2.0).unwrap();
-        assert!(!warm.fell_back);
-        assert_eq!(warm.result.assignments, cold.assignments);
-        assert_eq!(warm.result.centroids, cold.centroids);
-        // Warm start skips seeding and starts at the optimum: one
-        // confirming iteration.
-        assert_eq!(warm.result.iterations, 1);
-    }
-
-    #[test]
-    fn warm_start_refines_on_delta_rows_after_drift() {
-        // Cluster blob A vs blob B, then move blob B far away; warm
-        // start with the moved rows as deltas still separates the blobs.
-        let mut pts = two_blobs();
-        let m = DenseMatrix::from_rows(&pts).unwrap();
-        let cfg = KMeansConfig::default();
-        let cold = kmeans_flat(m.view(), &cfg).unwrap();
-        for (i, p) in pts.iter_mut().enumerate() {
-            if i % 2 == 1 {
-                p[0] += 40.0;
-                p[1] += 40.0;
-            }
-        }
-        let moved: Vec<usize> = (1..pts.len()).step_by(2).collect();
-        let m2 = DenseMatrix::from_rows(&pts).unwrap();
-        let warm = kmeans_warm_flat(
-            m2.view(),
-            &cold.centroids,
-            cold.inertia,
-            &moved,
-            &cfg,
-            // Generous threshold: the blobs kept their internal spread,
-            // so a good warm solution has comparable inertia.
-            10.0,
-        )
-        .unwrap();
-        let a = warm.result.assignments[0];
-        let b = warm.result.assignments[1];
-        assert_ne!(a, b);
-        for i in (0..pts.len()).step_by(2) {
-            assert_eq!(warm.result.assignments[i], a);
-        }
-        for i in (1..pts.len()).step_by(2) {
-            assert_eq!(warm.result.assignments[i], b);
-        }
-    }
-
-    #[test]
-    fn warm_start_falls_back_on_dimension_mismatch_and_drift() {
-        let pts = two_blobs();
-        let m = DenseMatrix::from_rows(&pts).unwrap();
-        let cfg = KMeansConfig::default();
-        let cold = kmeans_flat(m.view(), &cfg).unwrap();
-        // Wrong dimensionality → cold rerun.
-        let wrong = DenseMatrix::zeros(cfg.k, 3);
-        let warm = kmeans_warm_flat(m.view(), &wrong, cold.inertia, &[], &cfg, 2.0).unwrap();
-        assert!(warm.fell_back);
-        assert_eq!(warm.result.assignments, cold.assignments);
-        // Impossible drift threshold (any positive inertia exceeds
-        // 0 × prev) → cold rerun.
-        let warm =
-            kmeans_warm_flat(m.view(), &cold.centroids, cold.inertia, &[], &cfg, 0.0).unwrap();
-        assert!(warm.fell_back);
-        assert_eq!(warm.result.assignments, cold.assignments);
     }
 
     #[test]

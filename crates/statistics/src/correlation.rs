@@ -74,8 +74,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64> {
 ///
 /// Single forward pass over the sort order: a tie group is closed as
 /// soon as the next value differs, so each position is visited once.
-/// Public so incremental rank summaries ([`crate::streaming`]) refresh
-/// dirty planes with the exact kernel the batch path uses.
 pub fn ranks(data: &[f64]) -> Vec<f64> {
     let mut idx: Vec<usize> = (0..data.len()).collect();
     idx.sort_by(|&a, &b| {

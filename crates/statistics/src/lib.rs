@@ -24,11 +24,9 @@ pub mod matrix;
 pub mod pca;
 pub mod reference;
 pub mod regression;
-pub mod streaming;
 
 pub use cluster::{
-    kmeans, kmeans_flat, kmeans_warm_flat, silhouette, silhouette_flat, FlatKMeans, KMeansConfig,
-    KMeansResult, WarmKMeans,
+    kmeans, kmeans_flat, silhouette, silhouette_flat, FlatKMeans, KMeansConfig, KMeansResult,
 };
 pub use correlation::{
     covariance, covariance_matrix, covariance_matrix_flat, pearson, ranks, spearman,
@@ -39,7 +37,6 @@ pub use histogram::Histogram;
 pub use matrix::{dot, f64s_from_bytes, sq_dist, sq_norm, DenseMatrix, MatrixView};
 pub use pca::{jacobi_eigen_flat, principal_components, principal_components_flat, Pca};
 pub use regression::{polyfit, OlsFit};
-pub use streaming::{RankedPlane, RunningPlane};
 
 /// Convenience result alias for statistics routines.
 pub type Result<T> = std::result::Result<T, StatError>;
