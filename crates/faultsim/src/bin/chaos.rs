@@ -8,6 +8,9 @@
 //! 3. corrupts each serialized text form (csv / tau / gprof) with every
 //!    text-domain fault and runs the lossy parsers,
 //! 4. corrupts the repository JSON and runs the salvage path,
+//! 5. corrupts a binary write-ahead journal image (bit flips, cuts,
+//!    oversized frame lengths, count overruns behind a valid checksum)
+//!    and requires replay to keep exactly the intact record prefix,
 //!
 //! all under `catch_unwind`. Any panic that escapes a supervised entry
 //! point is a bug: it is reported per seed and turns into a non-zero
@@ -318,6 +321,93 @@ fn run_seed(seed: u64, verbose: bool) -> SeedOutcome {
             for view in mapped.views().flatten() {
                 let _ = view.to_trial();
             }
+        }
+    });
+
+    // --- journal-domain: corrupt binary WAL frames, replay ---
+    guarded(&mut outcome, "journal replay", |o| {
+        use perfdmf::wal::{replay_bytes, FRAME_HEADER_LEN, WAL_HEADER_LEN};
+        use rand::{Rng, SeedableRng, StdRng};
+
+        let clean = &clean_trials()[0];
+        let records: Vec<WalRecord> = chunk_trial(clean)
+            .into_iter()
+            .map(|batch| WalRecord::Chunk {
+                app: "chaos".into(),
+                experiment: "journal".into(),
+                trial: clean.name.clone(),
+                batch,
+            })
+            .collect();
+        let path =
+            std::env::temp_dir().join(format!("chaos-journal-{}-{seed}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let (mut journal, _) = Journal::open(&path, FsyncPolicy::Never).expect("open journal");
+        for r in &records {
+            journal.append(r).expect("append");
+        }
+        drop(journal);
+        let image = std::fs::read(&path).expect("read journal");
+        let _ = std::fs::remove_file(&path);
+        let u32_at =
+            |b: &[u8], at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
+        let mut frames = Vec::new();
+        let mut at = WAL_HEADER_LEN;
+        while at < image.len() {
+            frames.push(at);
+            at += FRAME_HEADER_LEN + u32_at(&image, at) as usize;
+        }
+        assert_eq!(frames.len(), records.len(), "one frame per record");
+
+        // Every corruption lands in frame `victim`; replay must keep
+        // exactly the frames before it and name why it stopped.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x3a11);
+        for kind in ["bit flip", "cut", "length u32::MAX", "inflated delta count"] {
+            let victim = rng.random_range(0..frames.len());
+            let start = frames[victim];
+            let end = frames.get(victim + 1).copied().unwrap_or(image.len());
+            let mut corrupt = image.clone();
+            match kind {
+                "bit flip" => {
+                    let byte = rng.random_range(start..end);
+                    corrupt[byte] ^= 1 << rng.random_range(0..8u32);
+                }
+                "cut" => corrupt.truncate(rng.random_range(start + 1..end)),
+                "length u32::MAX" => {
+                    corrupt[start..start + 4].copy_from_slice(&u32::MAX.to_le_bytes())
+                }
+                _ => {
+                    // The delta count follows the tag, the three path
+                    // strings, seq and threads; re-checksum so only the
+                    // decoder can catch the overrun.
+                    let (app, experiment, trial) = records[victim].path();
+                    let payload = start + FRAME_HEADER_LEN;
+                    let count_at =
+                        payload + 1 + 12 + app.len() + experiment.len() + trial.len() + 12;
+                    let count = u32_at(&corrupt, count_at) + rng.random_range(1..1000u32);
+                    corrupt[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+                    let crc = perfdmf::pdb1::crc32(&corrupt[payload..end]);
+                    corrupt[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
+                }
+            }
+            o.faults_applied += 1;
+            let replay = replay_bytes(&corrupt).expect("a journal header survives");
+            if verbose {
+                eprintln!(
+                    "seed {seed}: [journal {kind}] frame {victim}: {} records kept, {:?}",
+                    replay.records.len(),
+                    replay.torn_reason
+                );
+            }
+            assert!(
+                replay.torn_reason.is_some(),
+                "{kind}: corruption went unnoticed"
+            );
+            assert_eq!(
+                replay.records[..],
+                records[..victim],
+                "{kind}: not the strict prefix"
+            );
         }
     });
 

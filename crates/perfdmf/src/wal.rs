@@ -16,8 +16,31 @@
 //! ```text
 //! offset 0   u32 LE  payload length
 //! offset 4   u32 LE  crc32 of the payload (same polynomial as PDB1)
-//! offset 8   payload: one WalRecord as JSON
+//! offset 8   payload: one binary WalRecord
 //! ```
+//!
+//! The payload is little-endian throughout; a string is a u32 byte
+//! length followed by that many UTF-8 bytes:
+//!
+//! ```text
+//! u8   tag                 0 = Chunk, 1 = Retire
+//! str  app, experiment, trial
+//! -- Chunk only --
+//! u64  seq
+//! u32  threads
+//! u32  delta count, then per delta:
+//!        str  metric
+//!        str  event
+//!        u8   event_kind flag (0 = None, 1 = Some), then str if 1
+//!        u32  cell count, then per cell:
+//!               u32 thread, f64 inclusive, exclusive, calls, subcalls
+//! ```
+//!
+//! Floats are stored as their raw bits, so every value — NaN payloads,
+//! infinities, `-0.0`, subnormals — replays bit-identically. A payload
+//! that passes its checksum but does not decode (unknown tag, invalid
+//! UTF-8, a count that overruns the payload, trailing bytes) is treated
+//! exactly like a torn frame.
 //!
 //! A crash mid-append leaves a *torn tail*: a frame whose length field
 //! points past EOF, or whose checksum no longer matches. Replay treats
@@ -47,10 +70,9 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::pdb1::crc32;
-use crate::streaming::ChunkBatch;
-use crate::{DmfError, Result};
-use serde::{Deserialize, Serialize};
+use crate::pdb1::{crc32, put_f64, put_u32, put_u64};
+use crate::streaming::{ChunkBatch, ColumnDelta};
+use crate::{DmfError, Measurement, Result};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -59,15 +81,15 @@ use crate::streaming::StreamingTrial;
 
 /// Journal file magic.
 pub const WAL_MAGIC: [u8; 4] = *b"PWAL";
-/// Journal format version.
-pub const WAL_VERSION: u32 = 1;
+/// Journal format version (2: binary record payloads).
+pub const WAL_VERSION: u32 = 2;
 /// Header length in bytes (magic + version).
 pub const WAL_HEADER_LEN: usize = 8;
 /// Frame header length in bytes (payload length + crc32).
 pub const FRAME_HEADER_LEN: usize = 8;
 
 /// One journaled event on a shard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A chunk acknowledged into a streamed trial.
     Chunk {
@@ -191,6 +213,8 @@ pub struct Journal {
     unsynced: u32,
     appended: u64,
     retired: u64,
+    /// Encode buffer reused by every append.
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for Journal {
@@ -203,20 +227,213 @@ impl std::fmt::Debug for Journal {
     }
 }
 
-fn encode_frame(record: &WalRecord) -> Result<Vec<u8>> {
-    let payload = serde_json::to_string(record)?.into_bytes();
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    Ok(frame)
-}
+const TAG_CHUNK: u8 = 0;
+const TAG_RETIRE: u8 = 1;
+/// Encoded bytes of one cell: thread + four f64 fields.
+const CELL_LEN: usize = 4 + 4 * 8;
+/// Smallest encoded delta: two empty strings, the kind flag, a count.
+const MIN_DELTA_LEN: usize = 4 + 4 + 1 + 4;
 
 fn wal_error(message: String) -> DmfError {
     DmfError::Parse {
         format: "wal",
         line: None,
         message,
+    }
+}
+
+fn put_len(out: &mut Vec<u8>, len: usize, what: &str) -> Result<()> {
+    let len = u32::try_from(len)
+        .map_err(|_| wal_error(format!("{what} of {len} exceeds the u32 length field")))?;
+    put_u32(out, len);
+    Ok(())
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) -> Result<()> {
+    put_len(out, s.len(), "string length")?;
+    out.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+fn encode_payload(out: &mut Vec<u8>, record: &WalRecord) -> Result<()> {
+    let (app, experiment, trial) = record.path();
+    out.push(match record {
+        WalRecord::Chunk { .. } => TAG_CHUNK,
+        WalRecord::Retire { .. } => TAG_RETIRE,
+    });
+    put_str(out, app)?;
+    put_str(out, experiment)?;
+    put_str(out, trial)?;
+    if let WalRecord::Chunk { batch, .. } = record {
+        put_u64(out, batch.seq);
+        put_u32(out, batch.threads);
+        put_len(out, batch.deltas.len(), "delta count")?;
+        for d in &batch.deltas {
+            put_str(out, &d.metric)?;
+            put_str(out, &d.event)?;
+            match &d.event_kind {
+                None => out.push(0),
+                Some(kind) => {
+                    out.push(1);
+                    put_str(out, kind)?;
+                }
+            }
+            put_len(out, d.cells.len(), "cell count")?;
+            for (thread, m) in &d.cells {
+                put_u32(out, *thread);
+                put_f64(out, m.inclusive);
+                put_f64(out, m.exclusive);
+                put_f64(out, m.calls);
+                put_f64(out, m.subcalls);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Encodes one framed record into `frame` (cleared first), so an
+/// appending journal reuses one buffer across records.
+fn encode_frame_into(frame: &mut Vec<u8>, record: &WalRecord) -> Result<()> {
+    frame.clear();
+    frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    encode_payload(frame, record)?;
+    let payload = &frame[FRAME_HEADER_LEN..];
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        wal_error(format!(
+            "record of {} bytes exceeds the u32 frame length",
+            payload.len()
+        ))
+    })?;
+    let crc = crc32(payload);
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+fn encode_frame(record: &WalRecord) -> Result<Vec<u8>> {
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, record)?;
+    Ok(frame)
+}
+
+/// A payload decode result; the error says why the frame is torn.
+type Decode<T> = std::result::Result<T, &'static str>;
+
+/// Bounds-checked cursor over one checksummed payload. Every read
+/// fails (never panics) when the payload is shorter than it claims.
+struct PayloadReader<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> PayloadReader<'a> {
+    fn take(&mut self, n: usize) -> Decode<&'a [u8]> {
+        if n > self.bytes.len() {
+            return Err("field runs past the payload");
+        }
+        let (head, rest) = self.bytes.split_at(n);
+        self.bytes = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Decode<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    fn u8(&mut self) -> Decode<u8> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Decode<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    fn u64(&mut self) -> Decode<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    fn f64(&mut self) -> Decode<f64> {
+        Ok(f64::from_le_bytes(self.array()?))
+    }
+
+    fn string(&mut self) -> Decode<String> {
+        let len = self.u32()? as usize;
+        let bytes = self.take(len)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|_| "invalid UTF-8 in a string")
+    }
+
+    /// Reads an element count and a capacity for it that the remaining
+    /// bytes can actually fill — a corrupt count never drives an
+    /// allocation.
+    fn count(&mut self, min_item_len: usize) -> Decode<(usize, usize)> {
+        let n = self.u32()? as usize;
+        Ok((n, n.min(self.bytes.len() / min_item_len)))
+    }
+
+    fn record(mut self) -> Decode<WalRecord> {
+        let tag = self.u8()?;
+        if tag != TAG_CHUNK && tag != TAG_RETIRE {
+            return Err("unknown record tag");
+        }
+        let app = self.string()?;
+        let experiment = self.string()?;
+        let trial = self.string()?;
+        let record = if tag == TAG_RETIRE {
+            WalRecord::Retire {
+                app,
+                experiment,
+                trial,
+            }
+        } else {
+            let seq = self.u64()?;
+            let threads = self.u32()?;
+            let (n_deltas, cap) = self.count(MIN_DELTA_LEN)?;
+            let mut deltas = Vec::with_capacity(cap);
+            for _ in 0..n_deltas {
+                let metric = self.string()?;
+                let event = self.string()?;
+                let event_kind = match self.u8()? {
+                    0 => None,
+                    1 => Some(self.string()?),
+                    _ => return Err("bad event_kind flag"),
+                };
+                let (n_cells, cap) = self.count(CELL_LEN)?;
+                let mut cells = Vec::with_capacity(cap);
+                for _ in 0..n_cells {
+                    let thread = self.u32()?;
+                    let m = Measurement {
+                        inclusive: self.f64()?,
+                        exclusive: self.f64()?,
+                        calls: self.f64()?,
+                        subcalls: self.f64()?,
+                    };
+                    cells.push((thread, m));
+                }
+                deltas.push(ColumnDelta {
+                    metric,
+                    event,
+                    event_kind,
+                    cells,
+                });
+            }
+            WalRecord::Chunk {
+                app,
+                experiment,
+                trial,
+                batch: ChunkBatch {
+                    seq,
+                    threads,
+                    deltas,
+                },
+            }
+        };
+        if !self.bytes.is_empty() {
+            return Err("trailing bytes after the record");
+        }
+        Ok(record)
     }
 }
 
@@ -247,7 +464,7 @@ pub fn replay_bytes(bytes: &[u8]) -> Result<WalReplay> {
             u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]) as usize;
         let crc = u32::from_le_bytes([bytes[at + 4], bytes[at + 5], bytes[at + 6], bytes[at + 7]]);
         let payload_at = at + FRAME_HEADER_LEN;
-        if payload_at + len > bytes.len() {
+        if len > bytes.len() - payload_at {
             replay.torn_bytes = remaining;
             replay.torn_reason = Some(format!(
                 "torn payload (frame wants {len} bytes, {} remain)",
@@ -261,15 +478,7 @@ pub fn replay_bytes(bytes: &[u8]) -> Result<WalReplay> {
             replay.torn_reason = Some(format!("checksum mismatch at offset {at}"));
             break;
         }
-        let text = match std::str::from_utf8(payload) {
-            Ok(t) => t,
-            Err(_) => {
-                replay.torn_bytes = remaining;
-                replay.torn_reason = Some(format!("non-UTF-8 payload at offset {at}"));
-                break;
-            }
-        };
-        match serde_json::from_str::<WalRecord>(text) {
+        match (PayloadReader { bytes: payload }).record() {
             Ok(rec) => replay.records.push(rec),
             Err(e) => {
                 replay.torn_bytes = remaining;
@@ -351,6 +560,7 @@ impl Journal {
                 unsynced: 0,
                 appended,
                 retired,
+                frame: Vec::new(),
             },
             replay,
         ))
@@ -377,8 +587,8 @@ impl Journal {
     /// [`FsyncPolicy::Always`]) — only then may the caller acknowledge
     /// the chunk.
     pub fn append(&mut self, record: &WalRecord) -> Result<()> {
-        let frame = encode_frame(record)?;
-        self.file.write_all(&frame)?;
+        encode_frame_into(&mut self.frame, record)?;
+        self.file.write_all(&self.frame)?;
         self.appended += 1;
         if matches!(record, WalRecord::Retire { .. }) {
             self.retired += 1;
@@ -645,6 +855,253 @@ mod tests {
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].1.len(), 2);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Wraps a raw payload in a frame with a valid checksum, so a test
+    /// can feed the decoder bytes the CRC cannot catch.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = WAL_MAGIC.to_vec();
+        bytes.extend_from_slice(&WAL_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    fn payload_of(record: &WalRecord) -> Vec<u8> {
+        encode_frame(record).unwrap()[FRAME_HEADER_LEN..].to_vec()
+    }
+
+    #[test]
+    fn checksummed_but_undecodable_payloads_are_torn() {
+        let good = payload_of(&rec("t1", 0, 1.0));
+        assert_eq!(replay_bytes(&framed(&good)).unwrap().records.len(), 1);
+
+        let mut unknown_tag = good.clone();
+        unknown_tag[0] = 7;
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut bad_utf8 = payload_of(&WalRecord::Retire {
+            app: "ab".into(),
+            experiment: "e".into(),
+            trial: "t".into(),
+        });
+        bad_utf8[1 + 4] = 0xFF;
+        // The delta count sits after tag, three strings, seq, threads.
+        let count_at = 1 + (4 + 3) + (4 + 3) + (4 + 2) + 8 + 4;
+        let mut inflated = good.clone();
+        inflated[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let cut = &good[..good.len() - 1];
+        for (name, payload) in [
+            ("unknown tag", &unknown_tag[..]),
+            ("trailing bytes", &trailing[..]),
+            ("invalid UTF-8", &bad_utf8[..]),
+            ("inflated delta count", &inflated[..]),
+            ("short payload", cut),
+            ("empty payload", &[][..]),
+        ] {
+            let replay = replay_bytes(&framed(payload)).unwrap();
+            assert!(replay.records.is_empty(), "{name}");
+            let reason = replay.torn_reason.unwrap();
+            assert!(reason.contains("undecodable record"), "{name}: {reason}");
+            assert_eq!(replay.torn_bytes, FRAME_HEADER_LEN + payload.len());
+        }
+    }
+
+    #[test]
+    fn v1_json_journal_refuses_with_typed_error() {
+        let path = tmp("v1.wal");
+        let payload = br#"{"Retire":{"app":"a","experiment":"e","trial":"t"}}"#;
+        let mut image = WAL_MAGIC.to_vec();
+        image.extend_from_slice(&1u32.to_le_bytes());
+        image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        image.extend_from_slice(&crc32(payload).to_le_bytes());
+        image.extend_from_slice(payload);
+        std::fs::write(&path, &image).unwrap();
+        let err = Journal::open(&path, FsyncPolicy::Never).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported journal version 1"),
+            "{err}"
+        );
+        // The refused journal is left exactly as it was.
+        assert_eq!(std::fs::read(&path).unwrap(), image);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Bit-exact projection of a record: floats as raw bits, so NaN
+    /// payloads and `-0.0` compare exactly.
+    type CellBits = (u32, [u64; 4]);
+    type DeltaBits = (String, String, Option<String>, Vec<CellBits>);
+    type BatchBits = (u64, u32, Vec<DeltaBits>);
+
+    fn batch_bits(b: &ChunkBatch) -> BatchBits {
+        let deltas = b
+            .deltas
+            .iter()
+            .map(|d| {
+                let cells = d
+                    .cells
+                    .iter()
+                    .map(|(t, m)| {
+                        let f = [m.inclusive, m.exclusive, m.calls, m.subcalls];
+                        (*t, f.map(f64::to_bits))
+                    })
+                    .collect();
+                (
+                    d.metric.clone(),
+                    d.event.clone(),
+                    d.event_kind.clone(),
+                    cells,
+                )
+            })
+            .collect();
+        (b.seq, b.threads, deltas)
+    }
+
+    fn record_bits(r: &WalRecord) -> (StreamKey, Option<BatchBits>) {
+        let (a, e, t) = r.path();
+        let key = (a.to_string(), e.to_string(), t.to_string());
+        match r {
+            WalRecord::Chunk { batch, .. } => (key, Some(batch_bits(batch))),
+            WalRecord::Retire { .. } => (key, None),
+        }
+    }
+
+    fn live_bits(replay: &WalReplay) -> Vec<(StreamKey, Vec<BatchBits>)> {
+        replay
+            .live_streams()
+            .into_iter()
+            .map(|(k, batches)| (k, batches.into_iter().map(batch_bits).collect()))
+            .collect()
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_f64() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                (0u64..=u64::MAX).prop_map(f64::from_bits),
+                prop::sample::select(vec![
+                    f64::NAN,
+                    -f64::NAN,
+                    f64::from_bits(0x7ff0_0000_0000_0001),
+                    f64::from_bits(0xfff8_dead_beef_0001),
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    -0.0,
+                    0.0,
+                    f64::from_bits(1),
+                    -f64::MIN_POSITIVE / 2.0,
+                    f64::MAX,
+                ]),
+            ]
+        }
+
+        fn arb_name() -> impl Strategy<Value = String> {
+            prop_oneof![
+                "[a-z]{0,10}",
+                prop::sample::select(vec![
+                    String::new(),
+                    "main".to_string(),
+                    "main => résumé".to_string(),
+                    "計算 => ∑ ☃".to_string(),
+                    "\u{1F600}\u{0}".to_string(),
+                ]),
+            ]
+        }
+
+        fn arb_delta() -> impl Strategy<Value = ColumnDelta> {
+            let cell = (
+                0u32..=u32::MAX,
+                (arb_f64(), arb_f64(), arb_f64(), arb_f64()),
+            );
+            (
+                arb_name(),
+                arb_name(),
+                prop_oneof![Just(None), arb_name().prop_map(Some)],
+                prop::collection::vec(cell, 0..5),
+            )
+                .prop_map(|(metric, event, event_kind, cells)| ColumnDelta {
+                    metric,
+                    event,
+                    event_kind,
+                    cells: cells
+                        .into_iter()
+                        .map(|(t, (inclusive, exclusive, calls, subcalls))| {
+                            (
+                                t,
+                                Measurement {
+                                    inclusive,
+                                    exclusive,
+                                    calls,
+                                    subcalls,
+                                },
+                            )
+                        })
+                        .collect(),
+                })
+        }
+
+        fn arb_record() -> impl Strategy<Value = WalRecord> {
+            // Few distinct trial names, so retires hit earlier chunks.
+            let trial = || prop::sample::select(vec!["t0".to_string(), "t1".into(), "".into()]);
+            prop_oneof![
+                (
+                    arb_name(),
+                    trial(),
+                    0u64..=u64::MAX,
+                    0u32..=u32::MAX,
+                    prop::collection::vec(arb_delta(), 0..4),
+                )
+                    .prop_map(|(experiment, trial, seq, threads, deltas)| {
+                        WalRecord::Chunk {
+                            app: "app".into(),
+                            experiment,
+                            trial,
+                            batch: ChunkBatch {
+                                seq,
+                                threads,
+                                deltas,
+                            },
+                        }
+                    }),
+                (arb_name(), trial()).prop_map(|(experiment, trial)| WalRecord::Retire {
+                    app: "app".into(),
+                    experiment,
+                    trial,
+                }),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn records_round_trip_bit_exactly(
+                records in prop::collection::vec(arb_record(), 0..6),
+            ) {
+                let path = tmp("prop.wal");
+                let (mut j, _) = Journal::open(&path, FsyncPolicy::Never).unwrap();
+                for r in &records {
+                    j.append(r).unwrap();
+                }
+                let replay = replay_path(&path).unwrap();
+                prop_assert_eq!(replay.torn_bytes, 0);
+                let want: Vec<_> = records.iter().map(record_bits).collect();
+                let got: Vec<_> = replay.records.iter().map(record_bits).collect();
+                prop_assert_eq!(&got, &want);
+
+                // Compaction rewrites the live streams bit-exactly.
+                let live = live_bits(&replay);
+                j.compact().unwrap();
+                drop(j);
+                let compacted = replay_path(&path).unwrap();
+                prop_assert_eq!(compacted.torn_bytes, 0);
+                prop_assert_eq!(live_bits(&compacted), live);
+                std::fs::remove_file(&path).ok();
+            }
+        }
     }
 
     #[test]

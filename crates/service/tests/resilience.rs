@@ -264,6 +264,141 @@ fn wal_restart_replays_acked_chunks_byte_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every cell of a trial as raw bits, in event × metric × thread order.
+fn cell_bits(t: &Trial) -> Vec<[u64; 4]> {
+    let p = &t.profile;
+    let mut out = Vec::new();
+    for e in 0..p.events().len() {
+        for m in 0..p.metrics().len() {
+            for th in 0..p.thread_count() {
+                let c = p
+                    .get(perfdmf::EventId(e as u32), perfdmf::MetricId(m as u32), th)
+                    .unwrap();
+                out.push([c.inclusive, c.exclusive, c.calls, c.subcalls].map(f64::to_bits));
+            }
+        }
+    }
+    out
+}
+
+/// `1e999` on the JSON wire decodes to an infinity the live stream
+/// applies; a restart over the same WAL must rebuild the very same
+/// bits (not a `null` read back as NaN) and render the same report.
+#[test]
+fn wal_restart_preserves_non_finite_cells_bit_exactly() {
+    let dir = std::env::temp_dir().join(format!("svc-resilience-inf-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = ServiceConfig {
+        workers: 1,
+        shards: 2,
+        wal_dir: Some(dir.clone()),
+        wal_fsync: perfdmf::FsyncPolicy::Never,
+        ..ServiceConfig::default()
+    };
+    // Sentinels in the serialized chunk are swapped for out-of-range
+    // literals, which is what a client's JSON encoder may send.
+    let documents: Vec<String> = stream_chunks(4, 4)
+        .into_iter()
+        .map(|mut batch| {
+            let seq = batch.seq as usize;
+            batch.deltas[0].cells[seq % 4].1.inclusive = 123456.5;
+            batch.deltas[0].cells[(seq + 1) % 4].1.exclusive = -654321.5;
+            serde_json::to_string(&batch)
+                .unwrap()
+                .replace("123456.5", "1e999")
+                .replace("-654321.5", "-1e999")
+        })
+        .collect();
+    let send = |client: &service::ServiceClient, chunk: &String| {
+        client
+            .call(Request::IngestChunk {
+                app: "app".into(),
+                experiment: "exp".into(),
+                trial: "nonfinite".into(),
+                chunk: chunk.clone(),
+            })
+            .unwrap()
+            .outcome
+    };
+
+    let svc = AnalysisService::start(config.clone());
+    let client = svc.client();
+    for doc in &documents {
+        let outcome = send(&client, doc);
+        assert!(
+            matches!(
+                outcome,
+                Outcome::ChunkIngested {
+                    duplicate: false,
+                    ..
+                }
+            ),
+            "{outcome:?}"
+        );
+    }
+    let live = svc.store().get_trial("app", "exp", "nonfinite").unwrap();
+    let live_bits = cell_bits(&live);
+    assert!(
+        live_bits
+            .iter()
+            .flatten()
+            .any(|&b| f64::from_bits(b) == f64::INFINITY),
+        "the wire's 1e999 reached the live stream as +inf"
+    );
+    let live_report = format!("{:?}", analyze(&client, "app", "nonfinite").outcome);
+    svc.shutdown();
+
+    let svc = AnalysisService::start(config);
+    let client = svc.client();
+    assert_eq!(svc.stats().wal_replayed_chunks, 4);
+    let recovered = svc.store().get_trial("app", "exp", "nonfinite").unwrap();
+    assert_eq!(cell_bits(&recovered), live_bits, "recovered cells differ");
+    let recovered_report = format!("{:?}", analyze(&client, "app", "nonfinite").outcome);
+    assert_eq!(recovered_report, live_report);
+    svc.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A journal left by the v1 (JSON) format is refused with a typed
+/// error: the service does not start, and it does not replay the
+/// unreadable journal into an empty state.
+#[test]
+fn v1_journal_refuses_service_open() {
+    let dir = std::env::temp_dir().join(format!("svc-resilience-v1-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let wal_dir = dir.join("wal");
+    std::fs::create_dir_all(&wal_dir).unwrap();
+    let repo_path = dir.join("repo.json");
+    Repository::new().save(&repo_path).unwrap();
+
+    let payload = br#"{"Retire":{"app":"app","experiment":"exp","trial":"t"}}"#;
+    let mut image = perfdmf::wal::WAL_MAGIC.to_vec();
+    image.extend_from_slice(&1u32.to_le_bytes());
+    image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    image.extend_from_slice(&perfdmf::pdb1::crc32(payload).to_le_bytes());
+    image.extend_from_slice(payload);
+    let journal = wal_dir.join("shard-0.wal");
+    std::fs::write(&journal, &image).unwrap();
+
+    let config = ServiceConfig {
+        workers: 1,
+        shards: 2,
+        wal_dir: Some(wal_dir),
+        ..ServiceConfig::default()
+    };
+    let err = match AnalysisService::open(config, &repo_path) {
+        Ok(_) => panic!("a v1 journal must not open"),
+        Err(e) => e,
+    };
+    assert!(
+        err.to_string().contains("unsupported journal version 1"),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(&journal).unwrap(), image, "journal untouched");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Concurrent analyses over a cold store much larger than the LRU:
 /// every eviction victim is reloaded byte-identically, under churn.
 #[test]
@@ -299,13 +434,19 @@ fn cache_churn_reloads_evicted_trials_byte_identical() {
         .collect();
 
     // Three concurrent passes over all six trials against a two-entry
-    // cache: every trial is evicted and reloaded at least once.
+    // cache. Each pass starts two trials further on, so the three
+    // first requests alone name three distinct trials: whatever the
+    // interleaving, one of them is evicted before every pass has read
+    // it, and is reloaded. (Passes in one order could run in lockstep
+    // and share every load.)
     std::thread::scope(|scope| {
-        for _ in 0..3 {
+        for pass in 0..3 {
             let client = svc.client();
             let strict = &strict;
             scope.spawn(move || {
-                for (i, expect) in strict.iter().enumerate() {
+                for k in 0..trials {
+                    let i = (k + 2 * pass) % trials;
+                    let expect = &strict[i];
                     let resp = analyze(&client, "app", &format!("t{i}"));
                     assert!(resp.is_clean(), "churned analysis degraded: {resp:?}");
                     match resp.outcome {
