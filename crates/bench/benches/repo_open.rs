@@ -7,14 +7,20 @@
 //! but realistic shape (6 events × 2 metrics × 8 threads), so the JSON
 //! cost scales with total cell count while the mmap cost scales with
 //! the manifest alone.
+//!
+//! Besides the normal Criterion harness, `-- --test` runs every case
+//! once at 100 trials, unmeasured, and asserts that each path yields
+//! the owned repository's data (the CI smoke).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use perfdmf::{MappedRepository, Measurement, Repository, TrialBuilder};
+use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use perfdmf::{MappedRepository, Measurement, Repository, Trial, TrialBuilder};
 use std::hint::black_box;
+use std::path::{Path, PathBuf};
 
 const EVENTS: usize = 6;
 const METRICS: usize = 2;
 const THREADS: usize = 8;
+const SIZES: [usize; 3] = [100, 1_000, 10_000];
 
 fn repo_with_trials(n: usize) -> Repository {
     let mut repo = Repository::new();
@@ -55,16 +61,32 @@ fn repo_with_trials(n: usize) -> Repository {
     repo
 }
 
+/// Writes the repository's PDB1 bytes to a scratch file and returns
+/// its path.
+fn write_pdb(repo: &Repository, trials: usize) -> PathBuf {
+    let dir = std::env::temp_dir().join("perfknow_repo_open_bench");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("open_{trials}.pdb"));
+    std::fs::write(&path, repo.to_pdb1()).unwrap();
+    path
+}
+
+/// Open the mapped store and materialize one trial: what a service
+/// cache miss pays.
+fn first_trial(path: &Path) -> Trial {
+    let mapped = MappedRepository::open(path).unwrap();
+    mapped
+        .view("bench", "exp0", "t0")
+        .and_then(|v| v.to_trial())
+        .unwrap()
+}
+
 fn bench_repo_open(c: &mut Criterion) {
-    for &trials in &[100usize, 1_000, 10_000] {
+    for trials in SIZES {
         let repo = repo_with_trials(trials);
         let json = repo.to_json().unwrap();
         let pdb1 = repo.to_pdb1();
-
-        let dir = std::env::temp_dir().join("perfknow_repo_open_bench");
-        std::fs::create_dir_all(&dir).unwrap();
-        let pdb_path = dir.join(format!("open_{trials}.pdb"));
-        std::fs::write(&pdb_path, &pdb1).unwrap();
+        let pdb_path = write_pdb(&repo, trials);
 
         let mut g = c.benchmark_group("repo_open");
         g.throughput(Throughput::Elements(trials as u64));
@@ -81,18 +103,12 @@ fn bench_repo_open(c: &mut Criterion) {
             &pdb_path,
             |b, path| b.iter(|| MappedRepository::open(black_box(path)).unwrap()),
         );
-        // Open + one zero-copy analysis touch, the realistic "query one
-        // trial out of a big store" pattern.
+        // Open + one trial materialized, the realistic "query one trial
+        // out of a big store" pattern.
         g.bench_with_input(
-            BenchmarkId::new("pdb1_mmap_first_view", trials),
+            BenchmarkId::new("pdb1_mmap_first_trial", trials),
             &pdb_path,
-            |b, path| {
-                b.iter(|| {
-                    let mapped = MappedRepository::open(black_box(path)).unwrap();
-                    let view = mapped.view("bench", "exp0", "t0").unwrap();
-                    black_box(view.max_inclusive_of_main(0).unwrap())
-                })
-            },
+            |b, path| b.iter(|| first_trial(black_box(path))),
         );
         g.finish();
 
@@ -100,5 +116,35 @@ fn bench_repo_open(c: &mut Criterion) {
     }
 }
 
+/// Every case once at the smallest size, unmeasured, each checked
+/// against the owned repository: the CI smoke mode (`-- --test`).
+fn smoke() {
+    let trials = SIZES[0];
+    let repo = repo_with_trials(trials);
+    let pdb_path = write_pdb(&repo, trials);
+
+    let json = repo.to_json().unwrap();
+    assert_eq!(Repository::from_json(&json).unwrap(), repo, "json_parse");
+    assert_eq!(
+        Repository::from_pdb1(&repo.to_pdb1()).unwrap(),
+        repo,
+        "pdb1_strict"
+    );
+    let mapped = MappedRepository::open(&pdb_path).unwrap();
+    assert_eq!(mapped.trial_count(), trials, "pdb1_mmap");
+    let owned = repo.trial("bench", "exp0", "t0").unwrap();
+    assert_eq!(&first_trial(&pdb_path), owned, "pdb1_mmap_first_trial");
+    println!("repo_open/smoke/{trials}: ok");
+
+    std::fs::remove_file(&pdb_path).ok();
+}
+
 criterion_group!(benches, bench_repo_open);
-criterion_main!(benches);
+
+fn main() {
+    if std::env::args().any(|a| a == "--test") {
+        smoke();
+        return;
+    }
+    benches();
+}

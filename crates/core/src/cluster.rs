@@ -8,7 +8,7 @@
 //! selection, and emit facts describing the groups.
 
 use crate::{AnalysisError, Result};
-use perfdmf::{EventId, Field, Trial, TrialView, MAIN_EVENT};
+use perfdmf::{EventId, Trial, MAIN_EVENT};
 use rayon::prelude::*;
 use rules::Fact;
 use serde::{Deserialize, Serialize};
@@ -72,8 +72,7 @@ impl ThreadClustering {
 /// (silhouette < 0.25) or there are too few threads.
 pub fn cluster_threads(trial: &Trial, metric: &str, max_k: usize) -> Result<ThreadClustering> {
     let (events, columns, threads) = gather_feature_columns(trial, metric)?;
-    let refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-    cluster_columns(events, &refs, threads, max_k)
+    cluster_columns(events, &columns, threads, max_k)
 }
 
 /// Extracts the clustering dimensions from an owned trial: every
@@ -116,38 +115,11 @@ fn gather_feature_columns(
     Ok((events, columns, threads))
 }
 
-/// Clusters a memory-mapped trial view's threads, reading each event's
-/// per-thread exclusive times as a zero-copy slice of the mapped column
-/// page. Same selection and fallback policy as [`cluster_threads`].
-pub fn cluster_view(view: &TrialView<'_>, metric: &str, max_k: usize) -> Result<ThreadClustering> {
-    let threads = view.threads().len();
-    if threads == 0 {
-        return Err(AnalysisError::Invalid("trial has no threads".into()));
-    }
-    let m = view
-        .metric_index(metric)
-        .ok_or_else(|| AnalysisError::MissingMetric(metric.to_string()))?;
-    let mut events = Vec::new();
-    let mut columns: Vec<&[f64]> = Vec::new();
-    for (ei, e) in view.events().iter().enumerate() {
-        if e.name == MAIN_EVENT {
-            continue;
-        }
-        let v = view.column(m, Field::Exclusive, ei)?;
-        if v.iter().any(|&x| x != 0.0) {
-            events.push(e.name.clone());
-            columns.push(v);
-        }
-    }
-    cluster_columns(events, &columns, threads, max_k)
-}
-
-/// The shared clustering core over per-event feature columns (one
-/// slice of `threads` exclusive times per event), however they were
-/// obtained — owned arena gathers or mapped page slices.
+/// The clustering core over per-event feature columns (one column of
+/// `threads` exclusive times per event).
 fn cluster_columns(
     events: Vec<String>,
-    columns: &[&[f64]],
+    columns: &[Vec<f64>],
     threads: usize,
     max_k: usize,
 ) -> Result<ThreadClustering> {
@@ -413,23 +385,5 @@ mod tests {
         config.sequences = 32;
         let trial = msa::run(&config);
         assert!(cluster_threads(&trial, "NOPE", 4).is_err());
-    }
-
-    #[test]
-    fn mapped_view_clustering_matches_owned() {
-        let mut config = MsaConfig::paper_400(8, Schedule::Static);
-        config.sequences = 128;
-        let trial = msa::run(&config);
-        let owned = cluster_threads(&trial, "TIME", 4).unwrap();
-
-        let mut repo = perfdmf::Repository::new();
-        let name = trial.name.clone();
-        repo.add_trial("msa", "sched", trial).unwrap();
-        let mapped = perfdmf::MappedRepository::from_bytes(&repo.to_pdb1()).unwrap();
-        let view = mapped.view("msa", "sched", &name).unwrap();
-        let zero_copy = cluster_view(&view, "TIME", 4).unwrap();
-
-        assert_eq!(owned, zero_copy);
-        assert!(cluster_view(&view, "NOPE", 4).is_err());
     }
 }

@@ -7,9 +7,8 @@
 //! `(BACK_END_BUBBLE_ALL / CPU_CYCLES)`, so rules can match on them.
 
 use crate::{AnalysisError, Result};
-use perfdmf::{EventId, Field, Measurement, Metric, Trial, TrialView};
+use perfdmf::{EventId, Measurement, Metric, Trial};
 use rayon::prelude::*;
-use statistics::DenseMatrix;
 
 /// The arithmetic applied cell-wise to two metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,59 +98,6 @@ pub fn derive_metric(trial: &mut Trial, lhs: &str, op: DeriveOp, rhs: &str) -> R
             .copy_from_slice(&cells);
     }
     Ok(name)
-}
-
-/// Derived value planes computed from a mapped trial without
-/// materializing it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DerivedPlanes {
-    /// The derived metric's conventional name.
-    pub name: String,
-    /// Derived inclusive values, `events × threads`.
-    pub inclusive: DenseMatrix,
-    /// Derived exclusive values, `events × threads`.
-    pub exclusive: DenseMatrix,
-}
-
-/// Computes `({lhs} {op} {rhs})` over a memory-mapped trial view.
-///
-/// The two source planes are read zero-copy out of the mapped column
-/// page; only the derived output is allocated. This is the mmap-path
-/// counterpart of [`derive_metric`], for pipelines that analyse
-/// repositories without ever materializing owned trials.
-pub fn derive_view(
-    view: &TrialView<'_>,
-    lhs: &str,
-    op: DeriveOp,
-    rhs: &str,
-) -> Result<DerivedPlanes> {
-    let name = derived_name(lhs, op, rhs);
-    let ml = view
-        .metric_index(lhs)
-        .ok_or_else(|| AnalysisError::MissingMetric(lhs.to_string()))?;
-    let mr = view
-        .metric_index(rhs)
-        .ok_or_else(|| AnalysisError::MissingMetric(rhs.to_string()))?;
-    let ne = view.events().len();
-    let nt = view.threads().len();
-    let mut out = DerivedPlanes {
-        name,
-        inclusive: DenseMatrix::zeros(ne, nt),
-        exclusive: DenseMatrix::zeros(ne, nt),
-    };
-    for (field, plane) in [
-        (Field::Inclusive, &mut out.inclusive),
-        (Field::Exclusive, &mut out.exclusive),
-    ] {
-        let a = view.matrix(ml, field)?;
-        let b = view.matrix(mr, field)?;
-        for e in 0..ne {
-            for ((dst, &x), &y) in plane.row_mut(e).iter_mut().zip(a.row(e)).zip(b.row(e)) {
-                *dst = op.apply(x, y);
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Adds a scaled copy of a metric: `name = metric * factor`.
@@ -277,35 +223,6 @@ mod tests {
         .unwrap();
         assert_eq!(n1, n2);
         assert_eq!(t.profile.metrics().len(), count);
-    }
-
-    #[test]
-    fn derive_view_matches_owned_derivation() {
-        let mut repo = perfdmf::Repository::new();
-        repo.add_trial("a", "e", trial()).unwrap();
-        let mapped = perfdmf::MappedRepository::from_bytes(&repo.to_pdb1()).unwrap();
-        let view = mapped.view("a", "e", "t").unwrap();
-
-        let planes =
-            derive_view(&view, "BACK_END_BUBBLE_ALL", DeriveOp::Divide, "CPU_CYCLES").unwrap();
-        assert_eq!(planes.name, "(BACK_END_BUBBLE_ALL / CPU_CYCLES)");
-
-        let mut t = trial();
-        derive_metric(
-            &mut t,
-            "BACK_END_BUBBLE_ALL",
-            DeriveOp::Divide,
-            "CPU_CYCLES",
-        )
-        .unwrap();
-        let m = t.profile.metric_id(&planes.name).unwrap();
-        let e = t.profile.event_id("main").unwrap();
-        for th in 0..2 {
-            let cell = t.profile.get(e, m, th).unwrap();
-            assert_eq!(planes.inclusive.row(0)[th], cell.inclusive);
-            assert_eq!(planes.exclusive.row(0)[th], cell.exclusive);
-        }
-        assert!(derive_view(&view, "NOPE", DeriveOp::Add, "CPU_CYCLES").is_err());
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub mod scripting;
 pub mod supervise;
 pub mod workflow;
 
-pub use cluster::{cluster_threads, cluster_view, ThreadClustering};
-pub use derive::{derive_metric, derive_view, DeriveOp, DerivedPlanes};
+pub use cluster::{cluster_threads, ThreadClustering};
+pub use derive::{derive_metric, DeriveOp};
 pub use error::AnalysisError;
 pub use facts::MeanEventFact;
 pub use incremental::{AnalysisState, UpdateStats};

@@ -14,7 +14,7 @@
 use crate::result::TrialResult;
 use crate::{AnalysisError, Result};
 use perfdmf::model::CALLPATH_SEPARATOR;
-use perfdmf::{EventId, Field, Trial, TrialView, MAIN_EVENT};
+use perfdmf::{EventId, Trial, MAIN_EVENT};
 use rules::Fact;
 use serde::{Deserialize, Serialize};
 use statistics::{pearson, DenseMatrix, MatrixView, Welford};
@@ -119,25 +119,10 @@ pub fn analyze(trial: &Trial, metric: &str) -> Result<LoadBalanceAnalysis> {
     analyze_matrix(profile.events(), excl.view(), total)
 }
 
-/// Runs the load-balance analysis on a memory-mapped trial view.
-///
-/// The exclusive-time `events × threads` matrix is a constant-time
-/// subslice of the mapped column page — the gather pass [`analyze`]
-/// performs on owned trials disappears entirely.
-pub fn analyze_view(view: &TrialView<'_>, metric: &str) -> Result<LoadBalanceAnalysis> {
-    let m = view
-        .metric_index(metric)
-        .ok_or_else(|| AnalysisError::MissingMetric(metric.to_string()))?;
-    let total = view.max_inclusive_of_main(m)?;
-    let excl = view.matrix(m, Field::Exclusive)?;
-    analyze_matrix(view.events(), excl, total)
-}
-
-/// The shared analysis core: per-event balance summaries plus the
-/// nested-pair correlations, over any row-major `events × threads`
-/// exclusive-time matrix (owned gather or mapped page — the kernels
-/// cannot tell the difference).
-pub fn analyze_matrix(
+/// The analysis core: per-event balance summaries plus the
+/// nested-pair correlations, over a row-major `events × threads`
+/// exclusive-time matrix.
+fn analyze_matrix(
     events: &[perfdmf::Event],
     excl: MatrixView<'_>,
     total: f64,
@@ -397,21 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn mapped_view_analysis_matches_owned() {
-        let trial = imbalanced_trial();
-        let owned = analyze(&trial, "TIME").unwrap();
-
-        let mut repo = perfdmf::Repository::new();
-        repo.add_trial("app", "exp", trial).unwrap();
-        let mapped = perfdmf::MappedRepository::from_bytes(&repo.to_pdb1()).unwrap();
-        let view = mapped.view("app", "exp", "t").unwrap();
-        let zero_copy = analyze_view(&view, "TIME").unwrap();
-
-        assert_eq!(owned, zero_copy);
-        assert!(analyze_view(&view, "NOPE").is_err());
-    }
-
-    #[test]
     fn zero_valued_events_are_skipped() {
         let mut b = TrialBuilder::with_flat_threads("t", 2);
         let time = b.metric("TIME");
@@ -631,9 +601,9 @@ mod tests {
             let mut repo = perfdmf::Repository::new();
             repo.add_trial("app", "exp", trial.clone()).unwrap();
             let mapped = perfdmf::MappedRepository::from_bytes(&repo.to_pdb1()).unwrap();
-            let view = mapped.view("app", "exp", "t").unwrap();
-            let zero_copy = analyze_view(&view, "TIME");
-            prop_assert!(same(&zero_copy, &want), "mapped {zero_copy:?}\nreference {want:?}");
+            let cold = mapped.view("app", "exp", "t").unwrap().to_trial().unwrap();
+            let via_pdb1 = analyze(&cold, "TIME");
+            prop_assert!(same(&via_pdb1, &want), "mapped {via_pdb1:?}\nreference {want:?}");
 
             // `analyze_matrix` takes any event slice: repeated names must
             // pair exactly as the sweep pairs them.

@@ -37,7 +37,6 @@ pub mod model;
 pub mod pdb1;
 pub mod quality;
 pub mod repo;
-pub mod shared;
 pub mod streaming;
 pub mod validate;
 pub mod wal;
@@ -49,10 +48,8 @@ pub use model::{
     Event, EventId, Measurement, Metric, MetricId, Profile, ThreadId, Trial, TrialBuilder,
     MAIN_EVENT,
 };
-pub use pdb1::Field;
 pub use quality::{sanitize_profile, sanitize_trial, DataQuality, QualityConfig};
 pub use repo::{Format, RecoveredRepository, Repository};
-pub use shared::SharedRepository;
 pub use streaming::{AppliedChunk, ChunkBatch, ColumnDelta, StreamingTrial, TouchedColumn};
 pub use wal::{FsyncPolicy, Journal, WalRecord, WalReplay};
 

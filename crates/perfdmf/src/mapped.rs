@@ -1,36 +1,34 @@
-//! Memory-mapped, zero-copy access to PDB1 repositories.
+//! Memory-mapped reads of PDB1 repositories.
 //!
 //! [`MappedRepository::open`] maps a PDB1 file and parses only its
 //! skeleton — header, section table, string table, manifest — eagerly
 //! (with their checksums; they are a few kilobytes). The column pages,
-//! which dominate the file, stay untouched mapped memory: a
-//! [`TrialView`] hands out `&[f64]` planes and
-//! [`statistics::MatrixView`]s **directly over the mapping**, and each
-//! trial's page checksum is validated lazily, once, on first access.
-//! Opening a million-trial store therefore costs a manifest parse, and
-//! an analysis that touches three trials faults in and checksums three
+//! which dominate the file, stay untouched mapped memory until a trial
+//! is asked for: [`MappedRepository::view`] validates that trial's page
+//! checksum lazily, once, and [`TrialView::to_trial`] decodes the page
+//! into the owned [`Trial`] every analysis reads. Opening a
+//! million-trial store therefore costs a manifest parse, and a request
+//! that touches three trials faults in, checksums and decodes three
 //! pages.
 //!
 //! When mmap is unavailable — non-unix hosts, or the
 //! `PERFDMF_NO_MMAP` environment variable is set (CI runs the whole
-//! suite this way once) — the same API is served by an owned read into
-//! an 8-byte-aligned arena, so every caller works identically on both
-//! paths.
+//! suite this way once) — the same API is served by an owned read of
+//! the file, so every caller works identically on both paths.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::model::{Event, Metric, ThreadId, Trial};
-use crate::pdb1::{self, Field, TrialRec};
+use crate::pdb1::{self, TrialRec};
 use crate::repo::Repository;
 use crate::{DmfError, Metadata, Result};
-use statistics::MatrixView;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Whether the zero-copy mmap open path is available on this host:
-/// unix, and not force-disabled via the `PERFDMF_NO_MMAP` environment
-/// variable (CI sets it to exercise the owned-read fallback).
+/// Whether the mmap open path is available on this host: unix, and not
+/// force-disabled via the `PERFDMF_NO_MMAP` environment variable (CI
+/// sets it to exercise the owned-read fallback).
 pub fn mmap_available() -> bool {
     cfg!(unix) && std::env::var_os("PERFDMF_NO_MMAP").is_none()
 }
@@ -64,6 +62,11 @@ mod sys {
         ptr: std::ptr::NonNull<u8>,
         len: usize,
     }
+
+    // SAFETY: a read-only MAP_PRIVATE mapping: no writer can change our
+    // view of it, and sharing `&Map` across threads only ever reads.
+    unsafe impl Send for Map {}
+    unsafe impl Sync for Map {}
 
     impl Map {
         pub fn new(file: &std::fs::File, len: usize) -> std::io::Result<Map> {
@@ -106,44 +109,21 @@ mod sys {
     }
 }
 
-/// The backing storage of a [`MappedRepository`]: a file mapping on the
-/// zero-copy path, or an owned 8-byte-aligned arena on the fallback.
+/// The backing storage of a [`MappedRepository`]: a file mapping, or
+/// the file's bytes read into memory on the fallback.
 #[derive(Debug)]
 enum Buffer {
     #[cfg(unix)]
     Mapped(sys::Map),
-    /// `u64` storage guarantees 8-byte alignment for the f64 casts; the
-    /// second field is the logical byte length.
-    Owned(Vec<u64>, usize),
+    Owned(Vec<u8>),
 }
 
-// SAFETY: the mapped variant is a read-only MAP_PRIVATE mapping (no
-// writer can change our view), the owned variant is plain memory;
-// sharing &Buffer across threads only ever reads.
-unsafe impl Send for Buffer {}
-unsafe impl Sync for Buffer {}
-
 impl Buffer {
-    fn from_bytes(bytes: &[u8]) -> Buffer {
-        let words = bytes.len().div_ceil(8);
-        let mut arena = vec![0u64; words];
-        // SAFETY: the u64 arena is 8-aligned and at least bytes.len()
-        // bytes long.
-        let dst =
-            unsafe { std::slice::from_raw_parts_mut(arena.as_mut_ptr() as *mut u8, bytes.len()) };
-        dst.copy_from_slice(bytes);
-        Buffer::Owned(arena, bytes.len())
-    }
-
     fn bytes(&self) -> &[u8] {
         match self {
             #[cfg(unix)]
             Buffer::Mapped(m) => m.bytes(),
-            Buffer::Owned(arena, len) => {
-                // SAFETY: the arena holds at least `len` initialised
-                // bytes (see from_bytes).
-                unsafe { std::slice::from_raw_parts(arena.as_ptr() as *const u8, *len) }
-            }
+            Buffer::Owned(bytes) => bytes,
         }
     }
 
@@ -160,7 +140,7 @@ const PAGE_UNCHECKED: u8 = 0;
 const PAGE_OK: u8 = 1;
 const PAGE_BAD: u8 = 2;
 
-/// A PDB1 repository opened for zero-copy reads.
+/// A PDB1 repository opened for lazy, per-trial reads.
 ///
 /// The skeleton (names, axes, metadata) is owned; the measurement
 /// pages stay in the mapping and are validated lazily, per trial, on
@@ -176,10 +156,10 @@ pub struct MappedRepository {
 }
 
 impl MappedRepository {
-    /// Opens a PDB1 file for zero-copy access.
+    /// Opens a PDB1 file.
     ///
     /// Uses mmap when available (see [`mmap_available`]); otherwise
-    /// falls back to an owned aligned read with identical semantics.
+    /// falls back to an owned read with identical semantics.
     /// Header, section table, string table and manifest are parsed and
     /// checksum-validated eagerly; column pages are validated lazily
     /// per trial.
@@ -188,16 +168,16 @@ impl MappedRepository {
             let file = std::fs::File::open(path)?;
             let len = file.metadata()?.len() as usize;
             if len == 0 {
-                Buffer::from_bytes(&[])
+                Buffer::Owned(Vec::new())
             } else {
                 match sys::Map::new(&file, len) {
                     Ok(m) => Buffer::Mapped(m),
                     // Some filesystems refuse mmap; fall back silently.
-                    Err(_) => Buffer::from_bytes(&std::fs::read(path)?),
+                    Err(_) => Buffer::Owned(std::fs::read(path)?),
                 }
             }
         } else {
-            Buffer::from_bytes(&std::fs::read(path)?)
+            Buffer::Owned(std::fs::read(path)?)
         };
         Self::from_buffer(buf)
     }
@@ -205,7 +185,7 @@ impl MappedRepository {
     /// Opens from in-memory PDB1 bytes (always the owned path); used by
     /// tests and callers that already hold the document.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        Self::from_buffer(Buffer::from_bytes(bytes))
+        Self::from_buffer(Buffer::Owned(bytes.to_vec()))
     }
 
     fn from_buffer(buf: Buffer) -> Result<Self> {
@@ -245,7 +225,8 @@ impl MappedRepository {
             .map(|r| (r.app.as_str(), r.exp.as_str(), r.name.as_str()))
     }
 
-    /// Zero-copy view of one trial — the `Utilities.getTrial`
+    /// One trial's manifest record and checksummed page; materialize it
+    /// with [`TrialView::to_trial`] — together the `Utilities.getTrial`
     /// equivalent on the mapped path. The trial's page checksum is
     /// validated on first access (cached thereafter).
     pub fn view(&self, app: &str, exp: &str, trial: &str) -> Result<TrialView<'_>> {
@@ -257,8 +238,8 @@ impl MappedRepository {
         self.view_at(idx)
     }
 
-    /// Zero-copy views of every trial, in manifest order. Corrupt
-    /// pages surface as per-trial errors, not a failed open.
+    /// Views of every trial, in manifest order. Corrupt pages surface
+    /// as per-trial errors, not a failed open.
     pub fn views(&self) -> impl Iterator<Item = Result<TrialView<'_>>> {
         (0..self.doc.trials.len()).map(move |i| self.view_at(i))
     }
@@ -277,9 +258,7 @@ impl MappedRepository {
                 }
             }
         }
-        let cells = statistics::f64s_from_bytes(page)
-            .map_err(|e| DmfError::Incompatible(format!("trial {}: {e}", rec.path())))?;
-        Ok(TrialView { rec, page, cells })
+        Ok(TrialView { rec, page })
     }
 
     /// Materialises the whole store into an owned [`Repository`]
@@ -303,19 +282,13 @@ fn bad_page(rec: &TrialRec) -> DmfError {
     }
 }
 
-/// One trial, viewed zero-copy over a [`MappedRepository`]'s column
-/// pages.
-///
-/// The page holds four field planes (inclusive, exclusive, calls,
-/// subcalls), each a metric-major `metrics × events × threads` array,
-/// so [`TrialView::matrix`] is a constant-time subslice — no gather, no
-/// conversion — feeding the SIMD kernels in `statistics` directly from
-/// the file mapping.
+/// One trial of a [`MappedRepository`]: its manifest record (names,
+/// axes, metadata) and its checksummed column page, still in the
+/// backing buffer until [`TrialView::to_trial`] decodes it.
 #[derive(Debug, Clone, Copy)]
 pub struct TrialView<'a> {
     rec: &'a TrialRec,
     page: &'a [u8],
-    cells: &'a [f64],
 }
 
 impl<'a> TrialView<'a> {
@@ -354,79 +327,7 @@ impl<'a> TrialView<'a> {
         &self.rec.metadata
     }
 
-    /// Index of a metric by name.
-    pub fn metric_index(&self, name: &str) -> Option<usize> {
-        self.rec.metrics.iter().position(|m| m.name == name)
-    }
-
-    /// Index of an event by full name.
-    pub fn event_index(&self, name: &str) -> Option<usize> {
-        self.rec.events.iter().position(|e| e.name == name)
-    }
-
-    /// One whole field plane: `metrics × events × threads`,
-    /// metric-major, straight out of the mapping.
-    pub fn plane(&self, field: Field) -> &'a [f64] {
-        let n = self.rec.cells();
-        &self.cells[field.index() * n..(field.index() + 1) * n]
-    }
-
-    /// The `events × threads` matrix of one metric's field — a
-    /// constant-time subslice of the mapped page, wrapped as the
-    /// row-major [`MatrixView`] the SIMD kernels consume.
-    pub fn matrix(&self, metric: usize, field: Field) -> Result<MatrixView<'a>> {
-        let ne = self.rec.events.len();
-        let nt = self.rec.threads.len();
-        if metric >= self.rec.metrics.len() {
-            return Err(DmfError::NotFound {
-                kind: "metric",
-                name: format!("{} (index {metric})", self.rec.path()),
-            });
-        }
-        let plane = self.plane(field);
-        let slab = &plane[metric * ne * nt..(metric + 1) * ne * nt];
-        MatrixView::new(slab, ne, nt)
-            .map_err(|e| DmfError::Incompatible(format!("trial {}: {e}", self.rec.path())))
-    }
-
-    /// One event's per-thread values for a metric's field: `n_threads`
-    /// contiguous cells out of the mapping.
-    pub fn column(&self, metric: usize, field: Field, event: usize) -> Result<&'a [f64]> {
-        let ne = self.rec.events.len();
-        let nt = self.rec.threads.len();
-        if metric >= self.rec.metrics.len() || event >= ne {
-            return Err(DmfError::NotFound {
-                kind: "profile cell",
-                name: format!("{} metric {metric} event {event}", self.rec.path()),
-            });
-        }
-        let plane = self.plane(field);
-        let start = (metric * ne + event) * nt;
-        Ok(&plane[start..start + nt])
-    }
-
-    /// Maximum inclusive value of the `main` event — the elapsed-time
-    /// reading analyses use — without materialising the trial.
-    pub fn max_inclusive_of_main(&self, metric: usize) -> Result<f64> {
-        let main = self
-            .event_index(crate::MAIN_EVENT)
-            .ok_or_else(|| DmfError::NotFound {
-                kind: "event",
-                name: format!("{}/{}", self.rec.path(), crate::MAIN_EVENT),
-            })?;
-        let col = self.column(metric, Field::Inclusive, main)?;
-        Ok(col.iter().copied().fold(0.0, f64::max))
-    }
-
-    /// Address range of the trial's column page in the backing buffer,
-    /// for zero-copy assertions and diagnostics.
-    pub fn page_ptr_range(&self) -> std::ops::Range<usize> {
-        let start = self.page.as_ptr() as usize;
-        start..start + self.page.len()
-    }
-
-    /// Materialises this trial into the owned model (the only copying
-    /// operation on a view).
+    /// Materialises this trial into the owned model.
     pub fn to_trial(&self) -> Result<Trial> {
         pdb1::materialize_trial(self.rec, self.page)
     }
@@ -479,32 +380,9 @@ mod tests {
         assert_eq!(view.threads().len(), 4);
         assert_eq!(view.metadata().get_num("threads"), Some(4.0));
 
-        // The matrix is a subslice of the page, which is a subslice of
-        // the backing buffer: pointer containment proves zero-copy.
-        let time = view.metric_index("TIME").unwrap();
-        let m = view.matrix(time, Field::Exclusive).unwrap();
-        let buf = mapped.buf.bytes();
-        let buf_range = buf.as_ptr() as usize..buf.as_ptr() as usize + buf.len();
-        assert!(buf_range.contains(&(m.as_slice().as_ptr() as usize)));
-
-        // Values agree with the owned model.
+        // The materialized trial agrees with the owned model.
         let owned = repo.trial("app", "scaling", "1_4").unwrap();
-        let e = owned.profile.event_id("main => compute").unwrap();
-        let t = owned.profile.metric_id("TIME").unwrap();
-        let expect: Vec<f64> = owned
-            .profile
-            .column(e, t)
-            .iter()
-            .map(|c| c.exclusive)
-            .collect();
-        let got = view
-            .column(
-                time,
-                Field::Exclusive,
-                view.event_index("main => compute").unwrap(),
-            )
-            .unwrap();
-        assert_eq!(got, expect.as_slice());
+        assert_eq!(&view.to_trial().unwrap(), owned);
 
         // Full materialisation round-trips.
         assert_eq!(mapped.to_repository().unwrap(), repo);
@@ -519,11 +397,8 @@ mod tests {
         let mapped = MappedRepository::from_bytes(&bytes).unwrap();
         assert!(!mapped.is_mapped());
         let view = mapped.view("app", "scaling", "1_2").unwrap();
-        let time = view.metric_index("TIME").unwrap();
-        let m = view.matrix(time, Field::Inclusive).unwrap();
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 2);
-        assert_eq!(view.max_inclusive_of_main(time).unwrap(), 11.0);
+        assert_eq!(view.events().len(), 2);
+        assert_eq!(view.threads().len(), 2);
         assert_eq!(mapped.to_repository().unwrap(), repo);
     }
 
@@ -559,23 +434,5 @@ mod tests {
             mapped.view("app", "scaling", "nope"),
             Err(DmfError::NotFound { kind: "trial", .. })
         ));
-    }
-
-    #[test]
-    fn kernels_run_directly_on_mapped_matrix() {
-        // The acceptance-criteria shape: a statistics kernel consuming
-        // the mapped view with no conversion pass.
-        let bytes = sample_repo().to_pdb1();
-        let mapped = MappedRepository::from_bytes(&bytes).unwrap();
-        let view = mapped.view("app", "scaling", "1_4").unwrap();
-        let time = view.metric_index("TIME").unwrap();
-        let m = view.matrix(time, Field::Exclusive).unwrap();
-        let config = statistics::KMeansConfig {
-            k: 2,
-            ..Default::default()
-        };
-        let result = statistics::kmeans_flat(m, &config).expect("kmeans over mapped view");
-        assert_eq!(result.assignments.len(), m.rows());
-        assert_eq!(result.centroids.rows(), 2);
     }
 }

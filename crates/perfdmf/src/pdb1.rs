@@ -18,11 +18,12 @@
 //! * Each trial's page holds four *field planes* (inclusive, exclusive,
 //!   calls, subcalls), each a `metrics × events × threads` array in
 //!   metric-major order — so a fixed `(metric, field)` pair is one
-//!   contiguous row-major `events × threads` matrix, exactly the shape
-//!   [`statistics::MatrixView`] wraps zero-copy.
+//!   contiguous row-major `events × threads` matrix.
 //! * The column-pages section and every trial page start 8-byte
-//!   aligned, so a page mapped into memory can be reinterpreted as
-//!   `&[f64]` directly.
+//!   aligned, and the strict reader rejects a misaligned pages section
+//!   as corruption. Decoding itself reads each value with
+//!   `f64::from_le_bytes`, so it needs neither the alignment nor a
+//!   little-endian host.
 //! * Every section carries a CRC32 in the section table; every trial
 //!   page additionally carries its own CRC32 in the manifest, so the
 //!   mmap path ([`crate::mapped`]) can defer data validation per trial
@@ -31,8 +32,9 @@
 //! Three read paths share one parser: [`read_repository`] (strict — any
 //! checksum or structure error fails the load), [`salvage`] (lenient —
 //! reports *which* section is corrupt as typed [`Diagnostic`]s and
-//! loads every trial whose page still checks out), and the zero-copy
-//! [`crate::mapped::MappedRepository`].
+//! loads every trial whose page still checks out), and the mapped
+//! [`crate::mapped::MappedRepository`], which checks each trial's page
+//! lazily. All three materialize trials through one decoder.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -68,7 +70,7 @@ fn section_name(kind: u32) -> &'static str {
 
 /// One of the four measurement fields stored as a column plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Field {
+pub(crate) enum Field {
     /// Inclusive value (includes children).
     Inclusive,
     /// Exclusive value (excludes children).
@@ -81,25 +83,15 @@ pub enum Field {
 
 impl Field {
     /// All fields, in plane order.
-    pub const ALL: [Field; 4] = [
+    pub(crate) const ALL: [Field; 4] = [
         Field::Inclusive,
         Field::Exclusive,
         Field::Calls,
         Field::Subcalls,
     ];
 
-    /// Plane index of the field (0..4).
-    pub fn index(self) -> usize {
-        match self {
-            Field::Inclusive => 0,
-            Field::Exclusive => 1,
-            Field::Calls => 2,
-            Field::Subcalls => 3,
-        }
-    }
-
     /// The field's value in a measurement cell.
-    pub fn of(self, m: &Measurement) -> f64 {
+    pub(crate) fn of(self, m: &Measurement) -> f64 {
         match self {
             Field::Inclusive => m.inclusive,
             Field::Exclusive => m.exclusive,
@@ -835,8 +827,8 @@ pub(crate) fn pages_section_ok(bytes: &[u8]) -> Result<bool> {
 /// Rebuilds a trial from its manifest record and raw page bytes.
 ///
 /// Reads field by field with `from_le_bytes`, so it works on any
-/// alignment and any host endianness (the zero-copy path in
-/// [`crate::mapped`] is the one that needs alignment).
+/// alignment and any host endianness. The strict, salvage and mapped
+/// read paths all decode trials here.
 pub(crate) fn materialize_trial(rec: &TrialRec, page: &[u8]) -> Result<Trial> {
     let nm = rec.metrics.len();
     let ne = rec.events.len();

@@ -43,7 +43,7 @@ use perfexplorer::scripting::PerfExplorerScript;
 use perfexplorer::supervise::{DegradeCause, DegradedStage};
 use perfexplorer::workflow::analyze_load_balance_supervised;
 use perfexplorer::SupervisorConfig;
-use std::hash::{Hash, Hasher};
+use shard::Lru;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,7 +146,7 @@ pub enum Request {
     /// `par_foreach_trial`) against a snapshot of one experiment, its
     /// bodies fanned out over the process's worker budget. Compilation
     /// is served from a cache shared by every worker, keyed by the
-    /// script's content hash.
+    /// script's source text.
     RunSweep {
         /// Tenant application.
         app: String,
@@ -294,48 +294,11 @@ struct Job {
 }
 
 /// LRU of compiled sweep scripts shared by every worker, keyed by the
-/// source's content hash. The common fleet pattern — one study script
+/// script's source text. The common fleet pattern — one study script
 /// swept over many experiments or re-run as data streams in — compiles
 /// once service-wide; each worker replays the portable program on its
 /// own per-request session.
-struct ScriptCache {
-    capacity: usize,
-    /// Most-recently-used last.
-    entries: Vec<(u64, Arc<script::PortableScript>)>,
-}
-
-impl ScriptCache {
-    fn new(capacity: usize) -> Self {
-        ScriptCache {
-            capacity: capacity.max(1),
-            entries: Vec::new(),
-        }
-    }
-
-    fn key(source: &str) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        source.hash(&mut h);
-        h.finish()
-    }
-
-    fn get(&mut self, key: u64) -> Option<Arc<script::PortableScript>> {
-        let pos = self.entries.iter().position(|(k, _)| *k == key)?;
-        let entry = self.entries.remove(pos);
-        let program = Arc::clone(&entry.1);
-        self.entries.push(entry);
-        Some(program)
-    }
-
-    fn put(&mut self, key: u64, program: Arc<script::PortableScript>) {
-        if self.entries.iter().any(|(k, _)| *k == key) {
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            self.entries.remove(0);
-        }
-        self.entries.push((key, program));
-    }
-}
+type ScriptCache = Lru<String, Arc<script::PortableScript>>;
 
 /// What flows through the worker queue: work, or an order to exit.
 /// Explicit shutdown sentinels let [`AnalysisService::shutdown`] stop
@@ -503,7 +466,9 @@ impl AnalysisService {
     ) -> Self {
         let queue_capacity = config.queue_capacity.max(1);
         let (tx, rx) = crossbeam::channel::bounded::<WorkerMsg>(queue_capacity);
-        let scripts = Arc::new(Mutex::new(ScriptCache::new(config.script_cache_capacity)));
+        let scripts = Arc::new(Mutex::new(ScriptCache::new(
+            config.script_cache_capacity.max(1),
+        )));
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let rx = rx.clone();
@@ -968,8 +933,7 @@ fn handle(
                 }));
             }
 
-            let key = ScriptCache::key(source);
-            let cached = scripts.lock().get(key);
+            let cached = scripts.lock().get(source);
             let hit = cached.is_some();
             let program = match cached {
                 Some(program) => {
@@ -981,7 +945,9 @@ fn handle(
                     match session.compile_portable(source) {
                         Ok(program) => {
                             let program = Arc::new(program);
-                            scripts.lock().put(key, Arc::clone(&program));
+                            scripts
+                                .lock()
+                                .insert(source.to_string(), Arc::clone(&program));
                             program
                         }
                         Err(e) => {

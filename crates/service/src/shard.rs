@@ -3,10 +3,10 @@
 //! Trials are partitioned across N shards by an FNV-1a hash of their
 //! `(application, experiment)` path, so concurrent ingests for
 //! different tenants land on different locks. Each shard is a
-//! [`SharedRepository`] overlay (mutable, RwLock-guarded) plus an LRU
-//! cache of materialized cold trials. Cold trials live in an optional
-//! shared [`MappedRepository`] — the zero-copy PDB1 store — and are
-//! materialized on first access, then cached per shard.
+//! [`Repository`] overlay (mutable, RwLock-guarded) plus an LRU cache
+//! of materialized cold trials. Cold trials live in an optional shared
+//! [`MappedRepository`] — the mapped PDB1 store — and are materialized
+//! on first access, then cached per shard.
 //!
 //! The cache holds *only* cold trials. Overlay trials are served
 //! straight from the overlay, so an upsert can never be shadowed by a
@@ -30,13 +30,12 @@
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::metrics::ServiceMetrics;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use perfdmf::wal::{FsyncPolicy, Journal, WalRecord};
-use perfdmf::{
-    AppliedChunk, ChunkBatch, MappedRepository, Repository, SharedRepository, StreamingTrial, Trial,
-};
+use perfdmf::{AppliedChunk, ChunkBatch, MappedRepository, Repository, StreamingTrial, Trial};
 use perfexplorer::workflow::CaseStudyReport;
 use perfexplorer::AnalysisState;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -77,31 +76,40 @@ fn paths_of(repo: &Repository) -> Vec<(String, String, String)> {
     paths
 }
 
-/// A bounded LRU of materialized cold trials, keyed by full trial path.
-struct LruCache {
+/// A bounded LRU map: the shard caches of cold trials (keyed by full
+/// trial path) and the service's compiled-script cache (keyed by
+/// source text). Callers clamp the capacity; zero caches nothing.
+pub(crate) struct Lru<K, V> {
     capacity: usize,
     /// Most recently used last. Linear scan is fine: capacities are
-    /// small (tens of entries per shard) and entries are fat.
-    entries: Vec<((String, String, String), Arc<Trial>)>,
+    /// small (tens of entries) and entries are fat.
+    entries: Vec<(K, V)>,
 }
 
-impl LruCache {
-    fn new(capacity: usize) -> LruCache {
-        LruCache {
+impl<K: PartialEq, V: Clone> Lru<K, V> {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Lru {
             capacity,
             entries: Vec::new(),
         }
     }
 
-    fn get(&mut self, key: &(String, String, String)) -> Option<Arc<Trial>> {
-        let pos = self.entries.iter().position(|(k, _)| k == key)?;
+    /// The cached value, refreshed to most recently used.
+    pub(crate) fn get<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: PartialEq + ?Sized,
+    {
+        let pos = self.entries.iter().position(|(k, _)| k.borrow() == key)?;
         let entry = self.entries.remove(pos);
         let value = entry.1.clone();
         self.entries.push(entry);
         Some(value)
     }
 
-    fn insert(&mut self, key: (String, String, String), value: Arc<Trial>) {
+    /// Inserts or replaces `key` as most recently used, evicting the
+    /// least recently used entry when full.
+    pub(crate) fn insert(&mut self, key: K, value: V) {
         if self.capacity == 0 {
             return;
         }
@@ -130,8 +138,8 @@ struct StreamEntry {
 /// One shard: a mutable overlay, a cache of cold materializations, and
 /// the streamed trials currently being built chunk by chunk.
 struct Shard {
-    overlay: SharedRepository,
-    cache: Mutex<LruCache>,
+    overlay: RwLock<Repository>,
+    cache: Mutex<Lru<(String, String, String), Arc<Trial>>>,
     /// Streamed trials keyed by full trial path. Consulted before the
     /// overlay, so analyses observe every applied chunk; a full-trial
     /// upsert at the same path deletes the entry (the overlay shadow
@@ -171,8 +179,8 @@ impl ShardedRepository {
         ShardedRepository {
             shards: (0..shards)
                 .map(|_| Shard {
-                    overlay: SharedRepository::new(),
-                    cache: Mutex::new(LruCache::new(cache_capacity)),
+                    overlay: RwLock::new(Repository::new()),
+                    cache: Mutex::new(Lru::new(cache_capacity)),
                     streams: Mutex::new(HashMap::new()),
                     journal: None,
                     breaker: CircuitBreaker::new(breaker.clone()),
@@ -184,9 +192,9 @@ impl ShardedRepository {
     }
 
     /// Opens a repository file as the service store. PDB1 files become
-    /// the shared cold mapped store (zero-copy, materialized per trial
-    /// on demand); JSON files are loaded eagerly and distributed into
-    /// the shard overlays.
+    /// the shared cold mapped store (materialized per trial on demand);
+    /// JSON files are loaded eagerly and distributed into the shard
+    /// overlays.
     pub fn open(
         path: &Path,
         shards: usize,
@@ -223,7 +231,10 @@ impl ShardedRepository {
             let Ok(trial) = repo.trial(&app, &exp_name, &trial_name) else {
                 continue;
             };
-            shard.overlay.upsert_trial(&app, &exp_name, trial.clone());
+            shard
+                .overlay
+                .write()
+                .upsert_trial(&app, &exp_name, trial.clone());
         }
     }
 
@@ -308,10 +319,12 @@ impl ShardedRepository {
     pub fn ingest(&self, app: &str, experiment: &str, trial: Trial) {
         let shard = &self.shards[shard_of(app, experiment, self.shards.len())];
         let key = (app.to_string(), experiment.to_string(), trial.name.clone());
-        let ((), waited) = shard
-            .overlay
-            .write_timed(|r| r.upsert_trial(app, experiment, trial));
-        ServiceMetrics::add_nanos(&self.metrics.lock_wait_nanos, waited);
+        {
+            let start = Instant::now();
+            let mut overlay = shard.overlay.write();
+            ServiceMetrics::add_nanos(&self.metrics.lock_wait_nanos, start.elapsed());
+            overlay.upsert_trial(app, experiment, trial);
+        }
         if shard.streams.lock().remove(&key).is_some() {
             ServiceMetrics::bump(&self.metrics.state_invalidations);
             // Tombstone the retired stream so a replay after restart
@@ -356,10 +369,12 @@ impl ShardedRepository {
         key: &(String, String, String),
     ) -> perfdmf::Result<Arc<Trial>> {
         let (app, experiment, trial) = (key.0.as_str(), key.1.as_str(), key.2.as_str());
-        let (found, waited) = shard
-            .overlay
-            .read_timed(|r| r.trial(app, experiment, trial).ok().cloned());
-        ServiceMetrics::add_nanos(&self.metrics.lock_wait_nanos, waited);
+        let found = {
+            let start = Instant::now();
+            let overlay = shard.overlay.read();
+            ServiceMetrics::add_nanos(&self.metrics.lock_wait_nanos, start.elapsed());
+            overlay.trial(app, experiment, trial).ok().cloned()
+        };
         if let Some(t) = found {
             return Ok(Arc::new(t));
         }
@@ -508,12 +523,15 @@ impl ShardedRepository {
                 }
             }
         }
-        let (overlaid, waited) = shard.overlay.read_timed(|r| {
-            r.experiment(app, experiment)
+        let overlaid = {
+            let start = Instant::now();
+            let overlay = shard.overlay.read();
+            ServiceMetrics::add_nanos(&self.metrics.lock_wait_nanos, start.elapsed());
+            overlay
+                .experiment(app, experiment)
                 .map(|exp| exp.trials().cloned().collect::<Vec<_>>())
                 .unwrap_or_default()
-        });
-        ServiceMetrics::add_nanos(&self.metrics.lock_wait_nanos, waited);
+        };
         for trial in overlaid {
             snapshot.upsert_trial(app, experiment, trial);
         }
@@ -548,7 +566,7 @@ impl ShardedRepository {
             }
         }
         for shard in &self.shards {
-            shard.overlay.read(|r| paths.extend(paths_of(r)));
+            paths.extend(paths_of(&shard.overlay.read()));
             paths.extend(shard.streams.lock().keys().cloned());
         }
         paths.into_iter().collect()
@@ -668,7 +686,7 @@ mod tests {
 
     #[test]
     fn lru_cache_evicts_oldest() {
-        let mut cache = LruCache::new(2);
+        let mut cache = Lru::new(2);
         let key = |s: &str| ("a".to_string(), "e".to_string(), s.to_string());
         cache.insert(key("1"), Arc::new(trial("1")));
         cache.insert(key("2"), Arc::new(trial("2")));

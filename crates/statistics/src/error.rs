@@ -37,14 +37,6 @@ pub enum StatError {
         /// Iterations performed before giving up.
         iterations: usize,
     },
-    /// A byte buffer offered for zero-copy reinterpretation was not
-    /// aligned (or sized) for the element type.
-    Misaligned {
-        /// Required alignment in bytes.
-        required: usize,
-        /// The offending address or length remainder.
-        detail: &'static str,
-    },
 }
 
 impl fmt::Display for StatError {
@@ -66,9 +58,6 @@ impl fmt::Display for StatError {
                 f,
                 "{algorithm} did not converge after {iterations} iterations"
             ),
-            StatError::Misaligned { required, detail } => {
-                write!(f, "buffer not {required}-byte aligned: {detail}")
-            }
         }
     }
 }

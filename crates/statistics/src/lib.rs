@@ -34,7 +34,7 @@ pub use correlation::{
 pub use descriptive::{Summary, Welford};
 pub use error::StatError;
 pub use histogram::Histogram;
-pub use matrix::{dot, f64s_from_bytes, sq_dist, sq_norm, DenseMatrix, MatrixView};
+pub use matrix::{dot, sq_dist, sq_norm, DenseMatrix, MatrixView};
 pub use pca::{jacobi_eigen_flat, principal_components, principal_components_flat, Pca};
 pub use regression::{polyfit, OlsFit};
 

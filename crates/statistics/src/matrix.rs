@@ -234,48 +234,6 @@ impl<'a> MatrixView<'a> {
     pub fn iter_rows(&self) -> impl Iterator<Item = &'a [f64]> {
         self.data.chunks_exact(self.cols.max(1))
     }
-
-    /// Wraps raw little-endian `f64` bytes as a row-major view without
-    /// copying — the entry point for memory-mapped columnar stores.
-    ///
-    /// The bytes are reinterpreted in place, so the buffer must be
-    /// 8-byte aligned and the host little-endian; see
-    /// [`f64s_from_bytes`] for the exact failure modes.
-    pub fn from_f64_bytes(bytes: &'a [u8], rows: usize, cols: usize) -> Result<Self> {
-        MatrixView::new(f64s_from_bytes(bytes)?, rows, cols)
-    }
-}
-
-/// Reinterprets raw little-endian `f64` bytes as an `&[f64]` without
-/// copying.
-///
-/// Fails with [`StatError::Misaligned`] unless the buffer starts on an
-/// 8-byte boundary and its length is a multiple of 8, and on
-/// big-endian hosts (where an in-place reinterpretation would read the
-/// wrong byte order — such hosts must take the owned, byte-swapping
-/// load path instead).
-pub fn f64s_from_bytes(bytes: &[u8]) -> Result<&[f64]> {
-    if cfg!(target_endian = "big") {
-        return Err(StatError::Misaligned {
-            required: 8,
-            detail: "zero-copy f64 views require a little-endian host",
-        });
-    }
-    if !bytes.len().is_multiple_of(8) {
-        return Err(StatError::Misaligned {
-            required: 8,
-            detail: "byte length is not a multiple of 8",
-        });
-    }
-    if !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<f64>()) {
-        return Err(StatError::Misaligned {
-            required: 8,
-            detail: "buffer does not start on an 8-byte boundary",
-        });
-    }
-    // SAFETY: alignment and length were checked above; every bit
-    // pattern is a valid f64; the lifetime is inherited from `bytes`.
-    Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f64, bytes.len() / 8) })
 }
 
 /// Squared Euclidean distance, sequential accumulation.
@@ -1350,43 +1308,6 @@ pub fn sq_norm(a: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn f64s_from_bytes_zero_copy_cast() {
-        // An f64 vector is always 8-aligned; its bytes cast back losslessly.
-        let values = vec![1.5f64, -2.25, f64::MAX, 0.0];
-        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        // Vec<u8> has no alignment guarantee — copy into an aligned
-        // arena the way the owned mmap fallback does.
-        let mut arena = vec![0u64; bytes.len() / 8];
-        // SAFETY: u64 arena is 8-aligned and sized exactly.
-        let arena_bytes =
-            unsafe { std::slice::from_raw_parts_mut(arena.as_mut_ptr() as *mut u8, bytes.len()) };
-        arena_bytes.copy_from_slice(&bytes);
-        let cast = f64s_from_bytes(arena_bytes).unwrap();
-        assert_eq!(cast, values.as_slice());
-        // Same pointer: no copy happened.
-        assert_eq!(cast.as_ptr() as usize, arena_bytes.as_ptr() as usize);
-
-        let view = MatrixView::from_f64_bytes(arena_bytes, 2, 2).unwrap();
-        assert_eq!(view.get(1, 0), f64::MAX);
-    }
-
-    #[test]
-    fn f64s_from_bytes_rejects_bad_length_and_misalignment() {
-        let arena = [0u64; 2];
-        // SAFETY: in-bounds read-only reinterpretation for the test.
-        let bytes = unsafe { std::slice::from_raw_parts(arena.as_ptr() as *const u8, 16) };
-        assert!(matches!(
-            f64s_from_bytes(&bytes[..12]),
-            Err(StatError::Misaligned { required: 8, .. })
-        ));
-        assert!(matches!(
-            f64s_from_bytes(&bytes[1..9]),
-            Err(StatError::Misaligned { required: 8, .. })
-        ));
-        assert!(f64s_from_bytes(&bytes[..16]).is_ok());
-    }
 
     #[test]
     fn from_rows_round_trips() {

@@ -1,11 +1,11 @@
 //! PDB1 end-to-end guarantees: JSON ↔ PDB1 round-trip equivalence
-//! (proptest-pinned), byte-stable re-encode, zero-copy kernel feeding,
-//! and golden corrupt-file fixtures — one per binary fault kind — each
-//! degrading to a partial report instead of a panic.
+//! (proptest-pinned), byte-stable re-encode, mapped-store
+//! materialization, and golden corrupt-file fixtures — one per binary
+//! fault kind — each degrading to a partial report instead of a panic.
 
 use faultsim::{Fault, FaultPlan};
 use perfdmf::{
-    pdb1, sanitize_trial, Field, Format, MappedRepository, Measurement, MetaValue, QualityConfig,
+    pdb1, sanitize_trial, Format, MappedRepository, Measurement, MetaValue, QualityConfig,
     Repository, Trial, TrialBuilder,
 };
 use proptest::prelude::*;
@@ -104,40 +104,10 @@ proptest! {
         // Decode + re-encode reproduces the exact bytes.
         prop_assert_eq!(via_pdb1.to_pdb1(), bytes);
 
-        // The zero-copy path materializes the same repository.
+        // The mapped store materializes the same repository.
         let mapped = MappedRepository::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&mapped.to_repository().unwrap(), &repo);
     }
-}
-
-#[test]
-fn mapped_views_feed_kernels_without_copies() {
-    let repo = multi_trial_repo();
-    let bytes = repo.to_pdb1();
-    let mapped = MappedRepository::from_bytes(&bytes).unwrap();
-    let view = mapped.view("app", "exp", "first").unwrap();
-
-    // The matrix handed to the statistics kernels is a view over the
-    // repository's single backing buffer — its row slices must point
-    // inside that buffer, proving there is no conversion copy.
-    let m = view.matrix(0, Field::Exclusive).unwrap();
-    assert_eq!(m.rows(), 3);
-    assert_eq!(m.cols(), 4);
-    let page_range = view.page_ptr_range();
-    let row = m.row(0).as_ptr() as usize;
-    assert!(
-        page_range.contains(&row),
-        "matrix row {row:#x} outside mapped page {page_range:x?}"
-    );
-
-    // Kernels run directly over the view's matrices.
-    let analysis = perfexplorer::loadbalance::analyze_view(&view, "M0").unwrap();
-    assert!(!analysis.observations.is_empty());
-    let owned = repo.trial("app", "exp", "first").unwrap();
-    assert_eq!(
-        perfexplorer::loadbalance::analyze(owned, "M0").unwrap(),
-        analysis
-    );
 }
 
 /// The quality layer composes with the binary format: NaN and negative
