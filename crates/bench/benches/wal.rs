@@ -33,7 +33,8 @@ const POLICIES: [(&str, FsyncPolicy); 3] = [
 const REPLAY_SIZES: [u64; 2] = [1_000, 10_000];
 
 /// One realistic journal record: a chunk refreshing `COLUMNS` columns
-/// of an 8-thread trial — the shape the loadgen streaming smoke sends.
+/// of an 8-thread trial — one small streamed flush, as a client that
+/// interleaves chunk ingest with analysis sends it.
 fn chunk_record(seq: u64) -> WalRecord {
     WalRecord::Chunk {
         app: "bench".into(),

@@ -65,8 +65,8 @@ pub struct ServiceConfig {
     pub supervisor: SupervisorConfig,
     /// Worker-queue capacity. Submissions beyond it are shed with
     /// [`Outcome::Overloaded`] rather than queued without bound. The
-    /// default (1024) comfortably covers the loadgen smoke burst of
-    /// 1000 one-in-flight clients.
+    /// default (1024) comfortably covers a `perfknow serve --burst 1000`
+    /// run of one-in-flight clients.
     pub queue_capacity: usize,
     /// Per-shard circuit-breaker tuning.
     pub breaker: BreakerConfig,
@@ -342,10 +342,15 @@ impl ServiceClient {
         };
         // Gauge up BEFORE the send: the worker's decrement at dequeue
         // must never land before this increment, or the gauge drifts
-        // (dec saturates at zero, the late inc sticks forever).
-        ServiceMetrics::gauge_inc(&self.metrics.queue_depth, &self.metrics.queue_peak);
+        // (dec saturates at zero, the late inc sticks forever). The
+        // peak is folded only once the job is admitted and is clamped
+        // to the capacity: the gauge also counts concurrent attempts
+        // that are about to be shed, and a shed attempt is not depth.
+        let depth = ServiceMetrics::gauge_inc(&self.metrics.queue_depth);
         match self.queue.try_send(WorkerMsg::Job(job)) {
-            Ok(()) => {}
+            Ok(()) => {
+                ServiceMetrics::fold_peak(&self.metrics.queue_peak, depth.min(self.capacity as u64))
+            }
             Err(crossbeam::channel::TrySendError::Full(WorkerMsg::Job(job))) => {
                 ServiceMetrics::gauge_dec(&self.metrics.queue_depth);
                 ServiceMetrics::bump(&self.metrics.shed);

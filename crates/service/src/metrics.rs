@@ -63,7 +63,9 @@ pub struct ServiceMetrics {
     /// Jobs currently sitting in the worker queue (gauge: incremented
     /// on enqueue, decremented on dequeue).
     pub queue_depth: AtomicU64,
-    /// Deepest the queue has been (high-water mark of the gauge).
+    /// Deepest the queue has been: the gauge as each admitted job
+    /// raised it, clamped to the queue capacity (shed attempts are not
+    /// depth).
     pub queue_peak: AtomicU64,
     /// Requests shed at admission because the queue was full
     /// ([`crate::Outcome::Overloaded`]).
@@ -101,11 +103,14 @@ impl ServiceMetrics {
         counter.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Increments a gauge, folding the new value into its high-water
-    /// mark.
-    pub fn gauge_inc(gauge: &AtomicU64, peak: &AtomicU64) {
-        let now = gauge.fetch_add(1, Ordering::Relaxed) + 1;
-        peak.fetch_max(now, Ordering::Relaxed);
+    /// Increments a gauge, returning its new value.
+    pub fn gauge_inc(gauge: &AtomicU64) -> u64 {
+        gauge.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Folds an observed depth into a high-water mark.
+    pub fn fold_peak(peak: &AtomicU64, depth: u64) {
+        peak.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Decrements a gauge, saturating at zero (a shed job was never
@@ -317,9 +322,12 @@ mod tests {
     #[test]
     fn gauges_track_depth_and_peak() {
         let m = ServiceMetrics::default();
-        ServiceMetrics::gauge_inc(&m.queue_depth, &m.queue_peak);
-        ServiceMetrics::gauge_inc(&m.queue_depth, &m.queue_peak);
+        let first = ServiceMetrics::gauge_inc(&m.queue_depth);
+        let second = ServiceMetrics::gauge_inc(&m.queue_depth);
+        assert_eq!((first, second), (1, 2));
         ServiceMetrics::gauge_dec(&m.queue_depth);
+        ServiceMetrics::fold_peak(&m.queue_peak, second);
+        ServiceMetrics::fold_peak(&m.queue_peak, 1);
         let s = m.snapshot();
         assert_eq!((s.queue_depth, s.queue_peak), (1, 2));
         // Saturates rather than underflowing.

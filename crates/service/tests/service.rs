@@ -1,8 +1,8 @@
 //! End-to-end service tests: isolation, equivalence with the strict
 //! workflows, and cold-store behaviour.
 
-use perfdmf::{Measurement, Repository, Trial, TrialBuilder};
-use service::{AnalysisService, Outcome, Request, ServiceConfig};
+use perfdmf::{ChunkBatch, ColumnDelta, Measurement, Repository, Trial, TrialBuilder};
+use service::{AnalysisService, Outcome, Request, Response, ServiceConfig};
 
 fn trial(name: &str, threads: usize) -> Trial {
     let mut b = TrialBuilder::with_flat_threads(name, threads);
@@ -120,44 +120,192 @@ fn corrupt_upload_degrades_only_its_own_request() {
     svc.shutdown();
 }
 
+/// Per-thread TIME of each event in an imbalanced trial, `main` first
+/// so that the first streamed chunk already carries the total-runtime
+/// row.
+fn imbalanced_columns(threads: usize) -> Vec<(&'static str, Vec<f64>)> {
+    vec![
+        ("main", (0..threads).map(|th| 10.0 + th as f64).collect()),
+        (
+            "compute",
+            (0..threads).map(|th| 2.0 * (th + 1) as f64).collect(),
+        ),
+        (
+            "barrier",
+            (0..threads).map(|th| (threads - th) as f64).collect(),
+        ),
+    ]
+}
+
+fn imbalanced_trial(name: &str, threads: usize) -> Trial {
+    let mut b = TrialBuilder::with_flat_threads(name, threads);
+    let t = b.metric("TIME");
+    for (event, cells) in imbalanced_columns(threads) {
+        let e = b.event(event);
+        for (th, &v) in cells.iter().enumerate() {
+            b.set(e, t, th, Measurement::leaf(v));
+        }
+    }
+    b.build()
+}
+
+/// The same trial as [`imbalanced_trial`], one event column per chunk
+/// document, each cell sent exactly once.
+fn imbalanced_chunks(threads: usize) -> Vec<String> {
+    imbalanced_columns(threads)
+        .into_iter()
+        .enumerate()
+        .map(|(seq, (event, cells))| {
+            let batch = ChunkBatch {
+                seq: seq as u64,
+                threads: threads as u32,
+                deltas: vec![ColumnDelta {
+                    metric: "TIME".into(),
+                    event: event.into(),
+                    event_kind: None,
+                    cells: cells
+                        .iter()
+                        .enumerate()
+                        .map(|(th, &v)| (th as u32, Measurement::leaf(v)))
+                        .collect(),
+                }],
+            };
+            serde_json::to_string(&batch).unwrap()
+        })
+        .collect()
+}
+
+/// The rendered report of a response that must be clean.
+fn clean_report(resp: Response) -> String {
+    assert!(resp.is_clean(), "{resp:?}");
+    match resp.outcome {
+        Outcome::Report { rendered, .. } => rendered,
+        other => panic!("expected report, got {other:?}"),
+    }
+}
+
+/// A concurrent burst that mixes corrupt uploads and streamed trials
+/// among clean clients. Tenants are `id % 5`, so every corrupt upload
+/// and every stream shares its shard with clean whole-trial clients.
 #[test]
 fn many_concurrent_clients_all_get_clean_responses() {
+    const CLIENTS: usize = 32;
+    /// Clients `0..CORRUPT` upload truncated JSON.
+    const CORRUPT: usize = 4;
+    /// Clients `CORRUPT..CORRUPT + STREAMED` stream their trial as
+    /// chunks, analyzing after each one, next to a whole-upload twin.
+    const STREAMED: usize = 4;
     let svc = small_service(4);
-    let clients = 32;
-    let results: Vec<bool> = std::thread::scope(|scope| {
-        (0..clients)
+    let chunks = imbalanced_chunks(4);
+    let strict = perfexplorer::workflow::analyze_load_balance(&imbalanced_trial("s", 4), "TIME")
+        .unwrap()
+        .rendered;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
             .map(|id| {
                 let client = svc.client();
+                let (chunks, strict) = (&chunks, &strict);
                 scope.spawn(move || {
                     let app = format!("tenant{}", id % 5);
-                    let ingest = client
-                        .call(Request::Ingest {
-                            app: app.clone(),
-                            experiment: "exp".into(),
-                            document: trial_json(&format!("t{id}"), 4),
-                        })
-                        .unwrap();
-                    let analyze = client
-                        .call(Request::AnalyzeBalance {
-                            app,
-                            experiment: "exp".into(),
-                            trial: format!("t{id}"),
-                            metric: "TIME".into(),
-                        })
-                        .unwrap();
-                    ingest.is_clean() && analyze.is_clean()
+                    let ingest = |document: String| {
+                        client
+                            .call(Request::Ingest {
+                                app: app.clone(),
+                                experiment: "exp".into(),
+                                document,
+                            })
+                            .unwrap()
+                    };
+                    let analyze = |trial: &str| {
+                        client
+                            .call(Request::AnalyzeBalance {
+                                app: app.clone(),
+                                experiment: "exp".into(),
+                                trial: trial.into(),
+                                metric: "TIME".into(),
+                            })
+                            .unwrap()
+                    };
+                    let name = format!("t{id}");
+                    if id < CORRUPT {
+                        let json = trial_json(&name, 4);
+                        let resp = ingest(json[..json.len() / 2].to_string());
+                        assert!(
+                            matches!(resp.outcome, Outcome::Rejected { .. }),
+                            "client {id}: corrupt upload not rejected: {resp:?}"
+                        );
+                    } else if id < CORRUPT + STREAMED {
+                        let twin = format!("{name}-batch");
+                        let document = serde_json::to_string(&imbalanced_trial(&twin, 4)).unwrap();
+                        assert!(ingest(document).is_clean());
+                        let batch = clean_report(analyze(&twin));
+                        let mut streamed = None;
+                        for chunk in chunks {
+                            let resp = client
+                                .call(Request::IngestChunk {
+                                    app: app.clone(),
+                                    experiment: "exp".into(),
+                                    trial: name.clone(),
+                                    chunk: chunk.clone(),
+                                })
+                                .unwrap();
+                            assert!(resp.is_clean(), "client {id}: {resp:?}");
+                            streamed = Some(clean_report(analyze(&name)));
+                        }
+                        assert_eq!(
+                            streamed.as_ref(),
+                            Some(&batch),
+                            "client {id}: streamed report differs from its full upload"
+                        );
+                        assert_eq!(&batch, strict, "client {id}: differs from strict");
+                    } else {
+                        assert!(ingest(trial_json(&name, 4)).is_clean());
+                        clean_report(analyze(&name));
+                    }
                 })
             })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect()
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
     });
-    assert!(results.iter().all(|&ok| ok));
+
+    // After the burst, a clean trial that shared its shard with corrupt
+    // uploads still renders byte-identical to the strict workflow.
+    let last = CLIENTS - 1;
+    let post_burst = clean_report(
+        svc.client()
+            .call(Request::AnalyzeBalance {
+                app: format!("tenant{}", last % 5),
+                experiment: "exp".into(),
+                trial: format!("t{last}"),
+                metric: "TIME".into(),
+            })
+            .unwrap(),
+    );
+    let strict_last =
+        perfexplorer::workflow::analyze_load_balance(&trial(&format!("t{last}"), 4), "TIME")
+            .unwrap()
+            .rendered;
+    assert_eq!(post_burst, strict_last);
+
     let stats = svc.stats();
-    assert_eq!(stats.requests, clients * 2);
-    assert_eq!(stats.degraded_responses, 0);
+    let clean = CLIENTS - CORRUPT - STREAMED;
+    let per_stream = 2 + 2 * chunks.len();
+    assert_eq!(
+        stats.requests as usize,
+        CORRUPT + STREAMED * per_stream + clean * 2 + 1
+    );
+    assert_eq!(
+        stats.rejected as usize, CORRUPT,
+        "exactly the corrupt uploads"
+    );
+    assert_eq!(
+        stats.degraded_responses as usize, CORRUPT,
+        "only the corrupt uploads degrade"
+    );
     assert_eq!(stats.panics_isolated, 0);
+    assert!(stats.queue_peak <= ServiceConfig::default().queue_capacity as u64);
     svc.shutdown();
 }
 

@@ -551,6 +551,9 @@ fn serve(opts: &Options) -> Result<String, CliError> {
         )?,
         ..ServiceConfig::default()
     };
+    if config.shards == 0 {
+        return Err(err("--shards must be at least 1"));
+    }
     let burst = opts.num_or("burst", 64)?;
     let (svc, seeded) = match opts.flags.get("repo") {
         Some(path) if Path::new(path).exists() => {
@@ -915,6 +918,12 @@ mod tests {
         assert!(out.contains("requests            16"), "{out}");
         assert!(out.contains("panics isolated     0"), "{out}");
         assert!(out.contains("store: 8 trial(s)"), "{out}");
+    }
+
+    #[test]
+    fn serve_command_rejects_zero_shards() {
+        let e = run(&args(&["serve", "--shards", "0", "--burst", "1"])).unwrap_err();
+        assert!(e.message.contains("--shards"), "{e}");
     }
 
     #[test]
