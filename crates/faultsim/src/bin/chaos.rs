@@ -6,15 +6,21 @@
 //! 2. corrupts them in-memory with every profile-domain fault,
 //!    sanitizes them, and runs all supervised case-study workflows,
 //! 3. corrupts each serialized text form (csv / tau / gprof) with every
-//!    text-domain fault and runs the lossy parsers,
-//! 4. corrupts the repository JSON and runs the salvage path,
+//!    text-domain fault and runs the strict and lossy parsers on the
+//!    same bytes,
+//! 4. corrupts the repository JSON and runs the salvage path, and the
+//!    PDB1 container and runs its strict reader and salvage,
 //! 5. corrupts a binary write-ahead journal image (bit flips, cuts,
 //!    oversized frame lengths, count overruns behind a valid checksum)
 //!    and requires replay to keep exactly the intact record prefix,
 //!
 //! all under `catch_unwind`. Any panic that escapes a supervised entry
 //! point is a bug: it is reported per seed and turns into a non-zero
-//! exit code, which is what the CI `chaos` job gates on.
+//! exit code, which is what the CI `chaos` job gates on. So is a broken
+//! strict/lossy contract in step 3 or 4: each reader is one walk under
+//! two policies, so its strict entry point must succeed exactly when the
+//! lossy one reports nothing, both must then read the same value, and a
+//! strict failure's message must be the cause of the first diagnostic.
 //!
 //! The `crash-restart` stage is the service-lifecycle side of the same
 //! story: for every seed it streams chunks into a WAL-backed service
@@ -37,7 +43,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use apps::msa::{self, MsaConfig};
 use apps::power_study::{self, PowerStudyConfig};
-use faultsim::{DeliveryOp, DeliveryPlan, Fault, FaultPlan, KillPoint};
+use faultsim::{policy_contract, DeliveryOp, DeliveryPlan, Fault, FaultPlan, KillPoint};
 use perfdmf::formats::{csv, gprof, tau};
 use perfdmf::wal::{FsyncPolicy, Journal, WalRecord};
 use perfdmf::{sanitize_trial, ChunkBatch, QualityConfig, Repository, Trial};
@@ -143,6 +149,8 @@ struct SeedOutcome {
     quarantined: usize,
     salvage_dropped: usize,
     panics: Vec<String>,
+    /// Broken strict/lossy contracts, one line each.
+    violations: Vec<String>,
 }
 
 /// Splits a trial into one [`ChunkBatch`] per event, every metric's
@@ -212,6 +220,7 @@ fn guarded(outcome: &mut SeedOutcome, what: &str, f: impl FnOnce(&mut SeedOutcom
             outcome.quarantined += scratch.quarantined;
             outcome.salvage_dropped += scratch.salvage_dropped;
             outcome.panics.extend(scratch.panics);
+            outcome.violations.extend(scratch.violations);
         }
         Err(payload) => {
             let msg = payload
@@ -261,7 +270,7 @@ fn run_seed(seed: u64, verbose: bool) -> SeedOutcome {
         o.stages_degraded += r.degraded.len();
     });
 
-    // --- text-domain: corrupt serialized forms, lossy-parse ---
+    // --- text-domain: corrupt serialized forms, strict- and lossy-parse ---
     let text_plan = FaultPlan::new(seed ^ 0x5eed).with_all(&Fault::TEXT_FAULTS);
 
     guarded(&mut outcome, "csv lossy parse", |o| {
@@ -270,6 +279,12 @@ fn run_seed(seed: u64, verbose: bool) -> SeedOutcome {
         o.faults_applied += applied.len();
         let parsed = csv::parse_trial_lossy("chaos-csv", &corrupt);
         o.diagnostics += parsed.diagnostics.len();
+        o.violations.extend(policy_contract(
+            "csv",
+            csv::parse_trial("chaos-csv", &corrupt),
+            parsed.trial,
+            &parsed.diagnostics,
+        ));
     });
     guarded(&mut outcome, "tau lossy parse", |o| {
         let tau_text = "3 templated_functions_MULTI_TIME\n\
@@ -279,8 +294,14 @@ fn run_seed(seed: u64, verbose: bool) -> SeedOutcome {
              \"main => exchange\" 10 0 100 100 0\n";
         let (corrupt, applied) = text_plan.apply_to_text(tau_text);
         o.faults_applied += applied.len();
-        let (_, diags) = tau::parse_thread_profile_lossy(&corrupt);
+        let (parsed, diags) = tau::parse_thread_profile_lossy(&corrupt);
         o.diagnostics += diags.len();
+        o.violations.extend(policy_contract(
+            "tau",
+            tau::parse_thread_profile(&corrupt),
+            parsed,
+            &diags,
+        ));
     });
     guarded(&mut outcome, "gprof lossy parse", |o| {
         let gprof_text = "  %   cumulative   self              self     total\n \
@@ -291,6 +312,12 @@ fn run_seed(seed: u64, verbose: bool) -> SeedOutcome {
         o.faults_applied += applied.len();
         let parsed = gprof::parse_flat_profile_lossy("chaos-gprof", &corrupt);
         o.diagnostics += parsed.diagnostics.len();
+        o.violations.extend(policy_contract(
+            "gprof",
+            gprof::parse_flat_profile("chaos-gprof", &corrupt),
+            parsed.trial,
+            &parsed.diagnostics,
+        ));
     });
 
     // --- binary-domain: corrupt PDB1 bytes, strict + salvage + mmap ---
@@ -309,11 +336,21 @@ fn run_seed(seed: u64, verbose: bool) -> SeedOutcome {
                 eprintln!("seed {seed}: [{}] {}", a.fault, a.detail);
             }
         }
-        // The strict reader must reject or load — never panic.
-        let _ = Repository::from_pdb1(&corrupt);
-        // Salvage must degrade to a partial report with diagnostics.
-        if let Ok((_, dropped)) = perfdmf::pdb1::salvage(&corrupt) {
-            o.salvage_dropped += dropped.len();
+        // The strict reader must reject or load — never panic — and
+        // salvage must degrade to a partial report with diagnostics.
+        // Where salvage cannot navigate the file at all, strict must
+        // refuse it too.
+        let strict = Repository::from_pdb1(&corrupt);
+        match perfdmf::pdb1::salvage(&corrupt) {
+            Ok((partial, dropped)) => {
+                o.salvage_dropped += dropped.len();
+                o.violations
+                    .extend(policy_contract("pdb1", strict, Some(partial), &dropped));
+            }
+            Err(e) if strict.is_ok() => o
+                .violations
+                .push(format!("pdb1: strict loaded what salvage refused ({e})")),
+            Err(_) => {}
         }
         // The mmap path shares the strict parser plus lazy page
         // checks; every surviving view must materialize cleanly.
@@ -953,14 +990,15 @@ fn run_corruption_stage(args: &Args) -> bool {
         "chaos: {} seed(s) starting at {}",
         args.seeds, args.base_seed
     );
-    println!("seed     faults  degraded  diags  repairs  quarantined  dropped  panics");
+    println!("seed     faults  degraded  diags  repairs  quarantined  dropped  panics  violations");
 
     let mut total_panics = 0usize;
+    let mut total_violations = 0usize;
     for i in 0..args.seeds {
         let seed = args.base_seed + i;
         let o = run_seed(seed, args.verbose);
         println!(
-            "{:<8} {:<7} {:<9} {:<6} {:<8} {:<12} {:<8} {}",
+            "{:<8} {:<7} {:<9} {:<6} {:<8} {:<12} {:<8} {:<7} {}",
             seed,
             o.faults_applied,
             o.stages_degraded,
@@ -968,19 +1006,27 @@ fn run_corruption_stage(args: &Args) -> bool {
             o.repairs,
             o.quarantined,
             o.salvage_dropped,
-            o.panics.len()
+            o.panics.len(),
+            o.violations.len()
         );
         for p in &o.panics {
             eprintln!("seed {seed}: PANIC ESCAPED: {p}");
         }
+        for v in &o.violations {
+            eprintln!("seed {seed}: CONTRACT BROKEN: {v}");
+        }
         total_panics += o.panics.len();
+        total_violations += o.violations.len();
     }
 
-    if total_panics > 0 {
-        eprintln!("chaos: {total_panics} panic(s) escaped supervised entry points");
+    if total_panics > 0 || total_violations > 0 {
+        eprintln!(
+            "chaos: {total_panics} panic(s) escaped supervised entry points, \
+             {total_violations} strict/lossy contract violation(s)"
+        );
         return true;
     }
-    println!("chaos: no panics escaped");
+    println!("chaos: no panics escaped, every strict/lossy contract held");
     false
 }
 

@@ -16,7 +16,8 @@
 
 #![warn(missing_docs)]
 
-use perfdmf::{EventId, Measurement, Metric, MetricId, Profile, ThreadId, Trial};
+use perfdmf::formats::Diagnostic;
+use perfdmf::{DmfError, EventId, Measurement, Metric, MetricId, Profile, ThreadId, Trial};
 use rand::{Rng, SeedableRng, StdRng};
 
 /// One corruption kind. Parameters (which cell, which thread, skew
@@ -698,6 +699,44 @@ fn apply_text_fault(fault: Fault, text: &mut String, rng: &mut StdRng) -> Option
             Some(format!("replaced line {} with garbage", at + 1))
         }
         _ => None,
+    }
+}
+
+/// Checks one reader's strict/lossy contract on one input. Every
+/// profile reader is one walk under two fault policies, so its strict
+/// entry point succeeds exactly when the lossy one (or PDB1 salvage)
+/// reports nothing, both then read the same value, and a strict
+/// failure's message is the cause the first diagnostic records.
+/// Returns the violation, if any.
+pub fn policy_contract<T: PartialEq>(
+    reader: &str,
+    strict: perfdmf::Result<T>,
+    lossy: Option<T>,
+    diagnostics: &[Diagnostic],
+) -> Option<String> {
+    match strict {
+        Ok(_) if !diagnostics.is_empty() => Some(format!(
+            "{reader}: strict accepted what lossy diagnosed ({})",
+            diagnostics[0]
+        )),
+        Ok(value) if lossy.as_ref() != Some(&value) => {
+            Some(format!("{reader}: strict and lossy read different values"))
+        }
+        Ok(_) => None,
+        Err(e) => {
+            let cause = match e {
+                DmfError::Parse { message, .. } => message,
+                other => other.to_string(),
+            };
+            match diagnostics.first() {
+                None => Some(format!("{reader}: strict failed ({cause}), lossy is clean")),
+                Some(d) if !d.message.contains(&cause) => Some(format!(
+                    "{reader}: first diagnostic {:?} does not record the strict cause {cause:?}",
+                    d.message
+                )),
+                Some(_) => None,
+            }
+        }
     }
 }
 

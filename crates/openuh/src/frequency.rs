@@ -41,7 +41,7 @@ impl FrequencyProfile {
         };
         for event in p.events() {
             let id = p.event_id(&event.name).expect("iterating events");
-            let calls: f64 = p.across_threads(id, metric).iter().map(|m| m.calls).sum();
+            let calls: f64 = p.column(id, metric).iter().map(|m| m.calls).sum();
             // Leaf name is the compiler's mapping identifier.
             let leaf = event.leaf().to_string();
             *counts.entry(leaf).or_insert(0.0) += calls;

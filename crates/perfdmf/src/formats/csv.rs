@@ -12,7 +12,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use super::{Diagnostic, LossyTrial};
+use super::{Ingest, LossyTrial, Policy};
 use crate::model::{Measurement, ThreadId, Trial, TrialBuilder};
 use crate::{DmfError, Result};
 use std::collections::{BTreeSet, HashMap};
@@ -173,68 +173,20 @@ fn build_trial(trial_name: &str, rows: Vec<Row>, thread_set: BTreeSet<ThreadId>)
     builder.build()
 }
 
-/// Parses a trial from CSV produced by [`write_trial`] (or compatible),
-/// strictly: the first malformed construct is an error.
-pub fn parse_trial(trial_name: &str, text: &str) -> Result<Trial> {
+/// One walk over a CSV trial. A wrong header is a fault the lossy
+/// policy steps over (the rows are still attempted); no usable row at
+/// all ends the walk.
+fn read_trial(trial_name: &str, text: &str, ingest: &mut Ingest) -> Result<Trial> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or_else(|| parse_err(1, "empty input"))?;
     if header.trim() != HEADER {
-        return Err(parse_err(1, format!("unexpected header {header:?}")));
+        ingest.fault(parse_err(1, format!("unexpected header {header:?}")), |c| {
+            format!("{c}; attempting rows anyway")
+        })?;
     }
 
     let mut rows: Vec<Row> = Vec::new();
     let mut thread_set: BTreeSet<ThreadId> = BTreeSet::new();
-    for (idx, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let row = parse_row(line, idx + 1)?;
-        thread_set.insert(row.tid);
-        rows.push(row);
-    }
-    if rows.is_empty() {
-        return Err(parse_err(0, "no data rows"));
-    }
-    Ok(build_trial(trial_name, rows, thread_set))
-}
-
-/// Parses as much of a CSV trial as possible: malformed rows are
-/// skipped and reported as diagnostics instead of aborting the parse.
-/// A wrong header is reported but the rows are still attempted.
-pub fn parse_trial_lossy(trial_name: &str, text: &str) -> LossyTrial {
-    let mut diagnostics = Vec::new();
-    let diag = |diagnostics: &mut Vec<Diagnostic>, line: Option<usize>, message: String| {
-        diagnostics.push(Diagnostic {
-            format: "csv",
-            line,
-            message,
-        });
-    };
-
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        None => {
-            diag(&mut diagnostics, Some(1), "empty input".to_string());
-            return LossyTrial {
-                trial: None,
-                diagnostics,
-                rows_kept: 0,
-                rows_dropped: 0,
-            };
-        }
-        Some((_, header)) if header.trim() != HEADER => {
-            diag(
-                &mut diagnostics,
-                Some(1),
-                format!("unexpected header {header:?}; attempting rows anyway"),
-            );
-        }
-        Some(_) => {}
-    }
-
-    let mut rows: Vec<Row> = Vec::new();
-    let mut thread_set: BTreeSet<ThreadId> = BTreeSet::new();
-    let mut rows_dropped = 0usize;
     for (idx, line) in lines {
         if line.trim().is_empty() {
             continue;
@@ -243,33 +195,33 @@ pub fn parse_trial_lossy(trial_name: &str, text: &str) -> LossyTrial {
             Ok(row) => {
                 thread_set.insert(row.tid);
                 rows.push(row);
+                ingest.rows_kept += 1;
             }
-            Err(e) => {
-                rows_dropped += 1;
-                let (line_no, message) = match e {
-                    DmfError::Parse { line, message, .. } => (line, message),
-                    other => (Some(idx + 1), other.to_string()),
-                };
-                diag(&mut diagnostics, line_no, format!("row skipped: {message}"));
-            }
+            Err(e) => ingest.skip_row(e)?,
         }
     }
-    let rows_kept = rows.len();
     if rows.is_empty() {
-        diag(&mut diagnostics, None, "no usable data rows".to_string());
-        return LossyTrial {
-            trial: None,
-            diagnostics,
-            rows_kept: 0,
-            rows_dropped,
+        let cause = if ingest.rows_dropped == 0 {
+            "no data rows"
+        } else {
+            "no usable data rows"
         };
+        return Err(parse_err(0, cause));
     }
-    LossyTrial {
-        trial: Some(build_trial(trial_name, rows, thread_set)),
-        diagnostics,
-        rows_kept,
-        rows_dropped,
-    }
+    Ok(build_trial(trial_name, rows, thread_set))
+}
+
+/// Parses a trial from CSV produced by [`write_trial`] (or compatible),
+/// strictly: the first malformed construct is an error.
+pub fn parse_trial(trial_name: &str, text: &str) -> Result<Trial> {
+    read_trial(trial_name, text, &mut Ingest::new("csv", Policy::Strict))
+}
+
+/// Parses as much of a CSV trial as possible: malformed rows are
+/// skipped and reported as diagnostics instead of aborting the parse.
+/// A wrong header is reported but the rows are still attempted.
+pub fn parse_trial_lossy(trial_name: &str, text: &str) -> LossyTrial {
+    Ingest::lossy_trial("csv", |ingest| read_trial(trial_name, text, ingest))
 }
 
 #[cfg(test)]

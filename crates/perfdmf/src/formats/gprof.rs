@@ -20,7 +20,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use super::{Diagnostic, LossyTrial};
+use super::{Ingest, LossyTrial, Policy};
 use crate::model::{Measurement, ThreadId, Trial, TrialBuilder};
 use crate::{DmfError, Result};
 
@@ -73,13 +73,14 @@ fn parse_table_row(trimmed: &str, line_no: usize) -> Result<(String, Measurement
     ))
 }
 
-/// Parses a gprof flat profile into a single-thread trial.
-pub fn parse_flat_profile(trial_name: &str, text: &str) -> Result<Trial> {
+/// One walk over a gprof flat profile: malformed table rows are
+/// faults the lossy policy skips; a missing table, or one with no
+/// usable row, ends the walk.
+fn read_trial(trial_name: &str, text: &str, ingest: &mut Ingest) -> Result<Trial> {
     let mut builder = TrialBuilder::with_threads(trial_name, vec![ThreadId::flat(0)]);
     let metric = builder.metric("TIME");
 
     let mut in_table = false;
-    let mut rows = 0usize;
     for (idx, line) in text.lines().enumerate() {
         let line_no = idx + 1;
         let trimmed = line.trim();
@@ -93,19 +94,32 @@ pub fn parse_flat_profile(trial_name: &str, text: &str) -> Result<Trial> {
         if trimmed.is_empty() {
             break; // flat profile table ends at the first blank line
         }
-        let (name, m) = parse_table_row(trimmed, line_no)?;
-        let ev = builder.event(&name);
-        builder.set(ev, metric, 0, m);
-        rows += 1;
+        match parse_table_row(trimmed, line_no) {
+            Ok((name, m)) => {
+                let ev = builder.event(&name);
+                builder.set(ev, metric, 0, m);
+                ingest.rows_kept += 1;
+            }
+            Err(e) => ingest.skip_row(e)?,
+        }
     }
-    if rows == 0 {
+    if ingest.rows_kept == 0 {
         return Err(DmfError::Parse {
             format: "gprof",
             line: None,
-            message: "no flat profile table found".into(),
+            message: if in_table {
+                "no usable rows in flat profile table".into()
+            } else {
+                "no flat profile table found".into()
+            },
         });
     }
     Ok(builder.build())
+}
+
+/// Parses a gprof flat profile into a single-thread trial.
+pub fn parse_flat_profile(trial_name: &str, text: &str) -> Result<Trial> {
+    read_trial(trial_name, text, &mut Ingest::new("gprof", Policy::Strict))
 }
 
 /// Lossy variant of [`parse_flat_profile`]: malformed table rows are
@@ -113,68 +127,7 @@ pub fn parse_flat_profile(trial_name: &str, text: &str) -> Result<Trial> {
 /// trial only when not a single row was usable (including when no table
 /// header was found at all).
 pub fn parse_flat_profile_lossy(trial_name: &str, text: &str) -> LossyTrial {
-    let mut builder = TrialBuilder::with_threads(trial_name, vec![ThreadId::flat(0)]);
-    let metric = builder.metric("TIME");
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let diag = |line: Option<usize>, message: String| Diagnostic {
-        format: "gprof",
-        line,
-        message,
-    };
-
-    let mut in_table = false;
-    let mut rows_kept = 0usize;
-    let mut rows_dropped = 0usize;
-    for (idx, line) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let trimmed = line.trim();
-        if !in_table {
-            if trimmed.starts_with("time") && trimmed.contains("name") {
-                in_table = true;
-            }
-            continue;
-        }
-        if trimmed.is_empty() {
-            break; // flat profile table ends at the first blank line
-        }
-        match parse_table_row(trimmed, line_no) {
-            Ok((name, m)) => {
-                let ev = builder.event(&name);
-                builder.set(ev, metric, 0, m);
-                rows_kept += 1;
-            }
-            Err(e) => {
-                let (line, message) = match e {
-                    DmfError::Parse { line, message, .. } => (line, message),
-                    other => (Some(line_no), other.to_string()),
-                };
-                diagnostics.push(diag(line, format!("row skipped: {message}")));
-                rows_dropped += 1;
-            }
-        }
-    }
-    if rows_kept == 0 {
-        diagnostics.push(diag(
-            None,
-            if in_table {
-                "no usable rows in flat profile table".into()
-            } else {
-                "no flat profile table found".into()
-            },
-        ));
-        return LossyTrial {
-            trial: None,
-            diagnostics,
-            rows_kept,
-            rows_dropped,
-        };
-    }
-    LossyTrial {
-        trial: Some(builder.build()),
-        diagnostics,
-        rows_kept,
-        rows_dropped,
-    }
+    Ingest::lossy_trial("gprof", |ingest| read_trial(trial_name, text, ingest))
 }
 
 #[cfg(test)]
@@ -228,6 +181,21 @@ Each sample counts as 0.01 seconds.
     fn no_table_is_error() {
         assert!(parse_flat_profile("g", "nothing here\n").is_err());
         assert!(parse_flat_profile("g", "").is_err());
+    }
+
+    #[test]
+    fn empty_table_is_named_as_present() {
+        let text = " time   seconds   seconds    calls  ms/call  ms/call  name\n\n";
+        let err = parse_flat_profile("g", text).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "gprof parse error: no usable rows in flat profile table"
+        );
+        let out = parse_flat_profile_lossy("g", text);
+        assert_eq!(
+            out.diagnostics[0].message,
+            "no usable rows in flat profile table"
+        );
     }
 
     #[test]

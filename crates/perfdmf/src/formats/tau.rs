@@ -17,7 +17,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use super::{Diagnostic, LossyTrial};
+use super::{Diagnostic, Ingest, LossyTrial, Policy};
 use crate::model::{Measurement, ThreadId, Trial, TrialBuilder};
 use crate::{DmfError, Result};
 use std::collections::HashMap;
@@ -72,8 +72,11 @@ fn parse_data_row(trimmed: &str, line_no: usize) -> Result<(String, Measurement)
     ))
 }
 
-/// Parses one TAU profile file.
-pub fn parse_thread_profile(text: &str) -> Result<TauThreadProfile> {
+/// One walk over a TAU profile file. A malformed row is skipped and a
+/// row count short of the header's declaration keeps the partial
+/// profile; an unreadable header ends the walk, since there is no
+/// metric to file rows under.
+fn read_thread(text: &str, ingest: &mut Ingest) -> Result<TauThreadProfile> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or_else(|| parse_err(1, "empty profile"))?;
     let mut parts = header.split_whitespace();
@@ -90,7 +93,9 @@ pub fn parse_thread_profile(text: &str) -> Result<TauThreadProfile> {
         .ok_or_else(|| parse_err(1, format!("unexpected metric tag {tag:?}")))?
         .to_string();
 
-    let mut rows = Vec::with_capacity(count);
+    // The declared count is untrusted input: reserve no more rows than
+    // the text has bytes.
+    let mut rows = Vec::with_capacity(count.min(text.len()));
     for (idx, line) in lines {
         let line_no = idx + 1;
         let trimmed = line.trim();
@@ -100,15 +105,41 @@ pub fn parse_thread_profile(text: &str) -> Result<TauThreadProfile> {
         if rows.len() == count {
             break; // aggregate/user-event sections follow the function table
         }
-        rows.push(parse_data_row(trimmed, line_no)?);
+        match parse_data_row(trimmed, line_no) {
+            Ok(row) => {
+                rows.push(row);
+                ingest.rows_kept += 1;
+            }
+            Err(e) => ingest.skip_row(e)?,
+        }
     }
     if rows.len() != count {
-        return Err(parse_err(
-            0,
-            format!("header declared {count} functions, found {}", rows.len()),
-        ));
+        let cause = format!("header declared {count} functions, found {}", rows.len());
+        ingest.fault(parse_err(0, cause), |c| {
+            format!("{c} (keeping partial profile)")
+        })?;
     }
     Ok(TauThreadProfile { metric, rows })
+}
+
+/// [`read_thread`] as one file of a trial: under the lossy policy an
+/// unreadable header skips the file.
+fn read_file(text: &str, ingest: &mut Ingest) -> Result<Option<TauThreadProfile>> {
+    match read_thread(text, ingest) {
+        Ok(parsed) => Ok(Some(parsed)),
+        Err(cause) => {
+            let header = text.lines().next().unwrap_or("");
+            ingest.fault(cause, |c| {
+                format!("unreadable header {header:?} ({c}); file skipped")
+            })?;
+            Ok(None)
+        }
+    }
+}
+
+/// Parses one TAU profile file.
+pub fn parse_thread_profile(text: &str) -> Result<TauThreadProfile> {
+    read_thread(text, &mut Ingest::new("tau", Policy::Strict))
 }
 
 /// Writes one thread's rows in TAU text form (the inverse of
@@ -135,60 +166,10 @@ pub fn write_thread_profile(metric: &str, rows: &[(String, Measurement)]) -> Str
 /// the header itself is unreadable (there is no metric to file rows
 /// under).
 pub fn parse_thread_profile_lossy(text: &str) -> (Option<TauThreadProfile>, Vec<Diagnostic>) {
-    let mut diagnostics = Vec::new();
-    let diag = |line: Option<usize>, message: String| Diagnostic {
-        format: "tau",
-        line,
-        message,
-    };
-
-    let mut lines = text.lines().enumerate();
-    let header = lines.next().map(|(_, h)| h).unwrap_or("");
-    let mut parts = header.split_whitespace();
-    let count: Option<usize> = parts.next().and_then(|w| w.parse().ok());
-    let metric = parts
-        .next()
-        .and_then(|tag| tag.strip_prefix("templated_functions_MULTI_"));
-    let (Some(count), Some(metric)) = (count, metric) else {
-        diagnostics.push(diag(
-            Some(1),
-            format!("unreadable header {header:?}; file skipped"),
-        ));
-        return (None, diagnostics);
-    };
-    let metric = metric.to_string();
-
-    let mut rows = Vec::with_capacity(count);
-    for (idx, line) in lines {
-        let line_no = idx + 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        if rows.len() == count {
-            break; // aggregate/user-event sections follow the function table
-        }
-        match parse_data_row(trimmed, line_no) {
-            Ok(row) => rows.push(row),
-            Err(e) => {
-                let (line, message) = match e {
-                    DmfError::Parse { line, message, .. } => (line, message),
-                    other => (Some(line_no), other.to_string()),
-                };
-                diagnostics.push(diag(line, format!("row skipped: {message}")));
-            }
-        }
-    }
-    if rows.len() != count {
-        diagnostics.push(diag(
-            None,
-            format!(
-                "header declared {count} functions, found {} (keeping partial profile)",
-                rows.len()
-            ),
-        ));
-    }
-    (Some(TauThreadProfile { metric, rows }), diagnostics)
+    let mut ingest = Ingest::new("tau", Policy::Lossy);
+    let walked = read_file(text, &mut ingest);
+    let parsed = ingest.finish(walked).flatten();
+    (parsed, ingest.diagnostics)
 }
 
 /// Parses the `N.C.T` suffix of a `profile.N.C.T` filename.
@@ -208,18 +189,32 @@ pub fn parse_profile_filename(name: &str) -> Option<ThreadId> {
     })
 }
 
-/// Assembles a [`Trial`] from per-thread profile texts, e.g. the contents
-/// of one TAU profile directory. Multiple metrics may be supplied by
-/// including each thread once per metric.
-pub fn assemble_trial(trial_name: &str, files: &[(ThreadId, &str)]) -> Result<Trial> {
+/// One walk over the files of a trial. Only threads whose file was
+/// usable become part of the trial, so under the lossy policy a rank
+/// that never flushed its file does not appear as a column of zeros.
+fn read_trial(trial_name: &str, files: &[(ThreadId, &str)], ingest: &mut Ingest) -> Result<Trial> {
+    let trial_err = |message: &str| DmfError::Parse {
+        format: "tau",
+        line: None,
+        message: message.into(),
+    };
     if files.is_empty() {
-        return Err(DmfError::Parse {
-            format: "tau",
-            line: None,
-            message: "no profile files supplied".into(),
-        });
+        return Err(trial_err("no profile files supplied"));
     }
-    let mut threads: Vec<ThreadId> = files.iter().map(|(t, _)| *t).collect();
+    let mut parsed_files: Vec<(ThreadId, TauThreadProfile)> = Vec::with_capacity(files.len());
+    for (i, (tid, text)) in files.iter().enumerate() {
+        let first = ingest.diagnostics.len();
+        let parsed = read_file(text, ingest)?;
+        for d in &mut ingest.diagnostics[first..] {
+            d.message = format!("file {i} (thread {tid:?}): {}", d.message);
+        }
+        parsed_files.extend(parsed.map(|p| (*tid, p)));
+    }
+    if parsed_files.is_empty() {
+        return Err(trial_err("no usable profile files"));
+    }
+
+    let mut threads: Vec<ThreadId> = parsed_files.iter().map(|(t, _)| *t).collect();
     threads.sort();
     threads.dedup();
     // Intern each tid's index before the vector moves into the builder:
@@ -229,12 +224,10 @@ pub fn assemble_trial(trial_name: &str, files: &[(ThreadId, &str)]) -> Result<Tr
         .enumerate()
         .map(|(i, &tid)| (tid, i))
         .collect();
-
     let mut builder = TrialBuilder::with_threads(trial_name, threads);
-    for (tid, text) in files {
-        let parsed = parse_thread_profile(text)?;
+    for (tid, parsed) in parsed_files {
         let metric = builder.metric(&parsed.metric);
-        let ti = thread_index.get(tid).copied().unwrap_or(0);
+        let ti = thread_index.get(&tid).copied().unwrap_or(0);
         for (name, m) in parsed.rows {
             let ev = builder.event(&name);
             builder.set(ev, metric, ti, m);
@@ -243,88 +236,20 @@ pub fn assemble_trial(trial_name: &str, files: &[(ThreadId, &str)]) -> Result<Tr
     Ok(builder.build())
 }
 
+/// Assembles a [`Trial`] from per-thread profile texts, e.g. the contents
+/// of one TAU profile directory. Multiple metrics may be supplied by
+/// including each thread once per metric.
+pub fn assemble_trial(trial_name: &str, files: &[(ThreadId, &str)]) -> Result<Trial> {
+    read_trial(trial_name, files, &mut Ingest::new("tau", Policy::Strict))
+}
+
 /// Lossy variant of [`assemble_trial`]: files that fail to parse are
 /// skipped (with per-file diagnostics), partially readable files
 /// contribute their good rows, and the trial covers whatever threads
 /// supplied any data. Returns no trial only when every file was
 /// unusable.
 pub fn assemble_trial_lossy(trial_name: &str, files: &[(ThreadId, &str)]) -> LossyTrial {
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    if files.is_empty() {
-        diagnostics.push(Diagnostic {
-            format: "tau",
-            line: None,
-            message: "no profile files supplied".into(),
-        });
-        return LossyTrial {
-            trial: None,
-            diagnostics,
-            rows_kept: 0,
-            rows_dropped: 0,
-        };
-    }
-
-    // Parse every file first: only threads that produced something
-    // usable become part of the trial, so a rank that never flushed
-    // its file does not appear as a column of zeros.
-    let mut parsed_files: Vec<(ThreadId, TauThreadProfile)> = Vec::new();
-    let mut rows_dropped = 0usize;
-    for (i, (tid, text)) in files.iter().enumerate() {
-        let (parsed, file_diags) = parse_thread_profile_lossy(text);
-        rows_dropped += file_diags
-            .iter()
-            .filter(|d| d.message.starts_with("row skipped"))
-            .count();
-        for d in file_diags {
-            diagnostics.push(Diagnostic {
-                format: "tau",
-                line: d.line,
-                message: format!("file {i} (thread {tid:?}): {}", d.message),
-            });
-        }
-        if let Some(p) = parsed {
-            parsed_files.push((*tid, p));
-        }
-    }
-    if parsed_files.is_empty() {
-        diagnostics.push(Diagnostic {
-            format: "tau",
-            line: None,
-            message: "no usable profile files".into(),
-        });
-        return LossyTrial {
-            trial: None,
-            diagnostics,
-            rows_kept: 0,
-            rows_dropped,
-        };
-    }
-
-    let mut threads: Vec<ThreadId> = parsed_files.iter().map(|(t, _)| *t).collect();
-    threads.sort();
-    threads.dedup();
-    let thread_index: HashMap<ThreadId, usize> = threads
-        .iter()
-        .enumerate()
-        .map(|(i, &tid)| (tid, i))
-        .collect();
-    let mut builder = TrialBuilder::with_threads(trial_name, threads);
-    let mut rows_kept = 0usize;
-    for (tid, parsed) in parsed_files {
-        let metric = builder.metric(&parsed.metric);
-        let ti = thread_index.get(&tid).copied().unwrap_or(0);
-        for (name, m) in parsed.rows {
-            let ev = builder.event(&name);
-            builder.set(ev, metric, ti, m);
-            rows_kept += 1;
-        }
-    }
-    LossyTrial {
-        trial: Some(builder.build()),
-        diagnostics,
-        rows_kept,
-        rows_dropped,
-    }
+    Ingest::lossy_trial("tau", |ingest| read_trial(trial_name, files, ingest))
 }
 
 #[cfg(test)]
@@ -388,6 +313,16 @@ mod tests {
     fn rejects_count_mismatch() {
         let bad = "3 templated_functions_MULTI_TIME\n\"main\" 1 0 1 1 0\n";
         assert!(parse_thread_profile(bad).is_err());
+    }
+
+    #[test]
+    fn huge_declared_count_is_an_error_not_an_allocation() {
+        let text = "1000000000000000 templated_functions_MULTI_TIME\n\"main\" 1 0 1 1 0\n";
+        let err = parse_thread_profile(text).unwrap_err();
+        assert!(err.to_string().contains("found 1"), "{err}");
+        let (parsed, diags) = parse_thread_profile_lossy(text);
+        assert_eq!(parsed.unwrap().rows.len(), 1);
+        assert!(diags[0].message.contains("keeping partial profile"));
     }
 
     #[test]

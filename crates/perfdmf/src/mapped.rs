@@ -18,6 +18,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use crate::formats::{Ingest, Policy};
 use crate::model::{Event, Metric, ThreadId, Trial};
 use crate::pdb1::{self, TrialRec};
 use crate::repo::Repository;
@@ -189,7 +190,7 @@ impl MappedRepository {
     }
 
     fn from_buffer(buf: Buffer) -> Result<Self> {
-        let (doc, _diags) = pdb1::parse_doc(buf.bytes(), false)?;
+        let doc = pdb1::parse_doc(buf.bytes(), &mut Ingest::new("pdb1", Policy::Strict))?;
         let mut index = HashMap::with_capacity(doc.trials.len());
         for (i, rec) in doc.trials.iter().enumerate() {
             index.insert((rec.app.clone(), rec.exp.clone(), rec.name.clone()), i);
@@ -406,7 +407,7 @@ mod tests {
     fn lazy_page_validation_flags_only_corrupt_trial() {
         let repo = sample_repo();
         let mut bytes = repo.to_pdb1();
-        let (doc, _) = pdb1::parse_doc(&bytes, false).unwrap();
+        let doc = pdb1::parse_doc(&bytes, &mut Ingest::new("pdb1", Policy::Strict)).unwrap();
         // Corrupt the second trial's page.
         let rec = &doc.trials[1];
         let at = doc.pages_off + rec.page_off as usize + 3;

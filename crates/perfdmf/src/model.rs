@@ -554,16 +554,9 @@ impl Profile {
         &self.data
     }
 
-    /// Per-thread slice of measurements for one event/metric.
-    /// (Original name of [`Profile::column`], kept for callers that
-    /// read better with it.)
-    pub fn across_threads(&self, event: EventId, metric: MetricId) -> &[Measurement] {
-        self.column(event, metric)
-    }
-
     /// Exclusive values across threads as a fresh vector.
     pub fn exclusive_across_threads(&self, event: EventId, metric: MetricId) -> Vec<f64> {
-        self.across_threads(event, metric)
+        self.column(event, metric)
             .iter()
             .map(|m| m.exclusive)
             .collect()
@@ -571,7 +564,7 @@ impl Profile {
 
     /// Inclusive values across threads as a fresh vector.
     pub fn inclusive_across_threads(&self, event: EventId, metric: MetricId) -> Vec<f64> {
-        self.across_threads(event, metric)
+        self.column(event, metric)
             .iter()
             .map(|m| m.inclusive)
             .collect()
@@ -579,7 +572,7 @@ impl Profile {
 
     /// Mean of exclusive values across threads.
     pub fn mean_exclusive(&self, event: EventId, metric: MetricId) -> f64 {
-        let v = self.across_threads(event, metric);
+        let v = self.column(event, metric);
         if v.is_empty() {
             return 0.0;
         }
@@ -588,7 +581,7 @@ impl Profile {
 
     /// Mean of inclusive values across threads.
     pub fn mean_inclusive(&self, event: EventId, metric: MetricId) -> f64 {
-        let v = self.across_threads(event, metric);
+        let v = self.column(event, metric);
         if v.is_empty() {
             return 0.0;
         }
@@ -598,7 +591,7 @@ impl Profile {
     /// Maximum inclusive value across threads (the critical-path reading of
     /// a region's cost in a fork-join program).
     pub fn max_inclusive(&self, event: EventId, metric: MetricId) -> f64 {
-        self.across_threads(event, metric)
+        self.column(event, metric)
             .iter()
             .map(|m| m.inclusive)
             .fold(0.0, f64::max)

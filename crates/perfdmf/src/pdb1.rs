@@ -29,16 +29,18 @@
 //!   mmap path ([`crate::mapped`]) can defer data validation per trial
 //!   while still checking the cheap sections eagerly.
 //!
-//! Three read paths share one parser: [`read_repository`] (strict — any
-//! checksum or structure error fails the load), [`salvage`] (lenient —
+//! Three read paths share one parser: [`read_repository`] and
+//! [`salvage`] are one walk under the strict and lossy ingest policies
+//! (strict — any checksum or structure error fails the load; salvage —
 //! reports *which* section is corrupt as typed [`Diagnostic`]s and
 //! loads every trial whose page still checks out), and the mapped
-//! [`crate::mapped::MappedRepository`], which checks each trial's page
-//! lazily. All three materialize trials through one decoder.
+//! [`crate::mapped::MappedRepository`] parses strictly but checks each
+//! trial's page lazily. All three materialize trials through one
+//! decoder.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::formats::Diagnostic;
+use crate::formats::{Diagnostic, Ingest, Policy};
 use crate::metadata::{MetaValue, Metadata};
 use crate::model::{Event, EventId, Measurement, Metric, MetricId, Profile, ThreadId, Trial};
 use crate::repo::Repository;
@@ -421,12 +423,15 @@ fn perr(message: impl Into<String>) -> DmfError {
     }
 }
 
-fn diag(message: impl Into<String>) -> Diagnostic {
-    Diagnostic {
-        format: "pdb1",
-        line: None,
-        message: message.into(),
-    }
+/// Reports a structural error whose salvage diagnostic quotes the
+/// whole error text, as `shown` frames it.
+fn fault_shown(
+    ingest: &mut Ingest,
+    cause: DmfError,
+    shown: impl FnOnce(String) -> String,
+) -> Result<()> {
+    let text = shown(cause.to_string());
+    ingest.fault(cause, |_| text)
 }
 
 struct Rd<'a> {
@@ -707,9 +712,12 @@ fn parse_manifest(b: &[u8], strings: &[String]) -> Result<Vec<TrialRec>> {
 pub(crate) struct Doc {
     pub trials: Vec<TrialRec>,
     /// Column-pages section range within the file (clamped to the file
-    /// in lenient mode).
+    /// under the lossy policy).
     pub pages_off: usize,
     pub pages_len: usize,
+    /// The pages section's stored CRC32, when the section lies wholly
+    /// inside the file.
+    pub pages_crc: Option<u32>,
 }
 
 impl Doc {
@@ -730,98 +738,69 @@ impl Doc {
 
 /// Parses header, section table, string table and manifest.
 ///
-/// In strict mode (`lenient == false`) any checksum mismatch or
-/// structural problem is an error. In lenient mode, problems that still
-/// leave the file navigable are demoted to diagnostics naming the
-/// corrupt section, and parsing continues.
-pub(crate) fn parse_doc(bytes: &[u8], lenient: bool) -> Result<(Doc, Vec<Diagnostic>)> {
+/// A checksum mismatch or a problem that still leaves the file
+/// navigable is a fault naming the corrupt section: the strict policy
+/// fails on it, the lossy one records it and parses on. An unnavigable
+/// container is an error under both.
+pub(crate) fn parse_doc(bytes: &[u8], ingest: &mut Ingest) -> Result<Doc> {
     let header = parse_header(bytes)?;
     let sections = parse_section_table(bytes, &header)?;
-    let mut diags = Vec::new();
 
     if header.file_len != bytes.len() as u64 {
-        let msg = format!(
+        let cause = perr(format!(
             "file length mismatch: header says {}, found {} (truncated or padded)",
             header.file_len,
             bytes.len()
-        );
-        if !lenient {
-            return Err(perr(msg));
-        }
-        diags.push(diag(msg));
+        ));
+        ingest.fault(cause, str::to_owned)?;
     }
 
     let strings_sec = find_section(&sections, SEC_STRINGS)?;
     let strings_bytes = section_bytes(bytes, strings_sec)?;
     if crc32(strings_bytes) != strings_sec.crc {
-        let msg = "string table section checksum mismatch".to_string();
-        if !lenient {
-            return Err(perr(msg));
-        }
-        diags.push(diag(format!("{msg}; parsing anyway")));
+        ingest.fault(perr("string table section checksum mismatch"), |c| {
+            format!("{c}; parsing anyway")
+        })?;
     }
     let strings = parse_strings(strings_bytes)?;
 
     let manifest_sec = find_section(&sections, SEC_MANIFEST)?;
     let manifest_bytes = section_bytes(bytes, manifest_sec)?;
     if crc32(manifest_bytes) != manifest_sec.crc {
-        let msg = "manifest section checksum mismatch".to_string();
-        if !lenient {
-            return Err(perr(msg));
-        }
-        diags.push(diag(format!("{msg}; parsing anyway")));
+        ingest.fault(perr("manifest section checksum mismatch"), |c| {
+            format!("{c}; parsing anyway")
+        })?;
     }
     let trials = parse_manifest(manifest_bytes, &strings)?;
 
-    let (pages_off, pages_len) = match find_section(&sections, SEC_PAGES) {
+    let (pages_off, pages_len, pages_crc) = match find_section(&sections, SEC_PAGES) {
         Ok(sec) => {
             let off = sec.off as usize;
-            let aligned = off.is_multiple_of(8);
-            if !aligned {
-                let msg = format!("column pages section misaligned (offset {off})");
-                if !lenient {
-                    return Err(perr(msg));
-                }
-                diags.push(diag(msg));
+            if !off.is_multiple_of(8) {
+                let cause = perr(format!("column pages section misaligned (offset {off})"));
+                ingest.fault(cause, str::to_owned)?;
             }
             match section_bytes(bytes, sec) {
-                Ok(b) => (off, b.len()),
+                Ok(b) => (off, b.len(), Some(sec.crc)),
                 Err(e) => {
-                    if !lenient {
-                        return Err(e);
-                    }
-                    diags.push(diag(format!("{e}; clamping to file end")));
-                    let len = bytes.len().saturating_sub(off.min(bytes.len()));
-                    (off.min(bytes.len()), len)
+                    fault_shown(ingest, e, |e| format!("{e}; clamping to file end"))?;
+                    let off = off.min(bytes.len());
+                    (off, bytes.len() - off, None)
                 }
             }
         }
         Err(e) => {
-            if !lenient {
-                return Err(e);
-            }
-            diags.push(diag(e.to_string()));
-            (bytes.len(), 0)
+            fault_shown(ingest, e, |e| e)?;
+            (bytes.len(), 0, None)
         }
     };
 
-    Ok((
-        Doc {
-            trials,
-            pages_off,
-            pages_len,
-        },
-        diags,
-    ))
-}
-
-/// Verifies the stored CRC of the column-pages section.
-pub(crate) fn pages_section_ok(bytes: &[u8]) -> Result<bool> {
-    let header = parse_header(bytes)?;
-    let sections = parse_section_table(bytes, &header)?;
-    let sec = find_section(&sections, SEC_PAGES)?;
-    let b = section_bytes(bytes, sec)?;
-    Ok(crc32(b) == sec.crc)
+    Ok(Doc {
+        trials,
+        pages_off,
+        pages_len,
+        pages_crc,
+    })
 }
 
 /// Rebuilds a trial from its manifest record and raw page bytes.
@@ -878,20 +857,46 @@ pub(crate) fn materialize_trial(rec: &TrialRec, page: &[u8]) -> Result<Trial> {
     })
 }
 
+/// One walk over a PDB1 file. Per-trial page checksums are checked
+/// only once some fault has been stepped over: a file whose every
+/// section checks out has had each page covered by the pages-section
+/// CRC already.
+fn read(bytes: &[u8], ingest: &mut Ingest) -> Result<Repository> {
+    let doc = parse_doc(bytes, ingest)?;
+    if let Some(crc) = doc.pages_crc {
+        if crc32(&bytes[doc.pages_off..doc.pages_off + doc.pages_len]) != crc {
+            ingest.fault(perr("column pages section checksum mismatch"), |c| {
+                format!("{c}; validating per-trial pages")
+            })?;
+        }
+    }
+    let verify_pages = !ingest.is_clean();
+    let mut repo = Repository::new();
+    for rec in &doc.trials {
+        let page = match doc.page_bytes(bytes, rec) {
+            Ok(page) => page,
+            Err(e) => {
+                fault_shown(ingest, e, |e| e)?;
+                continue;
+            }
+        };
+        if verify_pages && crc32(page) != rec.page_crc {
+            let cause = perr(format!("{}: column page checksum mismatch", rec.path()));
+            ingest.fault(cause, str::to_owned)?;
+            continue;
+        }
+        match materialize_trial(rec, page) {
+            Ok(trial) => repo.upsert_trial(&rec.app, &rec.exp, trial),
+            Err(e) => fault_shown(ingest, e, |e| format!("{}: {e}", rec.path()))?,
+        }
+    }
+    Ok(repo)
+}
+
 /// Decodes a PDB1 file strictly: any checksum mismatch, truncation or
 /// structural problem fails the load.
 pub fn read_repository(bytes: &[u8]) -> Result<Repository> {
-    let (doc, _diags) = parse_doc(bytes, false)?;
-    if !pages_section_ok(bytes)? {
-        return Err(perr("column pages section checksum mismatch"));
-    }
-    let mut repo = Repository::new();
-    for rec in &doc.trials {
-        let page = doc.page_bytes(bytes, rec)?;
-        let trial = materialize_trial(rec, page)?;
-        repo.upsert_trial(&rec.app, &rec.exp, trial);
-    }
-    Ok(repo)
+    read(bytes, &mut Ingest::new("pdb1", Policy::Strict))
 }
 
 /// Decodes as much of a possibly corrupt PDB1 file as possible.
@@ -903,36 +908,9 @@ pub fn read_repository(bytes: &[u8]) -> Result<Repository> {
 /// cannot be navigated at all (bad magic, unreadable section table,
 /// unreadable string table or manifest).
 pub fn salvage(bytes: &[u8]) -> Result<(Repository, Vec<Diagnostic>)> {
-    let (doc, mut diags) = parse_doc(bytes, true)?;
-    match pages_section_ok(bytes) {
-        Ok(true) => {}
-        Ok(false) => diags.push(diag(
-            "column pages section checksum mismatch; validating per-trial pages",
-        )),
-        Err(e) => diags.push(diag(e.to_string())),
-    }
-    let mut repo = Repository::new();
-    for rec in &doc.trials {
-        let page = match doc.page_bytes(bytes, rec) {
-            Ok(p) => p,
-            Err(e) => {
-                diags.push(diag(e.to_string()));
-                continue;
-            }
-        };
-        if crc32(page) != rec.page_crc {
-            diags.push(diag(format!(
-                "{}: column page checksum mismatch",
-                rec.path()
-            )));
-            continue;
-        }
-        match materialize_trial(rec, page) {
-            Ok(trial) => repo.upsert_trial(&rec.app, &rec.exp, trial),
-            Err(e) => diags.push(diag(format!("{}: {e}", rec.path()))),
-        }
-    }
-    Ok((repo, diags))
+    let mut ingest = Ingest::new("pdb1", Policy::Lossy);
+    let repo = read(bytes, &mut ingest)?;
+    Ok((repo, ingest.diagnostics))
 }
 
 // ---------------------------------------------------------------------------
@@ -993,7 +971,7 @@ pub fn inspect(bytes: &[u8]) -> Result<InspectReport> {
             crc_ok: section_bytes(bytes, s).ok().map(|b| crc32(b) == s.crc),
         })
         .collect();
-    let (doc, _diags) = parse_doc(bytes, true)?;
+    let doc = parse_doc(bytes, &mut Ingest::new("pdb1", Policy::Lossy))?;
     let mut pages_ok = 0;
     let mut pages_bad = 0;
     for rec in &doc.trials {
@@ -1190,8 +1168,7 @@ mod tests {
     fn pages_are_eight_byte_aligned() {
         let repo = sample_repo();
         let bytes = write_repository(&repo);
-        let (doc, diags) = parse_doc(&bytes, false).unwrap();
-        assert!(diags.is_empty());
+        let doc = parse_doc(&bytes, &mut Ingest::new("pdb1", Policy::Strict)).unwrap();
         assert_eq!(doc.pages_off % 8, 0);
         for rec in &doc.trials {
             assert_eq!(rec.page_off % 8, 0, "trial {} misaligned", rec.path());
@@ -1291,7 +1268,7 @@ mod tests {
     fn corrupted_page_byte_drops_only_that_trial() {
         let repo = sample_repo();
         let mut bytes = write_repository(&repo);
-        let (doc, _) = parse_doc(&bytes, false).unwrap();
+        let doc = parse_doc(&bytes, &mut Ingest::new("pdb1", Policy::Strict)).unwrap();
         // Flip one byte inside the *first* trial's page.
         let rec = &doc.trials[0];
         let at = doc.pages_off + rec.page_off as usize + 5;

@@ -1,7 +1,65 @@
 //! Robustness fuzzing: no parser in the workspace may panic on
 //! arbitrary input — malformed files must come back as typed errors.
+//! The profile readers are also held to their strict/lossy contract on
+//! every input.
 
+use perfdmf::formats::{csv, gprof, tau, Diagnostic};
+use perfdmf::ThreadId;
 use proptest::prelude::*;
+
+fn assert_policy_contract<T: PartialEq>(
+    reader: &str,
+    input: &str,
+    strict: perfdmf::Result<T>,
+    lossy: Option<T>,
+    diagnostics: &[Diagnostic],
+) {
+    if let Some(violation) = faultsim::policy_contract(reader, strict, lossy, diagnostics) {
+        panic!("{violation}\ninput: {input:?}");
+    }
+}
+
+fn check_csv(input: &str) {
+    let lossy = csv::parse_trial_lossy("fuzz", input);
+    assert_policy_contract(
+        "csv",
+        input,
+        csv::parse_trial("fuzz", input),
+        lossy.trial,
+        &lossy.diagnostics,
+    );
+}
+
+fn check_tau(input: &str) {
+    let (parsed, diagnostics) = tau::parse_thread_profile_lossy(input);
+    assert_policy_contract(
+        "tau",
+        input,
+        tau::parse_thread_profile(input),
+        parsed,
+        &diagnostics,
+    );
+    let files = [(ThreadId::flat(0), input)];
+    let lossy = tau::assemble_trial_lossy("fuzz", &files);
+    assert_policy_contract(
+        "tau trial",
+        input,
+        tau::assemble_trial("fuzz", &files),
+        lossy.trial,
+        &lossy.diagnostics,
+    );
+}
+
+fn check_gprof(input: &str) {
+    let lossy = gprof::parse_flat_profile_lossy("fuzz", input);
+    assert_policy_contract(
+        "gprof",
+        input,
+        gprof::parse_flat_profile("fuzz", input),
+        lossy.trial,
+        &lossy.diagnostics,
+    );
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -46,7 +104,7 @@ proptest! {
     /// TAU profile parser never panics.
     #[test]
     fn tau_parser_never_panics(input in "\\PC*") {
-        let _ = perfdmf::formats::tau::parse_thread_profile(&input);
+        check_tau(&input);
     }
 
     /// TAU header-shaped input never panics.
@@ -60,13 +118,13 @@ proptest! {
         for (name, nums) in rows {
             src.push_str(&format!("\"{name}\" {nums}\n"));
         }
-        let _ = perfdmf::formats::tau::parse_thread_profile(&src);
+        check_tau(&src);
     }
 
     /// CSV trial parser never panics.
     #[test]
     fn csv_parser_never_panics(input in "\\PC*") {
-        let _ = perfdmf::formats::csv::parse_trial("fuzz", &input);
+        check_csv(&input);
     }
 
     /// CSV with the right header but junk rows never panics.
@@ -79,13 +137,29 @@ proptest! {
             src.push_str(&r);
             src.push('\n');
         }
-        let _ = perfdmf::formats::csv::parse_trial("fuzz", &src);
+        check_csv(&src);
     }
 
     /// gprof flat-profile parser never panics.
     #[test]
     fn gprof_parser_never_panics(input in "\\PC*") {
-        let _ = perfdmf::formats::gprof::parse_flat_profile("fuzz", &input);
+        check_gprof(&input);
+    }
+
+    /// A gprof table header followed by junk rows, blank lines or
+    /// nothing at all never panics.
+    #[test]
+    fn gprof_parser_survives_table_shaped_input(
+        rows in prop::collection::vec("[a-z0-9. ]{0,40}", 0..6),
+    ) {
+        let mut src = String::from(
+            " time   seconds   seconds    calls  ms/call  ms/call  name\n",
+        );
+        for r in rows {
+            src.push_str(&r);
+            src.push('\n');
+        }
+        check_gprof(&src);
     }
 
     /// Repository JSON loader never panics.

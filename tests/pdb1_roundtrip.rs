@@ -247,18 +247,24 @@ fn golden_misaligned_pages_drop_trials_with_diagnostics() {
 }
 
 /// Every binary fault kind, rng-parameterised through the faultsim
-/// plan: the readers never panic, and salvage that succeeds yields a
-/// subset of the original trials plus diagnostics.
+/// plan: the readers never panic, salvage that succeeds yields a
+/// subset of the original trials plus diagnostics, and strict and
+/// salvage keep their contract (strict loads exactly when salvage is
+/// clean, and its error is the cause salvage records first).
 #[test]
 fn every_fault_kind_degrades_never_panics() {
     let repo = multi_trial_repo();
     let bytes = repo.to_pdb1();
+    let (clean, diags) = pdb1::salvage(&bytes).unwrap();
+    assert!(diags.is_empty(), "{diags:?}");
+    assert_eq!(clean, Repository::from_pdb1(&bytes).unwrap());
     for fault in Fault::BINARY_FAULTS {
         for seed in 0..8u64 {
             let (corrupt, applied) = FaultPlan::new(seed).with(fault).apply_to_bytes(&bytes);
             assert_eq!(applied.len(), 1, "{fault} seed {seed}");
+            let strict = Repository::from_pdb1(&corrupt);
             assert!(
-                Repository::from_pdb1(&corrupt).is_err(),
+                strict.is_err(),
                 "{fault} seed {seed} passed the strict reader"
             );
             match pdb1::salvage(&corrupt) {
@@ -268,6 +274,9 @@ fn every_fault_kind_degrades_never_panics() {
                         partial.trial_count() == repo.trial_count() || !diags.is_empty(),
                         "{fault} seed {seed} dropped trials silently"
                     );
+                    let violation =
+                        faultsim::policy_contract("pdb1", strict, Some(partial), &diags);
+                    assert_eq!(violation, None, "{fault} seed {seed}");
                 }
                 // Only an unnavigable container may refuse outright.
                 Err(e) => {
