@@ -609,8 +609,19 @@ fn run_seed(seed: u64, verbose: bool) -> SeedOutcome {
         let json = repo.to_json().expect("clean repo serializes");
         let (corrupt, applied) = text_plan.apply_to_text(&json);
         o.faults_applied += applied.len();
-        if let Ok((_, dropped)) = Repository::salvage_json(&corrupt) {
-            o.salvage_dropped += dropped.len();
+        // Strict and salvage are one walk: they keep the same contract
+        // as the PDB1 pair, and salvage refuses only non-JSON text.
+        let strict = Repository::from_json(&corrupt);
+        match Repository::salvage_json(&corrupt) {
+            Ok((partial, dropped)) => {
+                o.salvage_dropped += dropped.len();
+                o.violations
+                    .extend(policy_contract("json", strict, Some(partial), &dropped));
+            }
+            Err(e) if strict.is_ok() => o
+                .violations
+                .push(format!("json: strict loaded what salvage refused ({e})")),
+            Err(_) => {}
         }
     });
 

@@ -726,6 +726,7 @@ pub fn policy_contract<T: PartialEq>(
         Err(e) => {
             let cause = match e {
                 DmfError::Parse { message, .. } => message,
+                DmfError::Json(e) => e.to_string(),
                 other => other.to_string(),
             };
             match diagnostics.first() {

@@ -138,6 +138,7 @@ impl Ingest {
             // Line 0 marks a whole-input fault in the strict error text;
             // a diagnostic says so with no line at all.
             DmfError::Parse { line, message, .. } => (line.filter(|&n| n != 0), message),
+            DmfError::Json(e) => (None, e.to_string()),
             other => (None, other.to_string()),
         };
         self.diagnostics.push(Diagnostic {

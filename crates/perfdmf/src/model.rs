@@ -606,8 +606,33 @@ impl Profile {
 // The wire format predates the flat arena: `data` is serialized as the
 // original nested `[event][metric][thread]` arrays, so repositories
 // written by older builds load unchanged and new files remain readable
-// by them. Only the in-memory layout changed.
+// by them. Only the in-memory layout changed. The one-pass decoder reads
+// the nested arrays straight into the flat arena, recording only their
+// lengths for the shape check.
 impl Serialize for Profile {
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.begin('{');
+        w.key(true, "metrics");
+        self.metrics.serialize(w);
+        w.key(false, "events");
+        self.events.serialize(w);
+        w.key(false, "threads");
+        self.threads.serialize(w);
+        w.key(false, "data");
+        w.begin('[');
+        for e in 0..self.events.len() {
+            w.element(e == 0);
+            w.begin('[');
+            for m in 0..self.metrics.len() {
+                w.element(m == 0);
+                w.seq(self.column(EventId(e as u32), MetricId(m as u32)));
+            }
+            w.end(']', self.metrics.is_empty());
+        }
+        w.end(']', self.events.is_empty());
+        w.end('}', false);
+    }
+
     fn to_value(&self) -> serde::Value {
         let events: Vec<serde::Value> = (0..self.events.len())
             .map(|e| {
@@ -634,7 +659,103 @@ impl Serialize for Profile {
     }
 }
 
+/// The `data` arrays as read: every cell in `[event][metric][thread]`
+/// order, the metric-row count of each event block, and the cell count
+/// of each row.
+#[derive(Default)]
+struct NestedCells {
+    cells: Vec<Measurement>,
+    rows: Vec<usize>,
+    lens: Vec<usize>,
+}
+
+impl NestedCells {
+    fn read(r: &mut serde::Reader<'_>) -> std::result::Result<Self, serde::Error> {
+        fn open(r: &mut serde::Reader<'_>) -> std::result::Result<(), serde::Error> {
+            if r.begin_array()? {
+                Ok(())
+            } else {
+                Err(r.type_error("array"))
+            }
+        }
+        let mut nested = NestedCells::default();
+        open(r)?;
+        while r.next_element()? {
+            open(r)?;
+            let mut rows = 0;
+            while r.next_element()? {
+                open(r)?;
+                let start = nested.cells.len();
+                while r.next_element()? {
+                    nested.cells.push(Measurement::deserialize(r)?);
+                }
+                nested.lens.push(nested.cells.len() - start);
+                rows += 1;
+            }
+            nested.rows.push(rows);
+        }
+        Ok(nested)
+    }
+
+    /// Checks the nested shape against the axes, with the errors of the
+    /// reference path, and assembles the profile.
+    fn into_profile(
+        self,
+        metrics: Vec<Metric>,
+        events: Vec<Event>,
+        threads: Vec<ThreadId>,
+    ) -> std::result::Result<Profile, serde::Error> {
+        let (ne, nm, nt) = (events.len(), metrics.len(), threads.len());
+        if self.rows.len() != ne {
+            return Err(serde::Error::custom(format!(
+                "Profile: {} events but {} data blocks",
+                ne,
+                self.rows.len()
+            )));
+        }
+        let mut lens = self.lens.iter();
+        for (e, &rows) in self.rows.iter().enumerate() {
+            if rows != nm {
+                return Err(serde::Error::custom(format!(
+                    "Profile: event {e} has {rows} metric rows, expected {nm}"
+                )));
+            }
+            for (m, &len) in lens.by_ref().take(rows).enumerate() {
+                if len != nt {
+                    return Err(serde::Error::custom(format!(
+                        "Profile: event {e} metric {m} has {len} cells, expected {nt}"
+                    )));
+                }
+            }
+        }
+        Profile::from_parts(metrics, events, threads, self.cells)
+            .map_err(|e| serde::Error::custom(format!("Profile: {e}")))
+    }
+}
+
 impl Deserialize for Profile {
+    fn deserialize(r: &mut serde::Reader<'_>) -> std::result::Result<Self, serde::Error> {
+        if !r.begin_object()? {
+            return Err(serde::Error::custom("Profile: expected object"));
+        }
+        let (mut metrics, mut events, mut threads, mut data) = (None, None, None, None);
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "metrics" if metrics.is_none() => metrics = Some(Vec::<Metric>::deserialize(r)?),
+                "events" if events.is_none() => events = Some(Vec::<Event>::deserialize(r)?),
+                "threads" if threads.is_none() => threads = Some(Vec::<ThreadId>::deserialize(r)?),
+                "data" if data.is_none() => data = Some(NestedCells::read(r)?),
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |name: &str| serde::Error::custom(format!("Profile: missing field {name}"));
+        let metrics = metrics.ok_or_else(|| missing("metrics"))?;
+        let events = events.ok_or_else(|| missing("events"))?;
+        let threads = threads.ok_or_else(|| missing("threads"))?;
+        let data = data.ok_or_else(|| missing("data"))?;
+        data.into_profile(metrics, events, threads)
+    }
+
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
         let pairs = v
             .as_object()

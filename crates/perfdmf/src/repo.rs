@@ -8,10 +8,10 @@
 //! interchange format) or a PDB1 binary file (the storage format, see
 //! [`crate::pdb1`]); readers autodetect the encoding by magic bytes.
 
-use crate::formats::Diagnostic;
+use crate::formats::{Diagnostic, Ingest, Policy};
 use crate::model::Trial;
 use crate::{DmfError, Result};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -248,9 +248,10 @@ impl Repository {
         Ok(serde_json::to_string(self)?)
     }
 
-    /// Restores a repository from its JSON form.
+    /// Restores a repository from its JSON form, strictly: the first
+    /// fault is the error.
     pub fn from_json(json: &str) -> Result<Self> {
-        Ok(serde_json::from_str(json)?)
+        read_json(json, &mut Ingest::new("json", Policy::Strict))
     }
 
     /// Encodes the whole repository to PDB1 bytes (see [`crate::pdb1`]).
@@ -307,49 +308,16 @@ impl Repository {
     /// Recovers whatever is readable from a possibly corrupt repository
     /// JSON document.
     ///
-    /// The document is walked application by application, experiment by
-    /// experiment, trial by trial; every subtree that deserialises is
-    /// kept and every one that does not is recorded as a typed
-    /// [`Diagnostic`] — the same shape the lossy text parsers report.
-    /// Fails only if the text is not JSON at all.
+    /// This is the lossy policy of [`Repository::from_json`]'s walk,
+    /// which goes application by application, experiment by experiment,
+    /// trial by trial: a trial that does not decode, or a table that is
+    /// not one, is skipped and recorded as a typed [`Diagnostic`] — the
+    /// same shape the lossy text parsers report. Fails only if the text
+    /// is not JSON at all.
     pub fn salvage_json(json: &str) -> Result<(Self, Vec<Diagnostic>)> {
-        use serde::Deserialize;
-
-        let jdiag = |message: String| Diagnostic {
-            format: "json",
-            line: None,
-            message,
-        };
-        let root = serde_json::from_str_value(json)?;
-        let mut repo = Repository::new();
-        let mut dropped = Vec::new();
-        let Some(apps) = root.get("applications").and_then(|v| v.as_object()) else {
-            dropped.push(jdiag("no readable applications table".to_string()));
-            return Ok((repo, dropped));
-        };
-        for (app_name, app_val) in apps {
-            let Some(exps) = app_val.get("experiments").and_then(|v| v.as_object()) else {
-                dropped.push(jdiag(format!("{app_name}: unreadable experiments table")));
-                continue;
-            };
-            for (exp_name, exp_val) in exps {
-                let Some(trials) = exp_val.get("trials").and_then(|v| v.as_object()) else {
-                    dropped.push(jdiag(format!(
-                        "{app_name}/{exp_name}: unreadable trials table"
-                    )));
-                    continue;
-                };
-                for (trial_name, trial_val) in trials {
-                    match Trial::from_value(trial_val) {
-                        Ok(trial) => repo.upsert_trial(app_name, exp_name, trial),
-                        Err(e) => {
-                            dropped.push(jdiag(format!("{app_name}/{exp_name}/{trial_name}: {e}")));
-                        }
-                    }
-                }
-            }
-        }
-        Ok((repo, dropped))
+        let mut ingest = Ingest::new("json", Policy::Lossy);
+        let repo = read_json(json, &mut ingest)?;
+        Ok((repo, ingest.diagnostics))
     }
 
     /// Recovers whatever is readable from possibly corrupt document
@@ -434,6 +402,122 @@ fn utf8(bytes: &[u8]) -> Result<&str> {
         line: None,
         message: "document is not valid UTF-8".to_string(),
     })
+}
+
+/// The one walk over a repository JSON document, under `ingest`'s
+/// policy. Under `Strict` it accepts and rejects exactly what the
+/// derived `Repository` decoder does. Under `Lossy` a trial that fails
+/// to decode, or a wrapper that is not `{"<field>": {...}}`, is
+/// rewound, skipped with validation and recorded; a syntax error ends
+/// the walk under either policy.
+fn read_json(json: &str, ingest: &mut Ingest) -> Result<Repository> {
+    let mut r = Reader::new(json);
+    let mut repo = Repository::new();
+    let applications = |r: &mut Reader, ingest: &mut Ingest, app: String| {
+        let mut application = Application::default();
+        let experiments = |r: &mut Reader, ingest: &mut Ingest, exp: String| {
+            let mut experiment = Experiment::default();
+            let trials = |r: &mut Reader, ingest: &mut Ingest, name: String| {
+                let mark = r.mark();
+                match Trial::deserialize(r) {
+                    Ok(trial) => {
+                        experiment.trials.insert(name, trial);
+                    }
+                    Err(e) => {
+                        let recovery = |c: &str| format!("{app}/{exp}/{name}: {c}");
+                        ingest.fault(DmfError::Json(e), recovery)?;
+                        r.rewind(mark);
+                        r.skip_value()?;
+                    }
+                }
+                Ok(())
+            };
+            let unreadable = |c: &str| format!("{app}/{exp}: unreadable trials table: {c}");
+            if table(r, ingest, "Experiment", "trials", unreadable, trials)? {
+                application.experiments.insert(exp, experiment);
+            }
+            Ok(())
+        };
+        let unreadable = |c: &str| format!("{app}: unreadable experiments table: {c}");
+        if table(
+            r,
+            ingest,
+            "Application",
+            "experiments",
+            unreadable,
+            experiments,
+        )? {
+            repo.applications.insert(app, application);
+        }
+        Ok(())
+    };
+    let unreadable = |c: &str| format!("no readable applications table: {c}");
+    table(
+        &mut r,
+        ingest,
+        "Repository",
+        "applications",
+        unreadable,
+        applications,
+    )?;
+    r.finish()?;
+    Ok(repo)
+}
+
+/// Walks the value at the cursor as `owner`, a struct whose one field
+/// `field` is a string-keyed table, passing each entry's key to `entry`
+/// with the cursor on the entry's value. As for any derived struct, the
+/// first `field` wins and other members are validated and skipped; as
+/// for any map, a repeated key replaces the earlier entry. A value that
+/// is not such a struct is a fault, recorded through `recovery`; under
+/// `Lossy` it is skipped and `false` returned.
+fn table(
+    r: &mut Reader,
+    ingest: &mut Ingest,
+    owner: &str,
+    field: &str,
+    recovery: impl FnOnce(&str) -> String,
+    mut entry: impl FnMut(&mut Reader, &mut Ingest, String) -> Result<()>,
+) -> Result<bool> {
+    let mark = r.mark();
+    let Some(fault) = walk_table(r, ingest, owner, field, &mut entry)? else {
+        return Ok(true);
+    };
+    ingest.fault(DmfError::Json(fault), recovery)?;
+    r.rewind(mark);
+    r.skip_value()?;
+    Ok(false)
+}
+
+/// [`table`]'s walk: `Ok(Some(fault))` when the value does not have the
+/// wrapper's shape, before any entry was read.
+fn walk_table(
+    r: &mut Reader,
+    ingest: &mut Ingest,
+    owner: &str,
+    field: &str,
+    entry: &mut impl FnMut(&mut Reader, &mut Ingest, String) -> Result<()>,
+) -> Result<Option<serde::Error>> {
+    if !r.begin_object()? {
+        return Ok(Some(serde::Error::custom(format!(
+            "expected object for {owner}"
+        ))));
+    }
+    let mut seen = false;
+    while let Some(key) = r.next_key()? {
+        if seen || key != field {
+            r.skip_value()?;
+            continue;
+        }
+        seen = true;
+        if !r.begin_object()? {
+            return Ok(Some(r.type_error("object")));
+        }
+        while let Some(key) = r.next_key()? {
+            entry(r, ingest, key.into_owned())?;
+        }
+    }
+    Ok((!seen).then(|| serde::Error::custom(format!("missing field `{field}` in {owner}"))))
 }
 
 /// Crash-safe file replacement: write a uniquely named scratch file,
@@ -608,6 +692,73 @@ mod tests {
     #[test]
     fn malformed_json_is_parse_error() {
         assert!(Repository::from_json("{ not json").is_err());
+    }
+
+    fn two_trial_json() -> String {
+        let mut repo = Repository::new();
+        repo.add_trial("app", "exp", trial("good", 2)).unwrap();
+        repo.add_trial("app", "exp", trial("bad", 2)).unwrap();
+        repo.add_trial("other", "exp", trial("t", 1)).unwrap();
+        repo.to_json().unwrap()
+    }
+
+    #[test]
+    fn salvage_skips_an_undecodable_trial_and_names_it() {
+        // Give `bad` a thread axis its data does not match.
+        let json = two_trial_json().replacen(
+            r#""name":"bad","profile":{"metrics":[{"name":"TIME","derived":false}],"#,
+            r#""name":"bad","profile":{"metrics":[],"#,
+            1,
+        );
+        let strict = Repository::from_json(&json).unwrap_err().to_string();
+        assert_eq!(
+            strict,
+            "json error: Profile: event 0 has 1 metric rows, expected 0"
+        );
+        let (repo, diags) = Repository::salvage_json(&json).unwrap();
+        assert_eq!(repo.trial_count(), 2);
+        assert!(repo.trial("app", "exp", "good").is_ok());
+        assert_eq!(diags.len(), 1);
+        assert_eq!(
+            diags[0].to_string(),
+            "json: app/exp/bad: Profile: event 0 has 1 metric rows, expected 0"
+        );
+    }
+
+    #[test]
+    fn salvage_skips_an_unreadable_table_and_keeps_the_rest() {
+        let json = two_trial_json().replacen(
+            r#""other":{"experiments":{"#,
+            r#""other":{"experiments":7,"x":{"#,
+            1,
+        );
+        let strict = Repository::from_json(&json).unwrap_err().to_string();
+        assert_eq!(strict, "json error: expected object, found integer");
+        let (repo, diags) = Repository::salvage_json(&json).unwrap();
+        assert_eq!(repo.trial_count(), 2);
+        assert_eq!(repo.application_names().collect::<Vec<_>>(), ["app"]);
+        assert_eq!(diags.len(), 1);
+        assert_eq!(
+            diags[0].message,
+            "other: unreadable experiments table: expected object, found integer"
+        );
+        let (empty, diags) = Repository::salvage_json("[1,2]").unwrap();
+        assert_eq!(empty.trial_count(), 0);
+        assert_eq!(
+            diags[0].message,
+            "no readable applications table: expected object for Repository"
+        );
+    }
+
+    #[test]
+    fn salvage_refuses_only_text_that_is_not_json() {
+        let json = two_trial_json();
+        let cut = &json[..json.len() - 3];
+        assert!(Repository::from_json(cut).is_err());
+        assert!(Repository::salvage_json(cut).is_err());
+        let (clean, diags) = Repository::salvage_json(&json).unwrap();
+        assert!(diags.is_empty());
+        assert_eq!(clean, Repository::from_json(&json).unwrap());
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {

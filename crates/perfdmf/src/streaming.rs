@@ -392,6 +392,17 @@ mod tests {
     }
 
     #[test]
+    fn chunk_batch_round_trips_at_u64_max() {
+        let b = batch(u64::MAX, 1, vec![delta("TIME", "main", &[(0, 1.0)])]);
+        let json = serde_json::to_string(&b).unwrap();
+        assert!(
+            json.starts_with(r#"{"seq":18446744073709551615,"#),
+            "{json}"
+        );
+        assert_eq!(serde_json::from_str::<ChunkBatch>(&json).unwrap(), b);
+    }
+
+    #[test]
     fn streamed_trial_matches_builder_built_trial() {
         use crate::TrialBuilder;
         let mut b = TrialBuilder::with_flat_threads("t", 2);

@@ -120,6 +120,58 @@ fn corrupt_upload_degrades_only_its_own_request() {
     svc.shutdown();
 }
 
+/// A request nested a megabyte deep is a typed rejection, and the
+/// service keeps answering: the JSON readers stop at 128 levels of
+/// nesting instead of recursing until a worker's stack overflows, which
+/// would abort the whole process.
+#[test]
+fn deeply_nested_requests_are_rejected_not_fatal() {
+    let svc = small_service(2);
+    let client = svc.client();
+    let bomb = "[".repeat(1 << 20);
+    let chunks = [
+        format!(r#"{{"seq":0,"threads":1,"deltas":{bomb}"#),
+        format!(r#"{{"seq":0,"threads":1,"deltas":[],"pad":{bomb}"#),
+    ];
+    for chunk in chunks {
+        let resp = client
+            .call(Request::IngestChunk {
+                app: "deep".into(),
+                experiment: "exp".into(),
+                trial: "t".into(),
+                chunk,
+            })
+            .unwrap();
+        assert!(matches!(resp.outcome, Outcome::Rejected { .. }), "{resp:?}");
+    }
+    let documents = [
+        format!(r#"{{"name":"t","profile":{bomb}"#),
+        format!(r#"{{"name":"t","pad":{bomb}"#),
+    ];
+    for document in documents {
+        let resp = client
+            .call(Request::Ingest {
+                app: "deep".into(),
+                experiment: "exp".into(),
+                document,
+            })
+            .unwrap();
+        assert!(matches!(resp.outcome, Outcome::Rejected { .. }), "{resp:?}");
+    }
+    let resp = client
+        .call(Request::Ingest {
+            app: "deep".into(),
+            experiment: "exp".into(),
+            document: trial_json("after", 4),
+        })
+        .unwrap();
+    assert!(resp.is_clean(), "{resp:?}");
+    let stats = svc.stats();
+    assert_eq!(stats.rejected, 4);
+    assert_eq!(stats.panics_isolated, 0);
+    svc.shutdown();
+}
+
 /// Per-thread TIME of each event in an imbalanced trial, `main` first
 /// so that the first streamed chunk already carries the total-runtime
 /// row.

@@ -2,18 +2,47 @@
 //!
 //! The real serde cannot be vendored in this container (no network, no
 //! registry cache), so this crate supplies the small subset the workspace
-//! uses: `Serialize`/`Deserialize` traits over a JSON-like [`Value`] data
-//! model, plus the `#[derive(Serialize, Deserialize)]` macros from the
-//! sibling `serde_derive` shim. The wire behaviour mirrors serde_json's
-//! defaults for the shapes this workspace serializes: structs become
-//! objects in field order, enums are externally tagged, newtype structs
-//! are transparent, `Option` is `null`-or-value, and non-finite floats
+//! uses: `Serialize`/`Deserialize` traits, JSON as the one data format,
+//! and the `#[derive(Serialize, Deserialize)]` macros from the sibling
+//! `serde_derive` shim. The wire behaviour mirrors serde_json's defaults
+//! for the shapes this workspace serializes: structs become objects in
+//! field order, enums are externally tagged, newtype structs are
+//! transparent, `Option` is `null`-or-value, and non-finite floats
 //! serialize as `null`.
+//!
+//! Each trait has two paths. The production path is one pass, shaped
+//! like real serde's `Deserializer`/`Serializer`:
+//! [`Deserialize::deserialize`] pulls tokens from a validating byte
+//! cursor ([`Reader`]) straight into the type, and
+//! [`Serialize::serialize`] writes text straight into a [`Writer`]. The
+//! other path, [`Serialize::to_value`]/[`Deserialize::from_value`] over
+//! a [`Value`] tree, is the [`reference`](mod@reference) codec the one-pass path is
+//! differentially tested against.
+//!
+//! Field rules, the same on both paths: the first occurrence of a
+//! duplicate struct key wins (later ones must still be valid JSON),
+//! while a map keeps the last; unknown keys are ignored; a missing field
+//! decodes from `null` (so an `Option` becomes `None` and an `f64` NaN)
+//! unless it is `#[serde(default)]`; integral floats (`3.0`, `1e3`) are
+//! accepted for integers that can hold them exactly. Arrays and objects
+//! may nest at most [`MAX_DEPTH`] deep.
 
 pub use serde_derive::{Deserialize, Serialize};
 
-use std::collections::{BTreeMap, HashMap};
+mod read;
+pub mod reference;
+mod write;
+
+pub use read::{Mark, Reader};
+pub use reference::parse_json;
+pub use write::Writer;
+
+use std::collections::BTreeMap;
 use std::fmt;
+
+/// The deepest nesting of arrays and objects a document may have (as in
+/// serde_json); deeper input is an error rather than a stack overflow.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON document. Object keys preserve insertion order so that
 /// struct output is reproducible (field declaration order).
@@ -23,8 +52,10 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// An integral number (serialized without a decimal point).
+    /// An integer that fits in `i64` (serialized without a decimal point).
     Int(i64),
+    /// An integer above `i64::MAX` that fits in `u64`.
+    UInt(u64),
     /// A floating-point number.
     Float(f64),
     /// A string.
@@ -62,12 +93,11 @@ impl Value {
 
     /// Looks up a key in an object (first match).
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.as_object()
-            .and_then(|pairs| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v))
+        self.as_object().and_then(|pairs| object_get(pairs, key))
     }
 }
 
-/// Looks up a key in a pair list (used by derived code).
+/// Looks up a key in a pair list (first match; used by derived code).
 pub fn object_get<'a>(pairs: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
@@ -91,23 +121,86 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can convert themselves into a [`Value`].
+/// Types that can write themselves as JSON.
 pub trait Serialize {
-    /// Builds the JSON value for `self`.
+    /// Writes `self` into `w` (the production path).
+    fn serialize(&self, w: &mut Writer);
+
+    /// Builds the JSON value for `self` (the [`reference`](mod@reference) path).
     fn to_value(&self) -> Value;
 }
 
-/// Types that can be rebuilt from a [`Value`].
+/// Types that can be rebuilt from JSON.
 pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a JSON value.
+    /// Decodes `Self` from the value at the cursor, consuming exactly
+    /// that value (the production path).
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
+
+    /// Rebuilds `Self` from a JSON value (the [`reference`](mod@reference) path).
     fn from_value(v: &Value) -> Result<Self, Error>;
+}
+
+/// Decodes a whole JSON document in one pass.
+pub fn from_json<T: Deserialize>(text: &str) -> Result<T, Error> {
+    let mut r = Reader::new(text);
+    let value = T::deserialize(&mut r)?;
+    r.finish()?;
+    Ok(value)
+}
+
+/// Encodes a value as JSON text in one pass, compact or pretty-printed.
+pub fn to_json<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
+    let mut w = Writer::new(pretty);
+    value.serialize(&mut w);
+    w.into_string()
+}
+
+/// Renders a value as compact JSON.
+pub fn write_json(v: &Value) -> String {
+    to_json(v, false)
+}
+
+/// Renders a value as pretty-printed JSON (two-space indent).
+pub fn write_json_pretty(v: &Value) -> String {
+    to_json(v, true)
+}
+
+/// The value of an absent struct field: what `null` decodes to, if
+/// anything (used by derived code).
+pub fn missing_field<T: Deserialize>(field: &str, owner: &str) -> Result<T, Error> {
+    from_json("null").map_err(|_| missing(field, owner))
+}
+
+/// [`missing_field`] on the [`reference`](mod@reference) path.
+pub fn missing_field_value<T: Deserialize>(field: &str, owner: &str) -> Result<T, Error> {
+    T::from_value(&Value::Null).map_err(|_| missing(field, owner))
+}
+
+fn missing(field: &str, owner: &str) -> Error {
+    Error(format!("missing field `{field}` in {owner}"))
+}
+
+/// The code point of four hex digits (no sign, unlike `from_str_radix`).
+fn hex4(digits: &[u8]) -> Option<u32> {
+    digits.iter().try_fold(0, |cp, &d| {
+        let v = (d as char).to_digit(16)?;
+        Some(cp << 4 | v)
+    })
+}
+
+/// Combines a UTF-16 surrogate pair; the high half is already checked.
+fn surrogate_pair(high: u32, low: u32) -> Result<u32, Error> {
+    if !(0xDC00..0xE000).contains(&low) {
+        return Err(Error::custom("unpaired surrogate in \\u escape"));
+    }
+    Ok(0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00))
 }
 
 fn type_err(expected: &str, got: &Value) -> Error {
     let kind = match got {
         Value::Null => "null",
         Value::Bool(_) => "bool",
-        Value::Int(_) => "integer",
+        Value::Int(_) | Value::UInt(_) => "integer",
         Value::Float(_) => "float",
         Value::Str(_) => "string",
         Value::Array(_) => "array",
@@ -116,25 +209,90 @@ fn type_err(expected: &str, got: &Value) -> Error {
     Error(format!("expected {expected}, found {kind}"))
 }
 
+/// A JSON number, classified as [`parse_json`] classifies it: an
+/// integer that fits `i64`, one above `i64::MAX` that fits `u64`, or a
+/// float.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// See [`Value::Int`].
+    Int(i64),
+    /// See [`Value::UInt`].
+    UInt(u64),
+    /// See [`Value::Float`].
+    Float(f64),
+}
+
+impl Value {
+    fn number(&self) -> Option<Number> {
+        match *self {
+            Value::Int(i) => Some(Number::Int(i)),
+            Value::UInt(u) => Some(Number::UInt(u)),
+            Value::Float(f) => Some(Number::Float(f)),
+            _ => None,
+        }
+    }
+}
+
+/// An integer of type `T` from a number, which may be an integral float
+/// (exact below 2^127 in magnitude; no integer type holds more).
+#[inline]
+fn int_from<T>(n: Number, ty: &str) -> Result<T, Error>
+where
+    T: TryFrom<i64> + TryFrom<u64> + TryFrom<i128>,
+{
+    let fits = match n {
+        Number::Int(i) => T::try_from(i).ok(),
+        Number::UInt(u) => T::try_from(u).ok(),
+        Number::Float(f) if f.fract() != 0.0 || f.is_nan() => {
+            return Err(Error::custom("expected integer, found float"))
+        }
+        Number::Float(f) if f.abs() < 2f64.powi(127) => T::try_from(f as i128).ok(),
+        Number::Float(_) => None,
+    };
+    fits.ok_or_else(|| {
+        let n = match n {
+            Number::Int(i) => i.to_string(),
+            Number::UInt(u) => u.to_string(),
+            Number::Float(f) => format!("{f:?}"),
+        };
+        Error(format!("integer {n} out of range for {ty}"))
+    })
+}
+
+#[inline]
+fn float_from(n: Number) -> f64 {
+    match n {
+        Number::Int(i) => i as f64,
+        Number::UInt(u) => u as f64,
+        Number::Float(f) => f,
+    }
+}
+
 impl Serialize for Value {
+    fn serialize(&self, w: &mut Writer) {
+        w.value(self)
+    }
+
     fn to_value(&self) -> Value {
         self.clone()
     }
 }
 
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
-    }
-}
-
 impl Serialize for bool {
+    fn serialize(&self, w: &mut Writer) {
+        w.bool(*self)
+    }
+
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
 }
 
 impl Deserialize for bool {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.bool()
+    }
+
     fn from_value(v: &Value) -> Result<Self, Error> {
         match v {
             Value::Bool(b) => Ok(*b),
@@ -143,32 +301,67 @@ impl Deserialize for bool {
     }
 }
 
-macro_rules! int_impls {
+macro_rules! int_deserialize {
     ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i64)
-            }
-        }
         impl Deserialize for $t {
+            #[inline]
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                match r.number()? {
+                    Some(n) => int_from(n, stringify!($t)),
+                    None => Err(r.type_error("integer")),
+                }
+            }
+
             fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = match v {
-                    Value::Int(i) => *i,
-                    // Accept integral floats: other writers may emit `3.0`.
-                    Value::Float(f) if f.fract() == 0.0 => *f as i64,
-                    other => return Err(type_err("integer", other)),
-                };
-                <$t>::try_from(n).map_err(|_| Error(format!(
-                    "integer {n} out of range for {}", stringify!($t)
-                )))
+                match v.number() {
+                    Some(n) => int_from(n, stringify!($t)),
+                    None => Err(type_err("integer", v)),
+                }
             }
         }
     )*};
 }
 
-int_impls!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
+int_deserialize!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
+
+macro_rules! signed_serialize {
+    ($($t:ty),*) => {$(
+        impl Serialize for $t {
+            fn serialize(&self, w: &mut Writer) {
+                w.int(*self as i64)
+            }
+
+            fn to_value(&self) -> Value {
+                Value::Int(*self as i64)
+            }
+        }
+    )*};
+}
+
+signed_serialize!(i8, i16, i32, i64, isize);
+
+macro_rules! unsigned_serialize {
+    ($($t:ty),*) => {$(
+        impl Serialize for $t {
+            fn serialize(&self, w: &mut Writer) {
+                w.uint(*self as u64)
+            }
+
+            fn to_value(&self) -> Value {
+                let u = *self as u64;
+                i64::try_from(u).map_or(Value::UInt(u), Value::Int)
+            }
+        }
+    )*};
+}
+
+unsigned_serialize!(u8, u16, u32, u64, usize);
 
 impl Serialize for f64 {
+    fn serialize(&self, w: &mut Writer) {
+        w.float(*self)
+    }
+
     fn to_value(&self) -> Value {
         if self.is_finite() {
             Value::Float(*self)
@@ -180,36 +373,43 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
+    #[inline]
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        // `null` is the round trip of a non-finite float.
+        if r.null()? {
+            return Ok(f64::NAN);
+        }
+        match r.number()? {
+            Some(n) => Ok(float_from(n)),
+            None => Err(r.type_error("number")),
+        }
+    }
+
     fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Float(f) => Ok(*f),
-            Value::Int(i) => Ok(*i as f64),
-            // Round-trip of a non-finite float.
-            Value::Null => Ok(f64::NAN),
-            other => Err(type_err("number", other)),
+        match (v, v.number()) {
+            (_, Some(n)) => Ok(float_from(n)),
+            (Value::Null, None) => Ok(f64::NAN),
+            _ => Err(type_err("number", v)),
         }
     }
 }
 
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        (*self as f64).to_value()
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|f| f as f32)
-    }
-}
-
 impl Serialize for String {
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self)
+    }
+
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
     }
 }
 
 impl Deserialize for String {
+    #[inline]
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.str().map(|s| s.into_owned())
+    }
+
     fn from_value(v: &Value) -> Result<Self, Error> {
         match v {
             Value::Str(s) => Ok(s.clone()),
@@ -219,45 +419,53 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self)
+    }
+
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(type_err("single-character string", other)),
-        }
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w)
+    }
+
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w)
+    }
+
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        T::deserialize(r).map(Box::new)
+    }
+
     fn from_value(v: &Value) -> Result<Self, Error> {
         T::from_value(v).map(Box::new)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
+    fn serialize(&self, w: &mut Writer) {
+        match self {
+            Some(x) => x.serialize(w),
+            None => w.null(),
+        }
+    }
+
     fn to_value(&self) -> Value {
         match self {
             Some(x) => x.to_value(),
@@ -267,6 +475,14 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
+        }
+    }
+
     fn from_value(v: &Value) -> Result<Self, Error> {
         match v {
             Value::Null => Ok(None),
@@ -276,12 +492,27 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize(&self, w: &mut Writer) {
+        w.seq(self)
+    }
+
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if !r.begin_array()? {
+            return Err(r.type_error("array"));
+        }
+        let mut items = Vec::new();
+        while r.next_element()? {
+            items.push(T::deserialize(r)?);
+        }
+        Ok(items)
+    }
+
     fn from_value(v: &Value) -> Result<Self, Error> {
         match v {
             Value::Array(items) => items.iter().map(T::from_value).collect(),
@@ -291,35 +522,48 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
+    fn serialize(&self, w: &mut Writer) {
+        w.seq(self)
+    }
+
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let items: Vec<T> = Vec::from_value(v)?;
-        let len = items.len();
-        items
-            .try_into()
-            .map_err(|_| Error(format!("expected array of length {N}, found {len}")))
     }
 }
 
 macro_rules! tuple_impls {
     ($(($($t:ident : $i:tt),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
+            fn serialize(&self, w: &mut Writer) {
+                w.begin('[');
+                $(
+                    w.element($i == 0);
+                    self.$i.serialize(w);
+                )+
+                w.end(']', false);
+            }
+
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$i.to_value()),+])
             }
         }
+
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                const ARITY: usize = [$($i),+].len();
+                let arity = || Error(format!("expected array of length {ARITY}"));
+                if !r.begin_array()? {
+                    return Err(r.type_error("array"));
+                }
+                let tuple = ($(
+                    if r.next_element()? { $t::deserialize(r)? } else { return Err(arity()) },
+                )+);
+                if r.next_element()? {
+                    return Err(arity());
+                }
+                Ok(tuple)
+            }
+
             fn from_value(v: &Value) -> Result<Self, Error> {
                 let items = v.as_array().ok_or_else(|| type_err("array", v))?;
                 let expected = [$($i),+].len();
@@ -348,8 +592,13 @@ fn key_to_string<K: Serialize>(key: &K) -> String {
     match key.to_value() {
         Value::Str(s) => s,
         Value::Int(i) => i.to_string(),
+        Value::UInt(u) => u.to_string(),
         other => panic!("map key must serialize to a string or integer, got {other:?}"),
     }
+}
+
+fn invalid_key(key: &str) -> Error {
+    Error(format!("invalid map key: {key:?}"))
 }
 
 fn key_from_string<K: Deserialize>(key: &str) -> Result<K, Error> {
@@ -361,10 +610,28 @@ fn key_from_string<K: Deserialize>(key: &str) -> Result<K, Error> {
             return Ok(k);
         }
     }
-    Err(Error(format!("invalid map key: {key:?}")))
+    Err(invalid_key(key))
+}
+
+/// [`key_from_string`] on the one-pass path; `raw` is the key's quoted
+/// source text.
+fn key_from_json<K: Deserialize>(key: &str, raw: &str) -> Result<K, Error> {
+    if let Ok(k) = from_json(raw) {
+        return Ok(k);
+    }
+    if let Ok(i) = key.parse::<i64>() {
+        if let Ok(k) = from_json(&i.to_string()) {
+            return Ok(k);
+        }
+    }
+    Err(invalid_key(key))
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
+    fn serialize(&self, w: &mut Writer) {
+        w.map(self)
+    }
+
     fn to_value(&self) -> Value {
         Value::Object(
             self.iter()
@@ -375,372 +642,24 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if !r.begin_object()? {
+            return Err(r.type_error("object"));
+        }
+        let mut map = BTreeMap::new();
+        while let Some((key, raw)) = r.next_key_raw()? {
+            let key = key_from_json(&key, raw)?;
+            map.insert(key, V::deserialize(r)?);
+        }
+        Ok(map)
+    }
+
     fn from_value(v: &Value) -> Result<Self, Error> {
         let pairs = v.as_object().ok_or_else(|| type_err("object", v))?;
         pairs
             .iter()
             .map(|(k, v)| Ok((key_from_string(k)?, V::from_value(v)?)))
             .collect()
-    }
-}
-
-impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
-    fn to_value(&self) -> Value {
-        // Sort keys for deterministic output, as serde_json's default
-        // BTreeMap-backed map does.
-        let mut pairs: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (key_to_string(k), v.to_value()))
-            .collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(pairs)
-    }
-}
-
-impl<K: Deserialize + std::hash::Hash + Eq, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let pairs = v.as_object().ok_or_else(|| type_err("object", v))?;
-        pairs
-            .iter()
-            .map(|(k, v)| Ok((key_from_string(k)?, V::from_value(v)?)))
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// JSON text encoding/decoding (used by the serde_json facade).
-// ---------------------------------------------------------------------------
-
-/// Renders a value as compact JSON.
-pub fn write_json(v: &Value) -> String {
-    let mut out = String::new();
-    write_value(&mut out, v, None, 0);
-    out
-}
-
-/// Renders a value as pretty-printed JSON (two-space indent).
-pub fn write_json_pretty(v: &Value) -> String {
-    let mut out = String::new();
-    write_value(&mut out, v, Some(2), 0);
-    out
-}
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // `{:?}` prints the shortest representation that
-                // round-trips, always keeping a decimal point or exponent
-                // (`1.0`, not `1`) — serde_json's float behaviour.
-                out.push_str(&format!("{f:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, val)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, val, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parses JSON text into a [`Value`].
-pub fn parse_json(text: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error(format!("trailing characters at byte {}", p.pos)));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error(format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(Error(format!("invalid literal at byte {}", self.pos)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(Error(format!(
-                "unexpected character {:?} at byte {}",
-                c as char, self.pos
-            ))),
-            None => Err(Error("unexpected end of input".into())),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error(format!("expected ',' or ']' at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(Error(format!("expected ',' or '}}' at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error("invalid UTF-8 in string".into()))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error("unterminated escape".into()))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0c}'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pair support.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                let combined = 0x10000
-                                    + ((cp - 0xD800) << 10)
-                                    + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                char::from_u32(combined)
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or_else(|| Error("invalid \\u escape".into()))?);
-                        }
-                        other => {
-                            return Err(Error(format!(
-                                "invalid escape character {:?}",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                _ => return Err(Error("unterminated string".into())),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        let hex = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| Error("truncated \\u escape".into()))?;
-        let s = std::str::from_utf8(hex).map_err(|_| Error("invalid \\u escape".into()))?;
-        let cp = u32::from_str_radix(s, 16).map_err(|_| Error("invalid \\u escape".into()))?;
-        self.pos = end;
-        Ok(cp)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("invalid number".into()))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error(format!("invalid number {text:?}")))
-        } else {
-            // Integers too large for i64 fall back to f64, as JSON readers
-            // commonly do.
-            match text.parse::<i64>() {
-                Ok(i) => Ok(Value::Int(i)),
-                Err(_) => text
-                    .parse::<f64>()
-                    .map(Value::Float)
-                    .map_err(|_| Error(format!("invalid number {text:?}"))),
-            }
-        }
     }
 }
 
@@ -804,5 +723,166 @@ mod tests {
     fn pretty_printing_indents() {
         let v = parse_json(r#"{"a":[1]}"#).unwrap();
         assert_eq!(write_json_pretty(&v), "{\n  \"a\": [\n    1\n  ]\n}");
+    }
+
+    /// Decodes `text` on both paths.
+    fn both<T: Deserialize>(text: &str) -> [Result<T, Error>; 2] {
+        [from_json(text), reference::from_str(text)]
+    }
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth_on_both_paths() {
+        let ok = nested(MAX_DEPTH);
+        assert!(parse_json(&ok).is_ok());
+        assert!(Reader::new(&ok).skip_value().is_ok());
+        let deep = nested(MAX_DEPTH + 1);
+        let err = parse_json(&deep).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let err = Reader::new(&deep).skip_value().unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // A megabyte of open brackets is an error, not a stack overflow.
+        let bomb = "[".repeat(1 << 20);
+        assert!(parse_json(&bomb).is_err());
+        assert!(Reader::new(&bomb).skip_value().is_err());
+        assert!(from_json::<BTreeMap<String, u8>>(&format!("{{\"k\":{bomb}")).is_err());
+    }
+
+    #[test]
+    fn u64_above_i64_max_round_trips_on_both_paths() {
+        for u in [i64::MAX as u64 + 1, u64::MAX] {
+            let text = to_json(&u, false);
+            assert_eq!(text, u.to_string());
+            assert_eq!(reference::to_string(&u), text);
+            for decoded in both::<u64>(&text) {
+                assert_eq!(decoded.unwrap(), u);
+            }
+            for decoded in both::<i64>(&text) {
+                let err = decoded.unwrap_err().to_string();
+                assert_eq!(err, format!("integer {u} out of range for i64"));
+            }
+        }
+        for decoded in both::<u64>("-1") {
+            assert!(decoded.is_err());
+        }
+    }
+
+    #[test]
+    fn integral_floats_outside_the_target_range_are_errors() {
+        let out_of_range = |r: Result<i128, Error>| {
+            let err = r.unwrap_err().to_string();
+            assert!(err.contains("out of range"), "{err}");
+        };
+        for text in ["1e300", "-1e300", "1e19"] {
+            both::<i64>(text)
+                .into_iter()
+                .for_each(|r| out_of_range(r.map(i128::from)));
+        }
+        for text in ["1e300", "-1.0", "1.8446744073709552e19"] {
+            both::<u64>(text)
+                .into_iter()
+                .for_each(|r| out_of_range(r.map(i128::from)));
+        }
+        both::<u32>("4294967296.0")
+            .into_iter()
+            .for_each(|r| out_of_range(r.map(i128::from)));
+        both::<u32>("1e3")
+            .into_iter()
+            .for_each(|r| assert_eq!(r.unwrap(), 1000));
+        both::<u8>("3.0")
+            .into_iter()
+            .for_each(|r| assert_eq!(r.unwrap(), 3));
+        both::<u8>("2.5")
+            .into_iter()
+            .for_each(|r| assert!(r.is_err()));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for text in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004""#] {
+            for decoded in both::<String>(text) {
+                assert!(decoded.is_err(), "{text} decoded");
+            }
+        }
+        for decoded in both::<String>(r#""Aé""#) {
+            assert_eq!(decoded.unwrap(), "Aé");
+        }
+    }
+
+    #[test]
+    fn a_high_surrogate_needs_a_low_surrogate_on_both_paths() {
+        for text in [r#""\ud800A""#, r#""\ud800""#, r#""\ud800x""#, r#""\udc00""#] {
+            for decoded in both::<String>(text) {
+                assert!(decoded.is_err(), "{text} decoded");
+            }
+        }
+        for decoded in both::<String>(r#""😀""#) {
+            assert_eq!(decoded.unwrap(), "😀");
+        }
+    }
+
+    #[test]
+    fn numbers_classify_as_the_reference_parser_does() {
+        let tokens = [
+            "0",
+            "-0",
+            "007",
+            "1.",
+            "-.5",
+            "1e5",
+            "1E+2",
+            "1.5e-3",
+            "0.1",
+            "0.30000000000000004",
+            "9007199254740993",
+            "9007199254740993.0",
+            "123456789.123456789",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "18446744073709551615",
+            "18446744073709551616",
+            "000000000000000000001",
+            "123456789012345678901234567890",
+            "1.7976931348623157e309",
+            "1-2",
+            "1.2.3",
+            "-",
+        ];
+        for token in tokens {
+            let cursor = Reader::new(token).number();
+            match (cursor, parse_json(token).map(|v| v.number())) {
+                (Ok(a), Ok(b)) => assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "{token} classified differently"
+                ),
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!("{token}: cursor {a:?}, reference {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rewind_returns_to_a_marked_value() {
+        let mut r = Reader::new(r#"{"a":[1,true],"b":2}"#);
+        assert!(r.begin_object().unwrap());
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("a"));
+        let mark = r.mark();
+        assert!(u8::deserialize(&mut r).is_err());
+        r.rewind(mark);
+        r.skip_value().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("b"));
+        assert_eq!(u8::deserialize(&mut r).unwrap(), 2);
+        assert!(r.next_key().unwrap().is_none());
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn untyped_values_write_in_one_pass() {
+        let text = r#"{"a":[1,2.5,null,{}],"b":{"c":"x\u0001"},"d":[],"e":18446744073709551615}"#;
+        assert_eq!(write_json(&parse_json(text).unwrap()), text);
     }
 }

@@ -7,6 +7,13 @@
 //! parsed directly from the `proc_macro` token stream and the impl is
 //! emitted as formatted source text.
 //!
+//! Each impl has both of the serde shim's paths: the one-pass
+//! `serialize`/`deserialize` over its `Writer`/`Reader`, and the
+//! `to_value`/`from_value` reference path over `Value`. A derived
+//! `deserialize` matches each key against the field names as a borrowed
+//! slice; the first occurrence of a field wins and every other member is
+//! validated and skipped.
+//!
 //! Supported attribute: `#[serde(default)]` on named struct fields.
 //! Generics are not supported (the workspace derives only on concrete
 //! types).
@@ -43,21 +50,53 @@ enum Item {
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    let code = match &item {
-        Item::Struct { name, fields } => gen_struct_serialize(name, fields),
-        Item::Enum { name, variants } => gen_enum_serialize(name, variants),
+    let (name, write, build) = match &item {
+        Item::Struct { name, fields } => (
+            name,
+            gen_struct_serialize(fields),
+            gen_struct_to_value(fields),
+        ),
+        Item::Enum { name, variants } => (
+            name,
+            gen_enum_serialize(name, variants),
+            gen_enum_to_value(name, variants),
+        ),
     };
-    code.parse().expect("generated Serialize impl parses")
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn serialize(&self, __w: &mut ::serde::Writer) {{ {write} }}\n\
+             fn to_value(&self) -> ::serde::Value {{ {build} }}\n\
+         }}\n"
+    )
+    .parse()
+    .expect("generated Serialize impl parses")
 }
 
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    let code = match &item {
-        Item::Struct { name, fields } => gen_struct_deserialize(name, fields),
-        Item::Enum { name, variants } => gen_enum_deserialize(name, variants),
+    let (name, read, walk) = match &item {
+        Item::Struct { name, fields } => (
+            name,
+            gen_struct_deserialize(name, fields),
+            gen_struct_from_value(name, fields),
+        ),
+        Item::Enum { name, variants } => (
+            name,
+            gen_enum_deserialize(name, variants),
+            gen_enum_from_value(name, variants),
+        ),
     };
-    code.parse().expect("generated Deserialize impl parses")
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+             fn deserialize(__r: &mut ::serde::Reader<'_>) \
+                 -> ::std::result::Result<Self, ::serde::Error> {{\n{read}\n}}\n\
+             fn from_value(v: &::serde::Value) \
+                 -> ::std::result::Result<Self, ::serde::Error> {{\n{walk}\n}}\n\
+         }}\n"
+    )
+    .parse()
+    .expect("generated Deserialize impl parses")
 }
 
 // ---------------------------------------------------------------------------
@@ -287,11 +326,242 @@ fn parse_variants(stream: TokenStream) -> Vec<(String, Fields)> {
 }
 
 // ---------------------------------------------------------------------------
-// Code generation
+// Code generation: the one-pass path
 // ---------------------------------------------------------------------------
 
-fn gen_struct_serialize(name: &str, fields: &Fields) -> String {
-    let body = match fields {
+/// Statements writing the `&`-expressions `items` as a JSON array.
+fn write_array(items: &[String]) -> String {
+    let body: String = items
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            format!(
+                "__w.element({first}); ::serde::Serialize::serialize({e}, __w);",
+                first = i == 0
+            )
+        })
+        .collect();
+    format!(
+        "__w.begin('['); {body} __w.end(']', {empty});",
+        empty = items.is_empty()
+    )
+}
+
+/// Statements writing `(key, &-expression)` members as a JSON object.
+fn write_object(members: &[(String, String)]) -> String {
+    let body: String = members
+        .iter()
+        .enumerate()
+        .map(|(i, (k, e))| {
+            format!(
+                "__w.key({first}, \"{k}\"); ::serde::Serialize::serialize({e}, __w);",
+                first = i == 0
+            )
+        })
+        .collect();
+    format!(
+        "__w.begin('{{'); {body} __w.end('}}', {empty});",
+        empty = members.is_empty()
+    )
+}
+
+fn gen_struct_serialize(fields: &Fields) -> String {
+    match fields {
+        Fields::Unit => "__w.null();".to_string(),
+        Fields::Tuple(1) => "::serde::Serialize::serialize(&self.0, __w);".to_string(),
+        Fields::Tuple(n) => write_array(&(0..*n).map(|i| format!("&self.{i}")).collect::<Vec<_>>()),
+        Fields::Named(fs) => write_object(
+            &fs.iter()
+                .map(|f| (f.name.clone(), format!("&self.{}", f.name)))
+                .collect::<Vec<_>>(),
+        ),
+    }
+}
+
+fn gen_enum_serialize(name: &str, variants: &[(String, Fields)]) -> String {
+    let arms: Vec<String> = variants
+        .iter()
+        .map(|(v, fields)| {
+            let (pattern, payload) = match fields {
+                Fields::Unit => return format!("{name}::{v} => __w.str(\"{v}\"),"),
+                Fields::Tuple(n) => {
+                    let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
+                    let payload = if *n == 1 {
+                        "::serde::Serialize::serialize(__f0, __w);".to_string()
+                    } else {
+                        write_array(&binds)
+                    };
+                    (format!("{name}::{v}({})", binds.join(", ")), payload)
+                }
+                Fields::Named(fs) => {
+                    let binds: Vec<String> = fs.iter().map(|f| f.name.clone()).collect();
+                    let members: Vec<(String, String)> =
+                        binds.iter().map(|b| (b.clone(), b.clone())).collect();
+                    (
+                        format!("{name}::{v} {{ {} }}", binds.join(", ")),
+                        write_object(&members),
+                    )
+                }
+            };
+            format!(
+                "{pattern} => {{ __w.begin('{{'); __w.key(true, \"{v}\"); {payload} \
+                 __w.end('}}', false); }}"
+            )
+        })
+        .collect();
+    format!("match self {{\n{}\n}}", arms.join("\n"))
+}
+
+/// An expression decoding a JSON array of `n` items into `ctor(..)`,
+/// returning early on error.
+fn read_tuple(ctor: &str, owner: &str, n: usize) -> String {
+    let arity = format!(
+        "return ::std::result::Result::Err(::serde::Error::custom(\
+         \"wrong tuple arity for {owner}\"))"
+    );
+    let items: Vec<String> = (0..n)
+        .map(|_| {
+            format!(
+                "if __r.next_element()? {{ ::serde::Deserialize::deserialize(__r)? }} \
+                 else {{ {arity} }}"
+            )
+        })
+        .collect();
+    format!(
+        "{{\n\
+             if !__r.begin_array()? {{\n\
+                 return ::std::result::Result::Err(::serde::Error::custom(\
+                     \"expected array for {owner}\"));\n\
+             }}\n\
+             let __v = {ctor}({items});\n\
+             if __r.next_element()? {{ {arity}; }}\n\
+             __v\n\
+         }}",
+        items = items.join(", ")
+    )
+}
+
+/// An expression decoding a JSON object into `ctor { .. }`, returning
+/// early on error.
+fn read_object(ctor: &str, owner: &str, fs: &[Field]) -> String {
+    let slots: String = (0..fs.len())
+        .map(|i| format!("let mut __f{i} = ::std::option::Option::None;\n"))
+        .collect();
+    let arms: String = fs
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "\"{n}\" if __f{i}.is_none() => __f{i} = \
+                 ::std::option::Option::Some(::serde::Deserialize::deserialize(__r)?),\n",
+                n = f.name
+            )
+        })
+        .collect();
+    let inits: Vec<String> = fs
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let missing = if f.default {
+                "::std::default::Default::default()".to_string()
+            } else {
+                format!("::serde::missing_field(\"{}\", \"{owner}\")?", f.name)
+            };
+            format!(
+                "{n}: match __f{i} {{\n\
+                     ::std::option::Option::Some(__x) => __x,\n\
+                     ::std::option::Option::None => {missing},\n\
+                 }}",
+                n = f.name
+            )
+        })
+        .collect();
+    format!(
+        "{{\n\
+             if !__r.begin_object()? {{\n\
+                 return ::std::result::Result::Err(::serde::Error::custom(\
+                     \"expected object for {owner}\"));\n\
+             }}\n\
+             {slots}\
+             while let ::std::option::Option::Some(__k) = __r.next_key()? {{\n\
+                 match &*__k {{\n\
+                     {arms}\
+                     _ => __r.skip_value()?,\n\
+                 }}\n\
+             }}\n\
+             {ctor} {{ {inits} }}\n\
+         }}",
+        inits = inits.join(",\n")
+    )
+}
+
+fn gen_struct_deserialize(name: &str, fields: &Fields) -> String {
+    let value = match fields {
+        // A unit struct accepts (and validates) any value.
+        Fields::Unit => format!("{{ __r.skip_value()?; {name} }}"),
+        Fields::Tuple(1) => format!("{name}(::serde::Deserialize::deserialize(__r)?)"),
+        Fields::Tuple(n) => read_tuple(name, name, *n),
+        Fields::Named(fs) => read_object(name, name, fs),
+    };
+    format!("::std::result::Result::Ok({value})")
+}
+
+fn gen_enum_deserialize(name: &str, variants: &[(String, Fields)]) -> String {
+    let unknown = format!(
+        "__other => return ::std::result::Result::Err(::serde::Error::custom(\
+         format!(\"unknown {name} variant `{{__other}}`\"))),"
+    );
+    let not_enum = format!(
+        "::std::result::Result::Err(::serde::Error::custom(\
+         \"expected string or single-key object for enum {name}\"))"
+    );
+    let unit_arms: String = variants
+        .iter()
+        .filter(|(_, f)| matches!(f, Fields::Unit))
+        .map(|(v, _)| format!("\"{v}\" => ::std::result::Result::Ok({name}::{v}),\n"))
+        .collect();
+    let payload_arms: Vec<String> = variants
+        .iter()
+        .filter_map(|(v, fields)| {
+            let ctor = format!("{name}::{v}");
+            let value = match fields {
+                Fields::Unit => return None,
+                Fields::Tuple(1) => format!("{ctor}(::serde::Deserialize::deserialize(__r)?)"),
+                Fields::Tuple(n) => read_tuple(&ctor, &ctor, *n),
+                Fields::Named(fs) => read_object(&ctor, &ctor, fs),
+            };
+            Some(format!("\"{v}\" => {value},\n"))
+        })
+        .collect();
+    // Without payload variants every tag is unknown; the arm stays
+    // free of unreachable code.
+    let payload = if payload_arms.is_empty() {
+        format!("match &*__tag {{ {unknown} }}")
+    } else {
+        format!(
+            "let __v = match &*__tag {{\n{arms}{unknown}\n}};\n\
+             if __r.next_key()?.is_some() {{ return {not_enum}; }}\n\
+             ::std::result::Result::Ok(__v)",
+            arms = payload_arms.concat()
+        )
+    };
+    format!(
+        "match __r.variant()? {{\n\
+             ::std::option::Option::Some((__tag, false)) => match &*__tag {{\n\
+                 {unit_arms}{unknown}\n\
+             }},\n\
+             ::std::option::Option::Some((__tag, true)) => {{ {payload} }}\n\
+             ::std::option::Option::None => {not_enum},\n\
+         }}"
+    )
+}
+
+// ---------------------------------------------------------------------------
+// Code generation: the reference path over `Value`
+// ---------------------------------------------------------------------------
+
+fn gen_struct_to_value(fields: &Fields) -> String {
+    match fields {
         Fields::Unit => "::serde::Value::Null".to_string(),
         Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
         Fields::Tuple(n) => {
@@ -313,12 +583,7 @@ fn gen_struct_serialize(name: &str, fields: &Fields) -> String {
                 .collect();
             format!("::serde::Value::Object(::std::vec![{}])", pairs.join(", "))
         }
-    };
-    format!(
-        "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-         }}\n"
-    )
+    }
 }
 
 /// The expression rebuilding one named field from object pairs `__obj`.
@@ -326,11 +591,7 @@ fn named_field_expr(owner: &str, f: &Field) -> String {
     let missing = if f.default {
         "::std::default::Default::default()".to_string()
     } else {
-        format!(
-            "::serde::Deserialize::from_value(&::serde::Value::Null).map_err(|_| \
-             ::serde::Error::custom(\"missing field `{}` in {}\"))?",
-            f.name, owner
-        )
+        format!("::serde::missing_field_value(\"{}\", \"{owner}\")?", f.name)
     };
     format!(
         "{n}: match ::serde::object_get(__obj, \"{n}\") {{\n\
@@ -341,8 +602,8 @@ fn named_field_expr(owner: &str, f: &Field) -> String {
     )
 }
 
-fn gen_struct_deserialize(name: &str, fields: &Fields) -> String {
-    let body = match fields {
+fn gen_struct_from_value(name: &str, fields: &Fields) -> String {
+    match fields {
         Fields::Unit => format!("::std::result::Result::Ok({name})"),
         Fields::Tuple(1) => {
             format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
@@ -371,17 +632,10 @@ fn gen_struct_deserialize(name: &str, fields: &Fields) -> String {
                 fields_src.join(",\n")
             )
         }
-    };
-    format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                {body}\n\
-            }}\n\
-         }}\n"
-    )
+    }
 }
 
-fn gen_enum_serialize(name: &str, variants: &[(String, Fields)]) -> String {
+fn gen_enum_to_value(name: &str, variants: &[(String, Fields)]) -> String {
     let arms: Vec<String> = variants
         .iter()
         .map(|(v, fields)| match fields {
@@ -427,17 +681,10 @@ fn gen_enum_serialize(name: &str, variants: &[(String, Fields)]) -> String {
             }
         })
         .collect();
-    format!(
-        "impl ::serde::Serialize for {name} {{\n\
-            fn to_value(&self) -> ::serde::Value {{\n\
-                match self {{\n{arms}\n}}\n\
-            }}\n\
-         }}\n",
-        arms = arms.join("\n")
-    )
+    format!("match self {{\n{}\n}}", arms.join("\n"))
 }
 
-fn gen_enum_deserialize(name: &str, variants: &[(String, Fields)]) -> String {
+fn gen_enum_from_value(name: &str, variants: &[(String, Fields)]) -> String {
     let unit_arms: Vec<String> = variants
         .iter()
         .filter(|(_, f)| matches!(f, Fields::Unit))
@@ -484,9 +731,7 @@ fn gen_enum_deserialize(name: &str, variants: &[(String, Fields)]) -> String {
         })
         .collect();
     format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-            fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                match v {{\n\
+        "match v {{\n\
                     ::serde::Value::Str(__s) => match __s.as_str() {{\n\
                         {unit_arms}\n\
                         __other => ::std::result::Result::Err(::serde::Error::custom(\
@@ -502,9 +747,7 @@ fn gen_enum_deserialize(name: &str, variants: &[(String, Fields)]) -> String {
                     }}\n\
                     _ => ::std::result::Result::Err(::serde::Error::custom(\
                         \"expected string or single-key object for enum {name}\")),\n\
-                }}\n\
-            }}\n\
-         }}\n",
+         }}",
         unit_arms = unit_arms.join("\n"),
         payload_arms = payload_arms.join("\n")
     )

@@ -1,5 +1,5 @@
-//! Offline stand-in for `serde_json`, backed by the `serde` shim's
-//! [`Value`] data model and JSON codec.
+//! Offline stand-in for `serde_json`: a thin facade over the `serde`
+//! shim's one-pass JSON codec, plus its untyped [`Value`] parser.
 //!
 //! Floats print with `{:?}` — the shortest representation that parses
 //! back to the same bits — so round-trips are exact, matching the real
@@ -11,17 +11,17 @@ use serde::{Deserialize, Serialize};
 
 /// Serializes a value to compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(serde::write_json(&value.to_value()))
+    Ok(serde::to_json(value, false))
 }
 
 /// Serializes a value to pretty-printed JSON text.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(serde::write_json_pretty(&value.to_value()))
+    Ok(serde::to_json(value, true))
 }
 
 /// Deserializes a value from JSON text.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    T::from_value(&serde::parse_json(text)?)
+    serde::from_json(text)
 }
 
 /// Parses JSON text into an untyped [`Value`].
@@ -59,5 +59,91 @@ mod tests {
         assert_eq!(text, r#"{"a":1.5,"b":null}"#);
         let back: BTreeMap<String, Option<f64>> = from_str(&text).unwrap();
         assert_eq!(m, back);
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Cell {
+        id: u32,
+        value: f64,
+        label: Option<String>,
+        #[serde(default)]
+        tags: Vec<String>,
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum Shape {
+        Empty,
+        Point(f64),
+        Pair(u8, u8),
+        Named { cell: Cell },
+    }
+
+    /// Decodes `text` as `T` on both paths, which must agree.
+    fn both<T: Deserialize + PartialEq + std::fmt::Debug>(text: &str) -> Result<T, Error> {
+        let one_pass = from_str::<T>(text);
+        let reference = serde::reference::from_str::<T>(text);
+        assert_eq!(one_pass.is_ok(), reference.is_ok(), "{text}");
+        if let (Ok(a), Ok(b)) = (&one_pass, &reference) {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{text}");
+        }
+        one_pass
+    }
+
+    #[test]
+    fn first_duplicate_key_wins_but_later_ones_must_parse() {
+        let cell: Cell = both(r#"{"id":1,"id":"x","value":2.5,"label":null}"#).unwrap();
+        assert_eq!(cell.id, 1);
+        assert!(both::<Cell>(r#"{"id":1,"id":tru,"value":2.5}"#).is_err());
+        assert!(both::<Cell>(r#"{"id":"x","id":1,"value":2.5}"#).is_err());
+    }
+
+    #[test]
+    fn unknown_keys_are_ignored_and_missing_fields_decode_from_null() {
+        let cell: Cell = both(r#"{"extra":[{"deep":[1,2]}],"id":7}"#).unwrap();
+        assert_eq!(cell.id, 7);
+        assert!(cell.value.is_nan(), "a missing f64 is NaN");
+        assert_eq!(cell.label, None);
+        assert!(cell.tags.is_empty(), "#[serde(default)]");
+        let err = both::<Cell>(r#"{"value":1.0}"#).unwrap_err().to_string();
+        assert_eq!(err, "missing field `id` in Cell");
+        // Keys match after unescaping.
+        let cell: Cell = both(r#"{"\u0069d":3}"#).unwrap();
+        assert_eq!(cell.id, 3);
+    }
+
+    #[test]
+    fn enums_are_externally_tagged_on_both_paths() {
+        let shapes = vec![
+            Shape::Empty,
+            Shape::Point(0.5),
+            Shape::Pair(1, 2),
+            Shape::Named {
+                cell: Cell {
+                    id: 1,
+                    value: 2.0,
+                    label: Some("a\"b".into()),
+                    tags: vec!["t".into()],
+                },
+            },
+        ];
+        let text = to_string(&shapes).unwrap();
+        assert_eq!(text, serde::reference::to_string(&shapes));
+        assert_eq!(
+            to_string_pretty(&shapes).unwrap(),
+            serde::reference::to_string_pretty(&shapes)
+        );
+        assert_eq!(both::<Vec<Shape>>(&text).unwrap(), shapes);
+        for bad in [
+            r#""Nope""#,
+            r#""Point""#,
+            r#"{"Empty":null}"#,
+            r#"{"Point":1.0,"Pair":[1,2]}"#,
+            r#"{}"#,
+            r#"{"Pair":[1]}"#,
+            r#"{"Pair":[1,2,3]}"#,
+            "[]",
+        ] {
+            assert!(both::<Shape>(bad).is_err(), "{bad}");
+        }
     }
 }

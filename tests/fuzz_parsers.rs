@@ -3,8 +3,9 @@
 //! The profile readers are also held to their strict/lossy contract on
 //! every input.
 
+use faultsim::{Fault, FaultPlan};
 use perfdmf::formats::{csv, gprof, tau, Diagnostic};
-use perfdmf::ThreadId;
+use perfdmf::{Measurement, Repository, ThreadId, TrialBuilder};
 use proptest::prelude::*;
 
 fn assert_policy_contract<T: PartialEq>(
@@ -59,6 +60,47 @@ fn check_gprof(input: &str) {
         lossy.trial,
         &lossy.diagnostics,
     );
+}
+
+/// The repository JSON reader: strict `from_json` and lossy
+/// `salvage_json` keep the contract, salvage refuses only what strict
+/// refuses, and strict agrees with the derived `Repository` decoder.
+fn check_repository_json(input: &str) {
+    let strict = Repository::from_json(input);
+    assert_eq!(
+        strict.as_ref().ok(),
+        serde_json::from_str::<Repository>(input).ok().as_ref(),
+        "from_json differs from the derived decoder on {input:?}"
+    );
+    match Repository::salvage_json(input) {
+        Ok((repo, diagnostics)) => {
+            assert_policy_contract("json repository", input, strict, Some(repo), &diagnostics)
+        }
+        Err(e) => assert!(
+            strict.is_err(),
+            "salvage refused ({e}) what strict read: {input:?}"
+        ),
+    }
+}
+
+/// A small repository as pretty JSON, so line faults hit single members.
+fn repository_text() -> String {
+    let mut repo = Repository::new();
+    for (app, exp, name, threads) in [
+        ("a", "x", "t1", 2),
+        ("a", "x", "t2", 3),
+        ("b", "y", "t3", 1),
+    ] {
+        let mut b = TrialBuilder::with_flat_threads(name, threads);
+        let time = b.metric("TIME");
+        let main = b.event("main");
+        for t in 0..threads {
+            b.set(main, time, t, Measurement::leaf(1.5 + t as f64));
+        }
+        b.meta("threads", threads);
+        repo.add_trial(app, exp, b.build()).unwrap();
+    }
+    serde_json::to_string_pretty(&repo).unwrap()
 }
 
 proptest! {
@@ -162,9 +204,31 @@ proptest! {
         check_gprof(&src);
     }
 
-    /// Repository JSON loader never panics.
+    /// Repository JSON loader never panics, and its strict and lossy
+    /// policies keep their contract.
     #[test]
     fn repository_json_never_panics(input in "\\PC*") {
-        let _ = perfdmf::Repository::from_json(&input);
+        check_repository_json(&input);
+    }
+
+    /// Corrupted repository documents: a text fault, then a member
+    /// renamed or retyped, keep the strict/lossy contract.
+    #[test]
+    fn repository_json_salvage_keeps_its_contract(
+        seed in 0u64..1 << 32,
+        fault in prop::sample::select(Fault::TEXT_FAULTS.to_vec()),
+        edit in prop::sample::select(vec![
+            ("", ""),
+            ("\"experiments\"", "\"experimentz\""),
+            ("\"trials\": {", "\"trials\": 7, \"z\": {"),
+            ("\"threads\": [", "\"threads\": {}, \"q\": ["),
+            ("\"inclusive\": 1.5", "\"inclusive\": \"1.5\""),
+            ("\"name\": \"TIME\"", "\"name\": [\"TIME\"]"),
+        ]),
+    ) {
+        let text = repository_text().replacen(edit.0, edit.1, 1);
+        let (corrupt, _) = FaultPlan::new(seed).with(fault).apply_to_text(&text);
+        check_repository_json(&text);
+        check_repository_json(&corrupt);
     }
 }
