@@ -4,7 +4,8 @@
 //!
 //! 1. builds clean trials from the simulated applications,
 //! 2. corrupts them in-memory with every profile-domain fault,
-//!    sanitizes them, and runs all supervised case-study workflows,
+//!    sanitizes them twice, and runs all supervised case-study
+//!    workflows,
 //! 3. corrupts each serialized text form (csv / tau / gprof) with every
 //!    text-domain fault and runs the strict and lossy parsers on the
 //!    same bytes,
@@ -21,6 +22,9 @@
 //! two policies, so its strict entry point must succeed exactly when the
 //! lossy one reports nothing, both must then read the same value, and a
 //! strict failure's message must be the cause of the first diagnostic.
+//! So is a second sanitize pass in step 2 that repairs or quarantines
+//! anything, or whose flags differ from the first pass's: the invariant
+//! walk must leave a profile it never needs to touch again.
 //!
 //! The `crash-restart` stage is the service-lifecycle side of the same
 //! story: for every seed it streams chunks into a WAL-backed service
@@ -46,7 +50,7 @@ use apps::power_study::{self, PowerStudyConfig};
 use faultsim::{policy_contract, DeliveryOp, DeliveryPlan, Fault, FaultPlan, KillPoint};
 use perfdmf::formats::{csv, gprof, tau};
 use perfdmf::wal::{FsyncPolicy, Journal, WalRecord};
-use perfdmf::{sanitize_trial, ChunkBatch, QualityConfig, Repository, Trial};
+use perfdmf::{sanitize_trial, ChunkBatch, Repository, Trial};
 use perfexplorer::workflow::{
     analyze_load_balance_supervised, analyze_locality_supervised, analyze_power_supervised,
 };
@@ -147,9 +151,11 @@ struct SeedOutcome {
     diagnostics: usize,
     repairs: usize,
     quarantined: usize,
+    flagged: usize,
     salvage_dropped: usize,
     panics: Vec<String>,
-    /// Broken strict/lossy contracts, one line each.
+    /// Broken strict/lossy or sanitize-idempotence contracts, one line
+    /// each.
     violations: Vec<String>,
 }
 
@@ -218,6 +224,7 @@ fn guarded(outcome: &mut SeedOutcome, what: &str, f: impl FnOnce(&mut SeedOutcom
             outcome.diagnostics += scratch.diagnostics;
             outcome.repairs += scratch.repairs;
             outcome.quarantined += scratch.quarantined;
+            outcome.flagged += scratch.flagged;
             outcome.salvage_dropped += scratch.salvage_dropped;
             outcome.panics.extend(scratch.panics);
             outcome.violations.extend(scratch.violations);
@@ -236,7 +243,6 @@ fn guarded(outcome: &mut SeedOutcome, what: &str, f: impl FnOnce(&mut SeedOutcom
 fn run_seed(seed: u64, verbose: bool) -> SeedOutcome {
     let machine = MachineConfig::altix300();
     let supervisor = SupervisorConfig::default();
-    let quality = QualityConfig::default();
     let mut outcome = SeedOutcome::default();
 
     // --- profile-domain: corrupt, sanitize, analyze ---
@@ -250,9 +256,24 @@ fn run_seed(seed: u64, verbose: bool) -> SeedOutcome {
                 eprintln!("seed {seed}: [{}] {}", a.fault, a.detail);
             }
         }
-        let report = sanitize_trial(trial, &quality);
+        let report = sanitize_trial(trial);
         outcome.repairs += report.repairs.len();
         outcome.quarantined += report.quarantined.len();
+        outcome.flagged += report.flagged.len();
+        // The walk is a fixed point: a sanitized trial needs no repair or
+        // quarantine, and its flags stand unchanged.
+        let again = sanitize_trial(trial);
+        if !again.repairs.is_empty()
+            || !again.quarantined.is_empty()
+            || again.flagged != report.flagged
+        {
+            outcome.violations.push(format!(
+                "sanitize {}: second pass reported {} (first pass flagged {})",
+                trial.name,
+                again.summary(),
+                report.flagged.len()
+            ));
+        }
     }
 
     guarded(&mut outcome, "load-balance workflow", |o| {
@@ -1001,7 +1022,9 @@ fn run_corruption_stage(args: &Args) -> bool {
         "chaos: {} seed(s) starting at {}",
         args.seeds, args.base_seed
     );
-    println!("seed     faults  degraded  diags  repairs  quarantined  dropped  panics  violations");
+    println!(
+        "seed     faults  degraded  diags  repairs  quarantined  flagged  dropped  panics  violations"
+    );
 
     let mut total_panics = 0usize;
     let mut total_violations = 0usize;
@@ -1009,13 +1032,14 @@ fn run_corruption_stage(args: &Args) -> bool {
         let seed = args.base_seed + i;
         let o = run_seed(seed, args.verbose);
         println!(
-            "{:<8} {:<7} {:<9} {:<6} {:<8} {:<12} {:<8} {:<7} {}",
+            "{:<8} {:<7} {:<9} {:<6} {:<8} {:<12} {:<8} {:<8} {:<7} {}",
             seed,
             o.faults_applied,
             o.stages_degraded,
             o.diagnostics,
             o.repairs,
             o.quarantined,
+            o.flagged,
             o.salvage_dropped,
             o.panics.len(),
             o.violations.len()
@@ -1033,11 +1057,11 @@ fn run_corruption_stage(args: &Args) -> bool {
     if total_panics > 0 || total_violations > 0 {
         eprintln!(
             "chaos: {total_panics} panic(s) escaped supervised entry points, \
-             {total_violations} strict/lossy contract violation(s)"
+             {total_violations} contract violation(s)"
         );
         return true;
     }
-    println!("chaos: no panics escaped, every strict/lossy contract held");
+    println!("chaos: no panics escaped, every strict/lossy and sanitize contract held");
     false
 }
 

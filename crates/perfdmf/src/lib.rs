@@ -38,7 +38,6 @@ pub mod pdb1;
 pub mod quality;
 pub mod repo;
 pub mod streaming;
-pub mod validate;
 pub mod wal;
 
 pub use error::DmfError;
@@ -48,7 +47,7 @@ pub use model::{
     Event, EventId, Measurement, Metric, MetricId, Profile, ThreadId, Trial, TrialBuilder,
     MAIN_EVENT,
 };
-pub use quality::{sanitize_profile, sanitize_trial, DataQuality, QualityConfig};
+pub use quality::{sanitize_trial, DataQuality};
 pub use repo::{Format, RecoveredRepository, Repository};
 pub use streaming::{AppliedChunk, ChunkBatch, ColumnDelta, StreamingTrial, TouchedColumn};
 pub use wal::{FsyncPolicy, Journal, WalRecord, WalReplay};

@@ -5,7 +5,7 @@
 
 use perfdmf::formats::{csv, gprof, tau};
 use perfdmf::quality::{Repair, RepairAction};
-use perfdmf::{sanitize_trial, QualityConfig};
+use perfdmf::sanitize_trial;
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -47,7 +47,7 @@ fn nan_counter_csv_parses_then_sanitizes_with_exact_repairs() {
     // "NaN" parses as a float, so even the strict parser accepts the
     // row — the sanitization pass is what must catch it.
     let mut trial = csv::parse_trial("nan-fixture", &text).expect("NaN parses as f64");
-    let report = sanitize_trial(&mut trial, &QualityConfig::default());
+    let report = sanitize_trial(&mut trial);
 
     assert!(report.quarantined.is_empty(), "report: {report:?}");
     assert_eq!(

@@ -2,7 +2,10 @@
 
 use perfdmf::algebra::{aggregate_threads, difference, merge, Aggregation};
 use perfdmf::formats::{csv, tau};
-use perfdmf::{Measurement, Profile, Repository, ThreadId, Trial, TrialBuilder};
+use perfdmf::{
+    sanitize_trial, EventId, Measurement, MetricId, Profile, Repository, ThreadId, Trial,
+    TrialBuilder,
+};
 use proptest::prelude::*;
 
 /// Strategy: a small random profile with one TIME metric.
@@ -32,6 +35,134 @@ fn arb_profile() -> impl Strategy<Value = Profile> {
             }
             b.build().profile
         })
+}
+
+/// A consistent callpath trial: `TIME` plus `metrics - 1` counters,
+/// event `i > 0` a child of an earlier event picked by `parents[i]`,
+/// and every `TIME` parent's inclusive value its own exclusive plus
+/// its children's inclusive values, summed in event order.
+fn consistent_trial(
+    (threads, events, metrics): (usize, usize, usize),
+    parents: &[u32],
+    draws: &[f64],
+) -> Trial {
+    let mut names = vec!["main".to_string()];
+    let mut kids: Vec<Vec<usize>> = vec![Vec::new(); events];
+    for (i, &pick) in parents.iter().enumerate().take(events).skip(1) {
+        let p = pick as usize % i;
+        names.push(format!("{} => f{i}", names[p]));
+        kids[p].push(i);
+    }
+    let mut b = TrialBuilder::with_flat_threads("p", threads);
+    let ms: Vec<MetricId> = (0..metrics)
+        .map(|m| {
+            b.metric(&if m == 0 {
+                "TIME".into()
+            } else {
+                format!("C{m}")
+            })
+        })
+        .collect();
+    let es: Vec<EventId> = names.iter().map(|n| b.event(n)).collect();
+    let mut draw = draws.iter().copied().cycle();
+    for (mi, &m) in ms.iter().enumerate() {
+        for t in 0..threads {
+            // Children have higher indices, so a reverse sweep sees them
+            // before their parent.
+            let mut inclusive = vec![0.0; events];
+            for e in (0..events).rev() {
+                let exclusive = draw.next().expect("cycle");
+                inclusive[e] = exclusive
+                    + if mi == 0 {
+                        kids[e].iter().fold(0.0, |sum, &c| sum + inclusive[c])
+                    } else {
+                        draw.next().expect("cycle")
+                    };
+                let cell = Measurement {
+                    inclusive: inclusive[e],
+                    exclusive,
+                    calls: 1.0 + draw.next().expect("cycle").floor(),
+                    subcalls: kids[e].len() as f64,
+                };
+                b.set(es[e], m, t, cell);
+            }
+        }
+    }
+    b.build()
+}
+
+/// Seeds faults into a trial. Each fault is `(cell, kind, field)`:
+/// `cell` picks an arena cell modulo its size, `field` one of its four
+/// fields, and `kind` what goes wrong there.
+fn corrupt(trial: &mut Trial, faults: &[(usize, u32, usize)]) {
+    let p = &mut trial.profile;
+    let (nm, ne, nt) = (p.metric_count(), p.event_count(), p.thread_count());
+    for &(cell, kind, field) in faults {
+        let idx = cell % (ne * nm * nt);
+        let (e, m, t) = (
+            EventId((idx / (nm * nt)) as u32),
+            MetricId((idx / nt % nm) as u32),
+            idx % nt,
+        );
+        let c = &mut p.column_mut(e, m)[t];
+        let fields = [
+            &mut c.inclusive,
+            &mut c.exclusive,
+            &mut c.calls,
+            &mut c.subcalls,
+        ];
+        let seeded = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0 - cell as f64,
+        ];
+        match kind {
+            0..=3 => *fields.into_iter().nth(field).expect("four fields") = seeded[kind as usize],
+            4 => c.exclusive = c.inclusive * 2.0 + 1.0,
+            5 => c.calls = 0.0,
+            // A child's inclusive time grows past what its parent holds.
+            6 => c.inclusive = c.inclusive * 10.0 + 1.0,
+            7 if nm > 1 => {
+                let donor = p
+                    .metric(MetricId(((m.0 as usize + 1) % nm) as u32))
+                    .name
+                    .clone();
+                p.corrupt_metric_name(m, donor);
+            }
+            8 if ne > 1 => {
+                let donor = p
+                    .event(EventId(((e.0 as usize + 1) % ne) as u32))
+                    .name
+                    .clone();
+                p.corrupt_event_name(e, donor);
+            }
+            // A whole metric goes bad.
+            9 => {
+                for ei in 0..ne {
+                    for c in p.column_mut(EventId(ei as u32), m) {
+                        c.exclusive = f64::NAN;
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A trial's axes and every cell's bits, so NaN compares by bits.
+fn bits(trial: &Trial) -> (Vec<String>, Vec<String>, usize, Vec<u64>) {
+    let p = &trial.profile;
+    (
+        p.metrics().iter().map(|m| m.name.clone()).collect(),
+        p.events().iter().map(|e| e.name.clone()).collect(),
+        p.thread_count(),
+        p.arena()
+            .iter()
+            .flat_map(|c| [c.inclusive, c.exclusive, c.calls, c.subcalls])
+            .map(f64::to_bits)
+            .collect(),
+    )
 }
 
 proptest! {
@@ -162,6 +293,51 @@ proptest! {
         let json = repo.to_json().unwrap();
         let back = Repository::from_json(&json).unwrap();
         prop_assert_eq!(repo, back);
+    }
+
+    /// The invariant walk is a fixed point: a consistent profile passes
+    /// untouched, a corrupted one comes out satisfying every cell
+    /// invariant, and a second walk repairs and quarantines nothing,
+    /// finds the same flags and changes no bit.
+    #[test]
+    fn sanitize_is_a_fixed_point_that_leaves_every_invariant_true(
+        shape in (1usize..5, 1usize..9, 1usize..4),
+        parents in prop::collection::vec(0u32..1000, 9),
+        draws in prop::collection::vec(0.0f64..1e3, 61),
+        faults in prop::collection::vec((0usize..10_000, 0u32..10, 0usize..4), 0..8),
+    ) {
+        let clean = consistent_trial(shape, &parents, &draws);
+        let mut t = clean.clone();
+        let report = sanitize_trial(&mut t);
+        prop_assert!(report.is_clean(), "{}", report.summary());
+        prop_assert!(bits(&t) == bits(&clean));
+
+        let mut dirty = clean;
+        corrupt(&mut dirty, &faults);
+        let mut once = dirty.clone();
+        let first = sanitize_trial(&mut once);
+        // The report is empty of repairs exactly when nothing changed.
+        let untouched = first.repairs.is_empty() && first.quarantined.is_empty();
+        prop_assert_eq!(untouched, bits(&once) == bits(&dirty));
+
+        let time = once.profile.metric_id("TIME");
+        for (_, m, t, c) in once.profile.cells() {
+            for v in [c.inclusive, c.exclusive, c.calls, c.subcalls] {
+                prop_assert!(v.is_finite() && v >= 0.0, "{m:?} thread {t}: {c:?}");
+            }
+            prop_assert!(c.exclusive <= c.inclusive, "{m:?} thread {t}: {c:?}");
+            prop_assert!(Some(m) != time || c.inclusive == 0.0 || c.calls != 0.0);
+        }
+
+        let mut twice = once.clone();
+        let second = sanitize_trial(&mut twice);
+        prop_assert!(
+            second.repairs.is_empty() && second.quarantined.is_empty(),
+            "{}",
+            second.summary()
+        );
+        prop_assert_eq!(&second.flagged, &first.flagged);
+        prop_assert!(bits(&twice) == bits(&once));
     }
 }
 

@@ -7,7 +7,7 @@ use apps::msa::{self, MsaConfig};
 use apps::power_study::{self, PowerStudyConfig};
 use faultsim::{Fault, FaultPlan};
 use perfdmf::formats::{csv, gprof, tau};
-use perfdmf::{sanitize_trial, QualityConfig, Repository, Trial};
+use perfdmf::{sanitize_trial, Repository, Trial};
 use perfexplorer::workflow::{
     analyze_load_balance, analyze_load_balance_supervised, analyze_locality_supervised,
     analyze_power_supervised,
@@ -60,7 +60,7 @@ fn chaos_seed_matrix_never_panics_any_workflow() {
         let mut total_applied = 0;
         for trial in &mut trials {
             total_applied += plan.apply_to_trial(trial).len();
-            sanitize_trial(trial, &QualityConfig::default());
+            sanitize_trial(trial);
         }
         assert!(total_applied > 0, "seed {seed} applied nothing");
         run_all_workflows(&trials);
@@ -137,7 +137,7 @@ fn clean_inputs_produce_byte_identical_reports_through_supervision() {
     // nothing, and the supervised workflow renders the exact bytes the
     // strict workflow renders.
     let mut trial = small_msa();
-    let quality = sanitize_trial(&mut trial, &QualityConfig::default());
+    let quality = sanitize_trial(&mut trial);
     assert!(quality.is_clean(), "clean trial was modified: {quality:?}");
 
     let strict = analyze_load_balance(&trial, "TIME").unwrap();
@@ -169,7 +169,7 @@ proptest! {
         for trial in &mut trials {
             plan.apply_to_trial(trial);
             if sanitize_first == 1 {
-                sanitize_trial(trial, &QualityConfig::default());
+                sanitize_trial(trial);
             }
         }
         run_all_workflows(&trials);

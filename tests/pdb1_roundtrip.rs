@@ -5,8 +5,8 @@
 
 use faultsim::{Fault, FaultPlan};
 use perfdmf::{
-    pdb1, sanitize_trial, Format, MappedRepository, Measurement, MetaValue, QualityConfig,
-    Repository, Trial, TrialBuilder,
+    pdb1, sanitize_trial, Format, MappedRepository, Measurement, MetaValue, Repository, Trial,
+    TrialBuilder,
 };
 use proptest::prelude::*;
 
@@ -142,10 +142,9 @@ fn sanitize_after_pdb1_roundtrip_matches_owned_sanitize() {
         assert_eq!(via_pdb1.profile.get(e, m, 2).unwrap().inclusive, -5.0);
     }
 
-    let config = QualityConfig::default();
-    let from_mapped = sanitize_trial(&mut via_pdb1, &config);
+    let from_mapped = sanitize_trial(&mut via_pdb1);
     let mut owned = dirty;
-    let from_owned = sanitize_trial(&mut owned, &config);
+    let from_owned = sanitize_trial(&mut owned);
     assert!(!from_mapped.is_clean());
     assert_eq!(from_mapped.summary(), from_owned.summary());
     assert_eq!(via_pdb1, owned);

@@ -146,24 +146,24 @@ fn metadata_travels_with_trials_for_rule_context() {
 #[test]
 fn every_simulated_trial_is_internally_consistent() {
     // The measurement substrate must never produce profiles the
-    // validator rejects — exclusive ≤ inclusive, children within
-    // parents, nonnegative everything.
+    // invariant walk would touch: finite, nonnegative, exclusive ≤
+    // inclusive, children within parents. The walk runs on a clone, so
+    // this is the report without the repair.
     use apps::msa::{self, MsaConfig};
     use apps::power_study::{run_all, PowerStudyConfig};
-    use perfdmf::validate::validate;
+    use perfdmf::sanitize_trial;
     use simulator::openmp::Schedule;
+
+    let report = |trial: &perfdmf::Trial| sanitize_trial(&mut trial.clone());
 
     let mut msa_config = MsaConfig::paper_400(8, Schedule::Static);
     msa_config.sequences = 64;
     let msa_trial = msa::run(&msa_config);
-    assert!(
-        validate(&msa_trial).is_empty(),
-        "MSA trial: {:?}",
-        validate(&msa_trial)
-    );
+    let quality = report(&msa_trial);
+    assert!(quality.is_clean(), "MSA trial: {}", quality.summary());
 
-    let gen = sample_trial();
-    assert!(validate(&gen).is_empty(), "GenIDLEST: {:?}", validate(&gen));
+    let quality = report(&sample_trial());
+    assert!(quality.is_clean(), "GenIDLEST: {}", quality.summary());
 
     let power = run_all(&PowerStudyConfig {
         ranks: 2,
@@ -171,8 +171,8 @@ fn every_simulated_trial_is_internally_consistent() {
         machine: simulator::machine::MachineConfig::altix300(),
     });
     for (level, trial) in power {
-        let violations = validate(&trial);
-        assert!(violations.is_empty(), "{level}: {violations:?}");
+        let quality = report(&trial);
+        assert!(quality.is_clean(), "{level}: {}", quality.summary());
     }
 }
 
