@@ -10,7 +10,7 @@
 use crate::{AnalysisError, Result};
 use perfdmf::{EventId, Trial, MAIN_EVENT};
 use rayon::prelude::*;
-use rules::Fact;
+use rules::{Fact, FactType, Value};
 use serde::{Deserialize, Serialize};
 use statistics::cluster::{kmeans_flat, silhouette_flat, FlatKMeans, KMeansConfig};
 use statistics::matrix::{sq_dist, DenseMatrix, MatrixView};
@@ -40,13 +40,20 @@ pub struct ThreadClustering {
     pub groups: Vec<ThreadGroup>,
 }
 
+/// Schema of the clustering summary fact.
+pub(crate) static THREAD_CLUSTER_SUMMARY: FactType =
+    FactType::new("ThreadClusterSummary", &["clusters", "silhouette"]);
+
+/// Schema of the per-group cluster fact.
+pub(crate) static THREAD_CLUSTER_FACT: FactType =
+    FactType::new("ThreadClusterFact", &["cluster", "size", "dominantEvent"]);
+
 impl ThreadClustering {
     /// Facts for rule-based interpretation: one `ThreadClusterFact` per
     /// group with its size and dominant event, plus a summary fact.
     pub fn facts(&self) -> Vec<Fact> {
-        let mut out = vec![Fact::new("ThreadClusterSummary")
-            .with("clusters", self.k)
-            .with("silhouette", self.silhouette)];
+        let mut out =
+            vec![THREAD_CLUSTER_SUMMARY.fact([Value::from(self.k), Value::Num(self.silhouette)])];
         for (i, g) in self.groups.iter().enumerate() {
             let dominant = g
                 .centroid
@@ -55,12 +62,11 @@ impl ThreadClustering {
                 .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
                 .map(|(j, _)| self.events[j].clone())
                 .unwrap_or_default();
-            out.push(
-                Fact::new("ThreadClusterFact")
-                    .with("cluster", i)
-                    .with("size", g.threads.len())
-                    .with("dominantEvent", dominant),
-            );
+            out.push(THREAD_CLUSTER_FACT.fact([
+                Value::from(i),
+                Value::from(g.threads.len()),
+                Value::from(dominant),
+            ]));
         }
         out
     }
@@ -347,7 +353,7 @@ mod tests {
         let trial = genidlest::run(&c);
         let clustering = cluster_threads(&trial, "TIME", 4).unwrap();
         let facts = clustering.facts();
-        assert_eq!(facts[0].fact_type, "ThreadClusterSummary");
+        assert_eq!(facts[0].fact_type(), "ThreadClusterSummary");
         assert_eq!(facts[0].get_num("clusters"), Some(clustering.k as f64));
         assert_eq!(facts.len(), clustering.k + 1);
         assert!(facts[1].get_str("dominantEvent").is_some());

@@ -10,7 +10,7 @@ use crate::result::TrialResult;
 use crate::{AnalysisError, Result};
 use perfdmf::{EventId, Trial, MAIN_EVENT};
 use rayon::prelude::*;
-use rules::Fact;
+use rules::{Fact, FactType, Value};
 use serde::{Deserialize, Serialize};
 
 /// One event's change between two trials.
@@ -40,6 +40,14 @@ pub struct TrialComparison {
     pub deltas: Vec<EventDelta>,
 }
 
+/// Schema of the whole-trial comparison fact.
+pub(crate) static COMPARISON_SUMMARY: FactType =
+    FactType::new("ComparisonSummary", &["metric", "totalRatio"]);
+
+/// Schema of the per-event comparison fact.
+pub(crate) static EVENT_DELTA: FactType =
+    FactType::new("EventDelta", &["eventName", "ratio", "baselineShare"]);
+
 impl TrialComparison {
     /// Events that got at least `threshold`× slower.
     pub fn regressions(&self, threshold: f64) -> Vec<&EventDelta> {
@@ -59,16 +67,16 @@ impl TrialComparison {
 
     /// Facts for rule-based interpretation.
     pub fn facts(&self) -> Vec<Fact> {
-        let mut out = vec![Fact::new("ComparisonSummary")
-            .with("metric", self.metric.as_str())
-            .with("totalRatio", self.total_ratio)];
+        let mut out = vec![COMPARISON_SUMMARY.fact([
+            Value::from(self.metric.as_str()),
+            Value::Num(self.total_ratio),
+        ])];
         for d in &self.deltas {
-            out.push(
-                Fact::new("EventDelta")
-                    .with("eventName", d.event.as_str())
-                    .with("ratio", d.ratio)
-                    .with("baselineShare", d.baseline_share),
-            );
+            out.push(EVENT_DELTA.fact([
+                Value::from(d.event.as_str()),
+                Value::Num(d.ratio),
+                Value::Num(d.baseline_share),
+            ]));
         }
         out
     }
@@ -261,7 +269,7 @@ mod tests {
         let after = synthetic("a", 10.0, 4.0, 4.0);
         let cmp = compare(&before, &after, "TIME").unwrap();
         let facts = cmp.facts();
-        assert_eq!(facts[0].fact_type, "ComparisonSummary");
+        assert_eq!(facts[0].fact_type(), "ComparisonSummary");
         assert_eq!(facts.len(), 3);
         assert!(compare(&before, &after, "NOPE").is_err());
     }

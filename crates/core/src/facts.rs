@@ -11,12 +11,26 @@ use crate::result::TrialMeanResult;
 use crate::{AnalysisError, Result};
 use perfdmf::{Trial, MAIN_EVENT};
 use rayon::prelude::*;
-use rules::Fact;
+use rules::{Fact, FactType, Value};
 
 /// Direction of a comparison, stored in the `higherLower` field.
 pub const HIGHER: &str = "higher";
 /// See [`HIGHER`].
 pub const LOWER: &str = "lower";
+
+/// Schema of the `MeanEventFact`, the fact type the paper's rules match.
+pub(crate) static MEAN_EVENT_FACT: FactType = FactType::new(
+    "MeanEventFact",
+    &[
+        "metric",
+        "eventName",
+        "mainValue",
+        "eventValue",
+        "higherLower",
+        "severity",
+        "factType",
+    ],
+);
 
 /// Builder of `MeanEventFact`s, the fact type the paper's rules match.
 pub struct MeanEventFact;
@@ -60,14 +74,15 @@ impl MeanEventFact {
         } else {
             LOWER
         };
-        Ok(Fact::new("MeanEventFact")
-            .with("metric", metric)
-            .with("eventName", event)
-            .with("mainValue", main_value)
-            .with("eventValue", event_value)
-            .with("higherLower", higher_lower)
-            .with("severity", severity)
-            .with("factType", "Compared to Main"))
+        Ok(MEAN_EVENT_FACT.fact([
+            Value::from(metric),
+            Value::from(event),
+            Value::Num(main_value),
+            Value::Num(event_value),
+            Value::from(higher_lower),
+            Value::Num(severity),
+            Value::from("Compared to Main"),
+        ]))
     }
 
     /// Builds comparison facts for every event in the trial except
@@ -167,7 +182,7 @@ mod tests {
             "main => hot",
         )
         .unwrap();
-        assert_eq!(f.fact_type, "MeanEventFact");
+        assert_eq!(f.fact_type(), "MeanEventFact");
         assert_eq!(
             f.get_str("metric"),
             Some("(BACK_END_BUBBLE_ALL / CPU_CYCLES)")
@@ -224,7 +239,7 @@ mod tests {
         t.metadata.set("procs", 16usize);
         t.metadata.set("optimized", false);
         let f = context_fact(&t);
-        assert_eq!(f.fact_type, "TrialContext");
+        assert_eq!(f.fact_type(), "TrialContext");
         assert_eq!(f.get_str("trialName"), Some("t"));
         assert_eq!(f.get_str("machine"), Some("SGI Altix 300"));
         assert_eq!(f.get_num("procs"), Some(16.0));

@@ -15,7 +15,7 @@ use crate::result::TrialResult;
 use crate::{AnalysisError, Result};
 use perfdmf::model::CALLPATH_SEPARATOR;
 use perfdmf::{EventId, Trial, MAIN_EVENT};
-use rules::Fact;
+use rules::{Fact, FactType, Value};
 use serde::{Deserialize, Serialize};
 use statistics::{pearson, DenseMatrix, MatrixView, Welford};
 use std::collections::HashMap;
@@ -44,6 +44,16 @@ pub struct NestedCorrelation {
     pub correlation: f64,
 }
 
+/// Schema of the per-event balance fact.
+pub(crate) static REGION_BALANCE: FactType = FactType::new(
+    "RegionBalance",
+    &["eventName", "stddevMeanRatio", "runtimeFraction", "mean"],
+);
+
+/// Schema of the nested-pair correlation fact.
+pub(crate) static NESTED_CORRELATION: FactType =
+    FactType::new("NestedCorrelation", &["outer", "inner", "correlation"]);
+
 /// The full analysis output.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct LoadBalanceAnalysis {
@@ -69,23 +79,21 @@ impl LoadBalanceAnalysis {
         let mut nested: Vec<&NestedCorrelation> = self.nested.iter().collect();
         nested.sort_by(|a, b| (&a.outer, &a.inner).cmp(&(&b.outer, &b.inner)));
 
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(observations.len() + nested.len());
         for o in observations {
-            out.push(
-                Fact::new("RegionBalance")
-                    .with("eventName", o.event.as_str())
-                    .with("stddevMeanRatio", o.stddev_mean_ratio)
-                    .with("runtimeFraction", o.runtime_fraction)
-                    .with("mean", o.mean),
-            );
+            out.push(REGION_BALANCE.fact([
+                Value::from(o.event.as_str()),
+                Value::Num(o.stddev_mean_ratio),
+                Value::Num(o.runtime_fraction),
+                Value::Num(o.mean),
+            ]));
         }
         for n in nested {
-            out.push(
-                Fact::new("NestedCorrelation")
-                    .with("outer", n.outer.as_str())
-                    .with("inner", n.inner.as_str())
-                    .with("correlation", n.correlation),
-            );
+            out.push(NESTED_CORRELATION.fact([
+                Value::from(n.outer.as_str()),
+                Value::from(n.inner.as_str()),
+                Value::Num(n.correlation),
+            ]));
         }
         out
     }
@@ -362,7 +370,7 @@ mod tests {
         let balance = facts
             .iter()
             .find(|f| {
-                f.fact_type == "RegionBalance"
+                f.fact_type() == "RegionBalance"
                     && f.get_str("eventName") == Some("main => outer => inner")
             })
             .unwrap();
@@ -370,7 +378,7 @@ mod tests {
         assert!(balance.get_num("runtimeFraction").unwrap() > 0.05);
         let corr = facts
             .iter()
-            .find(|f| f.fact_type == "NestedCorrelation")
+            .find(|f| f.fact_type() == "NestedCorrelation")
             .unwrap();
         assert!(corr.get_num("correlation").unwrap() < 0.0);
         assert_eq!(corr.get_str("outer"), Some("main => outer"));

@@ -17,7 +17,7 @@ use crate::derive::{derive_metric, DeriveOp};
 use crate::result::TrialMeanResult;
 use crate::Result;
 use perfdmf::{Trial, MAIN_EVENT};
-use rules::Fact;
+use rules::{Fact, FactType, Value};
 use serde::{Deserialize, Serialize};
 use simulator::machine::MachineConfig;
 
@@ -177,15 +177,35 @@ pub fn memory_analysis(trial: &Trial, machine: &MachineConfig) -> Result<Vec<Mem
     Ok(out)
 }
 
+/// Schema of the stall-decomposition fact.
+pub(crate) static STALL_FACT: FactType =
+    FactType::new("StallFact", &["eventName", "totalStalls", "l1dFpFraction"]);
+
+/// Schema of the memory-analysis fact.
+pub(crate) static MEMORY_FACT: FactType = FactType::new(
+    "MemoryFact",
+    &[
+        "eventName",
+        "memoryStalls",
+        "l3Misses",
+        "remoteRatio",
+        "meanRemoteRatio",
+        "localToRemote",
+        "remoteVsMean",
+        "localToRemoteVsMean",
+    ],
+);
+
 /// Facts for the stall rulebase: one `StallFact` per breakdown.
 pub fn stall_facts(breakdowns: &[StallBreakdown]) -> Vec<Fact> {
     breakdowns
         .iter()
         .map(|b| {
-            Fact::new("StallFact")
-                .with("eventName", b.event.as_str())
-                .with("totalStalls", b.total_stalls)
-                .with("l1dFpFraction", b.l1d_fp_fraction)
+            STALL_FACT.fact([
+                Value::from(b.event.as_str()),
+                Value::Num(b.total_stalls),
+                Value::Num(b.l1d_fp_fraction),
+            ])
         })
         .collect()
 }
@@ -217,18 +237,19 @@ pub fn memory_facts(analyses: &[MemoryAnalysis]) -> Vec<Fact> {
         .iter()
         .zip(&finite_l2r)
         .map(|(a, &l2r)| {
-            Fact::new("MemoryFact")
-                .with("eventName", a.event.as_str())
-                .with("memoryStalls", a.memory_stalls)
-                .with("l3Misses", a.l3_misses)
-                .with("remoteRatio", a.remote_access_ratio)
-                .with("meanRemoteRatio", mean_ratio)
-                .with("localToRemote", l2r)
+            MEMORY_FACT.fact([
+                Value::from(a.event.as_str()),
+                Value::Num(a.memory_stalls),
+                Value::Num(a.l3_misses),
+                Value::Num(a.remote_access_ratio),
+                Value::Num(mean_ratio),
+                Value::Num(l2r),
                 // Signed distances from the application means, so rules
                 // can test "compared to the application on average"
                 // without cross-field arithmetic.
-                .with("remoteVsMean", a.remote_access_ratio - mean_ratio)
-                .with("localToRemoteVsMean", l2r - mean_l2r)
+                Value::Num(a.remote_access_ratio - mean_ratio),
+                Value::Num(l2r - mean_l2r),
+            ])
         })
         .collect()
 }

@@ -7,7 +7,7 @@
 use crate::result::TrialResult;
 use crate::{AnalysisError, Result};
 use perfdmf::Trial;
-use rules::Fact;
+use rules::{Fact, FactType, Value};
 use serde::{Deserialize, Serialize};
 use simulator::machine::MachineConfig;
 use simulator::power::PowerModel;
@@ -147,6 +147,21 @@ pub fn relative_table(readings: &[TrialPower]) -> Result<Vec<RelativeRow>> {
         .collect())
 }
 
+/// Schema of the per-trial power fact.
+pub(crate) static POWER_FACT: FactType = FactType::new(
+    "PowerFact",
+    &[
+        "trial",
+        "relTime",
+        "relWatts",
+        "relJoules",
+        "relFlopPerJoule",
+        "isMinPower",
+        "isMinEnergy",
+        "isBalanced",
+    ],
+);
+
 /// Facts for the power rulebase: one per trial with relative values and
 /// selection flags. `isMinPower` / `isMinEnergy` mark the rows with the
 /// lowest relative watts / joules; `isBalanced` marks the row minimising
@@ -166,15 +181,16 @@ pub fn power_facts(rows: &[RelativeRow]) -> Vec<Fact> {
     rows.iter()
         .enumerate()
         .map(|(i, r)| {
-            Fact::new("PowerFact")
-                .with("trial", r.trial.as_str())
-                .with("relTime", r.time)
-                .with("relWatts", r.watts)
-                .with("relJoules", r.joules)
-                .with("relFlopPerJoule", r.flop_per_joule)
-                .with("isMinPower", Some(i) == min_power)
-                .with("isMinEnergy", Some(i) == min_energy)
-                .with("isBalanced", Some(i) == balanced)
+            POWER_FACT.fact([
+                Value::from(r.trial.as_str()),
+                Value::Num(r.time),
+                Value::Num(r.watts),
+                Value::Num(r.joules),
+                Value::Num(r.flop_per_joule),
+                Value::Bool(Some(i) == min_power),
+                Value::Bool(Some(i) == min_energy),
+                Value::Bool(Some(i) == balanced),
+            ])
         })
         .collect()
 }

@@ -12,8 +12,8 @@
 //! * [`POWER_RULES`] — the §III-C optimisation-level recommendations.
 
 use crate::Result;
-use rules::{drl, Engine, Rule};
-use std::sync::OnceLock;
+use rules::{drl, Engine, Rulebase};
+use std::sync::{Arc, RwLock};
 
 /// §III-A: load imbalance.
 pub const LOAD_BALANCE_RULES: &str = r#"
@@ -186,13 +186,11 @@ pub fn engine_with(source: &str) -> Result<Engine> {
 }
 
 /// Builds one engine over several rulebases (rule names must be unique
-/// across them).
+/// across them). The engine is fresh working memory over a compiled
+/// rulebase: a sequence of shipped rulebases is parsed and compiled
+/// once per process and shared by every engine built over it.
 pub fn engine_with_all(sources: &[&str]) -> Result<Engine> {
-    let mut engine = Engine::new();
-    for s in sources {
-        engine.add_rules(parsed_rules(s)?)?;
-    }
-    Ok(engine)
+    Ok(Engine::with_rulebase(compiled(sources)?))
 }
 
 /// Every shipped rulebase.
@@ -200,20 +198,47 @@ pub fn all_rulebases() -> [&'static str; 4] {
     [LOAD_BALANCE_RULES, STALL_RULES, LOCALITY_RULES, POWER_RULES]
 }
 
-/// The rules of `source`. A shipped rulebase is parsed once per process
-/// and cloned out of a memo after that; any other text is parsed on
-/// every call, so the memo holds at most the four shipped texts. A
-/// parse error is returned, never memoized.
-pub(crate) fn parsed_rules(source: &str) -> Result<Vec<Rule>> {
-    static PARSED: [OnceLock<Vec<Rule>>; 4] = [const { OnceLock::new() }; 4];
-    let Some(i) = all_rulebases().iter().position(|s| *s == source) else {
-        return Ok(drl::parse(source)?);
+/// The compiled rulebase of `sources`, in order. A sequence of shipped
+/// rulebases is parsed and compiled once per process and shared after
+/// that; any other text is compiled on every call, so the memo holds
+/// only sequences of the four shipped texts. An error is returned,
+/// never memoized.
+pub(crate) fn compiled(sources: &[&str]) -> Result<Arc<Rulebase>> {
+    static COMPILED: RwLock<Vec<(Vec<usize>, Arc<Rulebase>)>> = RwLock::new(Vec::new());
+    let shipped = all_rulebases();
+    let key: Option<Vec<usize>> = sources
+        .iter()
+        .map(|s| {
+            shipped
+                .iter()
+                .position(|t| std::ptr::eq(*t, *s))
+                .or_else(|| shipped.iter().position(|t| t == s))
+        })
+        .collect();
+    let compile = || -> Result<Rulebase> {
+        let mut rules = Vec::new();
+        for s in sources {
+            rules.extend(drl::parse(s)?);
+        }
+        Ok(Rulebase::compile(rules)?)
     };
-    if let Some(rules) = PARSED[i].get() {
-        return Ok(rules.clone());
+    let Some(key) = key else {
+        return Ok(Arc::new(compile()?));
+    };
+    let find = |memo: &[(Vec<usize>, Arc<Rulebase>)]| {
+        memo.iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, rb)| Arc::clone(rb))
+    };
+    if let Some(rb) = find(&COMPILED.read().unwrap_or_else(|e| e.into_inner())) {
+        return Ok(rb);
     }
-    let rules = drl::parse(source)?;
-    Ok(PARSED[i].get_or_init(|| rules).clone())
+    let rb = Arc::new(compile()?);
+    let mut memo = COMPILED.write().unwrap_or_else(|e| e.into_inner());
+    Ok(find(&memo).unwrap_or_else(|| {
+        memo.push((key, Arc::clone(&rb)));
+        rb
+    }))
 }
 
 #[cfg(test)]

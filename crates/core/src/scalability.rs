@@ -121,16 +121,23 @@ pub fn per_event_total(
     build_series(event, raw)
 }
 
+/// Schema of the per-series scaling fact.
+pub(crate) static SCALING_FACT: rules::FactType = rules::FactType::new(
+    "ScalingFact",
+    &["eventName", "finalSpeedup", "finalEfficiency", "maxProcs"],
+);
+
 /// Facts for scaling rules: one `ScalingFact` per series.
 pub fn scaling_facts(series: &[ScalingSeries]) -> Vec<rules::Fact> {
     series
         .iter()
         .map(|s| {
-            rules::Fact::new("ScalingFact")
-                .with("eventName", s.subject.as_str())
-                .with("finalSpeedup", s.final_speedup())
-                .with("finalEfficiency", s.final_efficiency())
-                .with("maxProcs", s.points.last().map(|p| p.procs).unwrap_or(0))
+            SCALING_FACT.fact([
+                rules::Value::from(s.subject.as_str()),
+                rules::Value::Num(s.final_speedup()),
+                rules::Value::Num(s.final_efficiency()),
+                rules::Value::from(s.points.last().map(|p| p.procs).unwrap_or(0)),
+            ])
         })
         .collect()
 }

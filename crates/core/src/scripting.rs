@@ -719,12 +719,12 @@ fn call_host(
                 "power" => rulebase::POWER_RULES,
                 other => return Err(host_err(format!("unknown rulebase {other:?}"))),
             };
-            let parsed = rulebase::parsed_rules(source).map_err(|e| host_err(e.to_string()))?;
-            let n = parsed.len();
+            let compiled = rulebase::compiled(&[source]).map_err(|e| host_err(e.to_string()))?;
+            let n = compiled.len();
             state
                 .borrow_mut()
                 .engine
-                .add_rules(parsed)
+                .add_rules(compiled.rules().to_vec())
                 .map_err(|e| host_err(e.to_string()))?;
             Ok(Value::Num(n as f64))
         }

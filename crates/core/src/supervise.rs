@@ -233,23 +233,23 @@ impl Supervisor {
     }
 }
 
-/// Runs a rule engine to completion under the firing budget, recovering
-/// the partial report when the budget is exhausted. Returns the report
-/// plus the degradation entry to record, if any.
+/// Runs a rule engine to completion under the firing budget. A run
+/// that stops part-way — the budget is spent, or a rule action fails —
+/// keeps what it fired before the stop. Returns the report plus the
+/// degradation entry to record, if any.
 pub(crate) fn run_engine_budgeted(
     engine: &mut rules::Engine,
     stage: &str,
 ) -> (rules::RunReport, Option<DegradedStage>) {
-    let (report, cause) = match engine.run() {
+    let e = match engine.run() {
         Ok(report) => return (report, None),
-        Err(rules::RuleError::CycleLimit { limit, report }) => {
-            (*report, DegradeCause::RuleLimit { limit })
-        }
-        Err(e) => (
-            rules::RunReport::default(),
-            DegradeCause::Failed(e.to_string()),
-        ),
+        Err(e) => e,
     };
+    let cause = match &e {
+        rules::RuleError::CycleLimit { limit, .. } => DegradeCause::RuleLimit { limit: *limit },
+        other => DegradeCause::Failed(other.to_string()),
+    };
+    let report = e.into_partial_report().unwrap_or_default();
     let stage = stage.to_string();
     (report, Some(DegradedStage { stage, cause }))
 }
@@ -382,5 +382,42 @@ mod tests {
         let entry = degraded.expect("runaway must trip the budget");
         assert!(matches!(entry.cause, DegradeCause::RuleLimit { limit: 10 }));
         assert!(!report.firings.is_empty(), "partial report kept");
+    }
+
+    #[test]
+    fn failing_rule_action_keeps_earlier_conclusions() {
+        // The salience-10 rule prints and diagnoses; the second rule's
+        // action reads a variable its LHS never binds. The run stops at
+        // the second rule, but the first rule's conclusions survive.
+        let src = r#"
+rule "first" salience 10
+when
+    Seed( n : n )
+then
+    print("seed " + n);
+    diagnose("cat", "seen " + n);
+end
+
+rule "broken"
+when
+    Seed( n : n )
+then
+    print("never " + missing);
+end
+"#;
+        let mut engine = rules::Engine::new();
+        engine.add_rules(rules::drl::parse(src).unwrap()).unwrap();
+        engine.assert_fact(rules::Fact::new("Seed").with("n", 1.0));
+        let (report, degraded) = run_engine_budgeted(&mut engine, "rule engine");
+        let entry = degraded.expect("the failing action is recorded");
+        assert!(
+            matches!(&entry.cause, DegradeCause::Failed(msg) if msg.contains("$missing")),
+            "{entry}"
+        );
+        assert_eq!(report.printed, vec!["seed 1"]);
+        assert_eq!(report.diagnoses.len(), 1);
+        assert_eq!(report.diagnoses[0].message, "seen 1");
+        let fired: Vec<&str> = report.firings.iter().map(|f| f.rule.as_str()).collect();
+        assert_eq!(fired, ["first"]);
     }
 }

@@ -1,9 +1,12 @@
 //! Rule left-hand sides: patterns, constraints and bindings.
+//!
+//! A [`Pattern`] is a description. The engine compiles it against a
+//! rulebase (field references become slot indices, variables become
+//! environment indices); the by-name matcher over string-keyed facts
+//! is [`crate::reference`]'s.
 
-use crate::fact::Fact;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Comparison operators usable in constraints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -146,76 +149,22 @@ impl Pattern {
         self.negated = true;
         self
     }
-
-    /// Tests the environment-independent part of the pattern: the fact
-    /// type and every constraint whose operand is a literal. This is the
-    /// "alpha" test — it can be evaluated once per fact at assertion time
-    /// and the result cached in an index, because no later variable
-    /// binding can change it.
-    pub fn passes_alpha(&self, fact: &Fact) -> bool {
-        if fact.fact_type != self.fact_type {
-            return false;
-        }
-        self.constraints.iter().all(|c| match &c.rhs {
-            Operand::Literal(v) => fact.get(&c.field).is_some_and(|lhs| c.cmp.apply(lhs, v)),
-            Operand::Binding(_) => true,
-        })
-    }
-
-    /// Completes a match for a fact that already passed [`passes_alpha`]:
-    /// checks the environment-dependent (join) constraints and extends
-    /// the environment with this pattern's bindings.
-    ///
-    /// [`passes_alpha`]: Pattern::passes_alpha
-    pub fn matches_given_alpha(
-        &self,
-        fact: &Fact,
-        env: &BTreeMap<String, Value>,
-    ) -> Option<BTreeMap<String, Value>> {
-        for c in &self.constraints {
-            if let Operand::Binding(var) = &c.rhs {
-                let lhs = fact.get(&c.field)?;
-                let rhs = env.get(var)?;
-                if !c.cmp.apply(lhs, rhs) {
-                    return None;
-                }
-            }
-        }
-        let mut out = env.clone();
-        for (var, field) in &self.bindings {
-            let v = fact.get(field)?.clone();
-            // A variable already bound must agree (unification).
-            if let Some(existing) = out.get(var) {
-                if existing != &v {
-                    return None;
-                }
-            }
-            out.insert(var.clone(), v);
-        }
-        Some(out)
-    }
-
-    /// Tests whether `fact` matches under the given environment of
-    /// already-bound variables. On success returns the extended
-    /// environment including this pattern's bindings.
-    pub fn matches(
-        &self,
-        fact: &Fact,
-        env: &BTreeMap<String, Value>,
-    ) -> Option<BTreeMap<String, Value>> {
-        if !self.passes_alpha(fact) {
-            return None;
-        }
-        self.matches_given_alpha(fact, env)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::StringFact;
+    use crate::Fact;
+    use std::collections::BTreeMap;
 
     fn env() -> BTreeMap<String, Value> {
         BTreeMap::new()
+    }
+
+    /// The string-keyed form the by-name matcher reads.
+    fn sf(fact: &Fact) -> StringFact {
+        StringFact::from(fact)
     }
 
     #[test]
@@ -256,7 +205,7 @@ mod tests {
         let f = Fact::new("MeanEventFact")
             .with("severity", 0.5)
             .with("eventName", "matxvec");
-        let bound = p.matches(&f, &env()).unwrap();
+        let bound = p.matches(&sf(&f), &env()).unwrap();
         assert_eq!(bound.get("e"), Some(&Value::from("matxvec")));
     }
 
@@ -264,11 +213,11 @@ mod tests {
     fn pattern_rejects_wrong_type_or_failed_constraint() {
         let p = Pattern::new("A").constrain("x", Comparator::Gt, 1.0);
         let wrong_type = Fact::new("B").with("x", 5.0);
-        assert!(p.matches(&wrong_type, &env()).is_none());
+        assert!(p.matches(&sf(&wrong_type), &env()).is_none());
         let low = Fact::new("A").with("x", 0.5);
-        assert!(p.matches(&low, &env()).is_none());
+        assert!(p.matches(&sf(&low), &env()).is_none());
         let missing = Fact::new("A");
-        assert!(p.matches(&missing, &env()).is_none());
+        assert!(p.matches(&sf(&missing), &env()).is_none());
     }
 
     #[test]
@@ -277,12 +226,12 @@ mod tests {
         let mut e = env();
         e.insert("pname".to_string(), Value::from("outer"));
         let ok = Fact::new("Child").with("parent", "outer");
-        assert!(p.matches(&ok, &e).is_some());
+        assert!(p.matches(&sf(&ok), &e).is_some());
         let no = Fact::new("Child").with("parent", "other");
         assert!(no.get("parent").is_some());
-        assert!(p.matches(&no, &e).is_none());
+        assert!(p.matches(&sf(&no), &e).is_none());
         // Unbound join variable: no match (rather than panic).
-        assert!(p.matches(&ok, &env()).is_none());
+        assert!(p.matches(&sf(&ok), &env()).is_none());
     }
 
     #[test]
@@ -311,15 +260,16 @@ mod tests {
             Fact::new("Other").with("kind", "inner"),
         ];
         for f in &facts {
-            let composed = if p.passes_alpha(f) {
-                p.matches_given_alpha(f, &e)
+            let f = sf(f);
+            let composed = if p.passes_alpha(&f) {
+                p.matches_given_alpha(&f, &e)
             } else {
                 None
             };
-            assert_eq!(composed, p.matches(f, &e), "disagreement on {f}");
+            assert_eq!(composed, p.matches(&f, &e), "disagreement on {f:?}");
         }
         assert!(
-            p.passes_alpha(&facts[2]),
+            p.passes_alpha(&sf(&facts[2])),
             "join failure is not an alpha failure"
         );
     }
@@ -330,8 +280,8 @@ mod tests {
         let mut e = env();
         e.insert("v".to_string(), Value::from(3.0));
         let same = Fact::new("A").with("x", 3.0);
-        assert!(p.matches(&same, &e).is_some());
+        assert!(p.matches(&sf(&same), &e).is_some());
         let diff = Fact::new("A").with("x", 4.0);
-        assert!(p.matches(&diff, &e).is_none());
+        assert!(p.matches(&sf(&diff), &e).is_none());
     }
 }

@@ -569,7 +569,10 @@ end
         assert_eq!(report.printed, vec!["got 42"]);
         // Token was retracted; only Promoted remains.
         assert_eq!(engine.fact_count(), 1);
-        let remaining: Vec<_> = engine.facts().map(|(_, f)| f.fact_type.clone()).collect();
+        let remaining: Vec<_> = engine
+            .facts()
+            .map(|(_, f)| f.fact_type().to_string())
+            .collect();
         assert_eq!(remaining, vec!["Promoted"]);
     }
 

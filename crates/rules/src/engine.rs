@@ -1,10 +1,19 @@
 //! The inference engine: working memory, agenda, match–resolve–act loop.
 //!
+//! An [`Engine`] is per-request working memory over a shared, compiled
+//! [`Rulebase`]: the rules, their patterns and the alpha-network shape
+//! are compiled once and shared by `Arc`, and an engine owns only its
+//! facts, alpha memories, conflict sets and agenda.
+//!
 //! Matching is incremental and indexed (a "Rete-lite"):
 //!
 //! * an **alpha layer** buckets working memory per distinct
 //!   (fact type, literal constraints) pattern signature, so joins scan
-//!   only candidate facts that already passed every constant test;
+//!   only candidate facts that already passed every constant test.
+//!   Field references are slot indices resolved once per declared fact
+//!   type, and a join environment is a slice indexed by variable whose
+//!   entries borrow the matched facts' values — nothing is copied until
+//!   a rule fires;
 //! * the **conflict set** is maintained persistently: asserting or
 //!   retracting a fact only (re)computes activations for rules whose
 //!   patterns reference the affected alpha memories — rules over other
@@ -19,14 +28,15 @@
 //! [`crate::reference::ReferenceEngine`], used by differential tests and
 //! the `bench_rules` ablation.
 
-use crate::condition::{Operand, Pattern};
 use crate::fact::{Fact, FactHandle};
 use crate::rule::{Action, RhsContext, RhsStatement, Rule};
+use crate::rulebase::{CompiledPattern, Resolution, Rulebase};
 use crate::value::Value;
 use crate::{Result, RuleError};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A structured conclusion emitted by a rule — the engine's primary
 /// output for the analysis layer. Where the paper's rules print their
@@ -99,45 +109,44 @@ impl RunReport {
     }
 }
 
-/// One activation candidate: the matched fact tuple and its bindings.
-type Activation = (Vec<FactHandle>, BTreeMap<String, Value>);
-
 /// Agenda ordering key: highest salience first, then rule definition
 /// order, then fact recency (newest tuple first). A `BTreeSet` of these
 /// keys iterates best-first.
 type AgendaKey = (Reverse<i32>, usize, Reverse<Vec<FactHandle>>);
 
-/// One alpha memory: the set of fact handles passing a pattern's
-/// environment-independent tests (fact type + literal constraints).
-/// Patterns with identical signatures share a memory.
-struct AlphaMemory {
-    /// The shared alpha test: `filter.fact_type` plus only the literal
-    /// constraints of the patterns using this memory.
-    filter: Pattern,
-    /// Facts currently passing the test, in handle (recency) order.
-    handles: BTreeSet<FactHandle>,
-    /// `(rule index, pattern position)` pairs reading this memory.
-    users: Vec<(usize, usize)>,
+/// A fact in working memory and the index of its layout's resolution.
+struct Stored {
+    fact: Fact,
+    res: usize,
 }
 
-/// A forward-chaining rule engine.
+/// A forward-chaining rule engine: working memory over a shared
+/// compiled [`Rulebase`].
 pub struct Engine {
-    rules: Vec<Rule>,
-    wm: BTreeMap<FactHandle, Fact>,
-    next_handle: u64,
-    /// Refraction memory: activations that already fired.
-    fired: BTreeSet<(usize, Vec<FactHandle>)>,
+    rulebase: Arc<Rulebase>,
+    memory: Memory,
     /// Safety bound on total firings per `run`.
     cycle_limit: usize,
-    /// Alpha layer: one memory per distinct pattern signature.
-    alphas: Vec<AlphaMemory>,
-    /// Fact type → indices into `alphas`, for assert/retract routing.
-    type_alphas: BTreeMap<String, Vec<usize>>,
-    /// Per rule, per pattern (in order): index into `alphas`.
-    rule_alpha: Vec<Vec<usize>>,
-    /// Per rule: current unfired activations (the conflict set), keyed
-    /// by matched-handle tuple.
-    conflict: Vec<BTreeMap<Vec<FactHandle>, BTreeMap<String, Value>>>,
+}
+
+/// Everything an engine owns besides its rulebase.
+struct Memory {
+    /// Facts by handle, offset by `base`; retracted slots are `None`.
+    facts: Vec<Option<Stored>>,
+    base: u64,
+    live: usize,
+    next_handle: u64,
+    /// Resolutions of the layouts asserted so far.
+    resolutions: Vec<Arc<Resolution>>,
+    /// Declared fact type key → index into `resolutions`.
+    declared: Vec<(usize, usize)>,
+    /// Per alpha node: handles of the facts passing it, ascending.
+    alphas: Vec<Vec<FactHandle>>,
+    /// Refraction memory: activations that already fired.
+    fired: BTreeSet<(usize, Vec<FactHandle>)>,
+    /// Per rule: matched-handle tuples of the unfired activations (the
+    /// conflict set).
+    conflict: Vec<BTreeSet<Vec<FactHandle>>>,
     /// Salience/recency-ordered view over every conflict set.
     agenda: BTreeSet<AgendaKey>,
 }
@@ -149,19 +158,19 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Creates an empty engine with the default cycle limit.
+    /// Creates an engine with no rules and the default cycle limit.
     pub fn new() -> Self {
+        Engine::with_rulebase(Arc::new(Rulebase::new()))
+    }
+
+    /// Creates an empty working memory over a compiled rulebase.
+    pub fn with_rulebase(rulebase: Arc<Rulebase>) -> Self {
+        let mut memory = Memory::new(&rulebase);
+        memory.activate_on_empty(&rulebase);
         Engine {
-            rules: Vec::new(),
-            wm: BTreeMap::new(),
-            next_handle: 0,
-            fired: BTreeSet::new(),
+            memory,
+            rulebase,
             cycle_limit: 100_000,
-            alphas: Vec::new(),
-            type_alphas: BTreeMap::new(),
-            rule_alpha: Vec::new(),
-            conflict: Vec::new(),
-            agenda: BTreeSet::new(),
         }
     }
 
@@ -173,59 +182,13 @@ impl Engine {
     }
 
     /// Adds one rule. Duplicate names are rejected so a knowledge base
-    /// cannot silently shadow itself.
+    /// cannot silently shadow itself. A rulebase shared with other
+    /// engines is copied first, so they never see the rule.
     pub fn add_rule(&mut self, rule: Rule) -> Result<()> {
-        if self.rules.iter().any(|r| r.name == rule.name) {
-            return Err(RuleError::DuplicateRule(rule.name));
-        }
-        let idx = self.rules.len();
-        let mut pattern_alphas = Vec::with_capacity(rule.patterns.len());
-        for (pos, p) in rule.patterns.iter().enumerate() {
-            let a = self.alpha_for(p);
-            self.alphas[a].users.push((idx, pos));
-            pattern_alphas.push(a);
-        }
-        self.rule_alpha.push(pattern_alphas);
-        self.rules.push(rule);
-        self.conflict.push(BTreeMap::new());
-        self.recompute_rule(idx);
+        let rulebase = Arc::make_mut(&mut self.rulebase);
+        rulebase.add_rule(rule)?;
+        self.memory.grow(rulebase);
         Ok(())
-    }
-
-    /// Finds or creates the alpha memory for a pattern's signature. A
-    /// newly-created memory is populated from current working memory, so
-    /// rules may be added after facts.
-    fn alpha_for(&mut self, pattern: &Pattern) -> usize {
-        let literals: Vec<_> = pattern
-            .constraints
-            .iter()
-            .filter(|c| matches!(c.rhs, Operand::Literal(_)))
-            .cloned()
-            .collect();
-        if let Some(a) = self.alphas.iter().position(|a| {
-            a.filter.fact_type == pattern.fact_type && a.filter.constraints == literals
-        }) {
-            return a;
-        }
-        let mut filter = Pattern::new(pattern.fact_type.clone());
-        filter.constraints = literals;
-        let handles = self
-            .wm
-            .iter()
-            .filter(|(_, f)| filter.passes_alpha(f))
-            .map(|(h, _)| *h)
-            .collect();
-        let a = self.alphas.len();
-        self.alphas.push(AlphaMemory {
-            filter,
-            handles,
-            users: Vec::new(),
-        });
-        self.type_alphas
-            .entry(pattern.fact_type.clone())
-            .or_default()
-            .push(a);
-        a
     }
 
     /// Adds many rules; stops at the first duplicate.
@@ -240,40 +203,7 @@ impl Engine {
     /// conflict set is updated incrementally: only rules whose patterns
     /// read an alpha memory that accepted the fact are reconsidered.
     pub fn assert_fact(&mut self, fact: Fact) -> FactHandle {
-        let h = FactHandle(self.next_handle);
-        self.next_handle += 1;
-        let fact_type = fact.fact_type.clone();
-        self.wm.insert(h, fact);
-
-        // Full recompute for rules where the fact feeds a negated
-        // pattern (it may *deactivate* pending matches); a cheap delta
-        // join for purely positive uses (it can only add activations).
-        let mut full: BTreeSet<usize> = BTreeSet::new();
-        let mut deltas: Vec<(usize, usize)> = Vec::new();
-        if let Some(alpha_ids) = self.type_alphas.get(&fact_type) {
-            for &a in alpha_ids.clone().iter() {
-                if !self.alphas[a].filter.passes_alpha(&self.wm[&h]) {
-                    continue;
-                }
-                self.alphas[a].handles.insert(h);
-                for &(r, pos) in &self.alphas[a].users {
-                    if self.rules[r].patterns[pos].negated {
-                        full.insert(r);
-                    } else {
-                        deltas.push((r, pos));
-                    }
-                }
-            }
-        }
-        for &r in &full {
-            self.recompute_rule(r);
-        }
-        for (r, pos) in deltas {
-            if !full.contains(&r) {
-                self.delta_add(r, pos, h);
-            }
-        }
-        h
+        self.memory.assert(&self.rulebase, fact)
     }
 
     /// Retracts a fact; returns it if it was present. Activations whose
@@ -283,48 +213,27 @@ impl Engine {
     /// the dead handle are purged — handles are never reused, so those
     /// tuples can never match again and would only leak memory.
     pub fn retract(&mut self, handle: FactHandle) -> Option<Fact> {
-        let fact = self.wm.remove(&handle)?;
-        let mut full: BTreeSet<usize> = BTreeSet::new();
-        let mut positive: BTreeSet<usize> = BTreeSet::new();
-        if let Some(alpha_ids) = self.type_alphas.get(&fact.fact_type) {
-            for &a in alpha_ids.clone().iter() {
-                if !self.alphas[a].handles.remove(&handle) {
-                    continue;
-                }
-                for &(r, pos) in &self.alphas[a].users {
-                    if self.rules[r].patterns[pos].negated {
-                        full.insert(r);
-                    } else {
-                        positive.insert(r);
-                    }
-                }
-            }
-        }
-        self.fired.retain(|(_, hs)| !hs.contains(&handle));
-        for &r in &full {
-            self.recompute_rule(r);
-        }
-        for &r in &positive {
-            if !full.contains(&r) {
-                self.remove_activations_containing(r, handle);
-            }
-        }
-        Some(fact)
+        self.memory.retract(&self.rulebase, handle)
     }
 
     /// Read access to working memory, in handle order.
     pub fn facts(&self) -> impl Iterator<Item = (FactHandle, &Fact)> {
-        self.wm.iter().map(|(h, f)| (*h, f))
+        let base = self.memory.base;
+        self.memory
+            .facts
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, s)| s.as_ref().map(|s| (FactHandle(base + i as u64), &s.fact)))
     }
 
     /// Number of facts in working memory.
     pub fn fact_count(&self) -> usize {
-        self.wm.len()
+        self.memory.live
     }
 
     /// Number of rules loaded.
     pub fn rule_count(&self) -> usize {
-        self.rules.len()
+        self.rulebase.len()
     }
 
     /// Clears facts, the agenda and refraction memory, keeping the
@@ -332,98 +241,344 @@ impl Engine {
     /// before the reset stay dead forever instead of silently aliasing
     /// facts asserted afterwards.
     pub fn reset(&mut self) {
-        self.wm.clear();
-        self.fired.clear();
-        self.agenda.clear();
-        for alpha in &mut self.alphas {
-            alpha.handles.clear();
-        }
-        for set in &mut self.conflict {
-            set.clear();
-        }
+        let m = &mut self.memory;
+        m.base = m.next_handle;
+        m.facts.clear();
+        m.live = 0;
+        m.resolutions.clear();
+        m.declared.clear();
+        m.fired.clear();
+        m.agenda.clear();
+        m.alphas.iter_mut().for_each(Vec::clear);
+        m.conflict.iter_mut().for_each(BTreeSet::clear);
+        m.activate_on_empty(&self.rulebase);
     }
 
     /// Number of refraction-memory entries currently retained. Exposed
     /// so long-lived callers (parameter sweeps) can check that retracted
     /// facts do not pin refraction state forever.
     pub fn refraction_len(&self) -> usize {
-        self.fired.len()
+        self.memory.fired.len()
     }
 
-    /// Finds every activation of `rule` (index `idx`) against current
-    /// working memory: all fact tuples matching the pattern conjunction
-    /// with consistent bindings. Each pattern scans only its alpha
-    /// memory, not all of working memory.
-    fn activations_of(&self, idx: usize) -> Vec<Activation> {
-        self.join(idx, None)
+    /// Runs the match–resolve–act cycle to quiescence. A run that stops
+    /// part-way — the cycle limit, or a rule action that fails — carries
+    /// everything fired before the stop inside the error.
+    pub fn run(&mut self) -> Result<RunReport> {
+        self.memory.run(&self.rulebase, self.cycle_limit)
+    }
+}
+
+impl Memory {
+    fn new(rulebase: &Rulebase) -> Self {
+        Memory {
+            facts: Vec::new(),
+            base: 0,
+            live: 0,
+            next_handle: 0,
+            resolutions: Vec::new(),
+            declared: Vec::new(),
+            alphas: vec![Vec::new(); rulebase.alphas.len()],
+            fired: BTreeSet::new(),
+            conflict: vec![BTreeSet::new(); rulebase.compiled.len()],
+            agenda: BTreeSet::new(),
+        }
     }
 
-    /// The indexed join. With `pin = Some((pos, h))`, pattern `pos` is
+    /// Computes the activations of the rules an empty memory satisfies:
+    /// those whose every pattern is negated.
+    fn activate_on_empty(&mut self, rulebase: &Rulebase) {
+        for (idx, rule) in rulebase.compiled.iter().enumerate() {
+            if rule.patterns.iter().all(|p| p.negated) {
+                self.recompute_rule(rulebase, idx);
+            }
+        }
+    }
+
+    fn stored(&self, h: FactHandle) -> Option<&Stored> {
+        let i = usize::try_from(h.0.checked_sub(self.base)?).ok()?;
+        self.facts.get(i)?.as_ref()
+    }
+
+    /// The index of `fact`'s resolution: looked up once per declared
+    /// type per engine, resolved afresh for an open schema.
+    fn resolution(&mut self, rulebase: &Rulebase, fact: &Fact) -> usize {
+        let key = fact.schema().declared_key();
+        if let Some(&(_, r)) = key.and_then(|k| self.declared.iter().find(|(d, _)| *d == k)) {
+            return r;
+        }
+        let r = self.resolutions.len();
+        self.resolutions.push(rulebase.resolve(fact.schema()));
+        if let Some(k) = key {
+            self.declared.push((k, r));
+        }
+        r
+    }
+
+    /// Catches up with rules just added to `rulebase`: re-resolves every
+    /// stored fact (field ids and alpha nodes only grow), fills the new
+    /// alpha memories from working memory and computes the new rules'
+    /// activations.
+    fn grow(&mut self, rulebase: &Rulebase) {
+        self.resolutions.clear();
+        self.declared.clear();
+        let mut facts = std::mem::take(&mut self.facts);
+        for stored in facts.iter_mut().flatten() {
+            stored.res = self.resolution(rulebase, &stored.fact);
+        }
+        self.facts = facts;
+        for a in self.alphas.len()..rulebase.alphas.len() {
+            let base = self.base;
+            let handles = self
+                .facts
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| {
+                    let s = s.as_ref()?;
+                    let res = &self.resolutions[s.res];
+                    (res.alphas.contains(&a) && rulebase.passes(a, res, s.fact.values()))
+                        .then_some(FactHandle(base + i as u64))
+                })
+                .collect();
+            self.alphas.push(handles);
+        }
+        for idx in self.conflict.len()..rulebase.compiled.len() {
+            self.conflict.push(BTreeSet::new());
+            self.recompute_rule(rulebase, idx);
+        }
+    }
+
+    fn assert(&mut self, rulebase: &Rulebase, fact: Fact) -> FactHandle {
+        let h = FactHandle(self.next_handle);
+        self.next_handle += 1;
+        let res = self.resolution(rulebase, &fact);
+        self.facts.push(Some(Stored { fact, res }));
+        self.live += 1;
+
+        // Full recompute for rules where the fact feeds a negated
+        // pattern (it may *deactivate* pending matches); a cheap delta
+        // join for purely positive uses (it can only add activations).
+        let mut full: Vec<usize> = Vec::new();
+        let mut deltas: Vec<(usize, usize)> = Vec::new();
+        let resolution = &self.resolutions[res];
+        let values = self
+            .facts
+            .last()
+            .and_then(Option::as_ref)
+            .map_or(&[][..], |s| s.fact.values());
+        for &a in &resolution.alphas {
+            if !rulebase.passes(a, resolution, values) {
+                continue;
+            }
+            self.alphas[a].push(h);
+            for &(r, pos) in &rulebase.alphas[a].users {
+                if !rulebase.compiled[r].patterns[pos].negated {
+                    deltas.push((r, pos));
+                } else if !full.contains(&r) {
+                    full.push(r);
+                }
+            }
+        }
+        for &r in &full {
+            self.recompute_rule(rulebase, r);
+        }
+        for (r, pos) in deltas {
+            if !full.contains(&r) {
+                self.delta_add(rulebase, r, pos, h);
+            }
+        }
+        h
+    }
+
+    fn retract(&mut self, rulebase: &Rulebase, handle: FactHandle) -> Option<Fact> {
+        let i = usize::try_from(handle.0.checked_sub(self.base)?).ok()?;
+        let stored = self.facts.get_mut(i)?.take()?;
+        self.live -= 1;
+        let mut full: Vec<usize> = Vec::new();
+        let mut positive: Vec<usize> = Vec::new();
+        for &a in &self.resolutions[stored.res].alphas {
+            let memory = &mut self.alphas[a];
+            let Ok(at) = memory.binary_search(&handle) else {
+                continue;
+            };
+            memory.remove(at);
+            for &(r, pos) in &rulebase.alphas[a].users {
+                let list = if rulebase.compiled[r].patterns[pos].negated {
+                    &mut full
+                } else {
+                    &mut positive
+                };
+                if !list.contains(&r) {
+                    list.push(r);
+                }
+            }
+        }
+        self.fired.retain(|(_, hs)| !hs.contains(&handle));
+        for &r in &full {
+            self.recompute_rule(rulebase, r);
+        }
+        for &r in &positive {
+            if !full.contains(&r) {
+                self.remove_activations_containing(rulebase, r, handle);
+            }
+        }
+        Some(stored.fact)
+    }
+
+    /// Tests fact `h` against a pattern that its alpha node already
+    /// accepted, under the environment `env`: the join constraints
+    /// first, then the bindings, written into `env` in place (a variable
+    /// already bound must agree). On `false`, `env` may hold some of the
+    /// pattern's bindings and must be discarded.
+    fn extend<'a>(
+        &'a self,
+        pattern: &CompiledPattern,
+        h: FactHandle,
+        env: &mut [Option<&'a Value>],
+    ) -> bool {
+        let Some(stored) = self.stored(h) else {
+            return false;
+        };
+        let res = &self.resolutions[stored.res];
+        let values = stored.fact.values();
+        for &(field, cmp, var) in &pattern.joins {
+            match (res.get(values, field), env[var]) {
+                (Some(lhs), Some(rhs)) if cmp.apply(lhs, rhs) => {}
+                _ => return false,
+            }
+        }
+        for &(var, field) in &pattern.binds {
+            let Some(v) = res.get(values, field) else {
+                return false;
+            };
+            if env[var].is_some_and(|existing| existing != v) {
+                return false;
+            }
+            env[var] = Some(v);
+        }
+        true
+    }
+
+    /// The indexed join: every fact tuple matching rule `idx`'s pattern
+    /// conjunction with consistent bindings, each pattern scanning only
+    /// its alpha memory. With `pin = Some((pos, h))`, pattern `pos` is
     /// restricted to the single fact `h` — the delta join used when `h`
     /// was just asserted, producing exactly the activations that involve
     /// it at that position.
-    fn join(&self, idx: usize, pin: Option<(usize, FactHandle)>) -> Vec<Activation> {
-        let rule = &self.rules[idx];
-        let mut partial: Vec<Activation> = vec![(Vec::new(), BTreeMap::new())];
+    ///
+    /// Partial matches are rows of two flat buffers — matched handles
+    /// (one column per positive pattern so far) and the environment (one
+    /// column per rule variable, borrowing fact values) — so extending a
+    /// match allocates nothing.
+    fn join(
+        &self,
+        rulebase: &Rulebase,
+        idx: usize,
+        pin: Option<(usize, FactHandle)>,
+    ) -> Vec<Vec<FactHandle>> {
+        let rule = &rulebase.compiled[idx];
+        let width = rule.vars.len();
+        let (mut handles, mut envs): (Vec<FactHandle>, Vec<Option<&Value>>) =
+            (Vec::new(), vec![None; width]);
+        let (mut rows, mut depth) = (1, 0);
+        let mut scratch = vec![None; width];
         for (pos, pattern) in rule.patterns.iter().enumerate() {
-            let alpha = &self.alphas[self.rule_alpha[idx][pos]];
-            let mut next = Vec::new();
-            for (handles, env) in &partial {
+            let memory = &self.alphas[pattern.alpha];
+            let (mut next_handles, mut next_envs) = (Vec::new(), Vec::new());
+            let mut next_rows = 0;
+            for row in 0..rows {
+                let matched = &handles[row * depth..(row + 1) * depth];
+                let env = &envs[row * width..(row + 1) * width];
                 if pattern.negated {
                     // Absence test: keep the partial match only if no
                     // candidate satisfies the pattern under these
                     // bindings.
-                    let blocked = alpha
-                        .handles
-                        .iter()
-                        .any(|h| pattern.matches_given_alpha(&self.wm[h], env).is_some());
+                    let blocked = memory.iter().any(|&h| {
+                        scratch.copy_from_slice(env);
+                        self.extend(pattern, h, &mut scratch)
+                    });
                     if !blocked {
-                        next.push((handles.clone(), env.clone()));
+                        next_handles.extend_from_slice(matched);
+                        next_envs.extend_from_slice(env);
+                        next_rows += 1;
                     }
                     continue;
                 }
                 let pinned;
-                let candidates: &BTreeSet<FactHandle> = match pin {
+                let candidates: &[FactHandle] = match pin {
                     Some((p, h)) if p == pos => {
-                        pinned = BTreeSet::from([h]);
+                        pinned = [h];
                         &pinned
                     }
-                    _ => &alpha.handles,
+                    _ => memory,
                 };
-                for h in candidates {
+                for &h in candidates {
                     // A fact participates at most once per activation: the
                     // paper's nested-loop rule matches two *different*
                     // events with the same pattern shape.
-                    if handles.contains(h) {
+                    if matched.contains(&h) {
                         continue;
                     }
-                    if let Some(new_env) = pattern.matches_given_alpha(&self.wm[h], env) {
-                        let mut hs = handles.clone();
-                        hs.push(*h);
-                        next.push((hs, new_env));
+                    let start = next_envs.len();
+                    next_envs.extend_from_slice(env);
+                    if self.extend(pattern, h, &mut next_envs[start..]) {
+                        next_handles.extend_from_slice(matched);
+                        next_handles.push(h);
+                        next_rows += 1;
+                    } else {
+                        next_envs.truncate(start);
                     }
                 }
             }
-            partial = next;
-            if partial.is_empty() {
-                break;
+            (handles, envs, rows) = (next_handles, next_envs, next_rows);
+            if !pattern.negated {
+                depth += 1;
+            }
+            if rows == 0 {
+                return Vec::new();
             }
         }
-        partial
+        if depth == 0 {
+            // Only negated patterns: one empty tuple, if nothing blocked.
+            return vec![Vec::new(); rows];
+        }
+        handles.chunks(depth).map(<[_]>::to_vec).collect()
+    }
+
+    /// The variable environment of an activation, as the report records
+    /// it: each positive pattern's bindings applied in order, read from
+    /// the matched facts.
+    fn bindings(
+        &self,
+        rulebase: &Rulebase,
+        idx: usize,
+        handles: &[FactHandle],
+    ) -> BTreeMap<String, Value> {
+        let rule = &rulebase.compiled[idx];
+        let positive = rule.patterns.iter().filter(|p| !p.negated);
+        let mut env = BTreeMap::new();
+        for (pattern, &h) in positive.zip(handles) {
+            let stored = self.stored(h).expect("matched fact present");
+            let res = &self.resolutions[stored.res];
+            for &(var, field) in &pattern.binds {
+                let v = res.get(stored.fact.values(), field).expect("bound field");
+                env.insert(rule.vars[var].clone(), v.clone());
+            }
+        }
+        env
     }
 
     /// Rebuilds rule `idx`'s conflict set from scratch (still via the
     /// alpha indexes) and reconciles the agenda. Used when a change may
     /// both add and remove activations — negated patterns, rule loading.
-    fn recompute_rule(&mut self, idx: usize) {
-        let salience = self.rules[idx].salience;
-        let old = std::mem::take(&mut self.conflict[idx]);
-        for handles in old.into_keys() {
+    fn recompute_rule(&mut self, rulebase: &Rulebase, idx: usize) {
+        let salience = rulebase.rules()[idx].salience;
+        for handles in std::mem::take(&mut self.conflict[idx]) {
             self.agenda
                 .remove(&(Reverse(salience), idx, Reverse(handles)));
         }
-        for (handles, env) in self.activations_of(idx) {
-            self.insert_activation(idx, handles, env);
+        for handles in self.join(rulebase, idx, None) {
+            self.insert_activation(salience, idx, handles);
         }
     }
 
@@ -431,35 +586,30 @@ impl Engine {
     /// `h` at pattern position `pos`. Purely additive — existing
     /// activations of a rule without negated patterns cannot be
     /// invalidated by an assert.
-    fn delta_add(&mut self, idx: usize, pos: usize, h: FactHandle) {
-        for (handles, env) in self.join(idx, Some((pos, h))) {
-            self.insert_activation(idx, handles, env);
+    fn delta_add(&mut self, rulebase: &Rulebase, idx: usize, pos: usize, h: FactHandle) {
+        let salience = rulebase.rules()[idx].salience;
+        for handles in self.join(rulebase, idx, Some((pos, h))) {
+            self.insert_activation(salience, idx, handles);
         }
     }
 
     /// Inserts one activation into the conflict set and agenda unless it
     /// already fired (refraction).
-    fn insert_activation(
-        &mut self,
-        idx: usize,
-        handles: Vec<FactHandle>,
-        env: BTreeMap<String, Value>,
-    ) {
+    fn insert_activation(&mut self, salience: i32, idx: usize, handles: Vec<FactHandle>) {
         if self.fired.contains(&(idx, handles.clone())) {
             return;
         }
-        let salience = self.rules[idx].salience;
         self.agenda
             .insert((Reverse(salience), idx, Reverse(handles.clone())));
-        self.conflict[idx].insert(handles, env);
+        self.conflict[idx].insert(handles);
     }
 
     /// Drops every pending activation of rule `idx` whose matched tuple
     /// contains `h` (used when `h` is retracted).
-    fn remove_activations_containing(&mut self, idx: usize, h: FactHandle) {
-        let salience = self.rules[idx].salience;
+    fn remove_activations_containing(&mut self, rulebase: &Rulebase, idx: usize, h: FactHandle) {
+        let salience = rulebase.rules()[idx].salience;
         let dead: Vec<Vec<FactHandle>> = self.conflict[idx]
-            .keys()
+            .iter()
             .filter(|hs| hs.contains(&h))
             .cloned()
             .collect();
@@ -469,55 +619,51 @@ impl Engine {
         }
     }
 
-    /// Runs the match–resolve–act cycle to quiescence. If the cycle
-    /// limit is hit, the partial report is carried inside the error.
-    pub fn run(&mut self) -> Result<RunReport> {
+    fn run(&mut self, rulebase: &Rulebase, cycle_limit: usize) -> Result<RunReport> {
         let mut report = RunReport::default();
-        while let Some((Reverse(salience), idx, Reverse(handles))) = self.agenda.first().cloned() {
-            if report.firings.len() >= self.cycle_limit {
+        while !self.agenda.is_empty() {
+            if report.firings.len() >= cycle_limit {
                 return Err(RuleError::CycleLimit {
-                    limit: self.cycle_limit,
+                    limit: cycle_limit,
                     report: Box::new(report),
                 });
             }
-            self.agenda
-                .remove(&(Reverse(salience), idx, Reverse(handles.clone())));
-            let env = self.conflict[idx]
-                .remove(&handles)
-                .expect("agenda and conflict set in sync");
+            let (_, idx, Reverse(handles)) = self.agenda.pop_first().expect("agenda not empty");
+            self.conflict[idx].remove(&handles);
             self.fired.insert((idx, handles.clone()));
 
+            let env = self.bindings(rulebase, idx, &handles);
             let matched: Vec<(FactHandle, Fact)> = handles
                 .iter()
-                .map(|h| (*h, self.wm.get(h).expect("matched fact present").clone()))
+                .map(|&h| {
+                    (
+                        h,
+                        self.stored(h).expect("matched fact present").fact.clone(),
+                    )
+                })
                 .collect();
-            let rule_name = self.rules[idx].name.clone();
-            let mut ctx = RhsContext::new(&env, &matched, &rule_name);
-
-            // Matched-fact positions skip negated patterns (they match
-            // nothing), so the retract lookup must too.
-            let fact_bindings: Vec<Option<String>> = self.rules[idx]
-                .patterns
-                .iter()
-                .filter(|p| !p.negated)
-                .map(|p| p.fact_binding.clone())
-                .collect();
-            match &self.rules[idx].action {
+            let rule = &rulebase.rules()[idx];
+            let mut ctx = RhsContext::new(&env, &matched, &rule.name);
+            match &rule.action {
                 Action::Native(f) => f(&mut ctx),
                 Action::Interpreted(stmts) => {
-                    let stmts = stmts.clone();
-                    Self::execute_interpreted(&mut ctx, &stmts, &rule_name, &fact_bindings)?;
+                    let fact_bindings = &rulebase.compiled[idx].fact_bindings;
+                    if let Err(e) = execute_interpreted(&mut ctx, stmts, &rule.name, fact_bindings)
+                    {
+                        return Err(e.with_partial_report(report));
+                    }
                 }
             }
-
-            let printed = std::mem::take(&mut ctx.printed);
-            let diagnoses = std::mem::take(&mut ctx.diagnoses);
-            let asserts = std::mem::take(&mut ctx.asserts);
-            let retracts = std::mem::take(&mut ctx.retracts);
-            drop(ctx);
+            let RhsContext {
+                printed,
+                diagnoses,
+                asserts,
+                retracts,
+                ..
+            } = ctx;
 
             report.firings.push(FiringRecord {
-                rule: rule_name,
+                rule: rule.name.clone(),
                 matched: handles,
                 bindings: env,
             });
@@ -527,105 +673,107 @@ impl Engine {
             // Apply buffered commands through the incremental paths so
             // the agenda tracks every working-memory change.
             for h in retracts {
-                self.retract(h);
+                self.retract(rulebase, h);
             }
             for f in asserts {
-                self.assert_fact(f);
+                self.assert(rulebase, f);
             }
             report.cycles += 1;
         }
         Ok(report)
     }
+}
 
-    /// Executes interpreted RHS statements into the context. Shared with
-    /// [`crate::reference::ReferenceEngine`] so both engines interpret
-    /// rule actions identically.
-    pub(crate) fn execute_interpreted(
-        ctx: &mut RhsContext,
-        statements: &[RhsStatement],
-        rule_name: &str,
-        fact_bindings: &[Option<String>],
-    ) -> Result<()> {
-        let unbound = |variable: &str| RuleError::UnboundVariable {
-            rule: rule_name.to_string(),
-            variable: variable.to_string(),
-        };
-        let eval = |expr: &crate::rule::RhsExpr, ctx: &RhsContext| -> Result<Value> {
-            expr.eval(ctx.env).ok_or_else(|| {
-                let mut vars = Vec::new();
-                expr.variables(&mut vars);
-                let missing = vars
-                    .into_iter()
-                    .find(|v| !ctx.env.contains_key(v))
-                    .unwrap_or_default();
-                unbound(&missing)
-            })
-        };
-        for stmt in statements {
-            match stmt {
-                RhsStatement::Print(parts) => {
-                    let mut line = String::new();
-                    for p in parts {
-                        line.push_str(&eval(p, ctx)?.to_string());
-                    }
-                    ctx.print(line);
+/// Executes interpreted RHS statements into the context. Shared with
+/// [`crate::reference::ReferenceEngine`] so both engines interpret rule
+/// actions identically. The context's buffered commands are applied by
+/// the caller only if every statement succeeds.
+pub(crate) fn execute_interpreted(
+    ctx: &mut RhsContext,
+    statements: &[RhsStatement],
+    rule_name: &str,
+    fact_bindings: &[Option<String>],
+) -> Result<()> {
+    let unbound = |variable: &str| RuleError::UnboundVariable {
+        rule: rule_name.to_string(),
+        variable: variable.to_string(),
+        report: Box::default(),
+    };
+    let eval = |expr: &crate::rule::RhsExpr, ctx: &RhsContext| -> Result<Value> {
+        expr.eval(ctx.env).ok_or_else(|| {
+            let mut vars = Vec::new();
+            expr.variables(&mut vars);
+            let missing = vars
+                .into_iter()
+                .find(|v| !ctx.env.contains_key(v))
+                .unwrap_or_default();
+            unbound(&missing)
+        })
+    };
+    for stmt in statements {
+        match stmt {
+            RhsStatement::Print(parts) => {
+                let mut line = String::new();
+                for p in parts {
+                    line.push_str(&eval(p, ctx)?.to_string());
                 }
-                RhsStatement::Assert { fact_type, fields } => {
-                    let mut fact = Fact::new(fact_type.clone());
-                    for (name, expr) in fields {
-                        let v = eval(expr, ctx)?;
-                        fact.set(name, v);
-                    }
-                    ctx.assert_fact(fact);
+                ctx.print(line);
+            }
+            RhsStatement::Assert { fact_type, fields } => {
+                let mut fact = Fact::new(fact_type.clone());
+                for (name, expr) in fields {
+                    let v = eval(expr, ctx)?;
+                    fact.set(name, v);
                 }
-                RhsStatement::Retract(var) => {
-                    // The variable names a fact binding: find the pattern
-                    // that bound it and retract the corresponding fact.
-                    let handle = fact_bindings
-                        .iter()
-                        .position(|name| name.as_deref() == Some(var.as_str()))
-                        .and_then(|i| ctx.matched.get(i))
-                        .map(|(h, _)| *h);
-                    match handle {
-                        Some(h) => ctx.retract(h),
-                        None => return Err(unbound(var)),
-                    }
-                }
-                RhsStatement::Diagnose {
-                    category,
-                    message,
-                    severity,
-                    recommendation,
-                } => {
-                    let cat = eval(category, ctx)?.to_string();
-                    let msg = eval(message, ctx)?.to_string();
-                    let sev = match severity {
-                        Some(e) => eval(e, ctx)?.as_num(),
-                        None => None,
-                    };
-                    let rec = match recommendation {
-                        Some(e) => Some(eval(e, ctx)?.to_string()),
-                        None => None,
-                    };
-                    let rule = ctx.rule_name.to_string();
-                    // Attach the firing environment explicitly so the
-                    // documented contract — consumers can recover which
-                    // event/trial the diagnosis is about — holds for
-                    // interpreted rules exactly as for native actions.
-                    let bindings = ctx.env.clone();
-                    ctx.diagnose(Diagnosis {
-                        category: cat,
-                        message: msg,
-                        severity: sev,
-                        recommendation: rec,
-                        rule,
-                        bindings,
-                    });
+                ctx.assert_fact(fact);
+            }
+            RhsStatement::Retract(var) => {
+                // The variable names a fact binding: find the pattern
+                // that bound it and retract the corresponding fact.
+                let handle = fact_bindings
+                    .iter()
+                    .position(|name| name.as_deref() == Some(var.as_str()))
+                    .and_then(|i| ctx.matched.get(i))
+                    .map(|(h, _)| *h);
+                match handle {
+                    Some(h) => ctx.retract(h),
+                    None => return Err(unbound(var)),
                 }
             }
+            RhsStatement::Diagnose {
+                category,
+                message,
+                severity,
+                recommendation,
+            } => {
+                let cat = eval(category, ctx)?.to_string();
+                let msg = eval(message, ctx)?.to_string();
+                let sev = match severity {
+                    Some(e) => eval(e, ctx)?.as_num(),
+                    None => None,
+                };
+                let rec = match recommendation {
+                    Some(e) => Some(eval(e, ctx)?.to_string()),
+                    None => None,
+                };
+                let rule = ctx.rule_name.to_string();
+                // Attach the firing environment explicitly so the
+                // documented contract — consumers can recover which
+                // event/trial the diagnosis is about — holds for
+                // interpreted rules exactly as for native actions.
+                let bindings = ctx.env.clone();
+                ctx.diagnose(Diagnosis {
+                    category: cat,
+                    message: msg,
+                    severity: sev,
+                    recommendation: rec,
+                    rule,
+                    bindings,
+                });
+            }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -891,6 +1039,45 @@ mod tests {
     }
 
     #[test]
+    fn failing_action_error_carries_earlier_firings() {
+        let src = r#"
+rule "first" salience 10
+when
+    T( x : x )
+then
+    print("x = " + x);
+    diagnose("cat", "first saw " + x);
+end
+
+rule "broken"
+when
+    T( x : x )
+then
+    print("before");
+    print("y = " + y);
+end
+"#;
+        let mut engine = Engine::new();
+        engine.add_rules(crate::drl::parse(src).unwrap()).unwrap();
+        engine.assert_fact(Fact::new("T").with("x", 2.0));
+        let Err(RuleError::UnboundVariable {
+            rule,
+            variable,
+            report,
+        }) = engine.run()
+        else {
+            panic!("expected an unbound variable");
+        };
+        assert_eq!((rule.as_str(), variable.as_str()), ("broken", "y"));
+        // The failing firing contributes nothing, not even the line it
+        // printed before failing.
+        assert_eq!(report.printed, vec!["x = 2"]);
+        assert_eq!(report.diagnoses[0].message, "first saw 2");
+        assert_eq!(report.firings.len(), 1);
+        assert_eq!(report.cycles, 1);
+    }
+
+    #[test]
     fn handles_stay_monotonic_across_reset() {
         let mut engine = Engine::new();
         engine.add_rule(high_severity_rule()).unwrap();
@@ -990,6 +1177,28 @@ end
         engine.assert_fact(Fact::new("Noise"));
         let report = engine.run().unwrap();
         assert!(report.printed.is_empty());
+    }
+
+    #[test]
+    fn rule_of_only_negated_patterns_fires_on_absence() {
+        let rulebase = Arc::new(
+            Rulebase::compile(vec![Rule::builder("quiet")
+                .when(Pattern::new("Noise").negate())
+                .then(|ctx| ctx.print("quiet"))])
+            .unwrap(),
+        );
+        let mut engine = Engine::with_rulebase(Arc::clone(&rulebase));
+        assert_eq!(engine.run().unwrap().printed, vec!["quiet"]);
+        assert!(engine.run().unwrap().firings.is_empty(), "refraction");
+        // A reset memory is empty again, and so are engines over the
+        // compiled rulebase.
+        engine.reset();
+        assert_eq!(engine.run().unwrap().printed, vec!["quiet"]);
+        let mut fresh = Engine::with_rulebase(rulebase);
+        assert_eq!(fresh.run().unwrap().printed, vec!["quiet"]);
+        engine.reset();
+        engine.assert_fact(Fact::new("Noise"));
+        assert!(engine.run().unwrap().firings.is_empty());
     }
 
     #[test]

@@ -19,6 +19,10 @@ pub enum RuleError {
         rule: String,
         /// Variable name.
         variable: String,
+        /// Everything the run produced before the failing firing, which
+        /// itself contributes nothing (its action's output and commands
+        /// are discarded).
+        report: Box<RunReport>,
     },
     /// The match–act cycle exceeded its iteration budget, indicating a
     /// rule set that asserts facts in an unbounded loop.
@@ -41,7 +45,7 @@ impl fmt::Display for RuleError {
             RuleError::Parse { line, message } => {
                 write!(f, "rule parse error at line {line}: {message}")
             }
-            RuleError::UnboundVariable { rule, variable } => {
+            RuleError::UnboundVariable { rule, variable, .. } => {
                 write!(f, "rule {rule:?} uses unbound variable ${variable}")
             }
             RuleError::CycleLimit { limit, report } => {
@@ -57,6 +61,29 @@ impl fmt::Display for RuleError {
 }
 
 impl std::error::Error for RuleError {}
+
+impl RuleError {
+    /// Consumes the error, yielding the partial report of the run it
+    /// stopped, if any.
+    pub fn into_partial_report(self) -> Option<RunReport> {
+        match self {
+            RuleError::CycleLimit { report, .. } | RuleError::UnboundVariable { report, .. } => {
+                Some(*report)
+            }
+            RuleError::Parse { .. } | RuleError::DuplicateRule(_) => None,
+        }
+    }
+
+    /// Attaches the report of the run this error stopped.
+    pub(crate) fn with_partial_report(mut self, partial: RunReport) -> Self {
+        if let RuleError::CycleLimit { report, .. } | RuleError::UnboundVariable { report, .. } =
+            &mut self
+        {
+            **report = partial;
+        }
+        self
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -81,6 +108,7 @@ mod tests {
         let u = RuleError::UnboundVariable {
             rule: "r".into(),
             variable: "v".into(),
+            report: Box::default(),
         };
         assert!(u.to_string().contains("$v"));
     }

@@ -7,15 +7,20 @@
 //!
 //! The model is a classic production system:
 //!
-//! * **facts** ([`Fact`]) are typed bags of named, dynamically-typed
-//!   fields — the analysis layer asserts facts like `MeanEventFact`
-//!   with fields `metric`, `severity`, `eventName`, …;
+//! * **facts** ([`Fact`]) are typed records: a fact type declares its
+//!   ordered field names once ([`FactType`]) and each fact carries one
+//!   value per field — the analysis layer asserts facts like
+//!   `MeanEventFact` with fields `metric`, `severity`, `eventName`, …;
 //! * **rules** ([`Rule`]) pair a `when` part (a conjunction of
 //!   [`Pattern`]s with field constraints and variable bindings, joined
 //!   across patterns by binding consistency) with a `then` part (an
 //!   [`Action`]: print, assert new facts, retract matched facts, or run
 //!   native Rust);
-//! * the **engine** ([`Engine`]) runs the match–resolve–act cycle with
+//! * a **rulebase** ([`Rulebase`]) is a set of rules compiled once —
+//!   field references become slot indices, variables become environment
+//!   indices — and shared by `Arc` between engines;
+//! * the **engine** ([`Engine`]) is per-request working memory over a
+//!   rulebase. It runs the match–resolve–act cycle with
 //!   salience-ordered conflict resolution and refraction (an activation
 //!   fires at most once), and records a full firing trace for
 //!   explanation.
@@ -58,13 +63,15 @@ pub mod error;
 pub mod fact;
 pub mod reference;
 pub mod rule;
+pub mod rulebase;
 pub mod value;
 
 pub use condition::{Comparator, Constraint, Operand, Pattern};
 pub use engine::{Diagnosis, Engine, FiringRecord, RunReport};
 pub use error::RuleError;
-pub use fact::{Fact, FactHandle};
+pub use fact::{Fact, FactHandle, FactType};
 pub use rule::{Action, RhsContext, RhsExpr, RhsStatement, Rule, RuleBuilder};
+pub use rulebase::Rulebase;
 pub use value::Value;
 
 /// Convenience result alias.

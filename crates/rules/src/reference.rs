@@ -3,18 +3,24 @@
 //!
 //! [`ReferenceEngine`] re-derives every activation of every rule from
 //! scratch after each firing by scanning all of working memory — the
-//! pre-index behaviour of [`crate::Engine`]. It exists for two reasons:
+//! pre-index behaviour of [`crate::Engine`]. Its facts are string-keyed
+//! ([`StringFact`]: a type name plus a field-name → value map) and its
+//! patterns match by field name, as the engine did before facts had
+//! schemas. It exists for two reasons:
 //!
 //! * **differential testing** — the equivalence property tests drive
 //!   both engines with identical rulebases and assert/retract sequences
-//!   and require identical firing order, reports and final memory;
+//!   (converting each [`Fact`] with [`StringFact::from`] at the test
+//!   boundary) and require identical firing order, reports and final
+//!   memory;
 //! * **ablation benchmarking** — `bench -p bench --bench engine`
 //!   measures the incremental indexed agenda against this rematch loop.
 //!
 //! It is not intended for production use: its per-firing cost is
 //! O(rules × |WM|^patterns).
 
-use crate::engine::{Engine, FiringRecord, RunReport};
+use crate::condition::{Operand, Pattern};
+use crate::engine::{execute_interpreted, FiringRecord, RunReport};
 use crate::fact::{Fact, FactHandle};
 use crate::rule::{Action, RhsContext, Rule};
 use crate::value::Value;
@@ -24,11 +30,105 @@ use std::collections::{BTreeMap, BTreeSet};
 /// One activation candidate: the matched fact tuple and its bindings.
 type Activation = (Vec<FactHandle>, BTreeMap<String, Value>);
 
+/// A string-keyed fact: a type name and a field-name → value map.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StringFact {
+    /// The fact type name used by pattern matching.
+    pub fact_type: String,
+    /// Named fields.
+    pub fields: BTreeMap<String, Value>,
+}
+
+impl StringFact {
+    /// Field lookup.
+    pub fn get(&self, field: &str) -> Option<&Value> {
+        self.fields.get(field)
+    }
+}
+
+impl From<&Fact> for StringFact {
+    fn from(fact: &Fact) -> Self {
+        StringFact {
+            fact_type: fact.fact_type().to_string(),
+            fields: fact.to_map(),
+        }
+    }
+}
+
+impl From<&StringFact> for Fact {
+    fn from(fact: &StringFact) -> Self {
+        Fact::from_map(fact.fact_type.clone(), fact.fields.clone())
+    }
+}
+
+/// By-name matching of a pattern against string-keyed facts.
+impl Pattern {
+    /// Tests the environment-independent part of the pattern: the fact
+    /// type and every constraint whose operand is a literal. This is the
+    /// "alpha" test — no later variable binding can change it.
+    pub fn passes_alpha(&self, fact: &StringFact) -> bool {
+        if fact.fact_type != self.fact_type {
+            return false;
+        }
+        self.constraints.iter().all(|c| match &c.rhs {
+            Operand::Literal(v) => fact.get(&c.field).is_some_and(|lhs| c.cmp.apply(lhs, v)),
+            Operand::Binding(_) => true,
+        })
+    }
+
+    /// Completes a match for a fact that already passed [`passes_alpha`]:
+    /// checks the environment-dependent (join) constraints and extends
+    /// the environment with this pattern's bindings.
+    ///
+    /// [`passes_alpha`]: Pattern::passes_alpha
+    pub fn matches_given_alpha(
+        &self,
+        fact: &StringFact,
+        env: &BTreeMap<String, Value>,
+    ) -> Option<BTreeMap<String, Value>> {
+        for c in &self.constraints {
+            if let Operand::Binding(var) = &c.rhs {
+                let lhs = fact.get(&c.field)?;
+                let rhs = env.get(var)?;
+                if !c.cmp.apply(lhs, rhs) {
+                    return None;
+                }
+            }
+        }
+        let mut out = env.clone();
+        for (var, field) in &self.bindings {
+            let v = fact.get(field)?.clone();
+            // A variable already bound must agree (unification).
+            if let Some(existing) = out.get(var) {
+                if existing != &v {
+                    return None;
+                }
+            }
+            out.insert(var.clone(), v);
+        }
+        Some(out)
+    }
+
+    /// Tests whether `fact` matches under the given environment of
+    /// already-bound variables. On success returns the extended
+    /// environment including this pattern's bindings.
+    pub fn matches(
+        &self,
+        fact: &StringFact,
+        env: &BTreeMap<String, Value>,
+    ) -> Option<BTreeMap<String, Value>> {
+        if !self.passes_alpha(fact) {
+            return None;
+        }
+        self.matches_given_alpha(fact, env)
+    }
+}
+
 /// A forward-chaining engine that rebuilds its conflict set from scratch
 /// on every selection — the behavioural reference for [`crate::Engine`].
 pub struct ReferenceEngine {
     rules: Vec<Rule>,
-    wm: BTreeMap<FactHandle, Fact>,
+    wm: BTreeMap<FactHandle, StringFact>,
     next_handle: u64,
     fired: BTreeSet<(usize, Vec<FactHandle>)>,
     cycle_limit: usize,
@@ -76,7 +176,7 @@ impl ReferenceEngine {
     }
 
     /// Asserts a fact into working memory, returning its handle.
-    pub fn assert_fact(&mut self, fact: Fact) -> FactHandle {
+    pub fn assert_fact(&mut self, fact: StringFact) -> FactHandle {
         let h = FactHandle(self.next_handle);
         self.next_handle += 1;
         self.wm.insert(h, fact);
@@ -86,14 +186,14 @@ impl ReferenceEngine {
     /// Retracts a fact; returns it if it was present. Mirrors the
     /// production engine's refraction purge (handles are never reused,
     /// so entries naming the dead handle can never match again).
-    pub fn retract(&mut self, handle: FactHandle) -> Option<Fact> {
+    pub fn retract(&mut self, handle: FactHandle) -> Option<StringFact> {
         let fact = self.wm.remove(&handle)?;
         self.fired.retain(|(_, hs)| !hs.contains(&handle));
         Some(fact)
     }
 
     /// Read access to working memory, in handle order.
-    pub fn facts(&self) -> impl Iterator<Item = (FactHandle, &Fact)> {
+    pub fn facts(&self) -> impl Iterator<Item = (FactHandle, &StringFact)> {
         self.wm.iter().map(|(h, f)| (*h, f))
     }
 
@@ -188,7 +288,8 @@ impl ReferenceEngine {
     }
 
     /// Runs the match–resolve–act cycle to quiescence, rebuilding the
-    /// conflict set before every firing.
+    /// conflict set before every firing. A run that stops part-way
+    /// carries everything fired before the stop inside the error.
     pub fn run(&mut self) -> Result<RunReport> {
         let mut report = RunReport::default();
         while let Some((idx, handles, env)) = self.select() {
@@ -202,7 +303,7 @@ impl ReferenceEngine {
 
             let matched: Vec<(FactHandle, Fact)> = handles
                 .iter()
-                .map(|h| (*h, self.wm.get(h).expect("matched fact present").clone()))
+                .map(|h| (*h, Fact::from(&self.wm[h])))
                 .collect();
             let rule_name = self.rules[idx].name.clone();
             let mut ctx = RhsContext::new(&env, &matched, &rule_name);
@@ -217,7 +318,11 @@ impl ReferenceEngine {
                 Action::Native(f) => f(&mut ctx),
                 Action::Interpreted(stmts) => {
                     let stmts = stmts.clone();
-                    Engine::execute_interpreted(&mut ctx, &stmts, &rule_name, &fact_bindings)?;
+                    if let Err(e) =
+                        execute_interpreted(&mut ctx, &stmts, &rule_name, &fact_bindings)
+                    {
+                        return Err(e.with_partial_report(report));
+                    }
                 }
             }
 
@@ -239,7 +344,7 @@ impl ReferenceEngine {
                 self.retract(h);
             }
             for f in asserts {
-                self.assert_fact(f);
+                self.assert_fact(StringFact::from(&f));
             }
             report.cycles += 1;
         }
@@ -269,8 +374,12 @@ mod tests {
                     }),
             )
             .unwrap();
-        engine.assert_fact(Fact::new("F").with("s", 0.9).with("name", "a"));
-        engine.assert_fact(Fact::new("F").with("s", 0.1).with("name", "b"));
+        engine.assert_fact(StringFact::from(
+            &Fact::new("F").with("s", 0.9).with("name", "a"),
+        ));
+        engine.assert_fact(StringFact::from(
+            &Fact::new("F").with("s", 0.1).with("name", "b"),
+        ));
         let report = engine.run().unwrap();
         assert_eq!(report.printed, vec!["severe: a"]);
         assert_eq!(engine.run().unwrap().firings.len(), 0, "refraction");
@@ -279,9 +388,9 @@ mod tests {
     #[test]
     fn reference_handles_monotonic_and_purged() {
         let mut engine = ReferenceEngine::new();
-        let a = engine.assert_fact(Fact::new("T"));
+        let a = engine.assert_fact(StringFact::from(&Fact::new("T")));
         engine.reset();
-        let b = engine.assert_fact(Fact::new("T"));
+        let b = engine.assert_fact(StringFact::from(&Fact::new("T")));
         assert_ne!(a, b);
         engine
             .add_rule(Rule::builder("r").when(Pattern::new("T")).then(|_| {}))

@@ -196,7 +196,10 @@ end
         engine.add_rules(drl::parse(src).unwrap()).unwrap();
         engine.assert_fact(Fact::new("Token").with("id", "x"));
         engine.run().unwrap();
-        let kinds: Vec<String> = engine.facts().map(|(_, f)| f.fact_type.clone()).collect();
+        let kinds: Vec<String> = engine
+            .facts()
+            .map(|(_, f)| f.fact_type().to_string())
+            .collect();
         assert_eq!(kinds, vec!["Seen"]);
     }
 }

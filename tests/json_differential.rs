@@ -1,8 +1,11 @@
 //! Differential check of the one-pass JSON codec against
 //! `serde::reference`, the two-pass codec through a `Value` tree, over
-//! every derived workspace type that is persisted or sent over the
-//! wire: `Trial`, `Profile`, `Metadata`, `ChunkBatch`, `Repository`,
-//! `rules::Fact` and `openuh::ir::Program`.
+//! the workspace types with JSON codecs: `Trial`, `Profile`,
+//! `Metadata`, `ChunkBatch`, `Repository` and `openuh::ir::Program`,
+//! which are persisted or sent over the wire, and `rules::Fact`, which
+//! nothing persists or sends but whose hand-written codec (the type
+//! name plus a field-name-ordered object, whatever the fact's slot
+//! order) must still agree on both paths.
 //!
 //! For every generated value the two paths must write byte-identical
 //! compact and pretty text. For that text, and for truncated,
