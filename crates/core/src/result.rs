@@ -6,7 +6,7 @@
 
 use crate::{AnalysisError, Result};
 use perfdmf::algebra::{aggregate_threads, Aggregation};
-use perfdmf::{EventId, MetricId, Profile, Trial};
+use perfdmf::{EventId, Measurement, MetricId, Profile, Trial};
 
 /// A full per-thread view of a trial.
 #[derive(Debug, Clone)]
@@ -60,6 +60,14 @@ impl<'a> TrialResult<'a> {
         self.profile()
             .event_id(name)
             .ok_or_else(|| AnalysisError::MissingEvent(name.to_string()))
+    }
+
+    /// The cells of an event/metric across threads, borrowed from the
+    /// profile.
+    pub fn column(&self, event: &str, metric: &str) -> Result<&'a [Measurement]> {
+        let e = self.event(event)?;
+        let m = self.metric(metric)?;
+        Ok(self.trial.profile.column(e, m))
     }
 
     /// Exclusive values of an event/metric across threads.

@@ -103,9 +103,11 @@ struct SessionState {
     /// The repository is shared (read-only from scripts) so sweep
     /// bodies on other threads can open their own sessions over it.
     repo: Arc<Repository>,
-    /// Loaded trials; handles index into this list. Trials are private
-    /// copies so scripted derivations do not mutate the repository.
-    trials: Vec<Trial>,
+    /// Loaded trials; handles index into this list. A loaded trial
+    /// shares the repository's copy until a derivation writes to it,
+    /// which copies it first (`Arc::make_mut`), so scripts never mutate
+    /// the repository or a sibling sweep body's view.
+    trials: Vec<Arc<Trial>>,
     engine: Engine,
     machine: MachineConfig,
     last_report: Option<RunReport>,
@@ -170,10 +172,9 @@ fn expect_trial(args: &[Value], i: usize) -> std::result::Result<usize, String> 
     }
 }
 
-fn expect_str(args: &[Value], i: usize) -> std::result::Result<String, String> {
+fn expect_str(args: &[Value], i: usize) -> std::result::Result<&str, String> {
     args.get(i)
         .and_then(Value::as_str)
-        .map(str::to_string)
         .ok_or_else(|| host_err(format!("argument {i} must be a string")))
 }
 
@@ -368,11 +369,11 @@ fn call_host(
             let exp = expect_str(args, 1)?;
             let trial = expect_str(args, 2)?;
             let mut st = state.borrow_mut();
-            let t = st
-                .repo
-                .trial(&app, &exp, &trial)
-                .map_err(|e| host_err(e.to_string()))?
-                .clone();
+            let t = Arc::clone(
+                st.repo
+                    .shared_trial(app, exp, trial)
+                    .map_err(|e| host_err(e.to_string()))?,
+            );
             st.trials.push(t);
             Ok(trial_handle(st.trials.len() - 1))
         }
@@ -382,7 +383,7 @@ fn call_host(
             let st = state.borrow();
             let experiment = st
                 .repo
-                .experiment(&app, &exp)
+                .experiment(app, exp)
                 .map_err(|e| host_err(e.to_string()))?;
             Ok(Value::List(
                 experiment
@@ -417,33 +418,23 @@ fn call_host(
                     .collect(),
             ))
         }
-        "mean_exclusive" => {
+        "mean_exclusive" | "mean_inclusive" => {
             let id = expect_trial(args, 0)?;
             let event = expect_str(args, 1)?;
             let metric = expect_str(args, 2)?;
             let st = state.borrow();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
-            let r = TrialResult::new(trial);
-            let values = r
-                .exclusive(&event, &metric)
+            let column = TrialResult::new(trial)
+                .column(event, metric)
                 .map_err(|e| host_err(e.to_string()))?;
-            Ok(Value::Num(
-                values.iter().sum::<f64>() / values.len().max(1) as f64,
-            ))
-        }
-        "mean_inclusive" => {
-            let id = expect_trial(args, 0)?;
-            let event = expect_str(args, 1)?;
-            let metric = expect_str(args, 2)?;
-            let st = state.borrow();
-            let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
-            let r = TrialResult::new(trial);
-            let values = r
-                .inclusive(&event, &metric)
-                .map_err(|e| host_err(e.to_string()))?;
-            Ok(Value::Num(
-                values.iter().sum::<f64>() / values.len().max(1) as f64,
-            ))
+            // Summed in thread order, so the mean is bit-identical to
+            // summing `TrialResult::exclusive`'s (or `inclusive`'s) vector.
+            let sum: f64 = if name == "mean_exclusive" {
+                column.iter().map(|c| c.exclusive).sum()
+            } else {
+                column.iter().map(|c| c.inclusive).sum()
+            };
+            Ok(Value::Num(sum / column.len().max(1) as f64))
         }
         "elapsed" => {
             let id = expect_trial(args, 0)?;
@@ -451,7 +442,7 @@ fn call_host(
             let st = state.borrow();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             TrialResult::new(trial)
-                .elapsed(&metric)
+                .elapsed(metric)
                 .map(Value::Num)
                 .map_err(|e| host_err(e.to_string()))
         }
@@ -459,7 +450,7 @@ fn call_host(
         "derive_metric" => {
             let id = expect_trial(args, 0)?;
             let lhs = expect_str(args, 1)?;
-            let op = match expect_str(args, 2)?.as_str() {
+            let op = match expect_str(args, 2)? {
                 "add" => DeriveOp::Add,
                 "subtract" => DeriveOp::Subtract,
                 "multiply" => DeriveOp::Multiply,
@@ -471,8 +462,9 @@ fn call_host(
             let trial = st
                 .trials
                 .get_mut(id)
+                .map(Arc::make_mut)
                 .ok_or_else(|| host_err("stale handle"))?;
-            derive_metric(trial, &lhs, op, &rhs)
+            derive_metric(trial, lhs, op, rhs)
                 .map(Value::Str)
                 .map_err(|e| host_err(e.to_string()))
         }
@@ -482,6 +474,7 @@ fn call_host(
             let trial = st
                 .trials
                 .get_mut(id)
+                .map(Arc::make_mut)
                 .ok_or_else(|| host_err("stale handle"))?;
             derive_inefficiency(trial)
                 .map(Value::Str)
@@ -495,7 +488,7 @@ fn call_host(
             let event = expect_str(args, 3)?;
             let mut st = state.borrow_mut();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
-            let fact = MeanEventFact::compare_event_to_main(trial, &metric, &severity, &event)
+            let fact = MeanEventFact::compare_event_to_main(trial, metric, severity, event)
                 .map_err(|e| host_err(e.to_string()))?;
             st.engine.assert_fact(fact);
             Ok(Value::Null)
@@ -506,7 +499,7 @@ fn call_host(
             let severity = expect_str(args, 2)?;
             let mut st = state.borrow_mut();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
-            let facts = MeanEventFact::compare_all_events(trial, &metric, &severity)
+            let facts = MeanEventFact::compare_all_events(trial, metric, severity)
                 .map_err(|e| host_err(e.to_string()))?;
             let n = facts.len();
             for f in facts {
@@ -520,7 +513,7 @@ fn call_host(
             let mut st = state.borrow_mut();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             let analysis =
-                loadbalance::analyze(trial, &metric).map_err(|e| host_err(e.to_string()))?;
+                loadbalance::analyze(trial, metric).map_err(|e| host_err(e.to_string()))?;
             let facts = analysis.facts();
             let n = facts.len();
             for f in facts {
@@ -612,7 +605,7 @@ fn call_host(
                 pairs.push((procs, handle));
             }
             let mut st = state.borrow_mut();
-            let trials: Vec<(usize, Trial)> = pairs
+            let trials: Vec<(usize, Arc<Trial>)> = pairs
                 .iter()
                 .map(|(p, h)| {
                     st.trials
@@ -622,14 +615,14 @@ fn call_host(
                         .ok_or_else(|| host_err("stale handle"))
                 })
                 .collect::<std::result::Result<_, String>>()?;
-            let refs: Vec<(usize, &Trial)> = trials.iter().map(|(p, t)| (*p, t)).collect();
+            let refs: Vec<(usize, &Trial)> = trials.iter().map(|(p, t)| (*p, &**t)).collect();
             let (_, target) = refs
                 .last()
                 .ok_or_else(|| host_err("series must not be empty"))?;
             let mut count = 0.0;
             let mut series = Vec::new();
             for event in target.profile.events() {
-                if let Ok(s) = crate::scalability::per_event_total(&refs, &metric, &event.name) {
+                if let Ok(s) = crate::scalability::per_event_total(&refs, metric, &event.name) {
                     series.push(s);
                 }
             }
@@ -644,7 +637,7 @@ fn call_host(
             let metric = expect_str(args, 1)?;
             let mut st = state.borrow_mut();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
-            let clustering = crate::cluster::cluster_threads(trial, &metric, 4)
+            let clustering = crate::cluster::cluster_threads(trial, metric, 4)
                 .map_err(|e| host_err(e.to_string()))?;
             let mut out = BTreeMap::new();
             out.insert("clusters".to_string(), Value::Num(clustering.k as f64));
@@ -675,14 +668,14 @@ fn call_host(
             let baseline = st
                 .trials
                 .get(base)
-                .ok_or_else(|| host_err("stale handle"))?
-                .clone();
+                .cloned()
+                .ok_or_else(|| host_err("stale handle"))?;
             let candidate = st
                 .trials
                 .get(cand)
-                .ok_or_else(|| host_err("stale handle"))?
-                .clone();
-            let cmp = crate::compare::compare(&baseline, &candidate, &metric)
+                .cloned()
+                .ok_or_else(|| host_err("stale handle"))?;
+            let cmp = crate::compare::compare(&baseline, &candidate, metric)
                 .map_err(|e| host_err(e.to_string()))?;
             let mut out = BTreeMap::new();
             out.insert("totalRatio".to_string(), Value::Num(cmp.total_ratio));
@@ -712,7 +705,7 @@ fn call_host(
         // --- rules ---
         "load_rules" => {
             let which = expect_str(args, 0)?;
-            let source = match which.as_str() {
+            let source = match which {
                 "load_balance" => rulebase::LOAD_BALANCE_RULES,
                 "stalls" => rulebase::STALL_RULES,
                 "locality" => rulebase::LOCALITY_RULES,
@@ -730,7 +723,7 @@ fn call_host(
         }
         "load_rules_source" => {
             let source = expect_str(args, 0)?;
-            let parsed = rules::drl::parse(&source).map_err(|e| host_err(e.to_string()))?;
+            let parsed = rules::drl::parse(source).map_err(|e| host_err(e.to_string()))?;
             let n = parsed.len();
             state
                 .borrow_mut()

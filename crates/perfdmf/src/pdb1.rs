@@ -609,14 +609,22 @@ impl TrialRec {
         format!("{}/{}/{}", self.app, self.exp, self.name)
     }
 
-    /// Cells per plane.
-    pub fn cells(&self) -> usize {
-        self.metrics.len() * self.events.len() * self.threads.len()
+    /// Cells per plane. The counts are declared by the manifest, so
+    /// their product is checked: a wrapped count would let a tiny page
+    /// pass as a huge trial.
+    pub fn cells(&self) -> Result<usize> {
+        self.metrics
+            .len()
+            .checked_mul(self.events.len())
+            .and_then(|n| n.checked_mul(self.threads.len()))
+            .ok_or_else(|| perr(format!("trial {}: cell count overflows", self.path())))
     }
 
     /// Page length in bytes: four f64 planes.
-    pub fn page_len(&self) -> usize {
-        4 * self.cells() * 8
+    pub fn page_len(&self) -> Result<usize> {
+        self.cells()?
+            .checked_mul(4 * 8)
+            .ok_or_else(|| perr(format!("trial {}: page length overflows", self.path())))
     }
 }
 
@@ -729,7 +737,7 @@ impl Doc {
             .ok_or_else(|| perr(format!("trial {}: page offset overflow", rec.path())))?
             as usize;
         let end = start
-            .checked_add(rec.page_len())
+            .checked_add(rec.page_len()?)
             .filter(|&e| e <= self.pages_off + self.pages_len && e <= bytes.len())
             .ok_or_else(|| perr(format!("trial {}: column page out of bounds", rec.path())))?;
         Ok(&bytes[start..end])
@@ -812,8 +820,8 @@ pub(crate) fn materialize_trial(rec: &TrialRec, page: &[u8]) -> Result<Trial> {
     let nm = rec.metrics.len();
     let ne = rec.events.len();
     let nt = rec.threads.len();
-    let cells = nm * ne * nt;
-    if page.len() != 4 * cells * 8 {
+    let cells = rec.cells()?;
+    if page.len() != rec.page_len()? {
         return Err(perr(format!(
             "trial {}: page length {} does not match dimensions",
             rec.path(),
@@ -1173,6 +1181,36 @@ mod tests {
         for rec in &doc.trials {
             assert_eq!(rec.page_off % 8, 0, "trial {} misaligned", rec.path());
         }
+    }
+
+    #[test]
+    fn declared_counts_whose_page_length_overflows_are_a_parse_error() {
+        // 2^19 metrics × 2^19 events × 2^21 threads = 2^59 cells, whose
+        // four f64 planes (2^64 bytes) wrap `usize` to a zero-length
+        // page that would pass the bounds check. The names are empty,
+        // so the axes cost only their 64 MB of fixed-size entries.
+        let bytes = write_repository(&sample_repo());
+        let doc = parse_doc(&bytes, &mut Ingest::new("pdb1", Policy::Strict)).unwrap();
+        let mut rec = doc.trials[0].clone();
+        let metric = Metric {
+            name: String::new(),
+            derived: false,
+        };
+        let event = Event {
+            name: String::new(),
+            kind: None,
+        };
+        let thread = ThreadId {
+            node: 0,
+            context: 0,
+            thread: 0,
+        };
+        rec.metrics = vec![metric; 1 << 19];
+        rec.events = vec![event; 1 << 19];
+        rec.threads = vec![thread; 1 << 21];
+        let is_overflow = |r: Result<()>| matches!(r, Err(DmfError::Parse { ref message, .. }) if message.contains("overflows"));
+        assert!(is_overflow(doc.page_bytes(&bytes, &rec).map(drop)));
+        assert!(is_overflow(materialize_trial(&rec, &[]).map(drop)));
     }
 
     #[test]

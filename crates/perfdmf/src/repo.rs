@@ -14,6 +14,7 @@ use crate::{DmfError, Result};
 use serde::{Deserialize, Reader, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 /// On-disk repository encodings.
 ///
@@ -82,9 +83,14 @@ impl std::fmt::Display for Format {
 }
 
 /// One experiment: a named group of trials (e.g. a scaling series).
+///
+/// Trials are held as `Arc<Trial>`: cloning an experiment (or a
+/// repository, or a snapshot of one) bumps refcounts instead of copying
+/// profiles, and [`Repository::trial_mut`] copies a trial only while
+/// another holder still shares it.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Experiment {
-    trials: BTreeMap<String, Trial>,
+    trials: BTreeMap<String, Arc<Trial>>,
 }
 
 impl Experiment {
@@ -95,6 +101,11 @@ impl Experiment {
 
     /// All trials in name order.
     pub fn trials(&self) -> impl Iterator<Item = &Trial> {
+        self.trials.values().map(|t| &**t)
+    }
+
+    /// All trials in name order, as shared handles.
+    pub fn shared_trials(&self) -> impl Iterator<Item = &Arc<Trial>> {
         self.trials.values()
     }
 
@@ -155,13 +166,19 @@ impl Repository {
                 name: format!("{app}/{experiment}/{}", trial.name),
             });
         }
-        exp.trials.insert(trial.name.clone(), trial);
+        exp.trials.insert(trial.name.clone(), Arc::new(trial));
         Ok(())
     }
 
     /// Replaces (or inserts) a trial — used when analyses write derived
     /// metrics back to the store.
     pub fn upsert_trial(&mut self, app: &str, experiment: &str, trial: Trial) {
+        self.upsert_shared(app, experiment, Arc::new(trial));
+    }
+
+    /// [`Repository::upsert_trial`] for a trial that is already shared:
+    /// the repository takes one more reference instead of a copy.
+    pub fn upsert_shared(&mut self, app: &str, experiment: &str, trial: Arc<Trial>) {
         self.applications
             .entry(app.to_string())
             .or_default()
@@ -195,6 +212,12 @@ impl Repository {
 
     /// Looks up a trial — the `Utilities.getTrial` equivalent.
     pub fn trial(&self, app: &str, experiment: &str, trial: &str) -> Result<&Trial> {
+        self.shared_trial(app, experiment, trial).map(|t| &**t)
+    }
+
+    /// Looks up a trial as a shared handle: cloning it is a refcount
+    /// bump, and it stays valid after the repository changes or drops.
+    pub fn shared_trial(&self, app: &str, experiment: &str, trial: &str) -> Result<&Arc<Trial>> {
         self.experiment(app, experiment)?
             .trials
             .get(trial)
@@ -204,12 +227,15 @@ impl Repository {
             })
     }
 
-    /// Mutable trial lookup.
+    /// Mutable trial lookup. Copy-on-write: a trial still shared with
+    /// another repository or a snapshot is copied first, so the other
+    /// holders never see the change.
     pub fn trial_mut(&mut self, app: &str, experiment: &str, trial: &str) -> Result<&mut Trial> {
         self.applications
             .get_mut(app)
             .and_then(|a| a.experiments.get_mut(experiment))
             .and_then(|e| e.trials.get_mut(trial))
+            .map(Arc::make_mut)
             .ok_or_else(|| DmfError::NotFound {
                 kind: "trial",
                 name: format!("{app}/{experiment}/{trial}"),
@@ -225,7 +251,7 @@ impl Repository {
         meta_key: &str,
     ) -> Result<Vec<&Trial>> {
         let exp = self.experiment(app, experiment)?;
-        let mut trials: Vec<&Trial> = exp.trials.values().collect();
+        let mut trials: Vec<&Trial> = exp.trials().collect();
         trials.sort_by(|a, b| {
             let ka = a.metadata.get_num(meta_key).unwrap_or(f64::MAX);
             let kb = b.metadata.get_num(meta_key).unwrap_or(f64::MAX);
@@ -421,7 +447,7 @@ fn read_json(json: &str, ingest: &mut Ingest) -> Result<Repository> {
                 let mark = r.mark();
                 match Trial::deserialize(r) {
                     Ok(trial) => {
-                        experiment.trials.insert(name, trial);
+                        experiment.trials.insert(name, Arc::new(trial));
                     }
                     Err(e) => {
                         let recovery = |c: &str| format!("{app}/{exp}/{name}: {c}");

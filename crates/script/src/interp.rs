@@ -2,8 +2,8 @@
 //! register VM, with a host-function registry and compilation caching.
 //!
 //! [`Interpreter::run`] lexes/parses/compiles on first sight of a
-//! source string and caches the compiled program (keyed by a content
-//! hash of the source, bounded by an LRU eviction policy), so driver
+//! source string and caches the compiled program (keyed by the source
+//! text itself, bounded by an LRU eviction policy), so driver
 //! loops that re-run the same script (as PerfExplorer workflows do per
 //! trial) pay for compilation once. [`Interpreter::compile`] exposes
 //! the cached unit as a [`Compiled`] handle for callers that want to
@@ -97,21 +97,6 @@ struct CacheEntry {
     stamp: u64,
 }
 
-/// 128-bit FNV-1a over the source bytes: the compilation-cache key.
-/// Content-addressed keying means re-submitted identical sources hit
-/// the cache regardless of which `String` they arrived in, and the
-/// cache never retains the (potentially large) source text itself.
-fn content_hash(src: &str) -> u128 {
-    const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const FNV_PRIME: u128 = 0x0000000001000000000000000000013B;
-    let mut h = FNV_OFFSET;
-    for &b in src.as_bytes() {
-        h ^= b as u128;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Wraps one sweep-body outcome as the map `par_foreach_trial` yields
 /// per item: `{ok: true, value}` on success, `{ok: false, error, line}`
 /// on failure. Shared by the VM's inline and parallel sweep paths and by
@@ -158,7 +143,9 @@ pub struct Interpreter {
     /// When set, `par_foreach_trial` sweeps hand their bodies to this
     /// executor instead of running them inline.
     pub(crate) par_exec: Option<Arc<ParallelExecutor>>,
-    cache: HashMap<u128, CacheEntry>,
+    /// Compiled programs keyed by their full source text, so two
+    /// different sources can never share an entry.
+    cache: HashMap<Box<str>, CacheEntry>,
     cache_tick: u64,
     cache_hits: u64,
     cache_misses: u64,
@@ -350,10 +337,9 @@ impl Interpreter {
     }
 
     fn compile_cached(&mut self, src: &str) -> Result<Arc<RProto>> {
-        let key = content_hash(src);
         self.cache_tick += 1;
         let tick = self.cache_tick;
-        if let Some(entry) = self.cache.get_mut(&key) {
+        if let Some(entry) = self.cache.get_mut(src) {
             entry.stamp = tick;
             self.cache_hits += 1;
             return Ok(Arc::clone(&entry.main));
@@ -367,18 +353,18 @@ impl Interpreter {
             &mut self.fns,
         );
         if self.cache.len() >= CACHE_CAP {
-            if let Some(&oldest) = self
+            if let Some(oldest) = self
                 .cache
                 .iter()
                 .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k)
+                .map(|(k, _)| k.clone())
             {
                 self.cache.remove(&oldest);
                 self.cache_evictions += 1;
             }
         }
         self.cache.insert(
-            key,
+            src.into(),
             CacheEntry {
                 main: Arc::clone(&main),
                 stamp: tick,
@@ -651,6 +637,26 @@ r";
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.evictions, 0);
+    }
+
+    #[test]
+    fn cache_is_keyed_by_the_source_text() {
+        let mut interp = Interpreter::new();
+        // Identical text hits, whichever allocation it arrives in.
+        let first = String::from("40 + 2");
+        let again = ["40 + ", "2"].concat();
+        assert_eq!(interp.run(&first).unwrap(), Value::Num(42.0));
+        assert_eq!(interp.run(&again).unwrap(), Value::Num(42.0));
+        assert_eq!(
+            (interp.cache_stats().hits, interp.cache_stats().misses),
+            (1, 1)
+        );
+        // Text that differs in one byte is a separate entry with its own
+        // program, never the cached one.
+        assert_eq!(interp.run("40 + 3").unwrap(), Value::Num(43.0));
+        assert_eq!(interp.run("40 - 2").unwrap(), Value::Num(38.0));
+        let stats = interp.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 3));
     }
 
     #[test]

@@ -228,13 +228,13 @@ impl ShardedRepository {
     fn absorb(&mut self, repo: Repository) {
         for (app, exp_name, trial_name) in paths_of(&repo) {
             let shard = &self.shards[shard_of(&app, &exp_name, self.shards.len())];
-            let Ok(trial) = repo.trial(&app, &exp_name, &trial_name) else {
+            let Ok(trial) = repo.shared_trial(&app, &exp_name, &trial_name) else {
                 continue;
             };
             shard
                 .overlay
                 .write()
-                .upsert_trial(&app, &exp_name, trial.clone());
+                .upsert_shared(&app, &exp_name, Arc::clone(trial));
         }
     }
 
@@ -373,10 +373,10 @@ impl ShardedRepository {
             let start = Instant::now();
             let overlay = shard.overlay.read();
             ServiceMetrics::add_nanos(&self.metrics.lock_wait_nanos, start.elapsed());
-            overlay.trial(app, experiment, trial).ok().cloned()
+            overlay.shared_trial(app, experiment, trial).ok().cloned()
         };
         if let Some(t) = found {
-            return Ok(Arc::new(t));
+            return Ok(t);
         }
 
         if let Some(cached) = shard.cache.lock().get(key) {
@@ -510,7 +510,10 @@ impl ShardedRepository {
     /// Builds a standalone repository holding every trial of one
     /// experiment — overlay trials shadow cold ones of the same name.
     /// The scripting layer runs against this snapshot, so a long script
-    /// never holds a shard lock.
+    /// never holds a shard lock. Overlay trials are shared, not copied:
+    /// the snapshot takes a reference to each, and a later upsert into
+    /// the overlay replaces the overlay's reference without touching
+    /// the snapshot's.
     pub fn snapshot_experiment(&self, app: &str, experiment: &str) -> perfdmf::Result<Repository> {
         let shard = &self.shards[shard_of(app, experiment, self.shards.len())];
         let mut snapshot = Repository::new();
@@ -529,11 +532,11 @@ impl ShardedRepository {
             ServiceMetrics::add_nanos(&self.metrics.lock_wait_nanos, start.elapsed());
             overlay
                 .experiment(app, experiment)
-                .map(|exp| exp.trials().cloned().collect::<Vec<_>>())
+                .map(|exp| exp.shared_trials().cloned().collect::<Vec<_>>())
                 .unwrap_or_default()
         };
         for trial in overlaid {
-            snapshot.upsert_trial(app, experiment, trial);
+            snapshot.upsert_shared(app, experiment, trial);
         }
         for ((a, e, _), entry) in shard.streams.lock().iter() {
             if a == app && e == experiment {
@@ -682,6 +685,66 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["cold", "hot"]);
         assert!(sharded.snapshot_experiment("app", "nope").is_err());
+    }
+
+    #[test]
+    fn snapshot_shares_overlay_trials_and_keeps_them_on_upsert() {
+        let sharded = ShardedRepository::new(2, 8, metrics());
+        sharded.ingest("app", "exp", trial("t0"));
+        sharded.ingest("app", "exp", trial("t1"));
+        let snap = sharded.snapshot_experiment("app", "exp").unwrap();
+        let overlay = |name: &str| {
+            let shard = &sharded.shards[shard_of("app", "exp", sharded.shards.len())];
+            let overlay = shard.overlay.read();
+            Arc::clone(overlay.shared_trial("app", "exp", name).unwrap())
+        };
+        for name in ["t0", "t1"] {
+            let shared = snap.shared_trial("app", "exp", name).unwrap();
+            assert!(Arc::ptr_eq(shared, &overlay(name)), "{name} was copied");
+        }
+
+        // An upsert replaces the overlay's reference; the snapshot keeps
+        // the trial it was taken with.
+        let mut fresh = trial("t0");
+        fresh.metadata.set("fresh", "yes");
+        sharded.ingest("app", "exp", fresh);
+        let kept = snap.trial("app", "exp", "t0").unwrap();
+        assert_eq!(kept.metadata.get_str("fresh"), None);
+        assert_eq!(overlay("t0").metadata.get_str("fresh"), Some("yes"));
+    }
+
+    #[test]
+    fn a_sweep_body_derivation_copies_only_its_own_view() {
+        use perfexplorer::scripting::{PerfExplorerScript, Value};
+        let sharded = ShardedRepository::new(2, 8, metrics());
+        sharded.ingest("app", "exp", trial("t0"));
+        let snap = sharded.snapshot_experiment("app", "exp").unwrap();
+        let mut session = PerfExplorerScript::new(snap.clone());
+        // Every body loads the same trial; one derives a metric on it.
+        let value = session
+            .run(
+                r#"let r = par_foreach_trial role in ["derive", "read", "read", "read"] {
+                    let trial = load_trial("app", "exp", "t0");
+                    if role == "derive" { derive_metric(trial, "TIME", "add", "TIME"); }
+                    len(trial_metrics(trial))
+                };
+                let counts = [];
+                for o in r { counts = counts + [o["value"]]; }
+                counts"#,
+            )
+            .unwrap();
+        let counts = [2.0, 1.0, 1.0, 1.0].map(Value::Num).to_vec();
+        assert_eq!(value, Value::List(counts), "siblings must see the original");
+
+        let overlay = {
+            let shard = &sharded.shards[shard_of("app", "exp", sharded.shards.len())];
+            let overlay = shard.overlay.read();
+            Arc::clone(overlay.shared_trial("app", "exp", "t0").unwrap())
+        };
+        let snapped = snap.shared_trial("app", "exp", "t0").unwrap();
+        assert_eq!(snapped.profile.metrics().len(), 1, "snapshot mutated");
+        assert_eq!(overlay.profile.metrics().len(), 1, "overlay mutated");
+        assert!(Arc::ptr_eq(snapped, &overlay));
     }
 
     #[test]

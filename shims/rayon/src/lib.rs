@@ -3,21 +3,34 @@
 //! Implements the slice/range data-parallel subset the workspace uses —
 //! `par_iter()` / `into_par_iter()` followed by `map(...).collect()`,
 //! `map(...).sum()` or `for_each(...)` — with real parallelism: items
-//! are split into one contiguous chunk per available core and processed
-//! on std scoped threads, preserving input order in the collected
-//! output. There is no work-stealing; for the embarrassingly-parallel
-//! loops this workspace runs (per-event analysis kernels), static
-//! chunking is within noise of a real scheduler.
+//! are split into one contiguous chunk per granted worker, preserving
+//! input order in the collected output. The caller processes the first
+//! chunk itself; the others go to a process-wide pool of
+//! [`concurrency_budget`] long-lived threads, started by the first call
+//! that needs them. The caller then blocks until every chunk it handed
+//! out is done, so chunks may borrow from the caller's stack just as
+//! scoped threads could. There is no work-stealing; for the
+//! embarrassingly-parallel loops this workspace runs (per-event analysis
+//! kernels, script sweep bodies), static chunking is within noise of a
+//! real scheduler.
+//!
+//! A call hands the pool at most as many chunks as it holds worker
+//! tokens, and the pool has one thread per token of the budget. Every
+//! queued or running chunk holds a token, so a queued chunk always has
+//! a thread free to take it, even when pool threads block in nested
+//! calls; a caller that gets no token runs its items inline.
 
+use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 
-/// The global concurrency budget: the maximum number of *spawned*
-/// worker threads the shim will run at any moment, across every
-/// concurrent `par_iter` call in the process. Real rayon gets this
-/// for free from its fixed pool; the scoped-thread shim enforces it
-/// with a token counter. Overridden by the `RAYON_NUM_THREADS`
-/// environment variable (read once), defaulting to the core count.
+/// The global concurrency budget: the maximum number of worker tokens
+/// held at any moment across every concurrent `par_iter` call in the
+/// process, and the size of the thread pool that runs them. Overridden
+/// by the `RAYON_NUM_THREADS` environment variable (read once),
+/// defaulting to the core count.
 pub fn concurrency_budget() -> usize {
     static BUDGET: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *BUDGET.get_or_init(|| {
@@ -33,26 +46,28 @@ pub fn concurrency_budget() -> usize {
     })
 }
 
-/// Live spawned workers (global). Callers' own threads do not count:
-/// a caller that gets no tokens processes its items inline, so nested
-/// or massively concurrent calls degrade to sequential instead of
-/// oversubscribing.
+/// Worker tokens held (global): pool jobs queued or running. Callers'
+/// own threads do not count: a caller that gets no tokens processes
+/// its items inline, so nested or massively concurrent calls degrade to
+/// sequential instead of oversubscribing.
 static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 /// High-water mark of [`LIVE_WORKERS`], for regression tests.
 static PEAK_WORKERS: AtomicUsize = AtomicUsize::new(0);
+/// Pool threads started so far.
+static POOL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Test-facing observability for the concurrency budget.
 #[doc(hidden)]
 pub mod diagnostics {
-    use super::{Ordering, LIVE_WORKERS, PEAK_WORKERS};
+    use super::{Ordering, LIVE_WORKERS, PEAK_WORKERS, POOL_THREADS};
 
-    /// Spawned workers currently running.
+    /// Pool jobs currently holding a worker token.
     pub fn live_workers() -> usize {
         LIVE_WORKERS.load(Ordering::SeqCst)
     }
 
-    /// Highest number of concurrently live spawned workers observed
-    /// since the last [`reset_peak`].
+    /// Highest number of worker tokens held at once since the last
+    /// [`reset_peak`].
     pub fn peak_workers() -> usize {
         PEAK_WORKERS.load(Ordering::SeqCst)
     }
@@ -60,6 +75,12 @@ pub mod diagnostics {
     /// Resets the high-water mark.
     pub fn reset_peak() {
         PEAK_WORKERS.store(0, Ordering::SeqCst);
+    }
+
+    /// Pool threads started in this process: zero until the first call
+    /// that gets a worker token, then the budget, for good.
+    pub fn pool_threads() -> usize {
+        POOL_THREADS.load(Ordering::SeqCst)
     }
 }
 
@@ -89,24 +110,107 @@ fn release_workers(count: usize) {
     LIVE_WORKERS.fetch_sub(count, Ordering::SeqCst);
 }
 
-/// Applies `f` to every item on a pool of scoped threads, preserving
-/// order. The calling thread always processes the first chunk itself;
-/// additional chunks run on spawned threads, bounded by the global
-/// [`concurrency_budget`]. A panic in any chunk is re-raised on the
-/// caller with its *original* payload (after all workers finish), so
-/// `catch_unwind`-based supervisors see the real cause, not a shim
-/// message.
+/// Locks a mutex, ignoring poison: every update made under this
+/// module's locks (a queue push or pop, a counter decrement) leaves the
+/// data valid at each step, and jobs run with no lock held.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A unit of pool work. Jobs never unwind: each one catches its
+/// chunk's panic and hands the payload back to its caller.
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// The pool's queue; its threads wait on [`READY`] for it to fill.
+static JOBS: Mutex<VecDeque<Job>> = Mutex::new(VecDeque::new());
+static READY: Condvar = Condvar::new();
+
+/// Starts the pool's [`concurrency_budget`] threads, once per process.
+fn start_pool() {
+    static START: Once = Once::new();
+    START.call_once(|| {
+        for i in 0..concurrency_budget() {
+            std::thread::Builder::new()
+                .name(format!("rayon-shim-{i}"))
+                .spawn(run_jobs)
+                .expect("rayon shim: cannot start a pool thread");
+            POOL_THREADS.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+}
+
+/// A pool thread's whole life: take the oldest job, run it, repeat.
+fn run_jobs() {
+    loop {
+        let job = {
+            let mut jobs = lock(&JOBS);
+            loop {
+                match jobs.pop_front() {
+                    Some(job) => break job,
+                    None => jobs = READY.wait(jobs).unwrap_or_else(PoisonError::into_inner),
+                }
+            }
+        };
+        job();
+    }
+}
+
+/// Counts one call's outstanding jobs down to zero. Shared by `Arc`, so
+/// a job still returning from [`Latch::count_down`] never touches a
+/// latch its caller has already dropped.
+struct Latch {
+    pending: Mutex<usize>,
+    done: Condvar,
+}
+
+impl Latch {
+    fn count_down(&self) {
+        let mut pending = lock(&self.pending);
+        *pending -= 1;
+        if *pending == 0 {
+            self.done.notify_all();
+        }
+    }
+
+    fn wait(&self) {
+        let mut pending = lock(&self.pending);
+        while *pending > 0 {
+            pending = self
+                .done
+                .wait(pending)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Waits for a call's jobs when dropped, so the caller's frame (the
+/// items, `f` and the result slots the jobs borrow) outlives them even
+/// if the caller unwinds.
+struct Join(Arc<Latch>);
+
+impl Drop for Join {
+    fn drop(&mut self) {
+        self.0.wait();
+    }
+}
+
+/// Applies `f` to every item in parallel, preserving order. The calling
+/// thread always processes the first chunk itself; additional chunks
+/// run on the pool, bounded by the global [`concurrency_budget`]. A
+/// panic in any chunk is re-raised on the caller with its *original*
+/// payload (after every chunk finishes), so `catch_unwind`-based
+/// supervisors see the real cause, not a shim message.
 fn par_map_vec<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> Vec<R> {
     let n = items.len();
-    if n < 2 {
+    if n < 2 || concurrency_budget() < 2 {
         return items.into_iter().map(f).collect();
     }
+    start_pool();
     let spawned = acquire_workers(concurrency_budget().min(n) - 1);
-    let workers = spawned + 1;
-    if workers <= 1 {
-        release_workers(spawned);
+    if spawned == 0 {
         return items.into_iter().map(f).collect();
     }
+    let workers = spawned + 1;
     let chunk_len = n.div_ceil(workers);
     let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
     let mut rest = items;
@@ -117,53 +221,72 @@ fn par_map_vec<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> 
     chunks.push(rest);
     // Ceil-division chunking can produce fewer chunks than granted
     // tokens (e.g. 5 items over 4 workers yields 3 chunks); hand the
-    // unused tokens back before spawning.
-    let unused = (spawned + 1).saturating_sub(chunks.len());
+    // unused tokens back before submitting.
+    let unused = workers.saturating_sub(chunks.len());
     if unused > 0 {
         release_workers(unused);
     }
     let mut chunks = chunks.into_iter();
     let first = chunks.next().unwrap_or_default();
-    let results: Vec<std::thread::Result<Vec<R>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .map(|chunk| {
-                scope.spawn(move || {
-                    // Token released even if `f` panics, so a panicking
-                    // kernel cannot leak budget.
-                    struct Token;
-                    impl Drop for Token {
-                        fn drop(&mut self) {
-                            crate::release_workers(1);
-                        }
-                    }
-                    let _token = Token;
-                    chunk.into_iter().map(f).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        // The caller's chunk runs while the workers do, under the same
-        // panic capture so every token is released before re-raising.
-        let mine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let mut slots: Vec<Option<std::thread::Result<Vec<R>>>> = Vec::new();
+    slots.resize_with(chunks.len(), || None);
+    let latch = Arc::new(Latch {
+        pending: Mutex::new(slots.len()),
+        done: Condvar::new(),
+    });
+    let mine = {
+        let join = Join(Arc::clone(&latch));
+        {
+            let mut jobs = lock(&JOBS);
+            for (chunk, slot) in chunks.zip(slots.iter_mut()) {
+                let latch = Arc::clone(&latch);
+                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    *slot = Some(catch_unwind(AssertUnwindSafe(|| {
+                        chunk.into_iter().map(f).collect::<Vec<R>>()
+                    })));
+                    // The token goes back before the latch opens, so a
+                    // caller that returns finds its budget restored.
+                    release_workers(1);
+                    latch.count_down();
+                });
+                // SAFETY: the job borrows `f`, its own result slot and
+                // items that may borrow the caller's data, none of
+                // which live for `'static`. `join` waits in its `Drop`
+                // until every job has counted the latch down — the
+                // job's last use of those borrows — and it is dropped
+                // before this frame's borrows end, on the normal path
+                // and while unwinding alike. Jobs never unwind (their
+                // chunk runs under `catch_unwind`), so each one counts
+                // down exactly once.
+                let job: Job =
+                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
+                jobs.push_back(job);
+                READY.notify_one();
+            }
+        }
+        // The caller's chunk runs while the pool does, under the same
+        // panic capture so every job finishes before re-raising.
+        let mine = catch_unwind(AssertUnwindSafe(|| {
             first.into_iter().map(f).collect::<Vec<R>>()
         }));
-        std::iter::once(mine)
-            .chain(handles.into_iter().map(|h| h.join()))
-            .collect()
-    });
+        drop(join);
+        mine
+    };
     let mut out = Vec::with_capacity(n);
     let mut panic_payload = None;
-    for r in results {
+    for r in std::iter::once(Some(mine)).chain(slots) {
         match r {
-            Ok(v) => out.extend(v),
-            Err(payload) => {
+            Some(Ok(v)) => out.extend(v),
+            Some(Err(payload)) => {
                 if panic_payload.is_none() {
                     panic_payload = Some(payload);
                 }
             }
+            None => unreachable!("the latch opened before a job stored its result"),
         }
     }
     if let Some(payload) = panic_payload {
-        std::panic::resume_unwind(payload);
+        resume_unwind(payload);
     }
     out
 }
@@ -452,5 +575,67 @@ mod tests {
             .downcast_ref::<String>()
             .expect("formatted panic payload is a String");
         assert!(msg.contains("index out of range"), "{msg}");
+    }
+
+    #[test]
+    fn the_pool_never_grows_past_the_budget() {
+        let _serial = GAUGE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // Regression: every call used to start fresh OS threads. The
+        // pool starts its threads once and reuses them, however many
+        // calls follow.
+        let budget = crate::concurrency_budget();
+        for i in 0..1000usize {
+            let v: Vec<usize> = (0..8).into_par_iter().map(|j| i + j).collect();
+            assert_eq!(v, (i..i + 8).collect::<Vec<_>>());
+            let threads = crate::diagnostics::pool_threads();
+            assert!(threads <= budget, "{threads} pool threads, budget {budget}");
+        }
+        if budget > 1 {
+            assert_eq!(crate::diagnostics::pool_threads(), budget);
+        }
+        assert_tokens_drain();
+    }
+
+    #[test]
+    fn nested_calls_inside_pool_jobs_complete() {
+        // A pool thread that blocks on a nested call still holds its
+        // token, so the nested call's chunks either find a free pool
+        // thread or run inline; the outer call must always finish.
+        let rows: Vec<Vec<usize>> = (0..16)
+            .into_par_iter()
+            .map(|i| {
+                std::thread::sleep(std::time::Duration::from_micros(100));
+                (0..32)
+                    .into_par_iter()
+                    .map(move |j| (0..4).into_par_iter().map(move |k| i + j + k).sum())
+                    .collect()
+            })
+            .collect();
+        for (i, row) in rows.iter().enumerate() {
+            let want: Vec<usize> = (0..32).map(|j| 4 * (i + j) + 6).collect();
+            assert_eq!(*row, want);
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_the_pool_usable() {
+        let _serial = GAUGE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for round in 0..50usize {
+            let caught = std::panic::catch_unwind(|| {
+                (0..64).into_par_iter().for_each(|i| {
+                    if i == 63 {
+                        std::panic::panic_any(round);
+                    }
+                });
+            })
+            .expect_err("panic must propagate");
+            assert_eq!(caught.downcast_ref::<usize>(), Some(&round));
+        }
+        assert_tokens_drain();
+        let threads = crate::diagnostics::pool_threads();
+        let total: usize = (0..1000).into_par_iter().map(|i| i * 2).sum();
+        assert_eq!(total, 999 * 1000);
+        assert_eq!(crate::diagnostics::pool_threads(), threads);
+        assert_tokens_drain();
     }
 }

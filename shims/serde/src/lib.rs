@@ -458,6 +458,26 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+impl<T: Serialize> Serialize for std::sync::Arc<T> {
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w)
+    }
+
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        T::deserialize(r).map(std::sync::Arc::new)
+    }
+
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        T::from_value(v).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn serialize(&self, w: &mut Writer) {
         match self {
