@@ -250,7 +250,7 @@ mod tests {
 /// the *real* computation the paper's MSA stage performs (the simulated
 /// runs only model its cost). Returns a flat symmetric `n × n`
 /// [`DenseMatrix`](statistics::DenseMatrix) with zero diagonal, so the
-/// result feeds the flat statistics kernels (clustering, PCA) without a
+/// result feeds the flat statistics kernels (clustering) without a
 /// gather.
 pub fn distance_matrix(sequences: &[Vec<u8>], scoring: &Scoring) -> statistics::DenseMatrix {
     use rayon::prelude::*;

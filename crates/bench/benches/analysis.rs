@@ -6,10 +6,10 @@ use perfdmf::algebra::{aggregate_threads, difference, Aggregation};
 use perfdmf::{Measurement, Profile, TrialBuilder};
 use perfexplorer::derive::{derive_metric, DeriveOp};
 use statistics::{
-    cluster::{kmeans, KMeansConfig},
+    cluster::{kmeans_flat, KMeansConfig},
     correlation::pearson,
     descriptive::Summary,
-    pca::principal_components,
+    DenseMatrix,
 };
 use std::hint::black_box;
 
@@ -53,16 +53,13 @@ fn bench_statistics(c: &mut Criterion) {
     let points: Vec<Vec<f64>> = (0..128)
         .map(|i| vec![(i % 16) as f64, (i / 16) as f64])
         .collect();
+    let points = DenseMatrix::from_rows(&points).unwrap();
     c.bench_function("statistics/kmeans_128x2_k4", |bench| {
         let cfg = KMeansConfig {
             k: 4,
             ..Default::default()
         };
-        bench.iter(|| kmeans(black_box(&points), &cfg).unwrap())
-    });
-    let cols: Vec<Vec<f64>> = (0..8).map(|i| series(256, 100 + i)).collect();
-    c.bench_function("statistics/pca_256x8", |bench| {
-        bench.iter(|| principal_components(black_box(&cols)).unwrap())
+        bench.iter(|| kmeans_flat(black_box(points.view()), &cfg).unwrap())
     });
 }
 

@@ -8,30 +8,24 @@
 //!
 //! The kernels ([`kmeans_flat`], [`silhouette_flat`]) operate on a
 //! zero-copy [`MatrixView`] so data gathered once from the columnar
-//! profile store is clustered in place. The assignment step ranks
-//! centroids with the norm expansion `‖x − c‖² = ‖x‖² − 2·x·c + ‖c‖²`:
-//! centroid norms are cached per iteration and the remaining work per
-//! (point, centroid) pair is one contiguous unrolled dot product,
-//! parallelised over points with rayon. Seeding, the blocked update
-//! step, and the inertia pass accumulate in the exact term order of
-//! [`crate::reference::kmeans`], so for equal assignments the results
-//! are bit-identical to the nested reference — the property the
-//! differential proptests in `tests/flat_equivalence.rs` pin.
-//!
-//! [`kmeans`] and [`silhouette`] are thin compatibility wrappers that
-//! gather nested `Vec<Vec<f64>>` points once and defer to the flat
-//! kernels.
+//! profile store is clustered in place. Every distance they compute —
+//! seeding, assignment, empty-cluster reseeding, inertia, silhouette —
+//! is one call of the sequential [`sq_dist`], and every reduction runs
+//! in the term order of [`crate::reference`]. Parallelism only splits
+//! independent work: the assignment argmin over chunks of points, and
+//! the per-point silhouette scores, which are then summed sequentially
+//! in input order. So assignments, centroids, inertia, iteration count
+//! and silhouette are bit-identical to the reference on every host and
+//! at every thread count — the property the differential proptests in
+//! `tests/flat_equivalence.rs` pin.
 
-use crate::matrix::{
-    dot, scatter_add, sq_dist, sq_dists_assigned, sq_dists_to, sq_norm, CentroidBlock, DenseMatrix,
-    MatrixView,
-};
+use crate::matrix::{sq_dist, DenseMatrix, MatrixView};
 use crate::reference::XorShift64;
 use crate::{Result, StatError};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Configuration for [`kmeans`] / [`kmeans_flat`].
+/// Configuration for [`kmeans_flat`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct KMeansConfig {
     /// Number of clusters to form.
@@ -55,19 +49,6 @@ impl Default for KMeansConfig {
             seed: 0x5eed_cafe,
         }
     }
-}
-
-/// Result of a k-means run over nested points (compat shape).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KMeansResult {
-    /// Cluster index assigned to each input point.
-    pub assignments: Vec<usize>,
-    /// Final centroids, `k` rows of the input dimensionality.
-    pub centroids: Vec<Vec<f64>>,
-    /// Sum of squared distances of points to their centroid (inertia).
-    pub inertia: f64,
-    /// Lloyd iterations performed.
-    pub iterations: usize,
 }
 
 /// Result of a k-means run over the flat layout: centroids stay in one
@@ -120,12 +101,10 @@ pub fn kmeans_flat(points: MatrixView<'_>, config: &KMeansConfig) -> Result<Flat
     let mut centroids = DenseMatrix::zeros(k, dim);
     let first = (rng.next_u64() % n as u64) as usize;
     centroids.row_mut(0).copy_from_slice(points.row(first));
-    // `sq_dists_to` pins one point per SIMD lane, so every distance is
-    // bit-identical to a scalar `sq_dist` call and the RNG decisions
-    // below are unchanged.
-    let mut dists = vec![0.0; n];
-    sq_dists_to(points, centroids.row(0), &mut dists);
-    let mut newd = vec![0.0; n];
+    let mut dists: Vec<f64> = points
+        .iter_rows()
+        .map(|p| sq_dist(p, centroids.row(0)))
+        .collect();
     let mut seeded = 1;
     while seeded < k {
         let total: f64 = dists.iter().sum();
@@ -145,8 +124,8 @@ pub fn kmeans_flat(points: MatrixView<'_>, config: &KMeansConfig) -> Result<Flat
             chosen
         };
         centroids.row_mut(seeded).copy_from_slice(points.row(next));
-        sq_dists_to(points, centroids.row(seeded), &mut newd);
-        for (d, &nd) in dists.iter_mut().zip(&newd) {
+        for (d, p) in dists.iter_mut().zip(points.iter_rows()) {
+            let nd = sq_dist(p, centroids.row(seeded));
             if nd < *d {
                 *d = nd;
             }
@@ -155,6 +134,21 @@ pub fn kmeans_flat(points: MatrixView<'_>, config: &KMeansConfig) -> Result<Flat
     }
 
     lloyd(points, centroids, config)
+}
+
+/// Index of the centroid nearest to `x`: a strict `<` scan, so ties
+/// keep the earlier centroid, as in the reference.
+fn nearest(x: &[f64], centroids: &DenseMatrix) -> usize {
+    let mut best = 0;
+    let mut best_d = f64::INFINITY;
+    for (c, centroid) in centroids.iter_rows().enumerate() {
+        let d = sq_dist(x, centroid);
+        if d < best_d {
+            best_d = d;
+            best = c;
+        }
+    }
+    best
 }
 
 /// Lloyd iterations from the k-means++ seeded centroids: the loop
@@ -167,36 +161,39 @@ fn lloyd(
     let n = points.rows();
     let dim = points.cols();
     let k = config.k;
-    // --- Lloyd iterations ---
     let mut assignments: Vec<usize> = vec![0; n];
     let mut iterations = 0;
     let mut scratch = vec![0.0; dim];
     loop {
         iterations += 1;
-        // Assignment step: rank centroids by ‖c‖² − 2·x·c (the ‖x‖²
-        // term is constant per point, so it cannot change the argmin).
-        // The centroids are transposed once into a register-blocked
-        // [`CentroidBlock`]; rayon fans the scan out over contiguous
+        // Assignment step: rayon fans the argmin out over contiguous
         // chunks of one reused assignment buffer (no per-iteration
-        // allocation), and inside a chunk points go through the kernel
-        // in pairs so each panel row read serves two points.
-        let block = CentroidBlock::new(&centroids);
-        let block = &block;
+        // allocation). Each point's argmin is independent, so the
+        // split cannot change a result.
+        let cents = &centroids;
         const ASSIGN_CHUNK: usize = 256;
         assignments
             .par_chunks_mut(ASSIGN_CHUNK)
             .enumerate()
             .for_each(|(ch, chunk)| {
-                block.assign_into(points, ch * ASSIGN_CHUNK, chunk);
+                for (r, slot) in chunk.iter_mut().enumerate() {
+                    *slot = nearest(points.row(ch * ASSIGN_CHUNK + r), cents);
+                }
             });
 
-        // Update step: one fused pass over the points in input order,
+        // Update step: one pass over the points in input order,
         // accumulating into the contiguous per-cluster rows of a flat
-        // sum matrix — the same summation order as the reference, so
-        // converged centroids match it bit for bit.
+        // sum matrix — the reference's summation order. It is
+        // deliberately sequential: chunk-partial sums would regroup the
+        // floating-point additions.
         let mut sums = DenseMatrix::zeros(k, dim);
         let mut counts = vec![0usize; k];
-        scatter_add(points, &assignments, &mut sums, &mut counts);
+        for (p, &a) in points.iter_rows().zip(&assignments) {
+            counts[a] += 1;
+            for (s, &v) in sums.row_mut(a).iter_mut().zip(p) {
+                *s += v;
+            }
+        }
         let mut movement = 0.0;
         for (c, &count) in counts.iter().enumerate() {
             if count == 0 {
@@ -230,10 +227,8 @@ fn lloyd(
         // threshold. Term order matches the reference exactly so both
         // implementations take the same branch on the same data.
         let mut scale = 0.0;
-        for c in 0..k {
-            for &v in centroids.row(c) {
-                scale += v * v;
-            }
+        for &v in centroids.as_slice() {
+            scale += v * v;
         }
         let threshold = if scale > 0.0 {
             config.tolerance * scale
@@ -251,11 +246,11 @@ fn lloyd(
         }
     }
 
-    // Batched per-point distances (bit-identical per lane), summed
-    // sequentially in input order — the reference's reduction order.
-    let mut dists = vec![0.0; n];
-    sq_dists_assigned(points, &centroids, &assignments, &mut dists);
-    let inertia = dists.iter().sum();
+    let inertia = points
+        .iter_rows()
+        .zip(&assignments)
+        .map(|(p, &a)| sq_dist(p, centroids.row(a)))
+        .sum();
     Ok(FlatKMeans {
         assignments,
         centroids,
@@ -264,33 +259,14 @@ fn lloyd(
     })
 }
 
-/// Clusters nested `points` (rows) into `config.k` groups.
-///
-/// Compatibility wrapper: gathers the points into a [`DenseMatrix`]
-/// once and defers to [`kmeans_flat`].
-pub fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> Result<KMeansResult> {
-    if points.is_empty() {
-        return Err(StatError::Empty);
-    }
-    validate(points.len(), points[0].len(), config)?;
-    let m = DenseMatrix::from_rows(points)?;
-    let flat = kmeans_flat(m.view(), config)?;
-    Ok(KMeansResult {
-        assignments: flat.assignments,
-        centroids: flat.centroids.to_nested(),
-        inertia: flat.inertia,
-        iterations: flat.iterations,
-    })
-}
-
 /// Mean silhouette coefficient of a clustering over the flat layout,
 /// in `[-1, 1]`; larger is better separated. Requires at least 2
 /// populated clusters.
 ///
-/// Per query point the distances to all clusters are folded into one
-/// per-cluster aggregate (sum of distances) in a single scan built on
-/// cached squared norms and the unrolled dot kernel; query points are
-/// independent and evaluated in parallel.
+/// Query points are independent and scored in parallel; each score
+/// sums `√sq_dist` to every other point in input order, and the scores
+/// are added sequentially in input order — the reference's term order
+/// throughout.
 pub fn silhouette_flat(points: MatrixView<'_>, assignments: &[usize]) -> Result<f64> {
     let n = points.rows();
     if n == 0 {
@@ -317,20 +293,15 @@ pub fn silhouette_flat(points: MatrixView<'_>, assignments: &[usize]) -> Result<
             "silhouette requires at least 2 populated clusters".into(),
         ));
     }
-    let norms: Vec<f64> = (0..n).map(|i| sq_norm(points.row(i))).collect();
     let sizes = &cluster_sizes;
-    let norms_ref = &norms;
     let scores: Vec<f64> = (0..n)
         .into_par_iter()
         .map(|i| {
             let x = points.row(i);
-            // Per-cluster aggregate distances, one scan: the pairwise
-            // distance is √(‖x‖² + ‖q‖² − 2·x·q) from cached norms.
             let mut sum_d = vec![0.0; k];
-            for j in 0..n {
+            for (j, q) in points.iter_rows().enumerate() {
                 if i != j {
-                    let d2 = norms_ref[i] + norms_ref[j] - 2.0 * dot(x, points.row(j));
-                    sum_d[assignments[j]] += d2.max(0.0).sqrt();
+                    sum_d[assignments[j]] += sq_dist(x, q).sqrt();
                 }
             }
             let own = assignments[i];
@@ -350,28 +321,23 @@ pub fn silhouette_flat(points: MatrixView<'_>, assignments: &[usize]) -> Result<
             }
         })
         .collect();
-    Ok(scores.iter().sum::<f64>() / n as f64)
-}
-
-/// Mean silhouette coefficient over nested points (compat wrapper for
-/// [`silhouette_flat`]; also rejects ragged point sets).
-pub fn silhouette(points: &[Vec<f64>], assignments: &[usize]) -> Result<f64> {
-    if points.is_empty() {
-        return Err(StatError::Empty);
-    }
-    if points.len() != assignments.len() {
-        return Err(StatError::LengthMismatch {
-            left: points.len(),
-            right: assignments.len(),
-        });
-    }
-    let m = DenseMatrix::from_rows(points)?;
-    silhouette_flat(m.view(), assignments)
+    let total = scores.iter().fold(0.0, |total, &s| total + s);
+    Ok(total / n as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Gathers nested points and clusters them with [`kmeans_flat`].
+    fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> Result<FlatKMeans> {
+        kmeans_flat(DenseMatrix::from_rows(points)?.view(), config)
+    }
+
+    /// Gathers nested points and scores them with [`silhouette_flat`].
+    fn silhouette(points: &[Vec<f64>], assignments: &[usize]) -> Result<f64> {
+        silhouette_flat(DenseMatrix::from_rows(points)?.view(), assignments)
+    }
 
     fn two_blobs() -> Vec<Vec<f64>> {
         let mut pts = Vec::new();

@@ -1,34 +1,45 @@
 //! Nested-`Vec` reference implementations — the executable spec for the
 //! flat kernels.
 //!
-//! These are the original `Vec<Vec<f64>>` statistics routines, kept
-//! verbatim (modulo the empty-cluster re-seeding bugfix, applied to
-//! both sides) after the hot paths were rewritten over
-//! [`crate::matrix::DenseMatrix`]. They exist for two reasons, the same
-//! convention `rules::reference` established:
+//! These are the original `Vec<Vec<f64>>` k-means and silhouette
+//! routines, kept verbatim (modulo the empty-cluster re-seeding bugfix,
+//! applied to both sides) after the production paths were rewritten
+//! over [`crate::matrix::DenseMatrix`]. They exist for two reasons, the
+//! same convention `rules::reference` established:
 //!
-//! 1. **Differential testing** — `tests/flat_equivalence.rs` pins the
-//!    optimized kernels to these across random point sets, seeds and
-//!    `k`: k-means must match on assignments, centroids and inertia;
-//!    silhouette, covariance and PCA within floating-point reordering
-//!    tolerance.
+//! 1. **Differential testing** — `tests/flat_equivalence.rs` pins
+//!    [`crate::cluster::kmeans_flat`] and
+//!    [`crate::cluster::silhouette_flat`] to these across random point
+//!    sets, seeds and `k`, bit for bit: assignments, centroids,
+//!    inertia, iteration count and silhouette.
 //! 2. **Bench ablation** — `bench/benches/statistics_kernels.rs`
 //!    measures flat vs. reference on identical inputs, so the layout
 //!    win is quantified against the real former implementation rather
 //!    than a strawman.
 //!
 //! Nothing in the analysis layer should call these; use the flat
-//! kernels (or their compat wrappers) in [`crate::cluster`],
-//! [`crate::correlation`] and [`crate::pca`] instead.
+//! kernels in [`crate::cluster`] instead.
 
-// Index-based loops are the natural notation for symmetric-matrix
-// rotations; iterator adaptors obscure the (p, q) plane updates.
+// Index-based loops keep the per-cluster `counts`/`sums`/`centroids`
+// updates in the original notation.
 #![allow(clippy::needless_range_loop)]
 
-use crate::cluster::{KMeansConfig, KMeansResult};
+use crate::cluster::KMeansConfig;
 use crate::matrix::sq_dist;
-use crate::pca::Pca;
 use crate::{Result, StatError};
+
+/// Result of a reference k-means run over nested points.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KMeansResult {
+    /// Cluster index assigned to each input point.
+    pub assignments: Vec<usize>,
+    /// Final centroids, `k` rows of the input dimensionality.
+    pub centroids: Vec<Vec<f64>>,
+    /// Sum of squared distances of points to their centroid (inertia).
+    pub inertia: f64,
+    /// Lloyd iterations performed.
+    pub iterations: usize,
+}
 
 /// Small deterministic xorshift generator so clustering results are
 /// reproducible without pulling a full RNG dependency into this crate.
@@ -259,126 +270,6 @@ pub fn silhouette(points: &[Vec<f64>], assignments: &[usize]) -> Result<f64> {
     Ok(total / points.len() as f64)
 }
 
-/// Reference covariance matrix over column-major data: one pairwise
-/// pass per (i, j) entry, each recomputing both column means.
-pub fn covariance_matrix(columns: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-    if columns.is_empty() {
-        return Err(StatError::Empty);
-    }
-    let n = columns[0].len();
-    if n == 0 {
-        return Err(StatError::Empty);
-    }
-    for c in columns {
-        if c.len() != n {
-            return Err(StatError::LengthMismatch {
-                left: n,
-                right: c.len(),
-            });
-        }
-    }
-    let p = columns.len();
-    let mut m = vec![vec![0.0; p]; p];
-    for i in 0..p {
-        for j in i..p {
-            let c = crate::correlation::covariance(&columns[i], &columns[j])?;
-            m[i][j] = c;
-            m[j][i] = c;
-        }
-    }
-    Ok(m)
-}
-
-/// Cyclic Jacobi eigendecomposition of a nested symmetric matrix.
-///
-/// Returns `(eigenvalues, eigenvectors)` where `eigenvectors[i]` is the
-/// eigenvector for `eigenvalues[i]`, both sorted descending by eigenvalue.
-pub fn jacobi_eigen(matrix: &[Vec<f64>]) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
-    let n = matrix.len();
-    let mut a: Vec<Vec<f64>> = matrix.to_vec();
-    let mut v = vec![vec![0.0; n]; n];
-    for (i, row) in v.iter_mut().enumerate() {
-        row[i] = 1.0;
-    }
-    const MAX_SWEEPS: usize = 100;
-    for _sweep in 0..MAX_SWEEPS {
-        let mut off = 0.0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                off += a[i][j] * a[i][j];
-            }
-        }
-        if off.sqrt() < 1e-12 {
-            let mut eigen: Vec<(f64, Vec<f64>)> = (0..n)
-                .map(|i| (a[i][i], (0..n).map(|r| v[r][i]).collect()))
-                .collect();
-            eigen.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap_or(std::cmp::Ordering::Equal));
-            let (vals, vecs) = eigen.into_iter().unzip();
-            return Ok((vals, vecs));
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                if a[p][q].abs() < 1e-15 {
-                    continue;
-                }
-                let theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q]);
-                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                let c = 1.0 / (t * t + 1.0).sqrt();
-                let s = t * c;
-                // Rotate rows/columns p and q.
-                for k in 0..n {
-                    let akp = a[k][p];
-                    let akq = a[k][q];
-                    a[k][p] = c * akp - s * akq;
-                    a[k][q] = s * akp + c * akq;
-                }
-                for k in 0..n {
-                    let apk = a[p][k];
-                    let aqk = a[q][k];
-                    a[p][k] = c * apk - s * aqk;
-                    a[q][k] = s * apk + c * aqk;
-                }
-                for k in 0..n {
-                    let vkp = v[k][p];
-                    let vkq = v[k][q];
-                    v[k][p] = c * vkp - s * vkq;
-                    v[k][q] = s * vkp + c * vkq;
-                }
-            }
-        }
-    }
-    Err(StatError::NoConvergence {
-        algorithm: "jacobi",
-        iterations: MAX_SWEEPS,
-    })
-}
-
-/// Reference PCA over column-major data via the nested covariance and
-/// Jacobi routines above.
-pub fn principal_components(columns: &[Vec<f64>]) -> Result<Pca> {
-    if columns.is_empty() {
-        return Err(StatError::Empty);
-    }
-    let cov = covariance_matrix(columns)?;
-    let (eigenvalues, components) = jacobi_eigen(&cov)?;
-    let total: f64 = eigenvalues.iter().map(|&e| e.max(0.0)).sum();
-    let explained = if total > 0.0 {
-        eigenvalues.iter().map(|&e| e.max(0.0) / total).collect()
-    } else {
-        vec![0.0; eigenvalues.len()]
-    };
-    let means = columns
-        .iter()
-        .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-        .collect();
-    Ok(Pca {
-        eigenvalues,
-        components,
-        explained_variance_ratio: explained,
-        means,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,20 +310,5 @@ mod tests {
         let res = kmeans(&pts, &cfg).unwrap();
         assert_eq!(res.assignments, vec![0, 1, 1, 2, 1, 3, 0]);
         assert!(res.inertia < 1.0);
-    }
-
-    #[test]
-    fn reference_jacobi_known_eigenvalues() {
-        let m = vec![vec![2.0, 1.0], vec![1.0, 2.0]];
-        let (vals, _) = jacobi_eigen(&m).unwrap();
-        assert!((vals[0] - 3.0).abs() < 1e-9);
-        assert!((vals[1] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reference_covariance_symmetric() {
-        let cols = vec![vec![1.0, 2.0, 3.0, 4.0], vec![2.0, 1.0, 4.0, 3.0]];
-        let m = covariance_matrix(&cols).unwrap();
-        assert_eq!(m[0][1], m[1][0]);
     }
 }

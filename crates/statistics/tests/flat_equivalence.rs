@@ -1,20 +1,16 @@
 //! Differential tests pinning the flat kernels to the nested reference
 //! implementations in `statistics::reference` (the executable spec).
 //!
-//! k-means is held to *bit-identical* results: the flat kernel draws the
-//! same seeding decisions and accumulates the update/inertia passes in
-//! the same term order, so assignments, centroids, inertia and iteration
-//! count must match exactly. Silhouette, covariance and PCA reorder
-//! floating-point accumulation (unrolled dots, parallel triangles), so
-//! they are pinned within scale-relative tolerance; PCA additionally via
-//! the eigen residual ‖C·v − λ·v‖, which is robust to eigenvector sign
-//! and near-degenerate eigenvalue ordering.
+//! Both sides compute every distance with the one sequential `sq_dist`
+//! and reduce in the same term order, so results are held to *bit
+//! identity*: k-means assignments, centroids, inertia and iteration
+//! count, and the silhouette score. Every property draws from two point
+//! strategies: uniform reals, and points at a large offset plus small
+//! integers, where exact distance ties and cancellation expose any
+//! kernel that reassociates a sum or expands `‖x − c‖²` into norms.
 
 use proptest::prelude::*;
-use statistics::{
-    covariance_matrix_flat, kmeans_flat, principal_components_flat, reference, silhouette_flat,
-    DenseMatrix, KMeansConfig, MatrixView,
-};
+use statistics::{kmeans_flat, reference, silhouette_flat, DenseMatrix, KMeansConfig, MatrixView};
 
 /// Rectangular nested point sets: every row shares one dimensionality.
 fn rect_points(max_dim: usize, min_n: usize, max_n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -26,14 +22,34 @@ fn rect_points(max_dim: usize, min_n: usize, max_n: usize) -> impl Strategy<Valu
     })
 }
 
-fn close(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
+/// Rectangular point sets at `1e8 + [0, 8)` in integer steps: many
+/// points and centroids tie exactly, and every coordinate carries a
+/// large common offset that cancels in `x − c`.
+fn offset_points(
+    max_dim: usize,
+    min_n: usize,
+    max_n: usize,
+) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (1usize..=max_dim).prop_flat_map(move |dim| {
+        prop::collection::vec(
+            prop::collection::vec((0u32..8).prop_map(|v| 1e8 + v as f64), dim..=dim),
+            min_n..=max_n,
+        )
+    })
+}
+
+/// Either strategy, picked per case.
+fn point_sets(max_dim: usize, min_n: usize, max_n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    prop_oneof![
+        rect_points(max_dim, min_n, max_n),
+        offset_points(max_dim, min_n, max_n),
+    ]
 }
 
 proptest! {
     #[test]
     fn kmeans_flat_is_bit_identical_to_reference(
-        pts in rect_points(8, 4, 32),
+        pts in point_sets(8, 4, 32),
         k in 1usize..=4,
         seed in 0u64..1_000_000,
     ) {
@@ -53,7 +69,7 @@ proptest! {
 
     #[test]
     fn silhouette_flat_matches_reference(
-        pts in rect_points(6, 4, 28),
+        pts in point_sets(6, 4, 28),
         k in 2usize..=4,
         seed in 0u64..1_000_000,
     ) {
@@ -66,106 +82,10 @@ proptest! {
                 reference::silhouette(&pts, &r.assignments),
                 silhouette_flat(m.view(), &r.assignments),
             ) {
-                (Ok(a), Ok(b)) => prop_assert!(close(a, b, 1e-9), "{a} vs {b}"),
+                (Ok(a), Ok(b)) => prop_assert!(a.to_bits() == b.to_bits(), "{a} vs {b}"),
                 (Err(_), Err(_)) => {}
                 (a, b) => prop_assert!(false, "reference {:?} vs flat {:?}", a.is_ok(), b.is_ok()),
             }
-        }
-    }
-
-    #[test]
-    fn covariance_flat_matches_reference(
-        cols in rect_points(6, 1, 40),
-    ) {
-        // `rect_points` rows double as equal-length columns here.
-        let reference_m = reference::covariance_matrix(&cols).unwrap();
-        let flat = covariance_matrix_flat(DenseMatrix::from_columns(&cols).unwrap().view())
-            .unwrap();
-        let p = cols.len();
-        prop_assert_eq!(flat.rows(), p);
-        prop_assert_eq!(flat.cols(), p);
-        for (i, ref_row) in reference_m.iter().enumerate() {
-            for (j, &ref_v) in ref_row.iter().enumerate() {
-                prop_assert!(
-                    close(ref_v, flat.get(i, j), 1e-9),
-                    "entry ({i}, {j}): {} vs {}",
-                    ref_v,
-                    flat.get(i, j)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pca_flat_matches_reference(
-        cols in (2usize..=5, 3usize..=24).prop_flat_map(|(p, n)| {
-            // p variables (columns), n samples each.
-            prop::collection::vec(
-                prop::collection::vec(-20.0f64..20.0, n..=n),
-                p..=p,
-            )
-        }),
-    ) {
-        let reference_pca = reference::principal_components(&cols).unwrap();
-        let flat_pca =
-            principal_components_flat(DenseMatrix::from_columns(&cols).unwrap().view()).unwrap();
-        let p = cols.len();
-        prop_assert_eq!(flat_pca.eigenvalues.len(), p);
-        for (a, b) in reference_pca.eigenvalues.iter().zip(&flat_pca.eigenvalues) {
-            prop_assert!(close(*a, *b, 1e-7), "eigenvalue {a} vs {b}");
-        }
-        for (a, b) in reference_pca.means.iter().zip(&flat_pca.means) {
-            prop_assert!(close(*a, *b, 1e-9), "mean {a} vs {b}");
-        }
-        for (a, b) in reference_pca
-            .explained_variance_ratio
-            .iter()
-            .zip(&flat_pca.explained_variance_ratio)
-        {
-            prop_assert!(close(*a, *b, 1e-6), "explained ratio {a} vs {b}");
-        }
-        // Eigenvector check robust to sign and degenerate ordering: each
-        // flat component must satisfy C·v ≈ λ·v against the *reference*
-        // covariance matrix.
-        let c = reference::covariance_matrix(&cols).unwrap();
-        let scale = 1.0
-            + c.iter()
-                .flat_map(|row| row.iter().map(|v| v.abs()))
-                .fold(0.0, f64::max);
-        for (lambda, v) in flat_pca.eigenvalues.iter().zip(&flat_pca.components) {
-            for i in 0..p {
-                let cv: f64 = (0..p).map(|j| c[i][j] * v[j]).sum();
-                prop_assert!(
-                    (cv - lambda * v[i]).abs() <= 1e-6 * scale,
-                    "residual row {i}: C·v = {cv}, λ·v = {}",
-                    lambda * v[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn flat_wrappers_match_flat_kernels(
-        pts in rect_points(4, 4, 16),
-        seed in 0u64..1_000_000,
-    ) {
-        // The compat wrappers must be pure gather + delegate.
-        let cfg = KMeansConfig { k: 2, seed, ..Default::default() };
-        let m = DenseMatrix::from_rows(&pts).unwrap();
-        match (statistics::kmeans(&pts, &cfg), kmeans_flat(m.view(), &cfg)) {
-            (Ok(w), Ok(f)) => {
-                prop_assert_eq!(&w.assignments, &f.assignments);
-                prop_assert_eq!(w.centroids, f.centroids.to_nested());
-                prop_assert_eq!(w.inertia.to_bits(), f.inertia.to_bits());
-                if let (Ok(sw), Ok(sf)) = (
-                    statistics::silhouette(&pts, &w.assignments),
-                    silhouette_flat(m.view(), &f.assignments),
-                ) {
-                    prop_assert_eq!(sw.to_bits(), sf.to_bits());
-                }
-            }
-            (Err(_), Err(_)) => {}
-            (w, f) => prop_assert!(false, "wrapper {:?} vs flat {:?}", w.is_ok(), f.is_ok()),
         }
     }
 }
