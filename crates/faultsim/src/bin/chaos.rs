@@ -24,7 +24,11 @@
 //! strict failure's message must be the cause of the first diagnostic.
 //! So is a second sanitize pass in step 2 that repairs or quarantines
 //! anything, or whose flags differ from the first pass's: the invariant
-//! walk must leave a profile it never needs to touch again.
+//! walk must leave a profile it never needs to touch again. So is, in
+//! the analysis-service stage, a repeated load-balance request whose
+//! reply differs from the first, or a report that is not the trial
+//! re-uploaded at the same path: the service's report memo must never
+//! serve a stale or different report.
 //!
 //! The `crash-restart` stage is the service-lifecycle side of the same
 //! story: for every seed it streams chunks into a WAL-backed service
@@ -507,22 +511,70 @@ fn run_seed(seed: u64, verbose: bool) -> SeedOutcome {
         assert!(clean_resp.is_clean(), "clean upload must stay clean");
 
         // The clean sibling analyzes clean after the corrupt upload.
-        let analysis = client
-            .call(Request::AnalyzeBalance {
-                app: "chaos".into(),
-                experiment: "svc".into(),
-                trial: clean.name.clone(),
-                metric: "TIME".into(),
-            })
-            .expect("service alive");
-        assert!(
-            analysis.is_clean(),
-            "sibling analysis degraded by a corrupt upload: {:?}",
-            analysis.degraded
-        );
-        assert!(matches!(analysis.outcome, Outcome::Report { .. }));
+        // Each analysis is sent twice: the repeat is answered from the
+        // shard's report memo and must equal the first reply byte for
+        // byte. Between the rounds a different trial is re-uploaded at
+        // the same path, and its report must be the new trial's, never
+        // the one memoized for the trial it replaced.
+        let analyze = || {
+            let analysis = client
+                .call(Request::AnalyzeBalance {
+                    app: "chaos".into(),
+                    experiment: "svc".into(),
+                    trial: clean.name.clone(),
+                    metric: "TIME".into(),
+                })
+                .expect("service alive");
+            assert!(
+                analysis.is_clean(),
+                "sibling analysis degraded by a corrupt upload: {:?}",
+                analysis.degraded
+            );
+            match analysis.outcome {
+                Outcome::Report { rendered, .. } => rendered,
+                other => panic!("expected a report, got {other:?}"),
+            }
+        };
+        let mut reuploaded = msa::run(&{
+            let mut config = MsaConfig::paper_400(8, Schedule::Dynamic(1));
+            config.sequences = 48;
+            config
+        });
+        reuploaded.name = clean.name.clone();
+        for (round, trial) in [clean, &reuploaded].into_iter().enumerate() {
+            if round > 0 {
+                let document = serde_json::to_string(trial).expect("trial serializes");
+                let resp = client
+                    .call(Request::Ingest {
+                        app: "chaos".into(),
+                        experiment: "svc".into(),
+                        document,
+                    })
+                    .expect("service alive");
+                assert!(resp.is_clean(), "re-upload must stay clean");
+            }
+            let expected = analyze_load_balance_supervised(trial, "TIME", &supervisor).rendered;
+            let first = analyze();
+            let second = analyze();
+            if first != expected {
+                o.violations.push(format!(
+                    "service round {round}: the report is not the uploaded trial's"
+                ));
+            }
+            if second != first {
+                o.violations.push(format!(
+                    "service round {round}: a repeat analysis differs from the first"
+                ));
+            }
+        }
         let stats = svc.stats();
         assert_eq!(stats.panics_isolated, 0, "panic escaped a service handler");
+        if stats.report_memo_hits != 2 {
+            o.violations.push(format!(
+                "service: {} of 2 repeat analyses came from the report memo",
+                stats.report_memo_hits
+            ));
+        }
         svc.shutdown();
     });
 

@@ -133,6 +133,61 @@ impl WalRecord {
     }
 }
 
+/// A borrowed view of a [`WalRecord`], the form the encoder reads. A
+/// caller that holds a record's parts journals them through this view
+/// without cloning them into an owned record first; the frame is the
+/// same either way.
+#[derive(Debug, Clone, Copy)]
+pub enum RecordRef<'a> {
+    /// See [`WalRecord::Chunk`].
+    Chunk {
+        /// Tenant application.
+        app: &'a str,
+        /// Tenant experiment.
+        experiment: &'a str,
+        /// Trial the stream builds.
+        trial: &'a str,
+        /// The acknowledged batch.
+        batch: &'a ChunkBatch,
+    },
+    /// See [`WalRecord::Retire`].
+    Retire {
+        /// Tenant application.
+        app: &'a str,
+        /// Tenant experiment.
+        experiment: &'a str,
+        /// Trial whose stream was retired.
+        trial: &'a str,
+    },
+}
+
+impl<'a> From<&'a WalRecord> for RecordRef<'a> {
+    fn from(record: &'a WalRecord) -> Self {
+        match record {
+            WalRecord::Chunk {
+                app,
+                experiment,
+                trial,
+                batch,
+            } => RecordRef::Chunk {
+                app,
+                experiment,
+                trial,
+                batch,
+            },
+            WalRecord::Retire {
+                app,
+                experiment,
+                trial,
+            } => RecordRef::Retire {
+                app,
+                experiment,
+                trial,
+            },
+        }
+    }
+}
+
 /// When the journal fsyncs appended records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
@@ -255,16 +310,25 @@ fn put_str(out: &mut Vec<u8>, s: &str) -> Result<()> {
     Ok(())
 }
 
-fn encode_payload(out: &mut Vec<u8>, record: &WalRecord) -> Result<()> {
-    let (app, experiment, trial) = record.path();
-    out.push(match record {
-        WalRecord::Chunk { .. } => TAG_CHUNK,
-        WalRecord::Retire { .. } => TAG_RETIRE,
-    });
+fn encode_payload(out: &mut Vec<u8>, record: RecordRef<'_>) -> Result<()> {
+    let (tag, app, experiment, trial, batch) = match record {
+        RecordRef::Chunk {
+            app,
+            experiment,
+            trial,
+            batch,
+        } => (TAG_CHUNK, app, experiment, trial, Some(batch)),
+        RecordRef::Retire {
+            app,
+            experiment,
+            trial,
+        } => (TAG_RETIRE, app, experiment, trial, None),
+    };
+    out.push(tag);
     put_str(out, app)?;
     put_str(out, experiment)?;
     put_str(out, trial)?;
-    if let WalRecord::Chunk { batch, .. } = record {
+    if let Some(batch) = batch {
         put_u64(out, batch.seq);
         put_u32(out, batch.threads);
         put_len(out, batch.deltas.len(), "delta count")?;
@@ -293,7 +357,7 @@ fn encode_payload(out: &mut Vec<u8>, record: &WalRecord) -> Result<()> {
 
 /// Encodes one framed record into `frame` (cleared first), so an
 /// appending journal reuses one buffer across records.
-fn encode_frame_into(frame: &mut Vec<u8>, record: &WalRecord) -> Result<()> {
+fn encode_frame_into(frame: &mut Vec<u8>, record: RecordRef<'_>) -> Result<()> {
     frame.clear();
     frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
     encode_payload(frame, record)?;
@@ -310,7 +374,7 @@ fn encode_frame_into(frame: &mut Vec<u8>, record: &WalRecord) -> Result<()> {
     Ok(())
 }
 
-fn encode_frame(record: &WalRecord) -> Result<Vec<u8>> {
+fn encode_frame(record: RecordRef<'_>) -> Result<Vec<u8>> {
     let mut frame = Vec::new();
     encode_frame_into(&mut frame, record)?;
     Ok(frame)
@@ -585,12 +649,13 @@ impl Journal {
     /// Appends one record and applies the fsync policy. When this
     /// returns, the record is in the file (and on disk, under
     /// [`FsyncPolicy::Always`]) — only then may the caller acknowledge
-    /// the chunk.
-    pub fn append(&mut self, record: &WalRecord) -> Result<()> {
+    /// the chunk. Takes a `&WalRecord` or a borrowed [`RecordRef`].
+    pub fn append<'a>(&mut self, record: impl Into<RecordRef<'a>>) -> Result<()> {
+        let record = record.into();
         encode_frame_into(&mut self.frame, record)?;
         self.file.write_all(&self.frame)?;
         self.appended += 1;
-        if matches!(record, WalRecord::Retire { .. }) {
+        if matches!(record, RecordRef::Retire { .. }) {
             self.retired += 1;
         }
         match self.policy {
@@ -620,7 +685,7 @@ impl Journal {
     /// length — so replay must discard it. Returns the full frame
     /// length the torn write was cut from.
     pub fn append_torn(&mut self, record: &WalRecord, keep: usize) -> Result<usize> {
-        let frame = encode_frame(record)?;
+        let frame = encode_frame(record.into())?;
         let cut = keep.min(frame.len().saturating_sub(1));
         self.file.write_all(&frame[..cut])?;
         self.file.sync_data()?;
@@ -641,13 +706,13 @@ impl Journal {
         let mut after = 0usize;
         for ((app, experiment, trial), batches) in live {
             for batch in batches {
-                let rec = WalRecord::Chunk {
-                    app: app.clone(),
-                    experiment: experiment.clone(),
-                    trial: trial.clone(),
-                    batch: batch.clone(),
+                let rec = RecordRef::Chunk {
+                    app: &app,
+                    experiment: &experiment,
+                    trial: &trial,
+                    batch,
                 };
-                bytes.extend_from_slice(&encode_frame(&rec)?);
+                bytes.extend_from_slice(&encode_frame(rec)?);
                 after += 1;
             }
         }
@@ -760,7 +825,7 @@ mod tests {
     fn every_torn_cut_point_recovers_the_acknowledged_prefix() {
         // Kill-point sweep: whatever byte the crash lands on, replay
         // recovers exactly the two acknowledged records.
-        let probe = encode_frame(&rec("t1", 2, 3.0)).unwrap();
+        let probe = encode_frame((&rec("t1", 2, 3.0)).into()).unwrap();
         for cut in 0..probe.len() {
             let path = tmp(&format!("cutpoint-{cut}.wal"));
             {
@@ -869,7 +934,7 @@ mod tests {
     }
 
     fn payload_of(record: &WalRecord) -> Vec<u8> {
-        encode_frame(record).unwrap()[FRAME_HEADER_LEN..].to_vec()
+        encode_frame(record.into()).unwrap()[FRAME_HEADER_LEN..].to_vec()
     }
 
     #[test]
@@ -925,6 +990,141 @@ mod tests {
         );
         // The refused journal is left exactly as it was.
         assert_eq!(std::fs::read(&path).unwrap(), image);
+        std::fs::remove_file(&path).ok();
+    }
+
+    const NAMES: [&str; 6] = ["", "app", "TIME", "énergie", "main => solve", "PAPI_L2_DCM"];
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn name(&mut self) -> String {
+            NAMES[self.below(NAMES.len() as u64) as usize].to_string()
+        }
+
+        fn float(&mut self) -> f64 {
+            f64::from_bits(self.next())
+        }
+    }
+
+    /// Seeded records reaching every encoder branch: both tags, empty
+    /// and non-ASCII strings, `event_kind` both ways, empty delta and
+    /// cell lists, and arbitrary float bits (NaN payloads included).
+    fn generated_records(count: usize) -> Vec<WalRecord> {
+        let mut rng = XorShift(0x2545_f491_4f6c_dd1d);
+        (0..count)
+            .map(|_| {
+                let (app, experiment, trial) = (rng.name(), rng.name(), rng.name());
+                if rng.below(5) == 0 {
+                    return WalRecord::Retire {
+                        app,
+                        experiment,
+                        trial,
+                    };
+                }
+                let batch = ChunkBatch {
+                    seq: rng.next(),
+                    threads: rng.below(300) as u32,
+                    deltas: (0..rng.below(4))
+                        .map(|_| ColumnDelta {
+                            metric: rng.name(),
+                            event: rng.name(),
+                            event_kind: if rng.below(2) == 0 {
+                                None
+                            } else {
+                                Some(rng.name())
+                            },
+                            cells: (0..rng.below(6))
+                                .map(|_| {
+                                    let thread = rng.below(300) as u32;
+                                    let m = Measurement {
+                                        inclusive: rng.float(),
+                                        exclusive: rng.float(),
+                                        calls: rng.float(),
+                                        subcalls: rng.float(),
+                                    };
+                                    (thread, m)
+                                })
+                                .collect(),
+                        })
+                        .collect(),
+                };
+                WalRecord::Chunk {
+                    app,
+                    experiment,
+                    trial,
+                    batch,
+                }
+            })
+            .collect()
+    }
+
+    /// FNV-1a over a byte string.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn borrowed_appends_keep_the_v2_frames() {
+        // Length and FNV-1a of the frames these records encoded to when
+        // the journal appended only owned `WalRecord`s.
+        const FRAMES_LEN: usize = 48_604;
+        const FRAMES_FNV: u64 = 0x898f_e0f1_2b84_d4cc;
+        let records = generated_records(256);
+        let path = tmp("borrowed.wal");
+        let (mut j, _) = Journal::open(&path, FsyncPolicy::Never).unwrap();
+        let mut owned = Vec::new();
+        for r in &records {
+            owned.extend(encode_frame(r.into()).unwrap());
+            // The parts as a caller holds them, outside any record.
+            let (app, experiment, trial) = r.path();
+            let view = match r {
+                WalRecord::Chunk { batch, .. } => RecordRef::Chunk {
+                    app,
+                    experiment,
+                    trial,
+                    batch,
+                },
+                WalRecord::Retire { .. } => RecordRef::Retire {
+                    app,
+                    experiment,
+                    trial,
+                },
+            };
+            j.append(view).unwrap();
+        }
+        drop(j);
+        let bytes = std::fs::read(&path).unwrap();
+        let borrowed = &bytes[WAL_HEADER_LEN..];
+        assert!(borrowed == owned, "borrowed and owned frames differ");
+        assert_eq!(
+            (borrowed.len(), fnv1a(borrowed)),
+            (FRAMES_LEN, FRAMES_FNV),
+            "the v2 frame bytes changed"
+        );
+        let replayed: Vec<_> = replay_bytes(&bytes)
+            .unwrap()
+            .records
+            .iter()
+            .map(record_bits)
+            .collect();
+        assert_eq!(
+            replayed,
+            records.iter().map(record_bits).collect::<Vec<_>>()
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -34,7 +34,7 @@ pub mod shard;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use metrics::{ServiceMetrics, StatsSnapshot};
-pub use shard::{shard_of, ShardedRepository};
+pub use shard::{shard_of, ReportLookup, ShardedRepository};
 
 use parking_lot::Mutex;
 use perfdmf::wal::FsyncPolicy;
@@ -832,9 +832,29 @@ fn handle(
                     ),
                 };
             }
-            match store.get_trial(app, experiment, trial) {
-                Ok(t) => {
+            // A stored trial's clean report is a function of the trial
+            // and the rulebase alone, so a repeat request for the same
+            // `Arc<Trial>` is answered from the shard's report memo.
+            match store.lookup_report(app, experiment, trial, metric) {
+                Ok(ReportLookup::Memoized {
+                    rendered,
+                    diagnoses,
+                }) => {
+                    ServiceMetrics::bump(&metrics.report_memo_hits);
+                    (
+                        Outcome::Report {
+                            rendered,
+                            diagnoses,
+                        },
+                        Vec::new(),
+                        false,
+                    )
+                }
+                Ok(ReportLookup::Analyze { trial: t, stored }) => {
                     let report = analyze_load_balance_supervised(&t, metric, supervisor);
+                    if stored {
+                        store.memoize_report(app, experiment, trial, metric, &t, &report);
+                    }
                     (
                         Outcome::Report {
                             rendered: report.rendered,

@@ -56,6 +56,10 @@ pub struct ServiceMetrics {
     /// Cold-trial cache misses (trial materialized from the mapped
     /// store).
     pub cache_misses: AtomicU64,
+    /// Stored-trial analyses answered from a shard's report memo: the
+    /// same `Arc<Trial>` was analyzed clean before, so facts, rules and
+    /// rendering were skipped.
+    pub report_memo_hits: AtomicU64,
     /// Total time spent waiting to acquire shard locks, in nanoseconds.
     pub lock_wait_nanos: AtomicU64,
     /// Total worker time spent inside request handlers, in nanoseconds.
@@ -142,6 +146,7 @@ impl ServiceMetrics {
             panics_isolated: self.panics_isolated.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            report_memo_hits: self.report_memo_hits.load(Ordering::Relaxed),
             lock_wait: Duration::from_nanos(self.lock_wait_nanos.load(Ordering::Relaxed)),
             busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
@@ -200,6 +205,8 @@ pub struct StatsSnapshot {
     pub cache_hits: u64,
     /// Cold-cache misses.
     pub cache_misses: u64,
+    /// Analyses answered from a report memo.
+    pub report_memo_hits: u64,
     /// Cumulative shard lock wait.
     pub lock_wait: Duration,
     /// Cumulative handler time.
@@ -261,6 +268,7 @@ impl StatsSnapshot {
              breaker             {} trips, {} fast-fails, {} probes, {} open\n\
              wal                 {} appends ({:?}), {} replayed ({:?})\n\
              cache hits/misses   {}/{} ({:.1}% hit)\n\
+             report memo hits    {}\n\
              lock wait           {:?}\n\
              handler time        {:?}\n",
             self.requests,
@@ -294,6 +302,7 @@ impl StatsSnapshot {
             self.cache_hits,
             self.cache_misses,
             self.cache_hit_rate() * 100.0,
+            self.report_memo_hits,
             self.lock_wait,
             self.busy,
         )
@@ -310,10 +319,13 @@ mod tests {
         ServiceMetrics::bump(&m.requests);
         ServiceMetrics::bump(&m.requests);
         ServiceMetrics::bump(&m.cache_hits);
+        ServiceMetrics::bump(&m.report_memo_hits);
         ServiceMetrics::add_nanos(&m.lock_wait_nanos, Duration::from_micros(5));
         let s = m.snapshot();
         assert_eq!(s.requests, 2);
         assert_eq!(s.cache_hits, 1);
+        assert_eq!(s.report_memo_hits, 1);
+        assert!(s.render().contains("report memo hits    1\n"));
         assert_eq!(s.lock_wait, Duration::from_micros(5));
         assert_eq!(s.cache_hit_rate(), 1.0);
         assert!(s.render().contains("requests            2"));

@@ -12,6 +12,21 @@
 //! straight from the overlay, so an upsert can never be shadowed by a
 //! stale cached copy: the overlay is always consulted first.
 //!
+//! ## Report memo
+//!
+//! Each shard also remembers the clean load-balance reports it served
+//! for stored trials, keyed by `(app, experiment, trial, metric)`. An
+//! entry holds a [`Weak`] to the very `Arc<Trial>` the report was
+//! computed from and answers only a lookup that hands it that same
+//! `Arc` back ([`ShardedRepository::lookup_report`]). An upsert at
+//! the path, or an eviction followed by a fresh materialization, yields
+//! a new `Arc`, so the entry misses; there is nothing to invalidate.
+//! Identity implies unchanged content: `Arc::make_mut` moves the data
+//! away from any `Weak`, and `Arc::get_mut` refuses while one exists.
+//! The `Weak` pins only the `Arc`'s allocation, never the trial itself,
+//! so the memo keeps no evicted trial alive, and no later `Arc` can
+//! reuse the address it compares against.
+//!
 //! ## Resilience
 //!
 //! Each shard can additionally carry a write-ahead [`Journal`] for its
@@ -31,14 +46,14 @@
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::metrics::ServiceMetrics;
 use parking_lot::{Mutex, RwLock};
-use perfdmf::wal::{FsyncPolicy, Journal, WalRecord};
+use perfdmf::wal::{FsyncPolicy, Journal, RecordRef, WalRecord};
 use perfdmf::{AppliedChunk, ChunkBatch, MappedRepository, Repository, StreamingTrial, Trial};
 use perfexplorer::workflow::CaseStudyReport;
 use perfexplorer::AnalysisState;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// FNV-1a over the tenant path. Stable across runs (no RandomState), so
@@ -77,8 +92,9 @@ fn paths_of(repo: &Repository) -> Vec<(String, String, String)> {
 }
 
 /// A bounded LRU map: the shard caches of cold trials (keyed by full
-/// trial path) and the service's compiled-script cache (keyed by
-/// source text). Callers clamp the capacity; zero caches nothing.
+/// trial path) and of reports, and the service's compiled-script cache
+/// (keyed by source text). Callers clamp the capacity; zero caches
+/// nothing.
 pub(crate) struct Lru<K, V> {
     capacity: usize,
     /// Most recently used last. Linear scan is fine: capacities are
@@ -100,11 +116,17 @@ impl<K: PartialEq, V: Clone> Lru<K, V> {
         K: Borrow<Q>,
         Q: PartialEq + ?Sized,
     {
-        let pos = self.entries.iter().position(|(k, _)| k.borrow() == key)?;
+        self.find(|k| k.borrow() == key).cloned()
+    }
+
+    /// The value under the first key `matches` accepts, refreshed to
+    /// most recently used. Lets a caller match a composite key against
+    /// borrowed parts without building an owned key.
+    fn find(&mut self, matches: impl Fn(&K) -> bool) -> Option<&V> {
+        let pos = self.entries.iter().position(|(k, _)| matches(k))?;
         let entry = self.entries.remove(pos);
-        let value = entry.1.clone();
         self.entries.push(entry);
-        Some(value)
+        self.entries.last().map(|(_, v)| v)
     }
 
     /// Inserts or replaces `key` as most recently used, evicting the
@@ -126,6 +148,27 @@ impl<K: PartialEq, V: Clone> Lru<K, V> {
     }
 }
 
+/// What [`ShardedRepository::lookup_report`] found.
+#[derive(Debug)]
+pub enum ReportLookup {
+    /// A clean report memoized from the very trial the lookup found.
+    Memoized {
+        /// The report as first rendered.
+        rendered: String,
+        /// Its structured diagnosis count.
+        diagnoses: usize,
+    },
+    /// No memoized report: the trial to analyze.
+    Analyze {
+        /// The trial, as [`ShardedRepository::get_trial`] returns it.
+        trial: Arc<Trial>,
+        /// Whether the trial is stored, so a clean report of it may be
+        /// memoized. A streamed trial is a one-off copy of its stream,
+        /// and a report of it could never be served again.
+        stored: bool,
+    },
+}
+
 /// One in-flight streamed trial: the growing [`StreamingTrial`] plus
 /// the incremental analysis state warmed over it. The state is lazy —
 /// built on the first analysis request (which names the metric) and
@@ -135,11 +178,26 @@ struct StreamEntry {
     state: Option<AnalysisState>,
 }
 
-/// One shard: a mutable overlay, a cache of cold materializations, and
-/// the streamed trials currently being built chunk by chunk.
+/// A clean load-balance report kept beside the stored trial it was
+/// computed from (see the module docs, "Report memo").
+#[derive(Clone)]
+struct MemoEntry {
+    trial: Weak<Trial>,
+    rendered: String,
+    diagnoses: usize,
+}
+
+/// `(app, experiment, trial, metric)`.
+type ReportKey = (String, String, String, String);
+
+/// One shard: a mutable overlay, a cache of cold materializations, the
+/// report memo, and the streamed trials currently being built chunk by
+/// chunk.
 struct Shard {
     overlay: RwLock<Repository>,
     cache: Mutex<Lru<(String, String, String), Arc<Trial>>>,
+    /// Clean reports of stored trials, bounded like `cache`.
+    reports: Mutex<Lru<ReportKey, MemoEntry>>,
     /// Streamed trials keyed by full trial path. Consulted before the
     /// overlay, so analyses observe every applied chunk; a full-trial
     /// upsert at the same path deletes the entry (the overlay shadow
@@ -181,6 +239,7 @@ impl ShardedRepository {
                 .map(|_| Shard {
                     overlay: RwLock::new(Repository::new()),
                     cache: Mutex::new(Lru::new(cache_capacity)),
+                    reports: Mutex::new(Lru::new(cache_capacity)),
                     streams: Mutex::new(HashMap::new()),
                     journal: None,
                     breaker: CircuitBreaker::new(breaker.clone()),
@@ -351,12 +410,90 @@ impl ShardedRepository {
         experiment: &str,
         trial: &str,
     ) -> perfdmf::Result<Arc<Trial>> {
+        self.lookup(app, experiment, trial).map(|(found, _)| found)
+    }
+
+    /// [`ShardedRepository::get_trial`], plus whether the trial is
+    /// stored (`true`) or a one-off copy of a stream (`false`).
+    fn lookup(
+        &self,
+        app: &str,
+        experiment: &str,
+        trial: &str,
+    ) -> perfdmf::Result<(Arc<Trial>, bool)> {
         let shard = &self.shards[shard_of(app, experiment, self.shards.len())];
         let key = (app.to_string(), experiment.to_string(), trial.to_string());
         if let Some(entry) = shard.streams.lock().get(&key) {
-            return Ok(Arc::new(entry.stream.trial().clone()));
+            return Ok((Arc::new(entry.stream.trial().clone()), false));
         }
-        self.get_stored(shard, &key)
+        self.get_stored(shard, &key).map(|stored| (stored, true))
+    }
+
+    /// Looks a trial up for a load-balance analysis of `metric`: exactly
+    /// [`ShardedRepository::get_trial`] (so cache hits and misses count
+    /// the same), then the report memo. The memo answers only when it
+    /// holds a clean report computed from the very `Arc<Trial>` just
+    /// found.
+    pub fn lookup_report(
+        &self,
+        app: &str,
+        experiment: &str,
+        trial: &str,
+        metric: &str,
+    ) -> perfdmf::Result<ReportLookup> {
+        let (found, stored) = self.lookup(app, experiment, trial)?;
+        if stored {
+            let shard = &self.shards[shard_of(app, experiment, self.shards.len())];
+            let mut reports = shard.reports.lock();
+            let entry = reports
+                .find(|(a, e, t, m)| a == app && e == experiment && t == trial && m == metric);
+            if let Some(entry) =
+                entry.filter(|entry| Weak::ptr_eq(&entry.trial, &Arc::downgrade(&found)))
+            {
+                return Ok(ReportLookup::Memoized {
+                    rendered: entry.rendered.clone(),
+                    diagnoses: entry.diagnoses,
+                });
+            }
+        }
+        Ok(ReportLookup::Analyze {
+            trial: found,
+            stored,
+        })
+    }
+
+    /// Memoizes `report`, the load-balance report of `metric` computed
+    /// from `trial`, a stored trial that
+    /// [`ShardedRepository::lookup_report`] returned. A report with
+    /// degraded stages is not memoized: its next request runs the
+    /// workflow again.
+    pub fn memoize_report(
+        &self,
+        app: &str,
+        experiment: &str,
+        trial_name: &str,
+        metric: &str,
+        trial: &Arc<Trial>,
+        report: &CaseStudyReport,
+    ) {
+        if !report.degraded.is_empty() {
+            return;
+        }
+        let shard = &self.shards[shard_of(app, experiment, self.shards.len())];
+        let key = (
+            app.to_string(),
+            experiment.to_string(),
+            trial_name.to_string(),
+            metric.to_string(),
+        );
+        shard.reports.lock().insert(
+            key,
+            MemoEntry {
+                trial: Arc::downgrade(trial),
+                rendered: report.rendered.clone(),
+                diagnoses: report.report.diagnoses.len(),
+            },
+        );
     }
 
     /// The non-streaming lookup path: overlay, cold cache, mapped
@@ -447,11 +584,11 @@ impl ShardedRepository {
         if let Some(journal) = &shard.journal {
             if !entry.stream.contains_seq(batch.seq) {
                 let start = Instant::now();
-                journal.lock().append(&WalRecord::Chunk {
-                    app: app.to_string(),
-                    experiment: experiment.to_string(),
-                    trial: trial.to_string(),
-                    batch: batch.clone(),
+                journal.lock().append(RecordRef::Chunk {
+                    app,
+                    experiment,
+                    trial,
+                    batch,
                 })?;
                 ServiceMetrics::bump(&self.metrics.wal_appends);
                 ServiceMetrics::add_nanos(&self.metrics.wal_append_nanos, start.elapsed());

@@ -449,3 +449,212 @@ fn scripts_see_a_consistent_experiment_snapshot() {
     }
     svc.shutdown();
 }
+
+fn analyze_request(trial: &str, metric: &str) -> Request {
+    Request::AnalyzeBalance {
+        app: "app".into(),
+        experiment: "exp".into(),
+        trial: trial.into(),
+        metric: metric.into(),
+    }
+}
+
+/// The rendered report and diagnosis count of a clean response.
+fn clean_report_and_diagnoses(resp: Response) -> (String, usize) {
+    assert!(resp.is_clean(), "{resp:?}");
+    match resp.outcome {
+        Outcome::Report {
+            rendered,
+            diagnoses,
+        } => (rendered, diagnoses),
+        other => panic!("expected report, got {other:?}"),
+    }
+}
+
+#[test]
+fn repeat_analysis_is_served_from_the_report_memo() {
+    let svc = small_service(2);
+    let client = svc.client();
+    let document = serde_json::to_string(&imbalanced_trial("t", 8)).unwrap();
+    let ingested = client
+        .call(Request::Ingest {
+            app: "app".into(),
+            experiment: "exp".into(),
+            document,
+        })
+        .unwrap();
+    assert!(ingested.is_clean(), "{ingested:?}");
+
+    let first = clean_report_and_diagnoses(client.call(analyze_request("t", "TIME")).unwrap());
+    assert_eq!(svc.stats().report_memo_hits, 0);
+    let second = clean_report_and_diagnoses(client.call(analyze_request("t", "TIME")).unwrap());
+    assert_eq!(first, second, "a memoized report must be byte-identical");
+    assert!(first.1 > 0, "the skewed trial yields diagnoses");
+    let strict =
+        perfexplorer::workflow::analyze_load_balance(&imbalanced_trial("t", 8), "TIME").unwrap();
+    assert_eq!(
+        first,
+        (strict.rendered, strict.report.diagnoses.len()),
+        "the memo must hold what the workflow computes"
+    );
+    let stats = svc.stats();
+    assert_eq!(stats.report_memo_hits, 1);
+    assert_eq!(stats.analyses, 2);
+    svc.shutdown();
+}
+
+#[test]
+fn an_upsert_at_the_same_path_is_not_answered_from_the_memo() {
+    let svc = small_service(1);
+    let client = svc.client();
+    let upload = |trial: &Trial| {
+        let resp = client
+            .call(Request::Ingest {
+                app: "app".into(),
+                experiment: "exp".into(),
+                document: serde_json::to_string(trial).unwrap(),
+            })
+            .unwrap();
+        assert!(resp.is_clean(), "{resp:?}");
+    };
+    let skewed = imbalanced_trial("t", 8);
+    let balanced = trial("t", 8);
+    upload(&skewed);
+    let before = clean_report(client.call(analyze_request("t", "TIME")).unwrap());
+
+    // Same (app, experiment, trial, metric), different trial: a memo
+    // keyed by path alone would serve the skewed trial's report.
+    upload(&balanced);
+    let after = clean_report(client.call(analyze_request("t", "TIME")).unwrap());
+    let strict = perfexplorer::workflow::analyze_load_balance(&balanced, "TIME").unwrap();
+    assert_eq!(after, strict.rendered, "answered from the replaced trial");
+    assert_ne!(after, before);
+    assert_eq!(svc.stats().report_memo_hits, 0);
+
+    // The new trial's report is memoized in turn.
+    let again = clean_report(client.call(analyze_request("t", "TIME")).unwrap());
+    assert_eq!(again, after);
+    assert_eq!(svc.stats().report_memo_hits, 1);
+    svc.shutdown();
+}
+
+#[test]
+fn an_evicted_and_rematerialized_trial_is_recomputed() {
+    let mut repo = Repository::new();
+    repo.add_trial("app", "exp", imbalanced_trial("a", 6))
+        .unwrap();
+    repo.add_trial("app", "exp", trial("b", 6)).unwrap();
+    let dir = std::env::temp_dir().join(format!("svc-memo-evict-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("repo.pdb1");
+    repo.save_as(&path, perfdmf::Format::Pdb1).unwrap();
+    let svc = AnalysisService::open(
+        ServiceConfig {
+            workers: 1,
+            shards: 1,
+            cache_capacity: 1,
+            ..ServiceConfig::default()
+        },
+        &path,
+    )
+    .unwrap();
+    let client = svc.client();
+    let stats = || {
+        let s = svc.stats();
+        (s.cache_misses, s.cache_hits, s.report_memo_hits)
+    };
+
+    let first = clean_report_and_diagnoses(client.call(analyze_request("a", "TIME")).unwrap());
+    assert_eq!(stats(), (1, 0, 0));
+    // Materializing `b` evicts `a` from the one-slot cache. The analysis
+    // degrades (no such metric), so it leaves the memo's entry for `a`
+    // in place: only identity can tell that entry is stale now.
+    let degraded = client.call(analyze_request("b", "NOPE")).unwrap();
+    assert!(!degraded.degraded.is_empty(), "{degraded:?}");
+    assert_eq!(stats(), (2, 0, 0));
+
+    // `a` is materialized again into a new `Arc`: recomputed, not
+    // served from the entry built over the evicted one.
+    let again = clean_report_and_diagnoses(client.call(analyze_request("a", "TIME")).unwrap());
+    assert_eq!(again, first, "recomputation must be byte-identical");
+    assert_eq!(
+        stats(),
+        (3, 0, 0),
+        "a memo miss counts like a plain analysis"
+    );
+
+    // Now the cache and the memo hold the same `Arc`.
+    let third = clean_report_and_diagnoses(client.call(analyze_request("a", "TIME")).unwrap());
+    assert_eq!(third, first);
+    assert_eq!(stats(), (3, 1, 1));
+    svc.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn degraded_reports_are_never_memoized() {
+    let svc = small_service(1);
+    let client = svc.client();
+    client
+        .call(Request::Ingest {
+            app: "app".into(),
+            experiment: "exp".into(),
+            document: trial_json("t", 4),
+        })
+        .unwrap();
+    for _ in 0..2 {
+        let resp = client.call(analyze_request("t", "NOPE")).unwrap();
+        assert!(
+            matches!(resp.outcome, Outcome::Report { .. }) && !resp.degraded.is_empty(),
+            "a trial lacking the metric degrades: {resp:?}"
+        );
+    }
+    let stats = svc.stats();
+    assert_eq!(stats.report_memo_hits, 0);
+    assert_eq!(stats.degraded_responses, 2);
+    svc.shutdown();
+}
+
+#[test]
+fn concurrent_clients_on_one_trial_get_identical_bytes() {
+    const CLIENTS: usize = 32;
+    let svc = small_service(4);
+    let document = serde_json::to_string(&imbalanced_trial("t", 8)).unwrap();
+    let ingested = svc
+        .client()
+        .call(Request::Ingest {
+            app: "app".into(),
+            experiment: "exp".into(),
+            document,
+        })
+        .unwrap();
+    assert!(ingested.is_clean(), "{ingested:?}");
+    let barrier = std::sync::Barrier::new(CLIENTS);
+    let reports: Vec<(String, usize)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let client = svc.client();
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    clean_report_and_diagnoses(client.call(analyze_request("t", "TIME")).unwrap())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let strict =
+        perfexplorer::workflow::analyze_load_balance(&imbalanced_trial("t", 8), "TIME").unwrap();
+    let expected = (strict.rendered, strict.report.diagnoses.len());
+    for report in &reports {
+        assert_eq!(report, &expected);
+    }
+    let stats = svc.stats();
+    assert_eq!(stats.analyses, CLIENTS as u64);
+    assert!(
+        stats.report_memo_hits < CLIENTS as u64,
+        "the first analysis computes"
+    );
+    assert_eq!(stats.panics_isolated, 0);
+    svc.shutdown();
+}

@@ -25,6 +25,12 @@ use crate::{Result, StatError};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+/// Points per parallel chunk of the assignment sweep and of the
+/// silhouette scores. An input of at most this many points is one
+/// chunk and runs on the caller: at the tens of rows the per-thread
+/// clustering sees, a split over the pool costs more than it saves.
+const ASSIGN_CHUNK: usize = 256;
+
 /// Configuration for [`kmeans_flat`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct KMeansConfig {
@@ -171,7 +177,6 @@ fn lloyd(
         // allocation). Each point's argmin is independent, so the
         // split cannot change a result.
         let cents = &centroids;
-        const ASSIGN_CHUNK: usize = 256;
         assignments
             .par_chunks_mut(ASSIGN_CHUNK)
             .enumerate()
@@ -263,10 +268,11 @@ fn lloyd(
 /// in `[-1, 1]`; larger is better separated. Requires at least 2
 /// populated clusters.
 ///
-/// Query points are independent and scored in parallel; each score
-/// sums `√sq_dist` to every other point in input order, and the scores
-/// are added sequentially in input order — the reference's term order
-/// throughout.
+/// Query points are independent and scored in parallel, in chunks of
+/// 256 points (an input of at most 256 points runs on the caller); each
+/// score sums `√sq_dist` to every other point in input order, and the
+/// scores are added sequentially in input order — the reference's term
+/// order throughout.
 pub fn silhouette_flat(points: MatrixView<'_>, assignments: &[usize]) -> Result<f64> {
     let n = points.rows();
     if n == 0 {
@@ -294,33 +300,39 @@ pub fn silhouette_flat(points: MatrixView<'_>, assignments: &[usize]) -> Result<
         ));
     }
     let sizes = &cluster_sizes;
-    let scores: Vec<f64> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let x = points.row(i);
-            let mut sum_d = vec![0.0; k];
-            for (j, q) in points.iter_rows().enumerate() {
-                if i != j {
-                    sum_d[assignments[j]] += sq_dist(x, q).sqrt();
-                }
+    let score = |i: usize| {
+        let x = points.row(i);
+        let mut sum_d = vec![0.0; k];
+        for (j, q) in points.iter_rows().enumerate() {
+            if i != j {
+                sum_d[assignments[j]] += sq_dist(x, q).sqrt();
             }
-            let own = assignments[i];
-            let a = if sizes[own] > 1 {
-                sum_d[own] / (sizes[own] - 1) as f64
-            } else {
-                0.0
-            };
-            let b = (0..k)
-                .filter(|&c| c != own && sizes[c] > 0)
-                .map(|c| sum_d[c] / sizes[c] as f64)
-                .fold(f64::INFINITY, f64::min);
-            if sizes[own] > 1 {
-                (b - a) / a.max(b)
-            } else {
-                0.0
+        }
+        let own = assignments[i];
+        let a = if sizes[own] > 1 {
+            sum_d[own] / (sizes[own] - 1) as f64
+        } else {
+            0.0
+        };
+        let b = (0..k)
+            .filter(|&c| c != own && sizes[c] > 0)
+            .map(|c| sum_d[c] / sizes[c] as f64)
+            .fold(f64::INFINITY, f64::min);
+        if sizes[own] > 1 {
+            (b - a) / a.max(b)
+        } else {
+            0.0
+        }
+    };
+    let mut scores = vec![0.0; n];
+    scores
+        .par_chunks_mut(ASSIGN_CHUNK)
+        .enumerate()
+        .for_each(|(ch, chunk)| {
+            for (r, slot) in chunk.iter_mut().enumerate() {
+                *slot = score(ch * ASSIGN_CHUNK + r);
             }
-        })
-        .collect();
+        });
     let total = scores.iter().fold(0.0, |total, &s| total + s);
     Ok(total / n as f64)
 }
