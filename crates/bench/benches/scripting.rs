@@ -34,8 +34,10 @@ fn bench_interpreter(c: &mut Criterion) {
         let src = "let xs = range(100); let t = 0; for x in xs { t = t + x * 2; } t";
         bench.iter(|| black_box(script::parser::parse(src).unwrap()))
     });
-    // Precompiled variant: the compile-once / run-many path a cached
-    // workflow script takes after its first execution.
+    // Precompiled variant: the compile-once / run-many path of
+    // `compile` + `run_compiled`, which includes replaying the
+    // program's name-table snapshot (only a check on the interpreter
+    // that compiled it).
     c.bench_function("script/fib_15_precompiled", |bench| {
         let mut interp = Interpreter::new();
         let program = interp

@@ -70,7 +70,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 /// Every host function, in registration order. The order is part of
-/// the compiled-script contract: portable scripts replay onto
+/// the compiled-script contract: a `script::Compiled` replays onto
 /// interpreters whose name tables were built by registering these in
 /// exactly this order, so new hosts are appended at the end.
 const HOST_NAMES: &[&str] = &[
@@ -204,47 +204,40 @@ impl PerfExplorerScript {
         PerfExplorerScript { interp, state }
     }
 
-    /// Runs a script, returning its final value.
-    ///
-    /// Compilation is cached per source string, so driving the same
-    /// workflow script repeatedly (the per-trial loop of the paper's
-    /// §III workflows) re-executes cached bytecode instead of
-    /// re-lexing/re-parsing each time.
+    /// Runs a script, returning its final value. Nothing of the
+    /// compilation is kept: a workflow run many times compiles once
+    /// with [`PerfExplorerScript::compile`].
     pub fn run(&mut self, source: &str) -> Result<Value> {
         Ok(self.interp.run(source)?)
     }
 
-    /// Compiles a workflow script once for repeated execution.
+    /// Compiles a workflow script once for repeated execution, here or
+    /// on any other session (every [`PerfExplorerScript`] registers the
+    /// same host functions): the service layer compiles once and runs
+    /// the program on every worker.
     pub fn compile(&mut self, source: &str) -> Result<script::Compiled> {
         Ok(self.interp.compile(source)?)
     }
 
+    /// The same as [`PerfExplorerScript::compile`]. The name stays
+    /// because the service benchmark in `perfbench/` calls it and is
+    /// built unchanged against this crate.
+    pub fn compile_portable(&mut self, source: &str) -> Result<script::Compiled> {
+        self.compile(source)
+    }
+
     /// Runs a script previously compiled with
-    /// [`PerfExplorerScript::compile`].
+    /// [`PerfExplorerScript::compile`] on this or any other session.
     pub fn run_compiled(&mut self, program: &script::Compiled) -> Result<Value> {
         Ok(self.interp.run_compiled(program)?)
     }
 
-    /// Compiles a script into a handle that runs on any session created
-    /// with the same registration (i.e. any [`PerfExplorerScript`]):
-    /// the service layer compiles once and executes on every worker.
-    pub fn compile_portable(&mut self, source: &str) -> Result<script::PortableScript> {
-        Ok(self.interp.compile_portable(source)?)
-    }
-
-    /// Runs a script compiled by [`PerfExplorerScript::compile_portable`]
-    /// on this (or any identically-registered) session.
-    pub fn run_portable(&mut self, program: &script::PortableScript) -> Result<Value> {
-        Ok(self.interp.run_portable(program)?)
-    }
-
-    /// [`PerfExplorerScript::run_portable`] under the same panic
-    /// isolation as [`PerfExplorerScript::run_supervised`].
-    pub fn run_portable_supervised(
-        &mut self,
-        program: &script::PortableScript,
-    ) -> SupervisedScript {
-        self.supervise(|interp| interp.run_portable(program))
+    /// [`PerfExplorerScript::run_compiled`] under the same panic
+    /// isolation as [`PerfExplorerScript::run_supervised`]. Named, like
+    /// [`PerfExplorerScript::compile_portable`], for the `perfbench/`
+    /// callers.
+    pub fn run_portable_supervised(&mut self, program: &script::Compiled) -> SupervisedScript {
+        self.supervise(|interp| interp.run_compiled(program))
     }
 
     /// Observes every completed `par_foreach_trial` sweep on this
@@ -274,11 +267,6 @@ impl PerfExplorerScript {
     /// The report of the most recent `process_rules()` call.
     pub fn last_report(&self) -> Option<RunReport> {
         self.state.borrow().last_report.clone()
-    }
-
-    /// Compilation-cache counters of the underlying interpreter.
-    pub fn cache_stats(&self) -> script::CacheStats {
-        self.interp.cache_stats()
     }
 
     /// Runs a workflow script under panic isolation: a script error or
@@ -1099,9 +1087,9 @@ mod tests {
         let machine = MachineConfig::altix300();
         let mut a = PerfExplorerScript::with_shared(Arc::clone(&repo), machine.clone());
         let mut b = PerfExplorerScript::with_shared(repo, machine);
-        let compiled = a.compile_portable(SWEEP_SOURCE).unwrap();
-        let out_a = a.run_portable(&compiled).unwrap();
-        let out_b = b.run_portable(&compiled).unwrap();
+        let compiled = a.compile(SWEEP_SOURCE).unwrap();
+        let out_a = a.run_compiled(&compiled).unwrap();
+        let out_b = b.run_compiled(&compiled).unwrap();
         assert_eq!(out_a, out_b);
         assert_eq!(out_a.as_list().unwrap().len(), 2);
     }

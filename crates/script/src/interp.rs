@@ -1,16 +1,14 @@
 //! The script interpreter: compile-and-execute pipeline over the
-//! register VM, with a host-function registry and compilation caching.
+//! register VM, with a host-function registry.
 //!
-//! [`Interpreter::run`] lexes/parses/compiles on first sight of a
-//! source string and caches the compiled program (keyed by the source
-//! text itself, bounded by an LRU eviction policy), so driver
-//! loops that re-run the same script (as PerfExplorer workflows do per
-//! trial) pay for compilation once. [`Interpreter::compile`] exposes
-//! the cached unit as a [`Compiled`] handle for callers that want to
-//! manage reuse explicitly, and [`Interpreter::compile_portable`]
-//! produces a [`PortableScript`] that can be replayed on other
-//! identically-initialized interpreters (the service layer shares one
-//! compile cache across its worker pool this way).
+//! [`Interpreter::run`] lexes, parses, compiles and executes a source
+//! string; it keeps nothing of the compilation. A caller that runs one
+//! script many times calls [`Interpreter::compile`] once and then
+//! [`Interpreter::run_compiled`]: the resulting [`Compiled`] program
+//! carries a snapshot of the name tables it was compiled against, so it
+//! also runs on any other interpreter registered the same way (the
+//! service layer shares one compiled program across its worker pool
+//! like this, and its script LRU is the only compile cache).
 //!
 //! Scripts compile to register bytecode (`rcompile.rs`) and run on the
 //! register VM (`rvm.rs`). The original tree-walking implementation
@@ -22,8 +20,6 @@ use crate::rcompile::{rcompile, RProto};
 use crate::rvm::{FnTable, Globals, ParallelExecutor};
 use crate::value::{Interner, Symbol, Value};
 use crate::{Result, ScriptError};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Signature of a host function: positional arguments in (as a
@@ -32,69 +28,27 @@ use std::sync::Arc;
 /// errors are plain strings; the interpreter attaches the call site.
 pub type HostFn = Box<dyn FnMut(&mut Vec<Value>) -> std::result::Result<Value, String>>;
 
-/// Source of unique interpreter ids, used to pair [`Compiled`] programs
-/// with the interpreter whose symbol/slot tables they bake in.
-static NEXT_INTERP_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Keep at most this many compiled programs in the per-interpreter
-/// cache; beyond it, the least-recently-used entry is evicted.
-const CACHE_CAP: usize = 128;
-
-/// A compiled script, reusable across [`Interpreter::run_compiled`]
-/// calls on the interpreter that produced it.
+/// A compiled script: shared bytecode plus a snapshot of the name,
+/// global-slot and function tables it was compiled against.
 ///
-/// The bytecode bakes in global-slot and function-table indices of its
-/// interpreter, so a `Compiled` is only executable there; running it on
-/// a different interpreter is caught and reported as a runtime error.
-/// For a handle that *can* travel between interpreters, see
-/// [`PortableScript`].
-#[derive(Clone)]
+/// The bytecode bakes in global-slot and function-table indices, so
+/// [`Interpreter::run_compiled`] first *replays* the snapshot: each
+/// recorded name, slot and function id must already sit at its
+/// recorded index or be appended there. On the compiling interpreter
+/// that is only a check; a fresh interpreter registered the same way
+/// extends its tables to match; one whose tables diverge is rejected
+/// with "compiled script belongs to a different interpreter".
+///
+/// A `Compiled` is `Send + Sync`, so one program can be shared (behind
+/// an `Arc`) by every worker of a pool.
 pub struct Compiled {
     main: Arc<RProto>,
-    owner: u64,
-}
-
-/// A compiled program plus a snapshot of the name/slot tables it was
-/// compiled against, replayable on any interpreter whose tables are a
-/// prefix-compatible match (in practice: interpreters initialized by
-/// the same registration sequence, as the service's per-worker sessions
-/// are).
-///
-/// Unlike [`Compiled`], a `PortableScript` is `Send + Sync` and carries
-/// no owner id: [`Interpreter::run_portable`] instead *replays* the
-/// snapshot constructively — interning each recorded name and asserting
-/// it lands on the recorded index — so a fresh identically-registered
-/// interpreter extends its tables to match, while a divergent one is
-/// rejected with the same error a foreign [`Compiled`] gets.
-#[derive(Clone)]
-pub struct PortableScript {
-    main: Arc<RProto>,
     /// Every interned name, in symbol order, at compile time.
-    names: Arc<Vec<String>>,
-    /// Symbol index of each global slot, in slot order.
-    global_syms: Arc<Vec<usize>>,
-    /// Symbol index of each function-table entry, in id order.
-    fn_syms: Arc<Vec<usize>>,
-}
-
-/// Compilation-cache counters, exposed for cache-behavior tests and
-/// service metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Runs served from the cache without recompiling.
-    pub hits: u64,
-    /// Compilations caused by a source not (or no longer) cached.
-    pub misses: u64,
-    /// Entries discarded to stay within the cache bound.
-    pub evictions: u64,
-    /// Entries currently cached.
-    pub entries: usize,
-}
-
-/// One cached compilation: the program plus its last-use stamp.
-struct CacheEntry {
-    main: Arc<RProto>,
-    stamp: u64,
+    names: Box<[Box<str>]>,
+    /// Symbol of each global slot, in slot order.
+    global_syms: Box<[Symbol]>,
+    /// Symbol of each function-table entry, in id order.
+    fn_syms: Box<[Symbol]>,
 }
 
 /// Wraps one sweep-body outcome as the map `par_foreach_trial` yields
@@ -143,14 +97,6 @@ pub struct Interpreter {
     /// When set, `par_foreach_trial` sweeps hand their bodies to this
     /// executor instead of running them inline.
     pub(crate) par_exec: Option<Arc<ParallelExecutor>>,
-    /// Compiled programs keyed by their full source text, so two
-    /// different sources can never share an entry.
-    cache: HashMap<Box<str>, CacheEntry>,
-    cache_tick: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evictions: u64,
-    id: u64,
 }
 
 impl Default for Interpreter {
@@ -174,12 +120,6 @@ impl Interpreter {
             iters: Vec::new(),
             argbuf: Vec::new(),
             par_exec: None,
-            cache: HashMap::new(),
-            cache_tick: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
-            id: NEXT_INTERP_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -239,33 +179,31 @@ impl Interpreter {
         self.steps
     }
 
-    /// Compilation-cache counters (hits/misses/evictions/entries).
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.cache_hits,
-            misses: self.cache_misses,
-            evictions: self.cache_evictions,
-            entries: self.cache.len(),
-        }
-    }
-
     /// Compiles a script to reusable bytecode without executing it.
     ///
     /// Compilation interns names into this interpreter's persistent
-    /// tables, so the handle stays valid across later `register` /
-    /// `set_global` / `run` calls on the same interpreter.
+    /// tables, so the program stays valid across later `register` /
+    /// `set_global` / `run` calls here, and on any interpreter whose
+    /// tables match its snapshot (see [`Compiled`]).
     pub fn compile(&mut self, src: &str) -> Result<Compiled> {
-        let main = self.compile_cached(src)?;
+        let main = self.compile_unit(src)?;
         Ok(Compiled {
             main,
-            owner: self.id,
+            names: (0..self.interner.len())
+                .map(|i| self.interner.resolve(Symbol::from_index(i)).into())
+                .collect(),
+            global_syms: self.globals.names.as_slice().into(),
+            fn_syms: self.fns.entries.iter().map(|e| e.name).collect(),
         })
     }
 
-    /// Executes a previously compiled script, returning the value of its
-    /// final expression statement (or [`Value::Null`]).
+    /// Executes a compiled script, returning the value of its final
+    /// expression statement (or [`Value::Null`]). The program's table
+    /// snapshot is replayed first; it errors with "compiled script
+    /// belongs to a different interpreter" when the tables cannot be
+    /// made to match.
     pub fn run_compiled(&mut self, program: &Compiled) -> Result<Value> {
-        if program.owner != self.id {
+        if !self.replay(program) {
             return Err(ScriptError::runtime(
                 0,
                 "compiled script belongs to a different interpreter",
@@ -274,103 +212,49 @@ impl Interpreter {
         self.run_unit(&program.main)
     }
 
-    /// Parses, compiles (with caching), and executes a script, returning
-    /// the value of its final expression statement (or [`Value::Null`]).
+    /// Parses, compiles, and executes a script, returning the value of
+    /// its final expression statement (or [`Value::Null`]).
     pub fn run(&mut self, src: &str) -> Result<Value> {
-        let main = self.compile_cached(src)?;
+        let main = self.compile_unit(src)?;
         self.run_unit(&main)
     }
 
-    /// Compiles a script into a handle that can run on *other*
-    /// identically-initialized interpreters. Used by the service layer
-    /// to share one compilation across its worker pool. Bypasses the
-    /// run cache: callers that want reuse cache the handle themselves.
-    pub fn compile_portable(&mut self, src: &str) -> Result<PortableScript> {
+    /// Makes this interpreter's tables agree with `program`'s snapshot
+    /// by interning each recorded entry and checking that it lands on
+    /// its recorded index: present entries are only looked up, missing
+    /// ones are appended in order. False on any divergence.
+    fn replay(&mut self, program: &Compiled) -> bool {
+        for (i, name) in program.names.iter().enumerate() {
+            if self.interner.intern(name).index() != i {
+                return false;
+            }
+        }
+        for (slot, &sym) in program.global_syms.iter().enumerate() {
+            if self.globals.ensure(sym) as usize != slot {
+                return false;
+            }
+        }
+        for (id, &sym) in program.fn_syms.iter().enumerate() {
+            if self.fns.ensure(sym) as usize != id {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn compile_unit(&mut self, src: &str) -> Result<Arc<RProto>> {
         let program = parse(src)?;
-        let main = rcompile(
+        Ok(rcompile(
             &program,
             &mut self.interner,
             &mut self.globals,
             &mut self.fns,
-        );
-        let names = (0..self.interner.len())
-            .map(|i| self.interner.resolve(Symbol::from_index(i)).to_string())
-            .collect();
-        let global_syms = self.globals.names.iter().map(|s| s.index()).collect();
-        let fn_syms = self.fns.entries.iter().map(|e| e.name.index()).collect();
-        Ok(PortableScript {
-            main,
-            names: Arc::new(names),
-            global_syms: Arc::new(global_syms),
-            fn_syms: Arc::new(fn_syms),
-        })
-    }
-
-    /// Executes a [`PortableScript`], first replaying its name-table
-    /// snapshot into this interpreter (see the type docs). Errors with
-    /// "compiled script belongs to a different interpreter" when the
-    /// tables cannot be made to match.
-    pub fn run_portable(&mut self, program: &PortableScript) -> Result<Value> {
-        let mismatch =
-            || ScriptError::runtime(0, "compiled script belongs to a different interpreter");
-        for (i, name) in program.names.iter().enumerate() {
-            if self.interner.intern(name).index() != i {
-                return Err(mismatch());
-            }
-        }
-        for (slot, &sym) in program.global_syms.iter().enumerate() {
-            if self.globals.ensure(Symbol::from_index(sym)) != slot as u32 {
-                return Err(mismatch());
-            }
-        }
-        for (id, &sym) in program.fn_syms.iter().enumerate() {
-            if self.fns.ensure(Symbol::from_index(sym)) != id as u32 {
-                return Err(mismatch());
-            }
-        }
-        self.run_unit(&program.main)
+        ))
     }
 
     fn run_unit(&mut self, main: &Arc<RProto>) -> Result<Value> {
         self.steps = 0;
         self.execute_register(main)
-    }
-
-    fn compile_cached(&mut self, src: &str) -> Result<Arc<RProto>> {
-        self.cache_tick += 1;
-        let tick = self.cache_tick;
-        if let Some(entry) = self.cache.get_mut(src) {
-            entry.stamp = tick;
-            self.cache_hits += 1;
-            return Ok(Arc::clone(&entry.main));
-        }
-        self.cache_misses += 1;
-        let program = parse(src)?;
-        let main = rcompile(
-            &program,
-            &mut self.interner,
-            &mut self.globals,
-            &mut self.fns,
-        );
-        if self.cache.len() >= CACHE_CAP {
-            if let Some(oldest) = self
-                .cache
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-            {
-                self.cache.remove(&oldest);
-                self.cache_evictions += 1;
-            }
-        }
-        self.cache.insert(
-            src.into(),
-            CacheEntry {
-                main: Arc::clone(&main),
-                stamp: tick,
-            },
-        );
-        Ok(main)
     }
 }
 
@@ -616,67 +500,41 @@ r";
     #[test]
     fn compiled_scripts_are_interpreter_specific() {
         let mut a = Interpreter::new();
-        let mut b = Interpreter::new();
-        let program = a.compile("1 + 1").unwrap();
+        a.set_global("x", Value::Num(1.0));
+        let program = a.compile("x + 1").unwrap();
         assert_eq!(a.run_compiled(&program).unwrap(), Value::Num(2.0));
+        // An interpreter whose name tables diverged from `a`'s cannot
+        // replay the program's snapshot, so it rejects the bytecode.
+        let mut b = Interpreter::new();
+        b.set_global("y", Value::Num(1.0));
         let err = b.run_compiled(&program).unwrap_err();
         assert!(err.message.contains("different interpreter"));
     }
 
     #[test]
-    fn repeated_runs_reuse_cached_compilation() {
-        let mut interp = Interpreter::new();
-        interp.run("let acc = 0;").unwrap();
-        for _ in 0..3 {
-            interp.run("acc = acc + 1;").unwrap();
-        }
-        assert_eq!(interp.get_global("acc"), Some(&Value::Num(3.0)));
-        // One miss per distinct source, hits for the repeats.
-        let stats = interp.cache_stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.evictions, 0);
-    }
-
-    #[test]
-    fn cache_is_keyed_by_the_source_text() {
-        let mut interp = Interpreter::new();
-        // Identical text hits, whichever allocation it arrives in.
-        let first = String::from("40 + 2");
-        let again = ["40 + ", "2"].concat();
-        assert_eq!(interp.run(&first).unwrap(), Value::Num(42.0));
-        assert_eq!(interp.run(&again).unwrap(), Value::Num(42.0));
-        assert_eq!(
-            (interp.cache_stats().hits, interp.cache_stats().misses),
-            (1, 1)
-        );
-        // Text that differs in one byte is a separate entry with its own
-        // program, never the cached one.
-        assert_eq!(interp.run("40 + 3").unwrap(), Value::Num(43.0));
-        assert_eq!(interp.run("40 - 2").unwrap(), Value::Num(38.0));
-        let stats = interp.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 3));
-    }
-
-    #[test]
-    fn cache_evicts_least_recently_used() {
-        let mut interp = Interpreter::new();
-        // Fill the cache, then keep entry 0 warm while adding one more:
-        // the eviction must pick a cold entry, not the warm one.
-        let srcs: Vec<String> = (0..CACHE_CAP).map(|i| format!("{i} + 0")).collect();
-        for s in &srcs {
-            interp.run(s).unwrap();
-        }
-        interp.run(&srcs[0]).unwrap(); // refresh entry 0
-        interp.run("123456789").unwrap(); // forces one eviction
-        let stats = interp.cache_stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.entries, CACHE_CAP);
-        // Entry 0 survived (hit), so re-running it is another hit.
-        let before = interp.cache_stats().hits;
-        interp.run(&srcs[0]).unwrap();
-        assert_eq!(interp.cache_stats().hits, before + 1);
+    fn portable_scripts_replay_on_identical_interpreters() {
+        let mk = || {
+            let mut i = Interpreter::new();
+            i.register("twice", |args| {
+                Ok(Value::Num(
+                    args.first().and_then(Value::as_num).unwrap_or(0.0) * 2.0,
+                ))
+            });
+            i.set_global("base", Value::Num(10.0));
+            i
+        };
+        let mut a = mk();
+        let program = a.compile("twice(base) + 1").unwrap();
+        assert_eq!(a.run_compiled(&program).unwrap(), Value::Num(21.0));
+        // A fresh interpreter with the same registration sequence
+        // replays the snapshot and runs the same bytecode.
+        let mut b = mk();
+        assert_eq!(b.run_compiled(&program).unwrap(), Value::Num(21.0));
+        // A divergent interpreter (different name order) is rejected.
+        let mut c = Interpreter::new();
+        c.set_global("unrelated", Value::Null);
+        let err = c.run_compiled(&program).unwrap_err();
+        assert!(err.message.contains("different interpreter"));
     }
 
     #[test]
@@ -696,31 +554,5 @@ r";
             "{}",
             err.message
         );
-    }
-
-    #[test]
-    fn portable_scripts_replay_on_identical_interpreters() {
-        let mk = || {
-            let mut i = Interpreter::new();
-            i.register("twice", |args| {
-                Ok(Value::Num(
-                    args.first().and_then(Value::as_num).unwrap_or(0.0) * 2.0,
-                ))
-            });
-            i.set_global("base", Value::Num(10.0));
-            i
-        };
-        let mut a = mk();
-        let program = a.compile_portable("twice(base) + 1").unwrap();
-        assert_eq!(a.run_portable(&program).unwrap(), Value::Num(21.0));
-        // A fresh interpreter with the same registration sequence
-        // replays the snapshot and runs the same bytecode.
-        let mut b = mk();
-        assert_eq!(b.run_portable(&program).unwrap(), Value::Num(21.0));
-        // A divergent interpreter (different name order) is rejected.
-        let mut c = Interpreter::new();
-        c.set_global("unrelated", Value::Null);
-        let err = c.run_portable(&program).unwrap_err();
-        assert!(err.message.contains("different interpreter"));
     }
 }

@@ -14,6 +14,14 @@
 //! per-body error outcomes) so a host can fan the bodies out across a
 //! thread pool via [`Interpreter::set_parallel_executor`].
 //!
+//! [`Interpreter::run`] compiles and runs a source string and keeps
+//! nothing. [`Interpreter::compile`] returns a [`Compiled`] program —
+//! bytecode plus a snapshot of the name tables it was compiled against
+//! — that [`Interpreter::run_compiled`] runs any number of times, on
+//! this interpreter or on any other registered the same way. The crate
+//! keeps no compile cache; a host that reuses programs caches the
+//! `Compiled` values itself.
+//!
 //! The language has `let` bindings, assignment, arithmetic and logic,
 //! strings/lists/maps, `if`/`else`, `while`, `for … in`, user functions
 //! and host functions. Host objects (trials, analysis results) cross the
@@ -57,7 +65,7 @@ mod rvm;
 pub mod value;
 
 pub use error::ScriptError;
-pub use interp::{CacheStats, Compiled, HostFn, Interpreter, PortableScript};
+pub use interp::{Compiled, HostFn, Interpreter};
 pub use rvm::{BodyOutcome, HostDispatch, ParRunner, ParallelExecutor};
 pub use value::Value;
 

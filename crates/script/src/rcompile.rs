@@ -49,7 +49,7 @@
 //! registers with block-bounded lifetimes (reused after block exit);
 //! everything else — including `let` at the top level of the program —
 //! resolves to a named global slot that persists across runs of one
-//! interpreter, which is what keeps cached [`RProto`]s valid.
+//! interpreter, which is what keeps compiled [`RProto`]s valid.
 //!
 //! # Encoding choices
 //!

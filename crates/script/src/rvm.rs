@@ -45,7 +45,7 @@ use std::sync::Arc;
 ///
 /// Slots are created (holding `None` = not-yet-defined) the first time
 /// the compiler sees a name that doesn't resolve locally, and never
-/// move afterwards, so slot indices baked into cached bytecode stay
+/// move afterwards, so slot indices baked into compiled bytecode stay
 /// valid for the lifetime of the interpreter.
 #[derive(Default)]
 pub(crate) struct Globals {

@@ -56,7 +56,11 @@ fn results_match(a: &script::Result<Value>, b: &script::Result<Value>) -> bool {
 
 /// Runs `sources` in order on both engines (one persistent interpreter
 /// per engine, so globals/functions survive across the runs) and
-/// asserts every observable agrees after each run.
+/// asserts every observable agrees after each run. The VM runs each
+/// source twice over: once with `run`, and once compiled on one
+/// interpreter and replayed with `run_compiled` on a second one
+/// registered the same way (the path a shared compiled program takes
+/// across a worker pool).
 fn assert_engines_agree_depth(
     sources: &[&str],
     limit: u64,
@@ -66,6 +70,12 @@ fn assert_engines_agree_depth(
         .with_step_limit(limit)
         .with_call_depth_limit(depth);
     register_hosts!(vm);
+    let mut compiler = Interpreter::new();
+    register_hosts!(compiler);
+    let mut replay = Interpreter::new()
+        .with_step_limit(limit)
+        .with_call_depth_limit(depth);
+    register_hosts!(replay);
     let mut tree = reference::Interpreter::new()
         .with_step_limit(limit)
         .with_call_depth_limit(depth);
@@ -87,6 +97,24 @@ fn assert_engines_agree_depth(
             vm.steps() == tree.steps(),
             "step-count mismatch on run {i} (limit {limit}) of:\n{src}\n  vm:   {}\n  tree: {}",
             vm.steps(),
+            tree.steps()
+        );
+        let replay_result = compiler
+            .compile(src)
+            .and_then(|program| replay.run_compiled(&program));
+        prop_assert!(
+            results_match(&replay_result, &tree_result),
+            "compiled-replay result mismatch on run {i} (limit {limit}) of:\n{src}\n  replay: {replay_result:?}\n  tree:   {tree_result:?}"
+        );
+        let replay_out = replay.take_output();
+        prop_assert!(
+            replay_out == tree_out,
+            "compiled-replay output mismatch on run {i} (limit {limit}) of:\n{src}\n  replay: {replay_out:?}\n  tree:   {tree_out:?}"
+        );
+        prop_assert!(
+            replay.steps() == tree.steps(),
+            "compiled-replay step-count mismatch on run {i} (limit {limit}) of:\n{src}\n  replay: {}\n  tree:   {}",
+            replay.steps(),
             tree.steps()
         );
     }

@@ -296,9 +296,10 @@ struct Job {
 /// LRU of compiled sweep scripts shared by every worker, keyed by the
 /// script's source text. The common fleet pattern — one study script
 /// swept over many experiments or re-run as data streams in — compiles
-/// once service-wide; each worker replays the portable program on its
-/// own per-request session.
-type ScriptCache = Lru<String, Arc<script::PortableScript>>;
+/// once service-wide; each worker replays the compiled program on its
+/// own per-request session. It is the only compile cache: a one-off
+/// `RunScript` compiles, runs and keeps nothing.
+type ScriptCache = Lru<String, Arc<script::Compiled>>;
 
 /// What flows through the worker queue: work, or an order to exit.
 /// Explicit shutdown sentinels let [`AnalysisService::shutdown`] stop
@@ -710,6 +711,24 @@ fn is_storage_fault(e: &DmfError) -> bool {
     )
 }
 
+/// A rejected request: the client-facing `error`, the failed stage with
+/// its `cause`, and whether the failure feeds the shard's breaker.
+fn rejected(
+    stage: &str,
+    error: String,
+    cause: String,
+    storage_fault: bool,
+) -> (Outcome, Vec<DegradedStage>, bool) {
+    (
+        Outcome::Rejected { error },
+        vec![DegradedStage {
+            stage: stage.to_string(),
+            cause: DegradeCause::Failed(cause),
+        }],
+        storage_fault,
+    )
+}
+
 fn handle(
     store: &ShardedRepository,
     metrics: &Arc<ServiceMetrics>,
@@ -730,14 +749,10 @@ fn handle(
                     store.ingest(app, experiment, trial);
                     (Outcome::Ingested { trial: name }, Vec::new(), false)
                 }
-                Err(e) => (
-                    Outcome::Rejected {
-                        error: format!("unparseable upload: {e}"),
-                    },
-                    vec![DegradedStage {
-                        stage: "parse upload".to_string(),
-                        cause: DegradeCause::Failed(e.to_string()),
-                    }],
+                Err(e) => rejected(
+                    "parse upload",
+                    format!("unparseable upload: {e}"),
+                    e.to_string(),
                     false,
                 ),
             }
@@ -752,14 +767,10 @@ fn handle(
             let batch = match serde_json::from_str::<perfdmf::ChunkBatch>(chunk) {
                 Ok(batch) => batch,
                 Err(e) => {
-                    return (
-                        Outcome::Rejected {
-                            error: format!("unparseable chunk: {e}"),
-                        },
-                        vec![DegradedStage {
-                            stage: "parse chunk".to_string(),
-                            cause: DegradeCause::Failed(e.to_string()),
-                        }],
+                    return rejected(
+                        "parse chunk",
+                        format!("unparseable chunk: {e}"),
+                        e.to_string(),
                         false,
                     )
                 }
@@ -778,19 +789,12 @@ fn handle(
                 ),
                 // A failed journal append (I/O) is a storage fault; an
                 // incompatible batch is the client's.
-                Err(e) => {
-                    let fault = is_storage_fault(&e);
-                    (
-                        Outcome::Rejected {
-                            error: format!("chunk not applied: {e}"),
-                        },
-                        vec![DegradedStage {
-                            stage: "apply chunk".to_string(),
-                            cause: DegradeCause::Failed(e.to_string()),
-                        }],
-                        fault,
-                    )
-                }
+                Err(e) => rejected(
+                    "apply chunk",
+                    format!("chunk not applied: {e}"),
+                    e.to_string(),
+                    is_storage_fault(&e),
+                ),
             }
         }
         Request::AnalyzeBalance {
@@ -820,16 +824,7 @@ fn handle(
                             false,
                         )
                     }
-                    Err(e) => (
-                        Outcome::Rejected {
-                            error: e.to_string(),
-                        },
-                        vec![DegradedStage {
-                            stage: "incremental analysis".to_string(),
-                            cause: DegradeCause::Failed(e.to_string()),
-                        }],
-                        false,
-                    ),
+                    Err(e) => rejected("incremental analysis", e.to_string(), e.to_string(), false),
                 };
             }
             // A stored trial's clean report is a function of the trial
@@ -867,19 +862,12 @@ fn handle(
                 // A corrupt cold page failing lazy checksum
                 // verification surfaces here as a Parse error — the
                 // canonical breaker-feeding storage fault.
-                Err(e) => {
-                    let fault = is_storage_fault(&e);
-                    (
-                        Outcome::Rejected {
-                            error: e.to_string(),
-                        },
-                        vec![DegradedStage {
-                            stage: "trial lookup".to_string(),
-                            cause: DegradeCause::Failed(e.to_string()),
-                        }],
-                        fault,
-                    )
-                }
+                Err(e) => rejected(
+                    "trial lookup",
+                    e.to_string(),
+                    e.to_string(),
+                    is_storage_fault(&e),
+                ),
             }
         }
         Request::RunScript {
@@ -901,19 +889,12 @@ fn handle(
                         false,
                     )
                 }
-                Err(e) => {
-                    let fault = is_storage_fault(&e);
-                    (
-                        Outcome::Rejected {
-                            error: e.to_string(),
-                        },
-                        vec![DegradedStage {
-                            stage: "experiment snapshot".to_string(),
-                            cause: DegradeCause::Failed(e.to_string()),
-                        }],
-                        fault,
-                    )
-                }
+                Err(e) => rejected(
+                    "experiment snapshot",
+                    e.to_string(),
+                    e.to_string(),
+                    is_storage_fault(&e),
+                ),
             }
         }
         Request::RunSweep {
@@ -925,17 +906,12 @@ fn handle(
             let snapshot = match store.snapshot_experiment(app, experiment) {
                 Ok(snapshot) => snapshot,
                 Err(e) => {
-                    let fault = is_storage_fault(&e);
-                    return (
-                        Outcome::Rejected {
-                            error: e.to_string(),
-                        },
-                        vec![DegradedStage {
-                            stage: "experiment snapshot".to_string(),
-                            cause: DegradeCause::Failed(e.to_string()),
-                        }],
-                        fault,
-                    );
+                    return rejected(
+                        "experiment snapshot",
+                        e.to_string(),
+                        e.to_string(),
+                        is_storage_fault(&e),
+                    )
                 }
             };
             let mut session = PerfExplorerScript::new(snapshot);
@@ -967,7 +943,7 @@ fn handle(
                 }
                 None => {
                     ServiceMetrics::bump(&metrics.script_cache_misses);
-                    match session.compile_portable(source) {
+                    match session.compile(source) {
                         Ok(program) => {
                             let program = Arc::new(program);
                             scripts
@@ -976,14 +952,10 @@ fn handle(
                             program
                         }
                         Err(e) => {
-                            return (
-                                Outcome::Rejected {
-                                    error: e.to_string(),
-                                },
-                                vec![DegradedStage {
-                                    stage: "compile sweep script".to_string(),
-                                    cause: DegradeCause::Failed(e.to_string()),
-                                }],
+                            return rejected(
+                                "compile sweep script",
+                                e.to_string(),
+                                e.to_string(),
                                 false,
                             )
                         }

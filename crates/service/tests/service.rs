@@ -450,6 +450,82 @@ fn scripts_see_a_consistent_experiment_snapshot() {
     svc.shutdown();
 }
 
+/// One source sent as `RunScript` (compiled, run, nothing kept) and as
+/// `RunSweep` (compiled into the shared script cache, then replayed on
+/// another request's session) must print and return the same.
+#[test]
+fn run_script_and_cached_sweep_agree_on_one_source() {
+    let mut repo = Repository::new();
+    for i in 0..3 {
+        repo.add_trial("app", "exp", trial(&format!("t{i}"), 4 + i))
+            .unwrap();
+    }
+    let svc = AnalysisService::start_with_repository(
+        ServiceConfig {
+            workers: 2,
+            shards: 4,
+            ..ServiceConfig::default()
+        },
+        repo,
+    );
+    let client = svc.client();
+    let source = r#"
+        fn mean_of(name) {
+            let t = load_trial("app", "exp", name);
+            return mean_exclusive(t, "main", "TIME");
+        }
+        let total = 0;
+        for name in list_trials("app", "exp") {
+            let m = mean_of(name);
+            print(name + " " + str(m));
+            total = total + m;
+        }
+        total
+    "#;
+    let once = client
+        .call(Request::RunScript {
+            app: "app".into(),
+            experiment: "exp".into(),
+            source: source.into(),
+        })
+        .unwrap();
+    assert!(once.is_clean(), "{once:?}");
+    let (value, printed) = match once.outcome {
+        Outcome::ScriptDone { value, printed } => (value, printed),
+        other => panic!("expected script outcome, got {other:?}"),
+    };
+    assert_eq!(value.as_deref(), Some("9"));
+    assert_eq!(printed, vec!["t0 2.5", "t1 3", "t2 3.5"]);
+    for expect_cached in [false, true] {
+        let sweep = client
+            .call(Request::RunSweep {
+                app: "app".into(),
+                experiment: "exp".into(),
+                source: source.into(),
+            })
+            .unwrap();
+        assert!(sweep.is_clean(), "{sweep:?}");
+        match sweep.outcome {
+            Outcome::SweepDone {
+                value: v,
+                printed: p,
+                bodies,
+                cached,
+                ..
+            } => {
+                assert_eq!(v, value);
+                assert_eq!(p, printed);
+                assert_eq!(bodies, 0);
+                assert_eq!(cached, expect_cached);
+            }
+            other => panic!("expected sweep outcome, got {other:?}"),
+        }
+    }
+    let stats = svc.stats();
+    assert_eq!((stats.script_cache_misses, stats.script_cache_hits), (1, 1));
+    svc.shutdown();
+}
+
 fn analyze_request(trial: &str, metric: &str) -> Request {
     Request::AnalyzeBalance {
         app: "app".into(),
