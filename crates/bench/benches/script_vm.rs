@@ -17,14 +17,22 @@
 //! * `repo_sweep_64` — end to end: the same sweep shape through
 //!   [`PerfExplorerScript`] over a real 64-trial repository
 //!   (`list_trials` + `load_trial` + `elapsed` per body).
+//! * `study_events` — one body of the service benchmark's second study
+//!   script: a host-built list of 12 event names, passed to `len()` and
+//!   indexed in a counted loop, each name handed with a string constant
+//!   and a trial handle to a host function. It measures what passing
+//!   script values around costs, in time and in allocations.
 //!
 //! The differential proptests in `crates/script/tests/differential.rs`
 //! pin the VM to the reference's values/output/steps, so these pairs
 //! measure dispatch cost only. Besides the Criterion harness
 //! (which honours `--test` for the CI smoke), `BENCH_JSON=<path>`
 //! switches to a self-timed single-pass mode that writes the
-//! machine-readable `BENCH_script.json` summary.
+//! machine-readable `BENCH_script.json` summary. This binary installs
+//! the counting allocator of `bench::measure`, so the summary also
+//! reports allocations per run of each register-VM program.
 
+use bench::measure::{count_allocs, Allocs, CountingAlloc};
 use criterion::{criterion_group, Criterion};
 use perfdmf::{Measurement, Repository, TrialBuilder};
 use perfexplorer::scripting::PerfExplorerScript;
@@ -34,6 +42,9 @@ use serde_json::Value as Json;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const FIB: &str = "fn fib(n) { if n < 2 { return n; } return fib(n-1) + fib(n-2); } fib(15)";
 const LOOP: &str = "let t = 0; let i = 0; while i < 10000 { t = t + i; i = i + 1; } t";
@@ -54,6 +65,75 @@ const REPO_SWEEP: &str = r#"
     };
     len(r)
 "#;
+
+/// The body of the service benchmark's second study script: the host
+/// builds the event list, the script passes it to `len()` and indexes
+/// it on every iteration.
+const STUDY: &str = r#"
+fn mean_of(trial, evs) {
+    let s = 0;
+    let i = 0;
+    while i < len(evs) { s = s + mean_exclusive(trial, evs[i], "TIME"); i = i + 1; }
+    return s / len(evs);
+}
+let trial = load_trial(3);
+mean_of(trial, trial_events(trial))
+"#;
+
+/// The event names `trial_events` returns (12, as in the service
+/// benchmark's study trials).
+const EVENTS: [&str; 12] = [
+    "main",
+    "main => solve",
+    "main => solve => sweep",
+    "main => phase0",
+    "main => phase0 => kernel1",
+    "main => phase0 => kernel2",
+    "main => phase0 => kernel3",
+    "main => phase0 => kernel4",
+    "main => phase0 => kernel5",
+    "main => phase0 => kernel6",
+    "main => phase0 => kernel7",
+    "main => phase0 => kernel8",
+];
+
+type Host = fn(&mut Vec<Value>) -> Result<Value, String>;
+
+/// The host functions [`STUDY`] calls, for either engine.
+fn study_hosts() -> [(&'static str, Host); 3] {
+    [
+        ("load_trial", |args| {
+            let id = args.first().and_then(Value::as_num).ok_or("trial id")?;
+            Ok(Value::Handle {
+                tag: "trial",
+                id: id as u64,
+            })
+        }),
+        ("trial_events", |_| {
+            Ok(EVENTS
+                .iter()
+                .map(|&e| Value::from(e))
+                .collect::<Vec<Value>>()
+                .into())
+        }),
+        ("mean_exclusive", |args| {
+            match (args[0].as_handle(), args[1].as_str(), args[2].as_str()) {
+                (Some(("trial", id)), Some(event), Some("TIME")) => {
+                    Ok(Value::Num((event.len() as u64 * id) as f64))
+                }
+                _ => Err("mean_exclusive(trial, event, \"TIME\")".into()),
+            }
+        }),
+    ]
+}
+
+fn study_vm() -> Interpreter {
+    let mut interp = vm(false);
+    for (name, f) in study_hosts() {
+        interp.register(name, f);
+    }
+    interp
+}
 
 const PROGRAMS: [(&str, &str); 3] = [
     ("fib_15", FIB),
@@ -115,6 +195,11 @@ fn bench_engines(c: &mut Criterion) {
             b.iter(|| black_box(interp.run_compiled(&program).unwrap()))
         });
     }
+    g.bench_function("register/study_events", |b| {
+        let mut interp = study_vm();
+        let program = interp.compile(STUDY).unwrap();
+        b.iter(|| black_box(interp.run_compiled(&program).unwrap()))
+    });
     g.finish();
 }
 
@@ -158,12 +243,15 @@ fn median_nanos(warmup: usize, iters: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn measure_register(src: &str) -> f64 {
-    let mut interp = vm(false);
+/// Median time and the allocations of one run of a precompiled
+/// program on `interp`.
+fn measure_register(mut interp: Interpreter, src: &str) -> (f64, Allocs) {
     let program = interp.compile(src).unwrap();
-    median_nanos(3, 15, || {
+    let ns = median_nanos(3, 15, || {
         black_box(interp.run_compiled(&program).unwrap());
-    })
+    });
+    let (_, allocs) = count_allocs(|| black_box(interp.run_compiled(&program).unwrap()));
+    (ns, allocs)
 }
 
 fn measure_reference(src: &str) -> f64 {
@@ -195,19 +283,26 @@ fn emit_json(path: &str) {
     let mut programs = Vec::new();
     for (name, src) in PROGRAMS {
         let reference = measure_reference(src);
-        let register = measure_register(src);
+        let (register, allocs) = measure_register(vm(false), src);
         eprintln!(
             "script_vm: {name:<14} reference {reference:>12.0} ns  \
-             register {register:>10.0} ns  register/reference {:.2}x",
-            reference / register
+             register {register:>10.0} ns  register/reference {:.2}x  {} allocs",
+            reference / register,
+            allocs.count
         );
         programs.push(obj(vec![
             ("program", Json::Str(name.into())),
             ("reference_ns", round1(reference)),
             ("register_ns", round1(register)),
             ("register_vs_reference", round1(reference / register)),
+            ("allocs_per_op", Json::Int(allocs.count as i64)),
         ]));
     }
+    let (study_ns, study_allocs) = measure_register(study_vm(), STUDY);
+    eprintln!(
+        "script_vm: study_events   register {study_ns:>10.0} ns  {} allocs  {} bytes",
+        study_allocs.count, study_allocs.bytes
+    );
     let inline = measure_sweep(false);
     let parallel = measure_sweep(true);
     eprintln!(
@@ -224,12 +319,23 @@ fn emit_json(path: &str) {
         (
             "_note",
             Json::Str(
-                "Medians of self-timed single-pass runs on precompiled programs; the \
-                 differential suite pins the register VM to the reference's semantics."
+                "Medians of self-timed single-pass runs on precompiled programs; \
+                 allocs_per_op and bytes_per_op count one warm run under the counting \
+                 allocator. The differential suite pins the register VM to the \
+                 reference's semantics."
                     .into(),
             ),
         ),
         ("engines", Json::Array(programs)),
+        (
+            "study_events",
+            obj(vec![
+                ("events", Json::Int(EVENTS.len() as i64)),
+                ("register_ns", round1(study_ns)),
+                ("allocs_per_op", Json::Int(study_allocs.count as i64)),
+                ("bytes_per_op", Json::Int(study_allocs.bytes as i64)),
+            ]),
+        ),
         (
             "sweep_64",
             obj(vec![
@@ -259,6 +365,17 @@ fn smoke() {
         assert_eq!(got, expected, "{name} diverged from the reference");
         println!("script_vm/smoke/{name}: ok");
     }
+    let mut reference = script::reference::Interpreter::new();
+    for (name, f) in study_hosts() {
+        reference.register(name, f);
+    }
+    let expected = reference.run(STUDY).unwrap();
+    assert_eq!(
+        study_vm().run(STUDY).unwrap(),
+        expected,
+        "study_events diverged"
+    );
+    println!("script_vm/smoke/study_events: ok");
     let inline = vm(false).run(SWEEP).unwrap();
     let parallel = vm(true).run(SWEEP).unwrap();
     assert_eq!(inline, parallel, "sweep outcomes diverged across modes");

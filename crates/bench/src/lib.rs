@@ -13,6 +13,10 @@
 //!
 //! The binaries print the measured series next to the paper's reported
 //! shape so EXPERIMENTS.md can be regenerated by running them.
+//! [`measure`] holds the counting allocator the benches and the
+//! allocation tests install.
+
+pub mod measure;
 
 use apps::genidlest::{self, CodeVersion, GenIdlestConfig, Paradigm, Problem};
 use apps::msa::{self, MsaConfig};

@@ -160,7 +160,7 @@ fn host_err(msg: impl Into<String>) -> String {
 
 fn trial_handle(id: usize) -> Value {
     Value::Handle {
-        tag: "trial".to_string(),
+        tag: "trial",
         id: id as u64,
     }
 }
@@ -233,11 +233,16 @@ impl PerfExplorerScript {
     }
 
     /// [`PerfExplorerScript::run_compiled`] under the same panic
-    /// isolation as [`PerfExplorerScript::run_supervised`]. Named, like
-    /// [`PerfExplorerScript::compile_portable`], for the `perfbench/`
-    /// callers.
-    pub fn run_portable_supervised(&mut self, program: &script::Compiled) -> SupervisedScript {
+    /// isolation as [`PerfExplorerScript::run_supervised`].
+    pub fn run_compiled_supervised(&mut self, program: &script::Compiled) -> SupervisedScript {
         self.supervise(|interp| interp.run_compiled(program))
+    }
+
+    /// The same as [`PerfExplorerScript::run_compiled_supervised`]. The
+    /// name stays because the service benchmark in `perfbench/` calls
+    /// it and is built unchanged against this crate.
+    pub fn run_portable_supervised(&mut self, program: &script::Compiled) -> SupervisedScript {
+        self.run_compiled_supervised(program)
     }
 
     /// Observes every completed `par_foreach_trial` sweep on this
@@ -373,38 +378,35 @@ fn call_host(
                 .repo
                 .experiment(app, exp)
                 .map_err(|e| host_err(e.to_string()))?;
-            Ok(Value::List(
-                experiment
-                    .trial_names()
-                    .map(|n| Value::Str(n.to_string()))
-                    .collect(),
-            ))
+            Ok(Value::List(Arc::new(
+                experiment.trial_names().map(Value::from).collect(),
+            )))
         }
         "trial_events" => {
             let id = expect_trial(args, 0)?;
             let st = state.borrow();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
-            Ok(Value::List(
+            Ok(Value::List(Arc::new(
                 trial
                     .profile
                     .events()
                     .iter()
-                    .map(|e| Value::Str(e.name.clone()))
+                    .map(|e| Value::from(e.name.as_str()))
                     .collect(),
-            ))
+            )))
         }
         "trial_metrics" => {
             let id = expect_trial(args, 0)?;
             let st = state.borrow();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
-            Ok(Value::List(
+            Ok(Value::List(Arc::new(
                 trial
                     .profile
                     .metrics()
                     .iter()
-                    .map(|m| Value::Str(m.name.clone()))
+                    .map(|m| Value::from(m.name.as_str()))
                     .collect(),
-            ))
+            )))
         }
         "mean_exclusive" | "mean_inclusive" => {
             let id = expect_trial(args, 0)?;
@@ -453,7 +455,7 @@ fn call_host(
                 .map(Arc::make_mut)
                 .ok_or_else(|| host_err("stale handle"))?;
             derive_metric(trial, lhs, op, rhs)
-                .map(Value::Str)
+                .map(Value::from)
                 .map_err(|e| host_err(e.to_string()))
         }
         "derive_inefficiency" => {
@@ -465,7 +467,7 @@ fn call_host(
                 .map(Arc::make_mut)
                 .ok_or_else(|| host_err("stale handle"))?;
             derive_inefficiency(trial)
-                .map(Value::Str)
+                .map(Value::from)
                 .map_err(|e| host_err(e.to_string()))
         }
         // --- facts ---
@@ -548,7 +550,7 @@ fn call_host(
             for (k, v) in map {
                 match v {
                     Value::Num(n) => fact.set(k, *n),
-                    Value::Str(sv) => fact.set(k, sv.as_str()),
+                    Value::Str(sv) => fact.set(k, &**sv),
                     Value::Bool(b) => fact.set(k, *b),
                     other => {
                         return Err(host_err(format!(
@@ -632,21 +634,23 @@ fn call_host(
             out.insert("silhouette".to_string(), Value::Num(clustering.silhouette));
             out.insert(
                 "groups".to_string(),
-                Value::List(
+                Value::List(Arc::new(
                     clustering
                         .groups
                         .iter()
                         .map(|g| {
-                            Value::List(g.threads.iter().map(|&t| Value::Num(t as f64)).collect())
+                            Value::List(Arc::new(
+                                g.threads.iter().map(|&t| Value::Num(t as f64)).collect(),
+                            ))
                         })
                         .collect(),
-                ),
+                )),
             );
             let facts = clustering.facts();
             for f in facts {
                 st.engine.assert_fact(f);
             }
-            Ok(Value::Map(out))
+            Ok(Value::from(out))
         }
         "compare_trials" => {
             let base = expect_trial(args, 0)?;
@@ -669,26 +673,26 @@ fn call_host(
             out.insert("totalRatio".to_string(), Value::Num(cmp.total_ratio));
             out.insert(
                 "regressions".to_string(),
-                Value::List(
+                Value::List(Arc::new(
                     cmp.regressions(1.25)
                         .iter()
-                        .map(|d| Value::Str(d.event.clone()))
+                        .map(|d| Value::from(d.event.as_str()))
                         .collect(),
-                ),
+                )),
             );
             out.insert(
                 "improvements".to_string(),
-                Value::List(
+                Value::List(Arc::new(
                     cmp.improvements(1.25)
                         .iter()
-                        .map(|d| Value::Str(d.event.clone()))
+                        .map(|d| Value::from(d.event.as_str()))
                         .collect(),
-                ),
+                )),
             );
             for f in cmp.facts() {
                 st.engine.assert_fact(f);
             }
-            Ok(Value::Map(out))
+            Ok(Value::from(out))
         }
         // --- rules ---
         "load_rules" => {
@@ -734,27 +738,27 @@ fn call_host(
             );
             out.insert(
                 "printed".to_string(),
-                Value::List(
+                Value::List(Arc::new(
                     report
                         .printed
                         .iter()
-                        .map(|l| Value::Str(l.clone()))
+                        .map(|l| Value::from(l.as_str()))
                         .collect(),
-                ),
+                )),
             );
             out.insert(
                 "recommendations".to_string(),
-                Value::List(
+                Value::List(Arc::new(
                     report
                         .diagnoses
                         .iter()
-                        .filter_map(|d| d.recommendation.clone())
-                        .map(Value::Str)
+                        .filter_map(|d| d.recommendation.as_deref())
+                        .map(Value::from)
                         .collect(),
-                ),
+                )),
             );
             st.last_report = Some(report);
-            Ok(Value::Map(out))
+            Ok(Value::from(out))
         }
         other => Err(host_err(format!("unregistered host function {other:?}"))),
     }
@@ -869,7 +873,7 @@ mod tests {
                 "#,
             )
             .unwrap();
-        assert_eq!(out, Value::List(vec![Value::Str("got 2".to_string())]));
+        assert_eq!(out, Value::List(vec![Value::Str("got 2".into())].into()));
     }
 
     #[test]
@@ -898,11 +902,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             out,
-            Value::List(vec![
-                Value::Bool(true),
-                Value::Bool(true),
-                Value::Bool(true)
-            ])
+            Value::List(vec![Value::Bool(true), Value::Bool(true), Value::Bool(true)].into())
         );
     }
 
@@ -945,11 +945,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             out,
-            Value::List(vec![
-                Value::Bool(true),
-                Value::Bool(true),
-                Value::Bool(true)
-            ])
+            Value::List(vec![Value::Bool(true), Value::Bool(true), Value::Bool(true)].into())
         );
     }
 
@@ -1079,6 +1075,22 @@ mod tests {
             session.output(),
             vec!["saw 8_dynamic,1".to_string(), "saw 8_static".to_string()]
         );
+    }
+
+    #[test]
+    fn compiled_supervised_run_matches_the_source_run() {
+        let mut session = PerfExplorerScript::new(repo_with_msa());
+        let program = session.compile(SWEEP_SOURCE).unwrap();
+        let compiled = session.run_compiled_supervised(&program);
+        let direct = PerfExplorerScript::new(repo_with_msa()).run_supervised(SWEEP_SOURCE);
+        assert!(compiled.is_complete());
+        assert_eq!(compiled.value, direct.value);
+
+        let failing = session.compile(r#"load_trial("msap", "scheduling", "nope")"#);
+        let out = session.run_compiled_supervised(&failing.unwrap());
+        assert!(out.value.is_none());
+        assert_eq!(out.degraded.len(), 1);
+        assert_eq!(out.degraded[0].stage, "script");
     }
 
     #[test]

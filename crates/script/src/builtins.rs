@@ -10,6 +10,7 @@
 
 use crate::value::Value;
 use crate::{Result, ScriptError};
+use std::sync::Arc;
 
 /// Dense identifier of a built-in function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +132,7 @@ pub fn call(b: Builtin, args: &[Value], output: &mut Vec<String>, line: usize) -
                 _ => return Err(argc_err("one str/list/map")),
             },
             Builtin::Str => match args {
-                [v] => Value::Str(v.to_string()),
+                [v] => Value::Str(v.to_string().into()),
                 _ => return Err(argc_err("one")),
             },
             Builtin::Num => match args {
@@ -143,36 +144,38 @@ pub fn call(b: Builtin, args: &[Value], output: &mut Vec<String>, line: usize) -
             },
             Builtin::Push => match args {
                 [Value::List(items), v] => {
-                    let mut out = items.clone();
+                    let mut out = items.to_vec();
                     out.push(v.clone());
-                    Value::List(out)
+                    Value::List(Arc::new(out))
                 }
                 _ => return Err(argc_err("a list and a value")),
             },
             Builtin::Range => match args.len() {
                 1 => {
                     let n = num_arg(0)? as i64;
-                    Value::List((0..n).map(|i| Value::Num(i as f64)).collect())
+                    Value::List(Arc::new((0..n).map(|i| Value::Num(i as f64)).collect()))
                 }
                 2 => {
                     let a = num_arg(0)? as i64;
                     let b = num_arg(1)? as i64;
-                    Value::List((a..b).map(|i| Value::Num(i as f64)).collect())
+                    Value::List(Arc::new((a..b).map(|i| Value::Num(i as f64)).collect()))
                 }
                 _ => return Err(argc_err("one or two")),
             },
             Builtin::Keys => match args {
-                [Value::Map(m)] => Value::List(m.keys().map(|k| Value::Str(k.clone())).collect()),
+                [Value::Map(m)] => Value::List(Arc::new(
+                    m.keys().map(|k| Value::from(k.as_str())).collect(),
+                )),
                 _ => return Err(argc_err("one map")),
             },
             Builtin::Has => match args {
-                [Value::Map(m), Value::Str(k)] => Value::Bool(m.contains_key(k)),
+                [Value::Map(m), Value::Str(k)] => Value::Bool(m.contains_key(&**k)),
                 [Value::List(v), item] => Value::Bool(v.contains(item)),
                 _ => return Err(argc_err("a map/list and a key")),
             },
             Builtin::Get => match args {
                 [Value::Map(m), Value::Str(k), default] => {
-                    m.get(k).cloned().unwrap_or_else(|| default.clone())
+                    m.get(&**k).cloned().unwrap_or_else(|| default.clone())
                 }
                 _ => return Err(argc_err("a map, key, and default")),
             },
@@ -190,7 +193,7 @@ pub fn call(b: Builtin, args: &[Value], output: &mut Vec<String>, line: usize) -
             Builtin::Min => match args {
                 [Value::List(items)] if !items.is_empty() => {
                     let mut best = f64::INFINITY;
-                    for v in items {
+                    for v in items.iter() {
                         best = best.min(v.as_num().ok_or_else(|| argc_err("numeric list"))?);
                     }
                     Value::Num(best)
@@ -201,7 +204,7 @@ pub fn call(b: Builtin, args: &[Value], output: &mut Vec<String>, line: usize) -
             Builtin::Max => match args {
                 [Value::List(items)] if !items.is_empty() => {
                     let mut best = f64::NEG_INFINITY;
-                    for v in items {
+                    for v in items.iter() {
                         best = best.max(v.as_num().ok_or_else(|| argc_err("numeric list"))?);
                     }
                     Value::Num(best)
@@ -212,7 +215,7 @@ pub fn call(b: Builtin, args: &[Value], output: &mut Vec<String>, line: usize) -
             Builtin::Sum => match args {
                 [Value::List(items)] => {
                     let mut total = 0.0;
-                    for v in items {
+                    for v in items.iter() {
                         total += v.as_num().ok_or_else(|| argc_err("numeric list"))?;
                     }
                     Value::Num(total)
@@ -221,7 +224,7 @@ pub fn call(b: Builtin, args: &[Value], output: &mut Vec<String>, line: usize) -
             },
             Builtin::Sort => match args {
                 [Value::List(items)] => {
-                    let mut out = items.clone();
+                    let mut out = items.to_vec();
                     out.sort_by(|a, b| match (a, b) {
                         (Value::Num(x), Value::Num(y)) => {
                             x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal)
@@ -229,7 +232,7 @@ pub fn call(b: Builtin, args: &[Value], output: &mut Vec<String>, line: usize) -
                         (Value::Str(x), Value::Str(y)) => x.cmp(y),
                         _ => std::cmp::Ordering::Equal,
                     });
-                    Value::List(out)
+                    Value::List(Arc::new(out))
                 }
                 _ => return Err(argc_err("one list")),
             },
@@ -239,24 +242,23 @@ pub fn call(b: Builtin, args: &[Value], output: &mut Vec<String>, line: usize) -
                         .iter()
                         .map(|v| v.to_string())
                         .collect::<Vec<_>>()
-                        .join(sep),
+                        .join(sep)
+                        .into(),
                 ),
                 _ => return Err(argc_err("a list and a separator")),
             },
             Builtin::Split => match args {
-                [Value::Str(s), Value::Str(sep)] => Value::List(
-                    s.split(sep.as_str())
-                        .map(|p| Value::Str(p.to_string()))
-                        .collect(),
-                ),
+                [Value::Str(s), Value::Str(sep)] => {
+                    Value::List(Arc::new(s.split(&**sep).map(Value::from).collect()))
+                }
                 _ => return Err(argc_err("a string and a separator")),
             },
             Builtin::Contains => match args {
-                [Value::Str(s), Value::Str(sub)] => Value::Bool(s.contains(sub.as_str())),
+                [Value::Str(s), Value::Str(sub)] => Value::Bool(s.contains(&**sub)),
                 _ => return Err(argc_err("two strings")),
             },
             Builtin::Type => match args {
-                [v] => Value::Str(v.type_name().to_string()),
+                [v] => Value::from(v.type_name()),
                 _ => return Err(argc_err("one")),
             },
         };

@@ -65,11 +65,11 @@ pub(crate) fn sweep_outcome_value(result: Result<Value>) -> Value {
         }
         Err(e) => {
             m.insert("ok".to_string(), Value::Bool(false));
-            m.insert("error".to_string(), Value::Str(e.message));
+            m.insert("error".to_string(), Value::from(e.message));
             m.insert("line".to_string(), Value::Num(e.line as f64));
         }
     }
-    Value::Map(m)
+    Value::Map(Arc::new(m))
 }
 
 /// The script interpreter.
@@ -90,8 +90,8 @@ pub struct Interpreter {
     pub(crate) call_depth_limit: usize,
     /// Register file of all live frames, reused across runs.
     pub(crate) regs: Vec<Value>,
-    /// Open `for` iterators: (items, next index).
-    pub(crate) iters: Vec<(Vec<Value>, usize)>,
+    /// Open `for` iterators: (shared items, next index).
+    pub(crate) iters: Vec<(Arc<Vec<Value>>, usize)>,
     /// Reusable host-call argument buffer.
     pub(crate) argbuf: Vec<Value>,
     /// When set, `par_foreach_trial` sweeps hand their bodies to this
@@ -383,7 +383,7 @@ r";
         assert_eq!(eval("join([1, 2], \"-\")"), Value::Str("1-2".into()));
         assert_eq!(
             eval("split(\"a,b\", \",\")"),
-            Value::List(vec![Value::Str("a".into()), Value::Str("b".into())])
+            Value::List(vec![Value::Str("a".into()), Value::Str("b".into())].into())
         );
         assert_eq!(eval("contains(\"hay\", \"a\")"), Value::Bool(true));
         assert_eq!(eval("sort([3, 1, 2])[0]"), Value::Num(1.0));
@@ -407,7 +407,7 @@ r";
         let mut interp = Interpreter::new();
         interp.register("make_trial", |_args| {
             Ok(Value::Handle {
-                tag: "trial".into(),
+                tag: "trial",
                 id: 7,
             })
         });

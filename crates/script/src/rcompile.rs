@@ -577,7 +577,7 @@ enum ConstKey {
     Null,
     Bool(bool),
     Num(u64),
-    Str(String),
+    Str(Arc<str>),
 }
 
 struct ScopeVar {
@@ -691,7 +691,7 @@ fn fold(e: &Expr) -> Option<Value> {
         ExprKind::Null => Some(Value::Null),
         ExprKind::Bool(b) => Some(Value::Bool(*b)),
         ExprKind::Num(n) => Some(Value::Num(*n)),
-        ExprKind::Str(s) => Some(Value::Str(s.clone())),
+        ExprKind::Str(s) => Some(Value::from(s.as_str())),
         ExprKind::Unary(UnOp::Neg, inner) => match fold(inner)? {
             Value::Num(n) => Some(Value::Num(-n)),
             _ => None,
@@ -790,7 +790,7 @@ impl RCompiler<'_, '_> {
             Value::Null => ConstKey::Null,
             Value::Bool(b) => ConstKey::Bool(*b),
             Value::Num(n) => ConstKey::Num(n.to_bits()),
-            Value::Str(s) => ConstKey::Str(s.clone()),
+            Value::Str(s) => ConstKey::Str(Arc::clone(s)),
             _ => {
                 self.consts.push(v);
                 return self.consts.len() as u32 - 1;
@@ -957,7 +957,7 @@ impl RCompiler<'_, '_> {
                 self.emit_pure(ROp::LoadConst { dst, id }, e.line);
             }
             ExprKind::Str(s) => {
-                let id = self.const_id(Value::Str(s.clone()));
+                let id = self.const_id(Value::from(s.as_str()));
                 self.emit_pure(ROp::LoadConst { dst, id }, e.line);
             }
             ExprKind::Var(name) => match self.resolve(name) {
@@ -997,7 +997,7 @@ impl RCompiler<'_, '_> {
                     self.alloc_reg();
                 }
                 for (i, (k, v)) in pairs.iter().enumerate() {
-                    let id = self.const_id(Value::Str(k.clone()));
+                    let id = self.const_id(Value::from(k.as_str()));
                     self.emit_pure(
                         ROp::LoadConst {
                             dst: base + 2 * i as u32,

@@ -16,6 +16,7 @@ use crate::parser::parse;
 use crate::value::Value;
 use crate::{Result, ScriptError};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 type Scope = BTreeMap<String, Value>;
 
@@ -254,10 +255,10 @@ impl Interpreter {
                                 format!("list index {n} out of range (len {})", items.len()),
                             ));
                         }
-                        items[i] = value;
+                        Arc::make_mut(items)[i] = value;
                     }
                     (Value::Map(m), Value::Str(k)) => {
-                        m.insert(k.clone(), value);
+                        Arc::make_mut(m).insert(k.to_string(), value);
                     }
                     (c, i) => {
                         return Err(ScriptError::runtime(
@@ -293,8 +294,8 @@ impl Interpreter {
             StmtKind::For(var, iter, body) => {
                 let iterable = self.eval(iter)?;
                 let items: Vec<Value> = match iterable {
-                    Value::List(v) => v,
-                    Value::Map(m) => m.keys().map(|k| Value::Str(k.clone())).collect(),
+                    Value::List(v) => v.to_vec(),
+                    Value::Map(m) => m.keys().map(|k| Value::from(k.as_str())).collect(),
                     other => {
                         return Err(ScriptError::runtime(
                             stmt.line,
@@ -361,7 +362,7 @@ impl Interpreter {
             ExprKind::Null => Ok(Value::Null),
             ExprKind::Bool(b) => Ok(Value::Bool(*b)),
             ExprKind::Num(n) => Ok(Value::Num(*n)),
-            ExprKind::Str(s) => Ok(Value::Str(s.clone())),
+            ExprKind::Str(s) => Ok(Value::from(s.as_str())),
             ExprKind::Var(name) => self.lookup(name).cloned().ok_or_else(|| {
                 ScriptError::runtime(e.line, format!("undefined variable {name:?}"))
             }),
@@ -370,14 +371,14 @@ impl Interpreter {
                 for item in items {
                     out.push(self.eval(item)?);
                 }
-                Ok(Value::List(out))
+                Ok(Value::List(Arc::new(out)))
             }
             ExprKind::Map(pairs) => {
                 let mut m = BTreeMap::new();
                 for (k, v) in pairs {
                     m.insert(k.clone(), self.eval(v)?);
                 }
-                Ok(Value::Map(m))
+                Ok(Value::Map(Arc::new(m)))
             }
             ExprKind::Unary(op, inner) => {
                 let v = self.eval(inner)?;
@@ -404,14 +405,14 @@ impl Interpreter {
                             Ok(items[idx].clone())
                         }
                     }
-                    (Value::Map(m), Value::Str(k)) => m.get(k).cloned().ok_or_else(|| {
+                    (Value::Map(m), Value::Str(k)) => m.get(&**k).cloned().ok_or_else(|| {
                         ScriptError::runtime(e.line, format!("missing map key {k:?}"))
                     }),
                     (Value::Str(s), Value::Num(n)) => {
                         let idx = *n as usize;
                         s.chars()
                             .nth(idx)
-                            .map(|c| Value::Str(c.to_string()))
+                            .map(|c| Value::from(c.to_string()))
                             .ok_or_else(|| {
                                 ScriptError::runtime(
                                     e.line,
@@ -453,7 +454,7 @@ impl Interpreter {
                 let budget = self.step_limit - entry;
                 let mut results = Vec::with_capacity(items.len());
                 let mut total: u64 = 0;
-                for item in items {
+                for item in items.iter().cloned() {
                     let (result, body_steps, mut body_out) =
                         self.run_par_body(var, item, body, budget);
                     total = total.saturating_add(body_steps);
@@ -461,7 +462,7 @@ impl Interpreter {
                     results.push(crate::interp::sweep_outcome_value(result));
                 }
                 self.steps = entry.saturating_add(total);
-                Ok(Value::List(results))
+                Ok(Value::List(Arc::new(results)))
             }
         }
     }
@@ -549,11 +550,11 @@ impl Interpreter {
             BinOp::Add => match (&l, &r) {
                 (Value::Num(a), Value::Num(b)) => Ok(Value::Num(a + b)),
                 (Value::List(a), Value::List(b)) => {
-                    let mut out = a.clone();
+                    let mut out = a.to_vec();
                     out.extend(b.iter().cloned());
-                    Ok(Value::List(out))
+                    Ok(Value::List(Arc::new(out)))
                 }
-                (Value::Str(_), _) | (_, Value::Str(_)) => Ok(Value::Str(format!("{l}{r}"))),
+                (Value::Str(_), _) | (_, Value::Str(_)) => Ok(Value::from(format!("{l}{r}"))),
                 _ => Err(type_err("+")),
             },
             BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {

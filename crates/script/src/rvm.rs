@@ -123,9 +123,12 @@ fn type_err(line: usize, op: &str, l: &Value, r: &Value) -> ScriptError {
     )
 }
 
-/// In-place `container[idx] = value`, replicating the tree-walker's
-/// checks exactly (including its lack of a negative-index check on list
-/// assignment: the cast saturates, so `a[-1] = v` writes `a[0]`).
+/// `container[idx] = value`, replicating the tree-walker's checks
+/// exactly (including its lack of a negative-index check on list
+/// assignment: the cast saturates, so `a[-1] = v` writes `a[0]`). The
+/// write goes through [`Arc::make_mut`]: in place when `container` is
+/// the only holder of its list or map, on a fresh copy otherwise, so no
+/// other variable sees it. The index is checked before any copy.
 fn index_set(container: &mut Value, idx: Value, value: Value, line: usize) -> Result<()> {
     match (container, idx) {
         (Value::List(items), Value::Num(n)) => {
@@ -136,10 +139,10 @@ fn index_set(container: &mut Value, idx: Value, value: Value, line: usize) -> Re
                     format!("list index {n} out of range (len {})", items.len()),
                 ));
             }
-            items[i] = value;
+            Arc::make_mut(items)[i] = value;
         }
         (Value::Map(m), Value::Str(k)) => {
-            m.insert(k, value);
+            Arc::make_mut(m).insert(k.to_string(), value);
         }
         (c, i) => {
             return Err(ScriptError::runtime(
@@ -176,7 +179,7 @@ pub struct BodyOutcome {
 /// One function-table entry of a snapshot: enough to call user
 /// functions directly and to route host calls by name.
 struct SnapFn {
-    name: String,
+    name: Arc<str>,
     user: Option<Arc<RProto>>,
     has_host: bool,
 }
@@ -184,7 +187,7 @@ struct SnapFn {
 /// The immutable tables a snapshot-mode dispatch reads.
 struct SnapTables {
     globals: Arc<Vec<Option<Value>>>,
-    global_names: Arc<Vec<String>>,
+    global_names: Arc<Vec<Arc<str>>>,
     fns: Arc<Vec<SnapFn>>,
 }
 
@@ -346,7 +349,7 @@ impl Env for LiveEnv<'_> {
                     self.globals
                         .names
                         .iter()
-                        .map(|s| self.interner.resolve(*s).to_string())
+                        .map(|&s| self.interner.resolve_shared(s))
                         .collect(),
                 ),
                 fns: Arc::new(
@@ -354,7 +357,7 @@ impl Env for LiveEnv<'_> {
                         .entries
                         .iter()
                         .map(|e| SnapFn {
-                            name: self.interner.resolve(e.name).to_string(),
+                            name: self.interner.resolve_shared(e.name),
                             user: e.user.clone(),
                             has_host: e.host.is_some(),
                         })
@@ -592,11 +595,11 @@ fn arith_eval_slow(op: Arith, l: &Value, r: &Value, line: usize) -> Result<Value
     match op {
         Arith::Add => match (l, r) {
             (Value::List(a), Value::List(b)) => {
-                let mut out = a.clone();
+                let mut out = a.to_vec();
                 out.extend(b.iter().cloned());
-                Ok(Value::List(out))
+                Ok(Value::List(Arc::new(out)))
             }
-            (Value::Str(_), _) | (_, Value::Str(_)) => Ok(Value::Str(format!("{l}{r}"))),
+            (Value::Str(_), _) | (_, Value::Str(_)) => Ok(Value::from(format!("{l}{r}"))),
             _ => Err(type_err(line, "+", l, r)),
         },
         _ => {
@@ -735,7 +738,7 @@ fn rdispatch<E: Env>(
     env: &mut E,
     output: &mut Vec<String>,
     regs: &mut Vec<Value>,
-    iters: &mut Vec<(Vec<Value>, usize)>,
+    iters: &mut Vec<(Arc<Vec<Value>>, usize)>,
     argbuf: &mut Vec<Value>,
     steps: &mut u64,
     limit: u64,
@@ -1072,7 +1075,7 @@ fn rdispatch<E: Env>(
                     .iter_mut()
                     .map(|v| std::mem::replace(v, Value::Null))
                     .collect();
-                regs[base + dst as usize] = Value::List(items);
+                regs[base + dst as usize] = Value::List(Arc::new(items));
             }
             ROp::MakeMap { dst, base: b, n } => {
                 let start = base + b as usize;
@@ -1082,10 +1085,10 @@ fn rdispatch<E: Env>(
                     let v = std::mem::replace(&mut regs[start + 2 * i + 1], Value::Null);
                     // Keys are compiled as string constants.
                     if let Value::Str(k) = k {
-                        m.insert(k, v);
+                        m.insert(k.to_string(), v);
                     }
                 }
-                regs[base + dst as usize] = Value::Map(m);
+                regs[base + dst as usize] = Value::Map(Arc::new(m));
             }
             ROp::Index { dst, base: b, idx } => {
                 let line = proto.lines[ip] as usize;
@@ -1103,7 +1106,7 @@ fn rdispatch<E: Env>(
                             }
                             items[i].clone()
                         }
-                        (Value::Map(m), Value::Str(k)) => match m.get(k) {
+                        (Value::Map(m), Value::Str(k)) => match m.get(&**k) {
                             Some(v) => v.clone(),
                             None => {
                                 return Err(ScriptError::runtime(
@@ -1115,7 +1118,7 @@ fn rdispatch<E: Env>(
                         (Value::Str(s), Value::Num(n)) => {
                             let i = *n as usize;
                             match s.chars().nth(i) {
-                                Some(c) => Value::Str(c.to_string()),
+                                Some(c) => Value::from(c.encode_utf8(&mut [0; 4]) as &str),
                                 None => {
                                     return Err(ScriptError::runtime(
                                         line,
@@ -1249,9 +1252,12 @@ fn rdispatch<E: Env>(
             ROp::ForPrep { src } => {
                 let line = proto.lines[ip] as usize;
                 let iterable = rread(src, regs, base, env, &proto.consts, line)?;
-                let items: Vec<Value> = match iterable {
-                    Value::List(v) => v.clone(),
-                    Value::Map(m) => m.keys().map(|k| Value::Str(k.clone())).collect(),
+                // A list is iterated in place, by index; a later write
+                // to the variable copies it (see `index_set`), so the
+                // loop still walks the values it started with.
+                let items = match iterable {
+                    Value::List(v) => Arc::clone(v),
+                    Value::Map(m) => Arc::new(m.keys().map(|k| Value::from(k.as_str())).collect()),
                     other => {
                         return Err(ScriptError::runtime(
                             line,
@@ -1264,7 +1270,7 @@ fn rdispatch<E: Env>(
             ROp::ForNext { slot, exit } => {
                 let (items, idx) = iters.last_mut().expect("iterator");
                 if *idx < items.len() {
-                    let v = std::mem::replace(&mut items[*idx], Value::Null);
+                    let v = items[*idx].clone();
                     *idx += 1;
                     regs[base + slot as usize] = v;
                 } else {
@@ -1302,7 +1308,7 @@ fn rdispatch<E: Env>(
                 if let Some(exec) = exec {
                     let runner = env.make_runner(body_proto, budget, depth_limit);
                     let expected = items.len();
-                    let outcomes = exec(&runner, items);
+                    let outcomes = exec(&runner, items.to_vec());
                     for k in 0..expected {
                         match outcomes.get(k) {
                             Some(_) => {}
@@ -1322,10 +1328,10 @@ fn rdispatch<E: Env>(
                 } else {
                     let regs_mark = regs.len();
                     let iters_mark = iters.len();
-                    for item in items {
+                    for item in items.iter() {
                         let mut body_steps = 0u64;
                         let mut body_out = Vec::new();
-                        regs.push(item);
+                        regs.push(item.clone());
                         let r = rdispatch(
                             env,
                             &mut body_out,
@@ -1349,7 +1355,7 @@ fn rdispatch<E: Env>(
                     }
                 }
                 *steps = entry_steps.saturating_add(total);
-                regs[base + dst as usize] = Value::List(results);
+                regs[base + dst as usize] = Value::List(Arc::new(results));
             }
             ROp::SetLast { src } => {
                 let line = proto.lines[ip] as usize;

@@ -1,7 +1,26 @@
 //! Runtime values and identifier interning.
+//!
+//! # Value layout
+//!
+//! Scripts have value semantics: `let b = a; b[0] = 9` leaves `a`
+//! unchanged, as does mutating a parameter or a sweep body's copy. A
+//! [`Value`] keeps those semantics without deep copies. Strings, lists
+//! and maps sit behind an [`Arc`], so copying a register, loading a
+//! constant, indexing a list, passing an argument or starting a `for`
+//! loop only bumps a reference count. Handle tags are `&'static str`,
+//! so handles copy without touching the heap.
+//!
+//! A write copies only when it must. `x[i] = v` goes through
+//! [`Arc::make_mut`], which mutates in place when `x` holds the only
+//! reference and clones the list or map first when anything else (a
+//! variable, an open `for` loop, a caller's argument, a sweep snapshot)
+//! still shares it. Only the outer container is cloned: its elements
+//! are themselves shared values. Values cross threads in sweeps, so the
+//! counts are atomic ([`Arc`], not `Rc`).
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned identifier: a dense index into an [`Interner`].
 ///
@@ -28,10 +47,12 @@ impl Symbol {
 /// Interning is append-only: a name keeps its symbol for the lifetime
 /// of the interner, which is what lets compiled programs (which bake in
 /// symbol-derived slot ids) stay valid across runs of one interpreter.
+/// Each name is stored once, shared by the lookup map and the symbol
+/// table, and handed out shared to sweep snapshots.
 #[derive(Debug, Default)]
 pub struct Interner {
-    map: HashMap<Box<str>, Symbol>,
-    names: Vec<Box<str>>,
+    map: HashMap<Arc<str>, Symbol>,
+    names: Vec<Arc<str>>,
 }
 
 impl Interner {
@@ -46,8 +67,9 @@ impl Interner {
             return sym;
         }
         let sym = Symbol(self.names.len() as u32);
-        self.names.push(name.into());
-        self.map.insert(name.into(), sym);
+        let name: Arc<str> = name.into();
+        self.names.push(Arc::clone(&name));
+        self.map.insert(name, sym);
         sym
     }
 
@@ -59,6 +81,11 @@ impl Interner {
     /// The name behind a symbol.
     pub fn resolve(&self, sym: Symbol) -> &str {
         &self.names[sym.index()]
+    }
+
+    /// The name behind a symbol, shared.
+    pub(crate) fn resolve_shared(&self, sym: Symbol) -> Arc<str> {
+        Arc::clone(&self.names[sym.index()])
     }
 
     /// How many names are interned (symbols are `0..len()`).
@@ -76,18 +103,19 @@ pub enum Value {
     Bool(bool),
     /// Number (f64, like the profile data it manipulates).
     Num(f64),
-    /// String.
-    Str(String),
-    /// List.
-    List(Vec<Value>),
-    /// String-keyed map.
-    Map(BTreeMap<String, Value>),
+    /// String, shared and immutable.
+    Str(Arc<str>),
+    /// List, shared; index assignment copies it first if shared.
+    List(Arc<Vec<Value>>),
+    /// String-keyed map, shared; index assignment copies it first if
+    /// shared.
+    Map(Arc<BTreeMap<String, Value>>),
     /// Opaque host object: a tag describing its kind plus a host-side id.
     /// The script can pass handles around and back into host functions
     /// but cannot inspect them.
     Handle {
         /// Host-defined kind tag, e.g. `"trial"`.
-        tag: String,
+        tag: &'static str,
         /// Host-side identifier.
         id: u64,
     },
@@ -142,7 +170,7 @@ impl Value {
     /// Handle view: `(tag, id)`.
     pub fn as_handle(&self) -> Option<(&str, u64)> {
         match self {
-            Value::Handle { tag, id } => Some((tag, *id)),
+            Value::Handle { tag, id } => Some((*tag, *id)),
             _ => None,
         }
     }
@@ -159,12 +187,12 @@ impl Value {
         match (self, other) {
             (Value::Num(a), Value::Num(b)) => a.to_bits() == b.to_bits(),
             (Value::List(a), Value::List(b)) => {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bitwise_eq(y))
+                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.bitwise_eq(y))
             }
             (Value::Map(a), Value::Map(b)) => {
                 a.len() == b.len()
                     && a.iter()
-                        .zip(b)
+                        .zip(b.iter())
                         .all(|((ka, va), (kb, vb))| ka == kb && va.bitwise_eq(vb))
             }
             _ => self == other,
@@ -243,19 +271,25 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
+        Value::Str(s.into())
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(s)
+        Value::Str(s.into())
     }
 }
 
 impl<T: Into<Value>> From<Vec<T>> for Value {
     fn from(v: Vec<T>) -> Self {
-        Value::List(v.into_iter().map(Into::into).collect())
+        Value::List(Arc::new(v.into_iter().map(Into::into).collect()))
+    }
+}
+
+impl From<BTreeMap<String, Value>> for Value {
+    fn from(m: BTreeMap<String, Value>) -> Self {
+        Value::Map(Arc::new(m))
     }
 }
 
@@ -268,15 +302,11 @@ mod tests {
         assert!(!Value::Null.truthy());
         assert!(!Value::Bool(false).truthy());
         assert!(!Value::Num(0.0).truthy());
-        assert!(!Value::Str(String::new()).truthy());
-        assert!(!Value::List(vec![]).truthy());
+        assert!(!Value::Str("".into()).truthy());
+        assert!(!Value::List(vec![].into()).truthy());
         assert!(Value::Num(1.0).truthy());
         assert!(Value::from("x").truthy());
-        assert!(Value::Handle {
-            tag: "t".into(),
-            id: 0
-        }
-        .truthy());
+        assert!(Value::Handle { tag: "t", id: 0 }.truthy());
     }
 
     #[test]
@@ -286,10 +316,10 @@ mod tests {
         assert_eq!(Value::from(vec![1.0, 2.0]).to_string(), "[1, 2]");
         let mut m = BTreeMap::new();
         m.insert("a".to_string(), Value::Num(1.0));
-        assert_eq!(Value::Map(m).to_string(), "{a: 1}");
+        assert_eq!(Value::from(m).to_string(), "{a: 1}");
         assert_eq!(
             Value::Handle {
-                tag: "trial".into(),
+                tag: "trial",
                 id: 3
             }
             .to_string(),
@@ -303,11 +333,7 @@ mod tests {
         assert_eq!(Value::from("s").as_str(), Some("s"));
         assert!(Value::from(vec![1.0]).as_list().is_some());
         assert_eq!(
-            Value::Handle {
-                tag: "t".into(),
-                id: 9
-            }
-            .as_handle(),
+            Value::Handle { tag: "t", id: 9 }.as_handle(),
             Some(("t", 9))
         );
         assert_eq!(Value::Null.as_num(), None);

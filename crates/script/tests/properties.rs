@@ -62,7 +62,7 @@ proptest! {
     #[test]
     fn string_literal_roundtrip(s in "[a-zA-Z0-9 _.,-]*") {
         let v = Interpreter::new().run(&format!("\"{s}\"")).unwrap();
-        prop_assert_eq!(v, Value::Str(s));
+        prop_assert_eq!(v, Value::Str(s.into()));
     }
 
     /// `str(num(x))` is stable for integers.

@@ -963,7 +963,7 @@ fn handle(
                 }
             };
 
-            let run = session.run_portable_supervised(&program);
+            let run = session.run_compiled_supervised(&program);
             (
                 Outcome::SweepDone {
                     value: run.value.map(|v| v.to_string()),
