@@ -1,7 +1,11 @@
-//! Criterion benchmarks for the analysis math and profile algebra —
-//! the "heavy lifting" operations PerfExplorer applies per script step.
+//! Benchmarks for the analysis math and profile algebra — the "heavy
+//! lifting" operations PerfExplorer applies per script step. The
+//! `derive/divide_64x64` case includes cloning its input trial, since
+//! a derivation adds a metric to the trial it is given. The harness
+//! and its modes are in `bench::measure`; this bench writes
+//! `BENCH_analysis.json`.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use bench::measure::{Bench, CountingAlloc};
 use perfdmf::algebra::{aggregate_threads, difference, Aggregation};
 use perfdmf::{Measurement, Profile, TrialBuilder};
 use perfexplorer::derive::{derive_metric, DeriveOp};
@@ -12,6 +16,9 @@ use statistics::{
     DenseMatrix,
 };
 use std::hint::black_box;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn series(n: usize, seed: u64) -> Vec<f64> {
     // Deterministic pseudo-random series without pulling in an RNG.
@@ -41,48 +48,41 @@ fn profile_with(threads: usize, events: usize) -> Profile {
     b.build().profile
 }
 
-fn bench_statistics(c: &mut Criterion) {
+fn main() {
+    // Derivation fans out over events on the rayon pool.
+    let mut b =
+        Bench::from_env("analysis", "BENCH_analysis.json").ungated(&["derive/divide_64x64"]);
     let a = series(512, 42);
-    let b = series(512, 43);
-    c.bench_function("statistics/summary_512", |bench| {
-        bench.iter(|| Summary::of(black_box(&a)).unwrap())
+    let c = series(512, 43);
+    b.case("statistics/summary_512", || {
+        Summary::of(black_box(&a)).unwrap()
     });
-    c.bench_function("statistics/pearson_512", |bench| {
-        bench.iter(|| pearson(black_box(&a), black_box(&b)).unwrap())
+    b.case("statistics/pearson_512", || {
+        pearson(black_box(&a), black_box(&c)).unwrap()
     });
     let points: Vec<Vec<f64>> = (0..128)
         .map(|i| vec![(i % 16) as f64, (i / 16) as f64])
         .collect();
     let points = DenseMatrix::from_rows(&points).unwrap();
-    c.bench_function("statistics/kmeans_128x2_k4", |bench| {
-        let cfg = KMeansConfig {
-            k: 4,
-            ..Default::default()
-        };
-        bench.iter(|| kmeans_flat(black_box(points.view()), &cfg).unwrap())
+    let cfg = KMeansConfig {
+        k: 4,
+        ..Default::default()
+    };
+    b.case("statistics/kmeans_128x2_k4", || {
+        kmeans_flat(black_box(points.view()), &cfg).unwrap()
     });
-}
 
-fn bench_algebra(c: &mut Criterion) {
     let p = profile_with(64, 64);
-    c.bench_function("algebra/difference_64x64", |bench| {
-        bench.iter(|| difference(black_box(&p), black_box(&p)).unwrap())
+    b.case("algebra/difference_64x64", || {
+        difference(black_box(&p), black_box(&p)).unwrap()
     });
-    c.bench_function("algebra/aggregate_mean_64x64", |bench| {
-        bench.iter(|| aggregate_threads(black_box(&p), Aggregation::Mean).unwrap())
+    b.case("algebra/aggregate_mean_64x64", || {
+        aggregate_threads(black_box(&p), Aggregation::Mean).unwrap()
     });
+    b.case("derive/divide_64x64", || {
+        let mut trial = perfdmf::Trial::new("b", p.clone());
+        derive_metric(&mut trial, "TIME", DeriveOp::Divide, "CPU_CYCLES").unwrap();
+        trial
+    });
+    b.finish();
 }
-
-fn bench_derive(c: &mut Criterion) {
-    let profile = profile_with(64, 64);
-    c.bench_function("derive/divide_64x64", |bench| {
-        bench.iter_batched(
-            || perfdmf::Trial::new("b", profile.clone()),
-            |mut trial| derive_metric(&mut trial, "TIME", DeriveOp::Divide, "CPU_CYCLES").unwrap(),
-            BatchSize::SmallInput,
-        )
-    });
-}
-
-criterion_group!(benches, bench_statistics, bench_algebra, bench_derive);
-criterion_main!(benches);

@@ -9,17 +9,17 @@
 //!   (32 events × 2 metrics × 16 threads plus metadata), the decode of
 //!   every `Ingest` and the encode of every JSON repository save.
 //!
-//! Besides the normal Criterion harness, `-- --test` runs every case
-//! once, unmeasured, asserting that both paths decode equal values and
-//! encode byte-identical text (the CI smoke), and `BENCH_JSON=<path>`
-//! switches the binary to a self-timed mode that writes the
-//! machine-readable `BENCH_json.json` summary.
+//! Before any case runs, both paths must decode equal values and
+//! encode byte-identical text. The harness and its modes are in
+//! `bench::measure`; this bench writes `BENCH_json.json`.
 
-use criterion::{criterion_group, Criterion};
+use bench::measure::{Bench, CountingAlloc};
 use perfdmf::{ChunkBatch, ColumnDelta, Measurement, Trial, TrialBuilder};
 use serde_json::Value;
 use std::hint::black_box;
-use std::time::Instant;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const CHUNK_DELTAS: usize = 9;
 const THREADS: usize = 16;
@@ -86,52 +86,6 @@ fn trial() -> Trial {
     b.build()
 }
 
-/// One benchmark case: a name and its one-pass and reference runs,
-/// each returning something to keep alive.
-struct Case {
-    name: &'static str,
-    one_pass: Box<dyn Fn()>,
-    reference: Box<dyn Fn()>,
-}
-
-fn cases() -> Vec<Case> {
-    let chunk_text = serde_json::to_string(&chunk()).expect("encode chunk");
-    let trial_value = trial();
-    let trial_text = serde_json::to_string(&trial_value).expect("encode trial");
-    let (c1, c2) = (chunk_text.clone(), chunk_text);
-    let (t1, t2) = (trial_text.clone(), trial_text);
-    let (v1, v2) = (trial_value.clone(), trial_value);
-    vec![
-        Case {
-            name: "chunk_decode",
-            one_pass: Box::new(move || {
-                black_box(serde_json::from_str::<ChunkBatch>(black_box(&c1)).unwrap());
-            }),
-            reference: Box::new(move || {
-                black_box(serde::reference::from_str::<ChunkBatch>(black_box(&c2)).unwrap());
-            }),
-        },
-        Case {
-            name: "trial_decode",
-            one_pass: Box::new(move || {
-                black_box(serde_json::from_str::<Trial>(black_box(&t1)).unwrap());
-            }),
-            reference: Box::new(move || {
-                black_box(serde::reference::from_str::<Trial>(black_box(&t2)).unwrap());
-            }),
-        },
-        Case {
-            name: "trial_serialize",
-            one_pass: Box::new(move || {
-                black_box(serde_json::to_string(black_box(&v1)).unwrap());
-            }),
-            reference: Box::new(move || {
-                black_box(serde::reference::to_string(black_box(&v2)));
-            }),
-        },
-    ]
-}
-
 /// Both paths agree on every case: equal decoded values, byte-equal
 /// encodings.
 fn check_agreement() {
@@ -156,132 +110,52 @@ fn check_agreement() {
     assert_eq!(one_pass, trial);
 }
 
-fn bench_json(c: &mut Criterion) {
-    check_agreement();
-    let mut group = c.benchmark_group("json");
-    for case in cases() {
-        group.bench_function(&format!("{}/one_pass", case.name), |b| {
-            b.iter(|| (case.one_pass)())
-        });
-        group.bench_function(&format!("{}/reference", case.name), |b| {
-            b.iter(|| (case.reference)())
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_json);
-
-// ---------------------------------------------------------------------
-// BENCH_JSON self-timed mode
-// ---------------------------------------------------------------------
-
-/// Median microseconds per call of each of `a` and `b`, over `rounds`
-/// interleaved rounds of `batch` calls (after one warm-up round), so
-/// both paths see the same machine state.
-fn interleaved_us(a: &dyn Fn(), b: &dyn Fn(), rounds: usize, batch: usize) -> (f64, f64) {
-    let time = |f: &dyn Fn()| {
-        let t = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        t.elapsed().as_nanos() as f64 / batch as f64 / 1e3
-    };
-    time(a);
-    time(b);
-    let (mut sa, mut sb): (Vec<f64>, Vec<f64>) = (0..rounds).map(|_| (time(a), time(b))).unzip();
-    let median = |s: &mut Vec<f64>| {
-        s.sort_by(f64::total_cmp);
-        s[s.len() / 2]
-    };
-    (median(&mut sa), median(&mut sb))
-}
-
-fn round2(x: f64) -> Value {
-    Value::Float((x * 100.0).round() / 100.0)
-}
-
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn emit_json(out: &str) {
-    check_agreement();
-    let mut rows = Vec::new();
-    for case in cases() {
-        let (one_pass, reference) = interleaved_us(&*case.one_pass, &*case.reference, 21, 200);
-        eprintln!(
-            "json: {:<16} one-pass {one_pass:>8.2} us  reference {reference:>8.2} us  ({:.2}x)",
-            case.name,
-            reference / one_pass
-        );
-        rows.push((
-            case.name,
-            obj(vec![
-                ("one_pass_us", round2(one_pass)),
-                ("reference_us", round2(reference)),
-                ("speedup", round2(reference / one_pass)),
-            ]),
-        ));
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let doc = obj(vec![
-        (
-            "_generated_by",
-            Value::Str("BENCH_JSON=<path> cargo bench -p bench --bench json".into()),
-        ),
-        (
-            "_note",
-            Value::Str(
-                "Medians of 21 interleaved rounds of 200 calls per path; one-pass is \
-                 serde_json, reference is serde::reference (through a Value tree)."
-                    .into(),
-            ),
-        ),
-        ("cores", Value::Int(cores as i64)),
-        (
-            "chunk_shape",
-            Value::Str(format!(
-                "{CHUNK_DELTAS} deltas x {THREADS} threads, {} bytes",
-                serde_json::to_string(&chunk()).unwrap().len()
-            )),
-        ),
-        (
-            "trial_shape",
-            Value::Str(format!(
-                "{TRIAL_EVENTS} events x {TRIAL_METRICS} metrics x {THREADS} threads, {} bytes",
-                serde_json::to_string(&trial()).unwrap().len()
-            )),
-        ),
-        ("cases", obj(rows)),
-    ]);
-    std::fs::write(
-        out,
-        serde_json::to_string_pretty(&doc).expect("render") + "\n",
-    )
-    .expect("write BENCH_JSON");
-    eprintln!("json: wrote {out}");
-}
-
-/// Every case once, unmeasured, plus the agreement check: the CI smoke
-/// mode (`-- --test`).
-fn smoke() {
-    check_agreement();
-    for case in cases() {
-        (case.one_pass)();
-        (case.reference)();
-        println!("json/smoke/{}: ok", case.name);
-    }
-}
-
 fn main() {
-    if let Ok(path) = std::env::var("BENCH_JSON") {
-        emit_json(&path);
-        return;
-    }
-    if std::env::args().any(|a| a == "--test") {
-        smoke();
-        return;
-    }
-    benches();
+    let mut b = Bench::from_env("json", "BENCH_json.json");
+    check_agreement();
+    let chunk_text = serde_json::to_string(&chunk()).expect("encode chunk");
+    let trial = trial();
+    let trial_text = serde_json::to_string(&trial).expect("encode trial");
+    b.note(
+        "chunk_shape",
+        Value::Str(format!(
+            "{CHUNK_DELTAS} deltas x {THREADS} threads, {} bytes",
+            chunk_text.len()
+        )),
+    );
+    b.note(
+        "trial_shape",
+        Value::Str(format!(
+            "{TRIAL_EVENTS} events x {TRIAL_METRICS} metrics x {THREADS} threads, {} bytes",
+            trial_text.len()
+        )),
+    );
+    b.pair(
+        "chunk_decode",
+        ("one_pass", || {
+            serde_json::from_str::<ChunkBatch>(black_box(&chunk_text)).unwrap()
+        }),
+        ("reference", || {
+            serde::reference::from_str::<ChunkBatch>(black_box(&chunk_text)).unwrap()
+        }),
+    );
+    b.pair(
+        "trial_decode",
+        ("one_pass", || {
+            serde_json::from_str::<Trial>(black_box(&trial_text)).unwrap()
+        }),
+        ("reference", || {
+            serde::reference::from_str::<Trial>(black_box(&trial_text)).unwrap()
+        }),
+    );
+    b.pair(
+        "trial_serialize",
+        ("one_pass", || {
+            serde_json::to_string(black_box(&trial)).unwrap()
+        }),
+        ("reference", || {
+            serde::reference::to_string(black_box(&trial))
+        }),
+    );
+    b.finish();
 }

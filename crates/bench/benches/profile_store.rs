@@ -5,14 +5,21 @@
 //! seed's storage layout — one `Vec` per event holding one `Vec` per
 //! metric holding one `Vec` per thread, with linear name scans and
 //! per-cell checked access — at the paper-scale shape of 500 events ×
-//! 4 metrics × 128 threads. The `*/seed` and `*/columnar` pairs are the
-//! numbers recorded in EXPERIMENTS.md.
+//! 4 metrics × 128 threads. The pairs `name_lookup_in_loop` and
+//! `column_scan` have sides `columnar` and `seed`; before any case runs,
+//! both sides of each must compute the same sum. `derive_metric`
+//! includes cloning its input trial, since a derivation adds a metric
+//! to the trial it is given. The harness and its modes are in
+//! `bench::measure`; this bench writes `BENCH_profile_store.json`.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use bench::measure::{Bench, CountingAlloc};
 use perfdmf::algebra::merge;
 use perfdmf::{Event, Measurement, Metric, Profile, ThreadId, Trial, TrialBuilder};
 use perfexplorer::derive::{derive_metric, DeriveOp};
 use std::hint::black_box;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const EVENTS: usize = 500;
 const METRICS: usize = 4;
@@ -137,40 +144,6 @@ fn columnar_trial() -> Trial {
     b.build()
 }
 
-/// Name-lookup-in-loop: resolve every event name and read one cell, the
-/// access pattern of pre-refactor analysis loops.
-fn bench_lookup(c: &mut Criterion) {
-    let names: Vec<String> = (0..EVENTS).map(event_name).collect();
-    let seed = SeedProfile::build();
-    let columnar = columnar_profile();
-
-    let mut g = c.benchmark_group("profile_store/name_lookup_in_loop");
-    g.throughput(Throughput::Elements(EVENTS as u64));
-    g.bench_function("seed", |b| {
-        b.iter(|| {
-            let m = seed.metric_id("TIME").unwrap();
-            let mut acc = 0.0;
-            for name in &names {
-                let e = seed.event_id(black_box(name)).unwrap();
-                acc += seed.get(e, m, 0).unwrap().exclusive;
-            }
-            acc
-        })
-    });
-    g.bench_function("columnar", |b| {
-        b.iter(|| {
-            let m = columnar.metric_id("TIME").unwrap();
-            let mut acc = 0.0;
-            for name in &names {
-                let e = columnar.event_id(black_box(name)).unwrap();
-                acc += columnar.get(e, m, 0).unwrap().exclusive;
-            }
-            acc
-        })
-    });
-    g.finish();
-}
-
 /// Four-accumulator sums, used identically on both sides of the column
 /// scan so the serial f64 add chain does not mask the extraction cost.
 fn fold4_f64(values: &[f64]) -> f64 {
@@ -199,87 +172,95 @@ fn fold4_exclusive(col: &[Measurement]) -> f64 {
     a0 + a1 + a2 + a3 + rem
 }
 
+/// Name-lookup-in-loop, the access pattern of pre-refactor analysis
+/// loops: resolve every event name and read one cell.
+fn seed_lookup(seed: &SeedProfile, names: &[String]) -> f64 {
+    let m = seed.metric_id("TIME").unwrap();
+    let mut acc = 0.0;
+    for name in names {
+        let e = seed.event_id(black_box(name)).unwrap();
+        acc += seed.get(e, m, 0).unwrap().exclusive;
+    }
+    acc
+}
+
+fn columnar_lookup(columnar: &Profile, names: &[String]) -> f64 {
+    let m = columnar.metric_id("TIME").unwrap();
+    let mut acc = 0.0;
+    for name in names {
+        let e = columnar.event_id(black_box(name)).unwrap();
+        acc += columnar.get(e, m, 0).unwrap().exclusive;
+    }
+    acc
+}
+
 /// Column scan: reduce every event's TIME column — the feature
 /// extraction loop of the load-balance and clustering analyses. The
-/// seed's only analysis-layer column API resolved both names by linear
-/// scan and copied the column into a fresh `Vec<f64>` per event; the
-/// columnar store reads each contiguous column in place.
-fn bench_column_scan(c: &mut Criterion) {
+/// seed's analysis loops cloned the event-name list, then resolved
+/// both names by linear scan and copied the column into a fresh
+/// `Vec<f64>` per event.
+fn seed_scan(seed: &SeedProfile) -> f64 {
+    let names = seed.event_names();
+    let mut acc = 0.0;
+    for name in &names {
+        let values = seed.exclusive(black_box(name), "TIME").unwrap();
+        acc += fold4_f64(&values);
+    }
+    acc
+}
+
+/// The columnar analysis loops drive ids directly — no name
+/// resolution, no per-column copy.
+fn columnar_scan(columnar: &Profile) -> f64 {
+    let m = columnar.metric_id("TIME").unwrap();
+    let mut acc = 0.0;
+    for ei in 0..black_box(columnar.event_count()) {
+        let e = perfdmf::EventId(ei as u32);
+        acc += fold4_exclusive(columnar.column(e, m));
+    }
+    acc
+}
+
+fn main() {
+    // Derivation fans out over events on the rayon pool.
+    let mut b =
+        Bench::from_env("profile_store", "BENCH_profile_store.json").ungated(&["derive_metric"]);
+    let names: Vec<String> = (0..EVENTS).map(event_name).collect();
     let seed = SeedProfile::build();
     let columnar = columnar_profile();
+    assert_eq!(
+        seed_lookup(&seed, &names),
+        columnar_lookup(&columnar, &names)
+    );
+    assert_eq!(seed_scan(&seed), columnar_scan(&columnar));
+    b.pair(
+        "name_lookup_in_loop",
+        ("columnar", || columnar_lookup(&columnar, &names)),
+        ("seed", || seed_lookup(&seed, &names)),
+    );
+    b.pair(
+        "column_scan",
+        ("columnar", || columnar_scan(&columnar)),
+        ("seed", || seed_scan(&seed)),
+    );
 
-    let mut g = c.benchmark_group("profile_store/column_scan");
-    g.throughput(Throughput::Elements((EVENTS * THREADS) as u64));
-    g.bench_function("seed", |b| {
-        b.iter(|| {
-            // The seed's analysis loops cloned the event-name list, then
-            // re-resolved every name by linear scan inside the loop.
-            let names = seed.event_names();
-            let mut acc = 0.0;
-            for name in &names {
-                let values = seed.exclusive(black_box(name), "TIME").unwrap();
-                acc += fold4_f64(&values);
-            }
-            acc
-        })
-    });
-    g.bench_function("columnar", |b| {
-        b.iter(|| {
-            // The columnar analysis loops drive ids directly — no name
-            // resolution, no per-column copy.
-            let m = columnar.metric_id("TIME").unwrap();
-            let mut acc = 0.0;
-            for ei in 0..black_box(columnar.event_count()) {
-                let e = perfdmf::EventId(ei as u32);
-                acc += fold4_exclusive(columnar.column(e, m));
-            }
-            acc
-        })
-    });
-    g.finish();
-}
-
-/// Derived metric over the full profile (real API; rayon over events).
-fn bench_derive(c: &mut Criterion) {
+    // Derived metric over the full profile (real API).
     let trial = columnar_trial();
-    let mut g = c.benchmark_group("profile_store/derive_metric");
-    g.throughput(Throughput::Elements((EVENTS * THREADS) as u64));
-    g.bench_function("columnar", |b| {
-        b.iter_batched(
-            || trial.clone(),
-            |mut t| {
-                derive_metric(
-                    &mut t,
-                    "BACK_END_BUBBLE_ALL",
-                    DeriveOp::Divide,
-                    "CPU_CYCLES",
-                )
-                .unwrap();
-                t
-            },
-            BatchSize::LargeInput,
+    b.case("derive_metric", || {
+        let mut t = trial.clone();
+        derive_metric(
+            &mut t,
+            "BACK_END_BUBBLE_ALL",
+            DeriveOp::Divide,
+            "CPU_CYCLES",
         )
+        .unwrap();
+        t
     });
-    g.finish();
-}
-
-/// Profile algebra merge of two full-size profiles (real API).
-fn bench_merge(c: &mut Criterion) {
-    let a = columnar_profile();
-    let b = columnar_profile();
-    let mut g = c.benchmark_group("profile_store/algebra_merge");
-    g.throughput(Throughput::Elements((EVENTS * METRICS * THREADS) as u64));
-    g.bench_function("columnar", |bench| {
-        bench.iter(|| merge(black_box(&a), black_box(&b)).unwrap())
+    // Profile algebra merge of two full-size profiles (real API).
+    let other = columnar_profile();
+    b.case("algebra_merge", || {
+        merge(black_box(&columnar), black_box(&other)).unwrap()
     });
-    g.finish();
+    b.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_lookup,
-    bench_column_scan,
-    bench_derive,
-    bench_merge
-);
-criterion_main!(benches);

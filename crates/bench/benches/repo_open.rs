@@ -8,14 +8,21 @@
 //! cost scales with total cell count while the mmap cost scales with
 //! the manifest alone.
 //!
-//! Besides the normal Criterion harness, `-- --test` runs every case
-//! once at 100 trials, unmeasured, and asserts that each path yields
-//! the owned repository's data (the CI smoke).
+//! The cases are `{path}/{trials}`. Before any case runs at a size,
+//! each path must yield the owned repository's data. The harness and
+//! its modes are in `bench::measure`; this bench writes
+//! `BENCH_repo_open.json`. Its committed allocation counts are those of
+//! a mapped file: under `PERFDMF_NO_MMAP=1` an open reads the file into
+//! memory and allocates more, so the `--test` gate fails there.
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use bench::measure::{Bench, CountingAlloc};
 use perfdmf::{MappedRepository, Measurement, Repository, Trial, TrialBuilder};
+use serde_json::Value;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const EVENTS: usize = 6;
 const METRICS: usize = 2;
@@ -81,70 +88,42 @@ fn first_trial(path: &Path) -> Trial {
         .unwrap()
 }
 
-fn bench_repo_open(c: &mut Criterion) {
+fn main() {
+    let mut b = Bench::from_env("repo_open", "BENCH_repo_open.json");
+    b.note(
+        "trial_shape",
+        Value::Str(format!(
+            "{EVENTS} events x {METRICS} metrics x {THREADS} threads"
+        )),
+    );
     for trials in SIZES {
         let repo = repo_with_trials(trials);
         let json = repo.to_json().unwrap();
         let pdb1 = repo.to_pdb1();
         let pdb_path = write_pdb(&repo, trials);
 
-        let mut g = c.benchmark_group("repo_open");
-        g.throughput(Throughput::Elements(trials as u64));
-        g.bench_with_input(BenchmarkId::new("json_parse", trials), &json, |b, json| {
-            b.iter(|| Repository::from_json(black_box(json)).unwrap())
-        });
-        g.bench_with_input(
-            BenchmarkId::new("pdb1_strict", trials),
-            &pdb1,
-            |b, bytes| b.iter(|| Repository::from_pdb1(black_box(bytes)).unwrap()),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("pdb1_mmap", trials),
-            &pdb_path,
-            |b, path| b.iter(|| MappedRepository::open(black_box(path)).unwrap()),
-        );
-        // Open + one trial materialized, the realistic "query one trial
-        // out of a big store" pattern.
-        g.bench_with_input(
-            BenchmarkId::new("pdb1_mmap_first_trial", trials),
-            &pdb_path,
-            |b, path| b.iter(|| first_trial(black_box(path))),
-        );
-        g.finish();
+        assert_eq!(Repository::from_json(&json).unwrap(), repo, "json_parse");
+        assert_eq!(Repository::from_pdb1(&pdb1).unwrap(), repo, "pdb1_strict");
+        let mapped = MappedRepository::open(&pdb_path).unwrap();
+        assert_eq!(mapped.trial_count(), trials, "pdb1_mmap");
+        let owned = repo.trial("bench", "exp0", "t0").unwrap();
+        assert_eq!(&first_trial(&pdb_path), owned, "pdb1_mmap_first_trial");
 
+        b.case(&format!("json_parse/{trials}"), || {
+            Repository::from_json(black_box(&json)).unwrap()
+        });
+        b.case(&format!("pdb1_strict/{trials}"), || {
+            Repository::from_pdb1(black_box(&pdb1)).unwrap()
+        });
+        b.case(&format!("pdb1_mmap/{trials}"), || {
+            MappedRepository::open(black_box(&pdb_path)).unwrap()
+        });
+        // Open plus one trial materialized: a query for one trial out
+        // of a big store.
+        b.case(&format!("pdb1_mmap_first_trial/{trials}"), || {
+            first_trial(black_box(&pdb_path))
+        });
         std::fs::remove_file(&pdb_path).ok();
     }
-}
-
-/// Every case once at the smallest size, unmeasured, each checked
-/// against the owned repository: the CI smoke mode (`-- --test`).
-fn smoke() {
-    let trials = SIZES[0];
-    let repo = repo_with_trials(trials);
-    let pdb_path = write_pdb(&repo, trials);
-
-    let json = repo.to_json().unwrap();
-    assert_eq!(Repository::from_json(&json).unwrap(), repo, "json_parse");
-    assert_eq!(
-        Repository::from_pdb1(&repo.to_pdb1()).unwrap(),
-        repo,
-        "pdb1_strict"
-    );
-    let mapped = MappedRepository::open(&pdb_path).unwrap();
-    assert_eq!(mapped.trial_count(), trials, "pdb1_mmap");
-    let owned = repo.trial("bench", "exp0", "t0").unwrap();
-    assert_eq!(&first_trial(&pdb_path), owned, "pdb1_mmap_first_trial");
-    println!("repo_open/smoke/{trials}: ok");
-
-    std::fs::remove_file(&pdb_path).ok();
-}
-
-criterion_group!(benches, bench_repo_open);
-
-fn main() {
-    if std::env::args().any(|a| a == "--test") {
-        smoke();
-        return;
-    }
-    benches();
+    b.finish();
 }

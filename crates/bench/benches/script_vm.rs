@@ -25,23 +25,21 @@
 //!
 //! The differential proptests in `crates/script/tests/differential.rs`
 //! pin the VM to the reference's values/output/steps, so these pairs
-//! measure dispatch cost only. Besides the Criterion harness
-//! (which honours `--test` for the CI smoke), `BENCH_JSON=<path>`
-//! switches to a self-timed single-pass mode that writes the
-//! machine-readable `BENCH_script.json` summary. This binary installs
-//! the counting allocator of `bench::measure`, so the summary also
-//! reports allocations per run of each register-VM program.
+//! measure dispatch cost only. Before any case runs, each program's
+//! register-VM value must equal the reference's (on the interpreter the
+//! case then reuses), both sweep modes must agree, and the repository
+//! sweep must visit all 64 trials. The register side runs a precompiled
+//! program; the reference side parses and runs the source. The harness
+//! and its modes are in `bench::measure`; this bench writes
+//! `BENCH_script.json`.
 
-use bench::measure::{count_allocs, Allocs, CountingAlloc};
-use criterion::{criterion_group, Criterion};
+use bench::measure::{Bench, CountingAlloc};
 use perfdmf::{Measurement, Repository, TrialBuilder};
 use perfexplorer::scripting::PerfExplorerScript;
 use rayon::prelude::*;
 use script::{Interpreter, Value};
 use serde_json::Value as Json;
-use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -180,218 +178,53 @@ fn sweep_repo() -> Repository {
     repo
 }
 
-fn bench_engines(c: &mut Criterion) {
-    let mut g = c.benchmark_group("script_vm");
-    for (name, src) in PROGRAMS {
-        g.bench_function(&format!("reference/{name}"), |b| {
-            b.iter(|| {
-                let mut interp = script::reference::Interpreter::new();
-                black_box(interp.run(src).unwrap())
-            })
-        });
-        g.bench_function(&format!("register/{name}"), |b| {
-            let mut interp = vm(false);
-            let program = interp.compile(src).unwrap();
-            b.iter(|| black_box(interp.run_compiled(&program).unwrap()))
-        });
-    }
-    g.bench_function("register/study_events", |b| {
-        let mut interp = study_vm();
-        let program = interp.compile(STUDY).unwrap();
-        b.iter(|| black_box(interp.run_compiled(&program).unwrap()))
-    });
-    g.finish();
-}
-
-fn bench_sweep(c: &mut Criterion) {
-    let mut g = c.benchmark_group("script_vm");
-    for (label, parallel) in [("sweep_64/inline", false), ("sweep_64/parallel", true)] {
-        g.bench_function(label, |b| {
-            let mut interp = vm(parallel);
-            let program = interp.compile(SWEEP).unwrap();
-            b.iter(|| black_box(interp.run_compiled(&program).unwrap()))
-        });
-    }
-    g.bench_function("repo_sweep_64/parallel", |b| {
-        let mut session = PerfExplorerScript::new(sweep_repo());
-        let program = session.compile(REPO_SWEEP).unwrap();
-        b.iter(|| black_box(session.run_compiled(&program).unwrap()))
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_engines, bench_sweep);
-
-// ---------------------------------------------------------------------
-// BENCH_JSON single-pass mode
-// ---------------------------------------------------------------------
-
-/// Median wall time of `iters` runs of `f`, in nanoseconds, after
-/// `warmup` unmeasured runs.
-fn median_nanos(warmup: usize, iters: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// Median time and the allocations of one run of a precompiled
-/// program on `interp`.
-fn measure_register(mut interp: Interpreter, src: &str) -> (f64, Allocs) {
+/// `interp` with `src` compiled, after one run whose value must equal
+/// the reference engine's `expected`.
+fn warmed(mut interp: Interpreter, src: &str, expected: &Value) -> (Interpreter, script::Compiled) {
     let program = interp.compile(src).unwrap();
-    let ns = median_nanos(3, 15, || {
-        black_box(interp.run_compiled(&program).unwrap());
-    });
-    let (_, allocs) = count_allocs(|| black_box(interp.run_compiled(&program).unwrap()));
-    (ns, allocs)
+    assert_eq!(&interp.run_compiled(&program).unwrap(), expected, "{src}");
+    (interp, program)
 }
 
-fn measure_reference(src: &str) -> f64 {
-    median_nanos(2, 9, || {
-        let mut interp = script::reference::Interpreter::new();
-        black_box(interp.run(src).unwrap());
-    })
-}
-
-fn measure_sweep(parallel: bool) -> f64 {
-    let mut interp = vm(parallel);
-    let program = interp.compile(SWEEP).unwrap();
-    median_nanos(2, 9, || {
-        black_box(interp.run_compiled(&program).unwrap());
-    })
-}
-
-/// Builds an object [`Json`] from `(key, value)` pairs.
-fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-/// Rounds to one decimal place for the JSON summary.
-fn round1(x: f64) -> Json {
-    Json::Float((x * 10.0).round() / 10.0)
-}
-
-fn emit_json(path: &str) {
-    let mut programs = Vec::new();
+fn main() {
+    let mut b =
+        Bench::from_env("script_vm", "BENCH_script.json").ungated(&["sweep_64", "repo_sweep_64"]);
+    b.note("workers", Json::Int(rayon::concurrency_budget() as i64));
+    b.note("study_events", Json::Int(EVENTS.len() as i64));
     for (name, src) in PROGRAMS {
-        let reference = measure_reference(src);
-        let (register, allocs) = measure_register(vm(false), src);
-        eprintln!(
-            "script_vm: {name:<14} reference {reference:>12.0} ns  \
-             register {register:>10.0} ns  register/reference {:.2}x  {} allocs",
-            reference / register,
-            allocs.count
+        let expected = script::reference::Interpreter::new().run(src).unwrap();
+        let (mut interp, program) = warmed(vm(false), src, &expected);
+        b.pair(
+            name,
+            ("register", || interp.run_compiled(&program).unwrap()),
+            ("reference", || {
+                script::reference::Interpreter::new().run(src).unwrap()
+            }),
         );
-        programs.push(obj(vec![
-            ("program", Json::Str(name.into())),
-            ("reference_ns", round1(reference)),
-            ("register_ns", round1(register)),
-            ("register_vs_reference", round1(reference / register)),
-            ("allocs_per_op", Json::Int(allocs.count as i64)),
-        ]));
     }
-    let (study_ns, study_allocs) = measure_register(study_vm(), STUDY);
-    eprintln!(
-        "script_vm: study_events   register {study_ns:>10.0} ns  {} allocs  {} bytes",
-        study_allocs.count, study_allocs.bytes
-    );
-    let inline = measure_sweep(false);
-    let parallel = measure_sweep(true);
-    eprintln!(
-        "script_vm: sweep_64       inline {inline:>13.0} ns  parallel {parallel:>12.0} ns  \
-         speedup {:.2}x over {} workers",
-        inline / parallel,
-        rayon::concurrency_budget()
-    );
-    let doc = obj(vec![
-        (
-            "_generated_by",
-            Json::Str("BENCH_JSON=<path> cargo bench -p bench --bench script_vm".into()),
-        ),
-        (
-            "_note",
-            Json::Str(
-                "Medians of self-timed single-pass runs on precompiled programs; \
-                 allocs_per_op and bytes_per_op count one warm run under the counting \
-                 allocator. The differential suite pins the register VM to the \
-                 reference's semantics."
-                    .into(),
-            ),
-        ),
-        ("engines", Json::Array(programs)),
-        (
-            "study_events",
-            obj(vec![
-                ("events", Json::Int(EVENTS.len() as i64)),
-                ("register_ns", round1(study_ns)),
-                ("allocs_per_op", Json::Int(study_allocs.count as i64)),
-                ("bytes_per_op", Json::Int(study_allocs.bytes as i64)),
-            ]),
-        ),
-        (
-            "sweep_64",
-            obj(vec![
-                ("bodies", Json::Int(64)),
-                ("workers", Json::Int(rayon::concurrency_budget() as i64)),
-                ("inline_ns", round1(inline)),
-                ("parallel_ns", round1(parallel)),
-                ("speedup", round1(inline / parallel)),
-            ]),
-        ),
-    ]);
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&doc).expect("render") + "\n",
-    )
-    .expect("write BENCH_JSON");
-    eprintln!("script_vm: wrote {path}");
-}
 
-/// One run of each engine per program, asserting value agreement — the
-/// CI smoke mode (`-- --test`).
-fn smoke() {
-    for (name, src) in PROGRAMS {
-        let mut reference = script::reference::Interpreter::new();
-        let expected = reference.run(src).unwrap();
-        let got = vm(false).run(src).unwrap();
-        assert_eq!(got, expected, "{name} diverged from the reference");
-        println!("script_vm/smoke/{name}: ok");
-    }
     let mut reference = script::reference::Interpreter::new();
     for (name, f) in study_hosts() {
         reference.register(name, f);
     }
     let expected = reference.run(STUDY).unwrap();
-    assert_eq!(
-        study_vm().run(STUDY).unwrap(),
-        expected,
-        "study_events diverged"
-    );
-    println!("script_vm/smoke/study_events: ok");
-    let inline = vm(false).run(SWEEP).unwrap();
-    let parallel = vm(true).run(SWEEP).unwrap();
-    assert_eq!(inline, parallel, "sweep outcomes diverged across modes");
-    let mut session = PerfExplorerScript::new(sweep_repo());
-    assert_eq!(session.run(REPO_SWEEP).unwrap(), Value::Num(64.0));
-    println!("script_vm/smoke/sweep_64: ok");
-}
+    let (mut interp, program) = warmed(study_vm(), STUDY, &expected);
+    b.case("study_events", || interp.run_compiled(&program).unwrap());
 
-fn main() {
-    if let Ok(path) = std::env::var("BENCH_JSON") {
-        emit_json(&path);
-        return;
-    }
-    if std::env::args().any(|a| a == "--test") {
-        smoke();
-        return;
-    }
-    benches();
+    let expected = vm(false).run(SWEEP).unwrap();
+    let (mut inline, inline_program) = warmed(vm(false), SWEEP, &expected);
+    let (mut parallel, parallel_program) = warmed(vm(true), SWEEP, &expected);
+    b.pair(
+        "sweep_64",
+        ("parallel", || {
+            parallel.run_compiled(&parallel_program).unwrap()
+        }),
+        ("inline", || inline.run_compiled(&inline_program).unwrap()),
+    );
+
+    let mut session = PerfExplorerScript::new(sweep_repo());
+    let program = session.compile(REPO_SWEEP).unwrap();
+    assert_eq!(session.run_compiled(&program).unwrap(), Value::Num(64.0));
+    b.case("repo_sweep_64", || session.run_compiled(&program).unwrap());
+    b.finish();
 }

@@ -4,22 +4,28 @@
 //! (`kmeans_flat`, `silhouette_flat`) against the nested
 //! `Vec<Vec<f64>>` reference implementations in `statistics::reference`
 //! — the seed's layout, kept as the executable spec — at 64–4096
-//! points × 8–64 dimensions. The `*/reference` and `*/flat` pairs are
-//! the numbers recorded in EXPERIMENTS.md. Before any timing, every
-//! shape asserts that the two sides return bit-identical results, so a
-//! pair measures layout and parallelism cost only.
+//! points × 8–64 dimensions, as the pairs `kmeans/{n}x{d}` and
+//! `silhouette/{n}x{d}` with sides `flat` and `reference`. Before any
+//! case runs, every shape asserts that the two sides return
+//! bit-identical results, so a pair measures layout and parallelism
+//! cost only. The harness and its modes are in `bench::measure`; this
+//! bench writes `BENCH_statistics.json`.
 //!
-//! `-- --test` runs that agreement check once per shape, unmeasured
-//! (the CI smoke).
+//! The flat kernels split points over the rayon pool in blocks of 256,
+//! so the larger shapes' allocation counts depend on the pool's thread
+//! count and are not gated.
 
-use criterion::{criterion_group, Criterion, Throughput};
+use bench::measure::{Bench, CountingAlloc};
+use serde_json::Value;
 use statistics::cluster::KMeansConfig;
 use statistics::matrix::DenseMatrix;
 use statistics::{kmeans_flat, reference, silhouette_flat};
 use std::hint::black_box;
 
-/// `(points, dims)` shapes; the mid shape is the headline k-means
-/// shape of `BENCH_streaming.json`.
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// `(points, dims)` shapes.
 const SHAPES: [(usize, usize); 3] = [(64, 8), (1024, 32), (4096, 64)];
 
 /// Silhouette is O(n²·d): its pairs stop at the mid shape.
@@ -69,59 +75,43 @@ fn assert_agreement(points: &[Vec<f64>], flat: &DenseMatrix) -> Vec<usize> {
     r.assignments
 }
 
-fn bench_kmeans(c: &mut Criterion) {
-    let mut g = c.benchmark_group("statistics_kernels/kmeans");
+fn main() {
+    let mut b = Bench::from_env("statistics_kernels", "BENCH_statistics.json").ungated(&[
+        "kmeans/1024x32",
+        "kmeans/4096x64",
+        "silhouette/1024x32",
+    ]);
+    b.note(
+        "config",
+        Value::Str(format!(
+            "k = {}, at most {} iterations",
+            CONFIG.k, CONFIG.max_iterations
+        )),
+    );
     for (n, d) in SHAPES {
-        let points = dataset(n, d);
-        let flat = DenseMatrix::from_rows(&points).unwrap();
-        assert_agreement(&points, &flat);
-        g.throughput(Throughput::Elements((n * d) as u64));
-        g.bench_function(&format!("reference/{n}x{d}"), |b| {
-            b.iter(|| reference::kmeans(black_box(&points), black_box(&CONFIG)).unwrap())
-        });
-        g.bench_function(&format!("flat/{n}x{d}"), |b| {
-            b.iter(|| kmeans_flat(black_box(flat.view()), black_box(&CONFIG)).unwrap())
-        });
-    }
-    g.finish();
-}
-
-fn bench_silhouette(c: &mut Criterion) {
-    let mut g = c.benchmark_group("statistics_kernels/silhouette");
-    for (n, d) in SHAPES {
-        if n > SILHOUETTE_MAX_POINTS {
-            continue;
-        }
         let points = dataset(n, d);
         let flat = DenseMatrix::from_rows(&points).unwrap();
         let assignments = assert_agreement(&points, &flat);
-        g.throughput(Throughput::Elements((n * n * d) as u64));
-        g.bench_function(&format!("reference/{n}x{d}"), |b| {
-            b.iter(|| reference::silhouette(black_box(&points), black_box(&assignments)).unwrap())
-        });
-        g.bench_function(&format!("flat/{n}x{d}"), |b| {
-            b.iter(|| silhouette_flat(black_box(flat.view()), black_box(&assignments)).unwrap())
-        });
+        b.pair(
+            &format!("kmeans/{n}x{d}"),
+            ("flat", || {
+                kmeans_flat(black_box(flat.view()), &CONFIG).unwrap()
+            }),
+            ("reference", || {
+                reference::kmeans(black_box(&points), &CONFIG).unwrap()
+            }),
+        );
+        if n <= SILHOUETTE_MAX_POINTS {
+            b.pair(
+                &format!("silhouette/{n}x{d}"),
+                ("flat", || {
+                    silhouette_flat(black_box(flat.view()), &assignments).unwrap()
+                }),
+                ("reference", || {
+                    reference::silhouette(black_box(&points), &assignments).unwrap()
+                }),
+            );
+        }
     }
-    g.finish();
-}
-
-criterion_group!(benches, bench_kmeans, bench_silhouette);
-
-/// The agreement check once per shape, unmeasured: the CI smoke mode
-/// (`-- --test`).
-fn smoke() {
-    for (n, d) in SHAPES {
-        let points = dataset(n, d);
-        assert_agreement(&points, &DenseMatrix::from_rows(&points).unwrap());
-        println!("statistics_kernels/smoke/{n}x{d}: ok");
-    }
-}
-
-fn main() {
-    if std::env::args().any(|a| a == "--test") {
-        smoke();
-        return;
-    }
-    benches();
+    b.finish();
 }

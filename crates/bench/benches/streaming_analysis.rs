@@ -3,36 +3,31 @@
 //! Measures the cost of keeping a load-balance diagnosis current while a
 //! trial streams in, at 64 / 1 000 / 10 000 interned events:
 //!
-//! * `update/{E}` — apply one [`ChunkBatch`] touching a single event to a
+//! Each size `E` is one pair, `events_{E}`:
+//!
+//! * `update` — apply one [`ChunkBatch`] touching a single event to a
 //!   [`StreamingTrial`] and fold it into a live
 //!   [`AnalysisState`](perfexplorer::AnalysisState) with
 //!   `AnalysisState::update` (dirty-row recompute with the batch
 //!   kernels).
-//! * `recompute/{E}` — apply the same chunk shape and rerun the batch
+//! * `recompute` — apply the same chunk shape and rerun the batch
 //!   `loadbalance::analyze` over the whole trial, the pre-streaming
 //!   serving path.
 //!
 //! The differential proptests in
 //! `crates/core/tests/streaming_differential.rs` pin both sides to
 //! bitwise-identical analyses, so these pairs measure maintenance cost
-//! only. The speedup at 1 000 events is recorded in EXPERIMENTS.md and
-//! `BENCH_streaming.json`.
-//!
-//! Besides the normal Criterion harness (which honours `--test` for the
-//! CI single-pass smoke), setting `BENCH_JSON=<path>` switches the
-//! binary to a self-timed single-pass mode that writes the
-//! machine-readable `BENCH_streaming.json` summary, folding in headline
-//! numbers from the `repo_open` and `statistics_kernels` suites so one
-//! artifact carries the repo's performance story.
+//! only. Before any case runs, the first update of each size must dirty
+//! exactly the one event its chunk touched. The harness and its modes
+//! are in `bench::measure`; this bench writes `BENCH_streaming.json`.
 
-use criterion::{criterion_group, Criterion};
+use bench::measure::{Bench, CountingAlloc};
 use perfdmf::{ChunkBatch, ColumnDelta, Measurement, StreamingTrial};
 use perfexplorer::{loadbalance, AnalysisState};
 use serde_json::Value;
-use statistics::cluster::KMeansConfig;
-use statistics::{kmeans_flat, matrix::DenseMatrix, reference};
-use std::hint::black_box;
-use std::time::Instant;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Event counts; the middle size is the ISSUE's acceptance point.
 const SIZES: [usize; 3] = [64, 1_000, 10_000];
@@ -112,221 +107,14 @@ fn delta_chunk(events: usize, seq: u64) -> ChunkBatch {
     }
 }
 
-fn bench_streaming(c: &mut Criterion) {
-    let mut g = c.benchmark_group("streaming_analysis");
-    for events in SIZES {
-        let mut stream = seeded_stream(events);
-        let mut state = AnalysisState::new(stream.trial(), METRIC).expect("seeded stream analyzes");
-        let mut seq = 0u64;
-        g.bench_function(&format!("update/{events}"), |b| {
-            b.iter(|| {
-                seq += 1;
-                let chunk = delta_chunk(events, seq);
-                let applied = stream.apply_chunk(&chunk).expect("chunk applies");
-                black_box(
-                    state
-                        .update(stream.trial(), &applied)
-                        .expect("update succeeds"),
-                );
-            })
-        });
-        let mut stream = seeded_stream(events);
-        let mut seq = 0u64;
-        g.bench_function(&format!("recompute/{events}"), |b| {
-            b.iter(|| {
-                seq += 1;
-                let chunk = delta_chunk(events, seq);
-                stream.apply_chunk(&chunk).expect("chunk applies");
-                black_box(loadbalance::analyze(stream.trial(), METRIC).expect("analyze succeeds"));
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_streaming);
-
-// ---------------------------------------------------------------------
-// BENCH_JSON single-pass mode
-// ---------------------------------------------------------------------
-
-/// Median wall time of `iters` runs of `f`, in nanoseconds, after
-/// `warmup` unmeasured runs.
-fn median_nanos(warmup: usize, iters: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// One `update`-vs-`recompute` pair measured by hand.
-fn measure_pair(events: usize) -> (f64, f64) {
-    let iters = if events >= 10_000 { 12 } else { 30 };
-    let mut stream = seeded_stream(events);
-    let mut state = AnalysisState::new(stream.trial(), METRIC).expect("seeded stream analyzes");
-    let mut seq = 0u64;
-    let update = median_nanos(3, iters, || {
-        seq += 1;
-        let applied = stream
-            .apply_chunk(&delta_chunk(events, seq))
-            .expect("chunk applies");
-        black_box(
-            state
-                .update(stream.trial(), &applied)
-                .expect("update succeeds"),
-        );
-    });
-    let mut stream = seeded_stream(events);
-    let mut seq = 0u64;
-    let recompute = median_nanos(3, iters, || {
-        seq += 1;
-        stream
-            .apply_chunk(&delta_chunk(events, seq))
-            .expect("chunk applies");
-        black_box(loadbalance::analyze(stream.trial(), METRIC).expect("analyze succeeds"));
-    });
-    (update, recompute)
-}
-
-/// Headline `statistics_kernels` pair at the 1024x32 acceptance shape.
-fn measure_kmeans() -> (f64, f64) {
-    let (n, d) = (1024usize, 32usize);
-    let points: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            (0..d)
-                .map(|j| (i % 4) as f64 * 10.0 + jitter(i, j, 7))
-                .collect()
-        })
-        .collect();
-    let flat = DenseMatrix::from_rows(&points).unwrap();
-    let cfg = KMeansConfig {
-        k: 8,
-        max_iterations: 50,
-        ..Default::default()
-    };
-    let reference = median_nanos(1, 5, || {
-        black_box(reference::kmeans(black_box(&points), black_box(&cfg)).unwrap());
-    });
-    let flat_ns = median_nanos(1, 5, || {
-        black_box(kmeans_flat(black_box(flat.view()), black_box(&cfg)).unwrap());
-    });
-    (reference, flat_ns)
-}
-
-/// Headline `repo_open` pair: eager JSON parse vs zero-copy PDB1 open
-/// of the same repository.
-fn measure_repo_open() -> (f64, f64, usize) {
-    let mut repo = perfdmf::Repository::new();
-    let trials = 256usize;
-    for i in 0..trials {
-        let stream = seeded_stream(64);
-        let mut trial = stream.trial().clone();
-        trial.name = format!("trial-{i:04}");
-        repo.add_trial("bench", "streaming", trial).expect("insert");
-    }
-    let json = repo.to_json().expect("serialize json");
-    let bytes = repo.to_pdb1();
-    let json_ns = median_nanos(1, 5, || {
-        black_box(perfdmf::Repository::from_json(black_box(&json)).expect("parse"));
-    });
-    let mmap_ns = median_nanos(1, 5, || {
-        black_box(perfdmf::MappedRepository::from_bytes(black_box(&bytes)).expect("open"));
-    });
-    (json_ns, mmap_ns, trials)
-}
-
-/// Builds an object [`Value`] from `(key, value)` pairs.
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-/// Rounds to one decimal place for the JSON summary.
-fn round1(x: f64) -> Value {
-    Value::Float((x * 10.0).round() / 10.0)
-}
-
-fn emit_json(path: &str) {
-    let mut sizes = Vec::new();
-    for events in SIZES {
-        let (update, recompute) = measure_pair(events);
-        let speedup = recompute / update;
-        eprintln!(
-            "streaming_analysis: {events:>6} events  update {update:>12.0} ns  \
-             recompute {recompute:>14.0} ns  speedup {speedup:.1}x"
-        );
-        sizes.push(obj(vec![
-            ("events", Value::Int(events as i64)),
-            ("threads", Value::Int(THREADS as i64)),
-            ("update_ns", round1(update)),
-            ("recompute_ns", round1(recompute)),
-            ("speedup", round1(speedup)),
-        ]));
-    }
-    let (kref, kflat) = measure_kmeans();
-    let (json_ns, mmap_ns, trials) = measure_repo_open();
-    let doc = obj(vec![
-        (
-            "_generated_by",
-            Value::Str("BENCH_JSON=<path> cargo bench -p bench --bench streaming_analysis".into()),
-        ),
-        (
-            "_note",
-            Value::Str(
-                "Medians of self-timed single-pass runs; see EXPERIMENTS.md for the \
-                 full Criterion suites these headline numbers summarize."
-                    .into(),
-            ),
-        ),
-        (
-            "streaming_analysis",
-            obj(vec![
-                ("metric", Value::Str(METRIC.into())),
-                (
-                    "delta_shape",
-                    Value::Str("one event column x 32 threads per chunk".into()),
-                ),
-                ("sizes", Value::Array(sizes)),
-            ]),
-        ),
-        (
-            "statistics_kernels",
-            obj(vec![
-                ("shape", Value::Str("1024x32, k=8".into())),
-                ("kmeans_reference_ns", round1(kref)),
-                ("kmeans_flat_ns", round1(kflat)),
-                ("speedup", round1(kref / kflat)),
-            ]),
-        ),
-        (
-            "repo_open",
-            obj(vec![
-                ("trials", Value::Int(trials as i64)),
-                ("json_parse_ns", round1(json_ns)),
-                ("pdb1_mmap_open_ns", round1(mmap_ns)),
-                ("speedup", round1(json_ns / mmap_ns)),
-            ]),
-        ),
-    ]);
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&doc).expect("render") + "\n",
-    )
-    .expect("write BENCH_JSON");
-    eprintln!("streaming_analysis: wrote {path}");
-}
-
-/// One unmeasured update + recompute round per size: the CI smoke mode
-/// (`-- --test`), proving the harness runs end to end without paying
-/// for full sampling.
-fn smoke() {
+fn main() {
+    let mut b = Bench::from_env("streaming_analysis", "BENCH_streaming.json");
+    b.note("metric", Value::Str(METRIC.into()));
+    b.note("threads", Value::Int(THREADS as i64));
+    b.note(
+        "delta_shape",
+        Value::Str("one event column x 32 threads per chunk".into()),
+    );
     for events in SIZES {
         let mut stream = seeded_stream(events);
         let mut state = AnalysisState::new(stream.trial(), METRIC).expect("seeded stream analyzes");
@@ -337,19 +125,29 @@ fn smoke() {
             .update(stream.trial(), &applied)
             .expect("update succeeds");
         assert_eq!(stats.dirty_events, 1, "one-column delta dirties one row");
-        black_box(loadbalance::analyze(stream.trial(), METRIC).expect("analyze succeeds"));
-        println!("streaming_analysis/smoke/{events}: ok");
-    }
-}
+        let mut update_seq = 1u64;
 
-fn main() {
-    if let Ok(path) = std::env::var("BENCH_JSON") {
-        emit_json(&path);
-        return;
+        let mut batch = seeded_stream(events);
+        let mut recompute_seq = 0u64;
+        b.pair(
+            &format!("events_{events}"),
+            ("update", || {
+                update_seq += 1;
+                let applied = stream
+                    .apply_chunk(&delta_chunk(events, update_seq))
+                    .expect("chunk applies");
+                state
+                    .update(stream.trial(), &applied)
+                    .expect("update succeeds")
+            }),
+            ("recompute", || {
+                recompute_seq += 1;
+                batch
+                    .apply_chunk(&delta_chunk(events, recompute_seq))
+                    .expect("chunk applies");
+                loadbalance::analyze(batch.trial(), METRIC).expect("analyze succeeds")
+            }),
+        );
     }
-    if std::env::args().any(|a| a == "--test") {
-        smoke();
-        return;
-    }
-    benches();
+    b.finish();
 }

@@ -9,19 +9,19 @@
 //! and decoded end to end, which is exactly the startup path
 //! `ShardedRepository::attach_wal` takes.
 //!
-//! Besides the normal Criterion harness, `-- --test` runs one
-//! unmeasured append per policy plus one replay (the CI smoke), and
-//! setting `BENCH_JSON=<path>` switches the binary to a self-timed
-//! single-pass mode that writes the machine-readable `BENCH_wal.json`
-//! summary.
+//! Every journal an append case wrote is replayed afterwards, and each
+//! of its records must read back equal to the one appended. The harness
+//! and its modes are in `bench::measure`; this bench writes
+//! `BENCH_wal.json`.
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use bench::measure::{Bench, CountingAlloc};
 use perfdmf::wal::{replay_path, Journal};
 use perfdmf::{ChunkBatch, ColumnDelta, FsyncPolicy, Measurement, WalRecord};
 use serde_json::Value;
-use std::hint::black_box;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const THREADS: u32 = 8;
 const COLUMNS: usize = 4;
@@ -63,24 +63,6 @@ fn bench_dir() -> PathBuf {
     dir
 }
 
-fn bench_append(c: &mut Criterion) {
-    let dir = bench_dir();
-    let record = chunk_record(0);
-    let mut group = c.benchmark_group("wal_append");
-    group.throughput(Throughput::Elements(1));
-    for (name, policy) in POLICIES {
-        let path = dir.join(format!("append-{name}.wal"));
-        std::fs::remove_file(&path).ok();
-        let (mut journal, _) = Journal::open(&path, policy).expect("open journal");
-        group.bench_function(name, |b| {
-            b.iter(|| journal.append(black_box(&record)).expect("append"))
-        });
-        std::fs::remove_file(&path).ok();
-    }
-    group.finish();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Writes a journal of `records` chunk records at `path`.
 fn write_journal(path: &Path, records: u64) {
     std::fs::remove_file(path).ok();
@@ -99,174 +81,51 @@ fn replay_checked(path: &Path, records: u64) -> perfdmf::wal::WalReplay {
     replay
 }
 
-fn bench_replay(c: &mut Criterion) {
+fn main() {
+    let mut b = Bench::from_env("wal", "BENCH_wal.json");
     let dir = bench_dir();
-    let mut group = c.benchmark_group("wal_replay");
-    for records in REPLAY_SIZES {
-        let path = dir.join(format!("replay-{records}.wal"));
-        write_journal(&path, records);
-        group.throughput(Throughput::Elements(records));
-        group.bench_with_input(BenchmarkId::from_parameter(records), &path, |b, path| {
-            b.iter(|| replay_checked(black_box(path), records))
-        });
-        std::fs::remove_file(&path).ok();
-    }
-    group.finish();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-criterion_group!(benches, bench_append, bench_replay);
-
-// ---------------------------------------------------------------------
-// BENCH_JSON single-pass mode
-// ---------------------------------------------------------------------
-
-/// Median of `rounds` samples of `f`'s wall time in nanoseconds, after
-/// one unmeasured warm-up run.
-fn median_nanos(rounds: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut samples: Vec<f64> = (0..rounds)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// Median per-record append time under `policy`, in microseconds.
-fn measure_append(dir: &Path, name: &str, policy: FsyncPolicy) -> f64 {
-    // An fsync per record costs milliseconds; keep that batch short.
-    let batch = if matches!(policy, FsyncPolicy::Always) {
-        64
-    } else {
-        1_024
-    };
-    let path = dir.join(format!("pass-append-{name}.wal"));
-    std::fs::remove_file(&path).ok();
-    let (mut journal, _) = Journal::open(&path, policy).expect("open journal");
     let record = chunk_record(0);
-    let nanos = median_nanos(7, || {
-        for _ in 0..batch {
-            journal.append(black_box(&record)).expect("append");
-        }
-    });
-    drop(journal);
-    std::fs::remove_file(&path).ok();
-    nanos / batch as f64 / 1e3
-}
-
-/// Rounds to one decimal place for the JSON summary.
-fn round1(x: f64) -> Value {
-    Value::Float((x * 10.0).round() / 10.0)
-}
-
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn emit_json(out: &str) {
-    let dir = bench_dir();
-    let mut append = Vec::new();
-    for (name, policy) in POLICIES {
-        let us = measure_append(&dir, name, policy);
-        eprintln!("wal: append {name:<8} {us:>9.2} us/record");
-        append.push((name, round1(us)));
-    }
 
     // Bytes per record: one record's frame, read off a one-record file.
-    let probe = dir.join("pass-probe.wal");
+    let probe = dir.join("probe.wal");
     write_journal(&probe, 1);
     let header = perfdmf::wal::WAL_HEADER_LEN as u64;
     let record_bytes = std::fs::metadata(&probe).expect("stat probe").len() - header;
-    std::fs::remove_file(&probe).ok();
-    eprintln!("wal: {record_bytes} bytes per record");
+    b.note(
+        "record_shape",
+        Value::Str(format!(
+            "{COLUMNS} columns x {THREADS} threads per chunk record"
+        )),
+    );
+    b.note("record_bytes", Value::Int(record_bytes as i64));
 
-    let mut replay = Vec::new();
-    for records in REPLAY_SIZES {
-        let path = dir.join(format!("pass-replay-{records}.wal"));
-        write_journal(&path, records);
-        let nanos = median_nanos(5, || {
-            black_box(replay_checked(&path, records));
-        });
-        std::fs::remove_file(&path).ok();
-        let per_sec = records as f64 / (nanos / 1e9);
-        eprintln!("wal: replay {records:>6} records {per_sec:>12.0} records/s");
-        replay.push(obj(vec![
-            ("records", Value::Int(records as i64)),
-            ("records_per_s", Value::Float(per_sec.round())),
-        ]));
-    }
-    std::fs::remove_dir_all(&dir).ok();
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let doc = obj(vec![
-        (
-            "_generated_by",
-            Value::Str("BENCH_JSON=<path> cargo bench -p bench --bench wal".into()),
-        ),
-        (
-            "_note",
-            Value::Str(
-                "Medians of self-timed single-pass runs on the temp-dir filesystem; \
-                 fsync-bound figures depend on the storage device."
-                    .into(),
-            ),
-        ),
-        ("cores", Value::Int(cores as i64)),
-        (
-            "record_shape",
-            Value::Str(format!(
-                "{COLUMNS} columns x {THREADS} threads per chunk record"
-            )),
-        ),
-        ("record_bytes", Value::Int(record_bytes as i64)),
-        ("append_us_per_record", obj(append)),
-        ("replay", Value::Array(replay)),
-    ]);
-    std::fs::write(
-        out,
-        serde_json::to_string_pretty(&doc).expect("render") + "\n",
-    )
-    .expect("write BENCH_JSON");
-    eprintln!("wal: wrote {out}");
-}
-
-/// One unmeasured append per policy and one replay of a small journal:
-/// the CI smoke mode (`-- --test`).
-fn smoke() {
-    let dir = bench_dir();
     for (name, policy) in POLICIES {
-        let path = dir.join(format!("smoke-{name}.wal"));
+        let path = dir.join(format!("append-{name}.wal"));
         std::fs::remove_file(&path).ok();
         let (mut journal, _) = Journal::open(&path, policy).expect("open journal");
-        journal.append(&chunk_record(0)).expect("append");
+        // The first append sizes the journal's frame buffer.
+        journal.append(&record).expect("append");
+        let mut appended = 1u64;
+        b.case(&format!("append/{name}"), || {
+            appended += 1;
+            journal.append(&record).expect("append")
+        });
         drop(journal);
-        let replay = replay_checked(&path, 1);
-        assert_eq!(
-            replay.records[0],
-            chunk_record(0),
-            "{name}: record round-trips"
+        let replay = replay_checked(&path, appended);
+        assert!(
+            replay.records.iter().all(|r| *r == record),
+            "{name}: records round-trip"
         );
-        println!("wal/smoke/append/{name}: ok");
+        std::fs::remove_file(&path).ok();
     }
-    let path = dir.join("smoke-replay.wal");
-    write_journal(&path, REPLAY_SIZES[0]);
-    replay_checked(&path, REPLAY_SIZES[0]);
-    println!("wal/smoke/replay/{}: ok", REPLAY_SIZES[0]);
+    for records in REPLAY_SIZES {
+        let path = dir.join(format!("replay-{records}.wal"));
+        write_journal(&path, records);
+        b.case(&format!("replay/{records}"), || {
+            replay_checked(&path, records)
+        });
+        std::fs::remove_file(&path).ok();
+    }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-fn main() {
-    if let Ok(path) = std::env::var("BENCH_JSON") {
-        emit_json(&path);
-        return;
-    }
-    if std::env::args().any(|a| a == "--test") {
-        smoke();
-        return;
-    }
-    benches();
+    b.finish();
 }

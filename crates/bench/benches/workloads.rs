@@ -1,29 +1,36 @@
-//! Criterion benchmarks for the workload substrates: the real
-//! Smith–Waterman kernel, the OpenMP schedule simulator (including the
-//! per-chunk accounting ablation), and the end-to-end
-//! trial → facts → rules → diagnosis pipeline.
+//! Benchmarks for the workload substrates: the real Smith–Waterman
+//! kernel, the OpenMP schedule simulator (including the per-chunk
+//! accounting ablation), the two simulated applications, and the
+//! end-to-end trial → facts → rules → diagnosis pipeline. The harness
+//! and its modes are in `bench::measure`; this bench writes
+//! `BENCH_workloads.json`.
+//!
+//! The MSA runs align sequence pairs on the rayon pool, so their
+//! allocation counts depend on the pool's thread count and are not
+//! gated.
 
 use apps::align::{generate_sequences, smith_waterman, Scoring};
 use apps::genidlest::{self, CodeVersion, GenIdlestConfig, Paradigm, Problem};
 use apps::msa::{self, MsaConfig};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bench::measure::{Bench, CountingAlloc};
 use simulator::openmp::{parallel_for, OpenMpConfig, Schedule};
-use std::hint::black_box;
 
-fn bench_smith_waterman(c: &mut Criterion) {
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn main() {
+    let mut b = Bench::from_env("workloads", "BENCH_workloads.json")
+        .ungated(&["msa_run_64seq_8thr", "msa_diagnose_end_to_end"]);
     let seqs = generate_sequences(2, 200, 200, 7);
     let scoring = Scoring::default();
-    c.bench_function("workload/smith_waterman_200x200", |bench| {
-        bench.iter(|| black_box(smith_waterman(&seqs[0], &seqs[1], &scoring)))
+    b.case("smith_waterman_200x200", || {
+        smith_waterman(&seqs[0], &seqs[1], &scoring)
     });
-}
 
-fn bench_openmp_sim(c: &mut Criterion) {
     let costs: Vec<f64> = (0..4096)
         .map(|i| ((4096 - i) * (4096 - i)) as f64)
         .collect();
     let cfg = OpenMpConfig::default();
-    let mut group = c.benchmark_group("workload/openmp_sim_4096");
     // Ablation: per-iteration (chunk 1) vs chunked accounting.
     for (label, schedule) in [
         ("dynamic_1", Schedule::Dynamic(1)),
@@ -31,48 +38,28 @@ fn bench_openmp_sim(c: &mut Criterion) {
         ("static", Schedule::Static),
         ("guided", Schedule::Guided(1)),
     ] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &schedule, |b, &s| {
-            b.iter(|| black_box(parallel_for(&costs, s, 16, &cfg)))
+        b.case(&format!("openmp_sim_4096/{label}"), || {
+            parallel_for(&costs, schedule, 16, &cfg)
         });
     }
-    group.finish();
-}
 
-fn bench_apps(c: &mut Criterion) {
-    c.bench_function("workload/msa_run_64seq_8thr", |bench| {
-        let mut config = MsaConfig::paper_400(8, Schedule::Dynamic(1));
-        config.sequences = 64;
-        bench.iter(|| black_box(msa::run(&config)))
-    });
-    c.bench_function("workload/genidlest_run_16proc", |bench| {
-        let mut config = GenIdlestConfig::new(
-            Problem::Rib90,
-            Paradigm::OpenMp,
-            CodeVersion::Unoptimized,
-            16,
-        );
-        config.timesteps = 2;
-        bench.iter(|| black_box(genidlest::run(&config)))
-    });
-}
+    let mut msa_config = MsaConfig::paper_400(8, Schedule::Dynamic(1));
+    msa_config.sequences = 64;
+    b.case("msa_run_64seq_8thr", || msa::run(&msa_config));
+    let mut genidlest_config = GenIdlestConfig::new(
+        Problem::Rib90,
+        Paradigm::OpenMp,
+        CodeVersion::Unoptimized,
+        16,
+    );
+    genidlest_config.timesteps = 2;
+    b.case("genidlest_run_16proc", || genidlest::run(&genidlest_config));
 
-fn bench_pipeline(c: &mut Criterion) {
-    // End-to-end: simulate, analyse, diagnose.
-    c.bench_function("pipeline/msa_diagnose_end_to_end", |bench| {
-        let mut config = MsaConfig::paper_400(8, Schedule::Static);
-        config.sequences = 64;
-        bench.iter(|| {
-            let trial = msa::run(&config);
-            black_box(perfexplorer::workflow::analyze_load_balance(&trial, "TIME").unwrap())
-        })
+    let mut config = MsaConfig::paper_400(8, Schedule::Static);
+    config.sequences = 64;
+    b.case("msa_diagnose_end_to_end", || {
+        let trial = msa::run(&config);
+        perfexplorer::workflow::analyze_load_balance(&trial, "TIME").unwrap()
     });
+    b.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_smith_waterman,
-    bench_openmp_sim,
-    bench_apps,
-    bench_pipeline
-);
-criterion_main!(benches);

@@ -13,8 +13,9 @@
 //!
 //! The binaries print the measured series next to the paper's reported
 //! shape so EXPERIMENTS.md can be regenerated by running them.
-//! [`measure`] holds the counting allocator the benches and the
-//! allocation tests install.
+//! [`measure`] is the harness every micro-benchmark in `benches/` runs
+//! on, and holds the counting allocator they and the allocation tests
+//! install.
 
 pub mod measure;
 

@@ -31,6 +31,16 @@ pub enum DmfError {
     /// Two trials/profiles are structurally incompatible for an
     /// algebra operation (different metrics, events or thread counts).
     Incompatible(String),
+    /// A declared size exceeds what the receiver accepts; nothing was
+    /// allocated for it.
+    TooLarge {
+        /// What was declared ("stream threads", ...).
+        what: &'static str,
+        /// The declared size.
+        declared: u64,
+        /// The largest accepted size.
+        max: u64,
+    },
     /// Underlying I/O failure.
     Io(std::io::Error),
     /// JSON (de)serialisation failure.
@@ -51,6 +61,11 @@ impl fmt::Display for DmfError {
                 None => write!(f, "{format} parse error: {message}"),
             },
             DmfError::Incompatible(msg) => write!(f, "incompatible profiles: {msg}"),
+            DmfError::TooLarge {
+                what,
+                declared,
+                max,
+            } => write!(f, "{what}: {declared} declared, at most {max} accepted"),
             DmfError::Io(e) => write!(f, "io error: {e}"),
             DmfError::Json(e) => write!(f, "json error: {e}"),
         }

@@ -49,7 +49,9 @@ pub use model::{
 };
 pub use quality::{sanitize_trial, DataQuality};
 pub use repo::{Format, RecoveredRepository, Repository};
-pub use streaming::{AppliedChunk, ChunkBatch, ColumnDelta, StreamingTrial, TouchedColumn};
+pub use streaming::{
+    AppliedChunk, ChunkBatch, ColumnDelta, StreamingTrial, TouchedColumn, MAX_STREAM_THREADS,
+};
 pub use wal::{FsyncPolicy, Journal, WalRecord, WalReplay};
 
 /// Convenience result alias.

@@ -28,6 +28,11 @@ use crate::{DmfError, EventId, MetricId, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
+/// The most threads a chunk may declare for a new stream. A stream
+/// allocates its thread axis up front, so a larger declared count is
+/// rejected before any allocation.
+pub const MAX_STREAM_THREADS: u32 = 1 << 20;
+
 /// Additive measurements for one `(metric, event)` column. Cells are
 /// sparse: `(thread index, measurement delta)` pairs, added into the
 /// trial's existing cells on application.
@@ -136,11 +141,25 @@ impl StreamingTrial {
         }
     }
 
+    /// Starts an empty streamed trial sized for `batch`'s thread axis,
+    /// without applying it. Fails with [`DmfError::TooLarge`] when the
+    /// batch declares more than [`MAX_STREAM_THREADS`] threads.
+    pub fn for_batch(name: impl Into<String>, batch: &ChunkBatch) -> Result<Self> {
+        if batch.threads > MAX_STREAM_THREADS {
+            return Err(DmfError::TooLarge {
+                what: "stream threads",
+                declared: batch.threads.into(),
+                max: MAX_STREAM_THREADS.into(),
+            });
+        }
+        Ok(StreamingTrial::new(name, batch.threads as usize))
+    }
+
     /// Starts a streamed trial sized for `batch`'s thread axis, then
     /// applies it. The usual bootstrap when the first thing a consumer
     /// sees *is* a batch.
     pub fn from_batch(name: impl Into<String>, batch: &ChunkBatch) -> Result<(Self, AppliedChunk)> {
-        let mut s = StreamingTrial::new(name, batch.threads as usize);
+        let mut s = StreamingTrial::for_batch(name, batch)?;
         let applied = s.apply_chunk(batch)?;
         Ok((s, applied))
     }
@@ -367,6 +386,16 @@ mod tests {
         assert_eq!(s.trial().profile.thread_count(), 4);
         assert_eq!(a.applied_cells(), 1);
         assert_eq!(a.dropped_cells, 0);
+    }
+
+    #[test]
+    fn from_batch_rejects_a_thread_axis_over_the_limit() {
+        let b = batch(0, MAX_STREAM_THREADS + 1, vec![]);
+        assert!(matches!(
+            StreamingTrial::from_batch("t", &b),
+            Err(DmfError::TooLarge { declared, max, .. })
+                if declared == u64::from(MAX_STREAM_THREADS) + 1 && max == u64::from(MAX_STREAM_THREADS)
+        ));
     }
 
     #[test]

@@ -573,7 +573,7 @@ impl ShardedRepository {
             std::collections::hash_map::Entry::Vacant(v) => {
                 let stream = match self.get_stored(shard, &key) {
                     Ok(stored) => StreamingTrial::from_trial((*stored).clone()),
-                    Err(_) => StreamingTrial::new(trial, batch.threads as usize),
+                    Err(_) => StreamingTrial::for_batch(trial, batch)?,
                 };
                 v.insert(StreamEntry {
                     stream,

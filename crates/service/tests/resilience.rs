@@ -399,6 +399,34 @@ fn v1_journal_refuses_service_open() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A chunk that opens a stream with more threads than
+/// `MAX_STREAM_THREADS` is rejected before the stream allocates its
+/// thread axis; the service keeps serving and opens no stream for it.
+#[test]
+fn oversized_chunk_thread_axis_is_rejected() {
+    let svc = AnalysisService::start(ServiceConfig {
+        workers: 1,
+        shards: 2,
+        ..ServiceConfig::default()
+    });
+    let client = svc.client();
+    let batch = ChunkBatch {
+        seq: 0,
+        threads: perfdmf::MAX_STREAM_THREADS + 1,
+        deltas: Vec::new(),
+    };
+    let outcome = ingest_chunk(&client, "huge", &batch);
+    match &outcome {
+        Outcome::Rejected { error } => assert!(error.contains("stream threads"), "{error}"),
+        other => panic!("oversized thread axis accepted: {other:?}"),
+    }
+    let accepted = stream_chunks(1, 4);
+    assert!(matches!(
+        ingest_chunk(&client, "huge", &accepted[0]),
+        Outcome::ChunkIngested { .. }
+    ));
+}
+
 /// Concurrent analyses over a cold store much larger than the LRU:
 /// every eviction victim is reloaded byte-identically, under churn.
 #[test]
