@@ -1,7 +1,7 @@
 //! The shipped knowledge bases, in the textual rule language.
 //!
 //! These capture the expertise of the paper's three case studies as
-//! reusable rule files (the paper's `openuh/OpenUHRules.drl`):
+//! reusable rule texts (the paper's `openuh/OpenUHRules.drl`):
 //!
 //! * [`LOAD_BALANCE_RULES`] — the four-condition load-imbalance rule of
 //!   §III-A, plus a hotspot rule.

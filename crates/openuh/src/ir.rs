@@ -6,6 +6,7 @@
 //! needs: a region tree with the static attributes the cost models and
 //! the instrumentation scorer consume.
 
+use perfdmf::model::CALLPATH_SEPARATOR;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a region within a [`Program`].
@@ -209,7 +210,8 @@ impl Program {
             .sum::<f64>()
     }
 
-    /// Callpath-style name (`proc => loop`), matching profile events.
+    /// Callpath-style name (`proc => loop`, joined by
+    /// [`CALLPATH_SEPARATOR`]), matching profile events.
     pub fn callpath(&self, id: RegionId) -> String {
         let mut parts = vec![self.region(id).name.clone()];
         let mut cur = self.region(id).parent;
@@ -218,7 +220,7 @@ impl Program {
             cur = self.region(p).parent;
         }
         parts.reverse();
-        parts.join(" => ")
+        parts.join(CALLPATH_SEPARATOR)
     }
 }
 

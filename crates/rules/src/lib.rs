@@ -27,8 +27,9 @@
 //!
 //! Rules can be built programmatically ([`RuleBuilder`]) or parsed from a
 //! Drools-flavoured textual language ([`drl`]), so performance knowledge
-//! can be captured in files that ship alongside an application — the
-//! paper's `openuh/OpenUHRules.drl`.
+//! can be captured in text that ships alongside an application, as the
+//! paper's `openuh/OpenUHRules.drl` does. The shipped knowledge is the
+//! four rulebase texts of `perfexplorer::rulebase`.
 //!
 //! ```
 //! use rules::{Engine, Fact, drl};

@@ -34,14 +34,13 @@ pub mod shard;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use metrics::{ServiceMetrics, StatsSnapshot};
-pub use shard::{shard_of, ReportLookup, ShardedRepository};
+pub use shard::{shard_of, BalanceReport, ReportRefusal, ShardedRepository};
 
 use parking_lot::Mutex;
 use perfdmf::wal::FsyncPolicy;
 use perfdmf::{DmfError, Repository, Trial};
 use perfexplorer::scripting::PerfExplorerScript;
 use perfexplorer::supervise::{DegradeCause, DegradedStage};
-use perfexplorer::workflow::analyze_load_balance_supervised;
 use perfexplorer::SupervisorConfig;
 use shard::Lru;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -804,69 +803,20 @@ fn handle(
             metric,
         } => {
             ServiceMetrics::bump(&metrics.analyses);
-            // A trial under streaming construction is served from its
-            // cached incremental state — the O(Δ) path. The report is
-            // byte-identical to the batch workflow on the same data
-            // (the incremental module's differential contract).
-            if let Some(result) = store.streaming_report(app, experiment, trial, metric) {
-                return match result {
-                    Ok((report, rebuilt)) => {
-                        ServiceMetrics::bump(&metrics.incremental_analyses);
-                        if rebuilt {
-                            ServiceMetrics::bump(&metrics.state_rebuilds);
-                        }
-                        (
-                            Outcome::Report {
-                                rendered: report.rendered,
-                                diagnoses: report.report.diagnoses.len(),
-                            },
-                            Vec::new(),
-                            false,
-                        )
-                    }
-                    Err(e) => rejected("incremental analysis", e.to_string(), e.to_string(), false),
-                };
-            }
-            // A stored trial's clean report is a function of the trial
-            // and the rulebase alone, so a repeat request for the same
-            // `Arc<Trial>` is answered from the shard's report memo.
-            match store.lookup_report(app, experiment, trial, metric) {
-                Ok(ReportLookup::Memoized {
-                    rendered,
-                    diagnoses,
-                }) => {
-                    ServiceMetrics::bump(&metrics.report_memo_hits);
-                    (
-                        Outcome::Report {
-                            rendered,
-                            diagnoses,
-                        },
-                        Vec::new(),
-                        false,
-                    )
-                }
-                Ok(ReportLookup::Analyze { trial: t, stored }) => {
-                    let report = analyze_load_balance_supervised(&t, metric, supervisor);
-                    if stored {
-                        store.memoize_report(app, experiment, trial, metric, &t, &report);
-                    }
-                    (
-                        Outcome::Report {
-                            rendered: report.rendered,
-                            diagnoses: report.report.diagnoses.len(),
-                        },
-                        report.degraded,
-                        false,
-                    )
-                }
-                // A corrupt cold page failing lazy checksum
-                // verification surfaces here as a Parse error — the
-                // canonical breaker-feeding storage fault.
-                Err(e) => rejected(
-                    "trial lookup",
-                    e.to_string(),
-                    e.to_string(),
-                    is_storage_fault(&e),
+            match store.balance_report(app, experiment, trial, metric, supervisor) {
+                Ok(report) => (
+                    Outcome::Report {
+                        rendered: report.rendered,
+                        diagnoses: report.diagnoses,
+                    },
+                    report.degraded,
+                    false,
+                ),
+                Err(refusal) => rejected(
+                    refusal.stage,
+                    refusal.error.clone(),
+                    refusal.error,
+                    refusal.storage_fault,
                 ),
             }
         }
@@ -1186,6 +1136,46 @@ mod tests {
         assert_eq!(stats.incremental_analyses, 2);
         assert_eq!(stats.state_rebuilds, 1, "second analysis reused the state");
         assert_eq!(stats.state_invalidations, 0);
+        svc.shutdown();
+    }
+
+    /// The stages a rejected response names.
+    fn rejected_stages(r: &Response) -> Vec<&str> {
+        assert!(matches!(r.outcome, Outcome::Rejected { .. }), "{r:?}");
+        r.degraded.iter().map(|d| d.stage.as_str()).collect()
+    }
+
+    #[test]
+    fn refused_analyses_name_the_stage_that_failed() {
+        let svc = AnalysisService::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let client = svc.client();
+        let unknown = analyze(&client, "nope");
+        assert_eq!(rejected_stages(&unknown), ["trial lookup"]);
+        let missing = perfdmf::DmfError::NotFound {
+            kind: "trial",
+            name: "lu/strong/nope".into(),
+        };
+        assert!(
+            matches!(&unknown.outcome, Outcome::Rejected { error } if *error == missing.to_string()),
+            "{unknown:?}"
+        );
+
+        let c0 = chunk_json(0, &[("main", &[(0, 5.0), (1, 5.0), (2, 5.0), (3, 5.0)])]);
+        assert!(ingest_chunk(&client, "live", c0).is_clean());
+        let r = client
+            .call(Request::AnalyzeBalance {
+                app: "lu".into(),
+                experiment: "strong".into(),
+                trial: "live".into(),
+                metric: "PAPI_FP_OPS".into(),
+            })
+            .unwrap();
+        assert_eq!(rejected_stages(&r), ["incremental analysis"]);
+        let stats = svc.stats();
+        assert_eq!((stats.rejected, stats.incremental_analyses), (2, 0));
         svc.shutdown();
     }
 

@@ -17,8 +17,10 @@
 //! Each shard also remembers the clean load-balance reports it served
 //! for stored trials, keyed by `(app, experiment, trial, metric)`. An
 //! entry holds a [`Weak`] to the very `Arc<Trial>` the report was
-//! computed from and answers only a lookup that hands it that same
-//! `Arc` back ([`ShardedRepository::lookup_report`]). An upsert at
+//! computed from and answers only a request whose lookup hands it that
+//! same `Arc` back. [`ShardedRepository::balance_report`] is the one
+//! place that picks a report's source: a stream's incremental state,
+//! then this memo, then a fresh analysis it memoizes. An upsert at
 //! the path, or an eviction followed by a fresh materialization, yields
 //! a new `Arc`, so the entry misses; there is nothing to invalidate.
 //! Identity implies unchanged content: `Arc::make_mut` moves the data
@@ -48,8 +50,8 @@ use crate::metrics::ServiceMetrics;
 use parking_lot::{Mutex, RwLock};
 use perfdmf::wal::{FsyncPolicy, Journal, RecordRef, WalRecord};
 use perfdmf::{AppliedChunk, ChunkBatch, MappedRepository, Repository, StreamingTrial, Trial};
-use perfexplorer::workflow::CaseStudyReport;
-use perfexplorer::AnalysisState;
+use perfexplorer::workflow::analyze_load_balance_supervised;
+use perfexplorer::{AnalysisState, DegradedStage, SupervisorConfig};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::path::Path;
@@ -148,25 +150,32 @@ impl<K: PartialEq, V: Clone> Lru<K, V> {
     }
 }
 
-/// What [`ShardedRepository::lookup_report`] found.
+/// A load-balance report as [`ShardedRepository::balance_report`]
+/// serves it, from whichever source answered.
 #[derive(Debug)]
-pub enum ReportLookup {
-    /// A clean report memoized from the very trial the lookup found.
-    Memoized {
-        /// The report as first rendered.
-        rendered: String,
-        /// Its structured diagnosis count.
-        diagnoses: usize,
-    },
-    /// No memoized report: the trial to analyze.
-    Analyze {
-        /// The trial, as [`ShardedRepository::get_trial`] returns it.
-        trial: Arc<Trial>,
-        /// Whether the trial is stored, so a clean report of it may be
-        /// memoized. A streamed trial is a one-off copy of its stream,
-        /// and a report of it could never be served again.
-        stored: bool,
-    },
+pub struct BalanceReport {
+    /// The rendered report.
+    pub rendered: String,
+    /// Its structured diagnosis count.
+    pub diagnoses: usize,
+    /// Workflow stages that degraded while computing it; always empty
+    /// for a streamed or memoized report.
+    pub degraded: Vec<DegradedStage>,
+}
+
+/// Why [`ShardedRepository::balance_report`] served no report.
+#[derive(Debug)]
+pub struct ReportRefusal {
+    /// The stage that failed: `"incremental analysis"` (a streamed
+    /// trial's state could not be built or rendered, e.g. no chunk
+    /// carries the metric) or `"trial lookup"`.
+    pub stage: &'static str,
+    /// The error, as the client is told it.
+    pub error: String,
+    /// Whether the error points at the store itself, so that it feeds
+    /// the shard's circuit breaker. A corrupt cold page failing lazy
+    /// checksum verification is the canonical case.
+    pub storage_fault: bool,
 }
 
 /// One in-flight streamed trial: the growing [`StreamingTrial`] plus
@@ -286,7 +295,7 @@ impl ShardedRepository {
 
     fn absorb(&mut self, repo: Repository) {
         for (app, exp_name, trial_name) in paths_of(&repo) {
-            let shard = &self.shards[shard_of(&app, &exp_name, self.shards.len())];
+            let shard = self.shard(&app, &exp_name);
             let Ok(trial) = repo.shared_trial(&app, &exp_name, &trial_name) else {
                 continue;
             };
@@ -305,6 +314,11 @@ impl ShardedRepository {
     /// The shard index serving this tenant path.
     pub fn shard_index(&self, app: &str, experiment: &str) -> usize {
         shard_of(app, experiment, self.shards.len())
+    }
+
+    /// The shard serving this tenant path.
+    fn shard(&self, app: &str, experiment: &str) -> &Shard {
+        &self.shards[self.shard_index(app, experiment)]
     }
 
     /// The circuit breaker guarding one shard.
@@ -348,7 +362,7 @@ impl ShardedRepository {
         }
         let mut replayed = 0u64;
         for ((app, experiment, trial), batches) in recovered {
-            let shard = &self.shards[shard_of(&app, &experiment, self.shards.len())];
+            let shard = self.shard(&app, &experiment);
             for batch in batches {
                 // A journaled chunk that no longer applies (e.g. the
                 // bootstrap trial changed shape under it) degrades that
@@ -376,7 +390,7 @@ impl ShardedRepository {
     /// is deleted, so no later analysis can be served from state built
     /// over the replaced data.
     pub fn ingest(&self, app: &str, experiment: &str, trial: Trial) {
-        let shard = &self.shards[shard_of(app, experiment, self.shards.len())];
+        let shard = self.shard(app, experiment);
         let key = (app.to_string(), experiment.to_string(), trial.name.clone());
         {
             let start = Instant::now();
@@ -410,90 +424,119 @@ impl ShardedRepository {
         experiment: &str,
         trial: &str,
     ) -> perfdmf::Result<Arc<Trial>> {
-        self.lookup(app, experiment, trial).map(|(found, _)| found)
-    }
-
-    /// [`ShardedRepository::get_trial`], plus whether the trial is
-    /// stored (`true`) or a one-off copy of a stream (`false`).
-    fn lookup(
-        &self,
-        app: &str,
-        experiment: &str,
-        trial: &str,
-    ) -> perfdmf::Result<(Arc<Trial>, bool)> {
-        let shard = &self.shards[shard_of(app, experiment, self.shards.len())];
+        let shard = self.shard(app, experiment);
         let key = (app.to_string(), experiment.to_string(), trial.to_string());
         if let Some(entry) = shard.streams.lock().get(&key) {
-            return Ok((Arc::new(entry.stream.trial().clone()), false));
+            return Ok(Arc::new(entry.stream.trial().clone()));
         }
-        self.get_stored(shard, &key).map(|stored| (stored, true))
+        self.get_stored(shard, &key)
     }
 
-    /// Looks a trial up for a load-balance analysis of `metric`: exactly
-    /// [`ShardedRepository::get_trial`] (so cache hits and misses count
-    /// the same), then the report memo. The memo answers only when it
-    /// holds a clean report computed from the very `Arc<Trial>` just
-    /// found.
-    pub fn lookup_report(
+    /// The load-balance report of `metric` for one trial, from the one
+    /// source that may answer it:
+    ///
+    /// 1. a trial under streaming construction is served from its
+    ///    cached [`AnalysisState`] (the O(Δ) path), built on the first
+    ///    request or a metric change;
+    /// 2. otherwise the stored trial is fetched exactly as
+    ///    [`ShardedRepository::get_trial`] fetches it (so cold-cache
+    ///    hits and misses count the same), and the report memo answers
+    ///    if it holds a clean report computed from that very
+    ///    `Arc<Trial>`;
+    /// 3. otherwise the supervised workflow runs, and a clean report is
+    ///    memoized.
+    ///
+    /// Every source renders bytes identical to the batch workflow on
+    /// the same data. The memo and stream counters are bumped here.
+    pub fn balance_report(
         &self,
         app: &str,
         experiment: &str,
         trial: &str,
         metric: &str,
-    ) -> perfdmf::Result<ReportLookup> {
-        let (found, stored) = self.lookup(app, experiment, trial)?;
-        if stored {
-            let shard = &self.shards[shard_of(app, experiment, self.shards.len())];
-            let mut reports = shard.reports.lock();
-            let entry = reports
-                .find(|(a, e, t, m)| a == app && e == experiment && t == trial && m == metric);
-            if let Some(entry) =
-                entry.filter(|entry| Weak::ptr_eq(&entry.trial, &Arc::downgrade(&found)))
-            {
-                return Ok(ReportLookup::Memoized {
-                    rendered: entry.rendered.clone(),
-                    diagnoses: entry.diagnoses,
+        supervisor: &SupervisorConfig,
+    ) -> Result<BalanceReport, ReportRefusal> {
+        let shard = self.shard(app, experiment);
+        let key = (app.to_string(), experiment.to_string(), trial.to_string());
+        // The state lives in the stream entry, so a streamed report is
+        // built under the `streams` lock; the stored path below runs
+        // the workflow with no shard lock held.
+        if let Some(entry) = shard.streams.lock().get_mut(&key) {
+            return self
+                .streamed_report(entry, metric)
+                .map_err(|e| ReportRefusal {
+                    stage: "incremental analysis",
+                    error: e.to_string(),
+                    storage_fault: false,
                 });
-            }
         }
-        Ok(ReportLookup::Analyze {
-            trial: found,
-            stored,
+        let found = self.get_stored(shard, &key).map_err(|e| ReportRefusal {
+            stage: "trial lookup",
+            error: e.to_string(),
+            storage_fault: crate::is_storage_fault(&e),
+        })?;
+        let memoized = shard
+            .reports
+            .lock()
+            .find(|(a, e, t, m)| a == app && e == experiment && t == trial && m == metric)
+            .filter(|entry| Weak::ptr_eq(&entry.trial, &Arc::downgrade(&found)))
+            .map(|entry| BalanceReport {
+                rendered: entry.rendered.clone(),
+                diagnoses: entry.diagnoses,
+                degraded: Vec::new(),
+            });
+        if let Some(report) = memoized {
+            ServiceMetrics::bump(&self.metrics.report_memo_hits);
+            return Ok(report);
+        }
+        let report = analyze_load_balance_supervised(&found, metric, supervisor);
+        let diagnoses = report.report.diagnoses.len();
+        // A degraded report is not memoized: its next request runs the
+        // workflow again.
+        if report.degraded.is_empty() {
+            let (app, experiment, trial) = key;
+            shard.reports.lock().insert(
+                (app, experiment, trial, metric.to_string()),
+                MemoEntry {
+                    trial: Arc::downgrade(&found),
+                    rendered: report.rendered.clone(),
+                    diagnoses,
+                },
+            );
+        }
+        Ok(BalanceReport {
+            rendered: report.rendered,
+            diagnoses,
+            degraded: report.degraded,
         })
     }
 
-    /// Memoizes `report`, the load-balance report of `metric` computed
-    /// from `trial`, a stored trial that
-    /// [`ShardedRepository::lookup_report`] returned. A report with
-    /// degraded stages is not memoized: its next request runs the
-    /// workflow again.
-    pub fn memoize_report(
+    /// A streamed trial's report from its incremental state, (re)built
+    /// first when missing (never built, or dropped by a failed update)
+    /// or kept for another metric.
+    fn streamed_report(
         &self,
-        app: &str,
-        experiment: &str,
-        trial_name: &str,
+        entry: &mut StreamEntry,
         metric: &str,
-        trial: &Arc<Trial>,
-        report: &CaseStudyReport,
-    ) {
-        if !report.degraded.is_empty() {
-            return;
+    ) -> perfexplorer::Result<BalanceReport> {
+        let mut rebuilt = false;
+        let state = match &mut entry.state {
+            Some(state) if state.metric() == metric => state,
+            slot => {
+                rebuilt = true;
+                slot.insert(AnalysisState::new(entry.stream.trial(), metric)?)
+            }
+        };
+        let report = state.report()?;
+        ServiceMetrics::bump(&self.metrics.incremental_analyses);
+        if rebuilt {
+            ServiceMetrics::bump(&self.metrics.state_rebuilds);
         }
-        let shard = &self.shards[shard_of(app, experiment, self.shards.len())];
-        let key = (
-            app.to_string(),
-            experiment.to_string(),
-            trial_name.to_string(),
-            metric.to_string(),
-        );
-        shard.reports.lock().insert(
-            key,
-            MemoEntry {
-                trial: Arc::downgrade(trial),
-                rendered: report.rendered.clone(),
-                diagnoses: report.report.diagnoses.len(),
-            },
-        );
+        Ok(BalanceReport {
+            rendered: report.rendered,
+            diagnoses: report.report.diagnoses.len(),
+            degraded: Vec::new(),
+        })
     }
 
     /// The non-streaming lookup path: overlay, cold cache, mapped
@@ -552,7 +595,7 @@ impl ShardedRepository {
         trial: &str,
         batch: &ChunkBatch,
     ) -> perfdmf::Result<AppliedChunk> {
-        let shard = &self.shards[shard_of(app, experiment, self.shards.len())];
+        let shard = self.shard(app, experiment);
         self.apply_to_stream(shard, app, experiment, trial, batch)
     }
 
@@ -603,42 +646,6 @@ impl ShardedRepository {
         Ok(applied)
     }
 
-    /// Serves a load-balance report for a streamed trial from its
-    /// cached incremental state, building the state on first request
-    /// (or after an invalidation or metric change). Returns `None` when
-    /// no stream exists at the path — the caller falls back to the
-    /// batch path over stored trials. The boolean is true when the
-    /// state had to be (re)built.
-    pub fn streaming_report(
-        &self,
-        app: &str,
-        experiment: &str,
-        trial: &str,
-        metric: &str,
-    ) -> Option<perfexplorer::Result<(CaseStudyReport, bool)>> {
-        let shard = &self.shards[shard_of(app, experiment, self.shards.len())];
-        let key = (app.to_string(), experiment.to_string(), trial.to_string());
-        let mut streams = shard.streams.lock();
-        let entry = streams.get_mut(&key)?;
-        let rebuilt = match &entry.state {
-            Some(state) if state.metric() == metric => false,
-            _ => match AnalysisState::new(entry.stream.trial(), metric) {
-                Ok(state) => {
-                    entry.state = Some(state);
-                    true
-                }
-                Err(e) => return Some(Err(e)),
-            },
-        };
-        // The state was ensured just above; the None arm exists only to
-        // satisfy the no-unwrap discipline and falls back to the batch
-        // path.
-        entry
-            .state
-            .as_ref()
-            .map(|state| state.report().map(|r| (r, rebuilt)))
-    }
-
     /// Number of in-flight streamed trials across all shards.
     pub fn streaming_trials(&self) -> usize {
         self.shards.iter().map(|s| s.streams.lock().len()).sum()
@@ -652,7 +659,7 @@ impl ShardedRepository {
     /// the overlay replaces the overlay's reference without touching
     /// the snapshot's.
     pub fn snapshot_experiment(&self, app: &str, experiment: &str) -> perfdmf::Result<Repository> {
-        let shard = &self.shards[shard_of(app, experiment, self.shards.len())];
+        let shard = self.shard(app, experiment);
         let mut snapshot = Repository::new();
         if let Some(cold) = &self.cold {
             for (a, e, t) in cold.trial_paths() {

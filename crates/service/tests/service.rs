@@ -734,3 +734,61 @@ fn concurrent_clients_on_one_trial_get_identical_bytes() {
     assert_eq!(stats.panics_isolated, 0);
     svc.shutdown();
 }
+
+#[test]
+fn a_stream_at_a_memoized_path_takes_precedence_over_the_memo() {
+    let svc = small_service(1);
+    let client = svc.client();
+    let stored = imbalanced_trial("t", 8);
+    let ingested = client
+        .call(Request::Ingest {
+            app: "app".into(),
+            experiment: "exp".into(),
+            document: serde_json::to_string(&stored).unwrap(),
+        })
+        .unwrap();
+    assert!(ingested.is_clean(), "{ingested:?}");
+    let memoized = clean_report(client.call(analyze_request("t", "TIME")).unwrap());
+    assert_eq!(
+        clean_report(client.call(analyze_request("t", "TIME")).unwrap()),
+        memoized
+    );
+    assert_eq!(svc.stats().report_memo_hits, 1);
+
+    // One chunk evens out `compute`: the stream it opens, seeded from the
+    // stored trial, must answer the next analysis, not the memo entry.
+    let batch = ChunkBatch {
+        seq: 0,
+        threads: 8,
+        deltas: vec![ColumnDelta {
+            metric: "TIME".into(),
+            event: "compute".into(),
+            event_kind: None,
+            cells: (0..8).map(|th| (th, Measurement::leaf(9.0))).collect(),
+        }],
+    };
+    let applied = client
+        .call(Request::IngestChunk {
+            app: "app".into(),
+            experiment: "exp".into(),
+            trial: "t".into(),
+            chunk: serde_json::to_string(&batch).unwrap(),
+        })
+        .unwrap();
+    assert!(applied.is_clean(), "{applied:?}");
+    let before = svc.stats();
+
+    let streamed = clean_report(client.call(analyze_request("t", "TIME")).unwrap());
+    let mut combined = perfdmf::StreamingTrial::from_trial(stored);
+    combined.apply_chunk(&batch).unwrap();
+    let strict = perfexplorer::workflow::analyze_load_balance(combined.trial(), "TIME").unwrap();
+    assert_eq!(
+        streamed, strict.rendered,
+        "the report must reflect the chunk"
+    );
+    assert_ne!(streamed, memoized);
+    let after = svc.stats();
+    assert_eq!(after.incremental_analyses, before.incremental_analyses + 1);
+    assert_eq!(after.report_memo_hits, 1);
+    svc.shutdown();
+}

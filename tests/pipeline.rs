@@ -206,12 +206,12 @@ fn frequency_feedback_from_simulated_profile() {
 #[test]
 fn shipped_rule_file_parses_and_fires() {
     // The paper's Figure 1 loads knowledge from a rule file
-    // ("openuh/OpenUHRules.drl"); ours ships in rules/OpenUHRules.rules.
-    let source = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("rules/OpenUHRules.rules"),
-    )
-    .expect("rule file present");
-    let parsed = rules::drl::parse(&source).expect("rule file parses");
+    // ("openuh/OpenUHRules.drl"); ours ships as the four rulebase texts,
+    // loaded here as a script's `load_rules_source` loads one.
+    let mut parsed = Vec::new();
+    for source in perfexplorer::rulebase::all_rulebases() {
+        parsed.extend(rules::drl::parse(source).expect("rule text parses"));
+    }
     assert!(parsed.len() >= 4);
 
     let mut engine = rules::Engine::new();
