@@ -16,9 +16,9 @@
 //! * [`power_study`] — the power-modeling case study (§III-C): GenIDLEST
 //!   at O0–O3 on 16 MPI ranks, emitting the counters the power model
 //!   (paper Eq. 1–2) consumes.
-//! * [`sweep`] — a crossbeam-based parallel driver for the parametric
-//!   studies the paper motivates (grids of configurations filling a
-//!   repository).
+//! * [`sweep`] — a parallel driver, on the rayon pool, for the
+//!   parametric studies the paper motivates (grids of configurations
+//!   filling a repository).
 
 #![warn(missing_docs)]
 

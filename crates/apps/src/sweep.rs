@@ -2,16 +2,16 @@
 //!
 //! The paper's motivation is "parametric studies … requiring large
 //! amounts of data to be collected": entire grids of (schedule × thread
-//! count × problem) configurations. This driver runs such sweeps across
-//! worker threads with crossbeam's scoped threads and a work channel,
-//! so the figure harness and the CLI can fill a repository in parallel
-//! wall-clock time. The simulations themselves are deterministic, so
-//! the sweep's *results* are identical regardless of worker count or
-//! completion order.
+//! count × problem) configurations. This driver maps such a grid over
+//! the rayon pool, so the figure harness and the CLI can fill a
+//! repository in parallel wall-clock time. The simulations themselves
+//! are deterministic and the map keeps job order, so the sweep's
+//! *results* are identical at any pool size.
 
 use crate::genidlest::{self, GenIdlestConfig};
 use crate::msa::{self, MsaConfig};
 use perfdmf::Trial;
+use rayon::prelude::*;
 
 /// A unit of sweep work: any simulation producing a trial.
 pub enum SweepJob {
@@ -30,51 +30,10 @@ impl SweepJob {
     }
 }
 
-/// Runs every job, using up to `workers` OS threads, and returns the
-/// trials in job order (results are reordered after parallel execution,
-/// so callers see a deterministic sequence).
-pub fn run_sweep(jobs: Vec<SweepJob>, workers: usize) -> Vec<Trial> {
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    if workers == 1 {
-        return jobs.iter().map(SweepJob::run).collect();
-    }
-
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, &SweepJob)>();
-    let (result_tx, result_rx) = crossbeam::channel::unbounded::<(usize, Trial)>();
-    for (i, job) in jobs.iter().enumerate() {
-        job_tx.send((i, job)).expect("open channel");
-    }
-    drop(job_tx);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let result_tx = result_tx.clone();
-            scope.spawn(move |_| {
-                while let Ok((i, job)) = job_rx.recv() {
-                    let trial = job.run();
-                    if result_tx.send((i, trial)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(result_tx);
-    })
-    .expect("sweep worker panicked");
-
-    let mut slots: Vec<Option<Trial>> = (0..n).map(|_| None).collect();
-    while let Ok((i, trial)) = result_rx.recv() {
-        slots[i] = Some(trial);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every job produces a trial"))
-        .collect()
+/// Runs every job on the rayon pool and returns the trials in job
+/// order.
+pub fn run_sweep(jobs: &[SweepJob]) -> Vec<Trial> {
+    jobs.par_iter().map(SweepJob::run).collect()
 }
 
 #[cfg(test)]
@@ -91,43 +50,41 @@ mod tests {
 
     #[test]
     fn parallel_sweep_matches_sequential_results() {
-        let mk = || {
-            vec![
-                msa_job(1),
-                msa_job(2),
-                msa_job(4),
-                SweepJob::GenIdlest({
-                    let mut c = GenIdlestConfig::new(
-                        Problem::Rib45,
-                        Paradigm::Mpi,
-                        CodeVersion::Optimized,
-                        4,
-                    );
-                    c.timesteps = 1;
-                    c
-                }),
-            ]
-        };
-        let sequential = run_sweep(mk(), 1);
-        let parallel = run_sweep(mk(), 4);
-        assert_eq!(sequential.len(), parallel.len());
-        for (a, b) in sequential.iter().zip(&parallel) {
-            assert_eq!(a.name, b.name, "order preserved");
-            assert_eq!(a.profile, b.profile, "determinism across workers");
+        let jobs = vec![
+            msa_job(1),
+            msa_job(2),
+            msa_job(4),
+            SweepJob::GenIdlest({
+                let mut c =
+                    GenIdlestConfig::new(Problem::Rib45, Paradigm::Mpi, CodeVersion::Optimized, 4);
+                c.timesteps = 1;
+                c
+            }),
+        ];
+        let swept = run_sweep(&jobs);
+        assert_eq!(swept.len(), jobs.len());
+        for (job, trial) in jobs.iter().zip(&swept) {
+            let alone = job.run();
+            assert_eq!(trial.name, alone.name, "job order kept");
+            assert_eq!(
+                trial.profile, alone.profile,
+                "same trial as the job run alone"
+            );
         }
     }
 
     #[test]
     fn results_keep_job_order() {
-        let trials = run_sweep(vec![msa_job(4), msa_job(1), msa_job(2)], 3);
+        let trials = run_sweep(&[msa_job(4), msa_job(1), msa_job(2)]);
         let names: Vec<&str> = trials.iter().map(|t| t.name.as_str()).collect();
         assert_eq!(names, vec!["4_dynamic,1", "1_dynamic,1", "2_dynamic,1"]);
     }
 
     #[test]
     fn degenerate_inputs() {
-        assert!(run_sweep(Vec::new(), 4).is_empty());
-        let one = run_sweep(vec![msa_job(2)], 16);
+        assert!(run_sweep(&[]).is_empty());
+        let one = run_sweep(&[msa_job(2)]);
         assert_eq!(one.len(), 1);
+        assert_eq!(one[0].profile, msa_job(2).run().profile);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's workflows run as batch jobs; this crate packages them as
 //! a long-lived service many clients share. Requests (profile uploads,
-//! workflow analyses, scripted studies) flow through an MPMC channel
+//! workflow analyses, scripted studies) flow through one bounded queue
 //! into a fixed worker pool. Trials live in a [`ShardedRepository`]
 //! partitioned by tenant path, so ingests for different tenants
 //! contend on different locks; cold trials come from the zero-copy
@@ -20,9 +20,10 @@
 //! [`Outcome::Overloaded`] instead of growing without limit; each
 //! request may carry a *deadline* that is checked at dequeue and
 //! propagated into the supervisor's wall budget
-//! ([`Outcome::DeadlineExceeded`]); each shard has a *circuit breaker*
-//! that opens after repeated storage-internal failures
-//! ([`Outcome::BreakerOpen`], recovering via half-open probes); and
+//! ([`Outcome::DeadlineExceeded`]); admission keeps one *circuit
+//! breaker* per shard that opens after repeated storage-internal
+//! failures ([`Outcome::BreakerOpen`], recovering via half-open
+//! probes); and
 //! streamed chunk ingestion can be backed by per-shard *write-ahead
 //! journals* so a crash-restart cycle loses no acknowledged chunk.
 
@@ -43,10 +44,11 @@ use perfexplorer::scripting::PerfExplorerScript;
 use perfexplorer::supervise::{DegradeCause, DegradedStage};
 use perfexplorer::SupervisorConfig;
 use shard::Lru;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Service tuning knobs.
@@ -300,20 +302,86 @@ struct Job {
 /// `RunScript` compiles, runs and keeps nothing.
 type ScriptCache = Lru<String, Arc<script::Compiled>>;
 
-/// What flows through the worker queue: work, or an order to exit.
-/// Explicit shutdown sentinels let [`AnalysisService::shutdown`] stop
-/// the pool even while clients still hold queue handles.
-enum WorkerMsg {
-    Job(Job),
-    Shutdown,
+/// The bounded worker queue. Clients push without blocking, so a full
+/// queue sheds; idle workers sleep on one condition variable, and a
+/// push wakes exactly one of them. Closing it lets the workers drain
+/// what is queued and exit, and refuses every later push. It is not
+/// std's `sync_channel`: workers sharing that one receiver behind a
+/// mutex wake a second worker for every job (DESIGN.md §3.12).
+struct WorkQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+    capacity: usize,
+}
+
+struct QueueState {
+    jobs: VecDeque<Job>,
+    closed: bool,
+}
+
+/// What [`WorkQueue::try_push`] did with a job.
+enum Push {
+    Queued,
+    /// The queue is at capacity; the job comes back to be shed.
+    Full(Job),
+    Closed,
+}
+
+impl WorkQueue {
+    fn new(capacity: usize) -> Self {
+        WorkQueue {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                closed: false,
+            }),
+            ready: Condvar::new(),
+            capacity,
+        }
+    }
+
+    fn try_push(&self, job: Job) -> Push {
+        let mut state = self.state.lock();
+        if state.closed {
+            return Push::Closed;
+        }
+        if state.jobs.len() >= self.capacity {
+            return Push::Full(job);
+        }
+        state.jobs.push_back(job);
+        drop(state);
+        self.ready.notify_one();
+        Push::Queued
+    }
+
+    /// The next job, sleeping while the queue is empty; `None` once it
+    /// is closed and drained.
+    fn pop(&self) -> Option<Job> {
+        let mut state = self.state.lock();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.ready.notify_all();
+    }
 }
 
 /// A clonable handle for submitting requests.
 #[derive(Clone)]
 pub struct ServiceClient {
-    queue: crossbeam::channel::Sender<WorkerMsg>,
+    queue: Arc<WorkQueue>,
     metrics: Arc<ServiceMetrics>,
-    capacity: usize,
 }
 
 impl ServiceClient {
@@ -340,32 +408,28 @@ impl ServiceClient {
             deadline,
             reply: tx,
         };
-        // Gauge up BEFORE the send: the worker's decrement at dequeue
+        // Gauge up BEFORE the push: the worker's decrement at dequeue
         // must never land before this increment, or the gauge drifts
         // (dec saturates at zero, the late inc sticks forever). The
         // peak is folded only once the job is admitted and is clamped
         // to the capacity: the gauge also counts concurrent attempts
         // that are about to be shed, and a shed attempt is not depth.
         let depth = ServiceMetrics::gauge_inc(&self.metrics.queue_depth);
-        match self.queue.try_send(WorkerMsg::Job(job)) {
-            Ok(()) => {
-                ServiceMetrics::fold_peak(&self.metrics.queue_peak, depth.min(self.capacity as u64))
+        let capacity = self.queue.capacity;
+        match self.queue.try_push(job) {
+            Push::Queued => {
+                ServiceMetrics::fold_peak(&self.metrics.queue_peak, depth.min(capacity as u64))
             }
-            Err(crossbeam::channel::TrySendError::Full(WorkerMsg::Job(job))) => {
+            Push::Full(job) => {
                 ServiceMetrics::gauge_dec(&self.metrics.queue_depth);
                 ServiceMetrics::bump(&self.metrics.shed);
                 let _ = job.reply.send(Response {
-                    outcome: Outcome::Overloaded {
-                        capacity: self.capacity,
-                    },
+                    outcome: Outcome::Overloaded { capacity },
                     degraded: Vec::new(),
                     latency: job.submitted.elapsed(),
                 });
             }
-            Err(crossbeam::channel::TrySendError::Full(WorkerMsg::Shutdown)) => {
-                unreachable!("clients only submit jobs")
-            }
-            Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
+            Push::Closed => {
                 ServiceMetrics::gauge_dec(&self.metrics.queue_depth);
                 return Err("service is shut down".to_string());
             }
@@ -392,11 +456,10 @@ impl ServiceClient {
 
 /// The running service: worker pool, sharded store, metrics.
 pub struct AnalysisService {
-    queue: Option<crossbeam::channel::Sender<WorkerMsg>>,
+    queue: Arc<WorkQueue>,
     workers: Vec<std::thread::JoinHandle<()>>,
     store: Arc<ShardedRepository>,
     metrics: Arc<ServiceMetrics>,
-    queue_capacity: usize,
 }
 
 impl AnalysisService {
@@ -410,12 +473,7 @@ impl AnalysisService {
     /// not start.
     pub fn start(config: ServiceConfig) -> Self {
         let metrics = Arc::new(ServiceMetrics::default());
-        let store = ShardedRepository::with_breakers(
-            config.shards,
-            config.cache_capacity,
-            metrics.clone(),
-            config.breaker.clone(),
-        );
+        let store = ShardedRepository::new(config.shards, config.cache_capacity, metrics.clone());
         match Self::finish(config, store, metrics) {
             Ok(svc) => svc,
             Err(e) => panic!("service start: WAL attach failed: {e}"),
@@ -428,13 +486,12 @@ impl AnalysisService {
     /// As [`AnalysisService::start`], when WAL attach fails.
     pub fn start_with_repository(config: ServiceConfig, repo: Repository) -> Self {
         let metrics = Arc::new(ServiceMetrics::default());
-        let mut store = ShardedRepository::from_repository(
+        let store = ShardedRepository::from_repository(
             repo,
             config.shards,
             config.cache_capacity,
             metrics.clone(),
         );
-        store.set_breaker_config(config.breaker.clone());
         match Self::finish(config, store, metrics) {
             Ok(svc) => svc,
             Err(e) => panic!("service start: WAL attach failed: {e}"),
@@ -445,14 +502,13 @@ impl AnalysisService {
     /// mapped store; JSON loads into the shard overlays).
     pub fn open(config: ServiceConfig, path: &Path) -> perfdmf::Result<Self> {
         let metrics = Arc::new(ServiceMetrics::default());
-        let mut store =
+        let store =
             ShardedRepository::open(path, config.shards, config.cache_capacity, metrics.clone())?;
-        store.set_breaker_config(config.breaker.clone());
         Self::finish(config, store, metrics)
     }
 
     /// Attaches the WAL (replaying any crash leftovers) and spins up
-    /// the worker pool.
+    /// the worker pool, with one circuit breaker per shard.
     fn finish(
         config: ServiceConfig,
         mut store: ShardedRepository,
@@ -461,52 +517,43 @@ impl AnalysisService {
         if let Some(dir) = &config.wal_dir {
             store.attach_wal(dir, config.wal_fsync)?;
         }
-        Ok(Self::with_store(config, Arc::new(store), metrics))
-    }
-
-    fn with_store(
-        config: ServiceConfig,
-        store: Arc<ShardedRepository>,
-        metrics: Arc<ServiceMetrics>,
-    ) -> Self {
-        let queue_capacity = config.queue_capacity.max(1);
-        let (tx, rx) = crossbeam::channel::bounded::<WorkerMsg>(queue_capacity);
+        let store = Arc::new(store);
+        let queue = Arc::new(WorkQueue::new(config.queue_capacity.max(1)));
         let scripts = Arc::new(Mutex::new(ScriptCache::new(
             config.script_cache_capacity.max(1),
         )));
+        let breakers: Arc<[CircuitBreaker]> = (0..config.shards)
+            .map(|_| CircuitBreaker::new(config.breaker.clone()))
+            .collect();
         let workers = (0..config.workers.max(1))
             .map(|i| {
-                let rx = rx.clone();
+                let queue = queue.clone();
                 let store = store.clone();
                 let metrics = metrics.clone();
                 let supervisor = config.supervisor.clone();
                 let scripts = scripts.clone();
+                let breakers = breakers.clone();
                 std::thread::Builder::new()
                     .name(format!("svc-worker-{i}"))
-                    .spawn(move || worker_loop(rx, store, metrics, supervisor, scripts))
+                    .spawn(move || {
+                        worker_loop(queue, store, metrics, supervisor, scripts, breakers)
+                    })
                     .unwrap_or_else(|e| panic!("spawn service worker: {e}"))
             })
             .collect();
-        AnalysisService {
-            queue: Some(tx),
+        Ok(AnalysisService {
+            queue,
             workers,
             store,
             metrics,
-            queue_capacity,
-        }
+        })
     }
 
     /// A new client handle.
     pub fn client(&self) -> ServiceClient {
-        match &self.queue {
-            Some(queue) => ServiceClient {
-                queue: queue.clone(),
-                metrics: self.metrics.clone(),
-                capacity: self.queue_capacity,
-            },
-            // The queue is taken only by shutdown (which consumes the
-            // service) or Drop; no `&self` caller can observe it.
-            None => unreachable!("service is running"),
+        ServiceClient {
+            queue: self.queue.clone(),
+            metrics: self.metrics.clone(),
         }
     }
 
@@ -520,20 +567,15 @@ impl AnalysisService {
         &self.store
     }
 
-    /// Drains queued work, stops the workers, and joins them. One
-    /// shutdown sentinel per worker rides behind any queued jobs, so
-    /// in-flight requests finish first; outstanding [`ServiceClient`]
-    /// handles error on their next submit.
+    /// Closes the queue, lets the workers drain the jobs already queued,
+    /// and joins them. Outstanding [`ServiceClient`] handles error on
+    /// their next submit.
     pub fn shutdown(mut self) {
         self.stop_workers();
     }
 
     fn stop_workers(&mut self) {
-        if let Some(queue) = self.queue.take() {
-            for _ in &self.workers {
-                let _ = queue.send(WorkerMsg::Shutdown);
-            }
-        }
+        self.queue.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -547,19 +589,17 @@ impl Drop for AnalysisService {
 }
 
 fn worker_loop(
-    rx: crossbeam::channel::Receiver<WorkerMsg>,
+    queue: Arc<WorkQueue>,
     store: Arc<ShardedRepository>,
     metrics: Arc<ServiceMetrics>,
     supervisor: SupervisorConfig,
     scripts: Arc<Mutex<ScriptCache>>,
+    breakers: Arc<[CircuitBreaker]>,
 ) {
-    loop {
-        let job = match rx.recv() {
-            Ok(WorkerMsg::Job(job)) => job,
-            Ok(WorkerMsg::Shutdown) | Err(_) => break,
-        };
+    while let Some(job) = queue.pop() {
         ServiceMetrics::gauge_dec(&metrics.queue_depth);
-        let (outcome, degraded) = serve_job(&store, &metrics, &supervisor, &scripts, &job);
+        let (outcome, degraded) =
+            serve_job(&store, &metrics, &supervisor, &scripts, &breakers, &job);
         ServiceMetrics::bump(&metrics.requests);
         if !degraded.is_empty() {
             ServiceMetrics::bump(&metrics.degraded_responses);
@@ -587,6 +627,7 @@ fn serve_job(
     metrics: &Arc<ServiceMetrics>,
     supervisor: &SupervisorConfig,
     scripts: &Arc<Mutex<ScriptCache>>,
+    breakers: &[CircuitBreaker],
     job: &Job,
 ) -> (Outcome, Vec<DegradedStage>) {
     // A job whose deadline passed while it sat in the queue is answered
@@ -610,7 +651,7 @@ fn serve_job(
     // Breaker gate: an open breaker answers without touching the shard.
     let (app, experiment) = job.request.tenant();
     let shard_idx = store.shard_index(app, experiment);
-    let breaker = store.breaker(shard_idx);
+    let breaker = &breakers[shard_idx];
     match breaker.admit() {
         Admission::Allowed => {}
         Admission::Probe => ServiceMetrics::bump(&metrics.breaker_probes),
@@ -1410,5 +1451,53 @@ mod tests {
             other => panic!("expected script outcome, got {other:?}"),
         }
         svc.shutdown();
+    }
+
+    #[test]
+    fn a_closed_queue_drains_its_jobs_then_refuses() {
+        let queue = WorkQueue::new(2);
+        let job = || Job {
+            request: Request::AnalyzeBalance {
+                app: "lu".into(),
+                experiment: "strong".into(),
+                trial: "t1".into(),
+                metric: "TIME".into(),
+            },
+            submitted: Instant::now(),
+            deadline: None,
+            reply: std::sync::mpsc::channel().0,
+        };
+        assert!(matches!(queue.try_push(job()), Push::Queued));
+        assert!(matches!(queue.try_push(job()), Push::Queued));
+        assert!(matches!(queue.try_push(job()), Push::Full(_)));
+        queue.close();
+        assert!(matches!(queue.try_push(job()), Push::Closed));
+        assert!(queue.pop().is_some());
+        assert!(queue.pop().is_some());
+        assert!(queue.pop().is_none(), "closed and drained");
+    }
+
+    #[test]
+    fn requests_after_shutdown_error_instead_of_hanging() {
+        let svc = AnalysisService::start(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
+        let client = svc.client();
+        svc.shutdown();
+        let analyze = || Request::AnalyzeBalance {
+            app: "lu".into(),
+            experiment: "strong".into(),
+            trial: "t1".into(),
+            metric: "TIME".into(),
+        };
+        assert_eq!(
+            client.submit(analyze()).err().as_deref(),
+            Some("service is shut down")
+        );
+        assert_eq!(
+            client.call(analyze()).err().as_deref(),
+            Some("service is shut down")
+        );
     }
 }

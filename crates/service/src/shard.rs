@@ -35,17 +35,14 @@
 //! streamed trials (attached by [`ShardedRepository::attach_wal`]): a
 //! chunk is journaled *before* it is applied, so an acknowledged chunk
 //! is always recoverable, and [`attach_wal`] on a fresh store replays
-//! the journals to rebuild every in-flight stream a crash lost. Each
-//! shard also owns a [`CircuitBreaker`]; the worker loop consults it
-//! before touching the shard and reports storage-internal failures
-//! into it, so a persistently corrupt shard fails fast instead of
-//! absorbing work forever.
+//! the journals to rebuild every in-flight stream a crash lost. The
+//! shards' circuit breakers belong to the service's admission, which
+//! indexes them by [`ShardedRepository::shard_index`].
 //!
 //! [`attach_wal`]: ShardedRepository::attach_wal
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::metrics::ServiceMetrics;
 use parking_lot::{Mutex, RwLock};
 use perfdmf::wal::{FsyncPolicy, Journal, RecordRef, WalRecord};
@@ -215,9 +212,6 @@ struct Shard {
     /// Write-ahead journal for this shard's streams; `None` until
     /// [`ShardedRepository::attach_wal`].
     journal: Option<Mutex<Journal>>,
-    /// This shard's circuit breaker. Always present; the worker loop
-    /// consults it before any shard access.
-    breaker: CircuitBreaker,
 }
 
 /// Trials partitioned by `(app, experiment)` hash across N shards,
@@ -229,19 +223,8 @@ pub struct ShardedRepository {
 }
 
 impl ShardedRepository {
-    /// An empty sharded store with no cold backing and default breaker
-    /// tuning.
+    /// An empty sharded store with no cold backing.
     pub fn new(shards: usize, cache_capacity: usize, metrics: Arc<ServiceMetrics>) -> Self {
-        Self::with_breakers(shards, cache_capacity, metrics, BreakerConfig::default())
-    }
-
-    /// An empty sharded store with explicit breaker tuning.
-    pub fn with_breakers(
-        shards: usize,
-        cache_capacity: usize,
-        metrics: Arc<ServiceMetrics>,
-        breaker: BreakerConfig,
-    ) -> Self {
         assert!(shards > 0, "shard count must be positive");
         ShardedRepository {
             shards: (0..shards)
@@ -251,7 +234,6 @@ impl ShardedRepository {
                     reports: Mutex::new(Lru::new(cache_capacity)),
                     streams: Mutex::new(HashMap::new()),
                     journal: None,
-                    breaker: CircuitBreaker::new(breaker.clone()),
                 })
                 .collect(),
             cold: None,
@@ -306,11 +288,6 @@ impl ShardedRepository {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard index serving this tenant path.
     pub fn shard_index(&self, app: &str, experiment: &str) -> usize {
         shard_of(app, experiment, self.shards.len())
@@ -319,24 +296,6 @@ impl ShardedRepository {
     /// The shard serving this tenant path.
     fn shard(&self, app: &str, experiment: &str) -> &Shard {
         &self.shards[self.shard_index(app, experiment)]
-    }
-
-    /// The circuit breaker guarding one shard.
-    pub fn breaker(&self, shard: usize) -> &CircuitBreaker {
-        &self.shards[shard].breaker
-    }
-
-    /// Replaces every shard's breaker with a fresh one under `config`.
-    /// Intended for service startup, before any requests flow.
-    pub fn set_breaker_config(&mut self, config: BreakerConfig) {
-        for shard in &mut self.shards {
-            shard.breaker = CircuitBreaker::new(config.clone());
-        }
-    }
-
-    /// Whether any shard has a write-ahead journal attached.
-    pub fn wal_enabled(&self) -> bool {
-        self.shards.iter().any(|s| s.journal.is_some())
     }
 
     /// Attaches per-shard write-ahead journals under `dir`
@@ -646,30 +605,18 @@ impl ShardedRepository {
         Ok(applied)
     }
 
-    /// Number of in-flight streamed trials across all shards.
-    pub fn streaming_trials(&self) -> usize {
-        self.shards.iter().map(|s| s.streams.lock().len()).sum()
-    }
-
     /// Builds a standalone repository holding every trial of one
-    /// experiment — overlay trials shadow cold ones of the same name.
-    /// The scripting layer runs against this snapshot, so a long script
-    /// never holds a shard lock. Overlay trials are shared, not copied:
-    /// the snapshot takes a reference to each, and a later upsert into
-    /// the overlay replaces the overlay's reference without touching
-    /// the snapshot's.
+    /// experiment — streamed trials shadow overlay ones, which shadow
+    /// cold ones of the same name. A shadowed cold trial is never
+    /// decoded, so a corrupt page under a re-uploaded trial cannot fail
+    /// the snapshot. The scripting layer runs against this snapshot, so
+    /// a long script never holds a shard lock. Overlay trials are
+    /// shared, not copied: the snapshot takes a reference to each, and
+    /// a later upsert into the overlay replaces the overlay's reference
+    /// without touching the snapshot's.
     pub fn snapshot_experiment(&self, app: &str, experiment: &str) -> perfdmf::Result<Repository> {
         let shard = self.shard(app, experiment);
         let mut snapshot = Repository::new();
-        if let Some(cold) = &self.cold {
-            for (a, e, t) in cold.trial_paths() {
-                if a == app && e == experiment {
-                    let (a, e, t) = (a.to_string(), e.to_string(), t.to_string());
-                    let materialized = cold.view(&a, &e, &t)?.to_trial()?;
-                    snapshot.upsert_trial(&a, &e, materialized);
-                }
-            }
-        }
         let overlaid = {
             let start = Instant::now();
             let overlay = shard.overlay.read();
@@ -685,6 +632,14 @@ impl ShardedRepository {
         for ((a, e, _), entry) in shard.streams.lock().iter() {
             if a == app && e == experiment {
                 snapshot.upsert_trial(app, experiment, entry.stream.trial().clone());
+            }
+        }
+        if let Some(cold) = &self.cold {
+            for (a, e, t) in cold.trial_paths() {
+                if a == app && e == experiment && snapshot.trial(a, e, t).is_err() {
+                    let materialized = cold.view(a, e, t)?.to_trial()?;
+                    snapshot.upsert_trial(a, e, materialized);
+                }
             }
         }
         if snapshot.trial_count() == 0 {

@@ -611,3 +611,83 @@ fn breaker_opens_on_corrupt_shard_and_recovers_via_probe() {
     svc.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A cold trial that a stream or an overlay upsert shadows is never
+/// decoded for a script's experiment snapshot: a corrupt page under a
+/// re-uploaded trial must not reject every script over its experiment
+/// (nor count against the shard's breaker).
+#[test]
+fn scripts_skip_a_shadowed_corrupt_cold_trial() {
+    // As in the breaker test: "zz-bad" owns the final column page.
+    let mut repo = Repository::new();
+    repo.add_trial("zz-bad", "exp", trial("doomed", 4)).unwrap();
+    let dir = std::env::temp_dir().join(format!("svc-resilience-shadow-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("repo.pdb1");
+    repo.save_as(&path, perfdmf::Format::Pdb1).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xff;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let svc = AnalysisService::open(
+        ServiceConfig {
+            workers: 1,
+            shards: 2,
+            ..ServiceConfig::default()
+        },
+        &path,
+    )
+    .unwrap();
+    let client = svc.client();
+    let script = || {
+        client
+            .call(Request::RunScript {
+                app: "zz-bad".into(),
+                experiment: "exp".into(),
+                source: r#"load_trial("zz-bad", "exp", "doomed"); print("read");"#.into(),
+            })
+            .unwrap()
+    };
+
+    // Unshadowed, the rotten page rejects the snapshot.
+    let resp = script();
+    match &resp.outcome {
+        Outcome::Rejected { error } => assert!(error.contains("checksum"), "{error}"),
+        other => panic!("expected a checksum rejection, got {other:?}"),
+    }
+
+    // A stream at the same path shadows it (its bootstrap falls back
+    // to the chunk when the stored trial cannot be read).
+    let chunk = &stream_chunks(1, 4)[0];
+    let resp = client
+        .call(Request::IngestChunk {
+            app: "zz-bad".into(),
+            experiment: "exp".into(),
+            trial: "doomed".into(),
+            chunk: serde_json::to_string(chunk).unwrap(),
+        })
+        .unwrap();
+    assert!(resp.is_clean(), "{resp:?}");
+    let resp = script();
+    assert!(resp.is_clean(), "stream shadows the cold trial: {resp:?}");
+
+    // A full re-upload retires the stream; the overlay copy shadows it.
+    let resp = client
+        .call(Request::Ingest {
+            app: "zz-bad".into(),
+            experiment: "exp".into(),
+            document: trial_json("doomed", 4),
+        })
+        .unwrap();
+    assert!(resp.is_clean(), "{resp:?}");
+    let resp = script();
+    assert!(resp.is_clean(), "overlay shadows the cold trial: {resp:?}");
+    match &resp.outcome {
+        Outcome::ScriptDone { printed, .. } => assert_eq!(printed, &vec!["read".to_string()]),
+        other => panic!("expected script outcome, got {other:?}"),
+    }
+    assert_eq!(svc.stats().breaker_trips, 0);
+    svc.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -177,7 +177,7 @@ pub fn usage() -> String {
      \x20 perfknow simulate genidlest --paradigm mpi|openmp --version optimized|unoptimized\n\
      \x20                             --procs N [--problem rib45|rib90] --repo FILE\n\
      \x20 perfknow simulate power     [--ranks N] --repo FILE\n\
-     \x20 perfknow sweep              --repo FILE [--workers N] [--timesteps N]\n\
+     \x20 perfknow sweep              --repo FILE [--timesteps N] [--sequences N]\n\
      \x20 perfknow list               --repo FILE\n\
      \x20 perfknow analyze balance    --repo FILE --app A --experiment E --trial T\n\
      \x20 perfknow analyze locality   --repo FILE --app A --experiment E\n\
@@ -266,7 +266,6 @@ fn sweep(opts: &Options) -> Result<String, CliError> {
     use apps::sweep::{run_sweep, SweepJob};
     let repo_path = PathBuf::from(opts.need("repo")?);
     let mut repo = load_or_new(&repo_path)?;
-    let workers = opts.num_or("workers", 4)?;
     let timesteps = opts.num_or("timesteps", 5)?;
     let sequences = opts.num_or("sequences", 400)?;
 
@@ -294,7 +293,7 @@ fn sweep(opts: &Options) -> Result<String, CliError> {
         }
     }
     let total = jobs.len();
-    let trials = run_sweep(jobs, workers);
+    let trials = run_sweep(&jobs);
     for (i, trial) in trials.into_iter().enumerate() {
         if i < msa_jobs {
             repo.upsert_trial("msap", "scheduling", trial);
@@ -304,7 +303,7 @@ fn sweep(opts: &Options) -> Result<String, CliError> {
     }
     save(&repo, &repo_path)?;
     Ok(format!(
-        "swept {total} configurations on {workers} workers
+        "swept {total} configurations
 saved {}
 ",
         repo_path.display()
@@ -993,8 +992,6 @@ mod sweep_tests {
             "sweep",
             "--repo",
             repo_path.to_str().unwrap(),
-            "--workers",
-            "4",
             "--timesteps",
             "1",
             "--sequences",
