@@ -17,6 +17,13 @@
 //! * `repo_sweep_64` — end to end: the same sweep shape through
 //!   [`PerfExplorerScript`] over a real 64-trial repository
 //!   (`list_trials` + `load_trial` + `elapsed` per body).
+//! * `map_8_short` / `map_8_long` — the pool handoff on its own: a
+//!   `par_iter` over 8 items of fixed arithmetic, against the same
+//!   items mapped sequentially. A short item costs about what one
+//!   `scripted_study` sweep body does (≈7 µs); a long one ≈250 µs. The
+//!   short pair shows what handing such a map to the pool would cost
+//!   and the long pair what splitting gains; EXPERIMENTS.md derives the
+//!   rayon shim's handoff cutoff from both.
 //! * `study_events` — one body of the service benchmark's second study
 //!   script: a host-built list of 12 event names, passed to `len()` and
 //!   indexed in a counted loop, each name handed with a string constant
@@ -63,6 +70,19 @@ const REPO_SWEEP: &str = r#"
     };
     len(r)
 "#;
+
+/// Multiply-add rounds per short and per long item of the `map_8_*`
+/// cases: ≈7 µs and ≈250 µs on the host EXPERIMENTS.md reports.
+const SHORT_ITEM: u64 = 28_000;
+const LONG_ITEM: u64 = 1_000_000;
+
+/// One map item: `rounds` multiply-adds over a count the compiler
+/// cannot see, so it cannot fold the work away.
+fn item(rounds: u64, seed: u64) -> u64 {
+    (0..std::hint::black_box(rounds)).fold(seed, |a, i| {
+        a.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i)
+    })
+}
 
 /// The body of the service benchmark's second study script: the host
 /// builds the event list, the script passes it to `len()` and indexes
@@ -187,8 +207,14 @@ fn warmed(mut interp: Interpreter, src: &str, expected: &Value) -> (Interpreter,
 }
 
 fn main() {
-    let mut b =
-        Bench::from_env("script_vm", "BENCH_script.json").ungated(&["sweep_64", "repo_sweep_64"]);
+    // The sweep and map cases reach the pool only when a split pays,
+    // so their allocation counts depend on the budget and the host.
+    let mut b = Bench::from_env("script_vm", "BENCH_script.json").ungated(&[
+        "sweep_64",
+        "repo_sweep_64",
+        "map_8_short",
+        "map_8_long",
+    ]);
     b.note("workers", Json::Int(rayon::concurrency_budget() as i64));
     b.note("study_events", Json::Int(EVENTS.len() as i64));
     for (name, src) in PROGRAMS {
@@ -221,6 +247,14 @@ fn main() {
         }),
         ("inline", || inline.run_compiled(&inline_program).unwrap()),
     );
+
+    for (name, rounds) in [("map_8_short", SHORT_ITEM), ("map_8_long", LONG_ITEM)] {
+        let seeds: Vec<u64> = (0..8).collect();
+        let parallel = || -> Vec<u64> { seeds.par_iter().map(|&s| item(rounds, s)).collect() };
+        let sequential = || -> Vec<u64> { seeds.iter().map(|&s| item(rounds, s)).collect() };
+        assert_eq!(parallel(), sequential());
+        b.pair(name, ("par_iter", parallel), ("sequential", sequential));
+    }
 
     let mut session = PerfExplorerScript::new(sweep_repo());
     let program = session.compile(REPO_SWEEP).unwrap();

@@ -108,20 +108,28 @@ struct SessionState {
     /// which copies it first (`Arc::make_mut`), so scripts never mutate
     /// the repository or a sibling sweep body's view.
     trials: Vec<Arc<Trial>>,
-    engine: Engine,
-    machine: MachineConfig,
+    /// Built by the first host call that asserts facts, adds rules or
+    /// runs them: most sweep bodies only read trials and never need one.
+    engine: Option<Engine>,
+    /// Shared with the session's sweep bodies.
+    machine: Arc<MachineConfig>,
     last_report: Option<RunReport>,
 }
 
 impl SessionState {
-    fn fresh(repo: Arc<Repository>, machine: MachineConfig) -> Self {
+    fn fresh(repo: Arc<Repository>, machine: Arc<MachineConfig>) -> Self {
         SessionState {
             repo,
             trials: Vec::new(),
-            engine: Engine::new(),
+            engine: None,
             machine,
             last_report: None,
         }
+    }
+
+    /// The session's rule engine, built on first use.
+    fn engine(&mut self) -> &mut Engine {
+        self.engine.get_or_insert_with(Engine::new)
     }
 }
 
@@ -194,9 +202,10 @@ impl PerfExplorerScript {
     /// multi-tenant service uses so its sessions (and their sweep
     /// bodies) read one copy of the data.
     pub fn with_shared(repo: Arc<Repository>, machine: MachineConfig) -> Self {
+        let machine = Arc::new(machine);
         let state = Rc::new(RefCell::new(SessionState::fresh(
             Arc::clone(&repo),
-            machine.clone(),
+            Arc::clone(&machine),
         )));
         let mut interp = Interpreter::new();
         Self::register_all(&mut interp, &state);
@@ -252,7 +261,7 @@ impl PerfExplorerScript {
     pub fn set_sweep_observer(&mut self, observer: Arc<dyn Fn(usize, usize) + Send + Sync>) {
         let (repo, machine) = {
             let st = self.state.borrow();
-            (Arc::clone(&st.repo), st.machine.clone())
+            (Arc::clone(&st.repo), Arc::clone(&st.machine))
         };
         let exec = sweep_executor(repo, machine);
         self.interp
@@ -319,7 +328,10 @@ impl PerfExplorerScript {
 /// shared repository; a panicking body is caught and recorded as that
 /// body's error outcome, so one corrupt trial cannot take down its
 /// siblings or the pool.
-fn sweep_executor(repo: Arc<Repository>, machine: MachineConfig) -> Arc<script::ParallelExecutor> {
+fn sweep_executor(
+    repo: Arc<Repository>,
+    machine: Arc<MachineConfig>,
+) -> Arc<script::ParallelExecutor> {
     Arc::new(move |runner: &script::ParRunner, items: Vec<Value>| {
         let repo = &repo;
         let machine = &machine;
@@ -327,7 +339,8 @@ fn sweep_executor(repo: Arc<Repository>, machine: MachineConfig) -> Arc<script::
             .into_par_iter()
             .map(|item| {
                 use std::panic::{catch_unwind, AssertUnwindSafe};
-                let state = RefCell::new(SessionState::fresh(Arc::clone(repo), machine.clone()));
+                let state =
+                    RefCell::new(SessionState::fresh(Arc::clone(repo), Arc::clone(machine)));
                 let mut host = |name: &str, args: &mut Vec<Value>| call_host(&state, name, args);
                 catch_unwind(AssertUnwindSafe(|| runner.run_one(item, &mut host))).unwrap_or_else(
                     |payload| script::BodyOutcome {
@@ -480,7 +493,7 @@ fn call_host(
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             let fact = MeanEventFact::compare_event_to_main(trial, metric, severity, event)
                 .map_err(|e| host_err(e.to_string()))?;
-            st.engine.assert_fact(fact);
+            st.engine().assert_fact(fact);
             Ok(Value::Null)
         }
         "compare_all_events" => {
@@ -493,7 +506,7 @@ fn call_host(
                 .map_err(|e| host_err(e.to_string()))?;
             let n = facts.len();
             for f in facts {
-                st.engine.assert_fact(f);
+                st.engine().assert_fact(f);
             }
             Ok(Value::Num(n as f64))
         }
@@ -507,35 +520,35 @@ fn call_host(
             let facts = analysis.facts();
             let n = facts.len();
             for f in facts {
-                st.engine.assert_fact(f);
+                st.engine().assert_fact(f);
             }
             Ok(Value::Num(n as f64))
         }
         "assert_stall_facts" => {
             let id = expect_trial(args, 0)?;
             let mut st = state.borrow_mut();
-            let machine = st.machine.clone();
+            let machine = Arc::clone(&st.machine);
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             let facts = stall_facts(
                 &stall_decomposition(trial, &machine).map_err(|e| host_err(e.to_string()))?,
             );
             let n = facts.len();
             for f in facts {
-                st.engine.assert_fact(f);
+                st.engine().assert_fact(f);
             }
             Ok(Value::Num(n as f64))
         }
         "assert_memory_facts" => {
             let id = expect_trial(args, 0)?;
             let mut st = state.borrow_mut();
-            let machine = st.machine.clone();
+            let machine = Arc::clone(&st.machine);
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             let facts = memory_facts(
                 &memory_analysis(trial, &machine).map_err(|e| host_err(e.to_string()))?,
             );
             let n = facts.len();
             for f in facts {
-                st.engine.assert_fact(f);
+                st.engine().assert_fact(f);
             }
             Ok(Value::Num(n as f64))
         }
@@ -560,7 +573,7 @@ fn call_host(
                     }
                 }
             }
-            state.borrow_mut().engine.assert_fact(fact);
+            state.borrow_mut().engine().assert_fact(fact);
             Ok(Value::Null)
         }
         "assert_context_fact" => {
@@ -568,7 +581,7 @@ fn call_host(
             let mut st = state.borrow_mut();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             let fact = crate::facts::context_fact(trial);
-            st.engine.assert_fact(fact);
+            st.engine().assert_fact(fact);
             Ok(Value::Null)
         }
         "assert_scaling_facts" => {
@@ -617,7 +630,7 @@ fn call_host(
                 }
             }
             for fact in crate::scalability::scaling_facts(&series) {
-                st.engine.assert_fact(fact);
+                st.engine().assert_fact(fact);
                 count += 1.0;
             }
             Ok(Value::Num(count))
@@ -648,7 +661,7 @@ fn call_host(
             );
             let facts = clustering.facts();
             for f in facts {
-                st.engine.assert_fact(f);
+                st.engine().assert_fact(f);
             }
             Ok(Value::from(out))
         }
@@ -690,7 +703,7 @@ fn call_host(
                 )),
             );
             for f in cmp.facts() {
-                st.engine.assert_fact(f);
+                st.engine().assert_fact(f);
             }
             Ok(Value::from(out))
         }
@@ -708,7 +721,7 @@ fn call_host(
             let n = compiled.len();
             state
                 .borrow_mut()
-                .engine
+                .engine()
                 .add_rules(compiled.rules().to_vec())
                 .map_err(|e| host_err(e.to_string()))?;
             Ok(Value::Num(n as f64))
@@ -719,14 +732,14 @@ fn call_host(
             let n = parsed.len();
             state
                 .borrow_mut()
-                .engine
+                .engine()
                 .add_rules(parsed)
                 .map_err(|e| host_err(e.to_string()))?;
             Ok(Value::Num(n as f64))
         }
         "process_rules" => {
             let mut st = state.borrow_mut();
-            let report = st.engine.run().map_err(|e| host_err(e.to_string()))?;
+            let report = st.engine().run().map_err(|e| host_err(e.to_string()))?;
             let mut out = BTreeMap::new();
             out.insert(
                 "diagnoses".to_string(),

@@ -26,10 +26,13 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Points per parallel chunk of the assignment sweep and of the
-/// silhouette scores. An input of at most this many points is one
-/// chunk and runs on the caller: at the tens of rows the per-thread
-/// clustering sees, a split over the pool costs more than it saves.
-const ASSIGN_CHUNK: usize = 256;
+/// silhouette scores. The rayon shim times chunks on the caller until
+/// the work left pays for a pool handoff and only then splits the
+/// rest, so a small chunk keeps that timed prefix a small share of a
+/// large input (one chunk in 16 at 1 024 points). Inputs of tens of
+/// rows, as the per-thread clustering sees, never pay and stay on the
+/// caller.
+const ASSIGN_CHUNK: usize = 64;
 
 /// Configuration for [`kmeans_flat`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -300,9 +303,11 @@ pub fn silhouette_flat(points: MatrixView<'_>, assignments: &[usize]) -> Result<
         ));
     }
     let sizes = &cluster_sizes;
-    let score = |i: usize| {
+    // `sum_d` receives point `i`'s distance sums per cluster; each chunk
+    // lends one buffer to all its points, so no point allocates.
+    let score = |i: usize, sum_d: &mut [f64]| {
         let x = points.row(i);
-        let mut sum_d = vec![0.0; k];
+        sum_d.fill(0.0);
         for (j, q) in points.iter_rows().enumerate() {
             if i != j {
                 sum_d[assignments[j]] += sq_dist(x, q).sqrt();
@@ -329,8 +334,9 @@ pub fn silhouette_flat(points: MatrixView<'_>, assignments: &[usize]) -> Result<
         .par_chunks_mut(ASSIGN_CHUNK)
         .enumerate()
         .for_each(|(ch, chunk)| {
+            let mut sum_d = vec![0.0; k];
             for (r, slot) in chunk.iter_mut().enumerate() {
-                *slot = score(ch * ASSIGN_CHUNK + r);
+                *slot = score(ch * ASSIGN_CHUNK + r, &mut sum_d);
             }
         });
     let total = scores.iter().fold(0.0, |total, &s| total + s);

@@ -2,14 +2,19 @@
 //!
 //! Implements the slice/range data-parallel subset the workspace uses —
 //! `par_iter()` / `into_par_iter()` followed by `map(...).collect()`,
-//! `map(...).sum()` or `for_each(...)` — with real parallelism: items
-//! are split into one contiguous chunk per granted worker, preserving
-//! input order in the collected output. The caller processes the first
+//! `map(...).sum()` or `for_each(...)` — with real parallelism where it
+//! pays, preserving input order in the collected output. The caller
+//! runs items inline, in order, timing them, and hands the pool nothing
+//! until the work it predicts is left would save more than a pool
+//! handoff costs; a map of a few microsecond-scale items (a script
+//! sweep's bodies, a small trial's per-event kernels) runs entirely on
+//! the caller. Once a split pays, the remaining items are cut into one
+//! contiguous chunk per granted worker: the caller processes the first
 //! chunk itself; the others go to a process-wide pool of
 //! [`concurrency_budget`] long-lived threads, started by the first call
-//! that needs them. The caller then blocks until every chunk it handed
-//! out is done, so chunks may borrow from the caller's stack just as
-//! scoped threads could. There is no work-stealing; for the
+//! that splits. The caller then blocks until every chunk it handed out
+//! is done, so chunks may borrow from the caller's stack just as scoped
+//! threads could. There is no work-stealing; for the
 //! embarrassingly-parallel loops this workspace runs (per-event analysis
 //! kernels, script sweep bodies), static chunking is within noise of a
 //! real scheduler.
@@ -18,13 +23,14 @@
 //! tokens, and the pool has one thread per token of the budget. Every
 //! queued or running chunk holds a token, so a queued chunk always has
 //! a thread free to take it, even when pool threads block in nested
-//! calls; a caller that gets no token runs its items inline.
+//! calls; a caller that gets no token keeps running its items inline.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
+use std::time::{Duration, Instant};
 
 /// The global concurrency budget: the maximum number of worker tokens
 /// held at any moment across every concurrent `par_iter` call in the
@@ -55,11 +61,13 @@ static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 static PEAK_WORKERS: AtomicUsize = AtomicUsize::new(0);
 /// Pool threads started so far.
 static POOL_THREADS: AtomicUsize = AtomicUsize::new(0);
+/// Maps split over the pool so far.
+static HANDOFFS: AtomicUsize = AtomicUsize::new(0);
 
 /// Test-facing observability for the concurrency budget.
 #[doc(hidden)]
 pub mod diagnostics {
-    use super::{Ordering, LIVE_WORKERS, PEAK_WORKERS, POOL_THREADS};
+    use super::{Ordering, HANDOFFS, LIVE_WORKERS, PEAK_WORKERS, POOL_THREADS};
 
     /// Pool jobs currently holding a worker token.
     pub fn live_workers() -> usize {
@@ -78,9 +86,16 @@ pub mod diagnostics {
     }
 
     /// Pool threads started in this process: zero until the first call
-    /// that gets a worker token, then the budget, for good.
+    /// whose predicted saving pays for a handoff, then the budget, for
+    /// good.
     pub fn pool_threads() -> usize {
         POOL_THREADS.load(Ordering::SeqCst)
+    }
+
+    /// Calls in this process that split their remaining items over the
+    /// pool (each queued at least one job).
+    pub fn handoffs() -> usize {
+        HANDOFFS.load(Ordering::SeqCst)
     }
 }
 
@@ -194,22 +209,63 @@ impl Drop for Join {
     }
 }
 
-/// Applies `f` to every item in parallel, preserving order. The calling
-/// thread always processes the first chunk itself; additional chunks
-/// run on the pool, bounded by the global [`concurrency_budget`]. A
+/// The predicted saving a map must offer before it hands items to the
+/// pool. A handoff boxes and queues jobs, wakes a pool thread and
+/// sleeps the caller on a latch until the job is done. On a 2-vCPU
+/// host that round trip measured 15–32 µs of wall time and 12 µs of
+/// CPU time (EXPERIMENTS.md, "PERF — adaptive pool handoff"), so a
+/// split must promise about six round trips of saving: then the CPU it
+/// adds stays near a tenth of the wall time it saves.
+const HANDOFF: Duration = Duration::from_micros(100);
+
+/// Applies `f` to every item, preserving order, in parallel only when
+/// that pays. The caller runs items inline, in order, and times them.
+/// After each item it predicts the work left (the mean item time × the
+/// items left); once the part of it that `w = min(budget, items left)`
+/// workers would take off the caller, `work × (w−1)/w`, exceeds
+/// [`HANDOFF`] and the budget grants a token, the remaining items are
+/// split over the pool by [`split`], the only route to the pool. A map
+/// too small for that never takes a token, never starts the pool and
+/// never wakes a thread.
+fn par_map_vec<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> Vec<R> {
+    // A split needs two items left after the first, timed one: with one
+    // left, the caller would run it anyway.
+    if items.len() < 3 || concurrency_budget() < 2 {
+        return items.into_iter().map(f).collect();
+    }
+    let budget = concurrency_budget() as u128;
+    let mut out = Vec::with_capacity(items.len());
+    let mut rest = items.into_iter();
+    let start = Instant::now();
+    while let Some(item) = rest.next() {
+        out.push(f(item));
+        let left = rest.len() as u128;
+        let workers = left.min(budget);
+        // elapsed / done × left × (w−1)/w > HANDOFF, without division.
+        if workers >= 2
+            && start.elapsed().as_nanos() * left * (workers - 1)
+                > HANDOFF.as_nanos() * out.len() as u128 * workers
+        {
+            start_pool();
+            let spawned = acquire_workers(workers as usize - 1);
+            if spawned > 0 {
+                out.extend(split(rest.collect(), f, spawned));
+                break;
+            }
+        }
+    }
+    out
+}
+
+/// Runs `items` on the caller and on `spawned` pool tokens the caller
+/// already holds: one contiguous chunk per worker, the first on the
+/// caller, the others queued as pool jobs, results in input order. A
 /// panic in any chunk is re-raised on the caller with its *original*
 /// payload (after every chunk finishes), so `catch_unwind`-based
 /// supervisors see the real cause, not a shim message.
-fn par_map_vec<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> Vec<R> {
+fn split<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F, spawned: usize) -> Vec<R> {
+    HANDOFFS.fetch_add(1, Ordering::SeqCst);
     let n = items.len();
-    if n < 2 || concurrency_budget() < 2 {
-        return items.into_iter().map(f).collect();
-    }
-    start_pool();
-    let spawned = acquire_workers(concurrency_budget().min(n) - 1);
-    if spawned == 0 {
-        return items.into_iter().map(f).collect();
-    }
     let workers = spawned + 1;
     let chunk_len = n.div_ceil(workers);
     let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
@@ -489,6 +545,17 @@ mod tests {
     /// parallel); the gauges they assert on are process-wide.
     static GAUGE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+    /// Busy-waits for one [`super::HANDOFF`]: under a budget of two or
+    /// more, an item this long makes any map of four or more items split
+    /// after its first item, so the tests that must reach the pool give
+    /// their items this work.
+    fn spin() {
+        let start = std::time::Instant::now();
+        while start.elapsed() < super::HANDOFF {
+            std::hint::spin_loop();
+        }
+    }
+
     /// Waits for every worker token to drain. Sibling tests in this
     /// binary may still have workers in flight when a gauge test
     /// finishes its own calls; leaked tokens never drain, so a bounded
@@ -525,7 +592,13 @@ mod tests {
                         .into_par_iter()
                         .map(|i| {
                             std::thread::sleep(std::time::Duration::from_micros(200));
-                            (0..4).into_par_iter().map(move |j| i + j).sum::<usize>()
+                            (0..4)
+                                .into_par_iter()
+                                .map(move |j| {
+                                    spin();
+                                    i + j
+                                })
+                                .sum::<usize>()
                         })
                         .sum();
                     assert_eq!(total, (0..64).map(|i| 4 * i + 6).sum::<usize>());
@@ -552,6 +625,7 @@ mod tests {
 
         let caught = std::panic::catch_unwind(|| {
             (0..256).into_par_iter().for_each(|i| {
+                spin();
                 if i == 200 {
                     std::panic::panic_any(Custom(42));
                 }
@@ -566,9 +640,10 @@ mod tests {
 
         // String payloads (the common case) survive too.
         let caught = std::panic::catch_unwind(|| {
-            (0..256)
-                .into_par_iter()
-                .for_each(|i| assert!(i < 100, "index out of range: {i}"));
+            (0..256).into_par_iter().for_each(|i| {
+                spin();
+                assert!(i < 100, "index out of range: {i}")
+            });
         })
         .expect_err("panic must propagate");
         let msg = caught
@@ -585,7 +660,13 @@ mod tests {
         // calls follow.
         let budget = crate::concurrency_budget();
         for i in 0..1000usize {
-            let v: Vec<usize> = (0..8).into_par_iter().map(|j| i + j).collect();
+            let v: Vec<usize> = (0..8)
+                .into_par_iter()
+                .map(|j| {
+                    spin();
+                    i + j
+                })
+                .collect();
             assert_eq!(v, (i..i + 8).collect::<Vec<_>>());
             let threads = crate::diagnostics::pool_threads();
             assert!(threads <= budget, "{threads} pool threads, budget {budget}");
@@ -598,6 +679,9 @@ mod tests {
 
     #[test]
     fn nested_calls_inside_pool_jobs_complete() {
+        // Serial too: its maps hold tokens for milliseconds, which
+        // would keep the split tests' maps on the caller.
+        let _serial = GAUGE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // A pool thread that blocks on a nested call still holds its
         // token, so the nested call's chunks either find a free pool
         // thread or run inline; the outer call must always finish.
@@ -607,7 +691,10 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_micros(100));
                 (0..32)
                     .into_par_iter()
-                    .map(move |j| (0..4).into_par_iter().map(move |k| i + j + k).sum())
+                    .map(move |j| {
+                        spin();
+                        (0..4).into_par_iter().map(move |k| i + j + k).sum()
+                    })
                     .collect()
             })
             .collect();
@@ -623,6 +710,7 @@ mod tests {
         for round in 0..50usize {
             let caught = std::panic::catch_unwind(|| {
                 (0..64).into_par_iter().for_each(|i| {
+                    spin();
                     if i == 63 {
                         std::panic::panic_any(round);
                     }
@@ -633,9 +721,109 @@ mod tests {
         }
         assert_tokens_drain();
         let threads = crate::diagnostics::pool_threads();
-        let total: usize = (0..1000).into_par_iter().map(|i| i * 2).sum();
+        let total: usize = (0..1000)
+            .into_par_iter()
+            .map(|i| {
+                spin();
+                i * 2
+            })
+            .sum();
         assert_eq!(total, 999 * 1000);
         assert_eq!(crate::diagnostics::pool_threads(), threads);
         assert_tokens_drain();
+    }
+
+    /// The threads that ran each item of a `len`-item map whose item
+    /// `i` spins when `slow(i)`, checking the map's values on the way.
+    fn threads_of(len: usize, slow: impl Fn(usize) -> bool + Sync) -> Vec<std::thread::ThreadId> {
+        let ran: Vec<(usize, std::thread::ThreadId)> = (0..len)
+            .into_par_iter()
+            .map(|i| {
+                if slow(i) {
+                    spin();
+                }
+                (i * 3, std::thread::current().id())
+            })
+            .collect();
+        let values: Vec<usize> = ran.iter().map(|&(v, _)| v).collect();
+        assert_eq!(values, (0..len).map(|i| i * 3).collect::<Vec<_>>());
+        ran.into_iter().map(|(_, t)| t).collect()
+    }
+
+    #[test]
+    fn a_long_map_splits_over_at_least_two_threads() {
+        let _serial = GAUGE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let before = crate::diagnostics::handoffs();
+        let threads = threads_of(8, |_| true);
+        let distinct: std::collections::HashSet<_> = threads.iter().collect();
+        if crate::concurrency_budget() >= 2 {
+            assert!(distinct.len() >= 2, "ran on {distinct:?}");
+            assert!(crate::diagnostics::handoffs() > before);
+        } else {
+            assert_eq!(distinct.len(), 1);
+        }
+        assert_eq!(threads[0], std::thread::current().id());
+        assert_tokens_drain();
+    }
+
+    #[test]
+    fn order_holds_across_the_inline_prefix_and_the_split() {
+        let _serial = GAUGE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // `fast` instant items, then slow ones: the split comes once the
+        // slow items raise the prediction enough (or earlier, if the
+        // host stalls an instant item), so the inline prefix ends at a
+        // different item in each round; `threads_of` checks the order.
+        let me = std::thread::current().id();
+        let before = crate::diagnostics::handoffs();
+        for fast in [0, 10, 40] {
+            let threads = threads_of(64, |i| i >= fast);
+            assert_eq!(threads[0], me);
+            if crate::concurrency_budget() >= 2 {
+                assert!(threads.iter().any(|&t| t != me), "never split");
+            }
+            assert_tokens_drain();
+        }
+        if crate::concurrency_budget() >= 2 {
+            assert!(crate::diagnostics::handoffs() >= before + 3);
+        }
+    }
+
+    #[test]
+    fn panics_before_and_after_the_split_keep_their_payload() {
+        let _serial = GAUGE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        #[derive(Debug, PartialEq)]
+        struct Custom(&'static str);
+
+        // In the inline prefix, before anything was handed off.
+        let caught = std::panic::catch_unwind(|| {
+            (0..64).into_par_iter().for_each(|i| {
+                spin();
+                if i == 0 {
+                    std::panic::panic_any(Custom("prefix"));
+                }
+            });
+        })
+        .expect_err("panic must propagate");
+        assert_eq!(caught.downcast_ref::<Custom>(), Some(&Custom("prefix")));
+        assert_tokens_drain();
+
+        // In the caller's own chunk after the split, and in a pool chunk.
+        let before = crate::diagnostics::handoffs();
+        for at in [1, 63] {
+            let caught = std::panic::catch_unwind(|| {
+                (0..64).into_par_iter().for_each(|i| {
+                    spin();
+                    if i == at {
+                        std::panic::panic_any(Custom("split"));
+                    }
+                });
+            })
+            .expect_err("panic must propagate");
+            assert_eq!(caught.downcast_ref::<Custom>(), Some(&Custom("split")));
+            assert_tokens_drain();
+        }
+        if crate::concurrency_budget() >= 2 {
+            assert!(crate::diagnostics::handoffs() >= before + 2);
+        }
     }
 }
