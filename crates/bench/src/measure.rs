@@ -14,7 +14,8 @@
 //!   the pool's thread count is exempt ([`Bench::ungated`]).
 //! * `BENCH_JSON=<path> cargo bench -p bench --bench B`: every case is
 //!   timed and the document is written to `<path>`, with the core count,
-//!   the commit, the timing method and each case's rounds.
+//!   the commit, whether the tree had uncommitted changes (`dirty`), the
+//!   timing method and each case's rounds.
 //! * neither: every case is timed and printed.
 //!
 //! The bench's own agreement checks (its sides against their reference
@@ -406,6 +407,7 @@ impl Bench {
             ),
             ("cores".to_string(), Value::Int(cores as i64)),
             ("commit".to_string(), Value::Str(commit())),
+            ("dirty".to_string(), Value::Bool(dirty())),
             ("method".to_string(), Value::Str(METHOD.into())),
         ];
         doc.extend(self.notes);
@@ -428,15 +430,28 @@ fn round(x: f64, scale: f64) -> Value {
     Value::Float((x * scale).round() / scale)
 }
 
-/// The checked-out commit, or `unknown` outside a git checkout.
-fn commit() -> String {
+/// What `git args` prints, trimmed; `None` outside a git checkout.
+fn git(args: &[&str]) -> Option<String> {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(args)
         .output()
         .ok()
         .filter(|out| out.status.success())
         .and_then(|out| String::from_utf8(out.stdout).ok())
         .map(|s| s.trim().to_string())
+}
+
+/// The checked-out commit, or `unknown` outside a git checkout.
+fn commit() -> String {
+    git(&["rev-parse", "--short", "HEAD"])
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".into())
+}
+
+/// Whether the working tree differs from [`commit`]: then the figures
+/// were measured on uncommitted code (a document regenerated before its
+/// change is committed names the change's parent). False outside a git
+/// checkout.
+fn dirty() -> bool {
+    git(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty())
 }

@@ -87,6 +87,7 @@ fn written_document_records_its_conditions_and_every_case() {
     let doc = written(3);
     assert!(matches!(doc.get("cores"), Some(Value::Int(n)) if *n >= 1));
     assert!(matches!(doc.get("commit"), Some(Value::Str(c)) if !c.is_empty()));
+    assert!(matches!(doc.get("dirty"), Some(Value::Bool(_))));
     assert!(matches!(doc.get("method"), Some(Value::Str(m)) if m.contains("interleaved")));
     assert!(doc.get("_generated_by").is_some());
     let cases = doc.get("cases").unwrap();

@@ -48,6 +48,17 @@
 //! sweep body land in the body's private engine: aggregate inside the
 //! body (e.g. return the report's diagnosis count) rather than relying
 //! on session-level state.
+//!
+//! # One session, many requests
+//!
+//! Building a session registers every host function on a new
+//! interpreter. A host that runs unrelated scripts one after another
+//! (the service keeps one session per worker) builds it once and calls
+//! [`PerfExplorerScript::reset`] with each request's repository: the
+//! interpreter returns to its freshly registered tables, and trials,
+//! rule engine and last report are dropped.
+//! [`PerfExplorerScript::release`] does the same with an empty
+//! repository, so a kept session holds nothing of the last request.
 
 use crate::derive::{derive_metric, DeriveOp};
 use crate::facts::MeanEventFact;
@@ -67,7 +78,7 @@ use simulator::machine::MachineConfig;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Every host function, in registration order. The order is part of
 /// the compiled-script contract: a `script::Compiled` replays onto
@@ -133,10 +144,22 @@ impl SessionState {
     }
 }
 
+/// The repository a session's sweep executor opens body sessions
+/// over: the session's own, swapped in by [`PerfExplorerScript::reset`].
+type SweepRepo = Arc<Mutex<Arc<Repository>>>;
+
+/// The repository a released session holds: empty, and one for the
+/// whole process.
+fn empty_repository() -> Arc<Repository> {
+    static EMPTY: OnceLock<Arc<Repository>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(|| Arc::new(Repository::new())))
+}
+
 /// A scripting session bound to a repository.
 pub struct PerfExplorerScript {
     interp: Interpreter,
     state: Rc<RefCell<SessionState>>,
+    sweep_repo: SweepRepo,
 }
 
 /// Outcome of [`PerfExplorerScript::run_supervised`]: the script's
@@ -207,10 +230,50 @@ impl PerfExplorerScript {
             Arc::clone(&repo),
             Arc::clone(&machine),
         )));
+        let sweep_repo = Arc::new(Mutex::new(repo));
         let mut interp = Interpreter::new();
         Self::register_all(&mut interp, &state);
-        interp.set_parallel_executor(sweep_executor(repo, machine));
-        PerfExplorerScript { interp, state }
+        interp.mark();
+        interp.set_parallel_executor(sweep_executor(Arc::clone(&sweep_repo), machine));
+        PerfExplorerScript {
+            interp,
+            state,
+            sweep_repo,
+        }
+    }
+
+    /// Rebinds the session to `repo` in the state of a newly built one:
+    /// the interpreter is reset to its registered tables (names,
+    /// globals and user functions of earlier scripts are gone; see
+    /// [`Interpreter::reset`]), and loaded trials, the rule engine and
+    /// the last report are dropped. The machine model and any sweep
+    /// observer stay. A program compiled on any session replays here.
+    pub fn reset(&mut self, repo: impl Into<Arc<Repository>>) {
+        let repo = repo.into();
+        self.interp.reset();
+        {
+            let mut st = self.state.borrow_mut();
+            st.trials.clear();
+            st.engine = None;
+            st.last_report = None;
+            st.repo = Arc::clone(&repo);
+        }
+        *self
+            .sweep_repo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = repo;
+    }
+
+    /// Resets the session onto an empty repository, so that between
+    /// requests it pins no snapshot, trial, engine or script value.
+    pub fn release(&mut self) {
+        self.reset(empty_repository());
+    }
+
+    /// How many names the session's interpreter holds: its hosts' plus
+    /// those of every script compiled on it since the last reset.
+    pub fn interned(&self) -> usize {
+        self.interp.interned()
     }
 
     /// Runs a script, returning its final value. Nothing of the
@@ -259,11 +322,8 @@ impl PerfExplorerScript {
     /// the sweep's outcomes are collected. The service layer hangs its
     /// sweep counters here.
     pub fn set_sweep_observer(&mut self, observer: Arc<dyn Fn(usize, usize) + Send + Sync>) {
-        let (repo, machine) = {
-            let st = self.state.borrow();
-            (Arc::clone(&st.repo), Arc::clone(&st.machine))
-        };
-        let exec = sweep_executor(repo, machine);
+        let machine = Arc::clone(&self.state.borrow().machine);
+        let exec = sweep_executor(Arc::clone(&self.sweep_repo), machine);
         self.interp
             .set_parallel_executor(Arc::new(move |runner, items| {
                 let outcomes = exec(runner, items);
@@ -291,8 +351,8 @@ impl PerfExplorerScript {
     /// unattended pipeline can salvage partial conclusions.
     ///
     /// After a panic the session's interpreter state may be
-    /// inconsistent; callers that continue should start a fresh
-    /// session.
+    /// inconsistent, and a reset does not repair it; callers that
+    /// continue should start a fresh session.
     pub fn run_supervised(&mut self, source: &str) -> SupervisedScript {
         self.supervise(|interp| interp.run(source))
     }
@@ -325,15 +385,12 @@ impl PerfExplorerScript {
 
 /// Builds the executor that runs `par_foreach_trial` bodies on the
 /// process's worker budget. Each body gets a fresh session over the
-/// shared repository; a panicking body is caught and recorded as that
-/// body's error outcome, so one corrupt trial cannot take down its
-/// siblings or the pool.
-fn sweep_executor(
-    repo: Arc<Repository>,
-    machine: Arc<MachineConfig>,
-) -> Arc<script::ParallelExecutor> {
+/// session's current repository; a panicking body is caught and
+/// recorded as that body's error outcome, so one corrupt trial cannot
+/// take down its siblings or the pool.
+fn sweep_executor(repo: SweepRepo, machine: Arc<MachineConfig>) -> Arc<script::ParallelExecutor> {
     Arc::new(move |runner: &script::ParRunner, items: Vec<Value>| {
-        let repo = &repo;
+        let repo = &Arc::clone(&repo.lock().unwrap_or_else(PoisonError::into_inner));
         let machine = &machine;
         items
             .into_par_iter()
@@ -1104,6 +1161,98 @@ mod tests {
         assert!(out.value.is_none());
         assert_eq!(out.degraded.len(), 1);
         assert_eq!(out.degraded[0].stage, "script");
+    }
+
+    // --- one session, many requests ---
+
+    const RULE: &str =
+        r#"load_rules_source("rule \"t\" when F( x > 1, v : x ) then print(\"got \" + v); end");"#;
+
+    #[test]
+    fn a_reset_session_sees_nothing_of_the_previous_script() {
+        let mut session = PerfExplorerScript::new(repo_with_msa());
+        session
+            .run(r#"load_trial("msap", "scheduling", "8_static");"#)
+            .unwrap();
+        let first = session.run_supervised(&format!(
+            r#"
+            let leftover = 1;
+            fn load_trial(a, b, c) {{ return 42; }}
+            fn helper() {{ return 7; }}
+            let t = list_trials("msap", "scheduling");
+            {RULE}
+            assert_fact("F", {{ x: 2 }});
+            print("first");
+            process_rules()["printed"]
+            "#
+        ));
+        assert!(first.is_complete(), "{:?}", first.degraded);
+        assert_eq!(first.printed, vec!["first".to_string()]);
+        assert!(first.report.is_some());
+        session.run("print(\"unread\");").unwrap();
+
+        let fresh = |s: &mut PerfExplorerScript| s.reset(repo_with_msa());
+        fresh(&mut session);
+        assert!(session.output().is_empty());
+        assert!(session.last_report().is_none());
+        let err = session.run("leftover").unwrap_err();
+        assert!(err.to_string().contains("undefined variable"), "{err}");
+        fresh(&mut session);
+        let err = session.run("helper()").unwrap_err();
+        assert!(err.to_string().contains("unknown function"), "{err}");
+        // The host comes back from under the shadowing script function,
+        // and the trial list starts over at handle 0.
+        fresh(&mut session);
+        let handle = session
+            .run(r#"load_trial("msap", "scheduling", "8_static")"#)
+            .unwrap();
+        assert_eq!(handle.as_handle(), Some(("trial", 0)));
+        // A new engine: the rule loads again and last request's fact is
+        // gone.
+        fresh(&mut session);
+        let printed = session
+            .run(&format!(r#"{RULE} process_rules()["printed"]"#))
+            .unwrap();
+        assert_eq!(printed, Value::List(Arc::new(Vec::new())));
+    }
+
+    #[test]
+    fn a_released_session_holds_nothing_of_the_request() {
+        let repo = repo_with_msa();
+        let trial = Arc::clone(repo.shared_trial("msap", "scheduling", "8_static").unwrap());
+        let before = Arc::strong_count(&trial);
+        let mut session = PerfExplorerScript::new(Repository::new());
+        session.reset(repo.clone());
+        let out = session
+            .run(&format!(
+                r#"
+                let t = load_trial("msap", "scheduling", "8_static");
+                let kept = [t, trial_events(t)];
+                assert_balance_facts(t, "TIME");
+                load_rules("load_balance");
+                process_rules();
+                {SWEEP_SOURCE}
+                "#
+            ))
+            .unwrap();
+        assert_eq!(out.as_list().unwrap().len(), 2);
+        assert!(Arc::strong_count(&trial) > before);
+        session.release();
+        assert_eq!(Arc::strong_count(&trial), before);
+        assert!(session.last_report().is_none());
+    }
+
+    #[test]
+    fn sweep_bodies_read_the_repository_of_the_latest_reset() {
+        let mut session = PerfExplorerScript::new(Repository::new());
+        let err = session.run(SWEEP_SOURCE).unwrap_err();
+        assert!(err.to_string().contains("not found"), "{err}");
+        session.reset(repo_with_msa());
+        let out = session.run(SWEEP_SOURCE).unwrap();
+        for outcome in out.as_list().unwrap().iter() {
+            let m = outcome.as_map().unwrap();
+            assert_eq!(m.get("ok"), Some(&Value::Bool(true)), "{m:?}");
+        }
     }
 
     #[test]

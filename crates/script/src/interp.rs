@@ -17,7 +17,7 @@
 
 use crate::parser::parse;
 use crate::rcompile::{rcompile, RProto};
-use crate::rvm::{FnTable, Globals, ParallelExecutor};
+use crate::rvm::{Buffers, FnTable, Globals, ParallelExecutor};
 use crate::value::{Interner, Symbol, Value};
 use crate::{Result, ScriptError};
 use std::sync::Arc;
@@ -35,16 +35,19 @@ pub type HostFn = Box<dyn FnMut(&mut Vec<Value>) -> std::result::Result<Value, S
 /// [`Interpreter::run_compiled`] first *replays* the snapshot: each
 /// recorded name, slot and function id must already sit at its
 /// recorded index or be appended there. On the compiling interpreter
-/// that is only a check; a fresh interpreter registered the same way
-/// extends its tables to match; one whose tables diverge is rejected
-/// with "compiled script belongs to a different interpreter".
+/// that is only a check; a fresh interpreter registered the same way,
+/// or one [reset](Interpreter::reset) to the mark taken right after
+/// that registration, extends its tables to match; one whose tables
+/// diverge is rejected with "compiled script belongs to a different
+/// interpreter".
 ///
 /// A `Compiled` is `Send + Sync`, so one program can be shared (behind
-/// an `Arc`) by every worker of a pool.
+/// an `Arc`) by every worker of a pool. Its names share the compiling
+/// interner's strings, so a replay that appends them allocates none.
 pub struct Compiled {
     main: Arc<RProto>,
     /// Every interned name, in symbol order, at compile time.
-    names: Box<[Box<str>]>,
+    names: Box<[Arc<str>]>,
     /// Symbol of each global slot, in slot order.
     global_syms: Box<[Symbol]>,
     /// Symbol of each function-table entry, in id order.
@@ -72,11 +75,26 @@ pub(crate) fn sweep_outcome_value(result: Result<Value>) -> Value {
     Value::Map(Arc::new(m))
 }
 
+/// An interpreter's state at [`Interpreter::mark`]: its table lengths,
+/// and the global values and user function bodies below them.
+#[derive(Default)]
+struct Mark {
+    names: usize,
+    /// One value per global slot (the slot count).
+    globals: Vec<Option<Value>>,
+    fns: usize,
+    /// The entries that had a user body, by id (usually none).
+    bodies: Vec<(usize, Arc<RProto>)>,
+}
+
 /// The script interpreter.
 ///
 /// An interpreter owns global state across [`Interpreter::run`] calls, so
 /// a host can define bindings once and evaluate several scripts against
-/// them (as PerfExplorer does with its session objects).
+/// them (as PerfExplorer does with its session objects). A host that
+/// serves unrelated scripts on one interpreter marks it once its hosts
+/// are registered ([`Interpreter::mark`]) and [resets](Interpreter::reset)
+/// it between scripts, instead of building and registering a new one.
 pub struct Interpreter {
     pub(crate) interner: Interner,
     pub(crate) globals: Globals,
@@ -88,15 +106,13 @@ pub struct Interpreter {
     /// exceeded" (guards unbounded recursion, which the step budget
     /// alone would let exhaust the native stack first).
     pub(crate) call_depth_limit: usize,
-    /// Register file of all live frames, reused across runs.
-    pub(crate) regs: Vec<Value>,
-    /// Open `for` iterators: (shared items, next index).
-    pub(crate) iters: Vec<(Arc<Vec<Value>>, usize)>,
-    /// Reusable host-call argument buffer.
-    pub(crate) argbuf: Vec<Value>,
+    /// Registers, iterators and host-call arguments, reused across runs.
+    pub(crate) buffers: Buffers,
     /// When set, `par_foreach_trial` sweeps hand their bodies to this
     /// executor instead of running them inline.
     pub(crate) par_exec: Option<Arc<ParallelExecutor>>,
+    /// What [`Interpreter::reset`] returns to.
+    mark: Mark,
 }
 
 impl Default for Interpreter {
@@ -116,10 +132,9 @@ impl Interpreter {
             steps: 0,
             step_limit: 50_000_000,
             call_depth_limit: 1000,
-            regs: Vec::new(),
-            iters: Vec::new(),
-            argbuf: Vec::new(),
+            buffers: Buffers::default(),
             par_exec: None,
+            mark: Mark::default(),
         }
     }
 
@@ -179,6 +194,48 @@ impl Interpreter {
         self.steps
     }
 
+    /// How many names the interpreter's tables hold: its hosts', its
+    /// globals' and those of every script compiled on it since the
+    /// last reset.
+    pub fn interned(&self) -> usize {
+        self.interner.len()
+    }
+
+    /// Records the current state as the one [`Interpreter::reset`]
+    /// returns to: the name, global-slot and function tables as they
+    /// stand, with their global values and user function bodies. Take
+    /// it right after registering the hosts. An interpreter never
+    /// marked resets to empty tables.
+    pub fn mark(&mut self) {
+        self.mark = Mark {
+            names: self.interner.len(),
+            globals: self.globals.slots.clone(),
+            fns: self.fns.entries.len(),
+            bodies: (self.fns.entries.iter().enumerate())
+                .filter_map(|(id, e)| Some((id, Arc::clone(e.user.as_ref()?))))
+                .collect(),
+        };
+    }
+
+    /// Returns the interpreter to its state at [`Interpreter::mark`]:
+    /// names, global slots and functions added since are forgotten,
+    /// global values and user function bodies (including one that
+    /// shadowed a host) are put back, and output, step count,
+    /// registers, iterators and the argument buffer are cleared. The
+    /// tables then equal those of a new interpreter registered the
+    /// same way, so a [`Compiled`] program replays on it as on that
+    /// one. The buffers keep their capacity (the register file up to a
+    /// bound), which is what makes a reset cheaper than a rebuild.
+    pub fn reset(&mut self) {
+        let mark = &self.mark;
+        self.interner.truncate(mark.names);
+        self.globals.reset(&mark.globals);
+        self.fns.reset(mark.fns, &mark.bodies);
+        self.output.clear();
+        self.steps = 0;
+        self.buffers.clear();
+    }
+
     /// Compiles a script to reusable bytecode without executing it.
     ///
     /// Compilation interns names into this interpreter's persistent
@@ -189,9 +246,7 @@ impl Interpreter {
         let main = self.compile_unit(src)?;
         Ok(Compiled {
             main,
-            names: (0..self.interner.len())
-                .map(|i| self.interner.resolve(Symbol::from_index(i)).into())
-                .collect(),
+            names: self.interner.names().into(),
             global_syms: self.globals.names.as_slice().into(),
             fn_syms: self.fns.entries.iter().map(|e| e.name).collect(),
         })
@@ -219,27 +274,13 @@ impl Interpreter {
         self.run_unit(&main)
     }
 
-    /// Makes this interpreter's tables agree with `program`'s snapshot
-    /// by interning each recorded entry and checking that it lands on
-    /// its recorded index: present entries are only looked up, missing
-    /// ones are appended in order. False on any divergence.
+    /// Makes this interpreter's tables agree with `program`'s snapshot:
+    /// entries already at their recorded index are only compared,
+    /// missing ones are appended in order. False on any divergence.
     fn replay(&mut self, program: &Compiled) -> bool {
-        for (i, name) in program.names.iter().enumerate() {
-            if self.interner.intern(name).index() != i {
-                return false;
-            }
-        }
-        for (slot, &sym) in program.global_syms.iter().enumerate() {
-            if self.globals.ensure(sym) as usize != slot {
-                return false;
-            }
-        }
-        for (id, &sym) in program.fn_syms.iter().enumerate() {
-            if self.fns.ensure(sym) as usize != id {
-                return false;
-            }
-        }
-        true
+        self.interner.replay(&program.names)
+            && self.globals.replay(&program.global_syms)
+            && self.fns.replay(&program.fn_syms)
     }
 
     fn compile_unit(&mut self, src: &str) -> Result<Arc<RProto>> {
@@ -535,6 +576,87 @@ r";
         c.set_global("unrelated", Value::Null);
         let err = c.run_compiled(&program).unwrap_err();
         assert!(err.message.contains("different interpreter"));
+    }
+
+    /// An interpreter with one host, one global and one script
+    /// function, marked.
+    fn registered() -> Interpreter {
+        let mut i = Interpreter::new();
+        i.register("twice", |args| {
+            Ok(Value::Num(
+                args.first().and_then(Value::as_num).unwrap_or(0.0) * 2.0,
+            ))
+        });
+        i.set_global("base", Value::Num(10.0));
+        i.run("fn helper() { return 5; }").unwrap();
+        i.mark();
+        i
+    }
+
+    #[test]
+    fn reset_returns_to_the_marked_state() {
+        let mut interp = registered();
+        let marked = interp.interned();
+        let run = "let x = [1, 2]; base = 99; fn twice(n) { return 0; } \
+                   fn helper() { return 6; } fn extra() { return 1; } \
+                   print(\"hi\"); twice(x[0])";
+        assert_eq!(interp.run(run).unwrap(), Value::Num(0.0));
+        assert!(interp.interned() > marked);
+        interp.reset();
+        assert_eq!(interp.interned(), marked);
+        assert!(interp.take_output().is_empty());
+        assert_eq!(interp.steps(), 0);
+        assert_eq!(interp.get_global("x"), None);
+        // The marked global value and function body, and the shadowed
+        // host, come back.
+        assert_eq!(
+            interp.run("twice(base) + helper()").unwrap(),
+            Value::Num(25.0)
+        );
+        interp.reset();
+        let err = interp.run("x").unwrap_err();
+        assert!(
+            err.message.contains("undefined variable"),
+            "{}",
+            err.message
+        );
+        interp.reset();
+        let err = interp.run("extra()").unwrap_err();
+        assert!(err.message.contains("unknown function"), "{}", err.message);
+    }
+
+    #[test]
+    fn programs_replay_across_reset_interpreters() {
+        let mut a = registered();
+        let mut b = registered();
+        // `b` interns names `a` never saw, then resets them away.
+        b.run("let q = 1; let r = twice(q);").unwrap();
+        b.reset();
+        let program = a.compile("let y = twice(base); y + 1").unwrap();
+        assert_eq!(a.run_compiled(&program).unwrap(), Value::Num(21.0));
+        assert_eq!(b.run_compiled(&program).unwrap(), Value::Num(21.0));
+        // And back: `a`, reset, runs what `b` compiled after a reset.
+        b.reset();
+        let back = b.compile("let z = base * 3; z").unwrap();
+        a.reset();
+        assert_eq!(a.run_compiled(&back).unwrap(), Value::Num(30.0));
+        // Without a reset, `a`'s tables hold `z` where `program` has `y`.
+        let err = a.run_compiled(&program).unwrap_err();
+        assert!(err.message.contains("different interpreter"));
+    }
+
+    #[test]
+    fn an_unmarked_interpreter_resets_to_empty_tables() {
+        let mut interp = Interpreter::new();
+        interp.register("h", |_| Ok(Value::Null));
+        interp.run("let v = h();").unwrap();
+        interp.reset();
+        assert_eq!(interp.interned(), 0);
+        assert!(interp
+            .run("h()")
+            .unwrap_err()
+            .message
+            .contains("unknown function"));
     }
 
     #[test]

@@ -38,6 +38,7 @@ use crate::rcompile::{
 };
 use crate::value::{Interner, Symbol, Value};
 use crate::{Result, ScriptError};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -72,6 +73,28 @@ impl Globals {
     /// Looks up the slot for `sym` without creating one.
     pub fn lookup(&self, sym: Symbol) -> Option<u32> {
         self.by_sym.get(&sym).copied()
+    }
+
+    /// Makes `syms` the first slots' symbols, in order (see
+    /// [`Interner::replay`]). False if a symbol has another slot.
+    pub fn replay(&mut self, syms: &[Symbol]) -> bool {
+        syms.iter()
+            .enumerate()
+            .all(|(slot, &sym)| match self.names.get(slot) {
+                Some(&have) => have == sym,
+                None => self.ensure(sym) as usize == slot,
+            })
+    }
+
+    /// Keeps the first `values.len()` slots, holding `values`, and
+    /// drops the rest.
+    pub fn reset(&mut self, values: &[Option<Value>]) {
+        let len = values.len();
+        for sym in self.names.drain(len.min(self.names.len())..) {
+            self.by_sym.remove(&sym);
+        }
+        self.slots.truncate(len);
+        self.slots.clone_from_slice(values);
     }
 }
 
@@ -109,6 +132,32 @@ impl FnTable {
         });
         self.by_sym.insert(sym, id);
         id
+    }
+
+    /// Makes `syms` the first entries' names, in order (see
+    /// [`Interner::replay`]). False if a symbol has another id.
+    pub fn replay(&mut self, syms: &[Symbol]) -> bool {
+        syms.iter()
+            .enumerate()
+            .all(|(id, &sym)| match self.entries.get(id) {
+                Some(have) => have.name == sym,
+                None => self.ensure(sym) as usize == id,
+            })
+    }
+
+    /// Keeps the first `len` entries, with their host closures as they
+    /// are and `bodies` (by id) as their only user bodies, and drops
+    /// the rest.
+    pub fn reset(&mut self, len: usize, bodies: &[(usize, Arc<RProto>)]) {
+        for entry in self.entries.drain(len.min(self.entries.len())..) {
+            self.by_sym.remove(&entry.name);
+        }
+        for entry in &mut self.entries {
+            entry.user = None;
+        }
+        for (id, body) in bodies {
+            self.entries[*id].user = Some(Arc::clone(body));
+        }
     }
 }
 
@@ -202,27 +251,69 @@ pub struct ParRunner {
     depth_limit: usize,
 }
 
+/// The register file a cleared [`Buffers`] keeps allocated: a run that
+/// grew it past this (deep recursion) gives the rest back, so buffers
+/// kept across runs stay bounded between them.
+const RETAINED_REGS: usize = 4096;
+
+/// The buffers a program or a sweep body runs in, reused across runs.
+#[derive(Default)]
+pub(crate) struct Buffers {
+    /// Register file of all live frames.
+    regs: Vec<Value>,
+    /// Open `for` iterators: (shared items, next index).
+    iters: Vec<(Arc<Vec<Value>>, usize)>,
+    /// Host-call arguments.
+    argbuf: Vec<Value>,
+}
+
+impl Buffers {
+    /// Drops every value, keeping the capacity (the register file's up
+    /// to [`RETAINED_REGS`]).
+    pub(crate) fn clear(&mut self) {
+        self.regs.clear();
+        self.regs.shrink_to(RETAINED_REGS);
+        self.iters.clear();
+        self.argbuf.clear();
+    }
+}
+
+thread_local! {
+    /// One set of body buffers per thread, so the bodies a thread runs
+    /// (a whole sweep, on the caller) reuse it instead of allocating
+    /// their own. Emptied after each body; it keeps only capacity.
+    static BODY_BUFFERS: RefCell<Buffers> = RefCell::default();
+}
+
 impl ParRunner {
     /// Runs the sweep body over one trial item. `host` dispatches host
     /// function calls by name (snapshot mode cannot carry the
     /// interpreter's closures across threads); it is only invoked for
     /// names that had a host registered at snapshot time.
     pub fn run_one(&self, item: Value, host: &mut HostDispatch<'_>) -> BodyOutcome {
+        BODY_BUFFERS.with(|buffers| match buffers.try_borrow_mut() {
+            Ok(mut buffers) => self.run_in(item, host, &mut buffers),
+            // A host call that runs a body of its own on this thread.
+            Err(_) => self.run_in(item, host, &mut Buffers::default()),
+        })
+    }
+
+    fn run_in(&self, item: Value, host: &mut HostDispatch<'_>, buf: &mut Buffers) -> BodyOutcome {
         let mut output = Vec::new();
-        let mut regs = vec![item];
-        let mut iters = Vec::new();
-        let mut argbuf = Vec::new();
         let mut steps = 0u64;
         let mut env = SnapEnv {
             tables: &self.tables,
             host,
         };
+        // A body that unwound out of its host call left its values.
+        buf.clear();
+        buf.regs.push(item);
         let result = rdispatch(
             &mut env,
             &mut output,
-            &mut regs,
-            &mut iters,
-            &mut argbuf,
+            &mut buf.regs,
+            &mut buf.iters,
+            &mut buf.argbuf,
             &mut steps,
             self.budget,
             self.depth_limit,
@@ -230,6 +321,7 @@ impl ParRunner {
             &self.body,
             0,
         );
+        buf.clear();
         BodyOutcome {
             result,
             output,
@@ -460,8 +552,8 @@ struct RFrame {
 
 impl Interpreter {
     /// Runs a register-compiled program to completion. `self.steps`
-    /// must be reset by the caller; the register file and iterator
-    /// stack are cleared here so a previous erroring run can't leak.
+    /// must be reset by the caller; the buffers are cleared here so a
+    /// previous erroring run can't leak.
     pub(crate) fn execute_register(&mut self, entry: &Arc<RProto>) -> Result<Value> {
         let Interpreter {
             interner,
@@ -471,9 +563,12 @@ impl Interpreter {
             steps,
             step_limit,
             call_depth_limit,
-            regs,
-            iters,
-            argbuf,
+            buffers:
+                Buffers {
+                    regs,
+                    iters,
+                    argbuf,
+                },
             par_exec,
             ..
         } = self;

@@ -34,21 +34,15 @@ impl Symbol {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Rebuilds a symbol from its dense index (used when replaying a
-    /// compiled script's name tables into another interpreter).
-    pub(crate) fn from_index(index: usize) -> Symbol {
-        Symbol(index as u32)
-    }
 }
 
 /// A string interner mapping identifiers to dense [`Symbol`]s.
 ///
-/// Interning is append-only: a name keeps its symbol for the lifetime
-/// of the interner, which is what lets compiled programs (which bake in
-/// symbol-derived slot ids) stay valid across runs of one interpreter.
-/// Each name is stored once, shared by the lookup map and the symbol
-/// table, and handed out shared to sweep snapshots.
+/// Interning appends: a name keeps its symbol until the interpreter is
+/// reset to a mark below it, which is what lets compiled programs
+/// (which bake in symbol-derived slot ids) stay valid across runs of
+/// one interpreter. Each name is stored once, shared by the lookup map,
+/// the symbol table, sweep snapshots and compiled programs.
 #[derive(Debug, Default)]
 pub struct Interner {
     map: HashMap<Arc<str>, Symbol>,
@@ -91,6 +85,42 @@ impl Interner {
     /// How many names are interned (symbols are `0..len()`).
     pub(crate) fn len(&self) -> usize {
         self.names.len()
+    }
+
+    /// Every interned name, in symbol order.
+    pub(crate) fn names(&self) -> &[Arc<str>] {
+        &self.names
+    }
+
+    /// Makes `names` the interner's first entries, in order: a name
+    /// already at its index is only compared, a missing one is appended
+    /// sharing the given string. False if a name sits elsewhere.
+    pub(crate) fn replay(&mut self, names: &[Arc<str>]) -> bool {
+        for (i, name) in names.iter().enumerate() {
+            match self.names.get(i) {
+                Some(have) => {
+                    if have != name {
+                        return false;
+                    }
+                }
+                None => {
+                    if self.map.contains_key(&**name) {
+                        return false;
+                    }
+                    self.names.push(Arc::clone(name));
+                    self.map.insert(Arc::clone(name), Symbol(i as u32));
+                }
+            }
+        }
+        true
+    }
+
+    /// Forgets every name from symbol `len` on; the lookup map keeps
+    /// its capacity.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        for name in self.names.drain(len.min(self.names.len())..) {
+            self.map.remove(&name);
+        }
     }
 }
 

@@ -297,9 +297,12 @@ struct Job {
 /// LRU of compiled sweep scripts shared by every worker, keyed by the
 /// script's source text. The common fleet pattern — one study script
 /// swept over many experiments or re-run as data streams in — compiles
-/// once service-wide; each worker replays the compiled program on its
-/// own per-request session. It is the only compile cache: a one-off
-/// `RunScript` compiles, runs and keeps nothing.
+/// once service-wide; each worker replays the compiled program on the
+/// one script session it keeps, reset for every request (a reset
+/// session's tables equal a freshly registered one's, so a program
+/// compiled on any worker replays on all). It is the only compile
+/// cache: a one-off `RunScript` compiles on the worker's session, runs
+/// and keeps nothing.
 type ScriptCache = Lru<String, Arc<script::Compiled>>;
 
 /// The bounded worker queue. Clients push without blocking, so a full
@@ -596,10 +599,19 @@ fn worker_loop(
     scripts: Arc<Mutex<ScriptCache>>,
     breakers: Arc<[CircuitBreaker]>,
 ) {
+    // Built by the worker's first script request, kept across requests.
+    let mut session = None;
     while let Some(job) = queue.pop() {
         ServiceMetrics::gauge_dec(&metrics.queue_depth);
-        let (outcome, degraded) =
-            serve_job(&store, &metrics, &supervisor, &scripts, &breakers, &job);
+        let (outcome, degraded) = serve_job(
+            &store,
+            &metrics,
+            &supervisor,
+            &scripts,
+            &breakers,
+            &mut session,
+            &job,
+        );
         ServiceMetrics::bump(&metrics.requests);
         if !degraded.is_empty() {
             ServiceMetrics::bump(&metrics.degraded_responses);
@@ -617,17 +629,24 @@ fn worker_loop(
         };
         // A client that gave up on the reply is not an error.
         let _ = job.reply.send(response);
+        // Off the reply's path: drop what the request left in the
+        // session before waiting for the next job.
+        if let Some(worker) = &mut session {
+            worker.script.release();
+        }
     }
 }
 
 /// Serves one dequeued job: deadline pre-check, breaker gate, handler
-/// under `catch_unwind`, breaker bookkeeping, deadline conversion.
+/// under `catch_unwind`, breaker bookkeeping, deadline conversion. A
+/// handler that panics takes the worker's script session with it.
 fn serve_job(
     store: &Arc<ShardedRepository>,
     metrics: &Arc<ServiceMetrics>,
     supervisor: &SupervisorConfig,
     scripts: &Arc<Mutex<ScriptCache>>,
     breakers: &[CircuitBreaker],
+    session: &mut Option<WorkerSession>,
     job: &Job,
 ) -> (Outcome, Vec<DegradedStage>) {
     // A job whose deadline passed while it sat in the queue is answered
@@ -682,7 +701,7 @@ fn serve_job(
 
     let handle_start = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        handle(store, metrics, &supervisor, scripts, &job.request)
+        handle(store, metrics, &supervisor, scripts, session, &job.request)
     }));
     ServiceMetrics::add_nanos(&metrics.busy_nanos, handle_start.elapsed());
     let (outcome, degraded, storage_fault) = match result {
@@ -690,7 +709,8 @@ fn serve_job(
         Err(payload) => {
             // Supervised stages already catch panics; reaching here
             // means the handler itself blew up. Isolate it to this
-            // request and keep the worker alive.
+            // request and keep the worker alive, on a fresh session.
+            *session = None;
             ServiceMetrics::bump(&metrics.panics_isolated);
             let msg = perfexplorer::supervise::panic_message(payload);
             (
@@ -774,6 +794,7 @@ fn handle(
     metrics: &Arc<ServiceMetrics>,
     supervisor: &SupervisorConfig,
     scripts: &Mutex<ScriptCache>,
+    session: &mut Option<WorkerSession>,
     request: &Request,
 ) -> (Outcome, Vec<DegradedStage>, bool) {
     match request {
@@ -867,26 +888,7 @@ fn handle(
             source,
         } => {
             ServiceMetrics::bump(&metrics.scripts);
-            match store.snapshot_experiment(app, experiment) {
-                Ok(snapshot) => {
-                    let mut session = PerfExplorerScript::new(snapshot);
-                    let run = session.run_supervised(source);
-                    (
-                        Outcome::ScriptDone {
-                            value: run.value.map(|v| v.to_string()),
-                            printed: run.printed,
-                        },
-                        run.degraded,
-                        false,
-                    )
-                }
-                Err(e) => rejected(
-                    "experiment snapshot",
-                    e.to_string(),
-                    e.to_string(),
-                    is_storage_fault(&e),
-                ),
-            }
+            run_script(session, store, metrics, None, app, experiment, source)
         }
         Request::RunSweep {
             app,
@@ -894,80 +896,161 @@ fn handle(
             source,
         } => {
             ServiceMetrics::bump(&metrics.sweeps);
-            let snapshot = match store.snapshot_experiment(app, experiment) {
-                Ok(snapshot) => snapshot,
-                Err(e) => {
-                    return rejected(
-                        "experiment snapshot",
-                        e.to_string(),
-                        e.to_string(),
-                        is_storage_fault(&e),
-                    )
-                }
-            };
-            let mut session = PerfExplorerScript::new(snapshot);
-
-            // Per-request body counters, folded into the service totals
-            // by the same observer.
-            let bodies = Arc::new(AtomicU64::new(0));
-            let failed = Arc::new(AtomicU64::new(0));
-            {
-                let metrics = Arc::clone(metrics);
-                let bodies = Arc::clone(&bodies);
-                let failed = Arc::clone(&failed);
-                session.set_sweep_observer(Arc::new(move |n, nf| {
-                    bodies.fetch_add(n as u64, Ordering::Relaxed);
-                    failed.fetch_add(nf as u64, Ordering::Relaxed);
-                    metrics.sweep_bodies.fetch_add(n as u64, Ordering::Relaxed);
-                    metrics
-                        .sweep_failures
-                        .fetch_add(nf as u64, Ordering::Relaxed);
-                }));
-            }
-
-            let cached = scripts.lock().get(source);
-            let hit = cached.is_some();
-            let program = match cached {
-                Some(program) => {
-                    ServiceMetrics::bump(&metrics.script_cache_hits);
-                    program
-                }
-                None => {
-                    ServiceMetrics::bump(&metrics.script_cache_misses);
-                    match session.compile(source) {
-                        Ok(program) => {
-                            let program = Arc::new(program);
-                            scripts
-                                .lock()
-                                .insert(source.to_string(), Arc::clone(&program));
-                            program
-                        }
-                        Err(e) => {
-                            return rejected(
-                                "compile sweep script",
-                                e.to_string(),
-                                e.to_string(),
-                                false,
-                            )
-                        }
-                    }
-                }
-            };
-
-            let run = session.run_compiled_supervised(&program);
-            (
-                Outcome::SweepDone {
-                    value: run.value.map(|v| v.to_string()),
-                    printed: run.printed,
-                    bodies: bodies.load(Ordering::Relaxed),
-                    failed_bodies: failed.load(Ordering::Relaxed),
-                    cached: hit,
-                },
-                run.degraded,
-                false,
+            run_script(
+                session,
+                store,
+                metrics,
+                Some(scripts),
+                app,
+                experiment,
+                source,
             )
         }
     }
+}
+
+/// The most names a worker's script session may hold when a request
+/// ends and still be kept. A request that interned more (a generated
+/// script with thousands of identifiers) drops the session, and the
+/// capacity its tables grew to goes with it, so what a worker keeps
+/// does not grow with the requests it has served.
+const SESSION_NAMES_KEPT: usize = 1024;
+
+/// Sweep bodies run, and bodies failed, in the request being served.
+#[derive(Default)]
+struct SweepCounts {
+    bodies: AtomicU64,
+    failed: AtomicU64,
+}
+
+/// A worker's script session, kept from one script request to the
+/// next: one registered interpreter, with the service's sweep observer
+/// installed, reset onto each request's snapshot and released after its
+/// reply, so between requests it holds nothing of them.
+struct WorkerSession {
+    script: PerfExplorerScript,
+    counts: Arc<SweepCounts>,
+}
+
+impl WorkerSession {
+    fn new(snapshot: Repository, metrics: &Arc<ServiceMetrics>) -> Self {
+        let mut script = PerfExplorerScript::new(snapshot);
+        let counts = Arc::new(SweepCounts::default());
+        let metrics = Arc::clone(metrics);
+        let request = Arc::clone(&counts);
+        script.set_sweep_observer(Arc::new(move |n, nf| {
+            request.bodies.fetch_add(n as u64, Ordering::Relaxed);
+            request.failed.fetch_add(nf as u64, Ordering::Relaxed);
+            metrics.sweep_bodies.fetch_add(n as u64, Ordering::Relaxed);
+            metrics
+                .sweep_failures
+                .fetch_add(nf as u64, Ordering::Relaxed);
+        }));
+        WorkerSession { script, counts }
+    }
+}
+
+/// Serves a script request on the worker's session: `RunScript` when
+/// `cache` is `None` (compiled for this request only, nothing kept) and
+/// `RunSweep` otherwise (the compiled program comes from, or goes into,
+/// the cache every worker shares). Either way the session is reset onto
+/// the experiment's snapshot first. It is dropped when the run panicked
+/// or left more than [`SESSION_NAMES_KEPT`] names, and the next request
+/// builds a fresh one; otherwise `worker_loop` releases it once the
+/// reply is sent.
+fn run_script(
+    session: &mut Option<WorkerSession>,
+    store: &ShardedRepository,
+    metrics: &Arc<ServiceMetrics>,
+    cache: Option<&Mutex<ScriptCache>>,
+    app: &str,
+    experiment: &str,
+    source: &str,
+) -> (Outcome, Vec<DegradedStage>, bool) {
+    let snapshot = match store.snapshot_experiment(app, experiment) {
+        Ok(snapshot) => snapshot,
+        Err(e) => {
+            return rejected(
+                "experiment snapshot",
+                e.to_string(),
+                e.to_string(),
+                is_storage_fault(&e),
+            )
+        }
+    };
+    let worker = match session.take() {
+        Some(mut worker) => {
+            worker.script.reset(snapshot);
+            session.insert(worker)
+        }
+        None => session.insert(WorkerSession::new(snapshot, metrics)),
+    };
+    worker.counts.bodies.store(0, Ordering::Relaxed);
+    worker.counts.failed.store(0, Ordering::Relaxed);
+    let served = serve_script(worker, metrics, cache, source);
+    let panicked = served
+        .1
+        .iter()
+        .any(|d| matches!(d.cause, DegradeCause::Panicked(_)));
+    if panicked || worker.script.interned() > SESSION_NAMES_KEPT {
+        *session = None;
+    }
+    served
+}
+
+/// [`run_script`]'s work on a session already reset.
+fn serve_script(
+    worker: &mut WorkerSession,
+    metrics: &ServiceMetrics,
+    cache: Option<&Mutex<ScriptCache>>,
+    source: &str,
+) -> (Outcome, Vec<DegradedStage>, bool) {
+    let Some(cache) = cache else {
+        let run = worker.script.run_supervised(source);
+        return (
+            Outcome::ScriptDone {
+                value: run.value.map(|v| v.to_string()),
+                printed: run.printed,
+            },
+            run.degraded,
+            false,
+        );
+    };
+    let cached = cache.lock().get(source);
+    let hit = cached.is_some();
+    let program = match cached {
+        Some(program) => {
+            ServiceMetrics::bump(&metrics.script_cache_hits);
+            program
+        }
+        None => {
+            ServiceMetrics::bump(&metrics.script_cache_misses);
+            match worker.script.compile(source) {
+                Ok(program) => {
+                    let program = Arc::new(program);
+                    cache
+                        .lock()
+                        .insert(source.to_string(), Arc::clone(&program));
+                    program
+                }
+                Err(e) => {
+                    return rejected("compile sweep script", e.to_string(), e.to_string(), false)
+                }
+            }
+        }
+    };
+    let run = worker.script.run_compiled_supervised(&program);
+    (
+        Outcome::SweepDone {
+            value: run.value.map(|v| v.to_string()),
+            printed: run.printed,
+            bodies: worker.counts.bodies.load(Ordering::Relaxed),
+            failed_bodies: worker.counts.failed.load(Ordering::Relaxed),
+            cached: hit,
+        },
+        run.degraded,
+        false,
+    )
 }
 
 #[cfg(test)]
@@ -1450,6 +1533,230 @@ mod tests {
             }
             other => panic!("expected script outcome, got {other:?}"),
         }
+        svc.shutdown();
+    }
+
+    // --- one script session per worker ---
+
+    fn three_trial_service(workers: usize) -> AnalysisService {
+        let mut repo = Repository::new();
+        for name in ["t1", "t2", "t3"] {
+            repo.add_trial("app", "exp", trial(name)).unwrap();
+        }
+        AnalysisService::start_with_repository(
+            ServiceConfig {
+                workers,
+                ..ServiceConfig::default()
+            },
+            repo,
+        )
+    }
+
+    fn script(source: &str) -> Request {
+        Request::RunScript {
+            app: "app".into(),
+            experiment: "exp".into(),
+            source: source.into(),
+        }
+    }
+
+    fn sweep(source: &str) -> Request {
+        Request::RunSweep {
+            app: "app".into(),
+            experiment: "exp".into(),
+            source: source.into(),
+        }
+    }
+
+    /// Everything of a reply but its latency and whether the sweep's
+    /// program came from the cache.
+    fn reply_text(r: &Response) -> String {
+        let outcome = match &r.outcome {
+            Outcome::SweepDone {
+                value,
+                printed,
+                bodies,
+                failed_bodies,
+                ..
+            } => format!("sweep {value:?} {printed:?} {bodies} {failed_bodies}"),
+            other => format!("{other:?}"),
+        };
+        format!("{outcome} {:?}", r.degraded)
+    }
+
+    /// The reply a worker's first script request gets.
+    fn fresh_reply(request: Request) -> String {
+        let svc = three_trial_service(1);
+        let r = svc.client().call(request).unwrap();
+        svc.shutdown();
+        reply_text(&r)
+    }
+
+    fn analyze_missing() -> Request {
+        Request::AnalyzeBalance {
+            app: "app".into(),
+            experiment: "exp".into(),
+            trial: "missing".into(),
+            metric: "TIME".into(),
+        }
+    }
+
+    const RULE: &str =
+        r#"load_rules_source("rule \"t\" when F( x > 1, v : x ) then print(\"got \" + v); end");"#;
+
+    #[test]
+    fn a_one_off_script_sweep_counts_its_bodies() {
+        let svc = three_trial_service(1);
+        let before = svc.stats().sweep_bodies;
+        let r = svc.client().call(script(SWEEP_SOURCE)).unwrap();
+        assert!(r.is_clean(), "{r:?}");
+        assert!(
+            matches!(&r.outcome, Outcome::ScriptDone { value: Some(v), .. } if v == "3"),
+            "{r:?}"
+        );
+        let stats = svc.stats();
+        assert_eq!(stats.sweep_bodies, before + 3);
+        assert_eq!(stats.sweep_failures, 0);
+        assert_eq!(stats.scripts, 1);
+        assert_eq!((stats.script_cache_hits, stats.script_cache_misses), (0, 0));
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_reused_session_answers_like_a_fresh_one() {
+        let pollute = format!(
+            r#"
+            let leftover = 1;
+            fn load_trial(a, b, c) {{ return 42; }}
+            fn helper() {{ return 7; }}
+            let t = list_trials("app", "exp");
+            {RULE}
+            assert_fact("F", {{ x: 2 }});
+            print("polluting");
+            process_rules()["printed"]
+            "#
+        );
+        let probes = [
+            "leftover".to_string(),
+            "helper()".to_string(),
+            r#"load_trial("app", "exp", "t1")"#.to_string(),
+            r#"print("probe"); 1"#.to_string(),
+            format!(r#"{RULE} process_rules()["printed"]"#),
+            SWEEP_SOURCE.to_string(),
+        ];
+        let svc = three_trial_service(1);
+        let client = svc.client();
+        for probe in probes {
+            let polluted = client.call(script(&pollute)).unwrap();
+            assert!(polluted.is_clean(), "{polluted:?}");
+            let reused = client.call(script(&probe)).unwrap();
+            assert_eq!(reply_text(&reused), fresh_reply(script(&probe)), "{probe}");
+            let reused = client.call(sweep(&probe)).unwrap();
+            assert_eq!(reply_text(&reused), fresh_reply(sweep(&probe)), "{probe}");
+        }
+        svc.shutdown();
+    }
+
+    #[test]
+    fn interleaved_one_offs_and_a_cached_sweep_match_fresh_sessions() {
+        let expected_sweep = fresh_reply(sweep(SWEEP_SOURCE));
+        let svc = three_trial_service(2);
+        let client = svc.client();
+        let mut pending = Vec::new();
+        for i in 0..24 {
+            let one_off =
+                format!("let name_{i} = {i}; fn f_{i}(x) {{ return x + name_{i}; }} f_{i}(1)");
+            pending.push((
+                client.submit(script(&one_off)).unwrap(),
+                fresh_reply(script(&one_off)),
+            ));
+            pending.push((
+                client.submit(sweep(SWEEP_SOURCE)).unwrap(),
+                expected_sweep.clone(),
+            ));
+        }
+        for (rx, expected) in pending {
+            let reply = reply_text(&rx.recv().unwrap());
+            assert!(!reply.contains("different interpreter"), "{reply}");
+            assert_eq!(reply, expected);
+        }
+        let stats = svc.stats();
+        assert_eq!(stats.sweep_bodies, 24 * 3);
+        assert_eq!(stats.script_cache_hits + stats.script_cache_misses, 24);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn the_request_after_a_panic_is_clean() {
+        let svc = three_trial_service(1);
+        let client = svc.client();
+        let panicking = client
+            .call(script("let x = 1; range(9000000000000000000)"))
+            .unwrap();
+        assert!(
+            panicking
+                .degraded
+                .iter()
+                .any(|d| matches!(d.cause, DegradeCause::Panicked(_))),
+            "{panicking:?}"
+        );
+        for probe in ["x", r#"print("after"); len(list_trials("app", "exp"))"#] {
+            let r = client.call(script(probe)).unwrap();
+            assert_eq!(reply_text(&r), fresh_reply(script(probe)), "{probe}");
+        }
+        let r = client.call(sweep(SWEEP_SOURCE)).unwrap();
+        assert!(r.is_clean(), "{r:?}");
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_finished_request_leaves_nothing_pinned_in_the_session() {
+        let svc = three_trial_service(1);
+        let stored = svc.store().get_trial("app", "exp", "t1").unwrap();
+        let before = Arc::strong_count(&stored);
+        let client = svc.client();
+        // The worker releases its session after sending a reply and
+        // before taking its next job, so the reply to a request after
+        // the script marks the script's end.
+        let next = || {
+            let r = client.call(analyze_missing()).unwrap();
+            assert!(matches!(r.outcome, Outcome::Rejected { .. }), "{r:?}");
+        };
+        let source = r#"
+            let t = load_trial("app", "exp", "t1");
+            load_rules("load_balance");
+            assert_balance_facts(t, "TIME");
+            process_rules();
+            [t, trial_events(t)]
+        "#;
+        for request in [script(source), sweep(source), sweep(SWEEP_SOURCE)] {
+            let r = client.call(request).unwrap();
+            assert!(r.is_clean(), "{r:?}");
+            next();
+            assert_eq!(Arc::strong_count(&stored), before);
+        }
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_session_is_dropped_after_a_panic_or_a_flood_of_names() {
+        let svc = three_trial_service(1);
+        let (store, metrics) = (svc.store(), &svc.metrics);
+        let mut session = None;
+        let run = |session: &mut Option<WorkerSession>, source: &str| {
+            run_script(session, store, metrics, None, "app", "exp", source)
+        };
+        run(&mut session, "1");
+        assert!(session.is_some(), "a clean run keeps its session");
+        run(&mut session, "range(9000000000000000000)");
+        assert!(session.is_none(), "a panicked run drops it");
+        let many: String = (0..SESSION_NAMES_KEPT)
+            .map(|i| format!("let g{i} = {i};"))
+            .collect();
+        run(&mut session, &many);
+        assert!(session.is_none(), "{} names drop it", SESSION_NAMES_KEPT);
+        run(&mut session, "let a = 1;");
+        assert!(session.is_some());
         svc.shutdown();
     }
 

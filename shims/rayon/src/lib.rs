@@ -220,13 +220,20 @@ const HANDOFF: Duration = Duration::from_micros(100);
 
 /// Applies `f` to every item, preserving order, in parallel only when
 /// that pays. The caller runs items inline, in order, and times them.
-/// After each item it predicts the work left (the mean item time × the
-/// items left); once the part of it that `w = min(budget, items left)`
-/// workers would take off the caller, `work × (w−1)/w`, exceeds
-/// [`HANDOFF`] and the budget grants a token, the remaining items are
-/// split over the pool by [`split`], the only route to the pool. A map
-/// too small for that never takes a token, never starts the pool and
-/// never wakes a thread.
+/// After each item it predicts the work left: the shorter of the last
+/// two items' times × the items left. Once the part of it that
+/// `w = min(budget, items left)` workers would take off the caller,
+/// `work × (w−1)/w`, exceeds [`HANDOFF`] and the budget grants a token,
+/// the remaining items are split over the pool by [`split`], the only
+/// route to the pool. A map too small for that never takes a token,
+/// never starts the pool and never wakes a thread.
+///
+/// Taking the shorter of two items means one stalled item (preempted,
+/// or faulting a page in) cannot split a map of short ones, while a map
+/// whose items grow long splits once two in a row are. A lone first
+/// item is trusted only when it outlasts a handoff by itself: a map of
+/// such items splits after its first, and a stall of the first item
+/// that short costs less than the handoff it might have wasted.
 fn par_map_vec<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> Vec<R> {
     // A split needs two items left after the first, timed one: with one
     // left, the caller would run it anyway.
@@ -236,15 +243,22 @@ fn par_map_vec<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> 
     let budget = concurrency_budget() as u128;
     let mut out = Vec::with_capacity(items.len());
     let mut rest = items.into_iter();
-    let start = Instant::now();
+    let mut started = Instant::now();
+    let mut previous: Option<Duration> = None;
     while let Some(item) = rest.next() {
         out.push(f(item));
+        let now = Instant::now();
+        let took = now - started;
+        started = now;
+        let per_item = match previous.replace(took) {
+            Some(previous) => previous.min(took),
+            None if took >= HANDOFF => took,
+            None => continue,
+        };
         let left = rest.len() as u128;
         let workers = left.min(budget);
-        // elapsed / done × left × (w−1)/w > HANDOFF, without division.
-        if workers >= 2
-            && start.elapsed().as_nanos() * left * (workers - 1)
-                > HANDOFF.as_nanos() * out.len() as u128 * workers
+        // per_item × left × (w−1)/w > HANDOFF, without division.
+        if workers >= 2 && per_item.as_nanos() * left * (workers - 1) > HANDOFF.as_nanos() * workers
         {
             start_pool();
             let spawned = acquire_workers(workers as usize - 1);
