@@ -18,12 +18,18 @@
 //! `crates/core/tests/streaming_differential.rs` pin both sides to
 //! bitwise-identical analyses, so these pairs measure maintenance cost
 //! only. Before any case runs, the first update of each size must dirty
-//! exactly the one event its chunk touched. The harness and its modes
+//! exactly the one event its chunk touched.
+//!
+//! One more pair, `report_64`, times the diagnosis itself on a nested
+//! 64-event trial: `incremental` is `AnalysisState::report` (facts
+//! asserted straight from the state), `batch` is
+//! `workflow::analyze_load_balance` on the same trial. Both must render
+//! byte-identical reports before it runs. The harness and its modes
 //! are in `bench::measure`; this bench writes `BENCH_streaming.json`.
 
 use bench::measure::{Bench, CountingAlloc};
 use perfdmf::{ChunkBatch, ColumnDelta, Measurement, StreamingTrial};
-use perfexplorer::{loadbalance, AnalysisState};
+use perfexplorer::{loadbalance, workflow, AnalysisState};
 use serde_json::Value;
 
 #[global_allocator]
@@ -57,12 +63,24 @@ fn event_name(i: usize) -> String {
     }
 }
 
-/// Full column for event `i`: mildly imbalanced exclusive values, plus
-/// a large inclusive total on `main` so runtime fractions are sane.
-fn column(i: usize, events: usize, round: u64) -> ColumnDelta {
+/// Callpath name for event `i` of the report trial: `main`, eight
+/// phases under it and kernels under the phases, so the trial has
+/// nested pairs as well as regions.
+fn nested_name(i: usize) -> String {
+    match i {
+        0 => perfdmf::MAIN_EVENT.to_string(),
+        1..=8 => format!("main => phase{i}"),
+        _ => format!("main => phase{} => kernel{i}", 1 + i % 8),
+    }
+}
+
+/// Full column for event `i`, named `name`: mildly imbalanced
+/// exclusive values, plus a large inclusive total on `main` so runtime
+/// fractions are sane.
+fn column(i: usize, name: String, events: usize, round: u64) -> ColumnDelta {
     ColumnDelta {
         metric: METRIC.to_string(),
-        event: event_name(i),
+        event: name,
         event_kind: None,
         cells: (0..THREADS)
             .map(|t| {
@@ -85,12 +103,13 @@ fn column(i: usize, events: usize, round: u64) -> ColumnDelta {
     }
 }
 
-/// A fully-populated stream of `events` events, delivered as one batch.
-fn seeded_stream(events: usize) -> StreamingTrial {
+/// A fully-populated stream of `events` events named by `name`,
+/// delivered as one batch.
+fn seeded_stream(events: usize, name: fn(usize) -> String) -> StreamingTrial {
     let batch = ChunkBatch {
         seq: 0,
         threads: THREADS as u32,
-        deltas: (0..events).map(|i| column(i, events, 0)).collect(),
+        deltas: (0..events).map(|i| column(i, name(i), events, 0)).collect(),
     };
     let (stream, _) =
         StreamingTrial::from_batch(format!("stream-{events}"), &batch).expect("seed batch applies");
@@ -103,7 +122,7 @@ fn delta_chunk(events: usize, seq: u64) -> ChunkBatch {
     ChunkBatch {
         seq,
         threads: THREADS as u32,
-        deltas: vec![column(target, events, seq)],
+        deltas: vec![column(target, event_name(target), events, seq)],
     }
 }
 
@@ -116,7 +135,7 @@ fn main() {
         Value::Str("one event column x 32 threads per chunk".into()),
     );
     for events in SIZES {
-        let mut stream = seeded_stream(events);
+        let mut stream = seeded_stream(events, event_name);
         let mut state = AnalysisState::new(stream.trial(), METRIC).expect("seeded stream analyzes");
         let applied = stream
             .apply_chunk(&delta_chunk(events, 1))
@@ -127,7 +146,7 @@ fn main() {
         assert_eq!(stats.dirty_events, 1, "one-column delta dirties one row");
         let mut update_seq = 1u64;
 
-        let mut batch = seeded_stream(events);
+        let mut batch = seeded_stream(events, event_name);
         let mut recompute_seq = 0u64;
         b.pair(
             &format!("events_{events}"),
@@ -149,5 +168,23 @@ fn main() {
             }),
         );
     }
+
+    let stream = seeded_stream(64, nested_name);
+    let state = AnalysisState::new(stream.trial(), METRIC).expect("report trial analyzes");
+    let incremental = state.report().expect("incremental report");
+    let batch = workflow::analyze_load_balance(stream.trial(), METRIC).expect("batch report");
+    assert_eq!(
+        incremental.rendered, batch.rendered,
+        "incremental and batch reports must render byte-identically"
+    );
+    b.pair(
+        "report_64",
+        ("incremental", || {
+            state.report().expect("incremental report")
+        }),
+        ("batch", || {
+            workflow::analyze_load_balance(stream.trial(), METRIC).expect("batch report")
+        }),
+    );
     b.finish();
 }

@@ -16,7 +16,7 @@
 //! The incremental path does **not** maintain results with running
 //! float arithmetic (which re-associates additions and drifts from the
 //! batch kernels). Instead it recomputes each *dirty row* with the very
-//! kernels the batch path calls (`loadbalance::row_observation`,
+//! kernels the batch path calls (`loadbalance::row_balance`,
 //! `loadbalance::fraction`, [`pearson`]), and pairs events through the
 //! batch path's `loadbalance::ancestor_prefixes`, while untouched rows
 //! keep their previous — bitwise identical — values.
@@ -33,17 +33,26 @@
 //! as the paper's pipeline does for a finished trial, so its output is
 //! byte-identical to [`crate::workflow::analyze_load_balance`] on the
 //! same trial.
+//!
+//! The facts come straight from the state ([`AnalysisState::facts`]).
+//! Each event's name is kept once, as an `Arc<str>` taken when the
+//! event is interned, and the state keeps its events in name order and
+//! each outer event's pairs in inner-name order. So a report emits the
+//! batch path's name-sorted fact sequence by walking those orders and
+//! sharing the names: it copies no name and sorts nothing.
 
 use crate::loadbalance::{
-    ancestor_prefixes, fraction, row_observation, BalanceObservation, LoadBalanceAnalysis,
-    NestedCorrelation,
+    ancestor_prefixes, fraction, nested_fact, region_fact, row_balance, LoadBalanceAnalysis,
+    NestedCorrelation, RowBalance,
 };
 use crate::result::TrialResult;
 use crate::workflow::{load_balance, CaseStudyReport, Policy};
 use crate::{AnalysisError, Result};
-use perfdmf::{AppliedChunk, Event, EventId, MetricId, Profile, Trial, MAIN_EVENT};
+use perfdmf::{AppliedChunk, EventId, MetricId, Profile, Trial, MAIN_EVENT};
+use rules::Fact;
 use statistics::pearson;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Bitwise float equality: detects a moved total runtime. (`==` would
 /// treat `-0.0 == 0.0` and `NaN != NaN`, missing and inventing changes
@@ -124,18 +133,27 @@ pub struct UpdateStats {
 pub struct AnalysisState {
     metric: String,
     total: f64,
-    events: Vec<Event>,
+    /// Event names by event index, each shared with every fact that
+    /// names the event.
+    names: Vec<Arc<str>>,
+    /// Event indices in name order, ties by index: the order
+    /// `RegionBalance` facts are asserted in, and the outer order of
+    /// `NestedCorrelation` facts.
+    by_name_order: Vec<usize>,
+    /// Whether two outer (non-main) events share a name, which only a
+    /// corrupted profile has ([`perfdmf::Profile::corrupt_event_name`]).
+    duplicate_names: bool,
     /// Per-event exclusive-time rows, mirroring the profile.
     excl: Vec<Vec<f64>>,
-    observations: Vec<Option<BalanceObservation>>,
-    /// Pairs indexed by outer event, inner indices ascending — the
-    /// batch sweep's emission order.
+    balance: Vec<Option<RowBalance>>,
+    /// Pairs indexed by outer event, in inner-name order (ties by
+    /// index): the inner order of `NestedCorrelation` facts.
     nested: Vec<Vec<NestedPair>>,
     /// Reverse index: for each event, the outers it appears under.
     inner_of: Vec<Vec<usize>>,
     /// Non-main events by name: the outers a new event's ancestor
     /// prefixes look up.
-    by_name: HashMap<String, Vec<usize>>,
+    by_name: HashMap<Arc<str>, Vec<usize>>,
     /// Every event by each of its ancestor prefixes, ascending: the
     /// inners an ancestor interned after its descendants adopts.
     by_prefix: HashMap<String, Vec<usize>>,
@@ -154,9 +172,11 @@ impl AnalysisState {
         let mut state = AnalysisState {
             metric: metric.to_string(),
             total,
-            events: Vec::new(),
+            names: Vec::new(),
+            by_name_order: Vec::new(),
+            duplicate_names: false,
             excl: Vec::new(),
-            observations: Vec::new(),
+            balance: Vec::new(),
             nested: Vec::new(),
             inner_of: Vec::new(),
             by_name: HashMap::new(),
@@ -184,7 +204,7 @@ impl AnalysisState {
         let m = profile
             .metric_id(&self.metric)
             .ok_or_else(|| AnalysisError::MissingMetric(self.metric.clone()))?;
-        let synced_from = self.events.len();
+        let synced_from = self.names.len();
         self.sync_events(profile, m);
 
         // Total runtime: any chunk can move main's inclusive column, so
@@ -196,7 +216,7 @@ impl AnalysisState {
         let total_changed = !feq(new_total, self.total);
         if total_changed {
             self.total = new_total;
-            for o in self.observations.iter_mut().flatten() {
+            for o in self.balance.iter_mut().flatten() {
                 o.runtime_fraction = fraction(o.mean, new_total);
             }
         }
@@ -207,11 +227,11 @@ impl AnalysisState {
                 continue;
             }
             let ei = tc.event.0 as usize;
-            if ei >= self.events.len() {
+            if ei >= self.names.len() {
                 return Err(AnalysisError::Invalid(format!(
                     "chunk touches event {} beyond the trial's {} events",
                     ei,
-                    self.events.len()
+                    self.names.len()
                 )));
             }
             // Rows synced above were read from the post-chunk profile
@@ -235,30 +255,79 @@ impl AnalysisState {
     /// The maintained analysis — bitwise equal to
     /// [`crate::loadbalance::analyze`] on the trial's current contents.
     pub fn analysis(&self) -> LoadBalanceAnalysis {
-        LoadBalanceAnalysis {
-            observations: self.observations.iter().flatten().cloned().collect(),
-            nested: self
-                .nested
-                .iter()
-                .enumerate()
-                .flat_map(|(oi, pairs)| {
-                    pairs.iter().filter_map(move |p| {
-                        p.correlation.map(|c| NestedCorrelation {
-                            outer: self.events[oi].name.clone(),
-                            inner: self.events[p.inner].name.clone(),
-                            correlation: c,
-                        })
-                    })
+        let observations = self
+            .balance
+            .iter()
+            .zip(&self.names)
+            .filter_map(|(b, name)| b.map(|b| b.observation(name.to_string())))
+            .collect();
+        let mut nested = Vec::new();
+        for (oi, pairs) in self.nested.iter().enumerate() {
+            // The batch sweep emits each outer's inners by index.
+            let mut by_index: Vec<&NestedPair> = pairs.iter().collect();
+            by_index.sort_unstable_by_key(|p| p.inner);
+            nested.extend(by_index.into_iter().filter_map(|p| {
+                p.correlation.map(|c| NestedCorrelation {
+                    outer: self.names[oi].to_string(),
+                    inner: self.names[p.inner].to_string(),
+                    correlation: c,
                 })
-                .collect(),
+            }));
+        }
+        LoadBalanceAnalysis {
+            observations,
+            nested,
         }
     }
 
+    /// The maintained analysis as rule-engine facts: the very sequence
+    /// `self.analysis().facts()` returns (`RegionBalance` facts in name
+    /// order, then `NestedCorrelation` facts in `(outer, inner)` name
+    /// order), built by walking the kept name orders with shared names.
+    pub fn facts(&self) -> Vec<Fact> {
+        if self.duplicate_names {
+            // The batch sort interleaves the pairs of equally named
+            // outers by inner name, which the per-outer lists do not;
+            // equal region or inner names tie by index on both paths.
+            return self.analysis().facts();
+        }
+        let regions = self.balance.iter().flatten().count();
+        let pairs = self
+            .nested
+            .iter()
+            .flatten()
+            .filter(|p| p.correlation.is_some())
+            .count();
+        let mut out = Vec::with_capacity(regions + pairs);
+        for &ei in &self.by_name_order {
+            if let Some(b) = &self.balance[ei] {
+                out.push(region_fact(
+                    self.names[ei].clone(),
+                    b.stddev_mean_ratio,
+                    b.runtime_fraction,
+                    b.mean,
+                ));
+            }
+        }
+        for &oi in &self.by_name_order {
+            for p in &self.nested[oi] {
+                if let Some(c) = p.correlation {
+                    out.push(nested_fact(
+                        self.names[oi].clone(),
+                        self.names[p.inner].clone(),
+                        c,
+                    ));
+                }
+            }
+        }
+        out
+    }
+
     /// Full report from the maintained facts: a fresh rule engine over
-    /// [`AnalysisState::analysis`], byte-identical to
+    /// [`AnalysisState::facts`], byte-identical to
     /// [`crate::workflow::analyze_load_balance`] on the same trial.
     pub fn report(&self) -> Result<CaseStudyReport> {
-        load_balance(Policy::Strict, || Ok(self.analysis().facts()))
+        load_balance(Policy::Strict, || Ok(self.facts()))
     }
 
     /// Grows the state to cover events interned since the last sync.
@@ -268,33 +337,40 @@ impl AnalysisState {
     /// ancestor, so a *new* event can become the outer of existing
     /// inners.
     fn sync_events(&mut self, profile: &Profile, m: MetricId) {
-        while self.events.len() < profile.event_count() {
-            let ei = self.events.len();
-            let event = profile.event(EventId(ei as u32)).clone();
+        while self.names.len() < profile.event_count() {
+            let ei = self.names.len();
+            let name: Arc<str> = profile.event(EventId(ei as u32)).name.as_str().into();
             let row: Vec<f64> = profile
                 .column(EventId(ei as u32), m)
                 .iter()
                 .map(|c| c.exclusive)
                 .collect();
-            self.observations
-                .push(row_observation(&event, &row, self.total));
+            self.balance.push(row_balance(&name, &row, self.total));
             self.excl.push(row);
             self.nested.push(Vec::new());
             self.inner_of.push(Vec::new());
+            // The new index is the largest, so it goes after every
+            // equal name.
+            let at = self
+                .by_name_order
+                .partition_point(|&j| *self.names[j] <= *name);
+            self.by_name_order.insert(at, ei);
+            // Named before pairing: `add_pair` orders pairs by name.
+            self.names.push(name.clone());
 
             // This event as outer over the existing events that named
-            // it as an ancestor, ascending.
-            if event.name != MAIN_EVENT {
-                let inners = self.by_prefix.get(&event.name).cloned().unwrap_or_default();
+            // it as an ancestor.
+            if &*name != MAIN_EVENT {
+                let inners = self.by_prefix.get(&*name).cloned().unwrap_or_default();
                 for ii in inners {
                     self.add_pair(ei, ii);
                 }
-                self.by_name.entry(event.name.clone()).or_default().push(ei);
+                let outers = self.by_name.entry(name.clone()).or_default();
+                self.duplicate_names |= !outers.is_empty();
+                outers.push(ei);
             }
-            // Existing outers gaining this event as inner. The new
-            // index is the largest, so appending keeps each outer's
-            // inner list ascending — the batch emission order.
-            for prefix in ancestor_prefixes(&event.name) {
+            // Existing outers gaining this event as inner.
+            for prefix in ancestor_prefixes(&name) {
                 if let Some(outers) = self.by_name.get(prefix).cloned() {
                     for oi in outers {
                         self.add_pair(oi, ei);
@@ -305,18 +381,24 @@ impl AnalysisState {
                     .or_default()
                     .push(ei);
             }
-            self.events.push(event);
         }
     }
 
     /// Records `outer → inner` as a nested pair with its correlation
-    /// over the current rows.
+    /// over the current rows, in its place in the outer's inner-name
+    /// order.
     fn add_pair(&mut self, oi: usize, ii: usize) {
         let correlation = pearson(&self.excl[oi], &self.excl[ii]).ok();
-        self.nested[oi].push(NestedPair {
-            inner: ii,
-            correlation,
-        });
+        let names = &self.names;
+        let pairs = &mut self.nested[oi];
+        let at = pairs.partition_point(|p| (&names[p.inner], p.inner) < (&names[ii], ii));
+        pairs.insert(
+            at,
+            NestedPair {
+                inner: ii,
+                correlation,
+            },
+        );
         self.inner_of[ii].push(oi);
     }
 
@@ -329,7 +411,7 @@ impl AnalysisState {
             .iter()
             .map(|c| c.exclusive)
             .collect();
-        self.observations[ei] = row_observation(&self.events[ei], &self.excl[ei], self.total);
+        self.balance[ei] = row_balance(&self.names[ei], &self.excl[ei], self.total);
 
         let mut recomputed = 0;
         for pi in 0..self.nested[ei].len() {
@@ -564,6 +646,36 @@ mod tests {
             .nested
             .iter()
             .any(|n| n.outer == "main => a" && n.inner == "main => a => b"));
+    }
+
+    #[test]
+    fn facts_match_the_batch_order_under_duplicate_names() {
+        // Only a corrupted profile repeats a name. Two outers named
+        // `main => a` then share inners, and the batch sort interleaves
+        // their pairs by inner name.
+        let mut b = perfdmf::TrialBuilder::with_flat_threads("dup", 4);
+        let m = b.metric("TIME");
+        for (name, row) in [
+            ("main", [100.0; 4]),
+            ("main => a", [1.0, 3.0, 2.0, 4.0]),
+            ("main => q", [4.0, 1.0, 3.0, 2.0]),
+            ("main => a => z", [2.0, 4.0, 1.0, 3.0]),
+            ("main => a => y", [3.0, 2.0, 4.0, 1.0]),
+        ] {
+            let e = b.event(name);
+            for (t, &v) in row.iter().enumerate() {
+                b.set(e, m, t, Measurement::leaf(v));
+            }
+        }
+        let mut trial = b.build();
+        trial
+            .profile
+            .corrupt_event_name(perfdmf::EventId(2), "main => a");
+        let state = AnalysisState::new(&trial, "TIME").unwrap();
+        let batch = loadbalance::analyze(&trial, "TIME").unwrap();
+        assert_bitwise_equal(&state.analysis(), &batch);
+        assert_eq!(batch.nested.len(), 4);
+        assert_eq!(state.facts(), batch.facts());
     }
 
     #[test]

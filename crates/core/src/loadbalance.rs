@@ -19,6 +19,7 @@ use rules::{Fact, FactType, Value};
 use serde::{Deserialize, Serialize};
 use statistics::{pearson, DenseMatrix, MatrixView, Welford};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Per-event balance observation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,24 +80,102 @@ impl LoadBalanceAnalysis {
         let mut nested: Vec<&NestedCorrelation> = self.nested.iter().collect();
         nested.sort_by(|a, b| (&a.outer, &a.inner).cmp(&(&b.outer, &b.inner)));
 
+        // One shared name per observed event, so a name costs one
+        // allocation however many facts carry it. The pairs come in
+        // `(outer, inner)` name order and an inner's name extends its
+        // outer's, so two forward cursors over the sorted names find
+        // both; a name they do not find is copied.
+        let names: Vec<Arc<str>> = observations
+            .iter()
+            .map(|o| Arc::from(o.event.as_str()))
+            .collect();
         let mut out = Vec::with_capacity(observations.len() + nested.len());
-        for o in observations {
-            out.push(REGION_BALANCE.fact([
-                Value::from(o.event.as_str()),
-                Value::Num(o.stddev_mean_ratio),
-                Value::Num(o.runtime_fraction),
-                Value::Num(o.mean),
-            ]));
+        for (o, name) in observations.iter().zip(&names) {
+            out.push(region_fact(
+                Arc::clone(name),
+                o.stddev_mean_ratio,
+                o.runtime_fraction,
+                o.mean,
+            ));
         }
-        for n in nested {
-            out.push(NESTED_CORRELATION.fact([
-                Value::from(n.outer.as_str()),
-                Value::from(n.inner.as_str()),
-                Value::Num(n.correlation),
-            ]));
+        let (mut outer_at, mut inner_at) = (0, 0);
+        for (i, n) in nested.iter().enumerate() {
+            let new_outer = i == 0 || nested[i - 1].outer != n.outer;
+            outer_at = seek(&names, outer_at, &n.outer);
+            if new_outer {
+                inner_at = outer_at;
+            }
+            inner_at = seek(&names, inner_at, &n.inner);
+            out.push(nested_fact(
+                shared(&names, outer_at, &n.outer),
+                shared(&names, inner_at, &n.inner),
+                n.correlation,
+            ));
         }
         out
     }
+}
+
+/// The first position from `from` on whose name is not below `name`.
+fn seek(names: &[Arc<str>], mut from: usize, name: &str) -> usize {
+    while from < names.len() && &*names[from] < name {
+        from += 1;
+    }
+    from
+}
+
+/// `names[at]` if it is `name`, else a fresh copy.
+fn shared(names: &[Arc<str>], at: usize, name: &str) -> Value {
+    match names.get(at) {
+        Some(n) if &**n == name => Value::from(Arc::clone(n)),
+        _ => Value::from(name),
+    }
+}
+
+/// An observation's figures without its event name: what the
+/// incremental state keeps per row, naming it only when it asserts a
+/// fact.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowBalance {
+    pub(crate) stddev_mean_ratio: f64,
+    pub(crate) runtime_fraction: f64,
+    pub(crate) mean: f64,
+}
+
+impl RowBalance {
+    /// The observation of the event named `event`.
+    pub(crate) fn observation(&self, event: String) -> BalanceObservation {
+        BalanceObservation {
+            event,
+            stddev_mean_ratio: self.stddev_mean_ratio,
+            runtime_fraction: self.runtime_fraction,
+            mean: self.mean,
+        }
+    }
+}
+
+/// The `RegionBalance` fact for one event's observation.
+pub(crate) fn region_fact(
+    event: impl Into<Value>,
+    stddev_mean_ratio: f64,
+    runtime_fraction: f64,
+    mean: f64,
+) -> Fact {
+    REGION_BALANCE.fact([
+        event.into(),
+        Value::Num(stddev_mean_ratio),
+        Value::Num(runtime_fraction),
+        Value::Num(mean),
+    ])
+}
+
+/// The `NestedCorrelation` fact for one nested pair.
+pub(crate) fn nested_fact(
+    outer: impl Into<Value>,
+    inner: impl Into<Value>,
+    correlation: f64,
+) -> Fact {
+    NESTED_CORRELATION.fact([outer.into(), inner.into(), Value::Num(correlation)])
 }
 
 /// Runs the load-balance analysis on a trial over `metric` (usually
@@ -146,7 +225,9 @@ fn analyze_matrix(
     let observations = events
         .iter()
         .enumerate()
-        .filter_map(|(ei, event)| row_observation(event, excl.row(ei), total))
+        .filter_map(|(ei, event)| {
+            row_balance(&event.name, excl.row(ei), total).map(|b| b.observation(event.name.clone()))
+        })
         .collect();
 
     let nested = nested_pairs(events)
@@ -223,19 +304,15 @@ pub(crate) fn fraction(mean: f64, total: f64) -> f64 {
 /// all-zero rows, otherwise the row's stddev/mean ratio, runtime
 /// fraction and mean. [`analyze_matrix`] and the incremental path both
 /// call it, so a recomputed dirty row is bitwise identical to a batch
-/// recompute by construction.
+/// recompute by construction. `event` is the row's event name.
 ///
 /// The moments come from the [`Welford`] pass [`Summary::of`] makes,
 /// without the median sort this analysis never reads.
 ///
 /// [`Summary::of`]: statistics::Summary::of
-pub(crate) fn row_observation(
-    event: &perfdmf::Event,
-    values: &[f64],
-    total: f64,
-) -> Option<BalanceObservation> {
+pub(crate) fn row_balance(event: &str, values: &[f64], total: f64) -> Option<RowBalance> {
     // Also skips an empty row, the one input `Summary::of` rejects.
-    if event.name == MAIN_EVENT || values.iter().all(|&v| v == 0.0) {
+    if event == MAIN_EVENT || values.iter().all(|&v| v == 0.0) {
         return None;
     }
     let mut moments = Welford::new();
@@ -243,8 +320,7 @@ pub(crate) fn row_observation(
         moments.push(v);
     }
     let (mean, stddev) = (moments.mean(), moments.stddev());
-    Some(BalanceObservation {
-        event: event.name.clone(),
+    Some(RowBalance {
         stddev_mean_ratio: if mean != 0.0 { stddev / mean } else { 0.0 },
         runtime_fraction: fraction(mean, total),
         mean,

@@ -4,13 +4,16 @@
 //! adversarial callpath names arriving descendants-first must leave the
 //! incrementally maintained analysis bitwise equal to a full batch
 //! recompute after EVERY chunk, and the rendered report independent of
-//! arrival order.
+//! arrival order. The facts the state asserts itself
+//! (`AnalysisState::facts`, in name order with shared names) must equal
+//! the batch analysis's facts after every chunk of the same streams.
 
 use perfexplorer::incremental::AnalysisState;
 use perfexplorer::loadbalance;
 use perfexplorer::workflow::analyze_load_balance;
 
 use perfdmf::{ChunkBatch, ColumnDelta, Measurement, StreamingTrial};
+use rules::{Fact, Value};
 
 /// Hand-rolled deterministic RNG — same idiom as the statistics crate's
 /// differential tests; no external proptest dependency.
@@ -385,5 +388,194 @@ fn adversarial_names_stream_bitwise_equal_to_batch() {
         assert!(!nested
             .iter()
             .any(|n| n.outer == "main => a" && n.inner == "main => ab => x"));
+    }
+}
+
+/// The chunks [`random_interleavings_stay_bitwise_equal_to_batch`]
+/// streams for `seed`, seed chunk first: the same draws in the same
+/// order.
+fn random_stream(seed: u64) -> Vec<ChunkBatch> {
+    let mut rng = XorShift64::new(seed);
+    let mut history = vec![seed_chunk(&["TIME"])];
+    let mut stream = history.clone();
+    for _ in 0..60 {
+        let chunk = if rng.chance(10) {
+            history[rng.pick(history.len())].clone()
+        } else {
+            let seq = if rng.chance(15) {
+                1_000_000 + rng.next_u64() % 1000
+            } else {
+                history.len() as u64
+            };
+            let c = random_chunk(&mut rng, seq, &["TIME"]);
+            history.push(c.clone());
+            c
+        };
+        // The batch test draws once per step to decide whether to
+        // render; keep the draw so the streams stay the same.
+        rng.chance(25);
+        stream.push(chunk);
+    }
+    stream
+}
+
+/// The chunks [`adversarial_names_stream_bitwise_equal_to_batch`]
+/// streams for `seed`, seed chunk first.
+fn adversarial_stream(seed: u64) -> Vec<ChunkBatch> {
+    const T: u32 = 4;
+    let mut rng = XorShift64::new(seed);
+    let mut order = adversarial_names();
+    if seed == 0xa1 {
+        order.sort_by_key(|n| std::cmp::Reverse(n.len()));
+    } else {
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.pick(i + 1));
+        }
+    }
+    let mut stream = vec![ChunkBatch {
+        seq: 0,
+        threads: T,
+        deltas: vec![delta(
+            "TIME",
+            "main",
+            (0..T).map(|t| (t, cell(500.0 + t as f64))).collect(),
+        )],
+    }];
+    let mut seen: Vec<String> = Vec::new();
+    let mut pending = order.into_iter();
+    loop {
+        let mut events: Vec<String> = pending.by_ref().take(1 + rng.pick(3)).collect();
+        if events.is_empty() {
+            return stream;
+        }
+        seen.extend(events.iter().cloned());
+        if rng.chance(40) {
+            events.push(seen[rng.pick(seen.len())].clone());
+        }
+        let deltas = events
+            .iter()
+            .map(|e| {
+                let cells = (0..T).map(|t| (t, cell(rng.next_f64() * 20.0))).collect();
+                delta("TIME", e, cells)
+            })
+            .collect();
+        stream.push(ChunkBatch {
+            seq: stream.len() as u64,
+            threads: T,
+            deltas,
+        });
+    }
+}
+
+/// Fact sequences equal field by field, numbers bitwise (NaN equal to
+/// NaN, which `Fact`'s `==` is not).
+fn assert_facts_bitwise(incremental: &[Fact], batch: &[Fact], step: usize) {
+    assert_eq!(
+        incremental.len(),
+        batch.len(),
+        "fact count diverged at step {step}"
+    );
+    for (x, y) in incremental.iter().zip(batch) {
+        let same = x.fact_type() == y.fact_type()
+            && x.fields().count() == y.fields().count()
+            && x.fields().zip(y.fields()).all(|((fx, vx), (fy, vy))| {
+                fx == fy
+                    && match (vx, vy) {
+                        (Value::Num(a), Value::Num(b)) => feq(*a, *b),
+                        (a, b) => a == b,
+                    }
+            });
+        assert!(same, "fact diverged at step {step}: {x:?} vs {y:?}");
+    }
+}
+
+/// Streams `chunks` into a state and, after every chunk, checks the
+/// state's own facts against the batch path's and its report against
+/// the strict workflow's.
+fn assert_facts_and_reports_track_batch(chunks: &[ChunkBatch]) {
+    let (mut st, _) = StreamingTrial::from_batch("stream", &chunks[0]).expect("seed chunk");
+    let mut state = AnalysisState::new(st.trial(), "TIME").expect("initial state");
+    for (step, chunk) in chunks.iter().enumerate().skip(1) {
+        let applied = st.apply_chunk(chunk).expect("apply");
+        state.update(st.trial(), &applied).expect("update");
+
+        let facts = state.facts();
+        assert_facts_bitwise(&facts, &state.analysis().facts(), step);
+        let batch = loadbalance::analyze(st.trial(), "TIME").expect("batch analyze");
+        assert_facts_bitwise(&facts, &batch.facts(), step);
+        let strict = analyze_load_balance(st.trial(), "TIME").expect("strict workflow");
+        let inc = state.report().expect("incremental report");
+        assert_eq!(
+            strict.rendered, inc.rendered,
+            "rendered report diverged at step {step}"
+        );
+    }
+}
+
+#[test]
+fn state_facts_and_reports_track_batch_on_random_interleavings() {
+    for seed in [0x5eed1u64, 0x5eed2, 0x5eed3, 0x5eed4] {
+        assert_facts_and_reports_track_batch(&random_stream(seed));
+    }
+}
+
+#[test]
+fn state_facts_and_reports_track_batch_on_adversarial_names() {
+    for seed in [0xa1u64, 0xa2, 0xa3, 0xa4, 0xa5, 0xa6] {
+        assert_facts_and_reports_track_batch(&adversarial_stream(seed));
+    }
+}
+
+#[test]
+fn incremental_report_is_arrival_order_independent() {
+    // The incremental twin of `rendered_report_is_arrival_order_independent`:
+    // a state fed the same chunks in any order interns the events in
+    // that order, and must still assert the same facts in the same
+    // order and render the same report.
+    let uneven = |heavy: u32| -> Vec<(u32, Measurement)> {
+        (0..4)
+            .map(|t| (t, cell(if t == heavy { 40.0 } else { 1.0 })))
+            .collect()
+    };
+    let mirrored = |heavy: u32| -> Vec<(u32, Measurement)> {
+        (0..4)
+            .map(|t| (t, cell(if t == heavy { 1.0 } else { 30.0 })))
+            .collect()
+    };
+    let one = |seq: u64, event: &str, cells: Vec<(u32, Measurement)>| ChunkBatch {
+        seq,
+        threads: 4,
+        deltas: vec![delta("TIME", event, cells)],
+    };
+    let bootstrap = one(0, "main", (0..4).map(|t| (t, cell(200.0))).collect());
+    let chunks = [
+        one(1, "main => a", uneven(3)),
+        one(2, "main => b", uneven(0)),
+        one(3, "main => a => x", mirrored(3)),
+        one(4, "main => b => y", mirrored(0)),
+        one(5, "main => c", uneven(1)),
+    ];
+    let run = |order: &[usize]| {
+        let (mut st, _) = StreamingTrial::from_batch("t", &bootstrap).expect("bootstrap");
+        let mut state = AnalysisState::new(st.trial(), "TIME").expect("state");
+        for &i in order {
+            let applied = st.apply_chunk(&chunks[i]).expect("apply");
+            state.update(st.trial(), &applied).expect("update");
+        }
+        (state.facts(), state.report().expect("report").rendered)
+    };
+    let (facts, rendered) = run(&[0, 1, 2, 3, 4]);
+    assert!(
+        rendered.contains("main => a / main => a => x")
+            && rendered.contains("main => b / main => b => y"),
+        "expected both nested pairs diagnosed:\n{rendered}"
+    );
+    for order in [[4, 3, 2, 1, 0], [2, 0, 4, 3, 1], [1, 3, 0, 4, 2]] {
+        let (other_facts, other) = run(&order);
+        assert_facts_bitwise(&other_facts, &facts, 0);
+        assert_eq!(
+            other, rendered,
+            "incremental report depends on arrival order {order:?}"
+        );
     }
 }

@@ -47,11 +47,11 @@ impl Comparator {
             Comparator::Gt => matches!(lhs.partial_cmp_same_type(rhs), Some(Greater)),
             Comparator::Ge => matches!(lhs.partial_cmp_same_type(rhs), Some(Greater | Equal)),
             Comparator::Contains => match (lhs, rhs) {
-                (Value::Str(a), Value::Str(b)) => a.contains(b.as_str()),
+                (Value::Str(a), Value::Str(b)) => a.contains(&**b),
                 _ => false,
             },
             Comparator::StartsWith => match (lhs, rhs) {
-                (Value::Str(a), Value::Str(b)) => a.starts_with(b.as_str()),
+                (Value::Str(a), Value::Str(b)) => a.starts_with(&**b),
                 _ => false,
             },
         }

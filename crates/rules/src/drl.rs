@@ -31,16 +31,20 @@ use crate::condition::{Comparator, Constraint, Operand, Pattern};
 use crate::rule::{Action, RhsExpr, RhsStatement, Rule};
 use crate::value::Value;
 use crate::{Result, RuleError};
+use std::borrow::Cow;
 
+/// A token, borrowing its text from the source: only a string literal
+/// with an escape owns a copy.
 #[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Str(String),
+enum Tok<'a> {
+    Ident(&'a str),
+    Str(Cow<'a, str>),
     Num(f64),
-    Sym(String),
+    Sym(&'static str),
 }
 
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: usize,
@@ -49,6 +53,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -81,7 +86,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Produces the next token, or `None` at end of input.
-    fn next(&mut self) -> Result<Option<(Tok, usize)>> {
+    fn next(&mut self) -> Result<Option<(Tok<'a>, usize)>> {
         self.skip_ws();
         if self.pos >= self.src.len() {
             return Ok(None);
@@ -90,7 +95,10 @@ impl<'a> Lexer<'a> {
         let c = self.src[self.pos];
         if c == b'"' {
             self.pos += 1;
-            let mut s = String::new();
+            let start = self.pos;
+            // The literal's bytes once it has an escape; until then it
+            // is the source slice from `start`.
+            let mut unescaped: Option<Vec<u8>> = None;
             loop {
                 if self.pos >= self.src.len() {
                     return Err(self.error("unterminated string"));
@@ -105,22 +113,34 @@ impl<'a> Lexer<'a> {
                             .get(self.pos)
                             .ok_or_else(|| self.error("dangling escape"))?;
                         self.pos += 1;
-                        s.push(match esc {
-                            b'n' => '\n',
-                            b't' => '\t',
-                            b'"' => '"',
-                            b'\\' => '\\',
+                        let byte = match esc {
+                            b'n' => b'\n',
+                            b't' => b'\t',
+                            b'"' => b'"',
+                            b'\\' => b'\\',
                             other => {
                                 return Err(
                                     self.error(format!("unknown escape \\{}", other as char))
                                 )
                             }
-                        });
+                        };
+                        let before = &self.src[start..self.pos - 2];
+                        unescaped.get_or_insert_with(|| before.to_vec()).push(byte);
                     }
                     b'\n' => return Err(self.error("newline in string")),
-                    other => s.push(other as char),
+                    other => {
+                        if let Some(bytes) = unescaped.as_mut() {
+                            bytes.push(other);
+                        }
+                    }
                 }
             }
+            let s = match unescaped {
+                None => Cow::Borrowed(&self.text[start..self.pos - 1]),
+                // Escapes are ASCII and every other byte is copied from
+                // the source text, so the bytes stay UTF-8.
+                Some(bytes) => Cow::Owned(String::from_utf8(bytes).expect("UTF-8 literal")),
+            };
             return Ok(Some((Tok::Str(s), line)));
         }
         if c.is_ascii_digit()
@@ -151,10 +171,7 @@ impl<'a> Lexer<'a> {
             {
                 self.pos += 1;
             }
-            let text = std::str::from_utf8(&self.src[start..self.pos])
-                .expect("ascii")
-                .to_string();
-            return Ok(Some((Tok::Ident(text), line)));
+            return Ok(Some((Tok::Ident(&self.text[start..self.pos]), line)));
         }
         // Symbols, longest first.
         for sym in [
@@ -162,19 +179,19 @@ impl<'a> Lexer<'a> {
         ] {
             if self.src[self.pos..].starts_with(sym.as_bytes()) {
                 self.pos += sym.len();
-                return Ok(Some((Tok::Sym(sym.to_string()), line)));
+                return Ok(Some((Tok::Sym(sym), line)));
             }
         }
         Err(self.error(format!("unexpected character {:?}", c as char)))
     }
 }
 
-struct Parser {
-    tokens: Vec<(Tok, usize)>,
+struct Parser<'a> {
+    tokens: Vec<(Tok<'a>, usize)>,
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn error_at(&self, message: impl Into<String>) -> RuleError {
         let line = self
             .tokens
@@ -187,11 +204,11 @@ impl Parser {
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.tokens.get(self.pos).map(|(t, _)| t)
     }
 
-    fn next(&mut self) -> Result<Tok> {
+    fn next(&mut self) -> Result<Tok<'a>> {
         let t = self
             .tokens
             .get(self.pos)
@@ -217,24 +234,24 @@ impl Parser {
 
     fn ident(&mut self) -> Result<String> {
         match self.next()? {
-            Tok::Ident(s) => Ok(s),
+            Tok::Ident(s) => Ok(s.to_string()),
             other => Err(self.error_at(format!("expected identifier, found {other:?}"))),
         }
     }
 
     fn at_sym(&self, sym: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Sym(s)) if s == sym)
+        matches!(self.peek(), Some(Tok::Sym(s)) if *s == sym)
     }
 
     fn at_ident(&self, word: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Ident(s)) if s == word)
+        matches!(self.peek(), Some(Tok::Ident(s)) if *s == word)
     }
 
     /// `rule "Name" [salience N] when <patterns> then <stmts> end`
     fn rule(&mut self) -> Result<Rule> {
         self.expect_ident("rule")?;
         let name = match self.next()? {
-            Tok::Str(s) => s,
+            Tok::Str(s) => s.into_owned(),
             other => return Err(self.error_at(format!("expected rule name, found {other:?}"))),
         };
         let mut salience = 0i32;
@@ -313,7 +330,7 @@ impl Parser {
             return Ok(());
         }
         let cmp = match self.next()? {
-            Tok::Sym(s) => match s.as_str() {
+            Tok::Sym(s) => match s {
                 "==" => Comparator::Eq,
                 "!=" => Comparator::Ne,
                 "<" => Comparator::Lt,
@@ -322,7 +339,7 @@ impl Parser {
                 ">=" => Comparator::Ge,
                 other => return Err(self.error_at(format!("unknown comparator {other:?}"))),
             },
-            Tok::Ident(w) => match w.as_str() {
+            Tok::Ident(w) => match w {
                 "contains" => Comparator::Contains,
                 "startsWith" => Comparator::StartsWith,
                 other => return Err(self.error_at(format!("unknown comparator {other:?}"))),
@@ -330,11 +347,11 @@ impl Parser {
             other => return Err(self.error_at(format!("expected comparator, found {other:?}"))),
         };
         let rhs = match self.next()? {
-            Tok::Str(s) => Operand::Literal(Value::Str(s)),
+            Tok::Str(s) => Operand::Literal(Value::from(&*s)),
             Tok::Num(n) => Operand::Literal(Value::Num(n)),
-            Tok::Ident(w) if w == "true" => Operand::Literal(Value::Bool(true)),
-            Tok::Ident(w) if w == "false" => Operand::Literal(Value::Bool(false)),
-            Tok::Ident(var) => Operand::Binding(var),
+            Tok::Ident("true") => Operand::Literal(Value::Bool(true)),
+            Tok::Ident("false") => Operand::Literal(Value::Bool(false)),
+            Tok::Ident(var) => Operand::Binding(var.to_string()),
             other => return Err(self.error_at(format!("expected operand, found {other:?}"))),
         };
         pattern.constraints.push(Constraint {
@@ -358,11 +375,11 @@ impl Parser {
 
     fn expr_atom(&mut self) -> Result<RhsExpr> {
         match self.next()? {
-            Tok::Str(s) => Ok(RhsExpr::Literal(Value::Str(s))),
+            Tok::Str(s) => Ok(RhsExpr::Literal(Value::from(&*s))),
             Tok::Num(n) => Ok(RhsExpr::Literal(Value::Num(n))),
-            Tok::Ident(w) if w == "true" => Ok(RhsExpr::Literal(Value::Bool(true))),
-            Tok::Ident(w) if w == "false" => Ok(RhsExpr::Literal(Value::Bool(false))),
-            Tok::Ident(var) => Ok(RhsExpr::Var(var)),
+            Tok::Ident("true") => Ok(RhsExpr::Literal(Value::Bool(true))),
+            Tok::Ident("false") => Ok(RhsExpr::Literal(Value::Bool(false))),
+            Tok::Ident(var) => Ok(RhsExpr::Var(var.to_string())),
             other => Err(self.error_at(format!("expected expression, found {other:?}"))),
         }
     }
@@ -662,6 +679,19 @@ rule "b" when T( ) then end
         engine.assert_fact(Fact::new("T"));
         let report = engine.run().unwrap();
         assert_eq!(report.printed, vec!["a\tb\n\"q\""]);
+    }
+
+    #[test]
+    fn string_literals_keep_their_utf8_text() {
+        // A literal is borrowed from the source until its first escape
+        // and copied byte for byte after it: neither path may split a
+        // multi-byte character.
+        let src = "rule \"r\" when T( name == \"café\" ) then print(\"é\\t→\" + \"ü\"); end";
+        let mut engine = Engine::new();
+        engine.add_rules(parse(src).unwrap()).unwrap();
+        engine.assert_fact(Fact::new("T").with("name", "café"));
+        let report = engine.run().unwrap();
+        assert_eq!(report.printed, vec!["é\t→ü"]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl RhsExpr {
                 let vb = b.eval(env)?;
                 Some(match (&va, &vb) {
                     (Value::Num(x), Value::Num(y)) => Value::Num(x + y),
-                    _ => Value::Str(format!("{va}{vb}")),
+                    _ => Value::from(format!("{va}{vb}")),
                 })
             }
         }

@@ -2,12 +2,18 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A fact field value: string, number or boolean.
+///
+/// A string is shared, not owned: cloning a value (into a binding, a
+/// join row, another fact) bumps a count instead of copying the text,
+/// and a producer that already holds a name as an `Arc<str>` asserts it
+/// without a copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Value {
     /// String value.
-    Str(String),
+    Str(Arc<str>),
     /// Numeric value (all numbers are `f64`, as in the source data).
     Num(f64),
     /// Boolean value.
@@ -70,12 +76,18 @@ impl fmt::Display for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
+        Value::Str(s.into())
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
+        Value::Str(s.into())
+    }
+}
+
+impl From<Arc<str>> for Value {
+    fn from(s: Arc<str>) -> Self {
         Value::Str(s)
     }
 }

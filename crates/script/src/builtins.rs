@@ -12,6 +12,10 @@ use crate::value::Value;
 use crate::{Result, ScriptError};
 use std::sync::Arc;
 
+/// The longest list `range` builds. A script names the length, so the
+/// bound is checked before anything is allocated.
+pub const MAX_RANGE_LEN: usize = 1 << 20;
+
 /// Dense identifier of a built-in function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)] // names mirror the script-visible functions 1:1
@@ -150,18 +154,28 @@ pub fn call(b: Builtin, args: &[Value], output: &mut Vec<String>, line: usize) -
                 }
                 _ => return Err(argc_err("a list and a value")),
             },
-            Builtin::Range => match args.len() {
-                1 => {
-                    let n = num_arg(0)? as i64;
-                    Value::List(Arc::new((0..n).map(|i| Value::Num(i as f64)).collect()))
+            Builtin::Range => {
+                let (a, b) = match args.len() {
+                    1 => (0.0, num_arg(0)?),
+                    2 => (num_arg(0)?, num_arg(1)?),
+                    _ => return Err(argc_err("one or two")),
+                };
+                if !a.is_finite() || !b.is_finite() {
+                    return Err(ScriptError::runtime(
+                        line,
+                        format!("{name}(): arguments must be finite"),
+                    ));
                 }
-                2 => {
-                    let a = num_arg(0)? as i64;
-                    let b = num_arg(1)? as i64;
-                    Value::List(Arc::new((a..b).map(|i| Value::Num(i as f64)).collect()))
+                let (a, b) = (a as i64, b as i64);
+                let len = b.saturating_sub(a).max(0) as u64;
+                if len > MAX_RANGE_LEN as u64 {
+                    return Err(ScriptError::runtime(
+                        line,
+                        format!("{name}(): {len} values exceed the limit of {MAX_RANGE_LEN}"),
+                    ));
                 }
-                _ => return Err(argc_err("one or two")),
-            },
+                Value::List(Arc::new((a..b).map(|i| Value::Num(i as f64)).collect()))
+            }
             Builtin::Keys => match args {
                 [Value::Map(m)] => Value::List(Arc::new(
                     m.keys().map(|k| Value::from(k.as_str())).collect(),

@@ -64,6 +64,7 @@ pub mod reference;
 mod rvm;
 pub mod value;
 
+pub use builtins::MAX_RANGE_LEN;
 pub use error::ScriptError;
 pub use interp::{Compiled, HostFn, Interpreter};
 pub use rvm::{BodyOutcome, HostDispatch, ParRunner, ParallelExecutor};

@@ -1,7 +1,7 @@
 //! Property-based tests for the scripting language.
 
 use proptest::prelude::*;
-use script::{Interpreter, Value};
+use script::{reference, Interpreter, Value};
 
 proptest! {
     /// Numeric literals round-trip through parse + eval.
@@ -73,4 +73,33 @@ proptest! {
             .unwrap();
         prop_assert_eq!(v, Value::Num(n as f64));
     }
+}
+
+/// `range` refuses a list longer than its bound, and a non-finite
+/// argument, with the same typed error in both engines.
+#[test]
+fn range_is_bounded_in_both_engines() {
+    let cases = [
+        ("range(9000000000000000000)", "exceed the limit"),
+        (
+            "range(-9000000000000000000, 9000000000000000000)",
+            "exceed the limit",
+        ),
+        ("range(pow(10, 400))", "must be finite"),
+        ("range(0, pow(-1, 0.5))", "must be finite"),
+    ];
+    for (src, message) in cases {
+        let vm = Interpreter::new().run(src);
+        let tree = reference::Interpreter::new().run(src);
+        let err = vm.clone().expect_err(src);
+        assert!(err.to_string().contains(message), "{src}: {err}");
+        assert_eq!(vm, tree, "{src}");
+    }
+    let longest = format!("len(range({}))", script::MAX_RANGE_LEN);
+    let n = script::MAX_RANGE_LEN as f64;
+    assert_eq!(Interpreter::new().run(&longest).unwrap(), Value::Num(n));
+    assert_eq!(
+        reference::Interpreter::new().run(&longest).unwrap(),
+        Value::Num(n)
+    );
 }

@@ -1686,13 +1686,32 @@ mod tests {
         svc.shutdown();
     }
 
+    /// A kept session whose sweep observer panics: no script input
+    /// panics a run (`range` is bounded), so the observer stands in
+    /// for a panic inside the script stage.
+    fn panicking_session(metrics: &Arc<ServiceMetrics>) -> Option<WorkerSession> {
+        let mut worker = WorkerSession::new(Repository::new(), metrics);
+        worker
+            .script
+            .set_sweep_observer(Arc::new(|_, _| panic!("sweep observer")));
+        Some(worker)
+    }
+
     #[test]
     fn the_request_after_a_panic_is_clean() {
         let svc = three_trial_service(1);
-        let client = svc.client();
-        let panicking = client
-            .call(script("let x = 1; range(9000000000000000000)"))
-            .unwrap();
+        let (store, metrics) = (svc.store(), &svc.metrics);
+        let mut session = panicking_session(metrics);
+        let mut run = |source: &str| {
+            let (outcome, degraded, _) =
+                run_script(&mut session, store, metrics, None, "app", "exp", source);
+            Response {
+                outcome,
+                degraded,
+                latency: Duration::ZERO,
+            }
+        };
+        let panicking = run(&format!("let x = 1; {SWEEP_SOURCE}"));
         assert!(
             panicking
                 .degraded
@@ -1700,12 +1719,17 @@ mod tests {
                 .any(|d| matches!(d.cause, DegradeCause::Panicked(_))),
             "{panicking:?}"
         );
-        for probe in ["x", r#"print("after"); len(list_trials("app", "exp"))"#] {
-            let r = client.call(script(probe)).unwrap();
-            assert_eq!(reply_text(&r), fresh_reply(script(probe)), "{probe}");
+        for probe in [
+            "x",
+            r#"print("after"); len(list_trials("app", "exp"))"#,
+            SWEEP_SOURCE,
+        ] {
+            assert_eq!(
+                reply_text(&run(probe)),
+                fresh_reply(script(probe)),
+                "{probe}"
+            );
         }
-        let r = client.call(sweep(SWEEP_SOURCE)).unwrap();
-        assert!(r.is_clean(), "{r:?}");
         svc.shutdown();
     }
 
@@ -1748,7 +1772,8 @@ mod tests {
         };
         run(&mut session, "1");
         assert!(session.is_some(), "a clean run keeps its session");
-        run(&mut session, "range(9000000000000000000)");
+        let mut session = panicking_session(metrics);
+        run(&mut session, SWEEP_SOURCE);
         assert!(session.is_none(), "a panicked run drops it");
         let many: String = (0..SESSION_NAMES_KEPT)
             .map(|i| format!("let g{i} = {i};"))

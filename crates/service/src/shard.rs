@@ -538,7 +538,8 @@ impl ShardedRepository {
 
     /// Applies one chunk to the trial's stream, creating the stream on
     /// first contact — seeded from the stored trial of the same path if
-    /// one exists, empty otherwise. If an incremental analysis state is
+    /// one exists, empty otherwise; a stored trial that cannot be read
+    /// refuses the chunk with its storage error. If an incremental analysis state is
     /// cached for the stream it is updated in place (the O(Δ) path); an
     /// update failure drops the state so the next analysis rebuilds it
     /// from scratch rather than serving from a half-updated cache.
@@ -573,9 +574,15 @@ impl ShardedRepository {
         let entry = match streams.entry(key.clone()) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
+                // Only a missing trial starts the stream from the chunk:
+                // a stored trial that cannot be read (a rotten page) is
+                // a storage fault, not an empty trial.
                 let stream = match self.get_stored(shard, &key) {
                     Ok(stored) => StreamingTrial::from_trial((*stored).clone()),
-                    Err(_) => StreamingTrial::for_batch(trial, batch)?,
+                    Err(perfdmf::DmfError::NotFound { .. }) => {
+                        StreamingTrial::for_batch(trial, batch)?
+                    }
+                    Err(e) => return Err(e),
                 };
                 v.insert(StreamEntry {
                     stream,

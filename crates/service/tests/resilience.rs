@@ -612,6 +612,75 @@ fn breaker_opens_on_corrupt_shard_and_recovers_via_probe() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A stream whose stored trial fails its page checksum is refused as a
+/// storage fault, which the shard's breaker counts: it must not start
+/// from the chunk as if no trial were stored there.
+#[test]
+fn a_stream_over_a_corrupt_cold_trial_is_refused() {
+    // As in the breaker test: "zz-bad" owns the final column page.
+    let mut repo = Repository::new();
+    repo.add_trial("zz-bad", "exp", trial("doomed", 4)).unwrap();
+    let dir = std::env::temp_dir().join(format!("svc-resilience-rot-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("repo.pdb1");
+    repo.save_as(&path, perfdmf::Format::Pdb1).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xff;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let svc = AnalysisService::open(
+        ServiceConfig {
+            workers: 1,
+            shards: 2,
+            breaker: BreakerConfig {
+                failure_threshold: 2,
+                open_cooldown: Duration::from_secs(60),
+                half_open_probes: 1,
+            },
+            ..ServiceConfig::default()
+        },
+        &path,
+    )
+    .unwrap();
+    let client = svc.client();
+    let chunk = serde_json::to_string(&stream_chunks(1, 4)[0]).unwrap();
+    let ingest = |trial: &str| {
+        client
+            .call(Request::IngestChunk {
+                app: "zz-bad".into(),
+                experiment: "exp".into(),
+                trial: trial.into(),
+                chunk: chunk.clone(),
+            })
+            .unwrap()
+    };
+
+    // A path with no stored trial still starts from its first chunk.
+    let resp = ingest("fresh");
+    assert!(resp.is_clean(), "{resp:?}");
+
+    for _ in 0..2 {
+        let resp = ingest("doomed");
+        match &resp.outcome {
+            Outcome::Rejected { error } => assert!(error.contains("checksum"), "{error}"),
+            other => panic!("expected a checksum rejection, got {other:?}"),
+        }
+    }
+    let stats = svc.stats();
+    assert_eq!(
+        stats.breaker_trips, 1,
+        "both refusals count as storage faults"
+    );
+    let resp = analyze(&client, "zz-bad", "fresh");
+    assert!(
+        matches!(resp.outcome, Outcome::BreakerOpen { .. }),
+        "{resp:?}"
+    );
+    svc.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A cold trial that a stream or an overlay upsert shadows is never
 /// decoded for a script's experiment snapshot: a corrupt page under a
 /// re-uploaded trial must not reject every script over its experiment
@@ -657,22 +726,7 @@ fn scripts_skip_a_shadowed_corrupt_cold_trial() {
         other => panic!("expected a checksum rejection, got {other:?}"),
     }
 
-    // A stream at the same path shadows it (its bootstrap falls back
-    // to the chunk when the stored trial cannot be read).
-    let chunk = &stream_chunks(1, 4)[0];
-    let resp = client
-        .call(Request::IngestChunk {
-            app: "zz-bad".into(),
-            experiment: "exp".into(),
-            trial: "doomed".into(),
-            chunk: serde_json::to_string(chunk).unwrap(),
-        })
-        .unwrap();
-    assert!(resp.is_clean(), "{resp:?}");
-    let resp = script();
-    assert!(resp.is_clean(), "stream shadows the cold trial: {resp:?}");
-
-    // A full re-upload retires the stream; the overlay copy shadows it.
+    // A re-upload puts an overlay copy over it.
     let resp = client
         .call(Request::Ingest {
             app: "zz-bad".into(),
@@ -687,6 +741,21 @@ fn scripts_skip_a_shadowed_corrupt_cold_trial() {
         Outcome::ScriptDone { printed, .. } => assert_eq!(printed, &vec!["read".to_string()]),
         other => panic!("expected script outcome, got {other:?}"),
     }
+
+    // A stream at the same path bootstraps from the overlay copy and
+    // shadows the cold trial in turn.
+    let chunk = &stream_chunks(1, 4)[0];
+    let resp = client
+        .call(Request::IngestChunk {
+            app: "zz-bad".into(),
+            experiment: "exp".into(),
+            trial: "doomed".into(),
+            chunk: serde_json::to_string(chunk).unwrap(),
+        })
+        .unwrap();
+    assert!(resp.is_clean(), "{resp:?}");
+    let resp = script();
+    assert!(resp.is_clean(), "stream shadows the cold trial: {resp:?}");
     assert_eq!(svc.stats().breaker_trips, 0);
     svc.shutdown();
     std::fs::remove_dir_all(&dir).ok();

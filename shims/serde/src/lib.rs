@@ -458,7 +458,7 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
-impl<T: Serialize> Serialize for std::sync::Arc<T> {
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
     fn serialize(&self, w: &mut Writer) {
         (**self).serialize(w)
     }
@@ -475,6 +475,20 @@ impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
 
     fn from_value(v: &Value) -> Result<Self, Error> {
         T::from_value(v).map(std::sync::Arc::new)
+    }
+}
+
+/// A shared string, as real serde's `rc` feature provides.
+impl Deserialize for std::sync::Arc<str> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.str().map(|s| s.as_ref().into())
+    }
+
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        match v {
+            Value::Str(s) => Ok(s.as_str().into()),
+            other => Err(type_err("string", other)),
+        }
     }
 }
 

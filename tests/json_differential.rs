@@ -157,7 +157,7 @@ fn repository() -> impl Strategy<Value = Repository> {
 
 fn fact() -> impl Strategy<Value = rules::Fact> {
     let value = prop_oneof![
-        name().prop_map(rules::Value::Str),
+        name().prop_map(rules::Value::from),
         float().prop_map(rules::Value::Num),
         prop::sample::select(vec![true, false]).prop_map(rules::Value::Bool),
     ];
