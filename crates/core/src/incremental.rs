@@ -335,8 +335,11 @@ impl AnalysisState {
     /// created, so this IS the delta) and paired in both directions
     /// through name lookups — chunks may intern a descendant before its
     /// ancestor, so a *new* event can become the outer of existing
-    /// inners.
+    /// inners. The new events and pairs are appended, then the name
+    /// orders they joined are sorted once: a stable sort over a sorted
+    /// run plus a short new tail costs about one pass.
     fn sync_events(&mut self, profile: &Profile, m: MetricId) {
+        let first = self.names.len();
         while self.names.len() < profile.event_count() {
             let ei = self.names.len();
             let name: Arc<str> = profile.event(EventId(ei as u32)).name.as_str().into();
@@ -349,13 +352,7 @@ impl AnalysisState {
             self.excl.push(row);
             self.nested.push(Vec::new());
             self.inner_of.push(Vec::new());
-            // The new index is the largest, so it goes after every
-            // equal name.
-            let at = self
-                .by_name_order
-                .partition_point(|&j| *self.names[j] <= *name);
-            self.by_name_order.insert(at, ei);
-            // Named before pairing: `add_pair` orders pairs by name.
+            self.by_name_order.push(ei);
             self.names.push(name.clone());
 
             // This event as outer over the existing events that named
@@ -382,23 +379,35 @@ impl AnalysisState {
                     .push(ei);
             }
         }
+        let added = first..self.names.len();
+        if added.is_empty() {
+            return;
+        }
+        let names = &self.names;
+        self.by_name_order
+            .sort_by(|&a, &b| (&names[a], a).cmp(&(&names[b], b)));
+        // Every new pair has a new outer or a new inner.
+        let mut grown: Vec<usize> = added
+            .clone()
+            .chain(added.flat_map(|ei| self.inner_of[ei].iter().copied()))
+            .collect();
+        grown.sort_unstable();
+        grown.dedup();
+        for oi in grown {
+            self.nested[oi]
+                .sort_by(|p, q| (&names[p.inner], p.inner).cmp(&(&names[q.inner], q.inner)));
+        }
     }
 
     /// Records `outer → inner` as a nested pair with its correlation
-    /// over the current rows, in its place in the outer's inner-name
-    /// order.
+    /// over the current rows; [`AnalysisState::sync_events`] puts it in
+    /// its place in the outer's inner-name order.
     fn add_pair(&mut self, oi: usize, ii: usize) {
         let correlation = pearson(&self.excl[oi], &self.excl[ii]).ok();
-        let names = &self.names;
-        let pairs = &mut self.nested[oi];
-        let at = pairs.partition_point(|p| (&names[p.inner], p.inner) < (&names[ii], ii));
-        pairs.insert(
-            at,
-            NestedPair {
-                inner: ii,
-                correlation,
-            },
-        );
+        self.nested[oi].push(NestedPair {
+            inner: ii,
+            correlation,
+        });
         self.inner_of[ii].push(oi);
     }
 

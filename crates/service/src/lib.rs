@@ -1699,19 +1699,41 @@ mod tests {
 
     #[test]
     fn the_request_after_a_panic_is_clean() {
+        // Each request goes through `serve_job`, as in `worker_loop`,
+        // on one session: the panic comes from a kept session, which a
+        // request through the client cannot bring about.
         let svc = three_trial_service(1);
-        let (store, metrics) = (svc.store(), &svc.metrics);
-        let mut session = panicking_session(metrics);
-        let mut run = |source: &str| {
-            let (outcome, degraded, _) =
-                run_script(&mut session, store, metrics, None, "app", "exp", source);
+        let config = ServiceConfig::default();
+        let scripts = Arc::new(Mutex::new(ScriptCache::new(config.script_cache_capacity)));
+        let breakers: Vec<CircuitBreaker> = (0..config.shards)
+            .map(|_| CircuitBreaker::new(config.breaker.clone()))
+            .collect();
+        let serve = |session: &mut Option<WorkerSession>, request: Request| {
+            let job = Job {
+                request,
+                submitted: Instant::now(),
+                deadline: None,
+                reply: std::sync::mpsc::channel().0,
+            };
+            let (outcome, degraded) = serve_job(
+                &svc.store,
+                &svc.metrics,
+                &config.supervisor,
+                &scripts,
+                &breakers,
+                session,
+                &job,
+            );
             Response {
                 outcome,
                 degraded,
                 latency: Duration::ZERO,
             }
         };
-        let panicking = run(&format!("let x = 1; {SWEEP_SOURCE}"));
+        // The panicking sweep compiles its program into the cache first.
+        let cached = format!("let x = 1; {SWEEP_SOURCE}");
+        let mut session = panicking_session(&svc.metrics);
+        let panicking = serve(&mut session, sweep(&cached));
         assert!(
             panicking
                 .degraded
@@ -1719,16 +1741,21 @@ mod tests {
                 .any(|d| matches!(d.cause, DegradeCause::Panicked(_))),
             "{panicking:?}"
         );
-        for probe in [
-            "x",
-            r#"print("after"); len(list_trials("app", "exp"))"#,
-            SWEEP_SOURCE,
-        ] {
-            assert_eq!(
-                reply_text(&run(probe)),
-                fresh_reply(script(probe)),
-                "{probe}"
+        assert!(session.is_none(), "a panicked run drops its session");
+        for probe in ["x", r#"print("after"); len(list_trials("app", "exp"))"#] {
+            let r = serve(&mut session, script(probe));
+            assert_eq!(reply_text(&r), fresh_reply(script(probe)), "{probe}");
+        }
+        // The program compiled on the dropped session replays cleanly on
+        // the fresh one, and a program compiled after the panic runs too.
+        for source in [cached.as_str(), SWEEP_SOURCE] {
+            let r = serve(&mut session, sweep(source));
+            assert!(r.is_clean(), "{r:?}");
+            assert!(
+                matches!(r.outcome, Outcome::SweepDone { cached: hit, .. } if hit == (source == cached)),
+                "{r:?}"
             );
+            assert_eq!(reply_text(&r), fresh_reply(sweep(source)), "{source}");
         }
         svc.shutdown();
     }
