@@ -2,26 +2,32 @@
 //! two-pass `serde::reference` oracle (text → `Value` tree → type, and
 //! type → `Value` tree → text) on the documents the system moves.
 //!
-//! * `chunk_decode` — one streamed `ChunkBatch` shaped like the
-//!   service's live-ingest chunks (9 column deltas × 16 threads), the
-//!   per-request decode of every `IngestChunk`;
+//! * `chunk_decode` — one streamed `ChunkBatch` shaped like perfbench's
+//!   `live_ingest` chunks (11 column deltas × 16 threads: `main`, a
+//!   solve/sweep pair of seconds, eight filler regions of milliseconds,
+//!   every time a random full-precision float, calls and subcalls small
+//!   integral ones), the per-request decode of every `IngestChunk`;
+//! * `float_tokens` — that chunk's float tokens, each read by the
+//!   one-pass reader against `str::parse::<f64>`, the number oracle;
 //! * `trial_decode` / `trial_serialize` — one uploaded `Trial`
 //!   (32 events × 2 metrics × 16 threads plus metadata), the decode of
 //!   every `Ingest` and the encode of every JSON repository save.
 //!
 //! Before any case runs, both paths must decode equal values and
-//! encode byte-identical text. The harness and its modes are in
+//! encode byte-identical text, and the reader must read every float
+//! token to `str::parse`'s bits. The harness and its modes are in
 //! `bench::measure`; this bench writes `BENCH_json.json`.
 
 use bench::measure::{Bench, CountingAlloc};
 use perfdmf::{ChunkBatch, ColumnDelta, Measurement, Trial, TrialBuilder};
+use rand::prelude::*;
 use serde_json::Value;
 use std::hint::black_box;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-const CHUNK_DELTAS: usize = 9;
+const FILLERS: usize = 8;
 const THREADS: usize = 16;
 const TRIAL_EVENTS: usize = 32;
 const TRIAL_METRICS: usize = 2;
@@ -41,26 +47,79 @@ fn measurement(v: f64) -> Measurement {
     }
 }
 
+fn delta(event: String, cells: impl Iterator<Item = Measurement>) -> ColumnDelta {
+    ColumnDelta {
+        metric: "TIME".into(),
+        event,
+        event_kind: None,
+        cells: cells.enumerate().map(|(t, m)| (t as u32, m)).collect(),
+    }
+}
+
+/// One live-shaped chunk: per thread, an imbalanced sweep and the wait
+/// that evens it out (seconds), eight filler regions (milliseconds),
+/// and `main` around them, as a profiler's flush of one solve step.
 fn chunk() -> ChunkBatch {
+    let mut rng = StdRng::seed_from_u64(41);
+    let base = rng.random_range(2.0..4.0);
+    let sweep: Vec<f64> = (0..THREADS)
+        .map(|_| base * (1.0 + 0.6 * rng.random_range(-1.0..1.0)))
+        .collect();
+    let wait: Vec<f64> = sweep
+        .iter()
+        .map(|s| base * 1.6 - s + rng.random_range(0.0..0.05 * base))
+        .collect();
+    let fillers: Vec<Vec<f64>> = (0..FILLERS)
+        .map(|_| {
+            let mean = rng.random_range(0.001..0.03);
+            (0..THREADS)
+                .map(|_| mean * rng.random_range(0.5..1.5))
+                .collect()
+        })
+        .collect();
+    let busy: Vec<f64> = (0..THREADS)
+        .map(|t| sweep[t] + wait[t] + fillers.iter().map(|f| f[t]).sum::<f64>())
+        .collect();
+    let main = busy.iter().map(|b| {
+        let inclusive = b + rng.random_range(0.1..0.2);
+        Measurement {
+            exclusive: inclusive - b,
+            ..Measurement::leaf(inclusive)
+        }
+    });
+    let mut deltas = vec![
+        delta("main".into(), main),
+        delta(
+            "main => solve".into(),
+            wait.into_iter().map(Measurement::leaf),
+        ),
+        delta(
+            "main => solve => sweep".into(),
+            sweep.into_iter().map(Measurement::leaf),
+        ),
+    ];
+    for (k, f) in fillers.into_iter().enumerate() {
+        deltas.push(delta(
+            format!("main => region_{k:02}"),
+            f.into_iter().map(Measurement::leaf),
+        ));
+    }
     ChunkBatch {
         seq: 41,
         threads: THREADS as u32,
-        deltas: (0..CHUNK_DELTAS)
-            .map(|d| ColumnDelta {
-                metric: "TIME".into(),
-                event: match d {
-                    0 => "main".to_string(),
-                    1 => "main => solve".to_string(),
-                    2 => "main => solve => sweep".to_string(),
-                    _ => format!("main => region_{d:02}"),
-                },
-                event_kind: None,
-                cells: (0..THREADS)
-                    .map(|t| (t as u32, measurement(value(d * THREADS + t))))
-                    .collect(),
-            })
-            .collect(),
+        deltas,
     }
+}
+
+/// The float tokens of a chunk, as its text writes them.
+fn float_tokens(chunk: &ChunkBatch) -> Vec<String> {
+    chunk
+        .deltas
+        .iter()
+        .flat_map(|d| &d.cells)
+        .flat_map(|(_, m)| [m.inclusive, m.exclusive, m.calls, m.subcalls])
+        .map(|f| serde_json::to_string(&f).unwrap())
+        .collect()
 }
 
 fn trial() -> Trial {
@@ -87,8 +146,12 @@ fn trial() -> Trial {
 }
 
 /// Both paths agree on every case: equal decoded values, byte-equal
-/// encodings.
+/// encodings, and `str::parse`'s bits for every float token.
 fn check_agreement() {
+    for token in float_tokens(&chunk()) {
+        let read = serde::Reader::new(&token).f64().unwrap();
+        assert_eq!(read.to_bits(), token.parse::<f64>().unwrap().to_bits());
+    }
     let chunk_text = serde_json::to_string(&chunk()).unwrap();
     assert_eq!(chunk_text, serde::reference::to_string(&chunk()));
     assert_eq!(
@@ -113,13 +176,17 @@ fn check_agreement() {
 fn main() {
     let mut b = Bench::from_env("json", "BENCH_json.json");
     check_agreement();
-    let chunk_text = serde_json::to_string(&chunk()).expect("encode chunk");
+    let chunk = chunk();
+    let chunk_text = serde_json::to_string(&chunk).expect("encode chunk");
+    let tokens = float_tokens(&chunk);
     let trial = trial();
     let trial_text = serde_json::to_string(&trial).expect("encode trial");
     b.note(
         "chunk_shape",
         Value::Str(format!(
-            "{CHUNK_DELTAS} deltas x {THREADS} threads, {} bytes",
+            "{} deltas x {THREADS} threads, {} float tokens, {} bytes",
+            chunk.deltas.len(),
+            tokens.len(),
             chunk_text.len()
         )),
     );
@@ -137,6 +204,19 @@ fn main() {
         }),
         ("reference", || {
             serde::reference::from_str::<ChunkBatch>(black_box(&chunk_text)).unwrap()
+        }),
+    );
+    b.pair(
+        "float_tokens",
+        ("reader", || {
+            tokens.iter().fold(0u64, |acc, t| {
+                acc ^ serde::Reader::new(black_box(t)).f64().unwrap().to_bits()
+            })
+        }),
+        ("str_parse", || {
+            tokens.iter().fold(0u64, |acc, t| {
+                acc ^ black_box(t).parse::<f64>().unwrap().to_bits()
+            })
         }),
     );
     b.pair(

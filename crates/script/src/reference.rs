@@ -293,7 +293,7 @@ impl Interpreter {
             }
             StmtKind::For(var, iter, body) => {
                 let iterable = self.eval(iter)?;
-                let items: Vec<Value> = match iterable {
+                let items: Vec<Value> = match &iterable {
                     Value::List(v) => v.to_vec(),
                     Value::Map(m) => m.keys().map(|k| Value::from(k.as_str())).collect(),
                     other => {
@@ -436,7 +436,7 @@ impl Interpreter {
             }
             ExprKind::ParForEach(var, iter, body) => {
                 let iterable = self.eval(iter)?;
-                let Value::List(items) = iterable else {
+                let Value::List(items) = &iterable else {
                     return Err(ScriptError::runtime(
                         e.line,
                         format!(

@@ -179,8 +179,8 @@ fn type_err(line: usize, op: &str, l: &Value, r: &Value) -> ScriptError {
 /// the only holder of its list or map, on a fresh copy otherwise, so no
 /// other variable sees it. The index is checked before any copy.
 fn index_set(container: &mut Value, idx: Value, value: Value, line: usize) -> Result<()> {
-    match (container, idx) {
-        (Value::List(items), Value::Num(n)) => {
+    match (container, &idx) {
+        (Value::List(items), &Value::Num(n)) => {
             let i = n as usize;
             if n.fract() != 0.0 || i >= items.len() {
                 return Err(ScriptError::runtime(
@@ -1179,7 +1179,7 @@ fn rdispatch<E: Env>(
                     let k = std::mem::replace(&mut regs[start + 2 * i], Value::Null);
                     let v = std::mem::replace(&mut regs[start + 2 * i + 1], Value::Null);
                     // Keys are compiled as string constants.
-                    if let Value::Str(k) = k {
+                    if let Value::Str(k) = &k {
                         m.insert(k.to_string(), v);
                     }
                 }
@@ -1379,15 +1379,17 @@ fn rdispatch<E: Env>(
             }
             ROp::ParForEach { dst, src, def } => {
                 let line = proto.lines[ip] as usize;
-                let iterable = rread(src, regs, base, env, &proto.consts, line)?.clone();
-                let Value::List(items) = iterable else {
-                    return Err(ScriptError::runtime(
-                        line,
-                        format!(
-                            "par_foreach_trial expects a list, got a {}",
-                            iterable.type_name()
-                        ),
-                    ));
+                let items = match rread(src, regs, base, env, &proto.consts, line)? {
+                    Value::List(items) => Arc::clone(items),
+                    other => {
+                        return Err(ScriptError::runtime(
+                            line,
+                            format!(
+                                "par_foreach_trial expects a list, got a {}",
+                                other.type_name()
+                            ),
+                        ))
+                    }
                 };
                 let body_proto = Arc::clone(&proto.defs[def as usize]);
                 // Each body runs with an independent step counter

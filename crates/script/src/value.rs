@@ -243,6 +243,62 @@ impl Value {
     }
 }
 
+/// Frees nested lists and maps with an explicit stack instead of the
+/// recursive drop glue: `x = [x]` in a loop builds a value nested as
+/// deep as the loop runs, and dropping it recursively would overflow
+/// the thread's stack, an abort no `catch_unwind` can contain. Only a
+/// list or map this value is the last owner of is freed here; its
+/// list and map children that are last owners too are moved onto the
+/// stack and freed in turn, so the drop glue never nests more than one
+/// level. Any other value drops as it would without this impl, after
+/// one load of a shared container's count.
+impl Drop for Value {
+    #[inline]
+    fn drop(&mut self) {
+        if self.last_owner() {
+            free_nested(self);
+        }
+    }
+}
+
+impl Value {
+    /// Whether this is a list or map no other value shares.
+    #[inline]
+    fn last_owner(&self) -> bool {
+        match self {
+            Value::List(items) => Arc::strong_count(items) == 1,
+            Value::Map(entries) => Arc::strong_count(entries) == 1,
+            _ => false,
+        }
+    }
+}
+
+fn free_nested(value: &mut Value) {
+    let mut pending = Vec::new();
+    take_nested(value, &mut pending);
+    while let Some(mut child) = pending.pop() {
+        take_nested(&mut child, &mut pending);
+    }
+}
+
+/// Moves the children of `value` that are the last owners of a list
+/// or map onto `pending`, leaving `Null`s behind.
+fn take_nested(value: &mut Value, pending: &mut Vec<Value>) {
+    let take = |child: &mut Value| {
+        if child.last_owner() {
+            pending.push(std::mem::replace(child, Value::Null));
+        }
+    };
+    match value {
+        Value::List(items) => Arc::get_mut(items).into_iter().flatten().for_each(take),
+        Value::Map(entries) => Arc::get_mut(entries)
+            .into_iter()
+            .flat_map(|entries| entries.values_mut())
+            .for_each(take),
+        _ => {}
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -137,3 +137,34 @@ fn host_values_keep_value_semantics() {
     assert_eq!(tree.run(source).unwrap().to_string(), "[z, b]");
     assert_eq!(tree.get_global("base"), Some(&list));
 }
+
+/// A list nested 200 000 deep frees without recursion: on a thread
+/// with a service worker's 2 MiB stack, both engines run the script
+/// and drop the interpreter holding it (and a copy shared with the
+/// host) without overflowing the stack.
+#[test]
+fn deeply_nested_values_drop_on_a_small_stack() {
+    const SOURCE: &str = "let x = []; for i in range(200000) { x = [x]; } 1";
+    let run = || {
+        let mut vm = Interpreter::new();
+        assert_eq!(vm.run(SOURCE).unwrap(), Value::Num(1.0));
+        drop(vm);
+        let mut tree = reference::Interpreter::new();
+        assert_eq!(tree.run(SOURCE).unwrap(), Value::Num(1.0));
+        drop(tree);
+        let mut vm = Interpreter::new();
+        let deep = vm
+            .run("let x = {}; for i in range(200000) { x = {k: [x]}; } x")
+            .unwrap();
+        let shared = deep.clone();
+        drop(vm);
+        drop(deep);
+        drop(shared);
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(run)
+        .unwrap()
+        .join()
+        .unwrap();
+}

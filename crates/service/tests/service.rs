@@ -172,6 +172,33 @@ fn deeply_nested_requests_are_rejected_not_fatal() {
     svc.shutdown();
 }
 
+/// A script that builds a list nested 200 000 deep returns, and the
+/// worker that ran it frees it on its 2 MiB stack when it releases the
+/// session: the service answers the next request.
+#[test]
+fn a_deeply_nested_script_value_does_not_take_a_worker_down() {
+    let svc = small_service(1);
+    let client = svc.client();
+    let ingest = |name: &str| Request::Ingest {
+        app: "deep".into(),
+        experiment: "exp".into(),
+        document: trial_json(name, 4),
+    };
+    assert!(client.call(ingest("before")).unwrap().is_clean());
+    let resp = client
+        .call(Request::RunScript {
+            app: "deep".into(),
+            experiment: "exp".into(),
+            source: "let x = []; for i in range(200000) { x = [x]; } 1".into(),
+        })
+        .unwrap();
+    assert!(resp.is_clean(), "{resp:?}");
+    let resp = client.call(ingest("after")).unwrap();
+    assert!(resp.is_clean(), "{resp:?}");
+    assert_eq!(svc.stats().panics_isolated, 0);
+    svc.shutdown();
+}
+
 /// Per-thread TIME of each event in an imbalanced trial, `main` first
 /// so that the first streamed chunk already carries the total-runtime
 /// row.

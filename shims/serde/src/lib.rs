@@ -375,14 +375,7 @@ impl Serialize for f64 {
 impl Deserialize for f64 {
     #[inline]
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
-        // `null` is the round trip of a non-finite float.
-        if r.null()? {
-            return Ok(f64::NAN);
-        }
-        match r.number()? {
-            Some(n) => Ok(float_from(n)),
-            None => Err(r.type_error("number")),
-        }
+        r.f64()
     }
 
     fn from_value(v: &Value) -> Result<Self, Error> {

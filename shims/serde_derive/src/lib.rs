@@ -10,9 +10,12 @@
 //! Each impl has both of the serde shim's paths: the one-pass
 //! `serialize`/`deserialize` over its `Writer`/`Reader`, and the
 //! `to_value`/`from_value` reference path over `Value`. A derived
-//! `deserialize` matches each key against the field names as a borrowed
-//! slice; the first occurrence of a field wins and every other member is
-//! validated and skipped.
+//! `deserialize` first compares the input with each field's `"name":`
+//! in declaration order (the order `serialize` writes), consuming keys
+//! while they match; from the first key that does not, it matches each
+//! key against the field names as a borrowed slice. Either way the
+//! first occurrence of a field wins and every other member is validated
+//! and skipped.
 //!
 //! Supported attribute: `#[serde(default)]` on named struct fields.
 //! Generics are not supported (the workspace derives only on concrete
@@ -458,6 +461,25 @@ fn read_object(ctor: &str, owner: &str, fs: &[Field]) -> String {
             )
         })
         .collect();
+    // Keys in declaration order (what `serialize` writes) take the
+    // in-order path, one byte comparison each; from the first key that
+    // differs, the general loop matches names.
+    let in_order: String = fs
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "if !__r.next_key_is({member:?}) {{ break '__in_order; }}\n\
+                 __f{i} = ::std::option::Option::Some(::serde::Deserialize::deserialize(__r)?);\n",
+                member = format!("\"{}\":", f.name)
+            )
+        })
+        .collect();
+    let in_order = if fs.is_empty() {
+        in_order
+    } else {
+        format!("'__in_order: {{\n{in_order}}}\n")
+    };
     let inits: Vec<String> = fs
         .iter()
         .enumerate()
@@ -482,7 +504,7 @@ fn read_object(ctor: &str, owner: &str, fs: &[Field]) -> String {
                  return ::std::result::Result::Err(::serde::Error::custom(\
                      \"expected object for {owner}\"));\n\
              }}\n\
-             {slots}\
+             {slots}{in_order}\
              while let ::std::option::Option::Some(__k) = __r.next_key()? {{\n\
                  match &*__k {{\n\
                      {arms}\

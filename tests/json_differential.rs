@@ -24,13 +24,18 @@ use rand::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt::Debug;
 
-/// Floats that stress the codecs: ordinary fractions, integral values,
-/// signed zero, subnormals, extremes, and non-finite values (written as
-/// `null`, read back as NaN).
+/// Floats that stress the codecs: ordinary fractions, small measured
+/// times (1e-6 to 1e-2, written with leading zeros or an exponent),
+/// values whose shortest form has 16 or 17 digits (a mantissa above
+/// 2^53), integral values, signed zero, subnormals, extremes, and
+/// non-finite values (written as `null`, read back as NaN).
 fn float() -> impl Strategy<Value = f64> {
     prop_oneof![
         0.0f64..1e3,
         -1e6f64..1e6,
+        1e-6f64..1e-2,
+        (0u64..1 << 52, 1000u64..1060)
+            .prop_map(|(mantissa, exp)| f64::from_bits(exp << 52 | mantissa)),
         (0u32..5000).prop_map(|i| i as f64),
         prop::sample::select(vec![
             0.0,
