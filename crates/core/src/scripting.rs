@@ -943,7 +943,7 @@ mod tests {
                 "#,
             )
             .unwrap();
-        assert_eq!(out, Value::List(vec![Value::Str("got 2".into())].into()));
+        assert_eq!(out, Value::from(vec![Value::Str("got 2".into())]));
     }
 
     #[test]
@@ -970,10 +970,7 @@ mod tests {
                 "#,
             )
             .unwrap();
-        assert_eq!(
-            out,
-            Value::List(vec![Value::Bool(true), Value::Bool(true), Value::Bool(true)].into())
-        );
+        assert_eq!(out, Value::from(vec![Value::Bool(true); 3]));
     }
 
     #[test]
@@ -1013,10 +1010,7 @@ mod tests {
                 "#,
             )
             .unwrap();
-        assert_eq!(
-            out,
-            Value::List(vec![Value::Bool(true), Value::Bool(true), Value::Bool(true)].into())
-        );
+        assert_eq!(out, Value::from(vec![Value::Bool(true); 3]));
     }
 
     // --- parallel trial sweeps ---
@@ -1213,7 +1207,7 @@ mod tests {
         let printed = session
             .run(&format!(r#"{RULE} process_rules()["printed"]"#))
             .unwrap();
-        assert_eq!(printed, Value::List(Arc::new(Vec::new())));
+        assert_eq!(printed, Value::from(Vec::<Value>::new()));
     }
 
     #[test]

@@ -150,7 +150,7 @@ pub fn call(b: Builtin, args: &[Value], output: &mut Vec<String>, line: usize) -
                 [Value::List(items), v] => {
                     let mut out = items.to_vec();
                     out.push(v.clone());
-                    Value::List(Arc::new(out))
+                    Value::List(Arc::new(out.into()))
                 }
                 _ => return Err(argc_err("a list and a value")),
             },
@@ -246,7 +246,7 @@ pub fn call(b: Builtin, args: &[Value], output: &mut Vec<String>, line: usize) -
                         (Value::Str(x), Value::Str(y)) => x.cmp(y),
                         _ => std::cmp::Ordering::Equal,
                     });
-                    Value::List(Arc::new(out))
+                    Value::List(Arc::new(out.into()))
                 }
                 _ => return Err(argc_err("one list")),
             },

@@ -72,7 +72,7 @@ pub(crate) fn sweep_outcome_value(result: Result<Value>) -> Value {
             m.insert("line".to_string(), Value::Num(e.line as f64));
         }
     }
-    Value::Map(Arc::new(m))
+    Value::Map(Arc::new(m.into()))
 }
 
 /// An interpreter's state at [`Interpreter::mark`]: its table lengths,
@@ -424,7 +424,7 @@ r";
         assert_eq!(eval("join([1, 2], \"-\")"), Value::Str("1-2".into()));
         assert_eq!(
             eval("split(\"a,b\", \",\")"),
-            Value::List(vec![Value::Str("a".into()), Value::Str("b".into())].into())
+            Value::from(vec![Value::Str("a".into()), Value::Str("b".into())])
         );
         assert_eq!(eval("contains(\"hay\", \"a\")"), Value::Bool(true));
         assert_eq!(eval("sort([3, 1, 2])[0]"), Value::Num(1.0));

@@ -293,7 +293,7 @@ impl Interpreter {
             }
             StmtKind::For(var, iter, body) => {
                 let iterable = self.eval(iter)?;
-                let items: Vec<Value> = match &iterable {
+                let items: Vec<Value> = match iterable {
                     Value::List(v) => v.to_vec(),
                     Value::Map(m) => m.keys().map(|k| Value::from(k.as_str())).collect(),
                     other => {
@@ -371,14 +371,14 @@ impl Interpreter {
                 for item in items {
                     out.push(self.eval(item)?);
                 }
-                Ok(Value::List(Arc::new(out)))
+                Ok(Value::List(Arc::new(out.into())))
             }
             ExprKind::Map(pairs) => {
                 let mut m = BTreeMap::new();
                 for (k, v) in pairs {
                     m.insert(k.clone(), self.eval(v)?);
                 }
-                Ok(Value::Map(Arc::new(m)))
+                Ok(Value::Map(Arc::new(m.into())))
             }
             ExprKind::Unary(op, inner) => {
                 let v = self.eval(inner)?;
@@ -436,7 +436,7 @@ impl Interpreter {
             }
             ExprKind::ParForEach(var, iter, body) => {
                 let iterable = self.eval(iter)?;
-                let Value::List(items) = &iterable else {
+                let Value::List(items) = iterable else {
                     return Err(ScriptError::runtime(
                         e.line,
                         format!(
@@ -462,7 +462,7 @@ impl Interpreter {
                     results.push(crate::interp::sweep_outcome_value(result));
                 }
                 self.steps = entry.saturating_add(total);
-                Ok(Value::List(Arc::new(results)))
+                Ok(Value::List(Arc::new(results.into())))
             }
         }
     }
@@ -552,7 +552,7 @@ impl Interpreter {
                 (Value::List(a), Value::List(b)) => {
                     let mut out = a.to_vec();
                     out.extend(b.iter().cloned());
-                    Ok(Value::List(Arc::new(out)))
+                    Ok(Value::List(Arc::new(out.into())))
                 }
                 (Value::Str(_), _) | (_, Value::Str(_)) => Ok(Value::from(format!("{l}{r}"))),
                 _ => Err(type_err("+")),

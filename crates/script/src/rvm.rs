@@ -36,7 +36,7 @@ use crate::interp::{sweep_outcome_value, HostFn, Interpreter};
 use crate::rcompile::{
     operand_parts, Arith, Cmp, ROp, RProto, OPERAND_CONST, OPERAND_GLOBAL, OPERAND_LOCAL,
 };
-use crate::value::{Interner, Symbol, Value};
+use crate::value::{Interner, Items, Symbol, Value};
 use crate::{Result, ScriptError};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -179,8 +179,8 @@ fn type_err(line: usize, op: &str, l: &Value, r: &Value) -> ScriptError {
 /// the only holder of its list or map, on a fresh copy otherwise, so no
 /// other variable sees it. The index is checked before any copy.
 fn index_set(container: &mut Value, idx: Value, value: Value, line: usize) -> Result<()> {
-    match (container, &idx) {
-        (Value::List(items), &Value::Num(n)) => {
+    match (container, idx) {
+        (Value::List(items), Value::Num(n)) => {
             let i = n as usize;
             if n.fract() != 0.0 || i >= items.len() {
                 return Err(ScriptError::runtime(
@@ -262,7 +262,7 @@ pub(crate) struct Buffers {
     /// Register file of all live frames.
     regs: Vec<Value>,
     /// Open `for` iterators: (shared items, next index).
-    iters: Vec<(Arc<Vec<Value>>, usize)>,
+    iters: Vec<(Arc<Items>, usize)>,
     /// Host-call arguments.
     argbuf: Vec<Value>,
 }
@@ -692,7 +692,7 @@ fn arith_eval_slow(op: Arith, l: &Value, r: &Value, line: usize) -> Result<Value
             (Value::List(a), Value::List(b)) => {
                 let mut out = a.to_vec();
                 out.extend(b.iter().cloned());
-                Ok(Value::List(Arc::new(out)))
+                Ok(Value::List(Arc::new(out.into())))
             }
             (Value::Str(_), _) | (_, Value::Str(_)) => Ok(Value::from(format!("{l}{r}"))),
             _ => Err(type_err(line, "+", l, r)),
@@ -833,7 +833,7 @@ fn rdispatch<E: Env>(
     env: &mut E,
     output: &mut Vec<String>,
     regs: &mut Vec<Value>,
-    iters: &mut Vec<(Arc<Vec<Value>>, usize)>,
+    iters: &mut Vec<(Arc<Items>, usize)>,
     argbuf: &mut Vec<Value>,
     steps: &mut u64,
     limit: u64,
@@ -1170,7 +1170,7 @@ fn rdispatch<E: Env>(
                     .iter_mut()
                     .map(|v| std::mem::replace(v, Value::Null))
                     .collect();
-                regs[base + dst as usize] = Value::List(Arc::new(items));
+                regs[base + dst as usize] = Value::List(Arc::new(items.into()));
             }
             ROp::MakeMap { dst, base: b, n } => {
                 let start = base + b as usize;
@@ -1179,11 +1179,11 @@ fn rdispatch<E: Env>(
                     let k = std::mem::replace(&mut regs[start + 2 * i], Value::Null);
                     let v = std::mem::replace(&mut regs[start + 2 * i + 1], Value::Null);
                     // Keys are compiled as string constants.
-                    if let Value::Str(k) = &k {
+                    if let Value::Str(k) = k {
                         m.insert(k.to_string(), v);
                     }
                 }
-                regs[base + dst as usize] = Value::Map(Arc::new(m));
+                regs[base + dst as usize] = Value::Map(Arc::new(m.into()));
             }
             ROp::Index { dst, base: b, idx } => {
                 let line = proto.lines[ip] as usize;
@@ -1379,17 +1379,15 @@ fn rdispatch<E: Env>(
             }
             ROp::ParForEach { dst, src, def } => {
                 let line = proto.lines[ip] as usize;
-                let items = match rread(src, regs, base, env, &proto.consts, line)? {
-                    Value::List(items) => Arc::clone(items),
-                    other => {
-                        return Err(ScriptError::runtime(
-                            line,
-                            format!(
-                                "par_foreach_trial expects a list, got a {}",
-                                other.type_name()
-                            ),
-                        ))
-                    }
+                let iterable = rread(src, regs, base, env, &proto.consts, line)?.clone();
+                let Value::List(items) = iterable else {
+                    return Err(ScriptError::runtime(
+                        line,
+                        format!(
+                            "par_foreach_trial expects a list, got a {}",
+                            iterable.type_name()
+                        ),
+                    ));
                 };
                 let body_proto = Arc::clone(&proto.defs[def as usize]);
                 // Each body runs with an independent step counter
@@ -1452,7 +1450,7 @@ fn rdispatch<E: Env>(
                     }
                 }
                 *steps = entry_steps.saturating_add(total);
-                regs[base + dst as usize] = Value::List(Arc::new(results));
+                regs[base + dst as usize] = Value::List(Arc::new(results.into()));
             }
             ROp::SetLast { src } => {
                 let line = proto.lines[ip] as usize;

@@ -20,6 +20,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// An interned identifier: a dense index into an [`Interner`].
@@ -136,10 +137,10 @@ pub enum Value {
     /// String, shared and immutable.
     Str(Arc<str>),
     /// List, shared; index assignment copies it first if shared.
-    List(Arc<Vec<Value>>),
+    List(Arc<Items>),
     /// String-keyed map, shared; index assignment copies it first if
     /// shared.
-    Map(Arc<BTreeMap<String, Value>>),
+    Map(Arc<Entries>),
     /// Opaque host object: a tag describing its kind plus a host-side id.
     /// The script can pass handles around and back into host functions
     /// but cannot inspect them.
@@ -243,58 +244,135 @@ impl Value {
     }
 }
 
-/// Frees nested lists and maps with an explicit stack instead of the
-/// recursive drop glue: `x = [x]` in a loop builds a value nested as
-/// deep as the loop runs, and dropping it recursively would overflow
-/// the thread's stack, an abort no `catch_unwind` can contain. Only a
-/// list or map this value is the last owner of is freed here; its
-/// list and map children that are last owners too are moved onto the
-/// stack and freed in turn, so the drop glue never nests more than one
-/// level. Any other value drops as it would without this impl, after
-/// one load of a shared container's count.
-impl Drop for Value {
-    #[inline]
-    fn drop(&mut self) {
-        if self.last_owner() {
-            free_nested(self);
+/// A list's items: a `Vec<Value>` (it derefs to one) whose drop frees
+/// nested lists and maps without recursing once per level.
+#[derive(Clone, Default, PartialEq)]
+pub struct Items(Vec<Value>);
+
+/// A map's entries: a `BTreeMap<String, Value>` (it derefs to one)
+/// whose drop frees nested lists and maps without recursing once per
+/// level.
+#[derive(Clone, Default, PartialEq)]
+pub struct Entries(BTreeMap<String, Value>);
+
+macro_rules! container {
+    ($name:ident, $inner:ty, $item:ty) => {
+        impl Deref for $name {
+            type Target = $inner;
+            #[inline]
+            fn deref(&self) -> &$inner {
+                &self.0
+            }
         }
+
+        impl DerefMut for $name {
+            #[inline]
+            fn deref_mut(&mut self) -> &mut $inner {
+                &mut self.0
+            }
+        }
+
+        impl From<$inner> for $name {
+            #[inline]
+            fn from(inner: $inner) -> Self {
+                $name(inner)
+            }
+        }
+
+        impl FromIterator<$item> for $name {
+            fn from_iter<I: IntoIterator<Item = $item>>(iter: I) -> Self {
+                $name(iter.into_iter().collect())
+            }
+        }
+
+        impl fmt::Debug for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                self.0.fmt(f)
+            }
+        }
+    };
+}
+
+container!(Items, Vec<Value>, Value);
+container!(Entries, BTreeMap<String, Value>, (String, Value));
+
+/// How many levels of nested lists and maps a drop empties on the call
+/// stack; deeper ones wait on a heap stack.
+const DROP_DEPTH: usize = 32;
+
+/// The drop of the last reference to a list or map. Without it the
+/// drop glue would recurse once per level of nesting, and `x = [x]` in
+/// a loop builds a value nested as deep as the loop runs: dropping it
+/// would overflow the thread's stack, an abort no `catch_unwind` can
+/// contain. So the children that are the last owners of a non-empty
+/// list or map are emptied first, depth first down to [`DROP_DEPTH`]
+/// levels, anything deeper moved onto a stack and emptied from the top
+/// in turn: only a value nested that deep allocates. Numbers, strings
+/// and shared containers cost nothing here; they drop as before.
+impl Drop for Items {
+    fn drop(&mut self) {
+        free_nested(self.0.iter_mut());
+    }
+}
+
+impl Drop for Entries {
+    fn drop(&mut self) {
+        free_nested(self.0.values_mut());
     }
 }
 
 impl Value {
-    /// Whether this is a list or map no other value shares.
+    /// Whether this is a non-empty list or map no other value shares.
     #[inline]
-    fn last_owner(&self) -> bool {
+    fn owns_items(&self) -> bool {
         match self {
-            Value::List(items) => Arc::strong_count(items) == 1,
-            Value::Map(entries) => Arc::strong_count(entries) == 1,
+            Value::List(items) => !items.is_empty() && Arc::strong_count(items) == 1,
+            Value::Map(entries) => !entries.is_empty() && Arc::strong_count(entries) == 1,
             _ => false,
         }
     }
 }
 
-fn free_nested(value: &mut Value) {
-    let mut pending = Vec::new();
-    take_nested(value, &mut pending);
-    while let Some(mut child) = pending.pop() {
-        take_nested(&mut child, &mut pending);
+fn free_nested<'a>(children: impl Iterator<Item = &'a mut Value>) {
+    let mut deeper = Vec::new();
+    empty_children(children, 0, &mut deeper);
+    while let Some(mut value) = deeper.pop() {
+        empty(&mut value, 0, &mut deeper);
     }
 }
 
-/// Moves the children of `value` that are the last owners of a list
-/// or map onto `pending`, leaving `Null`s behind.
-fn take_nested(value: &mut Value, pending: &mut Vec<Value>) {
-    let take = |child: &mut Value| {
-        if child.last_owner() {
-            pending.push(std::mem::replace(child, Value::Null));
+/// Empties each child that owns items (at `depth` [`DROP_DEPTH`],
+/// moves it onto `deeper` instead), so that dropping it frees no more.
+fn empty_children<'a>(
+    children: impl Iterator<Item = &'a mut Value>,
+    depth: usize,
+    deeper: &mut Vec<Value>,
+) {
+    for child in children.filter(|child| child.owns_items()) {
+        if depth < DROP_DEPTH {
+            empty(child, depth + 1, deeper);
+        } else {
+            deeper.push(std::mem::replace(child, Value::Null));
         }
-    };
+    }
+}
+
+/// Drops the items of the list or map `value` is the last owner of,
+/// emptying its children first.
+fn empty(value: &mut Value, depth: usize, deeper: &mut Vec<Value>) {
     match value {
-        Value::List(items) => Arc::get_mut(items).into_iter().flatten().for_each(take),
-        Value::Map(entries) => Arc::get_mut(entries)
-            .into_iter()
-            .flat_map(|entries| entries.values_mut())
-            .for_each(take),
+        Value::List(items) => {
+            if let Some(items) = Arc::get_mut(items) {
+                empty_children(items.iter_mut(), depth, deeper);
+                items.clear();
+            }
+        }
+        Value::Map(entries) => {
+            if let Some(entries) = Arc::get_mut(entries) {
+                empty_children(entries.values_mut(), depth, deeper);
+                entries.clear();
+            }
+        }
         _ => {}
     }
 }
@@ -375,7 +453,7 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
 
 impl From<BTreeMap<String, Value>> for Value {
     fn from(m: BTreeMap<String, Value>) -> Self {
-        Value::Map(Arc::new(m))
+        Value::Map(Arc::new(m.into()))
     }
 }
 
@@ -389,7 +467,7 @@ mod tests {
         assert!(!Value::Bool(false).truthy());
         assert!(!Value::Num(0.0).truthy());
         assert!(!Value::Str("".into()).truthy());
-        assert!(!Value::List(vec![].into()).truthy());
+        assert!(!Value::from(Vec::<Value>::new()).truthy());
         assert!(Value::Num(1.0).truthy());
         assert!(Value::from("x").truthy());
         assert!(Value::Handle { tag: "t", id: 0 }.truthy());

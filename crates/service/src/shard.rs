@@ -840,11 +840,7 @@ mod tests {
             )
             .unwrap();
         let counts = [2.0, 1.0, 1.0, 1.0].map(Value::Num).to_vec();
-        assert_eq!(
-            value,
-            Value::List(counts.into()),
-            "siblings must see the original"
-        );
+        assert_eq!(value, Value::from(counts), "siblings must see the original");
 
         let overlay = {
             let shard = &sharded.shards[shard_of("app", "exp", sharded.shards.len())];

@@ -173,11 +173,6 @@ fn lloyd(
     let mut assignments: Vec<usize> = vec![0; n];
     let mut iterations = 0;
     let mut scratch = vec![0.0; dim];
-    // The assignment passes are alike, so whether they split is decided
-    // once per run, from the first two: a pass too short for a map to
-    // split on its own still splits when that saves more than a
-    // handoff's round trip.
-    let mut passes = Series::default();
     loop {
         iterations += 1;
         // Assignment step: rayon fans the argmin out over contiguous
@@ -188,7 +183,7 @@ fn lloyd(
         assignments
             .par_chunks_mut(ASSIGN_CHUNK)
             .enumerate()
-            .for_each_in(&mut passes, |(ch, chunk)| {
+            .for_each(|(ch, chunk)| {
                 for (r, slot) in chunk.iter_mut().enumerate() {
                     *slot = nearest(points.row(ch * ASSIGN_CHUNK + r), cents);
                 }

@@ -271,62 +271,6 @@ fn par_map_vec<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> 
     out
 }
 
-/// The slowest handoff round trip measured (see [`HANDOFF`]): a pass
-/// of a [`Series`] splits only if that saves more than this, so every
-/// split pass finishes sooner than it would have inline.
-const ROUND_TRIP: Duration = Duration::from_micros(32);
-
-/// One split decision for a series of alike maps, such as the passes
-/// of an iterative kernel. A map decides alone from an item or two and
-/// must predict a saving of a whole [`HANDOFF`] to split, so a pass of
-/// about 100 µs runs inline every time, while each such pass would
-/// finish sooner split. The series times its first two maps whole (they
-/// run as any map does) and decides once from the shorter, so one
-/// stalled pass cannot decide: if splitting that pass over the budget
-/// saves more than a [`ROUND_TRIP`], every later map splits from its
-/// first item; otherwise they all run as any map does.
-#[derive(Debug, Default)]
-pub struct Series {
-    first: Option<Duration>,
-    split: Option<bool>,
-}
-
-impl Series {
-    fn map<T: Send, R: Send, F: Fn(T) -> R + Sync>(&mut self, items: Vec<T>, f: &F) -> Vec<R> {
-        if self.split == Some(true) {
-            let workers = items.len().min(concurrency_budget());
-            if workers >= 2 {
-                start_pool();
-                let spawned = acquire_workers(workers - 1);
-                if spawned > 0 {
-                    return split(items, f, spawned);
-                }
-            }
-            return items.into_iter().map(f).collect();
-        }
-        let n = items.len() as u128;
-        let start = Instant::now();
-        let out = par_map_vec(items, f);
-        let took = start.elapsed();
-        if self.split.is_none() {
-            if let Some(first) = self.first.replace(took) {
-                let pass = first.min(took);
-                // pass × (w−1)/w > ROUND_TRIP, without division. No
-                // pass shorter than a round trip can pay, so only a
-                // longer one reads (and first sets up) the budget.
-                self.split = Some(
-                    pass > ROUND_TRIP && {
-                        let workers = n.min(concurrency_budget() as u128);
-                        workers >= 2
-                            && pass.as_nanos() * (workers - 1) > ROUND_TRIP.as_nanos() * workers
-                    },
-                );
-            }
-        }
-        out
-    }
-}
-
 /// Runs `items` on the caller and on `spawned` pool tokens the caller
 /// already holds: one contiguous chunk per worker, the first on the
 /// caller, the others queued as pool jobs, results in input order. A
@@ -445,12 +389,6 @@ impl<T: Send> ParIter<T> {
         par_map_vec(self.items, &f);
     }
 
-    /// [`ParIter::for_each`] as one map of `series`, which decides
-    /// once for all its maps whether they split.
-    pub fn for_each_in<F: Fn(T) + Sync>(self, series: &mut Series, f: F) {
-        series.map(self.items, &f);
-    }
-
     /// Number of items.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -564,7 +502,7 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
 /// The traits most callers want in scope.
 pub mod prelude {
     pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, ParIter, ParMap, ParallelSliceMut, Series,
+        IntoParallelIterator, IntoParallelRefIterator, ParIter, ParMap, ParallelSliceMut,
     };
 }
 
