@@ -9,6 +9,9 @@
 //!   integral ones), the per-request decode of every `IngestChunk`;
 //! * `float_tokens` — that chunk's float tokens, each read by the
 //!   one-pass reader against `str::parse::<f64>`, the number oracle;
+//! * `skip_chunk` — that chunk stepped over by `Reader::skip_value`
+//!   (the path of every unknown or duplicate key and of a repository
+//!   walk past a trial it cannot read) against decoding it;
 //! * `trial_decode` / `trial_serialize` — one uploaded `Trial`
 //!   (32 events × 2 metrics × 16 threads plus metadata), the decode of
 //!   every `Ingest` and the encode of every JSON repository save.
@@ -204,6 +207,18 @@ fn main() {
         }),
         ("reference", || {
             serde::reference::from_str::<ChunkBatch>(black_box(&chunk_text)).unwrap()
+        }),
+    );
+    let skip = |text: &str| {
+        let mut r = serde::Reader::new(text);
+        r.skip_value().and_then(|()| r.finish())
+    };
+    skip(&chunk_text).expect("the chunk skips as one document");
+    b.pair(
+        "skip_chunk",
+        ("skip", || skip(black_box(&chunk_text)).unwrap()),
+        ("decode", || {
+            serde_json::from_str::<ChunkBatch>(black_box(&chunk_text)).unwrap()
         }),
     );
     b.pair(

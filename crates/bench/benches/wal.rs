@@ -13,8 +13,16 @@
 //! of its records must read back equal to the one appended. The harness
 //! and its modes are in `bench::measure`; this bench writes
 //! `BENCH_wal.json`.
+//!
+//! The `crc32` pairs time the checksum every frame and every PDB1 page
+//! carries: `perfdmf::pdb1::crc32` (the carry-less-multiply fold on an
+//! x86_64 CPU with PCLMULQDQ, noted as `crc32_fold` in the document)
+//! against the portable slice-by-8 loop, at a live journal frame's
+//! size and at a cold store's size. Both must equal the byte-at-a-time
+//! oracle on the timed input, in every mode.
 
 use bench::measure::{Bench, CountingAlloc};
+use perfdmf::pdb1::{crc32, crc32_bytewise, crc32_portable};
 use perfdmf::wal::{replay_path, Journal};
 use perfdmf::{ChunkBatch, ColumnDelta, FsyncPolicy, Measurement, WalRecord};
 use serde_json::Value;
@@ -31,6 +39,8 @@ const POLICIES: [(&str, FsyncPolicy); 3] = [
     ("always", FsyncPolicy::Always),
 ];
 const REPLAY_SIZES: [u64; 2] = [1_000, 10_000];
+/// Checksummed lengths: a journal frame and a whole cold store.
+const CRC_SIZES: [(&str, usize); 2] = [("4KiB", 4 << 10), ("6MiB", 6 << 20)];
 
 /// One realistic journal record: a chunk refreshing `COLUMNS` columns
 /// of an 8-thread trial — one small streamed flush, as a client that
@@ -127,5 +137,31 @@ fn main() {
         std::fs::remove_file(&path).ok();
     }
     std::fs::remove_dir_all(&dir).ok();
+
+    #[cfg(target_arch = "x86_64")]
+    let folds =
+        std::is_x86_feature_detected!("pclmulqdq") && std::is_x86_feature_detected!("sse4.1");
+    #[cfg(not(target_arch = "x86_64"))]
+    let folds = false;
+    b.note("crc32_fold", Value::Bool(folds));
+    for (label, len) in CRC_SIZES {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let bytes: Vec<u8> = (0..len)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s as u8
+            })
+            .collect();
+        let want = crc32_bytewise(&bytes);
+        assert_eq!(crc32(&bytes), want, "crc32/{label}: dispatched crc");
+        assert_eq!(crc32_portable(&bytes), want, "crc32/{label}: portable crc");
+        b.pair(
+            &format!("crc32/{label}"),
+            ("fold", || crc32(&bytes)),
+            ("portable", || crc32_portable(&bytes)),
+        );
+    }
     b.finish();
 }

@@ -101,7 +101,7 @@ fn gather_feature_columns(
         .into_par_iter()
         .map(|ei| {
             let e = profile.event(EventId(ei as u32));
-            if e.name == MAIN_EVENT {
+            if &*e.name == MAIN_EVENT {
                 return None;
             }
             let v: Vec<f64> = profile
@@ -109,7 +109,7 @@ fn gather_feature_columns(
                 .iter()
                 .map(|c| c.exclusive)
                 .collect();
-            v.iter().any(|&x| x != 0.0).then(|| (e.name.clone(), v))
+            v.iter().any(|&x| x != 0.0).then(|| (e.name.to_string(), v))
         })
         .collect();
     let mut events = Vec::new();

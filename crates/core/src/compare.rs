@@ -117,7 +117,7 @@ pub fn compare(baseline: &Trial, candidate: &Trial, metric: &str) -> Result<Tria
         .map(move |ei| {
             let be = EventId(ei as u32);
             let event = bp.event(be);
-            if event.name == MAIN_EVENT {
+            if &*event.name == MAIN_EVENT {
                 return None;
             }
             let ce = cp.event_id(&event.name)?;
@@ -128,7 +128,7 @@ pub fn compare(baseline: &Trial, candidate: &Trial, metric: &str) -> Result<Tria
             }
             let ratio = if b > 0.0 { c / b } else { f64::INFINITY };
             Some(EventDelta {
-                event: event.name.clone(),
+                event: event.name.to_string(),
                 baseline: b,
                 candidate: c,
                 ratio,

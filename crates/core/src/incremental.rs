@@ -35,15 +35,16 @@
 //! same trial.
 //!
 //! The facts come straight from the state ([`AnalysisState::facts`]).
-//! Each event's name is kept once, as an `Arc<str>` taken when the
-//! event is interned, and the state keeps its events in name order and
+//! Each event's name is the profile's own `Arc<str>`
+//! ([`perfdmf::Event::name`]), cloned when the event is interned, and
+//! the state keeps its events in name order and
 //! each outer event's pairs in inner-name order. So a report emits the
 //! batch path's name-sorted fact sequence by walking those orders and
 //! sharing the names: it copies no name and sorts nothing.
 
 use crate::loadbalance::{
-    ancestor_prefixes, fraction, nested_fact, region_fact, row_balance, LoadBalanceAnalysis,
-    NestedCorrelation, RowBalance,
+    ancestor_prefixes, fraction, nested_fact, region_fact, row_balance, EventName,
+    LoadBalanceAnalysis, NestedCorrelation, RowBalance,
 };
 use crate::result::TrialResult;
 use crate::workflow::{load_balance, CaseStudyReport, Policy};
@@ -133,8 +134,8 @@ pub struct UpdateStats {
 pub struct AnalysisState {
     metric: String,
     total: f64,
-    /// Event names by event index, each shared with every fact that
-    /// names the event.
+    /// Event names by event index: the profile's own allocations,
+    /// shared with every observation and fact that names the event.
     names: Vec<Arc<str>>,
     /// Event indices in name order, ties by index: the order
     /// `RegionBalance` facts are asserted in, and the outer order of
@@ -253,26 +254,32 @@ impl AnalysisState {
     }
 
     /// The maintained analysis — bitwise equal to
-    /// [`crate::loadbalance::analyze`] on the trial's current contents.
+    /// [`crate::loadbalance::analyze`] on the trial's current contents,
+    /// in the same canonical name order.
     pub fn analysis(&self) -> LoadBalanceAnalysis {
+        let name = |ei: usize| EventName(Arc::clone(&self.names[ei]));
         let observations = self
-            .balance
+            .by_name_order
             .iter()
-            .zip(&self.names)
-            .filter_map(|(b, name)| b.map(|b| b.observation(name.to_string())))
+            .filter_map(|&ei| self.balance[ei].map(|b| b.observation(name(ei))))
             .collect();
-        let mut nested = Vec::new();
-        for (oi, pairs) in self.nested.iter().enumerate() {
-            // The batch sweep emits each outer's inners by index.
-            let mut by_index: Vec<&NestedPair> = pairs.iter().collect();
-            by_index.sort_unstable_by_key(|p| p.inner);
-            nested.extend(by_index.into_iter().filter_map(|p| {
-                p.correlation.map(|c| NestedCorrelation {
-                    outer: self.names[oi].to_string(),
-                    inner: self.names[p.inner].to_string(),
-                    correlation: c,
+        let mut nested: Vec<NestedCorrelation> = self
+            .by_name_order
+            .iter()
+            .flat_map(|&oi| {
+                self.nested[oi].iter().filter_map(move |p| {
+                    p.correlation.map(|c| NestedCorrelation {
+                        outer: name(oi),
+                        inner: name(p.inner),
+                        correlation: c,
+                    })
                 })
-            }));
+            })
+            .collect();
+        if self.duplicate_names {
+            // Equally named outers interleave their pairs by inner name;
+            // the walk's ties are already by outer, then inner, index.
+            nested.sort_by(|a, b| (&a.outer, &a.inner).cmp(&(&b.outer, &b.inner)));
         }
         LoadBalanceAnalysis {
             observations,
@@ -342,7 +349,7 @@ impl AnalysisState {
         let first = self.names.len();
         while self.names.len() < profile.event_count() {
             let ei = self.names.len();
-            let name: Arc<str> = profile.event(EventId(ei as u32)).name.as_str().into();
+            let name = Arc::clone(&profile.event(EventId(ei as u32)).name);
             let row: Vec<f64> = profile
                 .column(EventId(ei as u32), m)
                 .iter()

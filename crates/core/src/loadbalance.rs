@@ -18,14 +18,55 @@ use perfdmf::{EventId, Trial, MAIN_EVENT};
 use rules::{Fact, FactType, Value};
 use serde::{Deserialize, Serialize};
 use statistics::{pearson, DenseMatrix, MatrixView, Welford};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// An event's name as the analysis reports it: a clone of the
+/// profile's own [`perfdmf::Event::name`], so an observation, a pair
+/// and the facts built from them share the one allocation. It reads
+/// as a `str` and compares equal to one.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct EventName(pub Arc<str>);
+
+impl std::ops::Deref for EventName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::fmt::Debug for EventName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl std::fmt::Display for EventName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl PartialEq<&str> for EventName {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl From<&EventName> for Value {
+    fn from(name: &EventName) -> Self {
+        Value::from(Arc::clone(&name.0))
+    }
+}
 
 /// Per-event balance observation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BalanceObservation {
     /// Event name.
-    pub event: String,
+    pub event: EventName,
     /// stddev / mean of exclusive time across threads.
     pub stddev_mean_ratio: f64,
     /// Event's share of total runtime, `[0, 1]`.
@@ -38,9 +79,9 @@ pub struct BalanceObservation {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NestedCorrelation {
     /// Outer (ancestor) event.
-    pub outer: String,
+    pub outer: EventName,
     /// Inner (descendant) event.
-    pub inner: String,
+    pub inner: EventName,
     /// Pearson correlation of per-thread exclusive times.
     pub correlation: f64,
 }
@@ -56,6 +97,10 @@ pub(crate) static NESTED_CORRELATION: FactType =
     FactType::new("NestedCorrelation", &["outer", "inner", "correlation"]);
 
 /// The full analysis output.
+///
+/// [`analyze`] emits it in the canonical name order: observations by
+/// event name, pairs by `(outer, inner)` name, equal names by event
+/// index (only a corrupted profile repeats a name).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct LoadBalanceAnalysis {
     /// Per-event observations.
@@ -74,63 +119,39 @@ impl LoadBalanceAnalysis {
     /// recovery that replays its journal and then takes late
     /// redeliveries interns events in a different order than the
     /// uninterrupted run, and must still render byte-identically.
+    ///
+    /// An analysis from [`analyze`] is already in that order, so this
+    /// only checks it and shares the names; any other order (a
+    /// hand-built or decoded analysis) is sorted stably first.
     pub fn facts(&self) -> Vec<Fact> {
-        let mut observations: Vec<&BalanceObservation> = self.observations.iter().collect();
-        observations.sort_by(|a, b| a.event.cmp(&b.event));
-        let mut nested: Vec<&NestedCorrelation> = self.nested.iter().collect();
-        nested.sort_by(|a, b| (&a.outer, &a.inner).cmp(&(&b.outer, &b.inner)));
-
-        // One shared name per observed event, so a name costs one
-        // allocation however many facts carry it. The pairs come in
-        // `(outer, inner)` name order and an inner's name extends its
-        // outer's, so two forward cursors over the sorted names find
-        // both; a name they do not find is copied, so the order decides
-        // how many names are shared, never what the facts say. (A
-        // binary search per name made this call about 1.8 times slower.)
-        let names: Vec<Arc<str>> = observations
-            .iter()
-            .map(|o| Arc::from(o.event.as_str()))
-            .collect();
+        let observations = in_order(&self.observations, |a, b| a.event.cmp(&b.event));
+        let nested = in_order(&self.nested, |a, b| {
+            (&a.outer, &a.inner).cmp(&(&b.outer, &b.inner))
+        });
         let mut out = Vec::with_capacity(observations.len() + nested.len());
-        for (o, name) in observations.iter().zip(&names) {
+        for o in observations.iter() {
             out.push(region_fact(
-                Arc::clone(name),
+                &o.event,
                 o.stddev_mean_ratio,
                 o.runtime_fraction,
                 o.mean,
             ));
         }
-        let (mut outer_at, mut inner_at) = (0, 0);
-        for (i, n) in nested.iter().enumerate() {
-            let new_outer = i == 0 || nested[i - 1].outer != n.outer;
-            outer_at = seek(&names, outer_at, &n.outer);
-            if new_outer {
-                inner_at = outer_at;
-            }
-            inner_at = seek(&names, inner_at, &n.inner);
-            out.push(nested_fact(
-                shared(&names, outer_at, &n.outer),
-                shared(&names, inner_at, &n.inner),
-                n.correlation,
-            ));
+        for n in nested.iter() {
+            out.push(nested_fact(&n.outer, &n.inner, n.correlation));
         }
         out
     }
 }
 
-/// The first position from `from` on whose name is not below `name`.
-fn seek(names: &[Arc<str>], mut from: usize, name: &str) -> usize {
-    while from < names.len() && &*names[from] < name {
-        from += 1;
-    }
-    from
-}
-
-/// `names[at]` if it is `name`, else a fresh copy.
-fn shared(names: &[Arc<str>], at: usize, name: &str) -> Value {
-    match names.get(at) {
-        Some(n) if &**n == name => Value::from(Arc::clone(n)),
-        _ => Value::from(name),
+/// `items` stably sorted by `cmp`, borrowed when they already are.
+fn in_order<T: Clone>(items: &[T], cmp: impl Fn(&T, &T) -> Ordering) -> Cow<'_, [T]> {
+    if items.is_sorted_by(|a, b| cmp(a, b).is_le()) {
+        Cow::Borrowed(items)
+    } else {
+        let mut sorted = items.to_vec();
+        sorted.sort_by(cmp);
+        Cow::Owned(sorted)
     }
 }
 
@@ -146,7 +167,7 @@ pub(crate) struct RowBalance {
 
 impl RowBalance {
     /// The observation of the event named `event`.
-    pub(crate) fn observation(&self, event: String) -> BalanceObservation {
+    pub(crate) fn observation(&self, event: EventName) -> BalanceObservation {
         BalanceObservation {
             event,
             stddev_mean_ratio: self.stddev_mean_ratio,
@@ -224,22 +245,40 @@ fn analyze_matrix(
         )));
     }
 
-    let observations = events
+    // One sort of event indices puts the output in the canonical name
+    // order (ties by index: `sort_by` is stable). A pair's key is its
+    // outer's and inner's places in that order, with equal names first
+    // sharing the place of their first occurrence, so the pairs sort as
+    // `(outer name, inner name, outer index, inner index)` on integers.
+    let mut order: Vec<usize> = (0..events.len()).collect();
+    order.sort_by(|&a, &b| events[a].name.cmp(&events[b].name));
+    let (mut rank, mut group) = (vec![0u32; events.len()], vec![0u32; events.len()]);
+    for (r, &ei) in order.iter().enumerate() {
+        rank[ei] = r as u32;
+        group[ei] = match r.checked_sub(1).map(|p| order[p]) {
+            Some(prev) if events[prev].name == events[ei].name => group[prev],
+            _ => r as u32,
+        };
+    }
+    let name = |ei: usize| EventName(Arc::clone(&events[ei].name));
+
+    let observations = order
         .iter()
-        .enumerate()
-        .filter_map(|(ei, event)| {
-            row_balance(&event.name, excl.row(ei), total).map(|b| b.observation(event.name.clone()))
+        .filter_map(|&ei| {
+            row_balance(&events[ei].name, excl.row(ei), total).map(|b| b.observation(name(ei)))
         })
         .collect();
 
-    let nested = nested_pairs(events)
+    let mut pairs = nested_pairs(events);
+    pairs.sort_unstable_by_key(|&(oi, ii)| (group[oi], group[ii], rank[oi], rank[ii]));
+    let nested = pairs
         .into_iter()
         .filter_map(|(oi, ii)| {
             pearson(excl.row(oi), excl.row(ii))
                 .ok()
                 .map(|c| NestedCorrelation {
-                    outer: events[oi].name.clone(),
-                    inner: events[ii].name.clone(),
+                    outer: name(oi),
+                    inner: name(ii),
                     correlation: c,
                 })
         })
@@ -253,7 +292,7 @@ fn analyze_matrix(
 
 /// Every `(outer, inner)` index pair where `outer` is a callpath
 /// ancestor of `inner` ([`perfdmf::Event::is_ancestor_of`]) and is not
-/// [`MAIN_EVENT`], sorted by `(outer, inner)`.
+/// [`MAIN_EVENT`], unsorted ([`analyze_matrix`] orders them).
 ///
 /// One `name → indices` map answers each inner event with one
 /// [`ancestor_prefixes`] pass over its name instead of a scan of every
@@ -261,8 +300,8 @@ fn analyze_matrix(
 fn nested_pairs(events: &[perfdmf::Event]) -> Vec<(usize, usize)> {
     let mut by_name: HashMap<&str, Vec<usize>> = HashMap::with_capacity(events.len());
     for (i, e) in events.iter().enumerate() {
-        if e.name != MAIN_EVENT {
-            by_name.entry(e.name.as_str()).or_default().push(i);
+        if &*e.name != MAIN_EVENT {
+            by_name.entry(&e.name).or_default().push(i);
         }
     }
     let mut pairs = Vec::new();
@@ -273,7 +312,6 @@ fn nested_pairs(events: &[perfdmf::Event]) -> Vec<(usize, usize)> {
             }
         }
     }
-    pairs.sort_unstable();
     pairs
 }
 
@@ -463,6 +501,17 @@ mod tests {
     }
 
     #[test]
+    fn facts_of_an_analysis_out_of_order_are_in_name_order() {
+        let analysis = analyze(&imbalanced_trial(), "TIME").unwrap();
+        assert!(analysis
+            .observations
+            .is_sorted_by(|a, b| a.event <= b.event));
+        let mut reversed = analysis.clone();
+        reversed.observations.reverse();
+        assert_eq!(reversed.facts(), analysis.facts());
+    }
+
+    #[test]
     fn missing_metric_is_error() {
         assert!(analyze(&imbalanced_trial(), "NOPE").is_err());
     }
@@ -497,7 +546,7 @@ mod tests {
     /// The reference analysis: per-row observations from a full
     /// [`statistics::Summary`], nested pairs from an O(E²)
     /// `is_ancestor_of` sweep over every `(outer, inner)` pair in index
-    /// order.
+    /// order, both then sorted stably by name into the canonical order.
     fn reference_matrix(
         events: &[Event],
         excl: MatrixView<'_>,
@@ -506,12 +555,12 @@ mod tests {
         let mut observations = Vec::new();
         for (ei, event) in events.iter().enumerate() {
             let values = excl.row(ei);
-            if event.name == MAIN_EVENT || values.iter().all(|&v| v == 0.0) {
+            if &*event.name == MAIN_EVENT || values.iter().all(|&v| v == 0.0) {
                 continue;
             }
             let summary = statistics::Summary::of(values)?;
             observations.push(BalanceObservation {
-                event: event.name.clone(),
+                event: EventName(event.name.clone()),
                 stddev_mean_ratio: if summary.mean != 0.0 {
                     summary.stddev / summary.mean
                 } else {
@@ -527,21 +576,23 @@ mod tests {
         }
         let mut nested = Vec::new();
         for (oi, outer) in events.iter().enumerate() {
-            if outer.name == MAIN_EVENT {
+            if &*outer.name == MAIN_EVENT {
                 continue;
             }
             for (ii, inner) in events.iter().enumerate() {
                 if outer.is_ancestor_of(inner) {
                     if let Ok(c) = pearson(excl.row(oi), excl.row(ii)) {
                         nested.push(NestedCorrelation {
-                            outer: outer.name.clone(),
-                            inner: inner.name.clone(),
+                            outer: EventName(outer.name.clone()),
+                            inner: EventName(inner.name.clone()),
                             correlation: c,
                         });
                     }
                 }
             }
         }
+        observations.sort_by(|a, b| a.event.cmp(&b.event));
+        nested.sort_by(|a, b| (&a.outer, &a.inner).cmp(&(&b.outer, &b.inner)));
         Ok(LoadBalanceAnalysis {
             observations,
             nested,
@@ -715,7 +766,7 @@ mod tests {
             .collect();
         let pairs: Vec<(&str, &str)> = nested_pairs(&events)
             .into_iter()
-            .map(|(o, i)| (events[o].name.as_str(), events[i].name.as_str()))
+            .map(|(o, i)| (&*events[o].name, &*events[i].name))
             .collect();
         assert_eq!(pairs, [("", " => => "), (" =>", " => => ")]);
     }

@@ -35,7 +35,7 @@ impl<'a> TrialResult<'a> {
         self.profile()
             .events()
             .iter()
-            .map(|e| e.name.clone())
+            .map(|e| e.name.to_string())
             .collect()
     }
 
@@ -150,7 +150,7 @@ impl TrialMeanResult {
         self.profile
             .events()
             .iter()
-            .map(|e| e.name.clone())
+            .map(|e| e.name.to_string())
             .collect()
     }
 }

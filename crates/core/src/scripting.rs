@@ -461,7 +461,7 @@ fn call_host(
                     .profile
                     .events()
                     .iter()
-                    .map(|e| Value::from(e.name.as_str()))
+                    .map(|e| Value::Str(Arc::clone(&e.name)))
                     .collect(),
             )))
         }

@@ -184,7 +184,7 @@ fn chunk_trial(trial: &Trial) -> Vec<ChunkBatch> {
                 .enumerate()
                 .map(|(mi, metric)| ColumnDelta {
                     metric: metric.name.clone(),
-                    event: event.name.clone(),
+                    event: event.name.to_string(),
                     event_kind: event.kind.clone(),
                     cells: (0..threads)
                         .map(|t| {
@@ -611,7 +611,7 @@ fn run_seed(seed: u64, verbose: bool) -> SeedOutcome {
         let main_idx = profile
             .events()
             .iter()
-            .position(|e| e.name == perfdmf::MAIN_EVENT)
+            .position(|e| &*e.name == perfdmf::MAIN_EVENT)
             .expect("clean trial has main");
         let mut order: Vec<usize> = (0..chunks.len()).filter(|&i| i != main_idx).collect();
         // Seeded shuffle: deterministic out-of-order delivery.
@@ -836,7 +836,7 @@ fn run_crash_restart(
         .profile
         .events()
         .iter()
-        .position(|e| e.name == perfdmf::MAIN_EVENT)
+        .position(|e| &*e.name == perfdmf::MAIN_EVENT)
         .expect("clean trial has main");
     let trial_name = clean.name.clone();
 

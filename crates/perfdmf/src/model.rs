@@ -12,6 +12,7 @@ use crate::metadata::Metadata;
 use crate::{DmfError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Name of the conventional top-level event. Analyses that compare a
 /// region against the whole program (the paper's `compareEventToMain`)
@@ -100,10 +101,15 @@ impl Metric {
 
 /// An instrumented code region. Regions form a call tree encoded in their
 /// names with [`CALLPATH_SEPARATOR`], as TAU does for callpath profiles.
+///
+/// The name is one shared allocation: the profile's name index, a
+/// materialized trial's copy of a PDB1 manifest, the load-balance
+/// observations and facts, the incremental analysis state and the
+/// script host's event lists all hold clones of the same `Arc`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Event {
     /// Full (possibly callpath) name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Optional source-region kind tag ("procedure", "loop", "barrier",
     /// "callsite", ...) supplied by the instrumentation layer.
     pub kind: Option<String>,
@@ -111,7 +117,7 @@ pub struct Event {
 
 impl Event {
     /// Creates a plain event.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         Event {
             name: name.into(),
             kind: None,
@@ -119,7 +125,7 @@ impl Event {
     }
 
     /// Creates an event with a region-kind tag.
-    pub fn with_kind(name: impl Into<String>, kind: impl Into<String>) -> Self {
+    pub fn with_kind(name: impl Into<Arc<str>>, kind: impl Into<String>) -> Self {
         Event {
             name: name.into(),
             kind: Some(kind.into()),
@@ -146,7 +152,7 @@ impl Event {
     /// (proper prefix of its callpath).
     pub fn is_ancestor_of(&self, other: &Event) -> bool {
         other.name.len() > self.name.len()
-            && other.name.starts_with(&self.name)
+            && other.name.starts_with(&*self.name)
             && other.name[self.name.len()..].starts_with(CALLPATH_SEPARATOR)
     }
 }
@@ -195,7 +201,8 @@ pub struct Profile {
     /// Flat arena; see the struct docs for the stride.
     data: Vec<Measurement>,
     metric_index: HashMap<String, u32>,
-    event_index: HashMap<String, u32>,
+    /// Keys share their events' name allocations.
+    event_index: HashMap<Arc<str>, u32>,
 }
 
 // The intern tables are derivable from `metrics`/`events`, so equality
@@ -270,10 +277,10 @@ impl Profile {
         }
         let mut event_index = HashMap::with_capacity(events.len());
         for (i, e) in events.iter().enumerate() {
-            if event_index.insert(e.name.clone(), i as u32).is_some() {
+            if event_index.insert(Arc::clone(&e.name), i as u32).is_some() {
                 return Err(DmfError::Duplicate {
                     kind: "event",
-                    name: e.name.clone(),
+                    name: e.name.to_string(),
                 });
             }
         }
@@ -383,7 +390,7 @@ impl Profile {
         if self.event_index.contains_key(&event.name) {
             return Err(DmfError::Duplicate {
                 kind: "event",
-                name: event.name,
+                name: event.name.to_string(),
             });
         }
         let ne = self.events.len();
@@ -409,7 +416,7 @@ impl Profile {
 
     /// Fault-injection counterpart of [`Profile::corrupt_metric_name`]
     /// for event names.
-    pub fn corrupt_event_name(&mut self, id: EventId, name: impl Into<String>) {
+    pub fn corrupt_event_name(&mut self, id: EventId, name: impl Into<Arc<str>>) {
         if let Some(e) = self.events.get_mut(id.0 as usize) {
             e.name = name.into();
         }

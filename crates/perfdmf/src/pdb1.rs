@@ -46,6 +46,7 @@ use crate::model::{Event, EventId, Measurement, Metric, MetricId, Profile, Threa
 use crate::repo::Repository;
 use crate::{DmfError, Result};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The four magic bytes every PDB1 file starts with.
 pub const MAGIC: [u8; 4] = *b"PDB1";
@@ -104,7 +105,8 @@ impl Field {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected), slicing-by-8.
+// CRC32 (IEEE 802.3, reflected): a carry-less-multiply fold on x86_64,
+// slicing-by-8 everywhere else.
 // ---------------------------------------------------------------------------
 
 /// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
@@ -142,9 +144,41 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 
 /// CRC32 (IEEE) of a byte slice — the checksum used by every PDB1
 /// section and trial page, and by every journal frame.
+///
+/// On an x86_64 CPU with PCLMULQDQ and SSE4.1 (detected once at run
+/// time), slices of at least 64 bytes take the carry-less-multiply
+/// fold; everything else takes the portable slice-by-8 loop,
+/// [`crc32_portable`]. Both return the same value for every input.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= FOLD_MIN
+        && std::is_x86_feature_detected!("pclmulqdq")
+        && std::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `fold::crc32` is safe code compiled for PCLMULQDQ and
+        // SSE4.1; the only obligation of calling it is that the CPU
+        // executes those instructions, which the two checks above
+        // established.
+        return unsafe { fold::crc32(bytes) };
+    }
+    crc32_portable(bytes)
+}
+
+/// The shortest slice [`crc32`] folds: the four 16-byte lanes the fold
+/// starts from.
+const FOLD_MIN: usize = 64;
+
+/// The portable CRC32: slice-by-8 over any input on any CPU. [`crc32`]
+/// uses it below 64 bytes and on CPUs without the fold's instructions;
+/// it is public so tests and benches reach it on every host.
+pub fn crc32_portable(bytes: &[u8]) -> u32 {
+    !crc32_update(0xFFFF_FFFF, bytes)
+}
+
+/// Advances a raw (uninverted) CRC register over `bytes`, eight bytes
+/// per step.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -161,18 +195,108 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
 }
 
-/// The byte-at-a-time CRC32 the sliced version replaced, kept as its
-/// differential oracle.
-#[cfg(test)]
-fn crc32_bytewise(bytes: &[u8]) -> u32 {
+/// The byte-at-a-time CRC32 the sliced and folded versions replaced,
+/// kept as their differential oracle.
+pub fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
+}
+
+/// The PCLMULQDQ fold (Gopal et al., "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ Instruction", Intel, 2009), in the
+/// bit-reflected form: four 128-bit lanes each absorb the 16 bytes 64
+/// bytes ahead of them, the lanes fold into one, the remaining 16-byte
+/// blocks fold into it, a Barrett reduction takes the 128-bit remainder
+/// to 32 bits, and the last `len % 16` bytes go through the slice-by-8
+/// loop. The constants are the paper's bit-reflected powers of `x`
+/// modulo `P(x)` (the ones zlib and Linux use) for folding across four
+/// lanes (K1, K2), across one lane (K3, K4) and from 128 to 64 bits
+/// (K5, K6), plus `P(x)` itself and `μ = ⌊x^64 / P(x)⌋` for the
+/// reduction.
+#[cfg(target_arch = "x86_64")]
+mod fold {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    const K5: i64 = 0x1_63cd_6124;
+    const K6: i64 = 0x1_db71_0640;
+    const P_X: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// Loads 16 little-endian bytes into a lane without a pointer, so
+    /// the fold needs no `unsafe` of its own.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn lane(b: &[u8]) -> __m128i {
+        let lo = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+        let hi = u64::from_le_bytes([b[8], b[9], b[10], b[11], b[12], b[13], b[14], b[15]]);
+        _mm_set_epi64x(hi as i64, lo as i64)
+    }
+
+    /// `acc · x^d ⊕ next` for the distance `d` the key pair encodes.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_into(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// CRC32 of `bytes`; a slice shorter than the four lanes the fold
+    /// starts from (64 bytes) takes the portable loop.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32(bytes: &[u8]) -> u32 {
+        let Some((first, after)) = bytes.split_first_chunk::<64>() else {
+            return super::crc32_portable(bytes);
+        };
+        let mut blocks = after.chunks_exact(64);
+        let mut x3 = _mm_xor_si128(lane(&first[..16]), _mm_cvtsi32_si128(-1));
+        let mut x2 = lane(&first[16..32]);
+        let mut x1 = lane(&first[32..48]);
+        let mut x0 = lane(&first[48..]);
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for b in &mut blocks {
+            x3 = fold_into(x3, lane(&b[..16]), k1k2);
+            x2 = fold_into(x2, lane(&b[16..32]), k1k2);
+            x1 = fold_into(x1, lane(&b[32..48]), k1k2);
+            x0 = fold_into(x0, lane(&b[48..]), k1k2);
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_into(x3, x2, k3k4);
+        x = fold_into(x, x1, k3k4);
+        x = fold_into(x, x0, k3k4);
+        let mut rest = blocks.remainder().chunks_exact(16);
+        for b in &mut rest {
+            x = fold_into(x, lane(b), k3k4);
+        }
+
+        // 128 → 64 bits, then the Barrett reduction to 32.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let k5k6 = _mm_set_epi64x(K6, K5);
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), k5k6, 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        let pu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        let c = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        !super::crc32_update(c, rest.remainder())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -569,7 +693,10 @@ fn section_bytes<'a>(bytes: &'a [u8], s: &SectionEntry) -> Result<&'a [u8]> {
     Ok(&bytes[start..end])
 }
 
-fn parse_strings(b: &[u8]) -> Result<Vec<String>> {
+/// The string table. Each entry is one shared allocation: the manifest
+/// hands event names out as clones of it, so every trial that names an
+/// event shares the entry.
+fn parse_strings(b: &[u8]) -> Result<Vec<Arc<str>>> {
     let mut r = Rd::new(b);
     let count = r.u32("string count")? as usize;
     // Each string needs at least its 4-byte length prefix, so an
@@ -583,7 +710,7 @@ fn parse_strings(b: &[u8]) -> Result<Vec<String>> {
         let raw = r.take(len, "string bytes")?;
         let s =
             std::str::from_utf8(raw).map_err(|_| perr(format!("string {i} is not valid UTF-8")))?;
-        out.push(s.to_string());
+        out.push(Arc::from(s));
     }
     Ok(out)
 }
@@ -628,13 +755,14 @@ impl TrialRec {
     }
 }
 
-fn parse_manifest(b: &[u8], strings: &[String]) -> Result<Vec<TrialRec>> {
-    let s = |id: u32| -> Result<String> {
+fn parse_manifest(b: &[u8], strings: &[Arc<str>]) -> Result<Vec<TrialRec>> {
+    let shared = |id: u32| -> Result<Arc<str>> {
         strings
             .get(id as usize)
             .cloned()
             .ok_or_else(|| perr(format!("string id {id} out of range")))
     };
+    let s = |id: u32| shared(id).map(|s| s.to_string());
     let mut r = Rd::new(b);
     let mut out = Vec::new();
     let app_count = r.u32("application count")?;
@@ -670,7 +798,7 @@ fn parse_manifest(b: &[u8], strings: &[String]) -> Result<Vec<TrialRec>> {
                 }
                 let mut events = Vec::with_capacity(ne);
                 for _ in 0..ne {
-                    let ename = s(r.u32("event name")?)?;
+                    let ename = shared(r.u32("event name")?)?;
                     let kind = match r.u8("event kind flag")? {
                         0 => None,
                         _ => Some(s(r.u32("event kind")?)?),
@@ -1125,6 +1253,44 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Seeded xorshift bytes.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut s = seed | 1;
+        (0..len)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fold_and_portable_crc32_match_bytewise_at_every_length_and_offset() {
+        let buf = noise(0x00c0_ffee, 1024 + 16);
+        for start in 0..16 {
+            for len in 0..=1024 {
+                let slice = &buf[start..start + len];
+                let want = crc32_bytewise(slice);
+                assert_eq!(
+                    crc32_portable(slice),
+                    want,
+                    "portable, len {len} at {start}"
+                );
+                assert_eq!(crc32(slice), want, "dispatched, len {len} at {start}");
+                #[cfg(target_arch = "x86_64")]
+                if std::is_x86_feature_detected!("pclmulqdq")
+                    && std::is_x86_feature_detected!("sse4.1")
+                {
+                    // SAFETY: the CPU has both features (checked above).
+                    let folded = unsafe { fold::crc32(slice) };
+                    assert_eq!(folded, want, "fold, len {len} at {start}");
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn sliced_crc32_matches_bytewise_oracle(
@@ -1143,6 +1309,7 @@ mod tests {
                 .collect();
             let slice = &buf[start..];
             proptest::prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+            proptest::prop_assert_eq!(crc32_portable(slice), crc32_bytewise(slice));
         }
     }
 
@@ -1196,10 +1363,7 @@ mod tests {
             name: String::new(),
             derived: false,
         };
-        let event = Event {
-            name: String::new(),
-            kind: None,
-        };
+        let event = Event::new("");
         let thread = ThreadId {
             node: 0,
             context: 0,

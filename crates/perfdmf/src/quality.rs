@@ -225,9 +225,9 @@ pub fn sanitize_trial(trial: &mut Trial) -> DataQuality {
     // Axis rule 1: duplicate names. The interned index cannot hold two
     // entries for one name, so duplicates are unreachable through the
     // normal lookup path — quarantine every occurrence after the first.
-    let metric_names = profile.metrics().iter().map(|m| &m.name);
+    let metric_names = profile.metrics().iter().map(|m| m.name.as_str());
     let mut keep_metrics = first_names("metric", metric_names, &mut quality.quarantined);
-    let event_names = profile.events().iter().map(|e| &e.name);
+    let event_names = profile.events().iter().map(|e| &*e.name);
     let mut keep_events = first_names("event", event_names, &mut quality.quarantined);
 
     // Cell rules and axis rule 2, the non-finite census, share one pass
@@ -298,7 +298,7 @@ pub fn sanitize_trial(trial: &mut Trial) -> DataQuality {
         .into_iter()
         .filter(|&(column, ..)| kept[column])
         .map(|(column, thread, action)| Repair {
-            event: events[column / nm].name.clone(),
+            event: events[column / nm].name.to_string(),
             metric: metrics[column % nm].name.clone(),
             thread,
             action,
@@ -332,7 +332,7 @@ pub fn sanitize_trial(trial: &mut Trial) -> DataQuality {
         for (thread, (&parent, &children_sum)) in own.iter().zip(sums).enumerate() {
             if children_sum > parent * (1.0 + TOLERANCE) + TOLERANCE {
                 quality.flagged.push(Flag {
-                    event: event.name.clone(),
+                    event: event.name.to_string(),
                     thread,
                     children_sum,
                     parent,
@@ -347,7 +347,7 @@ pub fn sanitize_trial(trial: &mut Trial) -> DataQuality {
 /// is quarantined as a duplicate.
 fn first_names<'a>(
     kind: &'static str,
-    names: impl ExactSizeIterator<Item = &'a String>,
+    names: impl ExactSizeIterator<Item = &'a str>,
     quarantined: &mut Vec<Quarantine>,
 ) -> Vec<usize> {
     let mut seen = HashSet::with_capacity(names.len());
@@ -358,7 +358,7 @@ fn first_names<'a>(
         } else {
             quarantined.push(Quarantine {
                 kind,
-                name: name.clone(),
+                name: name.to_string(),
                 reason: QuarantineReason::DuplicateName,
             });
         }

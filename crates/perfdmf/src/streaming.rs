@@ -225,8 +225,8 @@ impl StreamingTrial {
                 Some(id) => id,
                 None => {
                     let ev = match &delta.event_kind {
-                        Some(kind) => Event::with_kind(&delta.event, kind),
-                        None => Event::new(&delta.event),
+                        Some(kind) => Event::with_kind(delta.event.as_str(), kind),
+                        None => Event::new(delta.event.as_str()),
                     };
                     let id = profile.add_event(ev)?;
                     applied.new_events.push(id);

@@ -155,7 +155,7 @@ fn bits(trial: &Trial) -> (Vec<String>, Vec<String>, usize, Vec<u64>) {
     let p = &trial.profile;
     (
         p.metrics().iter().map(|m| m.name.clone()).collect(),
-        p.events().iter().map(|e| e.name.clone()).collect(),
+        p.events().iter().map(|e| e.name.to_string()).collect(),
         p.thread_count(),
         p.arena()
             .iter()

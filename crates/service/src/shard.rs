@@ -52,7 +52,7 @@ use perfexplorer::{AnalysisState, DegradedStage, SupervisorConfig};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, MutexGuard, RwLockReadGuard, RwLockWriteGuard, Weak};
 use std::time::Instant;
 
 /// FNV-1a over the tenant path. Stable across runs (no RandomState), so
@@ -342,7 +342,6 @@ impl ShardedRepository {
     }
 
     /// Inserts or replaces a trial in its home shard's overlay.
-    /// Lock-wait time feeds the service `lock_wait` metric.
     ///
     /// An upsert shadows any in-flight stream at the same path: the
     /// stream entry — and the incremental analysis state cached on it —
@@ -351,13 +350,9 @@ impl ShardedRepository {
     pub fn ingest(&self, app: &str, experiment: &str, trial: Trial) {
         let shard = self.shard(app, experiment);
         let key = (app.to_string(), experiment.to_string(), trial.name.clone());
-        {
-            let start = Instant::now();
-            let mut overlay = shard.overlay.write();
-            ServiceMetrics::add_nanos(&self.metrics.lock_wait_nanos, start.elapsed());
-            overlay.upsert_trial(app, experiment, trial);
-        }
-        if shard.streams.lock().remove(&key).is_some() {
+        self.write(&shard.overlay)
+            .upsert_trial(app, experiment, trial);
+        if self.lock(&shard.streams).remove(&key).is_some() {
             ServiceMetrics::bump(&self.metrics.state_invalidations);
             // Tombstone the retired stream so a replay after restart
             // does not resurrect chunks the upsert just shadowed.
@@ -365,7 +360,7 @@ impl ShardedRepository {
             // upserted trial itself is in the (unjournaled) overlay, so
             // restart behavior is unchanged either way.
             if let Some(journal) = &shard.journal {
-                let _ = journal.lock().append(&WalRecord::Retire {
+                let _ = self.lock(journal).append(&WalRecord::Retire {
                     app: key.0,
                     experiment: key.1,
                     trial: key.2,
@@ -385,7 +380,7 @@ impl ShardedRepository {
     ) -> perfdmf::Result<Arc<Trial>> {
         let shard = self.shard(app, experiment);
         let key = (app.to_string(), experiment.to_string(), trial.to_string());
-        if let Some(entry) = shard.streams.lock().get(&key) {
+        if let Some(entry) = self.lock(&shard.streams).get(&key) {
             return Ok(Arc::new(entry.stream.trial().clone()));
         }
         self.get_stored(shard, &key)
@@ -420,7 +415,7 @@ impl ShardedRepository {
         // The state lives in the stream entry, so a streamed report is
         // built under the `streams` lock; the stored path below runs
         // the workflow with no shard lock held.
-        if let Some(entry) = shard.streams.lock().get_mut(&key) {
+        if let Some(entry) = self.lock(&shard.streams).get_mut(&key) {
             return self
                 .streamed_report(entry, metric)
                 .map_err(|e| ReportRefusal {
@@ -434,9 +429,8 @@ impl ShardedRepository {
             error: e.to_string(),
             storage_fault: crate::is_storage_fault(&e),
         })?;
-        let memoized = shard
-            .reports
-            .lock()
+        let memoized = self
+            .lock(&shard.reports)
             .find(|(a, e, t, m)| a == app && e == experiment && t == trial && m == metric)
             .filter(|entry| Weak::ptr_eq(&entry.trial, &Arc::downgrade(&found)))
             .map(|entry| BalanceReport {
@@ -454,7 +448,7 @@ impl ShardedRepository {
         // workflow again.
         if report.degraded.is_empty() {
             let (app, experiment, trial) = key;
-            shard.reports.lock().insert(
+            self.lock(&shard.reports).insert(
                 (app, experiment, trial, metric.to_string()),
                 MemoEntry {
                     trial: Arc::downgrade(&found),
@@ -508,17 +502,16 @@ impl ShardedRepository {
         key: &(String, String, String),
     ) -> perfdmf::Result<Arc<Trial>> {
         let (app, experiment, trial) = (key.0.as_str(), key.1.as_str(), key.2.as_str());
-        let found = {
-            let start = Instant::now();
-            let overlay = shard.overlay.read();
-            ServiceMetrics::add_nanos(&self.metrics.lock_wait_nanos, start.elapsed());
-            overlay.shared_trial(app, experiment, trial).ok().cloned()
-        };
+        let found = self
+            .read(&shard.overlay)
+            .shared_trial(app, experiment, trial)
+            .ok()
+            .cloned();
         if let Some(t) = found {
             return Ok(t);
         }
 
-        if let Some(cached) = shard.cache.lock().get(key) {
+        if let Some(cached) = self.lock(&shard.cache).get(key) {
             ServiceMetrics::bump(&self.metrics.cache_hits);
             return Ok(cached);
         }
@@ -532,7 +525,8 @@ impl ShardedRepository {
             })?;
         let materialized = Arc::new(cold.view(app, experiment, trial)?.to_trial()?);
         ServiceMetrics::bump(&self.metrics.cache_misses);
-        shard.cache.lock().insert(key.clone(), materialized.clone());
+        self.lock(&shard.cache)
+            .insert(key.clone(), materialized.clone());
         Ok(materialized)
     }
 
@@ -570,7 +564,7 @@ impl ShardedRepository {
         batch: &ChunkBatch,
     ) -> perfdmf::Result<AppliedChunk> {
         let key = (app.to_string(), experiment.to_string(), trial.to_string());
-        let mut streams = shard.streams.lock();
+        let mut streams = self.lock(&shard.streams);
         let entry = match streams.entry(key.clone()) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
@@ -592,8 +586,9 @@ impl ShardedRepository {
         };
         if let Some(journal) = &shard.journal {
             if !entry.stream.contains_seq(batch.seq) {
+                let mut journal = self.lock(journal);
                 let start = Instant::now();
-                journal.lock().append(RecordRef::Chunk {
+                journal.append(RecordRef::Chunk {
                     app,
                     experiment,
                     trial,
@@ -624,19 +619,15 @@ impl ShardedRepository {
     pub fn snapshot_experiment(&self, app: &str, experiment: &str) -> perfdmf::Result<Repository> {
         let shard = self.shard(app, experiment);
         let mut snapshot = Repository::new();
-        let overlaid = {
-            let start = Instant::now();
-            let overlay = shard.overlay.read();
-            ServiceMetrics::add_nanos(&self.metrics.lock_wait_nanos, start.elapsed());
-            overlay
-                .experiment(app, experiment)
-                .map(|exp| exp.shared_trials().cloned().collect::<Vec<_>>())
-                .unwrap_or_default()
-        };
+        let overlaid = self
+            .read(&shard.overlay)
+            .experiment(app, experiment)
+            .map(|exp| exp.shared_trials().cloned().collect::<Vec<_>>())
+            .unwrap_or_default();
         for trial in overlaid {
             snapshot.upsert_shared(app, experiment, trial);
         }
-        for ((a, e, _), entry) in shard.streams.lock().iter() {
+        for ((a, e, _), entry) in self.lock(&shard.streams).iter() {
             if a == app && e == experiment {
                 snapshot.upsert_trial(app, experiment, entry.stream.trial().clone());
             }
@@ -675,15 +666,43 @@ impl ShardedRepository {
             }
         }
         for shard in &self.shards {
-            paths.extend(paths_of(&shard.overlay.read()));
-            paths.extend(shard.streams.lock().keys().cloned());
+            paths.extend(paths_of(&self.read(&shard.overlay)));
+            paths.extend(self.lock(&shard.streams).keys().cloned());
         }
         paths.into_iter().collect()
     }
 
     /// Cached cold-trial count across all shards (diagnostics).
     pub fn cached_trials(&self) -> usize {
-        self.shards.iter().map(|s| s.cache.lock().len()).sum()
+        self.shards.iter().map(|s| self.lock(&s.cache).len()).sum()
+    }
+
+    /// Takes `lock`. Time spent blocked behind another holder counts
+    /// into the service's `lock_wait`; an uncontended acquisition waits
+    /// for nothing and is not timed.
+    fn lock<'a, T>(&self, lock: &'a Mutex<T>) -> MutexGuard<'a, T> {
+        lock.try_lock()
+            .unwrap_or_else(|| self.waited(|| lock.lock()))
+    }
+
+    /// Shared access to `lock`, timed as [`ShardedRepository::lock`].
+    fn read<'a, T>(&self, lock: &'a RwLock<T>) -> RwLockReadGuard<'a, T> {
+        lock.try_read()
+            .unwrap_or_else(|| self.waited(|| lock.read()))
+    }
+
+    /// Exclusive access to `lock`, timed as [`ShardedRepository::lock`].
+    fn write<'a, T>(&self, lock: &'a RwLock<T>) -> RwLockWriteGuard<'a, T> {
+        lock.try_write()
+            .unwrap_or_else(|| self.waited(|| lock.write()))
+    }
+
+    /// Runs a blocking acquisition, adding its duration to `lock_wait`.
+    fn waited<G>(&self, acquire: impl FnOnce() -> G) -> G {
+        let start = Instant::now();
+        let guard = acquire();
+        ServiceMetrics::add_nanos(&self.metrics.lock_wait_nanos, start.elapsed());
+        guard
     }
 }
 
@@ -720,6 +739,61 @@ mod tests {
             .map(|i| shard_of("app", &format!("exp{i}"), 8))
             .collect();
         assert!(hit.len() > 1, "hash must actually distribute");
+    }
+
+    /// A one-column chunk of `main` over two threads.
+    fn main_chunk(seq: u64) -> ChunkBatch {
+        ChunkBatch {
+            seq,
+            threads: 2,
+            deltas: vec![perfdmf::ColumnDelta {
+                metric: "TIME".into(),
+                event: "main".into(),
+                event_kind: None,
+                cells: vec![(0, Measurement::leaf(2.0)), (1, Measurement::leaf(1.0))],
+            }],
+        }
+    }
+
+    #[test]
+    fn a_chunk_blocked_on_its_stream_counts_the_wait() {
+        use std::time::Duration;
+        let m = metrics();
+        let sharded = ShardedRepository::new(2, 8, m.clone());
+        sharded
+            .ingest_chunk("app", "exp", "live", &main_chunk(0))
+            .unwrap();
+        // Nothing else held the shard's locks: nothing was waited for.
+        assert_eq!(m.snapshot().lock_wait, Duration::ZERO);
+        let shard = sharded.shard("app", "exp");
+        // The other thread's chunk blocks until this one lets the
+        // stream go. It starts its ingest right after it says so, so it
+        // waits about 50 ms (retried in case it was not scheduled).
+        let mut grew = Duration::ZERO;
+        for seq in 1..=5 {
+            let before = m.snapshot().lock_wait;
+            std::thread::scope(|s| {
+                let held = shard.streams.lock();
+                let (ready, go) = std::sync::mpsc::channel();
+                let sharded = &sharded;
+                let other = s.spawn(move || {
+                    ready.send(()).unwrap();
+                    sharded.ingest_chunk("app", "exp", "live", &main_chunk(seq))
+                });
+                go.recv().unwrap();
+                std::thread::sleep(Duration::from_millis(50));
+                drop(held);
+                other.join().unwrap().unwrap();
+            });
+            grew = m.snapshot().lock_wait - before;
+            if grew >= Duration::from_millis(10) {
+                break;
+            }
+        }
+        assert!(
+            grew >= Duration::from_millis(10),
+            "the blocked chunk's wait was not counted: {grew:?}"
+        );
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl Recorder {
                 let ev = profile.event(EventId(event));
                 ColumnDelta {
                     metric: profile.metric(MetricId(metric)).name.clone(),
-                    event: ev.name.clone(),
+                    event: ev.name.to_string(),
                     event_kind: ev.kind.clone(),
                     cells: cells.into_iter().collect(),
                 }

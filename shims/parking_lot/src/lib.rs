@@ -4,7 +4,17 @@
 //! `write()` and `lock()` return guards directly, and a panic while a
 //! lock is held does not poison it for later users.
 
-use std::sync::PoisonError;
+use std::sync::{PoisonError, TryLockError};
+
+/// The guard of a `try_*` acquisition: `None` only if the lock is held
+/// elsewhere (a poisoned lock is acquired all the same).
+fn acquired<G>(attempt: Result<G, TryLockError<G>>) -> Option<G> {
+    match attempt {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
 
 /// A reader-writer lock without poisoning.
 #[derive(Debug, Default)]
@@ -28,6 +38,16 @@ impl<T> RwLock<T> {
     /// Acquires exclusive write access.
     pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Shared read access, if it can be had without blocking.
+    pub fn try_read(&self) -> Option<std::sync::RwLockReadGuard<'_, T>> {
+        acquired(self.inner.try_read())
+    }
+
+    /// Exclusive write access, if it can be had without blocking.
+    pub fn try_write(&self) -> Option<std::sync::RwLockWriteGuard<'_, T>> {
+        acquired(self.inner.try_write())
     }
 
     /// Consumes the lock, returning the value.
@@ -55,6 +75,11 @@ impl<T> Mutex<T> {
     /// Acquires the lock.
     pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The lock, if it can be had without blocking.
+    pub fn try_lock(&self) -> Option<std::sync::MutexGuard<'_, T>> {
+        acquired(self.inner.try_lock())
     }
 
     /// Consumes the lock, returning the value.
@@ -95,5 +120,22 @@ mod tests {
         let m = Mutex::new(vec![1]);
         m.lock().push(2);
         assert_eq!(m.into_inner(), vec![1, 2]);
+    }
+
+    #[test]
+    fn try_acquisition_fails_only_while_held() {
+        let m = Mutex::new(1);
+        {
+            let _held = m.lock();
+            assert!(m.try_lock().is_none());
+        }
+        assert_eq!(m.try_lock().map(|g| *g), Some(1));
+        let l = RwLock::new(2);
+        {
+            let _reader = l.read();
+            assert!(l.try_read().is_some());
+            assert!(l.try_write().is_none());
+        }
+        assert!(l.try_write().is_some());
     }
 }

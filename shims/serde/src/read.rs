@@ -154,15 +154,7 @@ impl<'a> Reader<'a> {
     #[inline]
     fn number_token(&mut self) -> Result<Number, Error> {
         let start = self.pos;
-        let bytes = self.bytes();
-        let decimal = self.decimal();
-        // A token that runs on past the grammar is refused whole.
-        let Some(decimal) = decimal.filter(|_| !is_number_byte(bytes.get(self.pos))) else {
-            while is_number_byte(bytes.get(self.pos)) {
-                self.pos += 1;
-            }
-            return Err(self.invalid_number(start));
-        };
+        let decimal = self.number_scan::<true>()?;
         if let Some(n) = decimal.number() {
             return Ok(n);
         }
@@ -180,6 +172,26 @@ impl<'a> Reader<'a> {
             .map_err(|_| self.invalid_number(start))
     }
 
+    /// Scans the number token at the cursor without converting it: its
+    /// [`Reader::decimal`] form (with the digits' value only if `VALUE`),
+    /// or the error the whole token earns (a token that runs on past the
+    /// grammar is refused whole). A token the scan accepts always
+    /// converts.
+    #[inline]
+    fn number_scan<const VALUE: bool>(&mut self) -> Result<Decimal, Error> {
+        let start = self.pos;
+        let bytes = self.bytes();
+        match self.decimal::<VALUE>() {
+            Some(decimal) if !is_number_byte(bytes.get(self.pos)) => Ok(decimal),
+            _ => {
+                while is_number_byte(bytes.get(self.pos)) {
+                    self.pos += 1;
+                }
+                Err(self.invalid_number(start))
+            }
+        }
+    }
+
     fn invalid_number(&self, start: usize) -> Error {
         Error::custom(format!("invalid number {:?}", &self.text[start..self.pos]))
     }
@@ -189,8 +201,12 @@ impl<'a> Reader<'a> {
     /// at most one `.` among them (at least one digit), then optionally
     /// `e`/`E`, a sign and at least one digit. `None` if the digits or
     /// the exponent's digits are missing.
+    ///
+    /// With `VALUE` false the scan only validates: it accumulates
+    /// neither the digits nor the exponent, so the result tells where
+    /// the token ends and whether it is one, not what it is worth.
     #[inline]
-    fn decimal(&mut self) -> Option<Decimal> {
+    fn decimal<const VALUE: bool>(&mut self) -> Option<Decimal> {
         let bytes = self.bytes();
         let negative = bytes[self.pos] == b'-';
         let mut pos = self.pos + negative as usize;
@@ -206,7 +222,9 @@ impl<'a> Reader<'a> {
         let mut digits = |pos: &mut usize| {
             let from = *pos;
             while let Some(&b @ b'0'..=b'9') = bytes.get(*pos) {
-                mantissa = mantissa.wrapping_mul(10).wrapping_add((b - b'0') as u64);
+                if VALUE {
+                    mantissa = mantissa.wrapping_mul(10).wrapping_add((b - b'0') as u64);
+                }
                 *pos += 1;
             }
             *pos - from
@@ -242,7 +260,7 @@ impl<'a> Reader<'a> {
             let mut exp: i64 = 0;
             while let Some(&b @ b'0'..=b'9') = bytes.get(pos) {
                 // Saturates, as `str::parse` does, far outside POW5.
-                if exp < 0x10000 {
+                if VALUE && exp < 0x10000 {
                     exp = exp * 10 + (b - b'0') as i64;
                 }
                 pos += 1;
@@ -292,9 +310,26 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Validates and steps over the string token at the cursor (which is
+    /// on its `"`), decoding nothing: [`Reader::string`]'s checks and
+    /// errors, with no output.
+    #[inline]
+    fn skip_string(&mut self) -> Result<(), Error> {
+        let bytes = self.bytes();
+        self.pos = plain_run(bytes, self.pos + 1);
+        match bytes.get(self.pos) {
+            Some(b'"') => {
+                self.pos += 1;
+                Ok(())
+            }
+            Some(b'\\') => self.escaped(&mut Discard),
+            _ => Err(Error::custom("unterminated string")),
+        }
+    }
+
     /// Finishes a string whose plain prefix is in `out`; the cursor is
     /// on the first backslash.
-    fn escaped(&mut self, out: &mut String) -> Result<(), Error> {
+    fn escaped(&mut self, out: &mut impl Text) -> Result<(), Error> {
         let bytes = self.bytes();
         loop {
             let start = self.pos;
@@ -447,20 +482,37 @@ impl<'a> Reader<'a> {
     /// text (a JSON string on its own).
     #[inline]
     pub fn next_key_raw(&mut self) -> Result<Option<(Cow<'a, str>, &'a str)>, Error> {
-        if !self.more(b'}', "expected ',' or '}'")? {
+        if !self.key_due()? {
             return Ok(None);
-        }
-        if self.peek() != Some(b'"') {
-            return Err(self.err("expected '\"'"));
         }
         let start = self.pos;
         let key = self.string()?;
         let raw = &self.text[start..self.pos];
+        self.colon()?;
+        Ok(Some((key, raw)))
+    }
+
+    /// Whether the current object has another key, with the cursor left
+    /// on its opening `"`; `false` consumes the closing `}`.
+    #[inline]
+    fn key_due(&mut self) -> Result<bool, Error> {
+        if !self.more(b'}', "expected ',' or '}'")? {
+            return Ok(false);
+        }
+        if self.peek() != Some(b'"') {
+            return Err(self.err("expected '\"'"));
+        }
+        Ok(true)
+    }
+
+    /// Consumes the `:` after a key.
+    #[inline]
+    fn colon(&mut self) -> Result<(), Error> {
         if self.peek() != Some(b':') {
             return Err(self.err("expected ':'"));
         }
         self.pos += 1;
-        Ok(Some((key, raw)))
+        Ok(())
     }
 
     /// Reads an externally tagged enum's tag: a string names a unit
@@ -477,7 +529,10 @@ impl<'a> Reader<'a> {
         Ok(None)
     }
 
-    /// Validates and steps over one value.
+    /// Validates and steps over one value. It accepts and rejects what
+    /// decoding the value would, with the same errors, but builds
+    /// nothing: keys and strings are checked in place and numbers are
+    /// scanned, never converted.
     pub fn skip_value(&mut self) -> Result<(), Error> {
         match self.peek() {
             Some(b'[') => {
@@ -488,15 +543,15 @@ impl<'a> Reader<'a> {
             }
             Some(b'{') => {
                 self.begin_object()?;
-                while self.next_key()?.is_some() {
+                while self.key_due()? {
+                    self.skip_string()?;
+                    self.colon()?;
                     self.skip_value()?;
                 }
             }
-            Some(b'"') => {
-                self.string()?;
-            }
+            Some(b'"') => self.skip_string()?,
             Some(b'-' | b'0'..=b'9') => {
-                self.number_token()?;
+                self.number_scan::<false>()?;
             }
             Some(b'n') => self.literal("null")?,
             Some(b't') => self.literal("true")?,
@@ -562,6 +617,35 @@ fn plain_run(bytes: &[u8], from: usize) -> usize {
         i += 1;
     }
     i
+}
+
+/// Where [`Reader::escaped`] puts a string's decoded text.
+trait Text {
+    fn push_str(&mut self, s: &str);
+    fn push(&mut self, c: char);
+}
+
+impl Text for String {
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s)
+    }
+
+    #[inline]
+    fn push(&mut self, c: char) {
+        String::push(self, c)
+    }
+}
+
+/// Text that is only validated ([`Reader::skip_value`]).
+struct Discard;
+
+impl Text for Discard {
+    #[inline]
+    fn push_str(&mut self, _: &str) {}
+
+    #[inline]
+    fn push(&mut self, _: char) {}
 }
 
 /// Whether `b` continues a number token.
@@ -724,7 +808,7 @@ mod tests {
     use super::*;
 
     fn scan(token: &str) -> Option<Decimal> {
-        Reader::new(token).decimal()
+        Reader::new(token).decimal::<true>()
     }
 
     #[test]

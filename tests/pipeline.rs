@@ -31,7 +31,7 @@ fn simulated_trial_survives_tau_text_roundtrip() {
             .iter()
             .map(|e| {
                 let id = p.event_id(&e.name).unwrap();
-                (e.name.clone(), *p.get(id, time, t).unwrap())
+                (e.name.to_string(), *p.get(id, time, t).unwrap())
             })
             .collect();
         files.push((*tid, tau::write_thread_profile("TIME", &rows)));
