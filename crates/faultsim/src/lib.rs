@@ -6,15 +6,17 @@
 //! bit rot on archival storage. This crate is the corruption side of the
 //! robustness story: a deterministic, composable engine that applies
 //! those faults to in-memory [`Trial`]s and to their serialized text
-//! forms, so tests, proptests and the `chaos` CLI can drive the whole
-//! pipeline through them and assert graceful degradation instead of
-//! panics.
+//! forms, so tests, proptests and the chaos harness ([`harness`], run
+//! by the `chaos` CLI and by `cargo test`) can drive the whole pipeline
+//! through them and assert graceful degradation instead of panics.
 //!
 //! Everything is seeded: the same [`FaultPlan`] over the same input
 //! always produces the same corruption, so a failing chaos seed is a
 //! reproducible bug report.
 
 #![warn(missing_docs)]
+
+pub mod harness;
 
 use perfdmf::formats::Diagnostic;
 use perfdmf::{DmfError, EventId, Measurement, Metric, MetricId, Profile, ThreadId, Trial};
@@ -97,21 +99,6 @@ impl Fault {
         Fault::FlippedChecksum,
         Fault::MisalignedPage,
     ];
-
-    /// Whether this fault applies to an in-memory profile.
-    pub fn is_profile_fault(self) -> bool {
-        Fault::PROFILE_FAULTS.contains(&self)
-    }
-
-    /// Whether this fault applies to serialized text.
-    pub fn is_text_fault(self) -> bool {
-        Fault::TEXT_FAULTS.contains(&self)
-    }
-
-    /// Whether this fault applies to PDB1 binary bytes.
-    pub fn is_binary_fault(self) -> bool {
-        Fault::BINARY_FAULTS.contains(&self)
-    }
 }
 
 impl std::fmt::Display for Fault {
@@ -166,67 +153,45 @@ impl FaultPlan {
         self
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The faults in application order.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
     /// Applies every profile-domain fault to the trial in order,
     /// returning a record of each corruption performed.
     pub fn apply_to_trial(&self, trial: &mut Trial) -> Vec<AppliedFault> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut applied = Vec::new();
-        for &fault in &self.faults {
-            if !fault.is_profile_fault() {
-                continue;
-            }
-            if let Some(detail) = apply_profile_fault(fault, &mut trial.profile, &mut rng) {
-                applied.push(AppliedFault { fault, detail });
-            }
-        }
-        applied
+        self.apply(&mut trial.profile, apply_profile_fault)
     }
 
     /// Applies every text-domain fault to the serialized form in order.
     pub fn apply_to_text(&self, text: &str) -> (String, Vec<AppliedFault>) {
-        let mut rng = StdRng::seed_from_u64(self.seed);
         let mut out = text.to_string();
-        let mut applied = Vec::new();
-        for &fault in &self.faults {
-            if !fault.is_text_fault() {
-                continue;
-            }
-            if let Some(detail) = apply_text_fault(fault, &mut out, &mut rng) {
-                applied.push(AppliedFault { fault, detail });
-            }
-        }
+        let applied = self.apply(&mut out, apply_text_fault);
         (out, applied)
     }
 
     /// Applies every binary-domain fault to PDB1 bytes in order.
     ///
-    /// Faults of other domains are skipped, and the PDB1 helpers refuse
-    /// non-PDB1 input themselves, so feeding JSON bytes through a
-    /// binary plan returns them unchanged (except [`Fault::BadMagic`],
-    /// which by definition needs no valid container to scribble on).
+    /// The PDB1 helpers refuse non-PDB1 input themselves, so feeding
+    /// JSON bytes through a binary plan returns them unchanged (except
+    /// [`Fault::BadMagic`], which by definition needs no valid container
+    /// to scribble on).
     pub fn apply_to_bytes(&self, bytes: &[u8]) -> (Vec<u8>, Vec<AppliedFault>) {
-        let mut rng = StdRng::seed_from_u64(self.seed);
         let mut out = bytes.to_vec();
-        let mut applied = Vec::new();
-        for &fault in &self.faults {
-            if !fault.is_binary_fault() {
-                continue;
-            }
-            if let Some(detail) = apply_binary_fault(fault, &mut out, &mut rng) {
-                applied.push(AppliedFault { fault, detail });
-            }
-        }
+        let applied = self.apply(&mut out, apply_binary_fault);
         (out, applied)
+    }
+
+    /// Runs `apply` for each fault in order on one generator seeded from
+    /// the plan. `apply` returns `None`, drawing nothing, for a fault of
+    /// another domain.
+    fn apply<T>(
+        &self,
+        target: &mut T,
+        apply: fn(Fault, &mut T, &mut StdRng) -> Option<String>,
+    ) -> Vec<AppliedFault> {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let applied = self.faults.iter().filter_map(|&fault| {
+            let detail = apply(fault, target, &mut rng)?;
+            Some(AppliedFault { fault, detail })
+        });
+        applied.collect()
     }
 }
 
@@ -272,27 +237,26 @@ impl KillPoint {
         KillPoint::AfterApply,
     ];
 
-    /// Parses the CLI spelling (`before-append`, `mid-append`,
-    /// `after-append`, `after-apply`).
-    pub fn parse(s: &str) -> Option<KillPoint> {
-        match s {
-            "before-append" => Some(KillPoint::BeforeAppend),
-            "mid-append" => Some(KillPoint::MidAppend),
-            "after-append" => Some(KillPoint::AfterAppend),
-            "after-apply" => Some(KillPoint::AfterApply),
-            _ => None,
+    /// The CLI spelling: `before-append`, `mid-append`, `after-append`
+    /// or `after-apply`.
+    pub fn name(self) -> &'static str {
+        match self {
+            KillPoint::BeforeAppend => "before-append",
+            KillPoint::MidAppend => "mid-append",
+            KillPoint::AfterAppend => "after-append",
+            KillPoint::AfterApply => "after-apply",
         }
+    }
+
+    /// Parses the CLI spelling.
+    pub fn parse(s: &str) -> Option<KillPoint> {
+        KillPoint::MATRIX.into_iter().find(|k| k.name() == s)
     }
 }
 
 impl std::fmt::Display for KillPoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            KillPoint::BeforeAppend => "before-append",
-            KillPoint::MidAppend => "mid-append",
-            KillPoint::AfterAppend => "after-append",
-            KillPoint::AfterApply => "after-apply",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -330,7 +294,6 @@ pub enum DeliveryOp {
 /// client retries dropped sends. Duplicates and stalls are extra.
 #[derive(Debug, Clone)]
 pub struct DeliveryPlan {
-    seed: u64,
     ops: Vec<DeliveryOp>,
     duplicated: usize,
     deferred: usize,
@@ -362,7 +325,6 @@ impl DeliveryPlan {
         }
 
         let mut plan = DeliveryPlan {
-            seed,
             ops: Vec::new(),
             duplicated: 0,
             deferred: deferred.len(),
@@ -391,11 +353,6 @@ impl DeliveryPlan {
             push_deliver(&mut plan, &mut rng, c);
         }
         plan
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The delivery steps in order.

@@ -373,10 +373,12 @@ impl<'a> Reader<'a> {
     fn unicode_escape(&mut self) -> Result<char, Error> {
         let cp = self.hex4()?;
         let cp = if (0xD800..0xDC00).contains(&cp) {
-            if self.bytes().get(self.pos..self.pos + 2) != Some(b"\\u") {
-                return Err(Error::custom("unpaired surrogate in \\u escape"));
+            for (byte, expected) in [(b'\\', "expected '\\\\'"), (b'u', "expected 'u'")] {
+                if self.bytes().get(self.pos) != Some(&byte) {
+                    return Err(self.err(expected));
+                }
+                self.pos += 1;
             }
-            self.pos += 2;
             crate::surrogate_pair(cp, self.hex4()?)?
         } else {
             cp

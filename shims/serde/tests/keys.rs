@@ -102,6 +102,15 @@ fn errors_read_the_same_on_either_path() {
             "expected integer, found float",
         ),
         (r#"[1,2.5,"a"]"#, "expected object for Cell"),
+        // A high surrogate must be followed by `\u` and a low one.
+        (
+            r#"{"id":1,"inclusive":2.5,"name":"\ud800x"}"#,
+            "expected '\\\\' at byte 38",
+        ),
+        (
+            r#"{"id":1,"inclusive":2.5,"name":"\ud800\n"}"#,
+            "expected 'u' at byte 39",
+        ),
     ] {
         assert_eq!(agree::<Cell>(text), Err(error.to_string()), "{text}");
     }

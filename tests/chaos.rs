@@ -6,7 +6,7 @@
 use apps::msa::{self, MsaConfig};
 use apps::power_study::{self, PowerStudyConfig};
 use faultsim::{Fault, FaultPlan};
-use perfdmf::formats::{csv, gprof, tau};
+use perfdmf::formats::csv;
 use perfdmf::{sanitize_trial, Repository, Trial};
 use perfexplorer::workflow::{
     analyze_load_balance, analyze_load_balance_supervised, analyze_locality_supervised,
@@ -47,13 +47,15 @@ fn run_all_workflows(trials: &[Trial]) {
     let _ = analyze_power_supervised(&refs, &machine, &config);
 }
 
-/// The fixed seed matrix CI gates on (see .github/workflows/ci.yml):
-/// failures reproduce exactly from the seed.
-const CI_SEED_MATRIX: [u64; 8] = [0, 1, 2, 3, 5, 8, 13, 21];
+/// A fixed seed matrix over smaller trials than the chaos harness's:
+/// failures reproduce exactly from the seed. The harness's own rows,
+/// with its strict/lossy, sanitize, journal, memo and crash-recovery
+/// contracts, run in `crates/faultsim/tests/ci_matrix.rs`.
+const SEED_MATRIX: [u64; 8] = [0, 1, 2, 3, 5, 8, 13, 21];
 
 #[test]
 fn chaos_seed_matrix_never_panics_any_workflow() {
-    for &seed in &CI_SEED_MATRIX {
+    for &seed in &SEED_MATRIX {
         let plan = FaultPlan::new(seed).with_all(&Fault::PROFILE_FAULTS);
         let mut trials = vec![small_msa()];
         trials.extend(power_trials());
@@ -71,7 +73,7 @@ fn chaos_seed_matrix_never_panics_any_workflow() {
 fn chaos_seed_matrix_unsanitized_still_never_panics() {
     // Even *without* the sanitization pass, the supervised workflows
     // must contain the damage (stages degrade; nothing unwinds).
-    for &seed in &CI_SEED_MATRIX {
+    for &seed in &SEED_MATRIX {
         let plan = FaultPlan::new(seed).with_all(&Fault::PROFILE_FAULTS);
         let mut trials = vec![small_msa()];
         trials.extend(power_trials());
@@ -83,36 +85,8 @@ fn chaos_seed_matrix_unsanitized_still_never_panics() {
 }
 
 #[test]
-fn chaos_seed_matrix_text_faults_never_panic_parsers_or_salvage() {
-    for &seed in &CI_SEED_MATRIX {
-        let plan = FaultPlan::new(seed).with_all(&Fault::TEXT_FAULTS);
-
-        let trial = small_msa();
-        let (corrupt_csv, _) = plan.apply_to_text(&csv::write_trial(&trial));
-        let _ = csv::parse_trial_lossy("chaos", &corrupt_csv);
-
-        let tau_text = tau::write_thread_profile(
-            "TIME",
-            &[("main".to_string(), perfdmf::Measurement::leaf(10.0))],
-        );
-        let (corrupt_tau, _) = plan.apply_to_text(&tau_text);
-        let _ = tau::parse_thread_profile_lossy(&corrupt_tau);
-
-        let gprof_text = " time   seconds   seconds    calls  ms/call  ms/call  name\n \
-                          50.00      1.00     1.00      100     1.0      1.0    f\n";
-        let (corrupt_gprof, _) = plan.apply_to_text(gprof_text);
-        let _ = gprof::parse_flat_profile_lossy("chaos", &corrupt_gprof);
-
-        let mut repo = Repository::new();
-        repo.add_trial("chaos", "msa", small_msa()).unwrap();
-        let (corrupt_json, _) = plan.apply_to_text(&repo.to_json().unwrap());
-        let _ = Repository::salvage_json(&corrupt_json);
-    }
-}
-
-#[test]
 fn chaos_seed_matrix_binary_faults_never_panic_readers() {
-    for &seed in &CI_SEED_MATRIX {
+    for &seed in &SEED_MATRIX {
         let plan = FaultPlan::new(seed).with_all(&Fault::BINARY_FAULTS);
         let mut repo = Repository::new();
         repo.add_trial("chaos", "msa", small_msa()).unwrap();
