@@ -453,12 +453,17 @@ fn json_stage(fx: &Fixture, r: &mut Report) {
     r.salvage_contract("json", strict, Repository::salvage_json(&corrupt));
 }
 
-/// A path under the temp directory that no other call, in this process
-/// or another, is given.
+/// A path under the temp directory that no other live call is given,
+/// with nothing at it: a file or directory an earlier process with the
+/// same pid left there (say, a panicked crash cycle's WAL) is removed,
+/// so no stage opens a stale journal.
 fn scratch_path(what: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("chaos-{what}-{}-{n}", std::process::id()))
+    let path = std::env::temp_dir().join(format!("chaos-{what}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
+    path
 }
 
 /// A binary journal of the MSA trial's chunks, corrupted four ways in
