@@ -53,8 +53,8 @@
 //!
 //! Building a session registers every host function on a new
 //! interpreter. A host that runs unrelated scripts one after another
-//! (the service keeps one session per worker) builds it once and calls
-//! [`PerfExplorerScript::reset`] with each request's repository: the
+//! (the service keeps one session per request slot) builds it once and
+//! calls [`PerfExplorerScript::reset`] with each request's repository: the
 //! interpreter returns to its freshly registered tables, and trials,
 //! rule engine and last report are dropped.
 //! [`PerfExplorerScript::release`] does the same with an empty
@@ -69,16 +69,15 @@ use crate::result::TrialResult;
 use crate::rulebase;
 use crate::supervise::isolate;
 use crate::{loadbalance, Result};
+use parking_lot::Mutex;
 use perfdmf::{Repository, Trial};
 use rayon::prelude::*;
 use rules::{Engine, Fact, RunReport};
 use script::Interpreter;
 pub use script::Value;
 use simulator::machine::MachineConfig;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 /// Every host function, in registration order. The order is part of
 /// the compiled-script contract: a `script::Compiled` replays onto
@@ -158,9 +157,16 @@ fn empty_repository() -> Arc<Repository> {
 /// A scripting session bound to a repository.
 pub struct PerfExplorerScript {
     interp: Interpreter,
-    state: Rc<RefCell<SessionState>>,
+    state: Arc<Mutex<SessionState>>,
     sweep_repo: SweepRepo,
 }
+
+// A session moves between threads: the service keeps one per request
+// slot and runs it on whichever caller holds the slot.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<PerfExplorerScript>();
+};
 
 /// Outcome of [`PerfExplorerScript::run_supervised`]: the script's
 /// value when it completed, plus whatever partial results the session
@@ -226,7 +232,7 @@ impl PerfExplorerScript {
     /// bodies) read one copy of the data.
     pub fn with_shared(repo: Arc<Repository>, machine: MachineConfig) -> Self {
         let machine = Arc::new(machine);
-        let state = Rc::new(RefCell::new(SessionState::fresh(
+        let state = Arc::new(Mutex::new(SessionState::fresh(
             Arc::clone(&repo),
             Arc::clone(&machine),
         )));
@@ -252,16 +258,13 @@ impl PerfExplorerScript {
         let repo = repo.into();
         self.interp.reset();
         {
-            let mut st = self.state.borrow_mut();
+            let mut st = self.state.lock();
             st.trials.clear();
             st.engine = None;
             st.last_report = None;
             st.repo = Arc::clone(&repo);
         }
-        *self
-            .sweep_repo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = repo;
+        *self.sweep_repo.lock() = repo;
     }
 
     /// Resets the session onto an empty repository, so that between
@@ -286,7 +289,7 @@ impl PerfExplorerScript {
     /// Compiles a workflow script once for repeated execution, here or
     /// on any other session (every [`PerfExplorerScript`] registers the
     /// same host functions): the service layer compiles once and runs
-    /// the program on every worker.
+    /// the program in every request slot.
     pub fn compile(&mut self, source: &str) -> Result<script::Compiled> {
         Ok(self.interp.compile(source)?)
     }
@@ -322,7 +325,7 @@ impl PerfExplorerScript {
     /// the sweep's outcomes are collected. The service layer hangs its
     /// sweep counters here.
     pub fn set_sweep_observer(&mut self, observer: Arc<dyn Fn(usize, usize) + Send + Sync>) {
-        let machine = Arc::clone(&self.state.borrow().machine);
+        let machine = Arc::clone(&self.state.lock().machine);
         let exec = sweep_executor(Arc::clone(&self.sweep_repo), machine);
         self.interp
             .set_parallel_executor(Arc::new(move |runner, items| {
@@ -340,7 +343,7 @@ impl PerfExplorerScript {
 
     /// The report of the most recent `process_rules()` call.
     pub fn last_report(&self) -> Option<RunReport> {
-        self.state.borrow().last_report.clone()
+        self.state.lock().last_report.clone()
     }
 
     /// Runs a workflow script under panic isolation: a script error or
@@ -375,7 +378,7 @@ impl PerfExplorerScript {
         }
     }
 
-    fn register_all(interp: &mut Interpreter, state: &Rc<RefCell<SessionState>>) {
+    fn register_all(interp: &mut Interpreter, state: &Arc<Mutex<SessionState>>) {
         for &name in HOST_NAMES {
             let s = state.clone();
             interp.register(name, move |args| call_host(&s, name, args));
@@ -390,14 +393,13 @@ impl PerfExplorerScript {
 /// take down its siblings or the pool.
 fn sweep_executor(repo: SweepRepo, machine: Arc<MachineConfig>) -> Arc<script::ParallelExecutor> {
     Arc::new(move |runner: &script::ParRunner, items: Vec<Value>| {
-        let repo = &Arc::clone(&repo.lock().unwrap_or_else(PoisonError::into_inner));
+        let repo = &Arc::clone(&repo.lock());
         let machine = &machine;
         items
             .into_par_iter()
             .map(|item| {
                 use std::panic::{catch_unwind, AssertUnwindSafe};
-                let state =
-                    RefCell::new(SessionState::fresh(Arc::clone(repo), Arc::clone(machine)));
+                let state = Mutex::new(SessionState::fresh(Arc::clone(repo), Arc::clone(machine)));
                 let mut host = |name: &str, args: &mut Vec<Value>| call_host(&state, name, args);
                 catch_unwind(AssertUnwindSafe(|| runner.run_one(item, &mut host))).unwrap_or_else(
                     |payload| script::BodyOutcome {
@@ -421,17 +423,25 @@ fn sweep_executor(repo: SweepRepo, machine: Arc<MachineConfig>) -> Arc<script::P
 /// backs both the interpreter's registered closures and the sweep
 /// executor's per-thread sessions, so the two paths cannot drift.
 fn call_host(
-    state: &RefCell<SessionState>,
+    state: &Mutex<SessionState>,
     name: &str,
     args: &mut [Value],
 ) -> std::result::Result<Value, String> {
+    // No host function runs a script, so the state is only ever held by
+    // the call in progress; a host call that re-entered the session
+    // would find it taken and fails as a script error instead of
+    // deadlocking.
+    let Some(mut st) = state.try_lock() else {
+        return Err(host_err(format!(
+            "{name}: the session is busy in another host call"
+        )));
+    };
     match name {
         // --- data access ---
         "load_trial" => {
             let app = expect_str(args, 0)?;
             let exp = expect_str(args, 1)?;
             let trial = expect_str(args, 2)?;
-            let mut st = state.borrow_mut();
             let t = Arc::clone(
                 st.repo
                     .shared_trial(app, exp, trial)
@@ -443,7 +453,6 @@ fn call_host(
         "list_trials" => {
             let app = expect_str(args, 0)?;
             let exp = expect_str(args, 1)?;
-            let st = state.borrow();
             let experiment = st
                 .repo
                 .experiment(app, exp)
@@ -454,7 +463,6 @@ fn call_host(
         }
         "trial_events" => {
             let id = expect_trial(args, 0)?;
-            let st = state.borrow();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             Ok(Value::List(Arc::new(
                 trial
@@ -467,7 +475,6 @@ fn call_host(
         }
         "trial_metrics" => {
             let id = expect_trial(args, 0)?;
-            let st = state.borrow();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             Ok(Value::List(Arc::new(
                 trial
@@ -482,7 +489,6 @@ fn call_host(
             let id = expect_trial(args, 0)?;
             let event = expect_str(args, 1)?;
             let metric = expect_str(args, 2)?;
-            let st = state.borrow();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             let column = TrialResult::new(trial)
                 .column(event, metric)
@@ -499,7 +505,6 @@ fn call_host(
         "elapsed" => {
             let id = expect_trial(args, 0)?;
             let metric = expect_str(args, 1)?;
-            let st = state.borrow();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             TrialResult::new(trial)
                 .elapsed(metric)
@@ -518,7 +523,6 @@ fn call_host(
                 other => return Err(host_err(format!("unknown operation {other:?}"))),
             };
             let rhs = expect_str(args, 3)?;
-            let mut st = state.borrow_mut();
             let trial = st
                 .trials
                 .get_mut(id)
@@ -530,7 +534,6 @@ fn call_host(
         }
         "derive_inefficiency" => {
             let id = expect_trial(args, 0)?;
-            let mut st = state.borrow_mut();
             let trial = st
                 .trials
                 .get_mut(id)
@@ -546,7 +549,6 @@ fn call_host(
             let metric = expect_str(args, 1)?;
             let severity = expect_str(args, 2)?;
             let event = expect_str(args, 3)?;
-            let mut st = state.borrow_mut();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             let fact = MeanEventFact::compare_event_to_main(trial, metric, severity, event)
                 .map_err(|e| host_err(e.to_string()))?;
@@ -557,7 +559,6 @@ fn call_host(
             let id = expect_trial(args, 0)?;
             let metric = expect_str(args, 1)?;
             let severity = expect_str(args, 2)?;
-            let mut st = state.borrow_mut();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             let facts = MeanEventFact::compare_all_events(trial, metric, severity)
                 .map_err(|e| host_err(e.to_string()))?;
@@ -570,7 +571,6 @@ fn call_host(
         "assert_balance_facts" => {
             let id = expect_trial(args, 0)?;
             let metric = expect_str(args, 1)?;
-            let mut st = state.borrow_mut();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             let analysis =
                 loadbalance::analyze(trial, metric).map_err(|e| host_err(e.to_string()))?;
@@ -583,7 +583,6 @@ fn call_host(
         }
         "assert_stall_facts" => {
             let id = expect_trial(args, 0)?;
-            let mut st = state.borrow_mut();
             let machine = Arc::clone(&st.machine);
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             let facts = stall_facts(
@@ -597,7 +596,6 @@ fn call_host(
         }
         "assert_memory_facts" => {
             let id = expect_trial(args, 0)?;
-            let mut st = state.borrow_mut();
             let machine = Arc::clone(&st.machine);
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             let facts = memory_facts(
@@ -630,12 +628,11 @@ fn call_host(
                     }
                 }
             }
-            state.borrow_mut().engine().assert_fact(fact);
+            st.engine().assert_fact(fact);
             Ok(Value::Null)
         }
         "assert_context_fact" => {
             let id = expect_trial(args, 0)?;
-            let mut st = state.borrow_mut();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             let fact = crate::facts::context_fact(trial);
             st.engine().assert_fact(fact);
@@ -664,7 +661,6 @@ fn call_host(
                 };
                 pairs.push((procs, handle));
             }
-            let mut st = state.borrow_mut();
             let trials: Vec<(usize, Arc<Trial>)> = pairs
                 .iter()
                 .map(|(p, h)| {
@@ -695,7 +691,6 @@ fn call_host(
         "cluster_threads" => {
             let id = expect_trial(args, 0)?;
             let metric = expect_str(args, 1)?;
-            let mut st = state.borrow_mut();
             let trial = st.trials.get(id).ok_or_else(|| host_err("stale handle"))?;
             let clustering = crate::cluster::cluster_threads(trial, metric, 4)
                 .map_err(|e| host_err(e.to_string()))?;
@@ -726,7 +721,6 @@ fn call_host(
             let base = expect_trial(args, 0)?;
             let cand = expect_trial(args, 1)?;
             let metric = expect_str(args, 2)?;
-            let mut st = state.borrow_mut();
             let baseline = st
                 .trials
                 .get(base)
@@ -776,9 +770,7 @@ fn call_host(
             };
             let compiled = rulebase::compiled(&[source]).map_err(|e| host_err(e.to_string()))?;
             let n = compiled.len();
-            state
-                .borrow_mut()
-                .engine()
+            st.engine()
                 .add_rules(compiled.rules().to_vec())
                 .map_err(|e| host_err(e.to_string()))?;
             Ok(Value::Num(n as f64))
@@ -787,15 +779,12 @@ fn call_host(
             let source = expect_str(args, 0)?;
             let parsed = rules::drl::parse(source).map_err(|e| host_err(e.to_string()))?;
             let n = parsed.len();
-            state
-                .borrow_mut()
-                .engine()
+            st.engine()
                 .add_rules(parsed)
                 .map_err(|e| host_err(e.to_string()))?;
             Ok(Value::Num(n as f64))
         }
         "process_rules" => {
-            let mut st = state.borrow_mut();
             let report = st.engine().run().map_err(|e| host_err(e.to_string()))?;
             let mut out = BTreeMap::new();
             out.insert(

@@ -553,7 +553,7 @@ struct Service {
 }
 
 impl Service {
-    /// Two workers over `shards` shards; journaled to `wal` when given.
+    /// Two request slots over `shards` shards; journaled to `wal` when given.
     fn start(experiment: &'static str, shards: usize, wal: Option<(PathBuf, FsyncPolicy)>) -> Self {
         let mut config = ServiceConfig {
             workers: 2,

@@ -7,7 +7,7 @@
 //! [`Interpreter::run_compiled`]: the resulting [`Compiled`] program
 //! carries a snapshot of the name tables it was compiled against, so it
 //! also runs on any other interpreter registered the same way (the
-//! service layer shares one compiled program across its worker pool
+//! service layer shares one compiled program across its request slots
 //! like this, and its script LRU is the only compile cache).
 //!
 //! Scripts compile to register bytecode (`rcompile.rs`) and run on the
@@ -26,7 +26,9 @@ use std::sync::Arc;
 /// mutable, interpreter-owned buffer the host may consume or inspect in
 /// place — its contents after the call are discarded), value out. Host
 /// errors are plain strings; the interpreter attaches the call site.
-pub type HostFn = Box<dyn FnMut(&mut Vec<Value>) -> std::result::Result<Value, String>>;
+/// Host functions are `Send`, so an interpreter can move between
+/// threads (the service hands its kept sessions from caller to caller).
+pub type HostFn = Box<dyn FnMut(&mut Vec<Value>) -> std::result::Result<Value, String> + Send>;
 
 /// A compiled script: shared bytecode plus a snapshot of the name,
 /// global-slot and function tables it was compiled against.
@@ -42,7 +44,7 @@ pub type HostFn = Box<dyn FnMut(&mut Vec<Value>) -> std::result::Result<Value, S
 /// interpreter".
 ///
 /// A `Compiled` is `Send + Sync`, so one program can be shared (behind
-/// an `Arc`) by every worker of a pool. Its names share the compiling
+/// an `Arc`) by every thread that runs it. Its names share the compiling
 /// interner's strings, so a replay that appends them allocates none.
 pub struct Compiled {
     main: Arc<RProto>,
@@ -163,7 +165,7 @@ impl Interpreter {
     pub fn register(
         &mut self,
         name: &str,
-        f: impl FnMut(&mut Vec<Value>) -> std::result::Result<Value, String> + 'static,
+        f: impl FnMut(&mut Vec<Value>) -> std::result::Result<Value, String> + Send + 'static,
     ) {
         let sym = self.interner.intern(name);
         let id = self.fns.ensure(sym);

@@ -89,7 +89,7 @@ impl Interpreter {
     pub fn register(
         &mut self,
         name: &str,
-        f: impl FnMut(&mut Vec<Value>) -> std::result::Result<Value, String> + 'static,
+        f: impl FnMut(&mut Vec<Value>) -> std::result::Result<Value, String> + Send + 'static,
     ) {
         self.host_fns.insert(name.to_string(), Box::new(f));
     }

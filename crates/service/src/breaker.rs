@@ -30,7 +30,7 @@
 //! a healthy shard out of rotation.
 //!
 //! All state lives behind one mutex per breaker and transitions use
-//! wall-clock [`Instant`]s; the breaker is shared by every worker
+//! wall-clock [`Instant`]s; the breaker is shared by every caller
 //! thread touching the shard.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -1,31 +1,30 @@
 //! Multi-tenant analysis service.
 //!
 //! The paper's workflows run as batch jobs; this crate packages them as
-//! a long-lived service many clients share. Requests (profile uploads,
-//! workflow analyses, scripted studies) flow through one bounded queue
-//! into a fixed worker pool. Trials live in a [`ShardedRepository`]
-//! partitioned by tenant path, so ingests for different tenants
-//! contend on different locks; cold trials come from the zero-copy
-//! PDB1 store through a per-shard LRU.
+//! a long-lived service many clients share. Each request (a profile
+//! upload, a workflow analysis, a scripted study) runs on its caller's
+//! thread, inside one of a fixed number of request slots. Trials live in
+//! a [`ShardedRepository`] partitioned by tenant path, so ingests for
+//! different tenants contend on different locks; cold trials come from
+//! the zero-copy PDB1 store through a per-shard LRU.
 //!
 //! Isolation boundary: every request runs under the PR 5 supervision
 //! discipline. Workflow and script stages run supervised (panics and
 //! errors become [`DegradedStage`] records on that response only), and
-//! the worker loop itself wraps handlers in `catch_unwind` as a last
-//! line of defense — a poisoned request can never take down a worker
-//! or leak into a sibling request's response.
+//! the slot wraps handlers in `catch_unwind` as a last line of defense
+//! — a poisoned request can never take down its caller or leak into a
+//! sibling request's response.
 //!
-//! Lifecycle resilience (DESIGN.md §3.12): the worker queue is
-//! *bounded* — a full queue sheds the request with a typed
-//! [`Outcome::Overloaded`] instead of growing without limit; each
-//! request may carry a *deadline* that is checked at dequeue and
-//! propagated into the supervisor's wall budget
-//! ([`Outcome::DeadlineExceeded`]); admission keeps one *circuit
-//! breaker* per shard that opens after repeated storage-internal
-//! failures ([`Outcome::BreakerOpen`], recovering via half-open
-//! probes); and
-//! streamed chunk ingestion can be backed by per-shard *write-ahead
-//! journals* so a crash-restart cycle loses no acknowledged chunk.
+//! Lifecycle resilience (DESIGN.md §3.12): a caller that finds every
+//! slot taken and the *bounded* waiting line full is shed with a typed
+//! [`Outcome::Overloaded`]; each request may carry a *deadline* that
+//! bounds its wait for a slot and is propagated into the supervisor's
+//! wall budget ([`Outcome::DeadlineExceeded`]); admission
+//! keeps one *circuit breaker* per shard that opens after repeated
+//! storage-internal failures ([`Outcome::BreakerOpen`], recovering via
+//! half-open probes); and streamed chunk ingestion can be backed by
+//! per-shard *write-ahead journals* so a crash-restart cycle loses no
+//! acknowledged chunk.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -44,11 +43,10 @@ use perfexplorer::scripting::PerfExplorerScript;
 use perfexplorer::supervise::{DegradeCause, DegradedStage};
 use perfexplorer::SupervisorConfig;
 use shard::Lru;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::{Arc, Condvar, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// Service tuning knobs.
@@ -56,7 +54,8 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// Repository shard count.
     pub shards: usize,
-    /// Worker-pool size.
+    /// Request slots: the most requests served at once, each on its
+    /// caller's thread. Each slot keeps one script session.
     pub workers: usize,
     /// Cold-trial LRU capacity per shard.
     pub cache_capacity: usize,
@@ -64,7 +63,8 @@ pub struct ServiceConfig {
     pub script_cache_capacity: usize,
     /// Budgets for supervised workflow/script stages.
     pub supervisor: SupervisorConfig,
-    /// Worker-queue capacity. Submissions beyond it are shed with
+    /// The most callers waiting for a slot. A caller that finds every
+    /// slot taken and this many already waiting is shed with
     /// [`Outcome::Overloaded`] rather than queued without bound. The
     /// default (1024) comfortably covers a `perfknow serve --burst 1000`
     /// run of one-in-flight clients.
@@ -146,8 +146,8 @@ pub enum Request {
     /// Run a parallel trial sweep: a script (typically built around
     /// `par_foreach_trial`) against a snapshot of one experiment, its
     /// bodies fanned out over the process's worker budget. Compilation
-    /// is served from a cache shared by every worker, keyed by the
-    /// script's source text.
+    /// is served from a cache shared by every request slot, keyed by
+    /// the script's source text.
     RunSweep {
         /// Tenant application.
         app: String,
@@ -238,10 +238,11 @@ pub enum Outcome {
         /// Why.
         error: String,
     },
-    /// The worker queue was full; the request was shed at admission
-    /// without reaching a worker. Retry with backoff.
+    /// Every slot was taken and the waiting line was full; the request
+    /// was shed at admission without doing any work. Retry with backoff.
     Overloaded {
-        /// The queue capacity that was exhausted.
+        /// The waiting-line capacity (`queue_capacity`) that was
+        /// exhausted.
         capacity: usize,
     },
     /// The home shard's circuit breaker is open; the request failed
@@ -267,7 +268,7 @@ pub struct Response {
     /// Supervised stages that degraded while serving this request —
     /// empty on a clean response.
     pub degraded: Vec<DegradedStage>,
-    /// Queue wait plus handling time, as the client experiences it.
+    /// Slot wait plus handling time, as the client experiences it.
     pub latency: Duration,
 }
 
@@ -286,183 +287,246 @@ impl Response {
     }
 }
 
-struct Job {
-    request: Request,
-    submitted: Instant,
-    /// Deadline relative to `submitted`; queue wait counts against it.
-    deadline: Option<Duration>,
-    reply: std::sync::mpsc::Sender<Response>,
-}
-
-/// LRU of compiled sweep scripts shared by every worker, keyed by the
-/// script's source text. The common fleet pattern — one study script
-/// swept over many experiments or re-run as data streams in — compiles
-/// once service-wide; each worker replays the compiled program on the
-/// one script session it keeps, reset for every request (a reset
+/// LRU of compiled sweep scripts shared by every request slot, keyed by
+/// the script's source text. The common fleet pattern — one study
+/// script swept over many experiments or re-run as data streams in —
+/// compiles once service-wide; each slot replays the compiled program
+/// on the one script session it keeps, reset for every request (a reset
 /// session's tables equal a freshly registered one's, so a program
-/// compiled on any worker replays on all). It is the only compile
-/// cache: a one-off `RunScript` compiles on the worker's session, runs
-/// and keeps nothing.
+/// compiled in any slot replays in all). It is the only compile cache:
+/// a one-off `RunScript` compiles on the slot's session, runs and keeps
+/// nothing.
 type ScriptCache = Lru<String, Arc<script::Compiled>>;
 
-/// The bounded worker queue. Clients push without blocking, so a full
-/// queue sheds; idle workers sleep on one condition variable, and a
-/// push wakes exactly one of them. Closing it lets the workers drain
-/// what is queued and exit, and refuses every later push. It is not
-/// std's `sync_channel`: workers sharing that one receiver behind a
-/// mutex wake a second worker for every job (DESIGN.md §3.12).
-struct WorkQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
+/// What every request shares, whichever caller runs it. It holds the
+/// store only weakly: [`AnalysisService`] owns it, so a client handle
+/// that outlives the service keeps no trial or journal alive.
+struct Core {
+    slots: Slots,
+    store: Weak<ShardedRepository>,
+    metrics: Arc<ServiceMetrics>,
+    supervisor: SupervisorConfig,
+    scripts: Mutex<ScriptCache>,
+    breakers: Box<[CircuitBreaker]>,
+}
+
+/// The request slots, each keeping one script session. A caller that
+/// finds every slot taken waits on one condition variable while fewer
+/// than `capacity` callers wait, and is shed otherwise (DESIGN.md §3.12).
+struct Slots {
+    state: Mutex<SlotState>,
+    /// Wakes one waiter when a slot comes back; everyone once closed.
+    freed: Condvar,
+    slots: usize,
+    /// The most callers that may wait for a slot.
     capacity: usize,
 }
 
-struct QueueState {
-    jobs: VecDeque<Job>,
+struct SlotState {
+    /// The free slots' sessions, the most recently used last.
+    idle: Vec<Option<SlotSession>>,
+    waiting: usize,
     closed: bool,
 }
 
-/// What [`WorkQueue::try_push`] did with a job.
-enum Push {
-    Queued,
-    /// The queue is at capacity; the job comes back to be shed.
-    Full(Job),
+/// Why a caller got no slot.
+enum NoSlot {
+    /// `capacity` callers already wait.
+    Shed,
+    /// The deadline passed while the caller waited.
+    TimedOut {
+        waited: Duration,
+        deadline: Duration,
+    },
     Closed,
 }
 
-impl WorkQueue {
-    fn new(capacity: usize) -> Self {
-        WorkQueue {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
+/// A slot held by a caller; dropping it releases the session and hands
+/// the slot back.
+struct Lease<'a> {
+    slots: &'a Slots,
+    session: Option<SlotSession>,
+}
+
+impl Slots {
+    fn new(slots: usize, capacity: usize) -> Self {
+        Slots {
+            state: Mutex::new(SlotState {
+                idle: (0..slots).map(|_| None).collect(),
+                waiting: 0,
                 closed: false,
             }),
-            ready: Condvar::new(),
+            freed: Condvar::new(),
+            slots,
             capacity,
         }
     }
 
-    fn try_push(&self, job: Job) -> Push {
+    /// A free slot, waiting for one while the wait is admitted and the
+    /// deadline (measured from `since`) has not passed.
+    fn acquire(
+        &self,
+        since: Instant,
+        deadline: Option<Duration>,
+        metrics: &ServiceMetrics,
+    ) -> Result<Lease<'_>, NoSlot> {
         let mut state = self.state.lock();
         if state.closed {
-            return Push::Closed;
+            return Err(NoSlot::Closed);
         }
-        if state.jobs.len() >= self.capacity {
-            return Push::Full(job);
+        if state.idle.is_empty() {
+            if state.waiting >= self.capacity {
+                return Err(NoSlot::Shed);
+            }
+            state.waiting += 1;
+            let depth = ServiceMetrics::gauge_inc(&metrics.queue_depth);
+            ServiceMetrics::fold_peak(&metrics.queue_peak, depth);
+            // A slot that is free when the wait ends is taken even if
+            // the deadline passed too: the waiter answers from the slot
+            // and hands it on, so no wake-up is lost.
+            let mut timed_out = None;
+            while state.idle.is_empty() && timed_out.is_none() {
+                state = match deadline.map(|d| (d, d.saturating_sub(since.elapsed()))) {
+                    None => self
+                        .freed
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner),
+                    Some((deadline, Duration::ZERO)) => {
+                        timed_out = Some(deadline);
+                        state
+                    }
+                    Some((_, left)) => {
+                        let wait = self.freed.wait_timeout(state, left);
+                        wait.unwrap_or_else(PoisonError::into_inner).0
+                    }
+                };
+            }
+            state.waiting -= 1;
+            ServiceMetrics::gauge_dec(&metrics.queue_depth);
+            if let Some(deadline) = timed_out {
+                if state.closed {
+                    self.freed.notify_all();
+                }
+                let waited = since.elapsed();
+                return Err(NoSlot::TimedOut { waited, deadline });
+            }
         }
-        state.jobs.push_back(job);
-        drop(state);
-        self.ready.notify_one();
-        Push::Queued
+        let session = state.idle.pop().flatten();
+        Ok(Lease {
+            slots: self,
+            session,
+        })
     }
 
-    /// The next job, sleeping while the queue is empty; `None` once it
-    /// is closed and drained.
-    fn pop(&self) -> Option<Job> {
+    /// Refuses every later caller and waits until the callers already
+    /// admitted are served and every slot is back, then drops the
+    /// slots' sessions.
+    fn close(&self) {
         let mut state = self.state.lock();
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
+        state.closed = true;
+        while state.idle.len() < self.slots || state.waiting > 0 {
             state = self
-                .ready
+                .freed
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    fn close(&self) {
-        self.state.lock().closed = true;
-        self.ready.notify_all();
+        state.idle.clear();
     }
 }
 
-/// A clonable handle for submitting requests.
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        // Unwinding past the handler's `catch_unwind` leaves the session
+        // in an unknown state, so the slot goes back without it.
+        let session = self.session.take().filter(|_| !std::thread::panicking());
+        let session = session.map(|mut kept| {
+            kept.script.release();
+            kept
+        });
+        let mut state = self.slots.state.lock();
+        state.idle.push(session);
+        let (waiting, closed) = (state.waiting > 0, state.closed);
+        drop(state);
+        if closed {
+            self.slots.freed.notify_all();
+        } else if waiting {
+            self.slots.freed.notify_one();
+        }
+    }
+}
+
+/// A clonable handle for calling the service.
 #[derive(Clone)]
 pub struct ServiceClient {
-    queue: Arc<WorkQueue>,
-    metrics: Arc<ServiceMetrics>,
+    core: Arc<Core>,
 }
 
 impl ServiceClient {
-    /// Submits a request; the returned receiver yields the response.
+    /// Runs a request on the calling thread and returns its response.
     /// Errors only if the service has shut down.
-    pub fn submit(&self, request: Request) -> Result<std::sync::mpsc::Receiver<Response>, String> {
-        self.submit_with_deadline(request, None)
-    }
-
-    /// Submits a request with an optional deadline (measured from
-    /// now; queue wait counts against it). Admission control applies:
-    /// if the worker queue is full, the request is *shed* — the
-    /// receiver immediately yields [`Outcome::Overloaded`] instead of
-    /// the submission queuing without bound.
-    pub fn submit_with_deadline(
-        &self,
-        request: Request,
-        deadline: Option<Duration>,
-    ) -> Result<std::sync::mpsc::Receiver<Response>, String> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let job = Job {
-            request,
-            submitted: Instant::now(),
-            deadline,
-            reply: tx,
-        };
-        // Gauge up BEFORE the push: the worker's decrement at dequeue
-        // must never land before this increment, or the gauge drifts
-        // (dec saturates at zero, the late inc sticks forever). The
-        // peak is folded only once the job is admitted and is clamped
-        // to the capacity: the gauge also counts concurrent attempts
-        // that are about to be shed, and a shed attempt is not depth.
-        let depth = ServiceMetrics::gauge_inc(&self.metrics.queue_depth);
-        let capacity = self.queue.capacity;
-        match self.queue.try_push(job) {
-            Push::Queued => {
-                ServiceMetrics::fold_peak(&self.metrics.queue_peak, depth.min(capacity as u64))
-            }
-            Push::Full(job) => {
-                ServiceMetrics::gauge_dec(&self.metrics.queue_depth);
-                ServiceMetrics::bump(&self.metrics.shed);
-                let _ = job.reply.send(Response {
-                    outcome: Outcome::Overloaded { capacity },
-                    degraded: Vec::new(),
-                    latency: job.submitted.elapsed(),
-                });
-            }
-            Push::Closed => {
-                ServiceMetrics::gauge_dec(&self.metrics.queue_depth);
-                return Err("service is shut down".to_string());
-            }
-        }
-        Ok(rx)
-    }
-
-    /// Submits and blocks for the response.
+    ///
+    /// The handler runs on the caller's stack, so a caller needs at
+    /// least the 2 MiB a spawned std thread gets by default: the
+    /// handlers' recursion limits (document nesting, script call depth)
+    /// are sized for it.
     pub fn call(&self, request: Request) -> Result<Response, String> {
         self.call_with_deadline(request, None)
     }
 
-    /// Submits with a deadline and blocks for the response.
+    /// [`ServiceClient::call`] with an optional deadline, measured from
+    /// now. A caller that finds every slot taken waits while fewer than
+    /// `queue_capacity` callers wait, and is otherwise *shed* at once
+    /// with [`Outcome::Overloaded`]; a waiter whose deadline passes is
+    /// answered then with [`Outcome::DeadlineExceeded`].
     pub fn call_with_deadline(
         &self,
         request: Request,
         deadline: Option<Duration>,
     ) -> Result<Response, String> {
-        self.submit_with_deadline(request, deadline)?
-            .recv()
-            .map_err(|_| "service dropped the request".to_string())
+        let submitted = Instant::now();
+        let core = &*self.core;
+        let metrics = &core.metrics;
+        let (outcome, degraded) = match core.slots.acquire(submitted, deadline, metrics) {
+            Ok(mut lease) => {
+                // Closing waits for every slot before the store is dropped.
+                let store = core.store.upgrade().ok_or("service is shut down")?;
+                core.serve(&store, &mut lease.session, &request, submitted, deadline)
+            }
+            Err(NoSlot::Closed) => return Err("service is shut down".to_string()),
+            Err(NoSlot::Shed) => {
+                ServiceMetrics::bump(&metrics.shed);
+                return Ok(Response {
+                    outcome: Outcome::Overloaded {
+                        capacity: core.slots.capacity,
+                    },
+                    degraded: Vec::new(),
+                    latency: submitted.elapsed(),
+                });
+            }
+            Err(NoSlot::TimedOut { waited, deadline }) => queue_wait_exceeded(waited, deadline),
+        };
+        ServiceMetrics::bump(&metrics.requests);
+        if !degraded.is_empty() {
+            ServiceMetrics::bump(&metrics.degraded_responses);
+        }
+        if matches!(outcome, Outcome::Rejected { .. }) {
+            ServiceMetrics::bump(&metrics.rejected);
+        }
+        if matches!(outcome, Outcome::DeadlineExceeded { .. }) {
+            ServiceMetrics::bump(&metrics.deadlines_exceeded);
+        }
+        Ok(Response {
+            outcome,
+            degraded,
+            latency: submitted.elapsed(),
+        })
     }
 }
 
-/// The running service: worker pool, sharded store, metrics.
+/// The running service: request slots, sharded store, metrics.
 pub struct AnalysisService {
-    queue: Arc<WorkQueue>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    core: Arc<Core>,
     store: Arc<ShardedRepository>,
-    metrics: Arc<ServiceMetrics>,
 }
 
 impl AnalysisService {
@@ -510,8 +574,8 @@ impl AnalysisService {
         Self::finish(config, store, metrics)
     }
 
-    /// Attaches the WAL (replaying any crash leftovers) and spins up
-    /// the worker pool, with one circuit breaker per shard.
+    /// Attaches the WAL (replaying any crash leftovers) and sets up the
+    /// request slots and one circuit breaker per shard; starts no thread.
     fn finish(
         config: ServiceConfig,
         mut store: ShardedRepository,
@@ -521,48 +585,29 @@ impl AnalysisService {
             store.attach_wal(dir, config.wal_fsync)?;
         }
         let store = Arc::new(store);
-        let queue = Arc::new(WorkQueue::new(config.queue_capacity.max(1)));
-        let scripts = Arc::new(Mutex::new(ScriptCache::new(
-            config.script_cache_capacity.max(1),
-        )));
-        let breakers: Arc<[CircuitBreaker]> = (0..config.shards)
-            .map(|_| CircuitBreaker::new(config.breaker.clone()))
-            .collect();
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let queue = queue.clone();
-                let store = store.clone();
-                let metrics = metrics.clone();
-                let supervisor = config.supervisor.clone();
-                let scripts = scripts.clone();
-                let breakers = breakers.clone();
-                std::thread::Builder::new()
-                    .name(format!("svc-worker-{i}"))
-                    .spawn(move || {
-                        worker_loop(queue, store, metrics, supervisor, scripts, breakers)
-                    })
-                    .unwrap_or_else(|e| panic!("spawn service worker: {e}"))
-            })
-            .collect();
-        Ok(AnalysisService {
-            queue,
-            workers,
-            store,
+        let core = Arc::new(Core {
+            slots: Slots::new(config.workers.max(1), config.queue_capacity.max(1)),
+            store: Arc::downgrade(&store),
             metrics,
-        })
+            supervisor: config.supervisor,
+            scripts: Mutex::new(ScriptCache::new(config.script_cache_capacity.max(1))),
+            breakers: (0..config.shards)
+                .map(|_| CircuitBreaker::new(config.breaker.clone()))
+                .collect(),
+        });
+        Ok(AnalysisService { core, store })
     }
 
     /// A new client handle.
     pub fn client(&self) -> ServiceClient {
         ServiceClient {
-            queue: self.queue.clone(),
-            metrics: self.metrics.clone(),
+            core: self.core.clone(),
         }
     }
 
     /// The stats endpoint: a snapshot of every counter.
     pub fn stats(&self) -> StatsSnapshot {
-        self.metrics.snapshot()
+        self.core.metrics.snapshot()
     }
 
     /// Direct access to the sharded store (tests, CLI persistence).
@@ -570,194 +615,149 @@ impl AnalysisService {
         &self.store
     }
 
-    /// Closes the queue, lets the workers drain the jobs already queued,
-    /// and joins them. Outstanding [`ServiceClient`] handles error on
-    /// their next submit.
-    pub fn shutdown(mut self) {
-        self.stop_workers();
-    }
-
-    fn stop_workers(&mut self) {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    /// Refuses new calls, waits for those in flight or waiting for a
+    /// slot, then drops the store, closing its journals. Dropping the
+    /// service does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for AnalysisService {
     fn drop(&mut self) {
-        self.stop_workers();
+        self.core.slots.close();
     }
 }
 
-fn worker_loop(
-    queue: Arc<WorkQueue>,
-    store: Arc<ShardedRepository>,
-    metrics: Arc<ServiceMetrics>,
-    supervisor: SupervisorConfig,
-    scripts: Arc<Mutex<ScriptCache>>,
-    breakers: Arc<[CircuitBreaker]>,
-) {
-    // Built by the worker's first script request, kept across requests.
-    let mut session = None;
-    while let Some(job) = queue.pop() {
-        ServiceMetrics::gauge_dec(&metrics.queue_depth);
-        let (outcome, degraded) = serve_job(
-            &store,
-            &metrics,
-            &supervisor,
-            &scripts,
-            &breakers,
-            &mut session,
-            &job,
-        );
-        ServiceMetrics::bump(&metrics.requests);
-        if !degraded.is_empty() {
-            ServiceMetrics::bump(&metrics.degraded_responses);
-        }
-        if matches!(outcome, Outcome::Rejected { .. }) {
-            ServiceMetrics::bump(&metrics.rejected);
-        }
-        if matches!(outcome, Outcome::DeadlineExceeded { .. }) {
-            ServiceMetrics::bump(&metrics.deadlines_exceeded);
-        }
-        let response = Response {
-            outcome,
-            degraded,
-            latency: job.submitted.elapsed(),
-        };
-        // A client that gave up on the reply is not an error.
-        let _ = job.reply.send(response);
-        // Off the reply's path: drop what the request left in the
-        // session before waiting for the next job.
-        if let Some(worker) = &mut session {
-            worker.script.release();
-        }
-    }
+/// The answer to a request whose deadline passed before its handler ran.
+fn queue_wait_exceeded(waited: Duration, deadline: Duration) -> (Outcome, Vec<DegradedStage>) {
+    (
+        Outcome::DeadlineExceeded { partial: None },
+        vec![DegradedStage {
+            stage: "queue wait".to_string(),
+            cause: DegradeCause::DeadlineExceeded {
+                elapsed: waited,
+                deadline,
+            },
+        }],
+    )
 }
 
-/// Serves one dequeued job: deadline pre-check, breaker gate, handler
-/// under `catch_unwind`, breaker bookkeeping, deadline conversion. A
-/// handler that panics takes the worker's script session with it.
-fn serve_job(
-    store: &Arc<ShardedRepository>,
-    metrics: &Arc<ServiceMetrics>,
-    supervisor: &SupervisorConfig,
-    scripts: &Arc<Mutex<ScriptCache>>,
-    breakers: &[CircuitBreaker],
-    session: &mut Option<WorkerSession>,
-    job: &Job,
-) -> (Outcome, Vec<DegradedStage>) {
-    // A job whose deadline passed while it sat in the queue is answered
-    // without doing (or charging the shard for) any work.
-    let waited = job.submitted.elapsed();
-    if let Some(deadline) = job.deadline {
-        if waited > deadline {
-            return (
-                Outcome::DeadlineExceeded { partial: None },
-                vec![DegradedStage {
-                    stage: "queue wait".to_string(),
-                    cause: DegradeCause::DeadlineExceeded {
-                        elapsed: waited,
-                        deadline,
-                    },
-                }],
-            );
-        }
-    }
-
-    // Breaker gate: an open breaker answers without touching the shard.
-    let (app, experiment) = job.request.tenant();
-    let shard_idx = store.shard_index(app, experiment);
-    let breaker = &breakers[shard_idx];
-    match breaker.admit() {
-        Admission::Allowed => {}
-        Admission::Probe => ServiceMetrics::bump(&metrics.breaker_probes),
-        Admission::FastFail => {
-            ServiceMetrics::bump(&metrics.breaker_fast_fails);
-            return (
-                Outcome::BreakerOpen { shard: shard_idx },
-                vec![DegradedStage {
-                    stage: "shard admission".to_string(),
-                    cause: DegradeCause::Failed(format!(
-                        "shard {shard_idx} circuit breaker is open"
-                    )),
-                }],
-            );
-        }
-    }
-
-    // Propagate what remains of the deadline into the supervisor's
-    // wall budget, so supervised stages stop starting once it passes.
-    let supervisor = match job.deadline {
-        Some(deadline) => {
-            let mut cfg = supervisor.clone();
-            cfg.deadline = Some(deadline.saturating_sub(waited));
-            cfg
-        }
-        None => supervisor.clone(),
-    };
-
-    let handle_start = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        handle(store, metrics, &supervisor, scripts, session, &job.request)
-    }));
-    ServiceMetrics::add_nanos(&metrics.busy_nanos, handle_start.elapsed());
-    let (outcome, degraded, storage_fault) = match result {
-        Ok(served) => served,
-        Err(payload) => {
-            // Supervised stages already catch panics; reaching here
-            // means the handler itself blew up. Isolate it to this
-            // request and keep the worker alive, on a fresh session.
-            *session = None;
-            ServiceMetrics::bump(&metrics.panics_isolated);
-            let msg = perfexplorer::supervise::panic_message(payload);
-            (
-                Outcome::Rejected {
-                    error: format!("internal panic (isolated): {msg}"),
-                },
-                vec![DegradedStage {
-                    stage: "request handler".to_string(),
-                    cause: DegradeCause::Panicked(msg),
-                }],
-                true,
-            )
-        }
-    };
-
-    // Feed the breaker. Only storage-internal faults count as failures;
-    // client mistakes (unknown trials, bad uploads) must never open a
-    // healthy shard's breaker.
-    if storage_fault {
-        match breaker.record_failure() {
-            breaker::Trip::Opened => {
-                ServiceMetrics::bump(&metrics.breaker_trips);
-                ServiceMetrics::bump(&metrics.breakers_open);
+impl Core {
+    /// Serves one request in a slot: deadline pre-check, breaker gate,
+    /// handler under `catch_unwind`, breaker bookkeeping, deadline
+    /// conversion. A handler that panics takes the slot's script
+    /// session with it.
+    fn serve(
+        &self,
+        store: &ShardedRepository,
+        session: &mut Option<SlotSession>,
+        request: &Request,
+        submitted: Instant,
+        deadline: Option<Duration>,
+    ) -> (Outcome, Vec<DegradedStage>) {
+        let metrics = &self.metrics;
+        // A request whose deadline passed while it waited for a slot is
+        // answered without doing (or charging the shard for) any work.
+        let waited = submitted.elapsed();
+        if let Some(deadline) = deadline {
+            if waited >= deadline {
+                return queue_wait_exceeded(waited, deadline);
             }
-            // A re-opened breaker never closed; the gauge already
-            // counts it.
-            breaker::Trip::Reopened => ServiceMetrics::bump(&metrics.breaker_trips),
-            breaker::Trip::None => {}
         }
-    } else if breaker.record_success() {
-        ServiceMetrics::gauge_dec(&metrics.breakers_open);
-    }
 
-    // A supervised stage skipped for the deadline converts the whole
-    // response into the typed deadline outcome, keeping whatever
-    // partial report completed in time.
-    let deadline_hit = degraded
-        .iter()
-        .any(|d| matches!(d.cause, DegradeCause::DeadlineExceeded { .. }));
-    if deadline_hit {
-        let partial = match outcome {
-            Outcome::Report { rendered, .. } => Some(rendered),
-            _ => None,
+        // Breaker gate: an open breaker answers without touching the shard.
+        let (app, experiment) = request.tenant();
+        let shard_idx = store.shard_index(app, experiment);
+        let breaker = &self.breakers[shard_idx];
+        match breaker.admit() {
+            Admission::Allowed => {}
+            Admission::Probe => ServiceMetrics::bump(&metrics.breaker_probes),
+            Admission::FastFail => {
+                ServiceMetrics::bump(&metrics.breaker_fast_fails);
+                return (
+                    Outcome::BreakerOpen { shard: shard_idx },
+                    vec![DegradedStage {
+                        stage: "shard admission".to_string(),
+                        cause: DegradeCause::Failed(format!(
+                            "shard {shard_idx} circuit breaker is open"
+                        )),
+                    }],
+                );
+            }
+        }
+
+        // Propagate what remains of the deadline into the supervisor's
+        // wall budget, so supervised stages stop starting once it passes.
+        let supervisor = match deadline {
+            Some(deadline) => {
+                let mut cfg = self.supervisor.clone();
+                cfg.deadline = Some(deadline.saturating_sub(waited));
+                cfg
+            }
+            None => self.supervisor.clone(),
         };
-        return (Outcome::DeadlineExceeded { partial }, degraded);
+
+        let handle_start = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            handle(store, metrics, &supervisor, &self.scripts, session, request)
+        }));
+        ServiceMetrics::add_nanos(&metrics.busy_nanos, handle_start.elapsed());
+        let (outcome, degraded, storage_fault) = match result {
+            Ok(served) => served,
+            Err(payload) => {
+                // Supervised stages already catch panics; reaching here
+                // means the handler itself blew up. Isolate it to this
+                // request and give the slot a fresh session.
+                *session = None;
+                ServiceMetrics::bump(&metrics.panics_isolated);
+                let msg = perfexplorer::supervise::panic_message(payload);
+                (
+                    Outcome::Rejected {
+                        error: format!("internal panic (isolated): {msg}"),
+                    },
+                    vec![DegradedStage {
+                        stage: "request handler".to_string(),
+                        cause: DegradeCause::Panicked(msg),
+                    }],
+                    true,
+                )
+            }
+        };
+
+        // Feed the breaker. Only storage-internal faults count as failures;
+        // client mistakes (unknown trials, bad uploads) must never open a
+        // healthy shard's breaker.
+        if storage_fault {
+            match breaker.record_failure() {
+                breaker::Trip::Opened => {
+                    ServiceMetrics::bump(&metrics.breaker_trips);
+                    ServiceMetrics::bump(&metrics.breakers_open);
+                }
+                // A re-opened breaker never closed; the gauge already
+                // counts it.
+                breaker::Trip::Reopened => ServiceMetrics::bump(&metrics.breaker_trips),
+                breaker::Trip::None => {}
+            }
+        } else if breaker.record_success() {
+            ServiceMetrics::gauge_dec(&metrics.breakers_open);
+        }
+
+        // A supervised stage skipped for the deadline converts the whole
+        // response into the typed deadline outcome, keeping whatever
+        // partial report completed in time.
+        let deadline_hit = degraded
+            .iter()
+            .any(|d| matches!(d.cause, DegradeCause::DeadlineExceeded { .. }));
+        if deadline_hit {
+            let partial = match outcome {
+                Outcome::Report { rendered, .. } => Some(rendered),
+                _ => None,
+            };
+            return (Outcome::DeadlineExceeded { partial }, degraded);
+        }
+        (outcome, degraded)
     }
-    (outcome, degraded)
 }
 
 /// Whether a repository error points at the store itself (corrupt
@@ -794,7 +794,7 @@ fn handle(
     metrics: &Arc<ServiceMetrics>,
     supervisor: &SupervisorConfig,
     scripts: &Mutex<ScriptCache>,
-    session: &mut Option<WorkerSession>,
+    session: &mut Option<SlotSession>,
     request: &Request,
 ) -> (Outcome, Vec<DegradedStage>, bool) {
     match request {
@@ -886,33 +886,29 @@ fn handle(
             app,
             experiment,
             source,
-        } => {
-            ServiceMetrics::bump(&metrics.scripts);
-            run_script(session, store, metrics, None, app, experiment, source)
         }
-        Request::RunSweep {
+        | Request::RunSweep {
             app,
             experiment,
             source,
         } => {
-            ServiceMetrics::bump(&metrics.sweeps);
-            run_script(
-                session,
-                store,
-                metrics,
-                Some(scripts),
-                app,
-                experiment,
-                source,
-            )
+            // Only a sweep's program goes through the shared cache.
+            let sweep = matches!(request, Request::RunSweep { .. });
+            ServiceMetrics::bump(if sweep {
+                &metrics.sweeps
+            } else {
+                &metrics.scripts
+            });
+            let cache = sweep.then_some(scripts);
+            run_script(session, store, metrics, cache, app, experiment, source)
         }
     }
 }
 
-/// The most names a worker's script session may hold when a request
+/// The most names a slot's script session may hold when a request
 /// ends and still be kept. A request that interned more (a generated
 /// script with thousands of identifiers) drops the session, and the
-/// capacity its tables grew to goes with it, so what a worker keeps
+/// capacity its tables grew to goes with it, so what a slot keeps
 /// does not grow with the requests it has served.
 const SESSION_NAMES_KEPT: usize = 1024;
 
@@ -923,16 +919,17 @@ struct SweepCounts {
     failed: AtomicU64,
 }
 
-/// A worker's script session, kept from one script request to the
+/// A slot's script session, kept from one script request to the
 /// next: one registered interpreter, with the service's sweep observer
-/// installed, reset onto each request's snapshot and released after its
-/// reply, so between requests it holds nothing of them.
-struct WorkerSession {
+/// installed, reset onto each request's snapshot and released before
+/// the slot is handed back, so between requests it holds nothing of
+/// them.
+struct SlotSession {
     script: PerfExplorerScript,
     counts: Arc<SweepCounts>,
 }
 
-impl WorkerSession {
+impl SlotSession {
     fn new(snapshot: Repository, metrics: &Arc<ServiceMetrics>) -> Self {
         let mut script = PerfExplorerScript::new(snapshot);
         let counts = Arc::new(SweepCounts::default());
@@ -946,20 +943,20 @@ impl WorkerSession {
                 .sweep_failures
                 .fetch_add(nf as u64, Ordering::Relaxed);
         }));
-        WorkerSession { script, counts }
+        SlotSession { script, counts }
     }
 }
 
-/// Serves a script request on the worker's session: `RunScript` when
+/// Serves a script request on the slot's session: `RunScript` when
 /// `cache` is `None` (compiled for this request only, nothing kept) and
 /// `RunSweep` otherwise (the compiled program comes from, or goes into,
-/// the cache every worker shares). Either way the session is reset onto
+/// the cache every slot shares). Either way the session is reset onto
 /// the experiment's snapshot first. It is dropped when the run panicked
 /// or left more than [`SESSION_NAMES_KEPT`] names, and the next request
-/// builds a fresh one; otherwise `worker_loop` releases it once the
-/// reply is sent.
+/// builds a fresh one; otherwise the slot's [`Lease`] releases it when
+/// the request ends.
 fn run_script(
-    session: &mut Option<WorkerSession>,
+    session: &mut Option<SlotSession>,
     store: &ShardedRepository,
     metrics: &Arc<ServiceMetrics>,
     cache: Option<&Mutex<ScriptCache>>,
@@ -978,21 +975,21 @@ fn run_script(
             )
         }
     };
-    let worker = match session.take() {
-        Some(mut worker) => {
-            worker.script.reset(snapshot);
-            session.insert(worker)
+    let kept = match session.take() {
+        Some(mut kept) => {
+            kept.script.reset(snapshot);
+            session.insert(kept)
         }
-        None => session.insert(WorkerSession::new(snapshot, metrics)),
+        None => session.insert(SlotSession::new(snapshot, metrics)),
     };
-    worker.counts.bodies.store(0, Ordering::Relaxed);
-    worker.counts.failed.store(0, Ordering::Relaxed);
-    let served = serve_script(worker, metrics, cache, source);
+    kept.counts.bodies.store(0, Ordering::Relaxed);
+    kept.counts.failed.store(0, Ordering::Relaxed);
+    let served = serve_script(kept, metrics, cache, source);
     let panicked = served
         .1
         .iter()
         .any(|d| matches!(d.cause, DegradeCause::Panicked(_)));
-    if panicked || worker.script.interned() > SESSION_NAMES_KEPT {
+    if panicked || kept.script.interned() > SESSION_NAMES_KEPT {
         *session = None;
     }
     served
@@ -1000,13 +997,13 @@ fn run_script(
 
 /// [`run_script`]'s work on a session already reset.
 fn serve_script(
-    worker: &mut WorkerSession,
+    kept: &mut SlotSession,
     metrics: &ServiceMetrics,
     cache: Option<&Mutex<ScriptCache>>,
     source: &str,
 ) -> (Outcome, Vec<DegradedStage>, bool) {
     let Some(cache) = cache else {
-        let run = worker.script.run_supervised(source);
+        let run = kept.script.run_supervised(source);
         return (
             Outcome::ScriptDone {
                 value: run.value.map(|v| v.to_string()),
@@ -1025,7 +1022,7 @@ fn serve_script(
         }
         None => {
             ServiceMetrics::bump(&metrics.script_cache_misses);
-            match worker.script.compile(source) {
+            match kept.script.compile(source) {
                 Ok(program) => {
                     let program = Arc::new(program);
                     cache
@@ -1039,13 +1036,13 @@ fn serve_script(
             }
         }
     };
-    let run = worker.script.run_compiled_supervised(&program);
+    let run = kept.script.run_compiled_supervised(&program);
     (
         Outcome::SweepDone {
             value: run.value.map(|v| v.to_string()),
             printed: run.printed,
-            bodies: worker.counts.bodies.load(Ordering::Relaxed),
-            failed_bodies: worker.counts.failed.load(Ordering::Relaxed),
+            bodies: kept.counts.bodies.load(Ordering::Relaxed),
+            failed_bodies: kept.counts.failed.load(Ordering::Relaxed),
             cached: hit,
         },
         run.degraded,
@@ -1660,26 +1657,35 @@ mod tests {
     #[test]
     fn interleaved_one_offs_and_a_cached_sweep_match_fresh_sessions() {
         let expected_sweep = fresh_reply(sweep(SWEEP_SOURCE));
+        let one_offs: Vec<(String, String)> = (0..24)
+            .map(|i| {
+                let one_off =
+                    format!("let name_{i} = {i}; fn f_{i}(x) {{ return x + name_{i}; }} f_{i}(1)");
+                let expected = fresh_reply(script(&one_off));
+                (one_off, expected)
+            })
+            .collect();
         let svc = three_trial_service(2);
-        let client = svc.client();
-        let mut pending = Vec::new();
-        for i in 0..24 {
-            let one_off =
-                format!("let name_{i} = {i}; fn f_{i}(x) {{ return x + name_{i}; }} f_{i}(1)");
-            pending.push((
-                client.submit(script(&one_off)).unwrap(),
-                fresh_reply(script(&one_off)),
-            ));
-            pending.push((
-                client.submit(sweep(SWEEP_SOURCE)).unwrap(),
-                expected_sweep.clone(),
-            ));
-        }
-        for (rx, expected) in pending {
-            let reply = reply_text(&rx.recv().unwrap());
-            assert!(!reply.contains("different interpreter"), "{reply}");
-            assert_eq!(reply, expected);
-        }
+        // Two callers, each alternating one-offs with the cached sweep,
+        // so the two slots' sessions serve both kinds interleaved.
+        std::thread::scope(|scope| {
+            for caller in one_offs.chunks(12) {
+                let client = svc.client();
+                let expected_sweep = &expected_sweep;
+                scope.spawn(move || {
+                    for (one_off, expected) in caller {
+                        for (request, expected) in [
+                            (script(one_off), expected),
+                            (sweep(SWEEP_SOURCE), expected_sweep),
+                        ] {
+                            let reply = reply_text(&client.call(request).unwrap());
+                            assert!(!reply.contains("different interpreter"), "{reply}");
+                            assert_eq!(&reply, expected);
+                        }
+                    }
+                });
+            }
+        });
         let stats = svc.stats();
         assert_eq!(stats.sweep_bodies, 24 * 3);
         assert_eq!(stats.script_cache_hits + stats.script_cache_misses, 24);
@@ -1689,51 +1695,32 @@ mod tests {
     /// A kept session whose sweep observer panics: no script input
     /// panics a run (`range` is bounded), so the observer stands in
     /// for a panic inside the script stage.
-    fn panicking_session(metrics: &Arc<ServiceMetrics>) -> Option<WorkerSession> {
-        let mut worker = WorkerSession::new(Repository::new(), metrics);
+    fn panicking_session(metrics: &Arc<ServiceMetrics>) -> Option<SlotSession> {
+        let mut worker = SlotSession::new(Repository::new(), metrics);
         worker
             .script
             .set_sweep_observer(Arc::new(|_, _| panic!("sweep observer")));
         Some(worker)
     }
 
+    /// The session the service's one idle slot keeps.
+    fn kept_session(svc: &AnalysisService) -> std::sync::MutexGuard<'_, SlotState> {
+        let state = svc.core.slots.state.lock();
+        assert_eq!(state.idle.len(), 1, "one slot, and it is idle");
+        state
+    }
+
     #[test]
     fn the_request_after_a_panic_is_clean() {
-        // Each request goes through `serve_job`, as in `worker_loop`,
-        // on one session: the panic comes from a kept session, which a
-        // request through the client cannot bring about.
+        // Every request goes through the client, on one slot whose
+        // session is swapped for a panicking one: a request through the
+        // client cannot bring the panic about.
         let svc = three_trial_service(1);
-        let config = ServiceConfig::default();
-        let scripts = Arc::new(Mutex::new(ScriptCache::new(config.script_cache_capacity)));
-        let breakers: Vec<CircuitBreaker> = (0..config.shards)
-            .map(|_| CircuitBreaker::new(config.breaker.clone()))
-            .collect();
-        let serve = |session: &mut Option<WorkerSession>, request: Request| {
-            let job = Job {
-                request,
-                submitted: Instant::now(),
-                deadline: None,
-                reply: std::sync::mpsc::channel().0,
-            };
-            let (outcome, degraded) = serve_job(
-                &svc.store,
-                &svc.metrics,
-                &config.supervisor,
-                &scripts,
-                &breakers,
-                session,
-                &job,
-            );
-            Response {
-                outcome,
-                degraded,
-                latency: Duration::ZERO,
-            }
-        };
+        let client = svc.client();
         // The panicking sweep compiles its program into the cache first.
         let cached = format!("let x = 1; {SWEEP_SOURCE}");
-        let mut session = panicking_session(&svc.metrics);
-        let panicking = serve(&mut session, sweep(&cached));
+        kept_session(&svc).idle[0] = panicking_session(&svc.core.metrics);
+        let panicking = client.call(sweep(&cached)).unwrap();
         assert!(
             panicking
                 .degraded
@@ -1741,15 +1728,18 @@ mod tests {
                 .any(|d| matches!(d.cause, DegradeCause::Panicked(_))),
             "{panicking:?}"
         );
-        assert!(session.is_none(), "a panicked run drops its session");
+        assert!(
+            kept_session(&svc).idle[0].is_none(),
+            "a panicked run drops its session"
+        );
         for probe in ["x", r#"print("after"); len(list_trials("app", "exp"))"#] {
-            let r = serve(&mut session, script(probe));
+            let r = client.call(script(probe)).unwrap();
             assert_eq!(reply_text(&r), fresh_reply(script(probe)), "{probe}");
         }
         // The program compiled on the dropped session replays cleanly on
         // the fresh one, and a program compiled after the panic runs too.
         for source in [cached.as_str(), SWEEP_SOURCE] {
-            let r = serve(&mut session, sweep(source));
+            let r = client.call(sweep(source)).unwrap();
             assert!(r.is_clean(), "{r:?}");
             assert!(
                 matches!(r.outcome, Outcome::SweepDone { cached: hit, .. } if hit == (source == cached)),
@@ -1766,9 +1756,8 @@ mod tests {
         let stored = svc.store().get_trial("app", "exp", "t1").unwrap();
         let before = Arc::strong_count(&stored);
         let client = svc.client();
-        // The worker releases its session after sending a reply and
-        // before taking its next job, so the reply to a request after
-        // the script marks the script's end.
+        // The slot releases its session before the call returns, and
+        // the request after it runs in the same slot.
         let next = || {
             let r = client.call(analyze_missing()).unwrap();
             assert!(matches!(r.outcome, Outcome::Rejected { .. }), "{r:?}");
@@ -1783,6 +1772,7 @@ mod tests {
         for request in [script(source), sweep(source), sweep(SWEEP_SOURCE)] {
             let r = client.call(request).unwrap();
             assert!(r.is_clean(), "{r:?}");
+            assert_eq!(Arc::strong_count(&stored), before);
             next();
             assert_eq!(Arc::strong_count(&stored), before);
         }
@@ -1792,9 +1782,9 @@ mod tests {
     #[test]
     fn a_session_is_dropped_after_a_panic_or_a_flood_of_names() {
         let svc = three_trial_service(1);
-        let (store, metrics) = (svc.store(), &svc.metrics);
+        let (store, metrics) = (svc.store(), &svc.core.metrics);
         let mut session = None;
-        let run = |session: &mut Option<WorkerSession>, source: &str| {
+        let run = |session: &mut Option<SlotSession>, source: &str| {
             run_script(session, store, metrics, None, "app", "exp", source)
         };
         run(&mut session, "1");
@@ -1812,28 +1802,45 @@ mod tests {
         svc.shutdown();
     }
 
+    /// Polls until `ready` holds, for at most ten seconds.
+    fn wait_until(ready: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !ready() {
+            assert!(start.elapsed() < Duration::from_secs(10), "timed out");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
-    fn a_closed_queue_drains_its_jobs_then_refuses() {
-        let queue = WorkQueue::new(2);
-        let job = || Job {
-            request: Request::AnalyzeBalance {
-                app: "lu".into(),
-                experiment: "strong".into(),
-                trial: "t1".into(),
-                metric: "TIME".into(),
-            },
-            submitted: Instant::now(),
-            deadline: None,
-            reply: std::sync::mpsc::channel().0,
-        };
-        assert!(matches!(queue.try_push(job()), Push::Queued));
-        assert!(matches!(queue.try_push(job()), Push::Queued));
-        assert!(matches!(queue.try_push(job()), Push::Full(_)));
-        queue.close();
-        assert!(matches!(queue.try_push(job()), Push::Closed));
-        assert!(queue.pop().is_some());
-        assert!(queue.pop().is_some());
-        assert!(queue.pop().is_none(), "closed and drained");
+    fn a_waiter_is_served_after_a_release_and_a_closed_pool_refuses() {
+        let slots = Slots::new(1, 1);
+        let metrics = ServiceMetrics::default();
+        let acquire = |deadline| slots.acquire(Instant::now(), deadline, &metrics);
+        let held = acquire(None).ok().unwrap();
+        // With the slot held, a waiter with a deadline gives up at it.
+        let timed_out = acquire(Some(Duration::from_millis(1)));
+        assert!(matches!(timed_out, Err(NoSlot::TimedOut { .. })));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| acquire(None).is_ok());
+            wait_until(|| metrics.queue_depth.load(Ordering::Relaxed) == 1);
+            // One caller already waits: the next is shed.
+            assert!(matches!(acquire(None), Err(NoSlot::Shed)));
+            let closer = scope.spawn(|| slots.close());
+            wait_until(|| slots.state.lock().closed);
+            // Closed: a new caller is refused, while the waiter admitted
+            // before is still served once the slot comes back.
+            assert!(matches!(acquire(None), Err(NoSlot::Closed)));
+            drop(held);
+            assert!(waiter.join().unwrap(), "the waiter got the slot");
+            closer.join().unwrap();
+        });
+        assert!(matches!(acquire(None), Err(NoSlot::Closed)));
+        let stats = metrics.snapshot();
+        assert_eq!((stats.queue_depth, stats.queue_peak), (0, 1));
+        assert!(
+            slots.state.lock().idle.is_empty(),
+            "closing drops the sessions"
+        );
     }
 
     #[test]
@@ -1851,12 +1858,154 @@ mod tests {
             metric: "TIME".into(),
         };
         assert_eq!(
-            client.submit(analyze()).err().as_deref(),
+            client.call_with_deadline(analyze(), None).err().as_deref(),
             Some("service is shut down")
         );
         assert_eq!(
             client.call(analyze()).err().as_deref(),
             Some("service is shut down")
         );
+    }
+
+    const SLOW_SCRIPT: &str = "let i = 0; while i < 4000000 { i = i + 1; } i";
+
+    fn run_script_request(source: &str) -> Request {
+        Request::RunScript {
+            app: "lu".into(),
+            experiment: "strong".into(),
+            source: source.into(),
+        }
+    }
+
+    #[test]
+    fn a_waiting_call_answers_at_its_deadline_not_when_the_slot_frees() {
+        let svc = AnalysisService::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let client = svc.client();
+        let ingest = client
+            .call(Request::Ingest {
+                app: "lu".into(),
+                experiment: "strong".into(),
+                document: trial_json("t1"),
+            })
+            .unwrap();
+        assert!(ingest.is_clean(), "{ingest:?}");
+        let slow_done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let slow = scope.spawn(|| {
+                let r = client.call(run_script_request(SLOW_SCRIPT)).unwrap();
+                slow_done.store(true, Ordering::SeqCst);
+                r
+            });
+            // Counted means the script holds the one slot.
+            wait_until(|| svc.stats().scripts == 1);
+            let r = client
+                .call_with_deadline(
+                    Request::AnalyzeBalance {
+                        app: "lu".into(),
+                        experiment: "strong".into(),
+                        trial: "t1".into(),
+                        metric: "TIME".into(),
+                    },
+                    Some(Duration::from_millis(5)),
+                )
+                .unwrap();
+            assert!(
+                !slow_done.load(Ordering::SeqCst),
+                "the deadline call waited for the script to finish"
+            );
+            assert!(
+                matches!(r.outcome, Outcome::DeadlineExceeded { partial: None }),
+                "{r:?}"
+            );
+            let stages: Vec<&str> = r.degraded.iter().map(|d| d.stage.as_str()).collect();
+            assert_eq!(stages, ["queue wait"]);
+            let slow = slow.join().unwrap();
+            assert!(slow.is_clean(), "{slow:?}");
+        });
+        assert_eq!(svc.stats().deadlines_exceeded, 1);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn shutdown_lets_the_call_in_flight_finish_and_drops_the_store() {
+        let dir = std::env::temp_dir().join(format!("svc-shutdown-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServiceConfig {
+            workers: 1,
+            wal_dir: Some(dir.clone()),
+            wal_fsync: FsyncPolicy::Never,
+            ..ServiceConfig::default()
+        };
+        let svc = AnalysisService::start(config.clone());
+        let client = svc.client();
+        let chunks = [
+            chunk_json(
+                0,
+                &[
+                    ("main", &[(0, 50.0), (1, 50.0), (2, 50.0), (3, 50.0)]),
+                    ("main => work", &[(0, 40.0), (1, 30.0), (2, 20.0), (3, 2.0)]),
+                ],
+            ),
+            chunk_json(1, &[("main => work", &[(3, 35.0)])]),
+        ];
+        for chunk in chunks {
+            assert!(ingest_chunk(&client, "live", chunk).is_clean());
+        }
+        let before = analyze(&client, "live");
+        assert!(before.is_clean(), "{before:?}");
+        let store = Arc::downgrade(&svc.store);
+        std::thread::scope(|scope| {
+            let slow = scope.spawn(|| client.call(run_script_request(SLOW_SCRIPT)).unwrap());
+            wait_until(|| svc.stats().scripts == 1);
+            svc.shutdown();
+            let slow = slow.join().unwrap();
+            assert!(slow.is_clean(), "the call in flight completes: {slow:?}");
+        });
+        assert!(
+            store.upgrade().is_none(),
+            "a client that outlives the service keeps no store alive"
+        );
+        assert_eq!(
+            client.call(analyze_missing()).err().as_deref(),
+            Some("service is shut down")
+        );
+        // The journals were closed with the store: a new service over
+        // the same directory replays them into the same report.
+        let svc = AnalysisService::start(config);
+        assert_eq!(svc.stats().wal_replayed_chunks, 2);
+        let after = analyze(&svc.client(), "live");
+        assert_eq!(
+            format!("{:?}", after.outcome),
+            format!("{:?}", before.outcome)
+        );
+        svc.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_caller_on_a_default_2_mib_stack_runs_a_deeply_nested_script() {
+        // The request of `a_deeply_nested_script_value_does_not_take_a_worker_down`
+        // in tests/service.rs, from a thread with the stack a spawned
+        // std thread gets by default, which the handler now runs on.
+        let svc = three_trial_service(1);
+        let client = svc.client();
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                client
+                    .call(script("let x = []; for i in range(200000) { x = [x]; } 1"))
+                    .unwrap()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(deep.is_clean(), "{deep:?}");
+        let after = svc.client().call(script("1")).unwrap();
+        assert!(after.is_clean(), "{after:?}");
+        assert_eq!(svc.stats().panics_isolated, 0);
+        svc.shutdown();
     }
 }

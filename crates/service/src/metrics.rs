@@ -1,4 +1,4 @@
-//! Lightweight service metrics: lock-free counters every worker and
+//! Lightweight service metrics: lock-free counters every request and
 //! shard updates in place, snapshotted on demand by the `stats`
 //! endpoint. Counters only — no histograms, no background thread — so
 //! the hot path pays a handful of relaxed atomic adds per request.
@@ -47,9 +47,9 @@ pub struct ServiceMetrics {
     pub degraded_responses: AtomicU64,
     /// Requests rejected outright (unparseable upload, unknown trial).
     pub rejected: AtomicU64,
-    /// Panics caught at the worker boundary — outside any supervised
-    /// stage. Always zero unless a handler itself is buggy; the CI
-    /// smoke job asserts on it.
+    /// Panics caught at the request slot's boundary — outside any
+    /// supervised stage. Always zero unless a handler itself is buggy;
+    /// the CI smoke job asserts on it.
     pub panics_isolated: AtomicU64,
     /// Cold-trial cache hits (trial served from the shard LRU).
     pub cache_hits: AtomicU64,
@@ -62,17 +62,17 @@ pub struct ServiceMetrics {
     pub report_memo_hits: AtomicU64,
     /// Total time spent waiting to acquire shard locks, in nanoseconds.
     pub lock_wait_nanos: AtomicU64,
-    /// Total worker time spent inside request handlers, in nanoseconds.
+    /// Total time spent inside request handlers, in nanoseconds.
     pub busy_nanos: AtomicU64,
-    /// Jobs currently sitting in the worker queue (gauge: incremented
-    /// on enqueue, decremented on dequeue).
+    /// Callers currently waiting for a request slot (gauge: incremented
+    /// when a caller starts waiting, decremented when it stops).
     pub queue_depth: AtomicU64,
-    /// Deepest the queue has been: the gauge as each admitted job
-    /// raised it, clamped to the queue capacity (shed attempts are not
-    /// depth).
+    /// Most callers that have waited for a slot at once: the gauge as
+    /// each waiter raised it, at most the queue capacity (shed attempts
+    /// never wait, so they are not depth).
     pub queue_peak: AtomicU64,
-    /// Requests shed at admission because the queue was full
-    /// ([`crate::Outcome::Overloaded`]).
+    /// Requests shed at admission because every slot was taken and the
+    /// waiting line was full ([`crate::Outcome::Overloaded`]).
     pub shed: AtomicU64,
     /// Requests that hit their deadline — skipped stages or answered
     /// without work ([`crate::Outcome::DeadlineExceeded`]).
@@ -117,8 +117,8 @@ impl ServiceMetrics {
         peak.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Decrements a gauge, saturating at zero (a shed job was never
-    /// enqueued, so the pairing is the caller's responsibility).
+    /// Decrements a gauge, saturating at zero (pairing it with an
+    /// increment is the caller's responsibility).
     pub fn gauge_dec(gauge: &AtomicU64) {
         let _ = gauge.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
             Some(v.saturating_sub(1))
@@ -199,7 +199,7 @@ pub struct StatsSnapshot {
     pub degraded_responses: u64,
     /// Requests rejected outright.
     pub rejected: u64,
-    /// Panics caught at the worker boundary.
+    /// Panics caught at the request slot's boundary.
     pub panics_isolated: u64,
     /// Cold-cache hits.
     pub cache_hits: u64,
@@ -211,11 +211,11 @@ pub struct StatsSnapshot {
     pub lock_wait: Duration,
     /// Cumulative handler time.
     pub busy: Duration,
-    /// Jobs in the worker queue right now.
+    /// Callers waiting for a request slot right now.
     pub queue_depth: u64,
-    /// Deepest the queue has been.
+    /// Most callers that have waited for a slot at once.
     pub queue_peak: u64,
-    /// Requests shed at admission (queue full).
+    /// Requests shed at admission (waiting line full).
     pub shed: u64,
     /// Requests that hit their deadline.
     pub deadlines_exceeded: u64,

@@ -63,9 +63,18 @@ fn analyze(client: &service::ServiceClient, app: &str, trial: &str) -> service::
         .unwrap()
 }
 
-/// Saturating a one-worker, one-slot service sheds with the typed
-/// `Overloaded` outcome — submissions neither block nor queue without
-/// bound — and nothing admitted is lost.
+/// Polls until `ready` holds, for at most ten seconds.
+fn wait_until(ready: impl Fn() -> bool) {
+    let start = std::time::Instant::now();
+    while !ready() {
+        assert!(start.elapsed() < Duration::from_secs(10), "timed out");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Saturating a one-slot service with a one-caller waiting line sheds
+/// with the typed `Overloaded` outcome — calls neither block nor queue
+/// without bound — and nothing admitted is lost.
 #[test]
 fn saturation_sheds_with_typed_overloaded() {
     let svc = AnalysisService::start(ServiceConfig {
@@ -83,47 +92,51 @@ fn saturation_sheds_with_typed_overloaded() {
         })
         .unwrap();
 
-    // Occupy the single worker with a long-running script (well under
-    // the engine's 50M step limit, but hundreds of milliseconds of
-    // work), then fill the one queue slot behind it.
-    let slow = client
-        .submit(Request::RunScript {
-            app: "app".into(),
-            experiment: "exp".into(),
-            source: "let i = 0; while i < 4000000 { i = i + 1; } i".into(),
-        })
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(150));
-    let queued = client
-        .submit(Request::AnalyzeBalance {
-            app: "app".into(),
-            experiment: "exp".into(),
-            trial: "t".into(),
-            metric: "TIME".into(),
-        })
-        .unwrap();
+    // Occupy the single slot with a long-running script (well under
+    // the engine's 50M step limit, but tens to hundreds of milliseconds
+    // of work) on thread A, then fill the one waiting place behind it
+    // with thread B.
+    std::thread::scope(|scope| {
+        let slow = scope.spawn(|| {
+            client.call(Request::RunScript {
+                app: "app".into(),
+                experiment: "exp".into(),
+                source: "let i = 0; while i < 4000000 { i = i + 1; } i".into(),
+            })
+        });
+        wait_until(|| svc.stats().scripts == 1);
+        let queued = scope.spawn(|| {
+            client.call(Request::AnalyzeBalance {
+                app: "app".into(),
+                experiment: "exp".into(),
+                trial: "t".into(),
+                metric: "TIME".into(),
+            })
+        });
+        wait_until(|| svc.stats().queue_depth == 1);
 
-    // The worker is busy and the queue is full: further submissions
-    // come back shed, immediately and typed.
-    let mut shed = 0;
-    for _ in 0..4 {
-        let resp = analyze(&client, "app", "t");
-        match resp.outcome {
-            Outcome::Overloaded { capacity } => {
-                assert_eq!(capacity, 1);
-                shed += 1;
+        // The slot is busy and the waiting line is full: further calls
+        // come back shed, immediately and typed.
+        let mut shed = 0;
+        for _ in 0..4 {
+            let resp = analyze(&client, "app", "t");
+            match resp.outcome {
+                Outcome::Overloaded { capacity } => {
+                    assert_eq!(capacity, 1);
+                    shed += 1;
+                }
+                other => panic!("expected Overloaded, got {other:?}"),
             }
-            other => panic!("expected Overloaded, got {other:?}"),
         }
-    }
-    assert_eq!(shed, 4);
+        assert_eq!(shed, 4);
 
-    // Nothing admitted was lost: the slow script and the queued
-    // analysis both complete cleanly once the worker frees up.
-    let slow = slow.recv().unwrap();
-    assert!(slow.is_clean(), "{slow:?}");
-    let queued = queued.recv().unwrap();
-    assert!(queued.is_clean(), "{queued:?}");
+        // Nothing admitted was lost: the slow script and the queued
+        // analysis both complete cleanly once the slot frees up.
+        let slow = slow.join().unwrap().unwrap();
+        assert!(slow.is_clean(), "{slow:?}");
+        let queued = queued.join().unwrap().unwrap();
+        assert!(queued.is_clean(), "{queued:?}");
+    });
 
     let stats = svc.stats();
     assert_eq!(stats.shed, 4, "every Overloaded response is counted");
